@@ -427,8 +427,8 @@ def build_parser():
             p.add_argument("--n", type=int, default=1, help="number of qudits")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--budget-seconds", type=float,
-                       default=float(os.environ.get("STABSYM_BUDGET_SECONDS", "600")))
+        p.add_argument("--budget-seconds", type=float, default=None,
+                       help="search time budget (default: $STABSYM_BUDGET_SECONDS, else 600)")
         p.add_argument("--output", default=None)
         p.add_argument("--golden", default=None)
         p.add_argument("--timing", action="store_true")

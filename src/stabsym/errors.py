@@ -42,8 +42,19 @@ class NotBasisPreserving(StabsymError):
 
 
 class SearchTimeout(StabsymError):
-    """Automorphism search hit its time budget; carries the partial group."""
+    """Automorphism search hit its time budget; carries how far it got: the
+    nodes visited, the depth of the node it stopped at and the partial group
+    (None before the first leaf), and prints them."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
+    def __init__(self, message, partial=None, nodes=None, depth=None):
+        progress = []
+        if nodes is not None:
+            progress.append(f"{nodes} nodes visited")
+        if depth is not None:
+            progress.append(f"depth {depth}")
+        if partial is not None:
+            progress.append(f"partial order {partial.order()}")
+        super().__init__(f"{message} ({', '.join(progress)})" if progress else message)
         self.partial = partial
+        self.nodes = nodes
+        self.depth = depth

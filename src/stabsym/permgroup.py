@@ -62,7 +62,14 @@ class PermGroup:
         self.generators = []  # the externally supplied generators
 
     @classmethod
-    def from_generators(cls, gens, degree=None, base_hint=None):
+    def from_generators(cls, gens, degree=None, base_hint=None, order=None):
+        """The chain of the group the generators generate.
+
+        `order`, when given, must be that group's certified order: sifting
+        then stops once the transversal sizes multiply to it (the known-order
+        criterion, Seress 2003, section 4.5), which leaves a complete base and
+        strong generating set.
+        """
         gens = [tuple(g) for g in gens]
         if degree is None:
             if not gens:
@@ -73,7 +80,7 @@ class PermGroup:
             for b in base_hint:
                 grp._append_base_point(b)
         for g in gens:
-            grp.add_generator(g)
+            grp.add_generator(g, order=order)
         return grp
 
     # -- chain maintenance -------------------------------------------------
@@ -119,12 +126,18 @@ class PermGroup:
 
     __contains__ = contains
 
-    def add_generator(self, g):
-        """Insert g (and all induced Schreier generators) into the chain."""
+    def add_generator(self, g, order=None):
+        """Insert g (and all induced Schreier generators) into the chain.
+
+        With `order`, the certified order of the group the chain then
+        generates, sifting stops as soon as the chain reaches that order.
+        """
         g = tuple(g)
         if len(g) != self.degree:
             raise ValueError("degree mismatch")
         self.generators.append(g)
+        if order is not None and self.order() == order:
+            return
         stack = [(0, g)]
         while stack:
             start, p = stack.pop()
@@ -137,8 +150,14 @@ class PermGroup:
             # the residue stabilizes base[:l], so it strengthens levels <= l
             for i in range(l, -1, -1):
                 self.level_gens[i].append(residue)
+            new_pts = [self._rebuild_orbit(i) for i in range(l + 1)]
+            if order is not None:
+                reached = self.order()
+                if reached > order:
+                    raise ValueError(f"generators exceed the stated order {order}")
+                if reached == order:
+                    return
             for i in range(l + 1):
-                new_pts = self._rebuild_orbit(i)
                 # Schreier generators: new generator against the whole orbit,
                 # old generators against the newly reached points
                 trans = self.transversals[i]
@@ -146,7 +165,7 @@ class PermGroup:
                     s = compose(inverse(trans[residue[beta]]), compose(residue, u))
                     if not is_identity(s):
                         stack.append((i + 1, s))
-                for beta in new_pts:
+                for beta in new_pts[i]:
                     u = trans[beta]
                     for h in self.level_gens[i]:
                         s = compose(inverse(trans[h[beta]]), compose(h, u))

@@ -115,8 +115,8 @@ def polytope_membership(a: OpMatrix, d):
     """
     facets = facet_family(d)
     for facet in facets:
-        v = (a @ facet.matrix).trace()
-        val = v.as_fraction()
+        # tr(A X) = (X|A), as every facet operator X is Hermitian
+        val = hs_inner(facet.matrix, a).as_fraction()
         if val < 0:
             return False, facet
     return True, None
@@ -127,7 +127,7 @@ def facet_incidence_counts(d):
     fam = stabilizer_states(d, 1)
     out = []
     for facet in facet_family(d):
-        vals = [(facet.matrix @ p).trace().as_fraction() for p in fam.projectors]
+        vals = [hs_inner(facet.matrix, p).as_fraction() for p in fam.projectors]
         if min(vals) < 0:
             raise Mismatch("facet fails the supporting-hyperplane property")
         out.append((vals.count(Fraction(0)), min(vals)))

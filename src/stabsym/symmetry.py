@@ -37,7 +37,10 @@ from .phase_space import (
 )
 from .zmod import ZModMatrix
 
-DEFAULT_TIME_BUDGET = float(os.environ.get("STABSYM_BUDGET_SECONDS", "600"))
+
+def default_time_budget() -> float:
+    """The search time budget in seconds: $STABSYM_BUDGET_SECONDS, else 600."""
+    return float(os.environ.get("STABSYM_BUDGET_SECONDS", "600"))
 
 
 @dataclass(frozen=True)
@@ -55,63 +58,116 @@ class ColoredGraph:
         colors = tuple(tuple(code[v] for v in row) for row in gram.values)
         return cls(n=gram.size, colors=colors, legend=tuple(values))
 
-    def matrix(self):
-        return np.array(self.colors, dtype=np.int64)
-
 
 class AutomorphismSearch:
     """Complete individualization-refinement search for color automorphisms.
+
+    Refinement is exact and splitter-driven (McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comput. 60 (2014); Junttila & Kaski, bliss,
+    ALENEX 2007).  Each round takes every queued splitter cell in cell-id
+    order and gives each vertex of a non-singleton cell the signature (cell
+    id, the multiset of its edge colors into each splitter), held exactly as
+    small integers: its colors into each splitter, sorted.  Cells split by
+    signature; new cell ids follow the sorted signatures, so labels depend
+    only on the labelled partition, never on the branch.  The root starts
+    with every cell queued; a child starts with just its individualized
+    singleton, since the parent was equitable.  Of each split cell all
+    fragments but the first largest are queued (Hopcroft): after a round the
+    partition is stable against the old cell and the queued fragments, hence
+    against the skipped one.  An empty queue therefore leaves an equitable
+    partition.
+
+    Node invariant: the split trace, i.e. every round's sorted signatures and
+    fragment sizes.  It is a function of the labelled partition, so nodes in
+    one automorphism orbit share it, and a node whose trace differs from the
+    first path's at its depth cannot lead to an automorphism of the first
+    leaf.  Such a node stops refining at the first round that departs from
+    the path's trace.
 
     Soundness: every emitted generator is re-verified against the color
     matrix.  Completeness: the tree is exhausted under orbit pruning by the
     already-found group (stabilizer-chain aligned with the search base) and
     invariant-based pruning, both of which only discard branches that cannot
-    contain new generators.
+    contain new generators.  With `seed_order`, the certified order of the
+    group the seeds generate, the seed chain stops sifting once it reaches
+    that order (the known-order criterion); a chain of full order is a
+    complete base and strong generating set, so the orbit pruning is exact.
     """
 
-    def __init__(self, graph: ColoredGraph, time_budget=None, seeds=()):
+    def __init__(self, graph: ColoredGraph, time_budget=None, seeds=(), seed_order=None):
         self.n = graph.n
-        self.m = graph.matrix()
-        ncolors = len(graph.legend)
-        # weighted adjacency makes one matmul count all (color, cell) pairs
-        weights = (self.n + 1) ** np.arange(ncolors, dtype=np.int64)
-        if ncolors > 1 and weights[-1] > 2 ** 52 // (self.n + 1):
-            raise Mismatch("too many colors for exact counting")
-        self.mw = weights[self.m].astype(np.float64)
-        self.budget = DEFAULT_TIME_BUDGET if time_budget is None else time_budget
+        self.ncolors = len(graph.legend)
+        self.m = np.array(graph.colors, dtype=np.min_scalar_type(max(self.ncolors - 1, 0)))
+        self.budget = default_time_budget() if time_budget is None else time_budget
         self.deadline = None
         self.seeds = [tuple(s) for s in seeds]
+        self.seed_order = seed_order
         for s in self.seeds:
             if not self._is_automorphism(np.array(s, dtype=np.int64)):
                 raise Mismatch("seed permutation does not preserve the Gram", witness=s)
 
     # -- partition refinement -------------------------------------------
-    def refine(self, labels):
-        """Iterated invariant refinement.
+    def refine(self, labels, splitters=None, expect=None):
+        """Equitable refinement of `labels` (cell ids 0..k-1) driven by the
+        `splitters` cells (all cells when None).
 
-        Returns (labels, invariant): canonical cell ids (assigned by sorted
-        signature content, hence branch-independent) and the multiset of
-        final signature rows, used for path-invariant pruning.
+        Returns (labels, invariant): canonical cell ids and the split trace.
+        Given the trace `expect` to match, it stops at the first round that
+        departs from it and returns (None, the trace so far).
         """
-        labels = labels.copy()
-        ncells = int(labels.max()) + 1
-        arange = np.arange(self.n)
-        while True:
-            onehot = np.zeros((self.n, ncells), dtype=np.float64)
-            onehot[arange, labels] = 1.0
-            sig = np.empty((self.n, ncells + 1), dtype=np.float64)
-            sig[:, 0] = labels
-            sig[:, 1:] = self.mw @ onehot
-            rows = np.ascontiguousarray(sig).view(
-                np.dtype((np.void, sig.shape[1] * 8))
-            ).ravel()
-            uniq, new_labels, counts = np.unique(
-                rows, return_inverse=True, return_counts=True
-            )
-            if uniq.size == ncells:
-                invariant = (uniq.tobytes(), counts.tobytes())
-                return new_labels.astype(np.int64), invariant
-            labels, ncells = new_labels.astype(np.int64), int(uniq.size)
+        k = self.ncolors
+        ncells = int(labels.max()) + 1  # cell ids fit the 4-byte key: ncells <= n
+        queue = np.arange(ncells) if splitters is None else np.unique(splitters)
+        trace = []
+        while queue.size:
+            sizes = np.bincount(labels, minlength=ncells)
+            rows = np.flatnonzero(sizes[labels] > 1)
+            if rows.size == 0:
+                break
+            # splitter vertices grouped by cell, in cell-id order
+            in_queue = np.zeros(ncells, dtype=bool)
+            in_queue[queue] = True
+            cols = np.flatnonzero(in_queue[labels])
+            cols = cols[np.argsort(labels[cols], kind="stable")]
+            colors = self.m[rows][:, cols]
+            if cols.size > queue.size:
+                # sort each row's colors within each splitter, so that a row
+                # holds the multiset of its colors into every splitter
+                offset = np.searchsorted(queue, labels[cols]) * k
+                offset = offset.astype(np.min_scalar_type(queue.size * k))
+                colors = (np.sort(colors + offset, axis=1) - offset).astype(self.m.dtype)
+            # big-endian bytes sort in numeric order: by cell id, then colors
+            sig = np.empty((rows.size, 4 + colors.shape[1] * colors.itemsize), dtype=np.uint8)
+            sig[:, :4] = labels[rows].astype(">u4").view(np.uint8).reshape(rows.size, 4)
+            sig[:, 4:] = colors.astype(colors.dtype.newbyteorder(">")).view(np.uint8).reshape(
+                rows.size, -1)
+            keys = sig.view(np.dtype((np.void, sig.shape[1]))).ravel()
+            uniq, first, inverse, frag_sizes = np.unique(
+                keys, return_index=True, return_inverse=True, return_counts=True)
+            trace.append((uniq.tobytes(), frag_sizes.tobytes()))
+            if expect is not None and expect[len(trace) - 1:len(trace)] != (trace[-1],):
+                return None, tuple(trace)  # departs from (or outruns) `expect`
+            frag_cell = labels[rows[first]]
+            nfrag = np.bincount(frag_cell, minlength=ncells)
+            if uniq.size == np.count_nonzero(nfrag):
+                break  # nothing split: stable against every cell
+            nfrag = np.maximum(nfrag, 1)
+            start = np.cumsum(nfrag) - nfrag
+            rank = np.arange(uniq.size) - np.searchsorted(frag_cell, frag_cell)
+            frag_id = start[frag_cell] + rank
+            new_labels = start[labels]
+            new_labels[rows] = frag_id[inverse.ravel()]
+            # queue every fragment of a split cell except its first largest
+            by_size = np.lexsort((np.arange(uniq.size), -frag_sizes, frag_cell))
+            keep = nfrag[frag_cell] > 1
+            lead = by_size[np.r_[True, frag_cell[by_size][1:] != frag_cell[by_size][:-1]]]
+            keep[lead] = False
+            queue = frag_id[keep]
+            labels, ncells = new_labels, int(start[-1] + nfrag[-1])
+        trace = tuple(trace)
+        if expect is not None and trace != expect:
+            return None, trace
+        return labels, trace
 
     def _target_cell(self, labels):
         counts = np.bincount(labels)
@@ -123,9 +179,10 @@ class AutomorphismSearch:
         return int(cell)
 
     def _individualize(self, labels, v):
+        """Move v into a new singleton cell; returns (labels, its cell id)."""
         out = labels.copy()
         out[v] = labels.max() + 1
-        return out
+        return out, int(out[v])
 
     def _leaf_order(self, labels):
         order = np.empty(self.n, dtype=np.int64)
@@ -138,11 +195,12 @@ class AutomorphismSearch:
     # -- search ------------------------------------------------------------
     def run(self) -> PermGroup:
         self.deadline = time.monotonic() + self.budget
+        self.nodes = 0
         self.base_seq = []
         self.first_leaf = None
         self.path_invariants = {}
         self.chain = None
-        self._dfs(np.zeros(self.n, dtype=np.int64), 0, True)
+        self._dfs(np.zeros(self.n, dtype=np.int64), None, 0, True)
         chain = self.chain if self.chain is not None else PermGroup(self.n)
         for g in chain.generators:
             if not self._is_automorphism(np.array(g, dtype=np.int64)):
@@ -153,17 +211,25 @@ class AutomorphismSearch:
         # created only once the first path (and hence the base) is complete
         if self.chain is None:
             self.chain = PermGroup.from_generators(
-                self.seeds, degree=self.n, base_hint=self.base_seq
+                self.seeds, degree=self.n, base_hint=self.base_seq, order=self.seed_order
             )
 
-    def _dfs(self, labels, depth, on_path):
+    def _dfs(self, labels, splitters, depth, on_path):
+        self.nodes += 1
         if time.monotonic() > self.deadline:
-            raise SearchTimeout("automorphism search budget exhausted", partial=self.chain)
-        labels, inv = self.refine(labels)
+            raise SearchTimeout(f"automorphism search budget of {self.budget:g} s exhausted",
+                                partial=self.chain, nodes=self.nodes, depth=depth)
         if on_path:
-            self.path_invariants[depth] = inv
-        elif self.path_invariants.get(depth) != inv:
-            return None
+            labels, self.path_invariants[depth] = self.refine(labels, splitters)
+        else:
+            # only a node with the first path's trace at its depth can lead
+            # to an automorphic image of the first leaf
+            expect = self.path_invariants.get(depth)
+            if expect is None:
+                return None
+            labels, _ = self.refine(labels, splitters, expect)
+            if labels is None:
+                return None
         cell = self._target_cell(labels)
         if cell is None:
             return self._handle_leaf(labels)
@@ -171,20 +237,20 @@ class AutomorphismSearch:
         if on_path:
             v0 = int(candidates[0])
             self.base_seq.append(v0)
-            self._dfs(self._individualize(labels, v0), depth + 1, True)
+            self._dfs(*self._individualize(labels, v0), depth + 1, True)
             self._ensure_chain()
             processed = [v0]
             for v in candidates[1:]:
                 v = int(v)
                 if v in self.chain.orbit_of(depth, processed):
                     continue
-                gamma = self._dfs(self._individualize(labels, v), depth + 1, False)
+                gamma = self._dfs(*self._individualize(labels, v), depth + 1, False)
                 processed.append(v)
                 if gamma is not None and not self.chain.contains(gamma):
                     self.chain.add_generator(gamma)
             return None
         for v in candidates:
-            gamma = self._dfs(self._individualize(labels, int(v)), depth + 1, False)
+            gamma = self._dfs(*self._individualize(labels, int(v)), depth + 1, False)
             if gamma is not None:
                 return gamma
         return None
@@ -201,16 +267,19 @@ class AutomorphismSearch:
         return None
 
 
-def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=()) -> PermGroup:
+def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=(),
+                       seed_order=None) -> PermGroup:
     """The full, certified group of Gram-preserving state permutations.
 
     Optional seeds are candidate automorphisms (e.g. a predicted group's
     generators); each is verified against the Gram before being used for
     known-group pruning, so soundness and exhaustive-tree completeness are
-    unaffected.
+    unaffected.  `seed_order` is the certified order of the group the seeds
+    generate, if known; it shortens building their chain.
     """
     graph = ColoredGraph.from_gram(gram)
-    return AutomorphismSearch(graph, time_budget=time_budget, seeds=seeds).run()
+    return AutomorphismSearch(graph, time_budget=time_budget, seeds=seeds,
+                              seed_order=seed_order).run()
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +414,7 @@ def verify_theorem1(d, n, variant, time_budget=None):
         labels = fam.labels
     predicted = predicted_group(d, n, variant)
     computed = gram_automorphisms(gram, time_budget=time_budget,
-                                  seeds=predicted.generators)
+                                  seeds=predicted.generators, seed_order=predicted.order())
     report = {
         "d": d,
         "n": n,

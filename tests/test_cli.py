@@ -116,6 +116,19 @@ def test_usage_error_exit_code(capsys):
 def test_budget_exit_code(capsys):
     code = main(["enumerate", "--d", "5", "--n", "3"])
     assert code == 3
+    capsys.readouterr()
+    code = main(["autgroup", "--budget-seconds", "0.2", "--d", "3", "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("budget exceeded: automorphism search budget of 0.2 s exhausted")
+    assert "nodes visited" in err and "depth" in err
+
+
+def test_budget_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("STABSYM_BUDGET_SECONDS", "0.2")
+    code = main(["autgroup", "--d", "3", "--n", "2"])
+    assert code == 3
+    assert "budget of 0.2 s exhausted" in capsys.readouterr().err
 
 
 def test_report_deterministic_and_green(capsys, tmp_path):

@@ -55,6 +55,16 @@ def test_facets_support_with_eight_incident_vertices():
         assert zeros == 8  # (d-1)(d+1)
 
 
+def test_facet_trace_by_hs_inner_matches_dense_trace():
+    # the facet operators are Hermitian, so tr(X P) = (X|P) for every pair
+    fam = stabilizer_states(3, 1)
+    rho = wigner_negative_state(3)
+    for facet in facet_family(3):
+        assert facet.matrix.is_hermitian()
+        for p in (*fam.projectors, rho):
+            assert hs_inner(facet.matrix, p) == (facet.matrix @ p).trace()
+
+
 def test_self_duality_of_simplex_blocks():
     # within a line's span, facet normals of the simplex are its own vertices:
     # tr(pi_g pi_h) = -1/d for g != h and (d-1)/d on the diagonal realizes

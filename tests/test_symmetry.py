@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
-from stabsym.operators import stabilizer_states
-from stabsym.permgroup import compose, schreier_sims
+from stabsym.operators import GramMatrix, stabilizer_states
+from stabsym.permgroup import PermGroup, compose, schreier_sims
 from stabsym.phase_space import all_vectors
 from stabsym.symmetry import (
     AutomorphismSearch,
@@ -142,8 +146,156 @@ def test_seed_rejection():
 
 def test_search_timeout_raises():
     fam = stabilizer_states(3, 2)
-    with pytest.raises(SearchTimeout):
+    with pytest.raises(SearchTimeout) as info:
         gram_automorphisms(fam.gram, time_budget=0.2)
+    exc = info.value
+    assert exc.nodes >= 1 and exc.depth >= 0
+    assert f"{exc.nodes} nodes visited" in str(exc) and f"depth {exc.depth}" in str(exc)
+    if exc.partial is not None:
+        assert f"partial order {exc.partial.order()}" in str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for refinement and search
+
+def brute_force_order(colors):
+    m = np.array(colors)
+    perms = np.array(list(itertools.permutations(range(len(m)))))
+    images = m[perms[:, :, None], perms[:, None, :]]
+    return int(np.count_nonzero((images == m).all(axis=(1, 2))))
+
+
+def gram_of(colors):
+    return GramMatrix(labels=tuple(range(len(colors))),
+                      values=tuple(tuple(Fraction(c) for c in row) for row in colors))
+
+
+@st.composite
+def color_matrices(draw, max_n=7, max_colors=4):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_colors))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(0, k - 1))
+    return m
+
+
+def naive_equitable(m, labels):
+    """Coarsest equitable refinement by full rounds, as a set of cells."""
+    n = len(m)
+    while True:
+        sig = [(labels[v], tuple(sorted((labels[u], m[v][u]) for u in range(n))))
+               for v in range(n)]
+        keys = sorted(set(sig))
+        new = [keys.index(x) for x in sig]
+        if len(keys) == len(set(labels)):
+            return cells_of(new)
+        labels = new
+
+
+def cells_of(labels):
+    cells = {}
+    for v, c in enumerate(labels):
+        cells.setdefault(int(c), set()).add(v)
+    return {frozenset(c) for c in cells.values()}
+
+
+def is_equitable(m, labels):
+    m = np.asarray(m)
+    for cell in cells_of(labels):
+        rows = sorted(cell)
+        for other in cells_of(labels):
+            cols = sorted(other)
+            for c in np.unique(m):
+                counts = (m[np.ix_(rows, cols)] == c).sum(axis=1)
+                if np.unique(counts).size > 1:
+                    return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(color_matrices())
+def test_search_order_matches_brute_force(colors):
+    assert gram_automorphisms(gram_of(colors)).order() == brute_force_order(colors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(color_matrices(), st.data())
+def test_refine_is_coarsest_equitable(colors, data):
+    n = len(colors)
+    search = AutomorphismSearch(ColoredGraph.from_gram(gram_of(colors)))
+    start = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    start = np.unique(start, return_inverse=True)[1].ravel()  # contiguous cell ids
+    labels, _ = search.refine(start)
+    assert sorted(np.unique(labels)) == list(range(int(labels.max()) + 1))
+    assert is_equitable(search.m, labels)
+    assert cells_of(labels) == naive_equitable(search.m.tolist(), start.tolist())
+    # a child queues only its individualized singleton
+    sizes = np.bincount(labels)
+    movable = np.flatnonzero(sizes[labels] > 1)
+    if movable.size == 0:
+        return
+    v = int(movable[data.draw(st.integers(0, movable.size - 1))])
+    child, cell = search._individualize(labels, v)
+    refined, _ = search.refine(child, [cell])
+    assert is_equitable(search.m, refined)
+    assert cells_of(refined) == cells_of(search.refine(child)[0])
+
+
+@pytest.mark.parametrize("d,n,variant", [(3, 1, "wreath"), (2, 2, "extended_clifford")])
+def test_refine_commutes_with_automorphisms(d, n, variant):
+    graph = ColoredGraph.from_gram(stabilizer_states(d, n).gram)
+    search = AutomorphismSearch(graph)
+    root, _ = search.refine(np.zeros(graph.n, dtype=np.int64))
+    rng = random.Random(7)
+    for g in predicted_group(d, n, variant).generators:
+        g = np.array(g)
+        assert np.array_equal(root[g], root)
+        a = b = root
+        while (cell := search._target_cell(a)) is not None:
+            v = rng.choice(np.flatnonzero(a == cell).tolist())
+            a, inv_a = search.refine(*search._individualize(a, v))
+            b, inv_b = search.refine(*search._individualize(b, int(g[v])))
+            # the labelling at the image node is the permuted labelling
+            assert np.array_equal(b[g], a)
+            assert inv_a == inv_b
+
+
+def test_many_colors_certify_exactly():
+    # 20 colors on 8 points: exact refinement puts no bound on the colors
+    n = 8
+    swap = [1, 0, 3, 2, 5, 4, 7, 6]
+    classes = {}
+    colors = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            key = min((i, j), (swap[i], swap[j]), (j, i), (swap[j], swap[i]))
+            colors[i][j] = classes.setdefault(key, len(classes))
+    assert len(classes) >= 8
+    assert gram_automorphisms(gram_of(colors)).order() == brute_force_order(colors) >= 2
+
+
+@pytest.mark.parametrize("d,n,variant", [
+    (2, 1, "wreath"), (3, 1, "wreath"), (5, 1, "wreath"),
+    (2, 2, "extended_clifford"), (3, 2, "agsp"), (2, 2, "real_clifford"),
+])
+def test_known_order_chain_is_complete(d, n, variant):
+    full = predicted_group(d, n, variant)
+    gens = full.generators
+    hint = list(range(full.degree - 1, full.degree - 4, -1))
+    early = PermGroup.from_generators(gens, degree=full.degree, base_hint=hint,
+                                      order=full.order())
+    assert early.order() == full.order()
+    assert all(early.contains(g) for g in full.level_gens[0])
+    assert early.order() == PermutationGroup([Permutation(list(g)) for g in gens]).order()
+
+
+def test_known_order_rejects_a_smaller_stated_order():
+    full = predicted_group(3, 1, "wreath")
+    # a prime above every orbit size is never a product of orbit sizes
+    with pytest.raises(ValueError):
+        PermGroup.from_generators(full.generators, order=13)
 
 
 def test_wreath_decompose_identity_and_roundtrip():
