@@ -36,7 +36,6 @@ from .clifford import (
     Similitude,
     agsp_compose,
     ext_compose,
-    ext_element_matrix,
     metaplectic,
     real_clifford_orbit,
     sp_generators,

@@ -432,11 +432,6 @@ class ExtCliffordElement:
         }
 
 
-def ext_element_matrix(e: ExtCliffordElement):
-    """The operator description of e: (linear-part matrix, Galois flag)."""
-    return e.matrix(), e.galois()
-
-
 def ext_apply(e: ExtCliffordElement, m: OpMatrix) -> OpMatrix:
     """Adjoint action rho -> (M C_alpha) rho (M C_alpha)^{-1} with M = e.matrix()."""
     gal = e.galois()

@@ -1,10 +1,18 @@
 """Permutation groups with a stabilizer chain (deterministic Schreier-Sims).
 
 Permutations are tuples p of length `degree` with p[i] = image of i; they
-compose as functions acting on the left: (p * q)(x) = p(q(x)).
+compose as functions acting on the left: (p * q)(x) = p(q(x)).  Each level of
+the chain keeps the inverse of every coset representative beside it, so
+sifting and the Schreier generators compose with stored inverses and never
+invert (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 """
 
 from __future__ import annotations
+
+import time
+from operator import itemgetter
+
+from .errors import SearchTimeout
 
 
 def identity_perm(n):
@@ -12,7 +20,10 @@ def identity_perm(n):
 
 
 def compose(p, q):
-    return tuple(p[x] for x in q)
+    """p * q as one C-level gather of p at the points of q."""
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return tuple(p[x] for x in q)  # itemgetter of one point returns no tuple
 
 
 def inverse(p):
@@ -23,7 +34,7 @@ def inverse(p):
 
 
 def is_identity(p):
-    return all(i == x for i, x in enumerate(p))
+    return tuple(p) == identity_perm(len(p))
 
 
 def perm_order(p):
@@ -56,19 +67,22 @@ class PermGroup:
 
     def __init__(self, degree: int):
         self.degree = degree
+        self.identity = identity_perm(degree)
         self.base = []
         self.level_gens = []  # level_gens[l]: generators stabilizing base[:l]
         self.transversals = []  # transversals[l]: dict point -> coset rep u, u(base[l]) = point
+        self.inverse_transversals = []  # inverse_transversals[l]: dict point -> u^-1
         self.generators = []  # the externally supplied generators
 
     @classmethod
-    def from_generators(cls, gens, degree=None, base_hint=None, order=None):
+    def from_generators(cls, gens, degree=None, base_hint=None, order=None, deadline=None):
         """The chain of the group the generators generate.
 
         `order`, when given, must be that group's certified order: sifting
         then stops once the transversal sizes multiply to it (the known-order
         criterion, Seress 2003, section 4.5), which leaves a complete base and
-        strong generating set.
+        strong generating set.  `deadline`, a `time.monotonic()` value, bounds
+        the build as in `add_generator`.
         """
         gens = [tuple(g) for g in gens]
         if degree is None:
@@ -80,18 +94,19 @@ class PermGroup:
             for b in base_hint:
                 grp._append_base_point(b)
         for g in gens:
-            grp.add_generator(g, order=order)
+            grp.add_generator(g, order=order, deadline=deadline)
         return grp
 
     # -- chain maintenance -------------------------------------------------
     def _append_base_point(self, b):
         self.base.append(b)
         self.level_gens.append([])
-        self.transversals.append({b: identity_perm(self.degree)})
+        self.transversals.append({b: self.identity})
+        self.inverse_transversals.append({b: self.identity})
 
     def _rebuild_orbit(self, l):
         """BFS orbit of base[l] under level_gens[l]; returns new points."""
-        trans = self.transversals[l]
+        trans, invs = self.transversals[l], self.inverse_transversals[l]
         queue = list(trans)
         new_points = []
         qi = 0
@@ -102,19 +117,21 @@ class PermGroup:
             for g in self.level_gens[l]:
                 gamma = g[beta]
                 if gamma not in trans:
-                    trans[gamma] = compose(g, u)
+                    u_gamma = compose(g, u)
+                    trans[gamma] = u_gamma
+                    invs[gamma] = inverse(u_gamma)
                     queue.append(gamma)
                     new_points.append(gamma)
         return new_points
 
     def _sift(self, p, start=0):
-        for l in range(start, len(self.base)):
-            beta = p[self.base[l]]
-            u = self.transversals[l].get(beta)
-            if u is None:
+        base, invs = self.base, self.inverse_transversals
+        for l in range(start, len(base)):
+            u_inv = invs[l].get(p[base[l]])
+            if u_inv is None:
                 return p, l
-            p = compose(inverse(u), p)
-        return p, len(self.base)
+            p = compose(u_inv, p)
+        return p, len(base)
 
     def sift(self, p):
         """Residue of p against the chain; identity iff p is a member."""
@@ -122,15 +139,18 @@ class PermGroup:
         return residue
 
     def contains(self, p):
-        return is_identity(self.sift(p))
+        return self.sift(p) == self.identity
 
     __contains__ = contains
 
-    def add_generator(self, g, order=None):
+    def add_generator(self, g, order=None, deadline=None):
         """Insert g (and all induced Schreier generators) into the chain.
 
         With `order`, the certified order of the group the chain then
         generates, sifting stops as soon as the chain reaches that order.
+        With `deadline`, a `time.monotonic()` value, each step checks the
+        clock first and raises `SearchTimeout`, carrying the partial chain,
+        once the deadline is reached.
         """
         g = tuple(g)
         if len(g) != self.degree:
@@ -138,11 +158,14 @@ class PermGroup:
         self.generators.append(g)
         if order is not None and self.order() == order:
             return
+        ident = self.identity
         stack = [(0, g)]
         while stack:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise SearchTimeout("stabilizer chain deadline reached", partial=self)
             start, p = stack.pop()
             residue, l = self._sift(p, start)
-            if is_identity(residue):
+            if residue == ident:
                 continue
             if l == len(self.base):
                 b = next(i for i, x in enumerate(residue) if x != i)
@@ -160,16 +183,16 @@ class PermGroup:
             for i in range(l + 1):
                 # Schreier generators: new generator against the whole orbit,
                 # old generators against the newly reached points
-                trans = self.transversals[i]
+                trans, invs = self.transversals[i], self.inverse_transversals[i]
                 for beta, u in trans.items():
-                    s = compose(inverse(trans[residue[beta]]), compose(residue, u))
-                    if not is_identity(s):
+                    s = compose(invs[residue[beta]], compose(residue, u))
+                    if s != ident:
                         stack.append((i + 1, s))
                 for beta in new_pts[i]:
                     u = trans[beta]
                     for h in self.level_gens[i]:
-                        s = compose(inverse(trans[h[beta]]), compose(h, u))
-                        if not is_identity(s):
+                        s = compose(invs[h[beta]], compose(h, u))
+                        if s != ident:
                             stack.append((i + 1, s))
 
     def order(self) -> int:

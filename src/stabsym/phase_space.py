@@ -208,6 +208,15 @@ def _check_budget(d, n, budget):
         raise BudgetExceeded(f"d^(2n) = {d ** (2 * n)} exceeds cap {cap}")
 
 
+def basis_blocks(labels):
+    """Indices of the stabilizer `labels` grouped by Lagrangian (one block
+    per basis), the blocks ordered by the Lagrangians' canonical bases."""
+    blocks = {}
+    for i, lab in enumerate(labels):
+        blocks.setdefault(lab.L, []).append(i)
+    return [blocks[L] for L in sorted(blocks, key=lambda L: L.basis)]
+
+
 def enumerate_subspaces(d, ambient, k):
     """All k-dimensional subspaces of Z_d^ambient as canonical RREF bases."""
     out = []

@@ -10,6 +10,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, Mismatch
 from .operators import OpMatrix, hs_inner, stabilizer_states
+from .phase_space import basis_blocks
 from .zmod import require_prime
 
 
@@ -42,15 +43,6 @@ def shifted_vertices(d):
     ]
 
 
-def _blocks(d):
-    """State indices grouped by Lagrangian line, in label order."""
-    fam = stabilizer_states(d, 1)
-    blocks = {}
-    for i, lab in enumerate(fam.labels):
-        blocks.setdefault(lab.L, []).append(i)
-    return [blocks[L] for L in sorted(blocks, key=lambda L: L.basis)]
-
-
 def direct_sum_check(d):
     """Verify the three-value overlap table, per-line zero sums, and
     cross-line orthogonality of the shifted polytope."""
@@ -76,14 +68,15 @@ def direct_sum_check(d):
                 raise Mismatch(f"overlap table violated at {(i, j)}", witness=(i, j, v))
     report["overlap_table"] = True
     m = verts[0].matrix.m
-    for block in _blocks(d):
+    blocks = basis_blocks(fam.labels)
+    for block in blocks:
         acc = OpMatrix.zero(m, d)
         for i in block:
             acc = acc + verts[i].matrix
         if acc != OpMatrix.zero(m, d):
             raise Mismatch("per-line vertex sum does not vanish", witness=block)
     report["line_sums_vanish"] = True
-    report["blocks"] = len(_blocks(d))
+    report["blocks"] = len(blocks)
     return report
 
 
@@ -95,7 +88,7 @@ def facet_family(d):
         raise BudgetExceeded("facet family implemented for odd d <= 5")
     fam = stabilizer_states(d, 1)
     verts = shifted_vertices(d)
-    blocks = _blocks(d)
+    blocks = basis_blocks(fam.labels)
     m = verts[0].matrix.m
     base = OpMatrix.identity(m, d).scale(Fraction(1, d))
     facets = []

@@ -32,6 +32,7 @@ from .operators import (
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
     StabilizerLabel,
+    basis_blocks,
     enumerate_lagrangians,
     transform_label,
 )
@@ -76,6 +77,14 @@ class AutomorphismSearch:
     partition is stable against the old cell and the queued fragments, hence
     against the skipped one.  An empty queue therefore leaves an equitable
     partition.
+
+    Target cell: the first largest non-singleton cell.  Its choice depends
+    only on the labelled partition, so nodes in one automorphism orbit pick
+    corresponding cells and the orbit and invariant pruning below stay sound.
+    Individualizing in a large cell splits the partition furthest, so the
+    first path is short and few sibling subtrees survive the pruning: the
+    seeded (3,2) search refines 5 times instead of 6 821 times with the
+    first smallest cell.
 
     Node invariant: the split trace, i.e. every round's sorted signatures and
     fragment sizes.  It is a function of the labelled partition, so nodes in
@@ -174,9 +183,7 @@ class AutomorphismSearch:
         nonsingleton = np.flatnonzero(counts > 1)
         if nonsingleton.size == 0:
             return None
-        sizes = counts[nonsingleton]
-        cell = nonsingleton[np.argmin(sizes)]
-        return int(cell)
+        return int(nonsingleton[np.argmax(counts[nonsingleton])])
 
     def _individualize(self, labels, v):
         """Move v into a new singleton cell; returns (labels, its cell id)."""
@@ -207,18 +214,28 @@ class AutomorphismSearch:
                 raise Mismatch("search produced a non-automorphism", witness=g)
         return chain
 
-    def _ensure_chain(self):
-        # created only once the first path (and hence the base) is complete
-        if self.chain is None:
-            self.chain = PermGroup.from_generators(
-                self.seeds, degree=self.n, base_hint=self.base_seq, order=self.seed_order
-            )
+    def _timeout(self, depth, partial):
+        return SearchTimeout(f"automorphism search budget of {self.budget:g} s exhausted",
+                             partial=partial, nodes=self.nodes, depth=depth)
+
+    def _grow_chain(self, depth, gamma=None):
+        """Build the seed chain if there is none yet, then add `gamma` to it;
+        Schreier-Sims runs under the search deadline."""
+        try:
+            # created only once the first path (and hence the base) is complete
+            if self.chain is None:
+                self.chain = PermGroup.from_generators(
+                    self.seeds, degree=self.n, base_hint=self.base_seq, order=self.seed_order,
+                    deadline=self.deadline)
+            if gamma is not None:
+                self.chain.add_generator(gamma, deadline=self.deadline)
+        except SearchTimeout as exc:
+            raise self._timeout(depth, exc.partial) from exc
 
     def _dfs(self, labels, splitters, depth, on_path):
         self.nodes += 1
-        if time.monotonic() > self.deadline:
-            raise SearchTimeout(f"automorphism search budget of {self.budget:g} s exhausted",
-                                partial=self.chain, nodes=self.nodes, depth=depth)
+        if time.monotonic() >= self.deadline:
+            raise self._timeout(depth, self.chain)
         if on_path:
             labels, self.path_invariants[depth] = self.refine(labels, splitters)
         else:
@@ -238,7 +255,7 @@ class AutomorphismSearch:
             v0 = int(candidates[0])
             self.base_seq.append(v0)
             self._dfs(*self._individualize(labels, v0), depth + 1, True)
-            self._ensure_chain()
+            self._grow_chain(depth)
             processed = [v0]
             for v in candidates[1:]:
                 v = int(v)
@@ -247,7 +264,7 @@ class AutomorphismSearch:
                 gamma = self._dfs(*self._individualize(labels, v), depth + 1, False)
                 processed.append(v)
                 if gamma is not None and not self.chain.contains(gamma):
-                    self.chain.add_generator(gamma)
+                    self._grow_chain(depth, gamma)
             return None
         for v in candidates:
             gamma = self._dfs(*self._individualize(labels, int(v)), depth + 1, False)
@@ -324,11 +341,7 @@ def predicted_group(d, n, variant) -> PermGroup:
     if variant == "wreath":
         if n != 1:
             raise ValueError("wreath case is n = 1")
-        blocks = {}
-        for i, lab in enumerate(fam.labels):
-            blocks.setdefault(lab.L, []).append(i)
-        block_list = [blocks[L] for L in sorted(blocks, key=lambda L: L.basis)]
-        gens = _wreath_generators(d, fam.size, block_list)
+        gens = _wreath_generators(d, fam.size, basis_blocks(fam.labels))
         return schreier_sims(gens, degree=fam.size)
     if variant == "extended_clifford":
         if d != 2:
@@ -379,13 +392,6 @@ def rebit_gram(n) -> GramMatrix:
 # ---------------------------------------------------------------------------
 # Theorem-1 verification
 
-def _blocks_by_lagrangian(labels):
-    blocks = {}
-    for i, lab in enumerate(labels):
-        blocks.setdefault(lab.L, []).append(i)
-    return list(blocks.values())
-
-
 def basis_partition_preserved(perm, blocks) -> bool:
     block_of = {}
     for bi, block in enumerate(blocks):
@@ -428,7 +434,7 @@ def verify_theorem1(d, n, variant, time_budget=None):
     report["predicted_in_computed"] = not missing_fwd
     report["computed_in_predicted"] = not missing_bwd
     if n == 1 and labels is not None:
-        blocks = _blocks_by_lagrangian(labels)
+        blocks = basis_blocks(labels)
         report["basis_partition_preserved"] = all(
             basis_partition_preserved(g, blocks) for g in computed.generators
         )
@@ -456,7 +462,7 @@ def wreath_decompose(perm, d):
     inners[b] maps within-block positions of b onto positions of sigma[b].
     """
     fam = stabilizer_states(d, 1)
-    blocks = _blocks_by_lagrangian(fam.labels)
+    blocks = basis_blocks(fam.labels)
     pos = {}
     for bi, block in enumerate(blocks):
         for k, v in enumerate(block):
@@ -476,7 +482,7 @@ def wreath_decompose(perm, d):
 
 def wreath_recompose(sigma, inners, d):
     fam = stabilizer_states(d, 1)
-    blocks = _blocks_by_lagrangian(fam.labels)
+    blocks = basis_blocks(fam.labels)
     perm = [None] * fam.size
     for bi, block in enumerate(blocks):
         for k, v in enumerate(block):

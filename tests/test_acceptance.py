@@ -43,6 +43,7 @@ from stabsym.permgroup import schreier_sims
 from stabsym.phase_space import (
     Subspace,
     all_vectors,
+    basis_blocks,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     symplectic_form,
@@ -56,7 +57,6 @@ from stabsym.polytope1 import (
     wigner_negative_state,
 )
 from stabsym.symmetry import (
-    _blocks_by_lagrangian,
     basis_partition_preserved,
     gram_automorphisms,
     predicted_group,
@@ -164,7 +164,7 @@ def test_criterion_4_theorem1_case1_wreath():
         fam = stabilizer_states(d, 1)
         group = gram_automorphisms(fam.gram)
         assert group.order() == math.factorial(d) ** (d + 1) * math.factorial(d + 1)
-        blocks = _blocks_by_lagrangian(fam.labels)
+        blocks = basis_blocks(fam.labels)
         for g in group.generators:
             assert basis_partition_preserved(g, blocks)
         assert verify_theorem1(d, 1, "wreath")["match"]

@@ -1,8 +1,14 @@
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from stabsym.cli import main
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def run_cli(capsys, *argv):
@@ -117,18 +123,19 @@ def test_budget_exit_code(capsys):
     code = main(["enumerate", "--d", "5", "--n", "3"])
     assert code == 3
     capsys.readouterr()
-    code = main(["autgroup", "--budget-seconds", "0.2", "--d", "3", "--n", "2"])
+    # a budget of 0 s is spent before the first search node, on any machine
+    code = main(["autgroup", "--budget-seconds", "0", "--d", "3", "--n", "2"])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("budget exceeded: automorphism search budget of 0.2 s exhausted")
+    assert err.startswith("budget exceeded: automorphism search budget of 0 s exhausted")
     assert "nodes visited" in err and "depth" in err
 
 
 def test_budget_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("STABSYM_BUDGET_SECONDS", "0.2")
+    monkeypatch.setenv("STABSYM_BUDGET_SECONDS", "0")
     code = main(["autgroup", "--d", "3", "--n", "2"])
     assert code == 3
-    assert "budget of 0.2 s exhausted" in capsys.readouterr().err
+    assert "budget of 0 s exhausted" in capsys.readouterr().err
 
 
 def test_report_deterministic_and_green(capsys, tmp_path):
@@ -148,6 +155,21 @@ def test_golden_write_then_match(capsys, tmp_path):
     assert code == 0
     code, _ = run_cli(capsys, "enumerate", "--d", "2", "--n", "1", "--golden", golden)
     assert code == 0
+
+
+@pytest.mark.parametrize("d,n,which", [
+    (3, 2, "stab"), (2, 1, "stab"), (3, 1, "stab"), (5, 1, "stab"), (7, 1, "stab"),
+    (2, 2, "stab"), (2, 2, "rebit"),
+])
+def test_autgroup_goldens_replay(capsys, tmp_path, d, n, which):
+    # tests/goldens/<set>/ holds `--golden` reports recorded before the search
+    # and the group engine were last changed; the reports must not move
+    golden = GOLDENS / which / f"autgroup_d{d}_n{n}.json"
+    shutil.copy(golden, tmp_path / golden.name)
+    code, out = run_cli(capsys, "autgroup", "--d", str(d), "--n", str(n), "--set", which,
+                        "--golden", str(tmp_path))
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_output_file(capsys, tmp_path):

@@ -1,6 +1,13 @@
+import itertools
 import math
 import random
+import time
 
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from stabsym.errors import SearchTimeout
 from stabsym.permgroup import (
     PermGroup,
     compose,
@@ -9,6 +16,7 @@ from stabsym.permgroup import (
     is_identity,
     schreier_sims,
 )
+from stabsym.symmetry import predicted_group
 
 
 def cycle(n, pts):
@@ -86,3 +94,95 @@ def test_serialization_fields():
     blob = g.to_json()
     assert blob["degree"] == 4 and blob["order"] == "24"
     assert blob["base"] and blob["strong_generators"]
+
+
+def test_past_deadline_raises_with_partial_chain():
+    gens = [cycle(8, (0, 1)), cycle(8, tuple(range(8)))]
+    with pytest.raises(SearchTimeout) as info:
+        PermGroup.from_generators(gens, deadline=time.monotonic() - 1)
+    partial = info.value.partial
+    assert partial is not None
+    assert f"partial order {partial.order()}" in str(info.value)
+    assert PermGroup.from_generators(gens, deadline=time.monotonic() + 600).order() == 40320
+
+
+# ---------------------------------------------------------------------------
+# Oracles: sympy's Schreier-Sims and the group axioms
+
+@st.composite
+def generator_sets(draw, max_degree=9, max_gens=3):
+    """Degree and generators; each generator is a cycle or a permutation of a
+    random support, so the groups range from trivial and intransitive ones
+    to S_n."""
+    n = draw(st.integers(1, max_degree))
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        support = draw(st.lists(st.integers(0, n - 1), unique=True))
+        if draw(st.booleans()):
+            gens.append(cycle(n, support))
+            continue
+        p = list(range(n))
+        for a, b in zip(support, draw(st.permutations(support))):
+            p[a] = b
+        gens.append(tuple(p))
+    return n, gens
+
+
+def sympy_group(gens):
+    return PermutationGroup([Permutation(list(g)) for g in gens])
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+@example((4, [cycle(4, (0, 1)), cycle(4, (0, 1, 2, 3))]))
+@example((9, [cycle(9, (0, 1, 2)), cycle(9, (2, 3, 4, 5, 6, 7, 8))]))
+def test_order_matches_sympy(case):
+    n, gens = case
+    assert schreier_sims(gens, degree=n).order() == sympy_group(gens).order()
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets(), st.lists(st.integers(0, 2), min_size=1, max_size=16))
+def test_random_words_are_members(case, word):
+    n, gens = case
+    group = schreier_sims(gens, degree=n)
+    p = identity_perm(n)
+    for i in word:
+        p = compose(p, gens[i % len(gens)])
+    assert group.contains(p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets(), st.data())
+def test_generator_times_outside_transposition_is_not_member(case, data):
+    n, gens = case
+    oracle = sympy_group(gens)
+    outside = [t for t in (cycle(n, pair) for pair in itertools.combinations(range(n), 2))
+               if not oracle.contains(Permutation(list(t)))]
+    assume(outside)
+    group = schreier_sims(gens, degree=n)
+    p = compose(data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(outside)))
+    assert not group.contains(p)
+
+
+def assert_stored_inverses(group):
+    ident = identity_perm(group.degree)
+    assert len(group.inverse_transversals) == len(group.transversals) == len(group.base)
+    for b, trans, invs in zip(group.base, group.transversals, group.inverse_transversals):
+        assert trans.keys() == invs.keys()
+        for point, u in trans.items():
+            assert u[b] == point
+            assert compose(invs[point], u) == ident
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets())
+def test_stored_inverses_undo_representatives(case):
+    n, gens = case
+    assert_stored_inverses(schreier_sims(gens, degree=n))
+
+
+def test_stored_inverses_of_theorem1_groups():
+    for args in ((3, 1, "wreath"), (5, 1, "wreath"), (2, 2, "extended_clifford"),
+                 (2, 2, "real_clifford")):
+        assert_stored_inverses(predicted_group(*args))

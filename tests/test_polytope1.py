@@ -12,8 +12,8 @@ from stabsym.polytope1 import (
     polytope_membership,
     shifted_vertices,
     wigner_negative_state,
-    _blocks,
 )
+from stabsym.phase_space import basis_blocks
 
 
 def test_shifted_vertices_traceless_hermitian():
@@ -71,7 +71,7 @@ def test_self_duality_of_simplex_blocks():
     # the self-dual inequality tr(pi_g X) >= -1/d with equality off-diagonal
     d = 3
     verts = shifted_vertices(d)
-    blocks = _blocks(d)
+    blocks = basis_blocks(stabilizer_states(d, 1).labels)
     for block in blocks:
         for i in block:
             for j in block:

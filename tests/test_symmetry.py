@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
 from stabsym.operators import GramMatrix, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
-from stabsym.phase_space import all_vectors
+from stabsym.phase_space import all_vectors, basis_blocks
 from stabsym.symmetry import (
     AutomorphismSearch,
     ColoredGraph,
@@ -22,7 +24,6 @@ from stabsym.symmetry import (
     verify_theorem1,
     wreath_decompose,
     wreath_recompose,
-    _blocks_by_lagrangian,
 )
 
 
@@ -68,7 +69,7 @@ def test_generators_preserve_gram():
 def test_basis_partition_preserved_n1():
     fam = stabilizer_states(3, 1)
     group = gram_automorphisms(fam.gram)
-    blocks = _blocks_by_lagrangian(fam.labels)
+    blocks = basis_blocks(fam.labels)
     for g in group.generators:
         assert basis_partition_preserved(g, blocks)
 
@@ -135,7 +136,7 @@ def test_rebit_gram_values():
 
 def test_seed_rejection():
     fam = stabilizer_states(2, 1)
-    blocks = _blocks_by_lagrangian(fam.labels)
+    blocks = basis_blocks(fam.labels)
     bad = list(range(6))  # swap one state across bases: breaks the Gram
     a, b = blocks[0][0], blocks[1][0]
     bad[a], bad[b] = bad[b], bad[a]
@@ -147,12 +148,30 @@ def test_seed_rejection():
 def test_search_timeout_raises():
     fam = stabilizer_states(3, 2)
     with pytest.raises(SearchTimeout) as info:
-        gram_automorphisms(fam.gram, time_budget=0.2)
+        gram_automorphisms(fam.gram, time_budget=0)  # spent before the first node
     exc = info.value
     assert exc.nodes >= 1 and exc.depth >= 0
     assert f"{exc.nodes} nodes visited" in str(exc) and f"depth {exc.depth}" in str(exc)
     if exc.partial is not None:
         assert f"partial order {exc.partial.order()}" in str(exc)
+
+
+def test_seed_chain_timeout_reports_progress(monkeypatch):
+    # Schreier-Sims on the seeds runs under the search deadline: with a chain
+    # clock past every deadline, the budget runs out while the seed chain is
+    # built, after the first path, and the search reports how far it got
+    import stabsym.permgroup
+
+    fam = stabilizer_states(3, 1)
+    seeds = predicted_group(3, 1, "wreath").generators
+    monkeypatch.setattr(stabsym.permgroup, "time", SimpleNamespace(monotonic=lambda: math.inf))
+    with pytest.raises(SearchTimeout) as info:
+        gram_automorphisms(fam.gram, time_budget=600, seeds=seeds)
+    exc = info.value
+    assert str(exc).startswith("automorphism search budget of 600 s exhausted")
+    assert exc.nodes > exc.depth >= 1
+    assert exc.partial is not None
+    assert f"partial order {exc.partial.order()}" in str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +337,7 @@ def test_wreath_decompose_rejects_scattering():
     d = 3
     fam = stabilizer_states(d, 1)
     bad = list(range(fam.size))
-    blocks = _blocks_by_lagrangian(fam.labels)
+    blocks = basis_blocks(fam.labels)
     bad[blocks[0][0]], bad[blocks[1][0]] = bad[blocks[1][0]], bad[blocks[0][0]]
     with pytest.raises(NotBasisPreserving):
         wreath_decompose(tuple(bad), d)
