@@ -79,11 +79,9 @@ def _emit(report, args) -> None:
             with open(path) as fh:
                 if fh.read() != text:
                     raise Mismatch(f"golden file {path} differs")
-            report["golden"] = "match"
         else:
             with open(path, "w") as fh:
                 fh.write(text)
-            report["golden"] = "written"
 
 
 def _default_variant(d, n, which):
@@ -485,6 +483,10 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         report, code = HANDLERS[args.cmd](args)
+        if report is not None:
+            if args.timing:
+                report["elapsed_seconds"] = round(time.monotonic() - start, 3)
+            _emit(report, args)
     except (BudgetExceeded, SearchTimeout) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 3
@@ -494,10 +496,6 @@ def main(argv=None) -> int:
     except StabsymError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if report is not None:
-        if args.timing:
-            report["elapsed_seconds"] = round(time.monotonic() - start, 3)
-        _emit(report, args)
     return code
 
 

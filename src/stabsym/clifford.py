@@ -29,14 +29,6 @@ from .zmod import ZModMatrix, inv_mod, invert, legendre, require_prime
 # ---------------------------------------------------------------------------
 # Symplectic matrices and similitudes over Z_d
 
-def symplectic_j(d, n) -> ZModMatrix:
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = 1
-        rows[n + i][i] = -1 % d
-    return ZModMatrix(rows, d)
-
-
 def similitude_multiplier(m: ZModMatrix):
     """The mu with [Ma, Mb] = mu [a, b], or None if m is not a similitude."""
     d = m.d

@@ -6,10 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .clifford import real_clifford_orbit
 from .cyclotomic import CycNumber
+from .errors import BudgetExceeded, StabsymError
 from .operators import (
     Mono,
     OpMatrix,
@@ -130,10 +131,7 @@ def trace_table(q: OperatorSet, kind="hermitian"):
 
 
 def _int_table(table):
-    scale = 1
-    for row in table:
-        for v in row:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
+    scale = lcm(*(v.denominator for row in table for v in row))
     ints = [[int(v * scale) for v in row] for row in table]
     return ints, scale
 
@@ -165,30 +163,42 @@ def first_moment(q: OperatorSet) -> OpMatrix:
 
 
 class _Echelon:
-    """Incremental exact row echelon over Q for rank and independence tests."""
+    """Incremental fraction-free row echelon over Q, the one rational
+    elimination behind every rank and solve step of this module.
+
+    Rows are Python-int lists, so the integer growth of fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968) cannot overflow.  A row is
+    reduced against each stored row r with pivot p as r[p]*row - row[p]*r,
+    which zeroes its entry p; a row that stays nonzero is divided by the gcd
+    of its entries, signed so its pivot (first nonzero entry) is positive,
+    and stored.  Sorted by pivot, the stored rows are a row echelon form of
+    the rows inserted so far.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # reduced rows, each with leading 1
+        self.rows = []
         self.pivots = []
 
     def reduce(self, row):
-        row = [Fraction(x) for x in row]
+        row = [int(x) for x in row]
         for r, p in zip(self.rows, self.pivots):
             f = row[p]
             if f:
-                row = [x - f * y for x, y in zip(row, r)]
+                a = r[p]
+                row = [a * x - f * y for x, y in zip(row, r)]
         return row
 
     def insert(self, row):
         """Reduce row; if independent, add it and return True."""
         row = self.reduce(row)
-        p = next((i for i, x in enumerate(row) if x != 0), None)
+        p = next((i for i, x in enumerate(row) if x), None)
         if p is None:
             return False
-        lead = row[p]
-        row = [x / lead for x in row]
-        self.rows.append(row)
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        self.rows.append([x // g for x in row])
         self.pivots.append(p)
         return True
 
@@ -198,14 +208,12 @@ class _Echelon:
 
 
 def span_dimension(q: OperatorSet) -> int:
-    """dim span(Q), via exact rank of coordinates in the Hermitian basis."""
-    ints, _ = _int_table(trace_table(q, "hermitian"))
-    ech = _Echelon(len(ints))
-    for col in zip(*ints):
-        ech.insert(col)
-        if ech.rank == ech.ncols:
-            break
-    return ech.rank
+    """dim span(Q).
+
+    Every element has trace 1 and the differences q_i - q_0 are traceless, so
+    q_0 lies outside their span: dim span(Q) = dim dir(Q) + 1.
+    """
+    return len(_gram_data(q)[2]) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +235,25 @@ class DesignReport:
         }
 
 
+def _guard_int64(terms, bound, k):
+    """Raise BudgetExceeded unless a sum of `terms` products of k factors of
+    absolute value <= bound fits the int64 numpy arrays it is computed in."""
+    if terms * bound ** k >= 2 ** 63:
+        raise BudgetExceeded(
+            f"{terms} products of {k} entries up to {bound} may overflow int64"
+        )
+
+
+def _max_abs(rows):
+    return max(abs(x) for row in rows for x in row)
+
+
 def _pair_sums(q: OperatorSet):
     """S2[i][j] = sum_q t_i t_j as integers plus the overall scale."""
     import numpy as np
 
     ints, scale = _int_table(trace_table(q, "hermitian"))
+    _guard_int64(q.size, _max_abs(ints), 2)
     arr = np.array(ints, dtype=np.int64)
     return arr @ arr.T, scale
 
@@ -306,71 +328,55 @@ def _solve_linear_positive(equations, unknowns):
     """Exact positive solution of a rational system [A | b]; None if impossible.
 
     The system may be rank-deficient (the trace invariants satisfy algebraic
-    relations in low dimension); any all-positive point of the solution set is
-    acceptable and one is searched for along the nullspace.
+    relations in low dimension).  With one free unknown, a positive point is
+    searched for along the null vector; a larger nullspace does not occur for
+    these invariants and raises StabsymError.
     """
-    mat = [[Fraction(x) for x in eq] for eq in equations]
-    rank = 0
-    pivots = []
-    for c in range(unknowns):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][c]
-        mat[rank] = [x / lead for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(c)
-        rank += 1
-    for row in mat[rank:]:
-        if row[-1] != 0:
-            return None
-    particular = [Fraction(0)] * unknowns
-    for row, p in zip(mat[:rank], pivots):
-        particular[p] = row[-1]
-    free = [c for c in range(unknowns) if c not in pivots]
+    ech = _Echelon(unknowns + 1)
+    for eq in equations:
+        scale = lcm(*(Fraction(x).denominator for x in eq))
+        ech.insert([int(Fraction(x) * scale) for x in eq])
+    if unknowns in ech.pivots:
+        return None  # a row 0 = b with b != 0
+    free = [c for c in range(unknowns) if c not in ech.pivots]
+    if len(free) > 1:
+        raise StabsymError(f"nullity {len(free)} > 1: no rule picks a positive point")
+
+    def back_substitute(null):
+        # the particular point has its free unknown at 0; the null vector
+        # solves [A | 0] with its free unknown at 1
+        x = [Fraction(int(null and c in free)) for c in range(unknowns)]
+        for r, p in sorted(zip(ech.rows, ech.pivots), key=lambda rp: -rp[1]):
+            s = (0 if null else r[-1]) - sum(r[c] * x[c] for c in range(p + 1, unknowns))
+            x[p] = Fraction(s, r[p])
+        return x
+
+    particular = back_substitute(False)
     if not free:
         return particular if all(x > 0 for x in particular) else None
-    null_basis = []
-    for fcol in free:
-        v = [Fraction(0)] * unknowns
-        v[fcol] = Fraction(1)
-        for row, p in zip(mat[:rank], pivots):
-            v[p] = -row[fcol]
-        null_basis.append(v)
-    if len(null_basis) == 1:
-        null = null_basis[0]
-        lo, hi = None, None  # open interval for t with particular + t*null > 0
-        for pv, nv in zip(particular, null):
-            if nv == 0:
-                if pv <= 0:
-                    return None
-            elif nv > 0:
-                bound = -pv / nv
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                bound = -pv / nv
-                hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None:
-            if lo >= hi:
+    null = back_substitute(True)
+    lo, hi = None, None  # open interval for t with particular + t*null > 0
+    for pv, nv in zip(particular, null):
+        if nv == 0:
+            if pv <= 0:
                 return None
-            t = (lo + hi) / 2
-        elif lo is not None:
-            t = lo + 1
-        elif hi is not None:
-            t = hi - 1
+        elif nv > 0:
+            bound = -pv / nv
+            lo = bound if lo is None or bound > lo else lo
         else:
-            t = Fraction(0)
-        return [pv + t * nv for pv, nv in zip(particular, null)]
-    # higher nullity does not occur for these invariants; fall back to a scan
-    for assign in (0, 1, -1, 2, -2):
-        cand = [pv + assign * sum(col) for pv, col in zip(particular, zip(*null_basis))]
-        if all(x > 0 for x in cand):
-            return cand
-    return None
+            bound = -pv / nv
+            hi = bound if hi is None or bound < hi else hi
+    if lo is not None and hi is not None:
+        if lo >= hi:
+            return None
+        t = (lo + hi) / 2
+    elif lo is not None:
+        t = lo + 1
+    elif hi is not None:
+        t = hi - 1
+    else:
+        t = Fraction(0)
+    return [pv + t * nv for pv, nv in zip(particular, null)]
 
 
 def is_real_4design(q: OperatorSet) -> DesignReport:
@@ -439,15 +445,16 @@ def _gram_data(q: OperatorSet):
     import numpy as np
 
     ints, scale = _int_table(trace_table(q, "hermitian"))
+    _guard_int64(len(ints), _max_abs(ints), 2)
     t = np.array(ints, dtype=np.int64)
     gram = (t.T @ t)  # tr(q_i q_j) * scale^2 * dim
     gscale = scale * scale * q.dim
     # independent differences q_i - q_0 via coordinate echelon
-    ech = _Echelon(t.shape[0])
+    ech = _Echelon(len(ints))
     picked = []
-    cols = t.T
+    cols = list(zip(*ints))
     for i in range(1, q.size):
-        if ech.insert(cols[i] - cols[0]):
+        if ech.insert([x - y for x, y in zip(cols[i], cols[0])]):
             picked.append(i)
         if ech.rank == ech.ncols:
             break
@@ -458,6 +465,8 @@ def check_lin_wig_condition(q: OperatorSet):
     """F_2 proportional to HS on dir(Q); mu_1 orthogonal to dir(Q) in both forms."""
     gram, gscale, picked = _gram_data(q)
     size = q.size
+    mg = int(abs(gram).max())
+    _guard_int64(size, mg, 2)
     f2sums = gram @ gram.T  # sum_t G[i,t] G[j,t]
 
     def g(i, j):
@@ -493,6 +502,8 @@ def check_lin_wig_condition(q: OperatorSet):
         if witness:
             break
     clauses["f2_proportional_on_dir"] = witness is None
+    # column sums are at most size*mg, differences of Gram rows at most 2*mg
+    _guard_int64(size, 2 * size * mg, 2)
     col_sums = gram.sum(axis=0)
     clauses["mu1_orthogonal_hs"] = all(
         int(col_sums[i]) == int(col_sums[0]) for i in picked
@@ -530,6 +541,8 @@ def check_lin_jor_condition(q: OperatorSet):
     full_herm = q.dim ** 2
     full_sym = q.dim * (q.dim + 1) // 2
     clauses["span_full"] = span_dim in (full_herm, full_sym)
+
+    _guard_int64(size, int(abs(gram).max()), 3)
 
     def f3_states(i, j, k):
         v = int((gram[i] * gram[j] * gram[k]).sum())

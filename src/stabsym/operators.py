@@ -140,23 +140,6 @@ class OpMatrix:
         }
 
 
-def kron(a: OpMatrix, b: OpMatrix) -> OpMatrix:
-    """Kronecker product."""
-    if a.m != b.m:
-        raise ValueError("conductor mismatch")
-    dim = a.dim * b.dim
-    rows = []
-    for i in range(a.dim):
-        for k in range(b.dim):
-            row = []
-            for j in range(a.dim):
-                x = a.rows[i][j]
-                for l in range(b.dim):
-                    row.append(x * b.rows[k][l])
-            rows.append(row)
-    return OpMatrix(a.m, rows)
-
-
 def hs_inner(a: OpMatrix, b: OpMatrix) -> CycNumber:
     """Hilbert-Schmidt inner product (A|B) = tr A† B."""
     a._check(b)

@@ -37,31 +37,6 @@ def is_identity(p):
     return tuple(p) == identity_perm(len(p))
 
 
-def perm_order(p):
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length > 1:
-            g = _gcd(order, length)
-            order = order // g * length
-    return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class PermGroup:
     """A permutation group certified by a stabilizer chain."""
 

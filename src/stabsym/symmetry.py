@@ -384,6 +384,7 @@ def predicted_group(d, n, variant) -> PermGroup:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+@lru_cache(maxsize=None)
 def rebit_gram(n) -> GramMatrix:
     orbit = real_clifford_orbit(n)
     return build_gram(orbit.projectors, projectors=orbit.projectors)

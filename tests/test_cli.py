@@ -172,6 +172,33 @@ def test_autgroup_goldens_replay(capsys, tmp_path, d, n, which):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("which,d,n", [
+    ("stab", 2, 1), ("stab", 3, 1), ("stab", 5, 1), ("stab", 7, 1), ("stab", 2, 2),
+    ("stab", 3, 2), ("rebit", 2, 1), ("rebit", 2, 2), ("phase-points", 3, 1),
+])
+def test_verify_design_goldens_replay(capsys, tmp_path, which, d, n):
+    # `--golden` reports recorded before the moments elimination was last
+    # changed; the design constants and condition reports must not move
+    golden = GOLDENS / which / f"verify-design_d{d}_n{n}.json"
+    shutil.copy(golden, tmp_path / golden.name)
+    code, out = run_cli(capsys, "verify-design", "--d", str(d), "--n", str(n), "--set", which,
+                        "--golden", str(tmp_path))
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_golden_mismatch_exits_cleanly(capsys, tmp_path):
+    golden = tmp_path / "golden"
+    argv = ["enumerate", "--d", "2", "--n", "1", "--golden", str(golden)]
+    assert main(argv) == 0
+    path = golden / "enumerate_d2_n1.json"
+    path.write_text(path.read_text().replace('"lagrangian_count": 3', '"lagrangian_count": 4'))
+    capsys.readouterr()
+    assert main(argv) == 1  # a Mismatch escaping main would fail this test
+    err = capsys.readouterr().err
+    assert err.startswith("mismatch: golden file") and "differs" in err
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     code, out = run_cli(capsys, "enumerate", "--d", "2", "--n", "1",

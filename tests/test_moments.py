@@ -1,11 +1,23 @@
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from stabsym import moments
 from stabsym.clifford import metaplectic
 from stabsym.cyclotomic import CycNumber, conductor_for
+from stabsym.errors import BudgetExceeded, StabsymError
 from stabsym.moments import (
+    OperatorSet,
+    _Echelon,
+    _gram_data,
+    _guard_int64,
+    _pair_sums,
+    _solve_linear_positive,
     check_lin_jor_condition,
     check_lin_wig_condition,
     first_moment,
@@ -156,6 +168,130 @@ def test_span_dimensions():
     assert span_dimension(stabilizer_operator_set(2, 1)) == 4
     assert span_dimension(rebit_operator_set(1)) == 3
     assert span_dimension(rebit_operator_set(2)) == 10
+    # q_0 has trace 1 and dir(Q) is traceless, so span(Q) = dir(Q) + q_0; the
+    # stabilizers and phase points span all Hermitian matrices, the rebits all
+    # real symmetric ones
+    for q in (*(stabilizer_operator_set(d, n)
+                for d, n in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))),
+              rebit_operator_set(1), rebit_operator_set(2), phase_point_operator_set(3, 1)):
+        full = q.dim * (q.dim + 1) // 2 if q.name.startswith("rebit") else q.dim ** 2
+        assert span_dimension(q) == len(_gram_data(q)[2]) + 1 == full
+
+
+@st.composite
+def integer_rows(draw):
+    """At most 8 x 8 integer rows: independent ones with entries in [-3, 3],
+    and dependent ones forced as -1/0/1 combinations of two earlier rows."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = []
+    for i in range(nrows):
+        if i >= 1 and draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            ca, cb = draw(st.sampled_from((-1, 0, 1))), draw(st.sampled_from((-1, 0, 1)))
+            rows.append([ca * x + cb * y for x, y in zip(rows[a], rows[b])])
+        else:
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows())
+def test_echelon_rank_and_picked_rows_match_sympy(rows):
+    ech = _Echelon(len(rows[0]))
+    picked = [i for i, row in enumerate(rows) if ech.insert(row)]
+    # greedily independent rows are the pivot columns of the transpose's RREF
+    _, pivots = sympy.Matrix(rows).T.rref()
+    assert ech.rank == len(pivots)
+    assert picked == list(pivots)
+    for r, p in zip(ech.rows, ech.pivots):
+        assert r[p] > 0 and gcd(*r) == 1
+        assert all(x == 0 for x in r[:p])
+
+
+def test_echelon_takes_int64_rows_without_overflow():
+    # the fraction-free products exceed 2^63; the rows are Python ints inside
+    big = np.array([[2 ** 62, 3, 1, 0], [2 ** 62 - 1, 5, 2, 0]], dtype=np.int64)
+    ech = _Echelon(4)
+    assert [ech.insert(row) for row in big] == [True, True]
+    assert not ech.insert(big[0] - big[1])
+    assert ech.insert(np.array([0, 0, 0, 1], dtype=np.int64))
+    assert all(type(x) is int for r in ech.rows for x in r)
+
+
+@st.composite
+def positive_systems(draw):
+    """[A | b] with b = A x0 for a positive rational x0, in 1 to 3 unknowns."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    frac = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    a = [[draw(frac) for _ in range(k)] for _ in range(m)]
+    x0 = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4))) for _ in range(k)]
+    return [(*row, sum(c * x for c, x in zip(row, x0))) for row in a], k
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_systems())
+def test_solver_returns_an_exact_positive_solution(system):
+    equations, k = system
+    rank = sympy.Matrix([eq[:k] for eq in equations]).rank()
+    if k - rank > 1:
+        with pytest.raises(StabsymError):
+            _solve_linear_positive(equations, k)
+        return
+    # a positive solution exists (x0), so one must be returned
+    sol = _solve_linear_positive(equations, k)
+    assert sol is not None and all(x > 0 for x in sol)
+    for eq in equations:
+        assert sum(c * x for c, x in zip(eq[:k], sol)) == eq[k]
+
+
+def test_solver_inconsistent_system_gives_none():
+    assert _solve_linear_positive([(1, 0, 1), (1, 0, 2)], 2) is None
+    assert _solve_linear_positive([(1, 1, 1), (2, 2, 3), (1, -1, 0)], 2) is None
+
+
+def test_solver_rank_one_in_three_unknowns_raises():
+    equations = [(1, 1, 1, 3), (2, 2, 2, 6), (Fraction(1, 2),) * 3 + (Fraction(3, 2),)]
+    with pytest.raises(StabsymError):
+        _solve_linear_positive(equations, 3)
+
+
+def test_int64_guard_boundary():
+    _guard_int64(1, 2 ** 31, 2)  # 2^62 fits
+    with pytest.raises(BudgetExceeded):
+        _guard_int64(2, 2 ** 31, 2)  # 2^63 does not
+
+
+def _huge_entry_set(monkeypatch, entry):
+    # a fresh set (the Gram data is cached per set) whose trace table has one
+    # huge entry
+    q0 = stabilizer_operator_set(2, 1)
+    q = OperatorSet(name="huge-entry", d=2, n=1, elements=q0.elements)
+    table = [list(row) for row in trace_table(q0, "hermitian")]
+    table[1][2] = Fraction(entry)
+    monkeypatch.setattr(moments, "trace_table", lambda q, kind="hermitian": table)
+    return q
+
+
+def test_int64_guard_on_a_huge_table_entry(monkeypatch):
+    q = _huge_entry_set(monkeypatch, 2 ** 31)
+    with pytest.raises(BudgetExceeded):
+        _pair_sums(q)
+    with pytest.raises(BudgetExceeded):
+        _gram_data(q)
+
+
+def test_int64_guard_on_huge_gram_entries(monkeypatch):
+    q = _huge_entry_set(monkeypatch, 0)
+    gram, gscale, picked = _gram_data(q)
+    for entry, check in ((2 ** 31, check_lin_wig_condition),
+                         (2 ** 21, check_lin_jor_condition)):
+        # 2^21 passes the quadratic guards and fails the cubic F_3 one
+        huge = gram.copy()
+        huge[0, 0] = entry
+        monkeypatch.setattr(moments, "_gram_data", lambda q, g=huge: (g, gscale, picked))
+        with pytest.raises(BudgetExceeded):
+            check(q)
 
 
 def test_lin_wig_condition_passes():

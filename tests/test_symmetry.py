@@ -134,6 +134,10 @@ def test_rebit_gram_values():
     assert set(gram.value_multiset()) <= {Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 4)}
 
 
+def test_rebit_gram_is_cached():
+    assert rebit_gram(2) is rebit_gram(2)
+
+
 def test_seed_rejection():
     fam = stabilizer_states(2, 1)
     blocks = basis_blocks(fam.labels)
