@@ -1,7 +1,9 @@
-"""Batch verification CLI: each family of exact checks as a subcommand emitting
-deterministic machine-readable JSON reports.
+"""Batch verification CLI: parses the arguments, dispatches each subcommand to
+the library function that verifies it, and emits the report as deterministic
+machine-readable JSON.
 
-Exit codes: 0 all checks pass, 1 mismatch found, 2 usage error, 3 budget or
+Exit codes: 0 all checks pass, 1 mismatch found, 2 usage error (also for a
+combination of arguments the library does not implement), 3 budget or
 timeout exceeded.
 """
 
@@ -10,51 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
 
-from .clifford import (
-    ExtCliffordElement,
-    ext_apply,
-    ext_compose,
-    k_alpha,
-    metaplectic,
-    real_clifford_orbit,
-    wreath_decompose_table,
-    _metaplectic_table,
-)
-from .cyclotomic import omega, tau
-from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError
-from .moments import (
-    check_lin_jor_condition,
-    check_lin_wig_condition,
-    is_complex_2design,
-    is_complex_3design,
-    is_real_4design,
-    is_real_6design,
-    phase_point_operator_set,
-    rebit_operator_set,
-    stabilizer_operator_set,
-)
-from .operators import stabilizer_states, phase_point, weyl
-from .phase_space import (
-    all_vectors,
-    enumerate_lagrangians,
-    enumerate_stabilizer_labels,
-    symplectic_form,
-    vec_add,
-)
-from .polytope1 import (
-    direct_sum_check,
-    facet_family,
-    facet_incidence_counts,
-    polytope_membership,
-    wigner_negative_state,
-)
-from .symmetry import rebit_gram, verify_Sf_machinery, verify_theorem1
-from .zmod import ZModMatrix, is_prime
+from .clifford import verify_clifford_laws
+from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsupported
+from .moments import verify_design
+from .operators import stabilizer_states
+from .phase_space import verify_enumeration
+from .polytope1 import facet_report
+from .symmetry import default_variant, rebit_gram, verify_sf_sum, verify_theorem1
+from .zmod import is_prime
 
 
 def _json_default(x):
@@ -84,35 +53,14 @@ def _emit(report, args) -> None:
                 fh.write(text)
 
 
-def _default_variant(d, n, which):
-    if which == "rebit":
-        return "real_clifford"
-    if n == 1:
-        return "wreath"
-    if d == 2:
-        return "extended_clifford"
-    return "agsp"
+def _verdict(report, key="pass"):
+    return report, 0 if report[key] else 1
 
 
 def cmd_enumerate(args):
-    lags = enumerate_lagrangians(args.d, args.n)
-    labels = enumerate_stabilizer_labels(args.d, args.n)
-    report = {
-        "command": "enumerate",
-        "d": args.d,
-        "n": args.n,
-        "lagrangian_count": len(lags),
-        "stabilizer_label_count": len(labels),
-        "lagrangians": [[list(r) for r in L.basis] for L in lags],
-        "labels": [
-            {"L": [list(r) for r in lab.L.basis], "rep": list(lab.rep)} for lab in labels
-        ],
-    }
-    expected = 1
-    for k in range(1, args.n + 1):
-        expected *= args.d ** k + 1
-    report["count_matches_product_formula"] = len(lags) == expected
-    return report, 0 if report["count_matches_product_formula"] else 1
+    return _verdict({"command": "enumerate", "d": args.d, "n": args.n,
+                     **verify_enumeration(args.d, args.n)},
+                    "count_matches_product_formula")
 
 
 def cmd_gram(args):
@@ -137,269 +85,54 @@ def cmd_gram(args):
     return report, 0
 
 
-def _variant_name(d, n, variant):
-    return {
-        "wreath": f"S_{d} wr S_{d + 1}",
-        "extended_clifford": "extended Clifford group",
-        "agsp": f"AGSp(Z_{d}^{2 * n})",
-        "real_clifford": "real Clifford group",
-    }[variant]
-
-
 def cmd_autgroup(args):
-    variant = args.variant or _default_variant(args.d, args.n, args.set)
+    variant = args.variant or default_variant(args.d, args.n, args.set)
     try:
         result = verify_theorem1(args.d, args.n, variant, time_budget=args.budget_seconds)
     except Mismatch as exc:
-        return {
-            "command": "autgroup",
-            "d": args.d,
-            "n": args.n,
-            "variant": variant,
-            "match": False,
-            "error": str(exc),
-        }, 1
-    report = {"command": "autgroup", **result}
-    report["predicted"] = _variant_name(args.d, args.n, variant)
-    report["computed_order"] = int(result["computed_order"])
-    report["predicted_order"] = int(result["predicted_order"])
-    return report, 0
+        return {"command": "autgroup", "d": args.d, "n": args.n, "variant": variant,
+                "match": False, "error": str(exc)}, 1
+    return {"command": "autgroup", **result}, 0
 
 
 def cmd_verify_design(args):
-    d, n = args.d, args.n
-    checks = {}
-    if args.set == "stab":
-        q = stabilizer_operator_set(d, n)
-        expected = {
-            "complex_2design": True,
-            "complex_3design": d == 2,
-            "lin_subset_wig": True,
-            "lin_subset_jor": d == 2,
-        }
-        r2 = is_complex_2design(q)
-        r3 = is_complex_3design(q, stop_at_first=(d != 2))
-        checks["complex_2design"] = r2.to_json()
-        checks["complex_3design"] = r3.to_json()
-        computed = {
-            "complex_2design": r2.passed,
-            "complex_3design": r3.passed,
-        }
-    elif args.set == "rebit":
-        q = rebit_operator_set(n)
-        expected = {
-            "complex_2design": False,
-            "real_4design": True,
-            "real_6design": True,
-            "lin_subset_wig": True,
-            "lin_subset_jor": True,
-        }
-        r2 = is_complex_2design(q)
-        r4 = is_real_4design(q)
-        r6 = is_real_6design(q)
-        checks["complex_2design"] = r2.to_json()
-        checks["real_4design"] = r4.to_json()
-        checks["real_6design"] = r6.to_json()
-        computed = {
-            "complex_2design": r2.passed,
-            "real_4design": r4.passed,
-            "real_6design": r6.passed,
-        }
-    elif args.set == "phase-points":
-        q = phase_point_operator_set(d, n)
-        expected = {"lin_subset_wig": True, "lin_subset_jor": False}
-        computed = {}
-    else:
-        raise ValueError(args.set)
-    wig = check_lin_wig_condition(q)
-    jor = check_lin_jor_condition(q)
-    checks["lin_subset_wig"] = wig
-    checks["lin_subset_jor"] = jor
-    computed["lin_subset_wig"] = wig["pass"]
-    computed["lin_subset_jor"] = jor["pass"]
-    ok = all(computed[k] == expected[k] for k in computed)
-    report = {
-        "command": "verify-design",
-        "d": d,
-        "n": n,
-        "set": args.set,
-        "checks": checks,
-        "expected": expected,
-        "all_as_expected": ok,
-    }
-    return report, 0 if ok else 1
+    return _verdict({"command": "verify-design", "d": args.d, "n": args.n, "set": args.set,
+                     **verify_design(args.set, args.d, args.n)},
+                    "all_as_expected")
 
 
 def cmd_verify_clifford(args):
-    d, n = args.d, args.n
-    rng = random.Random(args.seed)
-    report = {"command": "verify-clifford", "d": d, "n": n, "seed": args.seed,
-              "samples": args.samples, "checks": {}}
-
-    def rand_vec():
-        return tuple(rng.randrange(d) for _ in range(2 * n))
-
-    # composition and commutation laws (the tau-composition form is odd-d only)
-    pairs = (
-        [(a, b) for a in all_vectors(d, 2 * n) for b in all_vectors(d, 2 * n)]
-        if d ** (4 * n) <= 6561
-        else [(rand_vec(), rand_vec()) for _ in range(args.samples)]
-    )
-    if d != 2:
-        t, w = tau(d), omega(d)
-        ok = True
-        for a, b in pairs:
-            s = symplectic_form(a, b, d)
-            ta, tb = weyl(d, n, a), weyl(d, n, b)
-            if ta @ tb != weyl(d, n, vec_add(a, b, d)).scale(t ** ((-s) % d)):
-                ok = False
-                break
-            if ta @ tb != (tb @ ta).scale(w ** ((-s) % d)):
-                ok = False
-                break
-        report["checks"]["weyl_composition_law"] = {"pass": ok, "pairs": len(pairs)}
-    else:
-        ok = True
-        for a, b in pairs:
-            s = symplectic_form(a, b, 2)
-            ta, tb = weyl(2, n, a), weyl(2, n, b)
-            rhs = tb @ ta
-            if s:
-                rhs = rhs.scale(-1)
-            if ta @ tb != rhs or not ta.is_hermitian():
-                ok = False
-                break
-        report["checks"]["weyl_commutation_law"] = {"pass": ok, "pairs": len(pairs)}
-
-    if d != 2 and n == 1 and d <= 7:
-        table = sorted(_metaplectic_table(d))
-        ok = True
-        for _ in range(args.samples):
-            s1 = ZModMatrix(rng.choice(table), d)
-            s2 = ZModMatrix(rng.choice(table), d)
-            if metaplectic(d, s1) @ metaplectic(d, s2) != metaplectic(d, s1 @ s2):
-                ok = False
-                break
-        report["checks"]["metaplectic_multiplicative"] = {"pass": ok}
-
-        def rand_ext():
-            return ExtCliffordElement(
-                mu=rng.randrange(d),
-                a=(rng.randrange(d), rng.randrange(d)),
-                S=ZModMatrix(rng.choice(table), d),
-                alpha=rng.randrange(1, d),
-            )
-
-        ok = True
-        for _ in range(args.samples):
-            g, h = rand_ext(), rand_ext()
-            hg = ext_compose(h, g)
-            if h.matrix() @ g.matrix().entrywise_galois(h.galois()) != hg.matrix():
-                ok = False
-                break
-        report["checks"]["ext_clifford_composition_law"] = {"pass": ok}
-
-        ok = True
-        for alpha in range(2, d):
-            e = ExtCliffordElement(mu=0, a=(0, 0), S=ZModMatrix.identity(2, d), alpha=alpha)
-            ka = k_alpha(d, 1, alpha)
-            for x in all_vectors(d, 2):
-                if ext_apply(e, phase_point(d, 1, x)) != phase_point(d, 1, ka.apply(x)):
-                    ok = False
-                    break
-        report["checks"]["galois_action_on_phase_points"] = {"pass": ok}
-
-        ok = all(
-            weyl(d, 1, a).conj() == weyl(d, 1, (a[0], (-a[1]) % d))
-            for a in all_vectors(d, 2)
-        )
-        report["checks"]["transpose_is_k_minus_one"] = {"pass": ok}
-
-    if d == 2 and n == 1:
-        table = wreath_decompose_table()
-        eye = {"X": "X", "Y": "Y", "Z": "Z"}
-        expected = {
-            "complex_conjugation": {"outer": eye, "inner": {"X": "e", "Y": "t", "Z": "e"}},
-            "conjugation_by_Y": {"outer": eye, "inner": {"X": "t", "Y": "e", "Z": "t"}},
-            "conjugation_by_Z": {"outer": eye, "inner": {"X": "t", "Y": "t", "Z": "e"}},
-            "conjugation_by_H": {"outer": {"X": "Z", "Y": "Y", "Z": "X"},
-                                 "inner": {"X": "e", "Y": "t", "Z": "e"}},
-            "conjugation_by_S": {"outer": {"X": "Y", "Y": "X", "Z": "Z"},
-                                 "inner": {"X": "e", "Y": "t", "Z": "e"}},
-        }
-        report["checks"]["wreath_table"] = {"pass": table == expected, "rows": table}
-
-    ok = all(c["pass"] for c in report["checks"].values())
-    report["pass"] = ok
-    return report, 0 if ok else 1
+    return _verdict({"command": "verify-clifford", "d": args.d, "n": args.n, "seed": args.seed,
+                     "samples": args.samples,
+                     **verify_clifford_laws(args.d, args.n, args.seed, args.samples)})
 
 
 def cmd_facets(args):
-    d = args.d
-    facets = facet_family(d)
-    counts = facet_incidence_counts(d)
-    supporting = all(minimum == 0 for _, minimum in counts)
-    per_facet = {zeros for zeros, _ in counts}
-    rho = wigner_negative_state(d)
-    inside, violated = polytope_membership(rho, d)
-    report = {
-        "command": "facets",
-        "d": d,
-        "n": 1,
-        "facet_count": len(facets),
-        "supporting": supporting,
-        "vertices_per_facet": sorted(per_facet),
-        "direct_sum": direct_sum_check(d),
-        "wigner_negative_state_inside": inside,
-        "violated_facet_characters": None if violated is None else list(violated.characters),
-    }
-    ok = supporting and not inside and per_facet == {(d - 1) * (d + 1)}
-    report["pass"] = ok
-    return report, 0 if ok else 1
+    return _verdict({"command": "facets", "d": args.d, "n": 1, **facet_report(args.d)})
 
 
 def cmd_sfsum(args):
-    rng = random.Random(args.seed)
-    results = []
-    if args.d ** (2 * args.n) <= 81:
-        bs = list(all_vectors(args.d, 2 * args.n))
-    else:
-        bs = [tuple(rng.randrange(args.d) for _ in range(2 * args.n))
-              for _ in range(args.samples)]
-    for b in bs:
-        results.append(verify_Sf_machinery(args.d, args.n, b))
-    constants = {r["C"] for r in results}
-    ok = all(r["pass"] for r in results) and len(constants) == 1
-    report = {
-        "command": "sf-sum",
-        "d": args.d,
-        "n": args.n,
-        "seed": args.seed,
-        "tested_b": len(results),
-        "C": sorted(constants)[0] if ok else None,
-        "pass": ok,
-    }
-    return report, 0 if ok else 1
+    return _verdict({"command": "sf-sum", "d": args.d, "n": args.n, "seed": args.seed,
+                     **verify_sf_sum(args.d, args.n, args.seed, args.samples)})
 
 
 def cmd_report(args):
-    sub = {}
-    code = 0
-    for name, fn in (
+    sections = [
         ("enumerate", cmd_enumerate),
         ("gram", cmd_gram),
         ("verify-design", cmd_verify_design),
         ("verify-clifford", cmd_verify_clifford),
         ("autgroup", cmd_autgroup),
-    ):
+    ]
+    if args.d != 2 and args.n == 1 and args.d <= 5:
+        sections.append(("facets", cmd_facets))
+    sub = {}
+    code = 0
+    for name, fn in sections:
         rep, c = fn(args)
         if rep and name == "enumerate":
             rep = {k: v for k, v in rep.items() if not isinstance(v, list)}
         sub[name] = rep
-        code = max(code, c)
-    if args.d != 2 and args.n == 1 and args.d <= 5:
-        rep, c = cmd_facets(args)
-        sub["facets"] = rep
         code = max(code, c)
     report = {
         "command": "report",
@@ -493,6 +226,9 @@ def main(argv=None) -> int:
     except Mismatch as exc:
         sys.stderr.write(f"mismatch: {exc}\n")
         return 1
+    except Unsupported as exc:
+        sys.stderr.write(f"unsupported: {exc}\n")
+        return 2
     except StabsymError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

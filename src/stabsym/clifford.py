@@ -4,6 +4,7 @@ their exact composition law, qubit gates and the real Clifford orbit."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -11,7 +12,6 @@ from .cyclotomic import (
     CycNumber,
     GaloisMap,
     conductor_for,
-    galois_apply,
     gauss_sum,
     iunit,
     omega,
@@ -20,7 +20,7 @@ from .cyclotomic import (
     tau,
 )
 from .errors import BudgetExceeded, WordDecompositionFailure
-from .operators import OpMatrix, weyl
+from .operators import OpMatrix, phase_point, weyl
 from .permgroup import PermGroup, compose, identity_perm, inverse
 from .phase_space import all_vectors, symplectic_form, vec_add
 from .zmod import ZModMatrix, inv_mod, invert, legendre, require_prime
@@ -589,3 +589,95 @@ def wreath_decompose_table():
         u = qubit_gate(1, name, 0)
         rows[f"conjugation_by_{name}"] = decompose(lambda p, u=u: u @ p @ u.dagger())
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The Clifford laws, checked exactly
+
+_EYE = {"X": "X", "Y": "Y", "Z": "Z"}
+
+# the wreath coordinates of the five standard single-qubit generators
+WREATH_TABLE = {
+    "complex_conjugation": {"outer": _EYE, "inner": {"X": "e", "Y": "t", "Z": "e"}},
+    "conjugation_by_Y": {"outer": _EYE, "inner": {"X": "t", "Y": "e", "Z": "t"}},
+    "conjugation_by_Z": {"outer": _EYE, "inner": {"X": "t", "Y": "t", "Z": "e"}},
+    "conjugation_by_H": {"outer": {"X": "Z", "Y": "Y", "Z": "X"},
+                         "inner": {"X": "e", "Y": "t", "Z": "e"}},
+    "conjugation_by_S": {"outer": {"X": "Y", "Y": "X", "Z": "Z"},
+                         "inner": {"X": "e", "Y": "t", "Z": "e"}},
+}
+
+
+def verify_clifford_laws(d, n, seed, samples):
+    """The Clifford laws at (d, n): {"checks": {law: {"pass": ...}}, "pass"}.
+
+    The Weyl composition law (odd d) or commutation law with Hermiticity
+    (d = 2) holds on all pairs when d^(4n) <= 6561, else on `samples` pairs
+    drawn from random.Random(seed).  For one qudit of odd d <= 7 the same
+    generator draws `samples` pairs each for the multiplicative metaplectic
+    section and the extended-Clifford composition law; C_alpha acts as K_alpha
+    on every A(x) and transposition as K_{-1}.  At (2, 1) the wreath
+    coordinates of the standard generators equal `WREATH_TABLE`.
+    """
+    rng = random.Random(seed)
+    checks = {}
+
+    def rand_vec():
+        return tuple(rng.randrange(d) for _ in range(2 * n))
+
+    pairs = (
+        [(a, b) for a in all_vectors(d, 2 * n) for b in all_vectors(d, 2 * n)]
+        if d ** (4 * n) <= 6561
+        else [(rand_vec(), rand_vec()) for _ in range(samples)]
+    )
+
+    def weyl_law(a, b):
+        s = symplectic_form(a, b, d)
+        ta, tb = weyl(d, n, a), weyl(d, n, b)
+        ab, ba = ta @ tb, tb @ ta
+        if d == 2:
+            return ab == (ba.scale(-1) if s else ba) and ta.is_hermitian()
+        return (ab == weyl(d, n, vec_add(a, b, d)).scale(tau(d) ** ((-s) % d))
+                and ab == ba.scale(omega(d) ** ((-s) % d)))
+
+    law = "weyl_commutation_law" if d == 2 else "weyl_composition_law"
+    checks[law] = {"pass": all(weyl_law(a, b) for a, b in pairs), "pairs": len(pairs)}
+
+    if d != 2 and n == 1 and d <= 7:
+        table = sorted(_metaplectic_table(d))
+
+        def rand_symplectic():
+            return ZModMatrix(rng.choice(table), d)
+
+        def multiplies(s1, s2):
+            return metaplectic(d, s1) @ metaplectic(d, s2) == metaplectic(d, s1 @ s2)
+
+        ok = all(multiplies(rand_symplectic(), rand_symplectic()) for _ in range(samples))
+        checks["metaplectic_multiplicative"] = {"pass": ok}
+
+        def rand_ext():
+            return ExtCliffordElement(mu=rng.randrange(d), a=(rng.randrange(d), rng.randrange(d)),
+                                      S=rand_symplectic(), alpha=rng.randrange(1, d))
+
+        def composes(g, h):
+            lhs = h.matrix() @ g.matrix().entrywise_galois(h.galois())
+            return lhs == ext_compose(h, g).matrix()
+
+        checks["ext_clifford_composition_law"] = {
+            "pass": all(composes(rand_ext(), rand_ext()) for _ in range(samples))}
+
+        def galois_acts(alpha, x):
+            e = ExtCliffordElement(mu=0, a=(0, 0), S=ZModMatrix.identity(2, d), alpha=alpha)
+            ka = k_alpha(d, 1, alpha)
+            return ext_apply(e, phase_point(d, 1, x)) == phase_point(d, 1, ka.apply(x))
+
+        checks["galois_action_on_phase_points"] = {
+            "pass": all(galois_acts(alpha, x) for alpha in range(2, d) for x in all_vectors(d, 2))}
+        checks["transpose_is_k_minus_one"] = {"pass": all(
+            weyl(d, 1, a).conj() == weyl(d, 1, (a[0], (-a[1]) % d)) for a in all_vectors(d, 2))}
+
+    if d == 2 and n == 1:
+        rows = wreath_decompose_table()
+        checks["wreath_table"] = {"pass": rows == WREATH_TABLE, "rows": rows}
+
+    return {"checks": checks, "pass": all(c["pass"] for c in checks.values())}

@@ -9,6 +9,15 @@ class BudgetExceeded(StabsymError):
     """An enumeration or search would exceed the configured size/time cap."""
 
 
+def guard_int64(terms, bound, k):
+    """Raise BudgetExceeded unless a sum of `terms` products of k factors of
+    absolute value <= bound fits the int64 numpy arrays it is computed in."""
+    if terms * bound ** k >= 2 ** 63:
+        raise BudgetExceeded(
+            f"{terms} products of {k} entries up to {bound} may overflow int64"
+        )
+
+
 class SingularMatrix(StabsymError):
     """Matrix inversion requested for a rank-deficient matrix."""
 
@@ -17,7 +26,12 @@ class ConductorTooSmall(StabsymError):
     """The cyclotomic field does not contain the requested element."""
 
 
-class OddOnly(StabsymError):
+class Unsupported(StabsymError):
+    """The arguments name a case the library does not implement (the CLI's
+    usage error)."""
+
+
+class OddOnly(Unsupported):
     """Operation is defined only for odd prime d."""
 
 

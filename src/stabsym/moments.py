@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 from .clifford import real_clifford_orbit
 from .cyclotomic import CycNumber
-from .errors import BudgetExceeded, StabsymError
+from .errors import StabsymError, Unsupported, guard_int64
 from .operators import (
     Mono,
     OpMatrix,
@@ -235,15 +235,6 @@ class DesignReport:
         }
 
 
-def _guard_int64(terms, bound, k):
-    """Raise BudgetExceeded unless a sum of `terms` products of k factors of
-    absolute value <= bound fits the int64 numpy arrays it is computed in."""
-    if terms * bound ** k >= 2 ** 63:
-        raise BudgetExceeded(
-            f"{terms} products of {k} entries up to {bound} may overflow int64"
-        )
-
-
 def _max_abs(rows):
     return max(abs(x) for row in rows for x in row)
 
@@ -253,7 +244,7 @@ def _pair_sums(q: OperatorSet):
     import numpy as np
 
     ints, scale = _int_table(trace_table(q, "hermitian"))
-    _guard_int64(q.size, _max_abs(ints), 2)
+    guard_int64(q.size, _max_abs(ints), 2)
     arr = np.array(ints, dtype=np.int64)
     return arr @ arr.T, scale
 
@@ -445,7 +436,7 @@ def _gram_data(q: OperatorSet):
     import numpy as np
 
     ints, scale = _int_table(trace_table(q, "hermitian"))
-    _guard_int64(len(ints), _max_abs(ints), 2)
+    guard_int64(len(ints), _max_abs(ints), 2)
     t = np.array(ints, dtype=np.int64)
     gram = (t.T @ t)  # tr(q_i q_j) * scale^2 * dim
     gscale = scale * scale * q.dim
@@ -453,11 +444,13 @@ def _gram_data(q: OperatorSet):
     ech = _Echelon(len(ints))
     picked = []
     cols = list(zip(*ints))
+    # every difference is traceless, so its coordinates lie in a hyperplane
+    # (the A(a) sum to d^n 1; T(0) = 1 for qubits): rank <= ncols - 1
     for i in range(1, q.size):
         if ech.insert([x - y for x, y in zip(cols[i], cols[0])]):
             picked.append(i)
-        if ech.rank == ech.ncols:
-            break
+            if ech.rank == ech.ncols - 1:
+                break
     return gram, gscale, tuple(picked)
 
 
@@ -466,7 +459,7 @@ def check_lin_wig_condition(q: OperatorSet):
     gram, gscale, picked = _gram_data(q)
     size = q.size
     mg = int(abs(gram).max())
-    _guard_int64(size, mg, 2)
+    guard_int64(size, mg, 2)
     f2sums = gram @ gram.T  # sum_t G[i,t] G[j,t]
 
     def g(i, j):
@@ -503,7 +496,7 @@ def check_lin_wig_condition(q: OperatorSet):
             break
     clauses["f2_proportional_on_dir"] = witness is None
     # column sums are at most size*mg, differences of Gram rows at most 2*mg
-    _guard_int64(size, 2 * size * mg, 2)
+    guard_int64(size, 2 * size * mg, 2)
     col_sums = gram.sum(axis=0)
     clauses["mu1_orthogonal_hs"] = all(
         int(col_sums[i]) == int(col_sums[0]) for i in picked
@@ -542,7 +535,7 @@ def check_lin_jor_condition(q: OperatorSet):
     full_sym = q.dim * (q.dim + 1) // 2
     clauses["span_full"] = span_dim in (full_herm, full_sym)
 
-    _guard_int64(size, int(abs(gram).max()), 3)
+    guard_int64(size, int(abs(gram).max()), 3)
 
     def f3_states(i, j, k):
         v = int((gram[i] * gram[j] * gram[k]).sum())
@@ -599,4 +592,53 @@ def check_lin_jor_condition(q: OperatorSet):
         "f3_constant": const_str,
         "span_dimension": span_dim,
         "witness": None if witness is None else [str(w) for w in witness],
+    }
+
+
+# ---------------------------------------------------------------------------
+# The paper's verdicts per operator set
+
+def verify_design(which, d, n):
+    """Every predicate for the set `which` ("stab", "rebit" or "phase-points")
+    against the paper's verdict: {"checks", "expected", "all_as_expected"}.
+
+    Odd-d stabilizers are complex 2-designs with Lin ⊂ Wig only; qubit
+    stabilizers are also 3-designs with Lin ⊂ Jor; rebits are real 4- and
+    6-designs (not complex 2-designs) with both; the phase-point operators
+    satisfy Lin ⊂ Wig only.
+    """
+    checks = {}
+    if which == "stab":
+        q = stabilizer_operator_set(d, n)
+        expected = {
+            "complex_2design": True,
+            "complex_3design": d == 2,
+            "lin_subset_wig": True,
+            "lin_subset_jor": d == 2,
+        }
+        checks["complex_2design"] = is_complex_2design(q).to_json()
+        checks["complex_3design"] = is_complex_3design(q, stop_at_first=(d != 2)).to_json()
+    elif which == "rebit":
+        q = rebit_operator_set(n)
+        expected = {
+            "complex_2design": False,
+            "real_4design": True,
+            "real_6design": True,
+            "lin_subset_wig": True,
+            "lin_subset_jor": True,
+        }
+        checks["complex_2design"] = is_complex_2design(q).to_json()
+        checks["real_4design"] = is_real_4design(q).to_json()
+        checks["real_6design"] = is_real_6design(q).to_json()
+    elif which == "phase-points":
+        q = phase_point_operator_set(d, n)
+        expected = {"lin_subset_wig": True, "lin_subset_jor": False}
+    else:
+        raise Unsupported(f"no operator set {which!r}")
+    checks["lin_subset_wig"] = check_lin_wig_condition(q)
+    checks["lin_subset_jor"] = check_lin_jor_condition(q)
+    return {
+        "checks": checks,
+        "expected": expected,
+        "all_as_expected": all(checks[k]["pass"] == v for k, v in expected.items()),
     }

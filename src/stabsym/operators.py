@@ -7,15 +7,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .cyclotomic import CycNumber, conductor_for, root_of_unity
-from .errors import BudgetExceeded, InconsistentSigns, OddOnly
+from .cyclotomic import CycNumber, _field, conductor_for, root_of_unity
+from .errors import BudgetExceeded, InconsistentSigns, OddOnly, guard_int64
 from .phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
     Subspace,
     all_vectors,
-    coset_reps,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     subspace_intersection,
@@ -110,14 +110,6 @@ class OpMatrix:
 
     def is_hermitian(self):
         return self == self.dagger()
-
-    def nonzero_items(self):
-        return [
-            (i, j, x)
-            for i, r in enumerate(self.rows)
-            for j, x in enumerate(r)
-            if not x.is_zero()
-        ]
 
     def __eq__(self, other):
         return (
@@ -264,20 +256,37 @@ def weyl(d, n, a) -> OpMatrix:
     return weyl_mono(d, n, a).to_matrix()
 
 
+def mono_sum(monos, scale) -> OpMatrix:
+    """scale * (sum of the monomial operators) as a dense matrix.  The
+    root-of-unity exponents of each entry are counted, and the entry is built
+    once from the field's power table."""
+    monos = list(monos)
+    r, dim, m = monos[0].r, len(monos[0].perm), conductor_for(monos[0].d)
+    counts = {}
+    for mono in monos:
+        for q, (p, e) in enumerate(zip(mono.perm, mono.expo)):
+            counts.setdefault((p, q), [0] * r)[e] += 1
+    roots = [_field(m).pows[(m // r) * e] for e in range(r)]  # zeta_r^e
+    scale = Fraction(scale)
+    rows = [[CycNumber.zero(m)] * dim for _ in range(dim)]
+    for (p, q), by_expo in counts.items():
+        num = [scale.numerator * sum(c * x for c, x in zip(by_expo, xs)) for xs in zip(*roots)]
+        rows[p][q] = CycNumber(m, num, scale.denominator)
+    return OpMatrix(m, rows)
+
+
 @lru_cache(maxsize=None)
 def phase_point_all(d, n):
     """All phase-space point operators A(a), keyed by a, from the defining sum."""
-    m = conductor_for(d)
-    dim = d ** n
-    scale = Fraction(1, dim)
+    scale = Fraction(1, d ** n)
     out = {}
     for a in all_vectors(d, 2 * n):
-        acc = OpMatrix.zero(m, dim)
+        terms = []
         for b in all_vectors(d, 2 * n):
             k = symplectic_form(a, b, d)
             phase_exp = 2 * k if d == 2 else k  # omega = i^2 when d = 2
-            acc = acc + weyl_mono(d, n, b).phase_shift(phase_exp).to_matrix()
-        out[a] = acc.scale(scale)
+            terms.append(weyl_mono(d, n, b).phase_shift(phase_exp))
+        out[a] = mono_sum(terms, scale)
     return out
 
 
@@ -318,13 +327,8 @@ def stab_projector(label: StabilizerLabel) -> OpMatrix:
     d, n = label.d, label.n
     if d == 2:
         raise OddOnly("use stab_projector_qubit for d = 2")
-    m = conductor_for(d)
-    dim = d ** n
-    acc = OpMatrix.zero(m, dim)
-    for b in label.L.points():
-        g = label.functional(b)
-        acc = acc + weyl_mono(d, n, b).phase_shift(g).to_matrix()
-    return acc.scale(Fraction(1, dim))
+    terms = [weyl_mono(d, n, b).phase_shift(label.functional(b)) for b in label.L.points()]
+    return mono_sum(terms, Fraction(1, d ** n))
 
 
 def stab_projector_wigner(label: StabilizerLabel) -> OpMatrix:
@@ -368,11 +372,7 @@ def stab_projector_qubit(L: Subspace, signs) -> OpMatrix:
                 group[new_vec] = mono @ gen
     if len(group) != dim:
         raise InconsistentSigns("sign data does not close into a group")
-    m = conductor_for(2)
-    acc = OpMatrix.zero(m, dim)
-    for mono in group.values():
-        acc = acc + mono.to_matrix()
-    return acc.scale(Fraction(1, dim))
+    return mono_sum(group.values(), Fraction(1, dim))
 
 
 @dataclass(frozen=True)
@@ -448,8 +448,8 @@ def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
     """Gram matrix of a state family.
 
     Odd-d stabilizer labels use the closed form; anything else (qubit states,
-    rebit projectors) uses brute-force Hilbert-Schmidt traces of the supplied
-    projector matrices.
+    rebit projectors) uses brute-force traces of the supplied projector
+    matrices (`gram_bruteforce_all_pairs`).
     """
     states = tuple(states)
     size = len(states)
@@ -460,14 +460,7 @@ def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
         return GramMatrix(labels=states, values=tuple(tuple(r) for r in vals))
     if projectors is None:
         raise ValueError("non-label states need explicit projector matrices")
-    vals = []
-    for a in projectors:
-        row = []
-        for b in projectors:
-            v = hs_inner(a, b)
-            row.append(v.as_fraction())
-        vals.append(tuple(row))
-    return GramMatrix(labels=states, values=tuple(vals))
+    return GramMatrix(labels=states, values=gram_bruteforce_all_pairs(projectors))
 
 
 # ---------------------------------------------------------------------------
@@ -489,52 +482,55 @@ class StateFamily:
         return len(self.labels)
 
 
-def gram_bruteforce_all_pairs(projectors, scale: int):
-    """All pairwise tr(P_i P_j) * scale^2 via exact integer tensor arithmetic.
+def gram_bruteforce_all_pairs(projectors):
+    """All pairwise tr(P_i P_j) as exact Fractions, via integer tensor arithmetic.
 
-    Each projector times `scale` must have integer cyclotomic coefficients.
-    Returns an integer numpy array (N, N); raises if any trace has a nonzero
-    component outside the rational line.  numpy is used purely as an integer
-    container, so every value is exact.
+    The coefficients are scaled to integers by the lcm of the entries'
+    denominators; raises if any trace has a nonzero component outside the
+    rational line.  numpy is used purely as an int64 container, guarded
+    against overflow, so every value is exact.
     """
     import numpy as np
 
     projs = list(projectors)
     m = projs[0].m
-    from .cyclotomic import _field
-
-    deg = _field(m).deg
+    field = _field(m)
+    deg = field.deg
     dim = projs[0].dim
+    scale = lcm(*(x.den for p in projs for r in p.rows for x in r))
     coeff = np.zeros((len(projs), dim * dim, deg), dtype=np.int64)
     coeff_t = np.zeros_like(coeff)
+    bound = 0
     for k, p in enumerate(projs):
         for i in range(dim):
             for j in range(dim):
                 x = p.rows[i][j]
                 if x.is_zero():
                     continue
-                if scale % x.den:
-                    raise ValueError("scale does not clear the denominators")
                 f = scale // x.den
                 vec = [c * f for c in x.num]
+                bound = max(bound, *map(abs, vec))
                 coeff[k, i * dim + j, : len(vec)] = vec
                 coeff_t[k, j * dim + i, : len(vec)] = vec
+    # a product entry sums dim^2 terms, a convolution coefficient deg of those,
+    # and the reduction adds |red| multiples of the convolution to each one
+    guard_int64(dim * dim * deg * (1 + sum(abs(v) for row in field.red for v in row)), bound, 2)
     # convolution coefficients of sum_e A[x,e,a] * B[y,e,b], then reduce mod Phi_m
     prod = np.einsum("xea,yeb->xyab", coeff, coeff_t)
     conv = np.zeros((len(projs), len(projs), 2 * deg - 1), dtype=np.int64)
     for a in range(deg):
         for b in range(deg):
             conv[:, :, a + b] += prod[:, :, a, b]
-    red = _field(m).red
     out = conv[:, :, :deg].copy()
     for k in range(deg, 2 * deg - 1):
-        row = red[k - deg]
+        row = field.red[k - deg]
         for i, rv in enumerate(row):
             if rv:
                 out[:, :, i] += rv * conv[:, :, k]
     if np.any(out[:, :, 1:]):
         raise ValueError("brute-force trace has irrational part")
-    return out[:, :, 0]
+    square = scale * scale
+    return tuple(tuple(Fraction(int(v), square) for v in row) for row in out[:, :, 0])
 
 
 @lru_cache(maxsize=None)

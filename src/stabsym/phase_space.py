@@ -275,6 +275,25 @@ def enumerate_stabilizer_labels(d, n, budget=None):
     return tuple(out)
 
 
+def verify_enumeration(d, n):
+    """The Lagrangians and stabilizer labels of (d, n), and whether the
+    Lagrangians number prod_{k=1..n} (d^k + 1)."""
+    lags = enumerate_lagrangians(d, n)
+    labels = enumerate_stabilizer_labels(d, n)
+    expected = 1
+    for k in range(1, n + 1):
+        expected *= d ** k + 1
+    return {
+        "lagrangian_count": len(lags),
+        "stabilizer_label_count": len(labels),
+        "lagrangians": [[list(r) for r in L.basis] for L in lags],
+        "labels": [
+            {"L": [list(r) for r in lab.L.basis], "rep": list(lab.rep)} for lab in labels
+        ],
+        "count_matches_product_formula": len(lags) == expected,
+    }
+
+
 def intersect(a: AffineSubspace, b: AffineSubspace):
     """Exact intersection coset of two affine subspaces, or None when empty."""
     if a.d != b.d or a.direction.ambient != b.direction.ambient:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetExceeded, Mismatch
+from .errors import BudgetExceeded, Mismatch, OddOnly
 from .operators import OpMatrix, hs_inner, stabilizer_states
 from .phase_space import basis_blocks
 from .zmod import require_prime
@@ -48,7 +48,7 @@ def direct_sum_check(d):
     cross-line orthogonality of the shifted polytope."""
     require_prime(d)
     if d == 2:
-        raise ValueError("direct-sum geometry is stated for odd d")
+        raise OddOnly("direct-sum geometry is stated for odd d")
     fam = stabilizer_states(d, 1)
     verts = shifted_vertices(d)
     report = {"d": d, "pass": True}
@@ -84,7 +84,9 @@ def direct_sum_check(d):
 def facet_family(d):
     """All d^(d+1) facet operators of the single-qudit stabilizer polytope."""
     require_prime(d)
-    if d == 2 or d > 5:
+    if d == 2:
+        raise OddOnly("the facet family is stated for odd d")
+    if d > 5:
         raise BudgetExceeded("facet family implemented for odd d <= 5")
     fam = stabilizer_states(d, 1)
     verts = shifted_vertices(d)
@@ -134,3 +136,23 @@ def wigner_negative_state(d) -> OpMatrix:
     m = stabilizer_states(d, 1).projectors[0].m
     eye = OpMatrix.identity(m, d)
     return (eye - phase_point(d, 1, (0, 0))).scale(Fraction(1, d - 1))
+
+
+def facet_report(d):
+    """The n = 1 facet verdict: every facet supports the polytope and touches
+    (d - 1)(d + 1) vertices, the direct sum holds, and the Wigner-negative
+    state lies outside with a violated facet as witness."""
+    facets = facet_family(d)
+    counts = facet_incidence_counts(d)
+    supporting = all(minimum == 0 for _, minimum in counts)
+    per_facet = {zeros for zeros, _ in counts}
+    inside, violated = polytope_membership(wigner_negative_state(d), d)
+    return {
+        "facet_count": len(facets),
+        "supporting": supporting,
+        "vertices_per_facet": sorted(per_facet),
+        "direct_sum": direct_sum_check(d),
+        "wigner_negative_state_inside": inside,
+        "violated_facet_characters": None if violated is None else list(violated.characters),
+        "pass": supporting and not inside and per_facet == {(d - 1) * (d + 1)},
+    }

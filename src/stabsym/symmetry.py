@@ -5,9 +5,9 @@ the four classification cases, and their mutual-containment verification."""
 from __future__ import annotations
 
 import os
+import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +20,7 @@ from .clifford import (
     real_clifford_generators,
     sp_generators,
 )
-from .errors import Mismatch, NotBasisPreserving, SearchTimeout
+from .errors import Mismatch, NotBasisPreserving, OddOnly, SearchTimeout, Unsupported
 from .operators import (
     GramMatrix,
     OpMatrix,
@@ -32,6 +32,7 @@ from .operators import (
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
     StabilizerLabel,
+    all_vectors,
     basis_blocks,
     enumerate_lagrangians,
     transform_label,
@@ -334,18 +335,39 @@ def _wreath_generators(d, n_labels, blocks):
     return gens
 
 
+def default_variant(d, n, which):
+    """The Theorem 1 case of the family: rebits, n = 1, qubits, else odd d."""
+    if which == "rebit":
+        return "real_clifford"
+    if n == 1:
+        return "wreath"
+    if d == 2:
+        return "extended_clifford"
+    return "agsp"
+
+
+def variant_name(d, n, variant):
+    """The predicted group of a Theorem 1 case, by name."""
+    return {
+        "wreath": f"S_{d} wr S_{d + 1}",
+        "extended_clifford": "extended Clifford group",
+        "agsp": f"AGSp(Z_{d}^{2 * n})",
+        "real_clifford": "real Clifford group",
+    }[variant]
+
+
 @lru_cache(maxsize=None)
 def predicted_group(d, n, variant) -> PermGroup:
     """Explicit permutation realization of the predicted symmetry group."""
     fam = stabilizer_states(d, n)
     if variant == "wreath":
         if n != 1:
-            raise ValueError("wreath case is n = 1")
+            raise Unsupported("the wreath case is n = 1")
         gens = _wreath_generators(d, fam.size, basis_blocks(fam.labels))
         return schreier_sims(gens, degree=fam.size)
     if variant == "extended_clifford":
         if d != 2:
-            raise ValueError("extended_clifford matrix path is for d = 2")
+            raise Unsupported("the extended Clifford case is d = 2")
         transforms = []
         for i in range(n):
             transforms.append(qubit_gate(n, "H", i))
@@ -361,7 +383,7 @@ def predicted_group(d, n, variant) -> PermGroup:
         return schreier_sims(gens, degree=fam.size)
     if variant == "agsp":
         if d == 2:
-            raise ValueError("agsp label action requires odd d")
+            raise OddOnly("the AGSp label action requires odd d")
         index = {lab: i for i, lab in enumerate(fam.labels)}
         gens = []
         zero = (0,) * (2 * n)
@@ -426,6 +448,7 @@ def verify_theorem1(d, n, variant, time_budget=None):
         "d": d,
         "n": n,
         "variant": variant,
+        "predicted": variant_name(d, n, variant),
         "computed_order": computed.order(),
         "predicted_order": predicted.order(),
     }
@@ -500,7 +523,7 @@ def verify_Sf_machinery(d, n, b):
     from .operators import gram_closed_form
 
     if d == 2:
-        raise ValueError("S_f machinery requires odd d")
+        raise OddOnly("S_f machinery requires odd d")
     b = tuple(x % d for x in b)
     lags = enumerate_lagrangians(d, n)
     family = [StabilizerLabel.make(L, b) for L in lags]
@@ -526,3 +549,18 @@ def verify_Sf_machinery(d, n, b):
         "C": str(c) if sum_ok else None,
         "pass": nonorth and sum_ok,
     }
+
+
+def verify_sf_sum(d, n, seed, samples):
+    """The S_f sum rule with one constant C for every b: {"tested_b", "C",
+    "pass"}.  Every b is tested when d^(2n) <= 81, else `samples` points
+    drawn from random.Random(seed)."""
+    if d ** (2 * n) <= 81:
+        bs = list(all_vectors(d, 2 * n))
+    else:
+        rng = random.Random(seed)
+        bs = [tuple(rng.randrange(d) for _ in range(2 * n)) for _ in range(samples)]
+    results = [verify_Sf_machinery(d, n, b) for b in bs]
+    constants = {r["C"] for r in results}
+    ok = all(r["pass"] for r in results) and len(constants) == 1
+    return {"tested_b": len(results), "C": constants.pop() if ok else None, "pass": ok}

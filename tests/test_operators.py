@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
-from stabsym.errors import InconsistentSigns, OddOnly
+from stabsym.clifford import real_clifford_orbit
+from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
 from stabsym.operators import (
-    GramMatrix,
     OpMatrix,
-    build_gram,
     enumerate_qubit_states,
     gram_bruteforce_all_pairs,
     gram_closed_form,
     hs_inner,
+    mono_sum,
     phase_point,
     phase_point_mono,
     stab_projector,
@@ -258,10 +258,35 @@ def test_gram_d3_n2_value_set():
 
 def test_gram_bruteforce_tensor_matches_closed_form_sample():
     fam = stabilizer_states(3, 1)
-    scaled = gram_bruteforce_all_pairs(fam.projectors, scale=3)
-    for i in range(fam.size):
-        for j in range(fam.size):
-            assert Fraction(int(scaled[i, j]), 9) == fam.gram.values[i][j]
+    assert gram_bruteforce_all_pairs(fam.projectors) == fam.gram.values
+    # qubits and rebits have no closed form: the Hilbert-Schmidt loop is the reference
+    for projs in (stabilizer_states(2, 2).projectors, real_clifford_orbit(1).projectors):
+        loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)
+        assert gram_bruteforce_all_pairs(projs) == loop
+
+
+def test_mono_sum_equals_the_dense_sum():
+    # the reference adds the dense matrices one by one, then scales; random
+    # phases and repeated terms exercise cancelling roots of unity
+    rng = random.Random(5)
+    for d, n in ((2, 1), (2, 2), (3, 1), (5, 1), (3, 2)):
+        r = 4 if d == 2 else d
+        for _ in range(4):
+            monos = [weyl_mono(d, n, tuple(rng.randrange(d) for _ in range(2 * n)))
+                     .phase_shift(rng.randrange(r)) for _ in range(rng.randrange(1, 12))]
+            acc = OpMatrix.zero(conductor_for(d), d ** n)
+            for mono in monos:
+                acc = acc + mono.to_matrix()
+            assert mono_sum(monos, Fraction(1, d ** n)) == acc.scale(Fraction(1, d ** n))
+
+
+def test_gram_bruteforce_int64_guard_counts_the_reduction():
+    # the scale 2^29 turns the entry 1 into 2^29: dim^2 * 2^58 = 2^60 products
+    # fit int64, but 4 convolution terms each and the reduction mod Phi_12
+    # (|red| sums to 5) may reach 4 * 4 * 6 * 2^58 >= 2^63
+    p = OpMatrix.from_rational(12, [[1, 0], [0, Fraction(1, 2 ** 29)]])
+    with pytest.raises(BudgetExceeded):
+        gram_bruteforce_all_pairs([p])
 
 
 def test_shifted_vertices_sum_to_zero_per_functional():
