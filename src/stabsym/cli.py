@@ -19,10 +19,9 @@ from fractions import Fraction
 from .clifford import verify_clifford_laws
 from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsupported
 from .moments import verify_design
-from .operators import stabilizer_states
 from .phase_space import verify_enumeration
 from .polytope1 import facet_report
-from .symmetry import default_variant, rebit_gram, verify_sf_sum, verify_theorem1
+from .symmetry import default_variant, family_gram, verify_sf_sum, verify_theorem1
 from .zmod import is_prime
 
 
@@ -64,10 +63,7 @@ def cmd_enumerate(args):
 
 
 def cmd_gram(args):
-    if args.set == "rebit":
-        gram = rebit_gram(args.n)
-    else:
-        gram = stabilizer_states(args.d, args.n).gram
+    gram = family_gram(args.set, args.d, args.n)
     if args.format == "csv":
         sys.stdout.write(gram.to_csv())
         return None, 0

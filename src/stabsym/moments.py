@@ -619,6 +619,8 @@ def verify_design(which, d, n):
         checks["complex_2design"] = is_complex_2design(q).to_json()
         checks["complex_3design"] = is_complex_3design(q, stop_at_first=(d != 2)).to_json()
     elif which == "rebit":
+        if d != 2:
+            raise Unsupported("the rebit states are d = 2")
         q = rebit_operator_set(n)
         expected = {
             "complex_2design": False,

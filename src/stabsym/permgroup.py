@@ -4,11 +4,14 @@ Permutations are tuples p of length `degree` with p[i] = image of i; they
 compose as functions acting on the left: (p * q)(x) = p(q(x)).  Each level of
 the chain keeps the inverse of every coset representative beside it, so
 sifting and the Schreier generators compose with stored inverses and never
-invert (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+invert (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  A complete
+chain moves to another base by sifting random elements of the group until
+the known order is reached (`PermGroup.rebased`, Seress 2003, section 5.4).
 """
 
 from __future__ import annotations
 
+import random
 import time
 from operator import itemgetter
 
@@ -50,14 +53,11 @@ class PermGroup:
         self.generators = []  # the externally supplied generators
 
     @classmethod
-    def from_generators(cls, gens, degree=None, base_hint=None, order=None, deadline=None):
+    def from_generators(cls, gens, degree=None, deadline=None):
         """The chain of the group the generators generate.
 
-        `order`, when given, must be that group's certified order: sifting
-        then stops once the transversal sizes multiply to it (the known-order
-        criterion, Seress 2003, section 4.5), which leaves a complete base and
-        strong generating set.  `deadline`, a `time.monotonic()` value, bounds
-        the build as in `add_generator`.
+        `deadline`, a `time.monotonic()` value, bounds the build as in
+        `add_generator`.
         """
         gens = [tuple(g) for g in gens]
         if degree is None:
@@ -65,11 +65,40 @@ class PermGroup:
                 raise ValueError("need degree for the trivial group")
             degree = len(gens[0])
         grp = cls(degree)
-        if base_hint:
-            for b in base_hint:
-                grp._append_base_point(b)
         for g in gens:
-            grp.add_generator(g, order=order, deadline=deadline)
+            grp.add_generator(g, deadline=deadline)
+        return grp
+
+    def rebased(self, base, deadline=None):
+        """The same group on a chain whose base starts with `base`.
+
+        Draws uniformly random elements of this complete chain (one random
+        coset representative per level, multiplied u_0 * u_1 * ..., from
+        `random.Random(0)`), sifts each into the new chain and adds every
+        non-identity residue to the generators of every level up to the one
+        it sifted to, until the transversal sizes multiply to `self.order()`.
+        This is exact: for any chain the product of the transversal sizes is
+        at most |<S_0>| <= |G|, and equality forces <S_i> to be the full
+        stabilizer of base[:i] at every level.  `deadline`, a
+        `time.monotonic()` value checked once per drawn element, raises
+        `SearchTimeout` carrying the partial chain.
+        """
+        grp = PermGroup(self.degree)
+        grp.generators = list(self.generators)
+        for b in base:
+            grp._append_base_point(b)
+        order, ident = self.order(), self.identity
+        reps = [list(trans.values()) for trans in self.transversals]
+        rng = random.Random(0)
+        while grp.order() < order:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise SearchTimeout("stabilizer chain deadline reached", partial=grp)
+            p = ident
+            for level in reps:
+                p = compose(p, rng.choice(level))
+            residue, l = grp._sift(p)
+            if residue != ident:
+                grp._add_strong_generator(residue, l)
         return grp
 
     # -- chain maintenance -------------------------------------------------
@@ -78,6 +107,15 @@ class PermGroup:
         self.level_gens.append([])
         self.transversals.append({b: self.identity})
         self.inverse_transversals.append({b: self.identity})
+
+    def _add_strong_generator(self, residue, l):
+        """Add a residue that sifted to level l (so it fixes base[:l]) to the
+        generators of levels <= l; returns each level's new orbit points."""
+        if l == len(self.base):
+            self._append_base_point(next(i for i, x in enumerate(residue) if x != i))
+        for gens in self.level_gens[:l + 1]:
+            gens.append(residue)
+        return [self._rebuild_orbit(i) for i in range(l + 1)]
 
     def _rebuild_orbit(self, l):
         """BFS orbit of base[l] under level_gens[l]; returns new points."""
@@ -118,11 +156,13 @@ class PermGroup:
 
     __contains__ = contains
 
-    def add_generator(self, g, order=None, deadline=None):
+    def add_generator(self, g, deadline=None):
         """Insert g (and all induced Schreier generators) into the chain.
 
-        With `order`, the certified order of the group the chain then
-        generates, sifting stops as soon as the chain reaches that order.
+        Each Schreier generator is sifted once per call: transversals and the
+        base only grow and a stored representative never changes, so a perm
+        that once sifted to the identity always does, and one that left a
+        residue lies in the group of the strong generators from then on.
         With `deadline`, a `time.monotonic()` value, each step checks the
         clock first and raises `SearchTimeout`, carrying the partial chain,
         once the deadline is reached.
@@ -131,10 +171,9 @@ class PermGroup:
         if len(g) != self.degree:
             raise ValueError("degree mismatch")
         self.generators.append(g)
-        if order is not None and self.order() == order:
-            return
         ident = self.identity
         stack = [(0, g)]
+        pushed = set()  # (level, perm) of every Schreier generator stacked
         while stack:
             if deadline is not None and time.monotonic() >= deadline:
                 raise SearchTimeout("stabilizer chain deadline reached", partial=self)
@@ -142,33 +181,22 @@ class PermGroup:
             residue, l = self._sift(p, start)
             if residue == ident:
                 continue
-            if l == len(self.base):
-                b = next(i for i, x in enumerate(residue) if x != i)
-                self._append_base_point(b)
-            # the residue stabilizes base[:l], so it strengthens levels <= l
-            for i in range(l, -1, -1):
-                self.level_gens[i].append(residue)
-            new_pts = [self._rebuild_orbit(i) for i in range(l + 1)]
-            if order is not None:
-                reached = self.order()
-                if reached > order:
-                    raise ValueError(f"generators exceed the stated order {order}")
-                if reached == order:
-                    return
+            new_pts = self._add_strong_generator(residue, l)
             for i in range(l + 1):
                 # Schreier generators: new generator against the whole orbit,
                 # old generators against the newly reached points
                 trans, invs = self.transversals[i], self.inverse_transversals[i]
-                for beta, u in trans.items():
-                    s = compose(invs[residue[beta]], compose(residue, u))
-                    if s != ident:
-                        stack.append((i + 1, s))
+                schreier = [compose(invs[residue[beta]], compose(residue, u))
+                            for beta, u in trans.items()]
                 for beta in new_pts[i]:
                     u = trans[beta]
-                    for h in self.level_gens[i]:
-                        s = compose(invs[h[beta]], compose(h, u))
-                        if s != ident:
-                            stack.append((i + 1, s))
+                    schreier.extend(compose(invs[h[beta]], compose(h, u))
+                                    for h in self.level_gens[i])
+                for s in schreier:
+                    key = (i + 1, s)
+                    if s != ident and key not in pushed:
+                        pushed.add(key)
+                        stack.append(key)
 
     def order(self) -> int:
         n = 1

@@ -8,7 +8,9 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,9 +57,15 @@ class ColoredGraph:
 
     @classmethod
     def from_gram(cls, gram: GramMatrix):
-        values = sorted({v for row in gram.values for v in row})
-        code = {v: i for i, v in enumerate(values)}
-        colors = tuple(tuple(code[v] for v in row) for row in gram.values)
+        # normalized fractions are equal iff their (numerator, denominator)
+        # pairs are, and a pair hashes far faster than a Fraction
+        pair = attrgetter("numerator", "denominator")
+        pairs = set()
+        for row in gram.values:
+            pairs.update(map(pair, row))
+        values = sorted(Fraction(*p) for p in pairs)
+        code = {pair(v): i for i, v in enumerate(values)}.__getitem__
+        colors = tuple(tuple(map(code, map(pair, row))) for row in gram.values)
         return cls(n=gram.size, colors=colors, legend=tuple(values))
 
 
@@ -98,21 +106,21 @@ class AutomorphismSearch:
     matrix.  Completeness: the tree is exhausted under orbit pruning by the
     already-found group (stabilizer-chain aligned with the search base) and
     invariant-based pruning, both of which only discard branches that cannot
-    contain new generators.  With `seed_order`, the certified order of the
-    group the seeds generate, the seed chain stops sifting once it reaches
-    that order (the known-order criterion); a chain of full order is a
+    contain new generators.  The seeds are a certified chain (a `PermGroup`)
+    of known automorphisms.  Once the first path fixes the search base, the
+    seed chain moves onto that base by a base change (`PermGroup.rebased`),
+    which stops at the seeds' certified order; a chain of full order is a
     complete base and strong generating set, so the orbit pruning is exact.
     """
 
-    def __init__(self, graph: ColoredGraph, time_budget=None, seeds=(), seed_order=None):
+    def __init__(self, graph: ColoredGraph, time_budget=None, seeds=None):
         self.n = graph.n
         self.ncolors = len(graph.legend)
         self.m = np.array(graph.colors, dtype=np.min_scalar_type(max(self.ncolors - 1, 0)))
         self.budget = default_time_budget() if time_budget is None else time_budget
         self.deadline = None
-        self.seeds = [tuple(s) for s in seeds]
-        self.seed_order = seed_order
-        for s in self.seeds:
+        self.seeds = PermGroup(self.n) if seeds is None else seeds
+        for s in self.seeds.generators:
             if not self._is_automorphism(np.array(s, dtype=np.int64)):
                 raise Mismatch("seed permutation does not preserve the Gram", witness=s)
 
@@ -220,14 +228,12 @@ class AutomorphismSearch:
                              partial=partial, nodes=self.nodes, depth=depth)
 
     def _grow_chain(self, depth, gamma=None):
-        """Build the seed chain if there is none yet, then add `gamma` to it;
-        Schreier-Sims runs under the search deadline."""
+        """Rebase the seed chain onto the search base if there is no chain
+        yet, then add `gamma` to it; both run under the search deadline."""
         try:
             # created only once the first path (and hence the base) is complete
             if self.chain is None:
-                self.chain = PermGroup.from_generators(
-                    self.seeds, degree=self.n, base_hint=self.base_seq, order=self.seed_order,
-                    deadline=self.deadline)
+                self.chain = self.seeds.rebased(self.base_seq, deadline=self.deadline)
             if gamma is not None:
                 self.chain.add_generator(gamma, deadline=self.deadline)
         except SearchTimeout as exc:
@@ -258,14 +264,18 @@ class AutomorphismSearch:
             self._dfs(*self._individualize(labels, v0), depth + 1, True)
             self._grow_chain(depth)
             processed = [v0]
+            orbit = self.chain.orbit_of(depth, processed)
             for v in candidates[1:]:
                 v = int(v)
-                if v in self.chain.orbit_of(depth, processed):
+                if v in orbit:
                     continue
                 gamma = self._dfs(*self._individualize(labels, v), depth + 1, False)
                 processed.append(v)
                 if gamma is not None and not self.chain.contains(gamma):
                     self._grow_chain(depth, gamma)
+                    orbit = self.chain.orbit_of(depth, processed)
+                else:
+                    orbit |= self.chain.orbit_of(depth, [v])
             return None
         for v in candidates:
             gamma = self._dfs(*self._individualize(labels, int(v)), depth + 1, False)
@@ -285,19 +295,16 @@ class AutomorphismSearch:
         return None
 
 
-def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=(),
-                       seed_order=None) -> PermGroup:
+def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=None) -> PermGroup:
     """The full, certified group of Gram-preserving state permutations.
 
-    Optional seeds are candidate automorphisms (e.g. a predicted group's
-    generators); each is verified against the Gram before being used for
-    known-group pruning, so soundness and exhaustive-tree completeness are
-    unaffected.  `seed_order` is the certified order of the group the seeds
-    generate, if known; it shortens building their chain.
+    Optional seeds are a certified chain of candidate automorphisms (e.g. a
+    predicted group); each of its generators is verified against the Gram
+    before the chain is used for known-group pruning, so soundness and
+    exhaustive-tree completeness are unaffected.
     """
     graph = ColoredGraph.from_gram(gram)
-    return AutomorphismSearch(graph, time_budget=time_budget, seeds=seeds,
-                              seed_order=seed_order).run()
+    return AutomorphismSearch(graph, time_budget=time_budget, seeds=seeds).run()
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +404,8 @@ def predicted_group(d, n, variant) -> PermGroup:
             gens.append(tuple(index[transform_label(lab, eye, shift)] for lab in fam.labels))
         return schreier_sims(gens, degree=fam.size)
     if variant == "real_clifford":
+        if d != 2:
+            raise Unsupported("the rebit states are d = 2")
         orbit = real_clifford_orbit(n)
         gens = [
             _perm_from_matrix_action(orbit.projectors, lambda p, u=u: u @ p @ u.dagger())
@@ -410,6 +419,16 @@ def predicted_group(d, n, variant) -> PermGroup:
 def rebit_gram(n) -> GramMatrix:
     orbit = real_clifford_orbit(n)
     return build_gram(orbit.projectors, projectors=orbit.projectors)
+
+
+def family_gram(which, d, n) -> GramMatrix:
+    """The Gram of the stabilizer states ("stab") or the rebit states
+    ("rebit", which exist for d = 2 only)."""
+    if which != "rebit":
+        return stabilizer_states(d, n).gram
+    if d != 2:
+        raise Unsupported("the rebit states are d = 2")
+    return rebit_gram(n)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +453,7 @@ def verify_theorem1(d, n, variant, time_budget=None):
     verified to preserve the Gram, and the exhausted search certifies that no
     further automorphism exists.
     """
+    predicted = predicted_group(d, n, variant)
     if variant == "real_clifford":
         gram = rebit_gram(n)
         labels = None
@@ -441,9 +461,7 @@ def verify_theorem1(d, n, variant, time_budget=None):
         fam = stabilizer_states(d, n)
         gram = fam.gram
         labels = fam.labels
-    predicted = predicted_group(d, n, variant)
-    computed = gram_automorphisms(gram, time_budget=time_budget,
-                                  seeds=predicted.generators, seed_order=predicted.order())
+    computed = gram_automorphisms(gram, time_budget=time_budget, seeds=predicted)
     report = {
         "d": d,
         "n": n,

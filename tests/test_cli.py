@@ -213,6 +213,9 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
     ["autgroup", "--d", "3", "--n", "2", "--variant", "wreath"],
     ["autgroup", "--d", "3", "--n", "2", "--variant", "extended_clifford"],
     ["facets", "--d", "2"],
+    ["autgroup", "--d", "3", "--n", "1", "--set", "rebit"],
+    ["verify-design", "--d", "5", "--n", "1", "--set", "rebit"],
+    ["gram", "--d", "3", "--n", "1", "--set", "rebit"],
 ], ids=_argv_id)
 def test_unsupported_combination_is_a_usage_error(capsys, argv):
     assert main(argv) == 2  # an exception escaping main would fail this test

@@ -182,6 +182,21 @@ def test_stored_inverses_undo_representatives(case):
     assert_stored_inverses(schreier_sims(gens, degree=n))
 
 
+@settings(max_examples=50, deadline=None)
+@given(generator_sets(), st.data(), st.lists(st.integers(0, 2), min_size=1, max_size=16))
+def test_rebased_chain_matches_sympy(case, data, word):
+    n, gens = case
+    base = data.draw(st.permutations(range(n)))
+    group = schreier_sims(gens, degree=n).rebased(base)
+    assert group.base == list(base)
+    assert group.order() == sympy_group(gens).order()
+    assert_stored_inverses(group)
+    p = identity_perm(n)
+    for i in word:
+        p = compose(p, gens[i % len(gens)])
+    assert group.contains(p)
+
+
 def test_stored_inverses_of_theorem1_groups():
     for args in ((3, 1, "wreath"), (5, 1, "wreath"), (2, 2, "extended_clifford"),
                  (2, 2, "real_clifford")):

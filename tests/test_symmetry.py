@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -146,7 +147,7 @@ def test_seed_rejection():
     bad[a], bad[b] = bad[b], bad[a]
     graph = ColoredGraph.from_gram(fam.gram)
     with pytest.raises(Mismatch):
-        AutomorphismSearch(graph, seeds=[tuple(bad)])
+        AutomorphismSearch(graph, seeds=PermGroup.from_generators([bad]))
 
 
 def test_search_timeout_raises():
@@ -161,13 +162,14 @@ def test_search_timeout_raises():
 
 
 def test_seed_chain_timeout_reports_progress(monkeypatch):
-    # Schreier-Sims on the seeds runs under the search deadline: with a chain
-    # clock past every deadline, the budget runs out while the seed chain is
-    # built, after the first path, and the search reports how far it got
+    # the base change of the seed chain runs under the search deadline: with
+    # a chain clock past every deadline, the budget runs out while the seed
+    # chain is rebased, after the first path, and the search reports how far
+    # it got
     import stabsym.permgroup
 
     fam = stabilizer_states(3, 1)
-    seeds = predicted_group(3, 1, "wreath").generators
+    seeds = predicted_group(3, 1, "wreath")
     monkeypatch.setattr(stabsym.permgroup, "time", SimpleNamespace(monotonic=lambda: math.inf))
     with pytest.raises(SearchTimeout) as info:
         gram_automorphisms(fam.gram, time_budget=600, seeds=seeds)
@@ -304,21 +306,25 @@ def test_many_colors_certify_exactly():
     (2, 2, "extended_clifford"), (3, 2, "agsp"), (2, 2, "real_clifford"),
 ])
 def test_known_order_chain_is_complete(d, n, variant):
+    # the base change stops once the new chain reaches the known order
     full = predicted_group(d, n, variant)
     gens = full.generators
     hint = list(range(full.degree - 1, full.degree - 4, -1))
-    early = PermGroup.from_generators(gens, degree=full.degree, base_hint=hint,
-                                      order=full.order())
-    assert early.order() == full.order()
-    assert all(early.contains(g) for g in full.level_gens[0])
-    assert early.order() == PermutationGroup([Permutation(list(g)) for g in gens]).order()
+    moved = full.rebased(hint)
+    assert moved.base[:3] == hint
+    assert moved.order() == full.order()
+    assert all(moved.contains(g) for g in full.level_gens[0])
+    assert moved.order() == PermutationGroup([Permutation(list(g)) for g in gens]).order()
 
 
-def test_known_order_rejects_a_smaller_stated_order():
+def test_rebased_past_its_deadline_raises_with_a_partial_chain():
     full = predicted_group(3, 1, "wreath")
-    # a prime above every orbit size is never a product of orbit sizes
-    with pytest.raises(ValueError):
-        PermGroup.from_generators(full.generators, order=13)
+    with pytest.raises(SearchTimeout) as info:
+        full.rebased([11, 10], deadline=time.monotonic() - 1)
+    partial = info.value.partial
+    assert partial is not None and partial.base == [11, 10]
+    assert partial.order() < full.order()
+    assert f"partial order {partial.order()}" in str(info.value)
 
 
 def test_wreath_decompose_identity_and_roundtrip():
