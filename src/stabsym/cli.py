@@ -21,7 +21,8 @@ from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsup
 from .moments import verify_design
 from .phase_space import verify_enumeration
 from .polytope1 import facet_report
-from .symmetry import default_variant, family_gram, verify_sf_sum, verify_theorem1
+from .symmetry import (budget_seconds, default_variant, family_gram, verify_sf_sum,
+                       verify_theorem1)
 from .zmod import is_prime
 
 
@@ -141,6 +142,13 @@ def cmd_report(args):
     return report, code
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stabsym",
@@ -151,10 +159,10 @@ def build_parser():
     def common(p, needs_n=True):
         p.add_argument("--d", type=int, required=True, help="prime local dimension")
         if needs_n:
-            p.add_argument("--n", type=int, default=1, help="number of qudits")
+            p.add_argument("--n", type=positive_int, default=1, help="number of qudits")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--budget-seconds", type=float, default=None,
+        p.add_argument("--samples", type=positive_int, default=100)
+        p.add_argument("--budget-seconds", type=budget_seconds, default=None,
                        help="search time budget (default: $STABSYM_BUDGET_SECONDS, else 600)")
         p.add_argument("--output", default=None)
         p.add_argument("--golden", default=None)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .cyclotomic import (
     CycNumber,
@@ -19,9 +20,9 @@ from .cyclotomic import (
     sqrt_d,
     tau,
 )
-from .errors import BudgetExceeded, WordDecompositionFailure
+from .errors import BudgetExceeded, OddOnly, WordDecompositionFailure
 from .operators import OpMatrix, phase_point, weyl
-from .permgroup import PermGroup, compose, identity_perm, inverse
+from .permgroup import PermGroup
 from .phase_space import all_vectors, symplectic_form, vec_add
 from .zmod import ZModMatrix, inv_mod, invert, legendre, require_prime
 
@@ -126,46 +127,6 @@ def sp_order(d, n) -> int:
     return _order_on_nonzero(sp_generators(d, n), d, n)
 
 
-# ---------------------------------------------------------------------------
-# The metaplectic section for n = 1 (single qudit), odd d.
-#
-# Generators (with the phase conventions that make the section exact):
-#   Fourier   F     = g_d^{-1} (omega^{jk})          <-> [[0,-1],[1,0]]
-#   Multiplier M_g  = (g/d) sum |gq><q|              <-> diag(g, g^{-1})
-#   Shear     D_1   = diag(tau^{q^2})                <-> [[1,0],[1,1]]
-# The BFS closure of these is either SL(2,d) itself or a double cover whose
-# derived-series core is the unique splitting; the core is Galois-stable
-# because field automorphisms are group automorphisms.
-
-_METAPLECTIC_MAX_D = 7
-
-
-def _fourier_matrix(d) -> OpMatrix:
-    m = conductor_for(d)
-    ginv = gauss_sum(d).inverse()
-    return OpMatrix(
-        m, [[root_of_unity(m, (m // d) * ((j * k) % d)) * ginv for k in range(d)] for j in range(d)]
-    )
-
-
-def _mult_matrix(d, gamma) -> OpMatrix:
-    m = conductor_for(d)
-    sign = legendre(gamma, d)
-    rows = [[CycNumber.zero(m) for _ in range(d)] for _ in range(d)]
-    for q in range(d):
-        rows[(gamma * q) % d][q] = CycNumber.from_fraction(m, sign)
-    return OpMatrix(m, rows)
-
-
-def _shear_matrix(d, lam) -> OpMatrix:
-    m = conductor_for(d)
-    t = tau(d)
-    rows = [[CycNumber.zero(m) for _ in range(d)] for _ in range(d)]
-    for q in range(d):
-        rows[q][q] = t ** ((lam * q * q) % d)
-    return OpMatrix(m, rows)
-
-
 def primitive_root(d):
     for g in range(2, d):
         seen = {1}
@@ -178,128 +139,51 @@ def primitive_root(d):
     raise ValueError("no primitive root (d not prime?)")
 
 
-def _symplectic_of_unitary(u: OpMatrix, d):
-    """Read S off U T(e_i) U^dagger = T(S e_i); None if a phase appears."""
-    cols = []
-    ud = u.dagger()
-    for e in ((1, 0), (0, 1)):
-        conj = u @ weyl(d, 1, e) @ ud
-        for b in all_vectors(d, 2):
-            if b == (0, 0):
-                continue
-            if conj == weyl(d, 1, b):
-                cols.append(b)
-                break
-        else:
-            return None
-    return ZModMatrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]], d)
+# ---------------------------------------------------------------------------
+# The metaplectic section for n = 1 (single qudit), odd d, in closed form
+# (Appleby, J. Math. Phys. 46, 052107 (2005); Neuhauser, J. Lie Theory 12
+# (2002)).  With S = [[a, b], [c, e]] by rows, tau = omega^((d+1)/2), the Gauss
+# sum g_d and the Legendre symbol L:
+#   b != 0:  U_S = L(2b) g_d^{-1} sum_{r,s} tau^(b^{-1}(a s^2 - 2 r s + e r^2)) |r><s|
+#   b == 0:  U_S = L(a) sum_s tau^(a c s^2) |a s><s|
+# Its values at [[0,-1],[1,0]], diag(g, g^{-1}) and [[1,0],[1,1]] are
+#   Fourier    L(-2) F  with  F = g_d^{-1} (omega^{jk})
+#   Multiplier M_g = L(g) sum |gq><q|
+#   Shear      D_1 = diag(tau^{q^2}).
+# Two multiplicative sections differ by a homomorphism SL(2, d) -> U(1), which
+# is trivial for d >= 5 because SL(2, d) is perfect: the section is unique
+# there, and so Galois-stable (field automorphisms are group automorphisms).
+# At d = 3 the three values above pin it among the three sections.
 
 
-@lru_cache(maxsize=None)
-def _metaplectic_table(d):
-    """dict: symplectic matrix rows -> (unitary, word) for all of SL(2, d)."""
-    require_prime(d)
-    if d == 2 or d > _METAPLECTIC_MAX_D:
-        raise BudgetExceeded(f"metaplectic section supports odd d <= {_METAPLECTIC_MAX_D}")
-    g = primitive_root(d)
-    gen_names = ("F", f"M{g}", "D1")
-    gens = [_fourier_matrix(d), _mult_matrix(d, g), _shear_matrix(d, 1)]
-    ident = OpMatrix.identity(conductor_for(d), d)
-    elems = [ident]
-    index = {ident: 0}
-    words = {0: ()}
-    qi = 0
-    while qi < len(elems):
-        u = elems[qi]
-        for k, gen in enumerate(gens):
-            p = u @ gen
-            if p not in index:
-                index[p] = len(elems)
-                words[len(elems)] = words[qi] + (gen_names[k],)
-                elems.append(p)
-        qi += 1
-    sl = sp_order_formula(d, 1)
-    if len(elems) == sl:
-        core_ids = range(len(elems))
-    else:
-        core_ids = _derived_core(elems, index, gens, sl)
-    table = {}
-    for i in core_ids:
-        u = elems[i]
-        s = _symplectic_of_unitary(u, d)
-        assert s is not None, "core element conjugates with a phase"
-        key = s.rows
-        assert key not in table, "core is not a section"
-        table[key] = (u, words[i])
-    assert len(table) == sl, "section does not cover SL(2, d)"
-    return table
-
-
-def _derived_core(elems, index, gens, target):
-    """Indices of the derived-subgroup splitting via the regular permutation image.
-
-    For d >= 5, SL(2, d) is perfect with trivial Schur multiplier, so the
-    derived subgroup of the generated matrix group is the unique complement of
-    the central phases.
-    """
-    n = len(elems)
-    left = [tuple(index[g @ elems[i]] for i in range(n)) for g in gens]
-    comms = {}
-    for a in left:
-        for b in left:
-            c = compose(compose(a, b), compose(inverse(a), inverse(b)))
-            comms[c] = None
-    gen_set = list(comms)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(gen_set):
-            for g in left:
-                cc = compose(compose(g, c), inverse(g))
-                if cc not in comms:
-                    comms[cc] = None
-                    gen_set.append(cc)
-                    changed = True
-    idp = identity_perm(n)
-    group = {idp: None}
-    queue = [idp]
-    while queue:
-        p = queue.pop()
-        for g in gen_set:
-            q = compose(p, g)
-            if q not in group:
-                group[q] = None
-                queue.append(q)
-    if len(group) != target:
-        raise WordDecompositionFailure("derived subgroup is not a splitting")
-    return [p[0] for p in group]
-
-
-def _as_rows(s):
-    if isinstance(s, ZModMatrix):
-        return s.rows
-    return tuple(tuple(x for x in row) for row in s)
+def sl2_elements(d):
+    """SL(2, d) as the lexicographically sorted tuple of its row pairs."""
+    return tuple(((a, b), (c, e)) for a, b, c, e in product(range(d), repeat=4)
+                 if (a * e - b * c) % d == 1)
 
 
 def metaplectic(d, s) -> OpMatrix:
     """The canonical unitary U_S with U_S T(b) U_S^dagger = T(Sb) exactly,
-    multiplicative in S (n = 1, odd d)."""
-    rows = _as_rows(s)
-    table = _metaplectic_table(d)
-    key = tuple(tuple(x % d for x in r) for r in rows)
-    if key not in table:
+    multiplicative in S (n = 1, odd d), from the closed form above."""
+    if d == 2:
+        raise OddOnly("the metaplectic section needs odd d")
+    rows = s.rows if isinstance(s, ZModMatrix) else tuple(map(tuple, s))
+    (a, b), (c, e) = ((x % d for x in row) for row in rows)
+    if (a * e - b * c) % d != 1:
         raise WordDecompositionFailure(f"{rows} is not in SL(2, {d})")
-    return table[key][0]
-
-
-def metaplectic_word(d, s):
-    """The generator word (in F, M_g, D_1) realizing U_S."""
-    rows = _as_rows(s)
-    table = _metaplectic_table(d)
-    key = tuple(tuple(x % d for x in r) for r in rows)
-    if key not in table:
-        raise WordDecompositionFailure(f"{rows} is not in SL(2, {d})")
-    return table[key][1]
+    m = conductor_for(d)
+    half = (d + 1) // 2
+    if b:
+        scale = gauss_sum(d).inverse() * legendre(2 * b, d)
+        phase = [root_of_unity(m, (m // d) * k) * scale for k in range(d)]
+        t = half * inv_mod(b, d)
+        return OpMatrix(m, [[phase[t * (a * q * q - 2 * r * q + e * r * r) % d]
+                             for q in range(d)] for r in range(d)])
+    sign = legendre(a, d)
+    out = [[CycNumber.zero(m)] * d for _ in range(d)]
+    for q in range(d):
+        out[a * q % d][q] = root_of_unity(m, (m // d) * (half * a * c * q * q % d)) * sign
+    return OpMatrix(m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +502,9 @@ def verify_clifford_laws(d, n, seed, samples):
     section and the extended-Clifford composition law; C_alpha acts as K_alpha
     on every A(x) and transposition as K_{-1}.  At (2, 1) the wreath
     coordinates of the standard generators equal `WREATH_TABLE`.
+
+    The section has a closed form for every odd d; the d <= 7 gate is kept
+    so that the report at every (d, n) keeps its set of checks.
     """
     rng = random.Random(seed)
     checks = {}
@@ -644,10 +531,10 @@ def verify_clifford_laws(d, n, seed, samples):
     checks[law] = {"pass": all(weyl_law(a, b) for a, b in pairs), "pairs": len(pairs)}
 
     if d != 2 and n == 1 and d <= 7:
-        table = sorted(_metaplectic_table(d))
+        sl2 = sl2_elements(d)
 
         def rand_symplectic():
-            return ZModMatrix(rng.choice(table), d)
+            return ZModMatrix(rng.choice(sl2), d)
 
         def multiplies(s1, s2):
             return metaplectic(d, s1) @ metaplectic(d, s2) == metaplectic(d, s1 @ s2)

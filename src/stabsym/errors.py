@@ -40,7 +40,7 @@ class InconsistentSigns(StabsymError):
 
 
 class WordDecompositionFailure(StabsymError):
-    """A symplectic matrix could not be written in the standard generators."""
+    """The matrix S given to the metaplectic section is not in SL(2, d)."""
 
 
 class Mismatch(StabsymError):

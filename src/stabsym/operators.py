@@ -184,9 +184,7 @@ class Mono:
 
     def _phase(self, e):
         m = conductor_for(self.d)
-        if self.d == 2:
-            return root_of_unity(m, (m // 4) * e)
-        return root_of_unity(m, (m // self.d) * e)
+        return root_of_unity(m, (m // self.r) * e)
 
     def trace(self) -> CycNumber:
         m = conductor_for(self.d)
@@ -304,20 +302,17 @@ def phase_point_mono(d, n, a) -> Mono:
     dim = mat.dim
     perm = [None] * dim
     expo = [0] * dim
-    mono_probe = Mono(d, n, tuple(range(dim)), (0,) * dim)
+    m = conductor_for(d)
+    roots = [root_of_unity(m, (m // d) * e) for e in range(d)]
     for q in range(dim):
         col = [mat.rows[p][q] for p in range(dim)]
         nz = [p for p, x in enumerate(col) if not x.is_zero()]
         assert len(nz) == 1, "A(a) must be monomial"
         p = nz[0]
         perm[q] = p
-        r = 4 if d == 2 else d
-        for e in range(r):
-            if col[p] == mono_probe._phase(e):
-                expo[q] = e
-                break
-        else:
+        if col[p] not in roots:
             raise AssertionError("A(a) entry is not a unit phase")
+        expo[q] = roots.index(col[p])
     return Mono(d, n, tuple(perm), tuple(expo))
 
 

@@ -4,6 +4,7 @@ the four classification cases, and their mutual-containment verification."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -42,9 +43,24 @@ from .phase_space import (
 from .zmod import ZModMatrix
 
 
+def budget_seconds(value) -> float:
+    """A time budget in seconds: a finite number >= 0, else ValueError (a NaN
+    or infinite deadline would never be reached)."""
+    budget = float(value)
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"time budget must be a finite number >= 0, got {value!r}")
+    return budget
+
+
 def default_time_budget() -> float:
-    """The search time budget in seconds: $STABSYM_BUDGET_SECONDS, else 600."""
-    return float(os.environ.get("STABSYM_BUDGET_SECONDS", "600"))
+    """The search time budget in seconds: $STABSYM_BUDGET_SECONDS, else 600.
+    A value that `budget_seconds` rejects is a usage error."""
+    raw = os.environ.get("STABSYM_BUDGET_SECONDS", "600")
+    try:
+        return budget_seconds(raw)
+    except ValueError:
+        raise Unsupported(
+            f"STABSYM_BUDGET_SECONDS must be a finite number >= 0, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -117,7 +133,7 @@ class AutomorphismSearch:
         self.n = graph.n
         self.ncolors = len(graph.legend)
         self.m = np.array(graph.colors, dtype=np.min_scalar_type(max(self.ncolors - 1, 0)))
-        self.budget = default_time_budget() if time_budget is None else time_budget
+        self.budget = default_time_budget() if time_budget is None else budget_seconds(time_budget)
         self.deadline = None
         self.seeds = PermGroup(self.n) if seeds is None else seeds
         for s in self.seeds.generators:

@@ -132,11 +132,39 @@ def test_budget_exit_code(capsys):
     assert "nodes visited" in err and "depth" in err
 
 
+@pytest.mark.parametrize("argv", [
+    *(["autgroup", "--d", "5", "--n", "1", "--budget-seconds", v] for v in ("nan", "inf", "-1")),
+    *([cmd, "--d", "3", "--n", n] for cmd in ("enumerate", "verify-design", "autgroup")
+      for n in ("0", "-1")),
+    ["verify-clifford", "--d", "5", "--samples", "0"],
+], ids=lambda argv: "_".join(a[2:] if a.startswith("--") else a for a in argv))
+def test_bad_argument_value_is_a_usage_error(capsys, argv):
+    # the last option is the bad one: a NaN budget would never be reached and
+    # switch the budget off; n < 1 has no states; zero samples would pass the
+    # sampled laws vacuously
+    assert main(argv) == 2  # an exception escaping main would fail this test
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse prints the usage, then one line naming the bad option
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"stabsym {argv[0]}: error: argument {argv[-2]}")
+
+
 def test_budget_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("STABSYM_BUDGET_SECONDS", "0")
     code = main(["autgroup", "--d", "3", "--n", "2"])
     assert code == 3
     assert "budget of 0 s exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "soon"])
+def test_bad_budget_from_environment_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("STABSYM_BUDGET_SECONDS", value)
+    assert main(["autgroup", "--d", "5", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"unsupported: STABSYM_BUDGET_SECONDS must be a finite number"
+                            f" >= 0, got {value!r}\n")
 
 
 def test_report_deterministic_and_green(capsys, tmp_path):

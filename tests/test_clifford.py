@@ -13,27 +13,33 @@ from stabsym.clifford import (
     k_alpha,
     matrix_point_perm,
     metaplectic,
-    metaplectic_word,
     qubit_gate,
     real_clifford_orbit,
     similitude_multiplier,
+    sl2_elements,
     sp_generators,
     sp_order,
     sp_order_formula,
     transvection,
     wreath_decompose_table,
-    _metaplectic_table,
 )
-from stabsym.cyclotomic import CycNumber, GaloisMap, conductor_for, omega
-from stabsym.errors import WordDecompositionFailure
+from stabsym.cyclotomic import (
+    CycNumber,
+    GaloisMap,
+    conductor_for,
+    gauss_sum,
+    omega,
+    root_of_unity,
+    tau,
+)
+from stabsym.errors import OddOnly, WordDecompositionFailure
 from stabsym.operators import OpMatrix, phase_point, weyl
 from stabsym.phase_space import all_vectors, vec_add
-from stabsym.zmod import ZModMatrix, inv_mod
+from stabsym.zmod import ZModMatrix, inv_mod, legendre
 
 
 def _random_sl2(d, rng):
-    table = list(_metaplectic_table(d))
-    return ZModMatrix(rng.choice(table), d)
+    return ZModMatrix(rng.choice(sl2_elements(d)), d)
 
 
 @pytest.mark.parametrize("d,n,order", [(3, 1, 24), (2, 2, 720), (3, 2, 51840)])
@@ -71,7 +77,6 @@ def test_metaplectic_identity():
     for d in (3, 5):
         u = metaplectic(d, ZModMatrix.identity(2, d))
         assert u == OpMatrix.identity(conductor_for(d), d)
-        assert metaplectic_word(d, ZModMatrix.identity(2, d)) == ()
 
 
 def test_metaplectic_fourier_d3():
@@ -89,7 +94,7 @@ def test_metaplectic_fourier_d3():
 @pytest.mark.parametrize("d", [3, 5])
 def test_metaplectic_conjugation_postcondition_all(d):
     rng = random.Random(d)
-    table = list(_metaplectic_table(d))
+    table = sl2_elements(d)
     sample = table if d == 3 else rng.sample(table, 12)
     for rows in sample:
         s = ZModMatrix(rows, d)
@@ -119,25 +124,76 @@ def test_metaplectic_galois_closure(d):
             assert lhs == metaplectic(d, conj)
 
 
-def test_metaplectic_word_reconstructs():
-    d = 3
-    from stabsym.clifford import _fourier_matrix, _mult_matrix, _shear_matrix, primitive_root
+def _fourier(d):
+    """F = g_d^{-1} (omega^{jk})."""
+    m = conductor_for(d)
+    ginv = gauss_sum(d).inverse()
+    return OpMatrix(m, [[root_of_unity(m, (m // d) * (j * k % d)) * ginv for k in range(d)]
+                        for j in range(d)])
 
-    g = primitive_root(d)
-    lookup = {"F": _fourier_matrix(d), f"M{g}": _mult_matrix(d, g), "D1": _shear_matrix(d, 1)}
-    rng = random.Random(3)
-    for _ in range(10):
-        s = _random_sl2(d, rng)
-        word = metaplectic_word(d, s)
-        acc = OpMatrix.identity(conductor_for(d), d)
-        for w in word:
-            acc = acc @ lookup[w]
-        assert acc == metaplectic(d, s)
+
+def _multiplier(d, g):
+    """M_g = L(g) sum_q |gq><q|."""
+    m = conductor_for(d)
+    rows = [[CycNumber.zero(m)] * d for _ in range(d)]
+    for q in range(d):
+        rows[g * q % d][q] = CycNumber.from_fraction(m, legendre(g, d))
+    return OpMatrix(m, rows)
+
+
+def _shear(d):
+    """D_1 = diag(tau^{q^2})."""
+    m = conductor_for(d)
+    rows = [[CycNumber.zero(m)] * d for _ in range(d)]
+    for q in range(d):
+        rows[q][q] = tau(d) ** (q * q % d)
+    return OpMatrix(m, rows)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_metaplectic_pins_the_standard_generators(d):
+    # the closed form at [[0,-1],[1,0]], diag(g, g^-1) and [[1,0],[1,1]] is
+    # the hand-built Fourier, multiplier and shear matrix; the Fourier value
+    # carries the sign L(-2), so F itself is in the section only for
+    # d = 1, 3 mod 8 (here d = 3, 11)
+    assert metaplectic(d, ZModMatrix([[0, -1], [1, 0]], d)) == _fourier(d).scale(legendre(-2, d))
+    for g in range(1, d):
+        assert metaplectic(d, ZModMatrix([[g, 0], [0, inv_mod(g, d)]], d)) == _multiplier(d, g)
+    assert metaplectic(d, ZModMatrix([[1, 0], [1, 1]], d)) == _shear(d)
+
+
+def test_metaplectic_multiplicative_on_all_pairs_d3():
+    d = 3
+    section = {rows: metaplectic(d, rows) for rows in sl2_elements(d)}
+    assert len(section) == sp_order_formula(d, 1)
+    for r1, u1 in section.items():
+        for r2, u2 in section.items():
+            assert u1 @ u2 == section[(ZModMatrix(r1, d) @ ZModMatrix(r2, d)).rows]
+
+
+@pytest.mark.parametrize("d,pairs", [(7, 6), (11, 3)])
+def test_metaplectic_laws_sampled_at_larger_d(d, pairs):
+    # unitarity, the conjugation postcondition and multiplicativity on sampled
+    # pairs, where all pairs would take minutes
+    rng = random.Random(d)
+    ident = OpMatrix.identity(conductor_for(d), d)
+    assert len(sl2_elements(d)) == sp_order_formula(d, 1)
+    for _ in range(pairs):
+        s1, s2 = _random_sl2(d, rng), _random_sl2(d, rng)
+        u1 = metaplectic(d, s1)
+        assert u1.dagger() @ u1 == ident
+        for b in ((1, 0), (0, 1), (rng.randrange(d), rng.randrange(d))):
+            assert u1 @ weyl(d, 1, b) @ u1.dagger() == weyl(d, 1, s1.apply(b))
+        assert u1 @ metaplectic(d, s2) == metaplectic(d, s1 @ s2)
 
 
 def test_metaplectic_rejects_nonsymplectic():
     with pytest.raises(WordDecompositionFailure):
         metaplectic(3, ZModMatrix([[1, 1], [1, 1]], 3))
+    with pytest.raises(WordDecompositionFailure):
+        metaplectic(11, ZModMatrix([[2, 0], [0, 2]], 11))  # det 4: a similitude
+    with pytest.raises(OddOnly):
+        metaplectic(2, ZModMatrix.identity(2, 2))
 
 
 def test_transpose_realizes_k_minus_one_d3():

@@ -150,6 +150,13 @@ def test_seed_rejection():
         AutomorphismSearch(graph, seeds=PermGroup.from_generators([bad]))
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -1])
+def test_search_rejects_a_budget_it_cannot_keep(budget):
+    # a NaN or infinite deadline is never reached
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        gram_automorphisms(stabilizer_states(2, 1).gram, time_budget=budget)
+
+
 def test_search_timeout_raises():
     fam = stabilizer_states(3, 2)
     with pytest.raises(SearchTimeout) as info:
