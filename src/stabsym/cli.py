@@ -32,6 +32,23 @@ def _json_default(x):
     raise TypeError(type(x))
 
 
+# named in every golden file name, or saying where a report goes or how long
+# it may take rather than what it is
+_NOT_IN_GOLDEN_NAME = ("cmd", "d", "n", "golden", "output", "timing", "budget_seconds")
+
+
+def golden_name(args) -> str:
+    """`<command>_d<d>_n<n>.json`, with `_<option>-<value>` inserted before the
+    suffix for every other option not at its default, in alphabetical order,
+    so that two different reports never share a golden file."""
+    defaults = vars(build_parser().parse_args([args.cmd, "--d", str(args.d)]))
+    parts = [args.cmd, f"d{args.d}", f"n{args.n}"]
+    for key, value in sorted(vars(args).items()):
+        if key not in _NOT_IN_GOLDEN_NAME and value != defaults[key]:
+            parts.append(f"{key.replace('_', '-')}-{value}")
+    return "_".join(parts) + ".json"
+
+
 def _emit(report, args) -> None:
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.output:
@@ -41,9 +58,7 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
     if args.golden:
         os.makedirs(args.golden, exist_ok=True)
-        name = report.get("command", "report")
-        tag = f"{name}_d{report.get('d')}_n{report.get('n')}.json"
-        path = os.path.join(args.golden, tag)
+        path = os.path.join(args.golden, golden_name(args))
         if os.path.exists(path):
             with open(path) as fh:
                 if fh.read() != text:

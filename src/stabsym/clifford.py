@@ -18,10 +18,9 @@ from .cyclotomic import (
     omega,
     root_of_unity,
     sqrt_d,
-    tau,
 )
 from .errors import BudgetExceeded, OddOnly, WordDecompositionFailure
-from .operators import OpMatrix, phase_point, weyl
+from .operators import OpMatrix, phase_point, weyl, weyl_mono
 from .permgroup import PermGroup
 from .phase_space import all_vectors, symplectic_form, vec_add
 from .zmod import ZModMatrix, inv_mod, invert, legendre, require_prime
@@ -408,10 +407,7 @@ def real_clifford_orbit(n) -> RealCliffordOrbit:
         raise BudgetExceeded("rebit orbit supported for n <= 3")
     m = conductor_for(2)
     dim = 2 ** n
-    zero, one = CycNumber.zero(m), CycNumber.one(m)
-    rows = [[zero] * dim for _ in range(dim)]
-    rows[0][0] = one
-    start = OpMatrix(m, rows)
+    start = OpMatrix.from_rational(m, [[int(i == j == 0) for j in range(dim)] for i in range(dim)])
     gens = real_clifford_generators(n)
     seen = {start: None}
     queue = [start]
@@ -518,14 +514,18 @@ def verify_clifford_laws(d, n, seed, samples):
         else [(rand_vec(), rand_vec()) for _ in range(samples)]
     )
 
+    half = (d + 1) // 2
+
     def weyl_law(a, b):
+        # on monomials: the phase zeta is i for d = 2 (so -1 = zeta^2) and
+        # omega for odd d (so tau = zeta^half)
         s = symplectic_form(a, b, d)
-        ta, tb = weyl(d, n, a), weyl(d, n, b)
+        ta, tb = weyl_mono(d, n, a), weyl_mono(d, n, b)
         ab, ba = ta @ tb, tb @ ta
         if d == 2:
-            return ab == (ba.scale(-1) if s else ba) and ta.is_hermitian()
-        return (ab == weyl(d, n, vec_add(a, b, d)).scale(tau(d) ** ((-s) % d))
-                and ab == ba.scale(omega(d) ** ((-s) % d)))
+            return ab == ba.phase_shift(2 * s) and ta.dagger() == ta
+        return (ab == weyl_mono(d, n, vec_add(a, b, d)).phase_shift(-half * s)
+                and ab == ba.phase_shift(-s))
 
     law = "weyl_commutation_law" if d == 2 else "weyl_composition_law"
     checks[law] = {"pass": all(weyl_law(a, b) for a, b in pairs), "pairs": len(pairs)}

@@ -2,7 +2,9 @@
 
 Numbers are stored as integer coefficient vectors over the power basis
 {zeta_m^k : k < phi(m)} together with a single positive denominator, fully
-reduced modulo the m-th cyclotomic polynomial.
+reduced modulo the m-th cyclotomic polynomial.  Each field also caches the
+same arithmetic as small integer tensors (`_Field.mul`, `_Field.galois`), which
+the dense matrices of `operators.OpMatrix` contract against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .errors import ConductorTooSmall
 from .zmod import require_prime
@@ -44,36 +48,48 @@ def cyclotomic_poly(m: int):
 
 
 class _Field:
-    """Cached per-conductor data: reduction rows and zeta-power expansions."""
+    """Cached per-conductor data: zeta-power expansions, the reduction rows
+    of scalar products, and the power-basis tensors of multiplication and of
+    the Galois maps."""
 
     def __init__(self, m: int):
         self.m = m
         poly = cyclotomic_poly(m)
-        self.deg = len(poly) - 1
-        deg = self.deg
-        # x^k mod Phi_m for k in [deg, 2*deg - 2]
-        red = []
-        cur = [-c for c in poly[:deg]]  # x^deg
-        red.append(tuple(cur))
-        for _ in range(deg - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [a + top * b for a, b in zip(cur, red[0])]
-            red.append(tuple(cur))
-        self.red = red
+        self.deg = deg = len(poly) - 1
+        top_row = [-c for c in poly[:deg]]  # x^deg mod Phi_m
         # zeta^j in the power basis for j in [0, m)
         pows = []
-        v = [0] * deg
-        v[0] = 1
+        v = [1] + [0] * (deg - 1)
         for _ in range(m):
             pows.append(tuple(v))
-            shifted = [0] + v
-            top = shifted.pop()
-            v = shifted
+            top = v[-1]
+            v = [0] + v[:-1]
             if top:
-                v = [a + top * b for a, b in zip(v, red[0])]
-        self.pows = pows
+                v = [a + top * b for a, b in zip(v, top_row)]
+        self.red = [pows[k % m] for k in range(deg, 2 * deg - 1)]  # x^k mod Phi_m
+        # object arrays of Python ints: pows[j] = zeta^j, and
+        # mul[a, b] = zeta^a * zeta^b in the power basis
+        self.pows = np.array(pows, dtype=object)
+        k = np.arange(deg)
+        self.mul = self.pows[(k[:, None] + k[None, :]) % m]
+        self._galois = {}
+
+    def galois(self, t):
+        """The matrix of zeta -> zeta^t on the power basis: row k is zeta^(kt)."""
+        if t not in self._galois:
+            if gcd(t, self.m) != 1:
+                raise ValueError("t must be a unit mod m")
+            self._galois[t] = self.pows[(np.arange(self.deg) * t) % self.m]
+        return self._galois[t]
+
+    def contract(self, x, y, axes):
+        """Power-basis coefficients of the sum over `axes` (as in
+        np.tensordot) of the products of the numbers x[..., a] and y[..., b];
+        the last axis of each holds coefficients and is not summed.  The free
+        axes of x come first, then those of y, then the coefficient axis."""
+        pair = np.tensordot(x, y, axes)
+        a = x.ndim - len(axes[0]) - 1
+        return np.tensordot(pair, self.mul, axes=([a, pair.ndim - 1], [0, 1]))
 
     def reduce(self, conv):
         """Reduce a convolution (length <= 2*deg - 1) to the power basis."""
@@ -215,7 +231,6 @@ class CycNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        f = _field(self.m)
         a, b = self.num, o.num
         conv = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -223,7 +238,7 @@ class CycNumber:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        return CycNumber(self.m, f.reduce(conv), self.den * o.den)
+        return CycNumber(self.m, _field(self.m).reduce(conv), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -274,17 +289,8 @@ class CycNumber:
 
     def galois_raw(self, t: int) -> "CycNumber":
         """Apply zeta_m -> zeta_m^t, gcd(t, m) = 1."""
-        if gcd(t, self.m) != 1:
-            raise ValueError("t must be a unit mod m")
-        f = _field(self.m)
-        out = [0] * f.deg
-        for k, x in enumerate(self.num):
-            if x:
-                row = f.pows[(k * t) % self.m]
-                for i, rv in enumerate(row):
-                    if rv:
-                        out[i] += x * rv
-        return CycNumber(self.m, out, self.den)
+        out = np.array(self.num, dtype=object).dot(_field(self.m).galois(t))
+        return CycNumber(self.m, list(out), self.den)
 
     def conj(self) -> "CycNumber":
         return self.galois_raw(self.m - 1)
@@ -342,7 +348,7 @@ def _poly_sub(a, b):
 def root_of_unity(m: int, k: int) -> CycNumber:
     """zeta_m^k as an exact field element."""
     f = _field(m)
-    return CycNumber(m, f.pows[k % m], 1, _norm=False)
+    return CycNumber(m, tuple(f.pows[k % m]), 1, _norm=False)
 
 
 def conductor_for(d: int) -> int:
@@ -416,16 +422,8 @@ def _lift(x: CycNumber, m: int) -> CycNumber:
     """Embed x from conductor x.m into a multiple conductor m."""
     if m % x.m:
         raise ValueError("target conductor must be a multiple")
-    k = m // x.m
-    f = _field(m)
-    out = [0] * f.deg
-    for j, c in enumerate(x.num):
-        if c:
-            row = f.pows[(j * k) % m]
-            for i, rv in enumerate(row):
-                if rv:
-                    out[i] += c * rv
-    return CycNumber(m, out, x.den)
+    powers = _field(m).pows[(np.arange(len(x.num)) * (m // x.m)) % m]
+    return CycNumber(m, list(np.array(x.num, dtype=object).dot(powers)), x.den)
 
 
 @dataclass(frozen=True)
@@ -457,15 +455,20 @@ class GaloisMap:
         raise AssertionError("CRT lift not found")
 
 
-def galois_apply(c: GaloisMap, x: CycNumber) -> CycNumber:
-    if x.m % (4 * c.d):
+def galois_exponent(c: GaloisMap, m: int) -> int:
+    """The s with zeta_m -> zeta_m^s acting as C_alpha on Q[zeta_m]."""
+    if m % (4 * c.d):
         raise ValueError("conductor does not contain omega_d")
     t = c.exponent
     # lift exponent from Z_{4d} to Z_m acting trivially on the extra part
-    if x.m == 4 * c.d:
-        return x.galois_raw(t)
-    k = x.m // (4 * c.d)
-    for s in range(1, x.m):
-        if gcd(s, x.m) == 1 and s % (4 * c.d) == t and s % k == 1 % k:
-            return x.galois_raw(s)
+    if m == 4 * c.d:
+        return t
+    k = m // (4 * c.d)
+    for s in range(1, m):
+        if gcd(s, m) == 1 and s % (4 * c.d) == t and s % k == 1 % k:
+            return s
     raise ValueError("no compatible exponent lift")
+
+
+def galois_apply(c: GaloisMap, x: CycNumber) -> CycNumber:
+    return x.galois_raw(galois_exponent(c, x.m))

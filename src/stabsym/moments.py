@@ -6,31 +6,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
 
 from .clifford import real_clifford_orbit
 from .cyclotomic import CycNumber
 from .errors import StabsymError, Unsupported, guard_int64
 from .operators import (
-    Mono,
     OpMatrix,
     hs_inner,
     phase_point_all,
     phase_point_mono,
     stabilizer_states,
+    trace_pairs,
+    trace_product,
     weyl_mono,
 )
 from .phase_space import all_vectors
-
-
-def mono_trace_with(mono: Mono, mat: OpMatrix) -> CycNumber:
-    """tr(M P) for a monomial M and dense P."""
-    acc = CycNumber.zero(mat.m)
-    for j, p in enumerate(mono.perm):
-        x = mat.rows[j][p]
-        if not x.is_zero():
-            acc = acc + mono._phase(mono.expo[j]) * x
-    return acc
 
 
 @dataclass(frozen=True)
@@ -90,44 +82,19 @@ def hermitian_basis(d, n):
 @lru_cache(maxsize=None)
 def symmetric_basis(m, dim):
     """Rational basis of Sym: E_ii and E_ij + E_ji."""
-    out = []
-    zero, one = CycNumber.zero(m), CycNumber.one(m)
-    for i in range(dim):
-        rows = [[zero] * dim for _ in range(dim)]
-        rows[i][i] = one
-        out.append(OpMatrix(m, rows))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            rows = [[zero] * dim for _ in range(dim)]
-            rows[i][j] = one
-            rows[j][i] = one
-            out.append(OpMatrix(m, rows))
-    return tuple(out)
-
-
-def _basis_mats(q: OperatorSet, kind):
-    if kind == "hermitian":
-        return [mono for _, mono in hermitian_basis(q.d, q.n)]
-    return list(symmetric_basis(q.conductor, q.dim))
-
-
-def _trace(b, mat):
-    if isinstance(b, Mono):
-        return mono_trace_with(b, mat)
-    return hs_inner(b, mat)
+    pairs = [(i, i) for i in range(dim)] + list(combinations(range(dim), 2))
+    return tuple(OpMatrix.from_rational(m, [[int((r, c) in ((i, j), (j, i))) for c in range(dim)]
+                                            for r in range(dim)]) for i, j in pairs)
 
 
 @lru_cache(maxsize=None)
 def trace_table(q: OperatorSet, kind="hermitian"):
     """Exact rational table t[i][j] = tr(B_i q_j) for the chosen spanning basis."""
-    basis = _basis_mats(q, kind)
-    table = []
-    for b in basis:
-        row = []
-        for el in q.elements:
-            row.append(_trace(b, el).as_fraction())
-        table.append(row)
-    return tuple(tuple(r) for r in table)
+    if kind == "hermitian":
+        basis = [mono.to_matrix() for _, mono in hermitian_basis(q.d, q.n)]
+    else:
+        basis = symmetric_basis(q.conductor, q.dim)
+    return trace_pairs(basis, q.elements)
 
 
 def _int_table(table):
@@ -149,7 +116,7 @@ def moment_form(q: OperatorSet, k, args):
     for el in q.elements:
         term = CycNumber.one(q.conductor)
         for a in args:
-            term = term * _trace(a, el)
+            term = term * trace_product(a, el)
         acc = acc + term
     return acc * Fraction(1, q.size)
 
@@ -370,6 +337,14 @@ def _solve_linear_positive(equations, unknowns):
     return [pv + t * nv for pv, nv in zip(particular, null)]
 
 
+def _symmetrized_trace(mats):
+    """(i, j, k) -> tr(M_i M_j M_k) + tr(M_i M_k M_j), each pair product
+    M_i M_j formed once."""
+    product = lru_cache(maxsize=None)(lambda i, j: mats[i] @ mats[j])
+    return lambda i, j, k: (trace_product(product(i, j), mats[k])
+                            + trace_product(product(i, k), mats[j]))
+
+
 def is_real_4design(q: OperatorSet) -> DesignReport:
     """F_2 = K_hs (A|B) + K_tr (A|1)(B|1) with exactly solved positive constants.
 
@@ -404,17 +379,16 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
     nb = len(basis)
     tr_single = [b.trace().as_fraction() for b in basis]
     hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]
+    sym_trace = _symmetrized_trace(basis)
     equations = []
     for i in range(nb):
         for j in range(i, nb):
-            bij = basis[i] @ basis[j]
             for k in range(j, nb):
                 lhs = sum((table[i][t] * table[j][t] * table[k][t] for t in range(q.size)),
                           Fraction(0)) / q.size
                 c1 = tr_single[i] * tr_single[j] * tr_single[k]
                 c2 = tr_single[i] * hs[j][k] + tr_single[j] * hs[i][k] + tr_single[k] * hs[i][j]
-                sym = (bij @ basis[k]).trace() + ((basis[i] @ basis[k]) @ basis[j]).trace()
-                equations.append((c1, c2, sym.as_fraction(), lhs))
+                equations.append((c1, c2, sym_trace(i, j, k).as_fraction(), lhs))
     sol = _solve_linear_positive(equations, 3)
     if sol is None:
         return DesignReport("real_6design", False,
@@ -549,19 +523,18 @@ def check_lin_jor_condition(q: OperatorSet):
                     total += sa * sb * sc * f3_states(a, b, c)
         return total
 
-    diffs = {i: q.elements[i] - q.elements[0] for i in picked}
+    sym_trace = _symmetrized_trace({i: q.elements[i] - q.elements[0] for i in picked})
     m = q.conductor
     const = None
     witness = None
     for ii, i in enumerate(picked):
         for jj in range(ii, len(picked)):
             j = picked[jj]
-            uij = diffs[i] @ diffs[j]
             for k in picked[jj:]:
                 lhs = f3_diff(i, j, k)
                 # the symmetrized trace is real but may be irrational (e.g. in
                 # Q[sqrt 5]); compare in the cyclotomic field throughout
-                rhs = (uij @ diffs[k]).trace() + ((diffs[i] @ diffs[k]) @ diffs[j]).trace()
+                rhs = sym_trace(i, j, k)
                 if rhs.is_zero():
                     if lhs != 0:
                         witness = (i, j, k, lhs, rhs)

@@ -7,9 +7,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
-from .cyclotomic import CycNumber, _field, conductor_for, root_of_unity
+import numpy as np
+
+from .cyclotomic import CycNumber, _field, conductor_for, galois_exponent, root_of_unity
 from .errors import BudgetExceeded, InconsistentSigns, OddOnly, guard_int64
 from .phase_space import (
     LagrangianSubspace,
@@ -26,30 +28,66 @@ from .zmod import require_prime
 
 
 class OpMatrix:
-    """Dense square matrix over Q[zeta_m]."""
+    """Dense square matrix over Q[zeta_m].
 
-    __slots__ = ("m", "dim", "rows")
+    The entries are stored as one object array of Python ints, coef[i, j, k]
+    the coefficient of zeta_m^k in entry (i, j), over one positive common
+    denominator den, in lowest terms (gcd of den and every coefficient is 1),
+    so equal matrices have equal storage.  Every product is one contraction
+    with the field's multiplication tensor, every Galois map one product with
+    its power-basis matrix.  The array is read-only.
+    """
+
+    __slots__ = ("m", "coef", "den")
 
     def __init__(self, m, rows):
-        self.m = m
-        self.rows = tuple(tuple(r) for r in rows)
-        self.dim = len(self.rows)
-        if any(len(r) != self.dim for r in self.rows):
+        rows = [list(r) for r in rows]
+        dim = len(rows)
+        if any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square")
+        if not all(isinstance(x, CycNumber) and x.m == m for r in rows for x in r):
+            raise ValueError(f"entries must be CycNumbers of conductor {m}")
+        den = lcm(*(x.den for r in rows for x in r))
+        coef = np.array([[[c * (den // x.den) for c in x.num] for x in r] for r in rows],
+                        dtype=object).reshape(dim, dim, _field(m).deg)
+        self._set(m, coef, den)
+
+    def _set(self, m, coef, den):
+        g = gcd(den, *coef.flat)
+        self.m = m
+        self.coef = coef // g if g > 1 else coef
+        self.coef.flags.writeable = False
+        self.den = den // g
+
+    @classmethod
+    def _make(cls, m, coef, den):
+        """The matrix coef / den (den > 0), brought to lowest terms."""
+        out = object.__new__(cls)
+        out._set(m, coef, den)
+        return out
 
     @classmethod
     def identity(cls, m, dim):
-        one, zero = CycNumber.one(m), CycNumber.zero(m)
-        return cls(m, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        coef = np.zeros((dim, dim, _field(m).deg), dtype=object)
+        coef[range(dim), range(dim), 0] = 1
+        return cls._make(m, coef, 1)
 
     @classmethod
     def zero(cls, m, dim):
-        z = CycNumber.zero(m)
-        return cls(m, [[z] * dim for _ in range(dim)])
+        return cls._make(m, np.zeros((dim, dim, _field(m).deg), dtype=object), 1)
 
     @classmethod
     def from_rational(cls, m, rows):
         return cls(m, [[CycNumber.from_fraction(m, x) for x in r] for r in rows])
+
+    @property
+    def dim(self):
+        return self.coef.shape[0]
+
+    @property
+    def rows(self):
+        """The entries as CycNumbers, built on demand."""
+        return tuple(tuple(CycNumber(self.m, list(x), self.den) for x in r) for r in self.coef)
 
     def _check(self, other):
         if self.m != other.m or self.dim != other.dim:
@@ -57,56 +95,47 @@ class OpMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return OpMatrix(self.m, [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        den = lcm(self.den, other.den)
+        return OpMatrix._make(
+            self.m, self.coef * (den // self.den) + other.coef * (den // other.den), den)
 
     def __sub__(self, other):
-        self._check(other)
-        return OpMatrix(self.m, [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self + (-other)
 
     def __matmul__(self, other):
         self._check(other)
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = None
-                for x, y in zip(row, col):
-                    if x.is_zero() or y.is_zero():
-                        continue
-                    term = x * y
-                    acc = term if acc is None else acc + term
-                out_row.append(acc if acc is not None else CycNumber.zero(self.m))
-            out.append(out_row)
-        return OpMatrix(self.m, out)
+        out = _field(self.m).contract(self.coef, other.coef, ([1], [0]))
+        return OpMatrix._make(self.m, out, self.den * other.den)
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
-            c = CycNumber.from_fraction(self.m, c)
-        return OpMatrix(self.m, [[c * x for x in r] for r in self.rows])
+            c = Fraction(c)
+            return OpMatrix._make(self.m, self.coef * c.numerator, self.den * c.denominator)
+        if not isinstance(c, CycNumber) or c.m != self.m:
+            raise ValueError(f"scale must be rational or a CycNumber of conductor {self.m}")
+        times_c = np.tensordot(_field(self.m).mul, np.array(c.num, dtype=object), ([1], [0]))
+        return OpMatrix._make(self.m, self.coef.dot(times_c), self.den * c.den)
 
     def __neg__(self):
         return self.scale(-1)
 
     def transpose(self):
-        return OpMatrix(self.m, list(zip(*self.rows)))
+        return OpMatrix._make(self.m, self.coef.transpose(1, 0, 2), self.den)
+
+    def _galois(self, t):
+        return OpMatrix._make(self.m, self.coef.dot(_field(self.m).galois(t)), self.den)
 
     def conj(self):
-        return OpMatrix(self.m, [[x.conj() for x in r] for r in self.rows])
+        return self._galois(self.m - 1)
 
     def dagger(self):
         return self.conj().transpose()
 
     def trace(self):
-        acc = CycNumber.zero(self.m)
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
+        return CycNumber(self.m, list(self.coef.trace()), self.den)
 
     def entrywise_galois(self, gal):
-        from .cyclotomic import galois_apply
-
-        return OpMatrix(self.m, [[galois_apply(gal, x) for x in r] for r in self.rows])
+        return self._galois(galois_exponent(gal, self.m))
 
     def is_hermitian(self):
         return self == self.dagger()
@@ -115,11 +144,13 @@ class OpMatrix:
         return (
             isinstance(other, OpMatrix)
             and self.m == other.m
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.coef.shape == other.coef.shape
+            and bool((self.coef == other.coef).all())
         )
 
     def __hash__(self):
-        return hash((self.m, self.rows))
+        return hash((self.m, self.den, self.coef.shape, tuple(self.coef.flat)))
 
     def __repr__(self):
         return f"OpMatrix(m={self.m}, dim={self.dim})"
@@ -132,17 +163,16 @@ class OpMatrix:
         }
 
 
+def trace_product(a: OpMatrix, b: OpMatrix) -> CycNumber:
+    """tr(A B) = sum_{i,j} A[i,j] B[j,i], without forming A B."""
+    a._check(b)
+    out = _field(a.m).contract(a.coef, b.coef, ([0, 1], [1, 0]))
+    return CycNumber(a.m, list(out), a.den * b.den)
+
+
 def hs_inner(a: OpMatrix, b: OpMatrix) -> CycNumber:
     """Hilbert-Schmidt inner product (A|B) = tr A† B."""
-    a._check(b)
-    acc = CycNumber.zero(a.m)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            x = a.rows[i][j]
-            y = b.rows[i][j]
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x.conj() * y
-    return acc
+    return trace_product(a.dagger(), b)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +234,7 @@ class Mono:
         return acc
 
     def to_matrix(self) -> OpMatrix:
-        m = conductor_for(self.d)
-        dim = len(self.perm)
-        zero = CycNumber.zero(m)
-        rows = [[zero] * dim for _ in range(dim)]
-        for q, p in enumerate(self.perm):
-            rows[p][q] = self._phase(self.expo[q])
-        return OpMatrix(m, rows)
+        return mono_sum([self], 1)
 
 
 def _digits(q, d, n):
@@ -255,22 +279,18 @@ def weyl(d, n, a) -> OpMatrix:
 
 
 def mono_sum(monos, scale) -> OpMatrix:
-    """scale * (sum of the monomial operators) as a dense matrix.  The
-    root-of-unity exponents of each entry are counted, and the entry is built
-    once from the field's power table."""
+    """scale * (sum of the monomial operators) as a dense matrix: the power
+    expansion of each entry zeta^expo[q] is added into the coefficient tensor
+    at (perm[q], q)."""
     monos = list(monos)
     r, dim, m = monos[0].r, len(monos[0].perm), conductor_for(monos[0].d)
-    counts = {}
-    for mono in monos:
-        for q, (p, e) in enumerate(zip(mono.perm, mono.expo)):
-            counts.setdefault((p, q), [0] * r)[e] += 1
-    roots = [_field(m).pows[(m // r) * e] for e in range(r)]  # zeta_r^e
+    f = _field(m)
+    perms = np.array([mono.perm for mono in monos]).ravel()
+    expos = np.array([mono.expo for mono in monos]).ravel()
+    coef = np.zeros((dim, dim, f.deg), dtype=object)
+    np.add.at(coef, (perms, np.tile(np.arange(dim), len(monos))), f.pows[(m // r) * expos])
     scale = Fraction(scale)
-    rows = [[CycNumber.zero(m)] * dim for _ in range(dim)]
-    for (p, q), by_expo in counts.items():
-        num = [scale.numerator * sum(c * x for c, x in zip(by_expo, xs)) for xs in zip(*roots)]
-        rows[p][q] = CycNumber(m, num, scale.denominator)
-    return OpMatrix(m, rows)
+    return OpMatrix._make(m, coef * scale.numerator, scale.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -299,20 +319,15 @@ def phase_point_mono(d, n, a) -> Mono:
     if d == 2:
         raise OddOnly("qubit A(a) is not monomial; use phase_point")
     mat = phase_point(d, n, a)
-    dim = mat.dim
-    perm = [None] * dim
-    expo = [0] * dim
     m = conductor_for(d)
-    roots = [root_of_unity(m, (m // d) * e) for e in range(d)]
-    for q in range(dim):
-        col = [mat.rows[p][q] for p in range(dim)]
-        nz = [p for p, x in enumerate(col) if not x.is_zero()]
-        assert len(nz) == 1, "A(a) must be monomial"
-        p = nz[0]
-        perm[q] = p
-        if col[p] not in roots:
-            raise AssertionError("A(a) entry is not a unit phase")
-        expo[q] = roots.index(col[p])
+    roots = [tuple(_field(m).pows[(m // d) * e]) for e in range(d)]
+    perm, expo = [], []
+    for col in mat.coef.transpose(1, 0, 2):  # col[p] is the entry (p, q)
+        nz = [p for p, x in enumerate(col) if any(x)]
+        if len(nz) != 1 or mat.den != 1 or tuple(col[nz[0]]) not in roots:
+            raise AssertionError("A(a) must be monomial with unit phases")
+        perm.append(nz[0])
+        expo.append(roots.index(tuple(col[nz[0]])))
     return Mono(d, n, tuple(perm), tuple(expo))
 
 
@@ -478,54 +493,35 @@ class StateFamily:
 
 
 def gram_bruteforce_all_pairs(projectors):
-    """All pairwise tr(P_i P_j) as exact Fractions, via integer tensor arithmetic.
+    """All pairwise tr(P_i P_j) of the projectors as exact Fractions."""
+    return trace_pairs(projectors, projectors)
 
-    The coefficients are scaled to integers by the lcm of the entries'
-    denominators; raises if any trace has a nonzero component outside the
-    rational line.  numpy is used purely as an int64 container, guarded
-    against overflow, so every value is exact.
+
+def trace_pairs(left, right):
+    """All tr(L_x R_y) as exact Fractions, by one contraction of the stacked
+    coefficient tensors with the field's multiplication tensor.
+
+    Each stack is brought to its common denominator; raises if any trace has
+    a nonzero component outside the rational line.  numpy computes in int64
+    here, after a guard against overflow, so every value is exact.
     """
-    import numpy as np
-
-    projs = list(projectors)
-    m = projs[0].m
-    field = _field(m)
-    deg = field.deg
-    dim = projs[0].dim
-    scale = lcm(*(x.den for p in projs for r in p.rows for x in r))
-    coeff = np.zeros((len(projs), dim * dim, deg), dtype=np.int64)
-    coeff_t = np.zeros_like(coeff)
-    bound = 0
-    for k, p in enumerate(projs):
-        for i in range(dim):
-            for j in range(dim):
-                x = p.rows[i][j]
-                if x.is_zero():
-                    continue
-                f = scale // x.den
-                vec = [c * f for c in x.num]
-                bound = max(bound, *map(abs, vec))
-                coeff[k, i * dim + j, : len(vec)] = vec
-                coeff_t[k, j * dim + i, : len(vec)] = vec
-    # a product entry sums dim^2 terms, a convolution coefficient deg of those,
-    # and the reduction adds |red| multiples of the convolution to each one
-    guard_int64(dim * dim * deg * (1 + sum(abs(v) for row in field.red for v in row)), bound, 2)
-    # convolution coefficients of sum_e A[x,e,a] * B[y,e,b], then reduce mod Phi_m
-    prod = np.einsum("xea,yeb->xyab", coeff, coeff_t)
-    conv = np.zeros((len(projs), len(projs), 2 * deg - 1), dtype=np.int64)
-    for a in range(deg):
-        for b in range(deg):
-            conv[:, :, a + b] += prod[:, :, a, b]
-    out = conv[:, :, :deg].copy()
-    for k in range(deg, 2 * deg - 1):
-        row = field.red[k - deg]
-        for i, rv in enumerate(row):
-            if rv:
-                out[:, :, i] += rv * conv[:, :, k]
+    mul = _field(left[0].m).mul
+    stacks, scale = [], 1
+    for mats in (left, right):
+        den = lcm(*(x.den for x in mats))
+        stacks.append(np.stack([x.coef * (den // x.den) for x in mats]))
+        scale *= den
+    bound = max(max(map(abs, x.flat)) for x in stacks)
+    # a coefficient of tr(L_x R_y) sums dim^2 entry products, each expanded
+    # through the deg^2 coefficient pairs (a, b) with a factor mul[a, b, c]
+    dim, deg = left[0].dim, mul.shape[0]
+    guard_int64(dim * dim * deg * deg * max(map(abs, mul.flat)), bound, 2)
+    lhs, rhs, mul = (x.astype(np.int64) for x in (*stacks, mul))
+    # L with mul first, then R: numpy's own path choice is the 7-index loop
+    out = np.einsum("xija,yjib,abc->xyc", lhs, rhs, mul, optimize=["einsum_path", (0, 2), (0, 1)])
     if np.any(out[:, :, 1:]):
         raise ValueError("brute-force trace has irrational part")
-    square = scale * scale
-    return tuple(tuple(Fraction(int(v), square) for v in row) for row in out[:, :, 0])
+    return tuple(tuple(Fraction(int(v), scale) for v in row) for row in out[:, :, 0])
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stabsym.cli import main
+from stabsym.cli import build_parser, golden_name, main
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -191,16 +191,16 @@ def test_golden_write_then_match(capsys, tmp_path):
     (2, 2, "stab"), (2, 2, "rebit"),
 ])
 def test_autgroup_goldens_replay(capsys, tmp_path, d, n, which):
-    # tests/goldens/<set>/ holds `--golden` reports recorded before the search
-    # and the group engine were last changed; the reports must not move
-    replay(capsys, tmp_path, which, "autgroup", "--d", str(d), "--n", str(n), "--set", which)
+    # tests/goldens/ holds `--golden` reports recorded before the search and
+    # the group engine were last changed; the reports must not move
+    replay(capsys, tmp_path, "autgroup", "--d", str(d), "--n", str(n), "--set", which)
 
 
-def replay(capsys, tmp_path, which, *argv):
-    """Run argv with `--golden` on a copy of tests/goldens/<which>/ and
-    require the exact golden bytes on stdout."""
-    d, n = argv[argv.index("--d") + 1], argv[argv.index("--n") + 1] if "--n" in argv else "1"
-    golden = GOLDENS / which / f"{argv[0]}_d{d}_n{n}.json"
+def replay(capsys, tmp_path, *argv):
+    """Run argv with `--golden` on a copy of its golden file in tests/goldens/
+    (named as `--golden` names it) and require the exact golden bytes on
+    stdout."""
+    golden = GOLDENS / golden_name(build_parser().parse_args(list(argv)))
     shutil.copy(golden, tmp_path / golden.name)
     code, out = run_cli(capsys, *argv, "--golden", str(tmp_path))
     assert code == 0
@@ -214,7 +214,7 @@ def replay(capsys, tmp_path, which, *argv):
 def test_verify_design_goldens_replay(capsys, tmp_path, which, d, n):
     # `--golden` reports recorded before the moments elimination was last
     # changed; the design constants and condition reports must not move
-    replay(capsys, tmp_path, which, "verify-design", "--d", str(d), "--n", str(n), "--set", which)
+    replay(capsys, tmp_path, "verify-design", "--d", str(d), "--n", str(n), "--set", which)
 
 
 def _argv_id(argv):
@@ -232,7 +232,7 @@ def _argv_id(argv):
 def test_command_goldens_replay(capsys, tmp_path, argv):
     # `--golden` reports recorded before the verification logic moved from the
     # CLI into the library; the reports must not move
-    replay(capsys, tmp_path, "stab", *argv)
+    replay(capsys, tmp_path, *argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,6 +250,29 @@ def test_unsupported_combination_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("unsupported: ") and captured.err.count("\n") == 1
+
+
+def test_golden_names_tell_options_apart(capsys, tmp_path):
+    # reports that differ only in --set (or --variant, --seed) get their own
+    # golden files, so both runs record into one fresh directory
+    golden = tmp_path / "golden"
+    argv = ["autgroup", "--d", "2", "--n", "2", "--golden", str(golden)]
+    assert main(argv) == 0
+    assert main(argv + ["--set", "rebit"]) == 0
+    assert sorted(p.name for p in golden.iterdir()) == [
+        "autgroup_d2_n2.json", "autgroup_d2_n2_set-rebit.json"]
+
+
+def test_golden_name_skips_defaults_and_run_options():
+    def name(*argv):
+        return golden_name(build_parser().parse_args(list(argv)))
+
+    assert name("autgroup", "--d", "3", "--n", "2", "--set", "stab") == "autgroup_d3_n2.json"
+    assert name("autgroup", "--d", "3", "--n", "2", "--variant", "agsp", "--budget-seconds", "5",
+                "--timing", "--output", "r.json", "--golden", "g") == "autgroup_d3_n2_variant-agsp.json"
+    assert name("verify-clifford", "--d", "5", "--seed", "7", "--samples", "25") == \
+        "verify-clifford_d5_n1_samples-25_seed-7.json"
+    assert name("facets", "--d", "3") == "facets_d3_n1.json"
 
 
 def test_golden_mismatch_exits_cleanly(capsys, tmp_path):

@@ -282,8 +282,8 @@ def test_mono_sum_equals_the_dense_sum():
 
 def test_gram_bruteforce_int64_guard_counts_the_reduction():
     # the scale 2^29 turns the entry 1 into 2^29: dim^2 * 2^58 = 2^60 products
-    # fit int64, but 4 convolution terms each and the reduction mod Phi_12
-    # (|red| sums to 5) may reach 4 * 4 * 6 * 2^58 >= 2^63
+    # fit int64, but each expands through the 4 * 4 coefficient pairs of the
+    # multiplication tensor mod Phi_12 (entries +-1): 4 * 16 * 2^58 >= 2^63
     p = OpMatrix.from_rational(12, [[1, 0], [0, Fraction(1, 2 ** 29)]])
     with pytest.raises(BudgetExceeded):
         gram_bruteforce_all_pairs([p])

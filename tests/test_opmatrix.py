@@ -1,0 +1,179 @@
+"""OpMatrix, a power-basis coefficient tensor, against an entrywise CycNumber
+reference written here."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabsym.cyclotomic import CycNumber, GaloisMap, _field, galois_apply
+from stabsym.operators import OpMatrix, hs_inner
+
+CONDUCTORS = (8, 12, 20)
+
+
+# -- the reference: lists of lists of CycNumber --------------------------------
+
+def ref_matmul(x, y):
+    dim, m = len(x), x[0][0].m
+    out = [[CycNumber.zero(m)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for k in range(dim):
+            for j in range(dim):
+                out[i][k] = out[i][k] + x[i][j] * y[j][k]
+    return out
+
+
+def ref_map(f, *xs):
+    return [[f(*entries) for entries in zip(*rows)] for rows in zip(*xs)]
+
+
+def ref_transpose(x):
+    return [list(col) for col in zip(*x)]
+
+
+def ref_trace(x):
+    acc = CycNumber.zero(x[0][0].m)
+    for i in range(len(x)):
+        acc = acc + x[i][i]
+    return acc
+
+
+def ref_hs_inner(x, y):
+    acc = CycNumber.zero(x[0][0].m)
+    for rx, ry in zip(x, y):
+        for a, b in zip(rx, ry):
+            acc = acc + a.conj() * b
+    return acc
+
+
+def ref_to_json(x):
+    return {"conductor": x[0][0].m, "dim": len(x),
+            "entries": [[e.to_json()["coeffs"] for e in r] for r in x]}
+
+
+def same(mat, ref):
+    """The matrix equals the reference, entry by entry and as a fresh build."""
+    assert [list(r) for r in mat.rows] == ref
+    assert mat == OpMatrix(mat.m, ref)
+    assert hash(mat) == hash(OpMatrix(mat.m, ref))
+
+
+# -- strategies ---------------------------------------------------------------
+
+def cyc(m, big=False):
+    deg = _field(m).deg
+    coeff = st.integers(-2 ** 70, 2 ** 70) if big else st.integers(-4, 4)
+    den = st.integers(1, 2 ** 66) if big else st.sampled_from([1, 1, 2, 3, 4, 6])
+    return st.builds(lambda num, d: CycNumber(m, num, d),
+                     st.lists(coeff, min_size=deg, max_size=deg), den)
+
+
+@st.composite
+def matrices(draw, count=2, big=False):
+    m = draw(st.sampled_from(CONDUCTORS))
+    dim = draw(st.integers(1, 4))
+    entry = cyc(m, big)
+    return [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(count)]
+
+
+# -- tests ----------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(-5, 5), st.fractions(max_denominator=7), st.data())
+def test_tensor_form_matches_the_entrywise_reference(xy, k, q, data):
+    x, y = xy
+    m = x[0][0].m
+    a, b = OpMatrix(m, x), OpMatrix(m, y)
+    c = data.draw(cyc(m))
+    same(a @ b, ref_matmul(x, y))
+    same(a + b, ref_map(lambda s, t: s + t, x, y))
+    same(a - b, ref_map(lambda s, t: s - t, x, y))
+    same(-a, ref_map(lambda s: -s, x))
+    same(a.scale(k), ref_map(lambda s: s * k, x))
+    same(a.scale(q), ref_map(lambda s: s * q, x))
+    same(a.scale(c), ref_map(lambda s: c * s, x))
+    same(a.transpose(), ref_transpose(x))
+    same(a.conj(), ref_map(CycNumber.conj, x))
+    same(a.dagger(), ref_transpose(ref_map(CycNumber.conj, x)))
+    assert a.trace() == ref_trace(x)
+    assert hs_inner(a, b) == ref_hs_inner(x, y)
+    assert a.to_json() == ref_to_json(x)
+    assert a.is_hermitian() == (ref_transpose(ref_map(CycNumber.conj, x)) == x)
+    if m != 8:  # C_alpha needs omega_d, d = m / 4 odd
+        d = m // 4
+        for alpha in range(1, d):
+            gal = GaloisMap(alpha, d)
+            same(a.entrywise_galois(gal), ref_map(lambda s: galois_apply(gal, s), x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(count=3))
+def test_equal_matrices_by_different_routes_are_equal_and_hash_equal(xyz):
+    x, y, z = xyz
+    m = x[0][0].m
+    a, b, c = (OpMatrix(m, r) for r in (x, y, z))
+    routes = [
+        a,
+        a.scale(2).scale(Fraction(1, 2)),
+        a.scale(Fraction(6, 5)).scale(Fraction(5, 6)),
+        (a + b) - b,
+        a.dagger().dagger(),
+        a.transpose().transpose(),
+        OpMatrix(m, a.rows),
+        OpMatrix._make(m, a.coef * 7, a.den * 7),
+    ]
+    for r in routes:
+        assert r == a and hash(r) == hash(a)
+        assert r.den == a.den and r.coef.tolist() == a.coef.tolist()
+    assert (a @ b) @ c == a @ (b @ c)
+    assert (a + b) @ c == a @ c + b @ c
+    assert (a @ b).dagger() == b.dagger() @ a.dagger()
+
+
+@settings(max_examples=15, deadline=None)
+@given(matrices(big=True))
+def test_coefficients_beyond_int64_stay_exact(xy):
+    x, y = xy
+    m = x[0][0].m
+    a, b = OpMatrix(m, x), OpMatrix(m, y)
+    same(a @ b, ref_matmul(x, y))
+    same(a + b, ref_map(lambda s, t: s + t, x, y))
+    assert hs_inner(a, b) == ref_hs_inner(x, y)
+
+
+def test_products_above_two_to_the_63_are_python_ints():
+    big = CycNumber(12, [2 ** 62 + 1, -(2 ** 61), 3, 2 ** 40], 1)
+    a = OpMatrix(12, [[big, big], [big, big]])
+    p = a @ a @ a
+    assert p.coef.dtype == object
+    assert all(type(v) is int for v in p.coef.flat)
+    assert max(abs(v) for v in p.coef.flat) > 2 ** 63
+    x = [[big, big], [big, big]]
+    same(p, ref_matmul(ref_matmul(x, x), x))
+
+
+def test_storage_is_lowest_terms_and_read_only():
+    half = CycNumber(12, [1, 2, 0, 4], 2)
+    a = OpMatrix(12, [[half, CycNumber.zero(12)], [CycNumber.one(12), half]])
+    assert a.den == 2 and a.coef.tolist() == [[[1, 2, 0, 4], [0] * 4], [[2, 0, 0, 0], [1, 2, 0, 4]]]
+    assert OpMatrix.zero(12, 2).den == 1 and not np.any(OpMatrix.zero(12, 2).coef)
+    assert (a - a) == OpMatrix.zero(12, 2) and (a - a).den == 1
+    with pytest.raises(ValueError):
+        a.coef[0, 0, 0] = 5
+
+
+def test_entries_must_be_cycnumbers_of_the_conductor():
+    one8, one12 = CycNumber.one(8), CycNumber.one(12)
+    with pytest.raises(ValueError, match="conductor 12"):
+        OpMatrix(12, [[one12, one8], [one12, one12]])
+    with pytest.raises(ValueError, match="conductor 12"):
+        OpMatrix(12, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="square"):
+        OpMatrix(12, [[one12, one12]])
+    with pytest.raises(ValueError):
+        OpMatrix.identity(12, 2).scale(one8)
+    with pytest.raises(ValueError):
+        OpMatrix.identity(12, 2) @ OpMatrix.identity(8, 2)
