@@ -161,6 +161,12 @@ def sl2_elements(d):
                  if (a * e - b * c) % d == 1)
 
 
+@lru_cache(maxsize=None)
+def _gauss_sum_inverse(d):
+    """g_d^-1, an extended Euclid over the field: computed once per d."""
+    return gauss_sum(d).inverse()
+
+
 def metaplectic(d, s) -> OpMatrix:
     """The canonical unitary U_S with U_S T(b) U_S^dagger = T(Sb) exactly,
     multiplicative in S (n = 1, odd d), from the closed form above."""
@@ -173,7 +179,7 @@ def metaplectic(d, s) -> OpMatrix:
     m = conductor_for(d)
     half = (d + 1) // 2
     if b:
-        scale = gauss_sum(d).inverse() * legendre(2 * b, d)
+        scale = _gauss_sum_inverse(d) * legendre(2 * b, d)
         phase = [root_of_unity(m, (m // d) * k) * scale for k in range(d)]
         t = half * inv_mod(b, d)
         return OpMatrix(m, [[phase[t * (a * q * q - 2 * r * q + e * r * r) % d]

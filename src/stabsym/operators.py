@@ -22,7 +22,6 @@ from .phase_space import (
     enumerate_stabilizer_labels,
     subspace_intersection,
     symplectic_form,
-    vec_sub,
 )
 from .zmod import require_prime
 
@@ -297,13 +296,11 @@ def mono_sum(monos, scale) -> OpMatrix:
 def phase_point_all(d, n):
     """All phase-space point operators A(a), keyed by a, from the defining sum."""
     scale = Fraction(1, d ** n)
+    weyls = {b: weyl_mono(d, n, b) for b in all_vectors(d, 2 * n)}
+    step = 2 if d == 2 else 1  # omega = i^2 when d = 2
     out = {}
     for a in all_vectors(d, 2 * n):
-        terms = []
-        for b in all_vectors(d, 2 * n):
-            k = symplectic_form(a, b, d)
-            phase_exp = 2 * k if d == 2 else k  # omega = i^2 when d = 2
-            terms.append(weyl_mono(d, n, b).phase_shift(phase_exp))
+        terms = [t.phase_shift(step * symplectic_form(a, b, d)) for b, t in weyls.items()]
         out[a] = mono_sum(terms, scale)
     return out
 
@@ -407,26 +404,60 @@ def enumerate_qubit_states(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=65536)
-def _cached_intersection(a: Subspace, b: Subspace) -> Subspace:
-    return subspace_intersection(a, b)
+@lru_cache(maxsize=1024)
+def _pair_table(lags):
+    """For Lagrangians lags of one (d, n), per pair (L_i, L_j): dim(L_i ∩ L_j)
+    as dims[i, j], and J b_t = (b_Z, -b_X) for the canonical basis b_t of
+    L_i ∩ L_j as jb[i, j, t], padded with zero rows to n, so that
+    [a, b_t] = a . J b_t.  Both arrays are read-only: the table is cached.
+    Lagrangians of different (d, n) raise ValueError (`subspace_intersection`)."""
+    d, n = lags[0].d, lags[0].ambient // 2
+    dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
+    jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
+    for i, a in enumerate(lags):
+        for j in range(i, len(lags)):
+            inter = subspace_intersection(a, lags[j])
+            dims[i, j] = dims[j, i] = inter.dim
+            for t, b in enumerate(inter.basis):
+                jb[i, j, t] = jb[j, i, t] = b[n:] + tuple((-x) % d for x in b[:n])
+    dims.flags.writeable = jb.flags.writeable = False
+    return dims, jb
+
+
+def closed_form_gram(labels):
+    """All tr(Pi_x Pi_y) of the odd-d stabilizer labels, as a tuple of tuples
+    of Fractions: d^(dim(L∩M) - n) if the functionals [x, .] and [y, .]
+    agree on L∩M, else 0.
+
+    The intersections depend only on the pair of Lagrangians (`_pair_table`).
+    forms[x, j, t] = [rep_x, b_t(L_x ∩ L_j)] mod d, and by bilinearity entry
+    (x, y) is nonzero iff forms[x, L_y] == forms[y, L_x].  Each form sums 2n
+    products of residues below d, so it is computed exactly in the smallest
+    unsigned dtype that holds 2n (d - 1)^2.  The entries are drawn from a
+    legend of n + 2 shared Fractions.
+    """
+    labels = tuple(labels)
+    d, n = labels[0].d, labels[0].n
+    if d == 2:
+        raise OddOnly("qubit Gram entries come from brute force")
+    lags = tuple(dict.fromkeys(lab.L for lab in labels))
+    dims, jb = _pair_table(lags)
+    where = {L: i for i, L in enumerate(lags)}
+    li = np.array([where[lab.L] for lab in labels])
+    reps = np.array([lab.rep for lab in labels], dtype=jb.dtype)
+    acc = np.min_scalar_type(2 * n * (d - 1) ** 2)
+    forms = np.einsum("xa,xjta->xjt", reps, jb[li], dtype=acc) % d
+    pair = forms[:, li]  # pair[x, y] = [rep_x, basis of L_x ∩ L_y]
+    agree = (pair == pair.transpose(1, 0, 2)).all(axis=2)
+    codes = np.where(agree, dims[li][:, li] + 1, 0)
+    legend = np.array([Fraction(0)] + [Fraction(d) ** (k - n) for k in range(n + 1)], dtype=object)
+    return tuple(map(tuple, legend[codes].tolist()))
 
 
 def gram_closed_form(x: StabilizerLabel, y: StabilizerLabel) -> Fraction:
-    """tr(Pi_x Pi_y) = d^(dim(L∩M) - n) * [g and h agree on L∩M], d odd.
-
-    This is the character-comparison inner product; the normalized form in
-    terms of (.|.) is recovered by construction since tr Pi = 1.
-    """
-    d, n = x.d, y.n
-    if d == 2:
-        raise OddOnly("qubit Gram entries come from brute force")
-    inter = _cached_intersection(x.L, y.L)
-    diff = vec_sub(x.rep, y.rep, d)
-    for b in inter.basis:
-        if symplectic_form(diff, b, d):
-            return Fraction(0)
-    return Fraction(d) ** (inter.dim - n)
+    """tr(Pi_x Pi_y) = d^(dim(L∩M) - n) * [g and h agree on L∩M], d odd:
+    `closed_form_gram` of the pair."""
+    return closed_form_gram((x, y))[0][1]
 
 
 @dataclass(frozen=True)
@@ -466,8 +497,7 @@ def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
     if size * size > budget:
         raise BudgetExceeded(f"{size}^2 Gram entries exceed budget")
     if states and isinstance(states[0], StabilizerLabel) and projectors is None:
-        vals = [[gram_closed_form(x, y) for y in states] for x in states]
-        return GramMatrix(labels=states, values=tuple(tuple(r) for r in vals))
+        return GramMatrix(labels=states, values=closed_form_gram(states))
     if projectors is None:
         raise ValueError("non-label states need explicit projector matrices")
     return GramMatrix(labels=states, values=gram_bruteforce_all_pairs(projectors))

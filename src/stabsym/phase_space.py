@@ -331,6 +331,20 @@ def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
     return StabilizerLabel.make(new_L, new_rep)
 
 
+def transform_labels(labels, matrix, a):
+    """`transform_label` of every label, each Lagrangian mapped and reduced
+    once: the image reps are reduced against the mapped Lagrangians."""
+    images = {}
+    out = []
+    for lab in labels:
+        new_L = images.get(lab.L)
+        if new_L is None:
+            new_rows = [matrix.apply(row) for row in lab.L.basis]
+            new_L = images[lab.L] = LagrangianSubspace.from_rows(new_rows, lab.d)
+        out.append(StabilizerLabel.make(new_L, vec_add(matrix.apply(lab.rep), a, lab.d)))
+    return out
+
+
 def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:
     """Label whose representative a satisfies [a, b_i] = values[i] on the basis of L."""
     d = L.d

@@ -38,7 +38,7 @@ from .phase_space import (
     all_vectors,
     basis_blocks,
     enumerate_lagrangians,
-    transform_label,
+    transform_labels,
 )
 from .zmod import ZModMatrix
 
@@ -408,16 +408,12 @@ def predicted_group(d, n, variant) -> PermGroup:
         if d == 2:
             raise OddOnly("the AGSp label action requires odd d")
         index = {lab: i for i, lab in enumerate(fam.labels)}
-        gens = []
         zero = (0,) * (2 * n)
-        for s in sp_generators(d, n):
-            gens.append(tuple(index[transform_label(lab, s, zero)] for lab in fam.labels))
-        ka = k_alpha(d, n, primitive_root(d))
-        gens.append(tuple(index[transform_label(lab, ka, zero)] for lab in fam.labels))
         eye = ZModMatrix.identity(2 * n, d)
-        for k in range(2 * n):
-            shift = tuple(1 if i == k else 0 for i in range(2 * n))
-            gens.append(tuple(index[transform_label(lab, eye, shift)] for lab in fam.labels))
+        maps = [(s, zero) for s in sp_generators(d, n)]
+        maps.append((k_alpha(d, n, primitive_root(d)), zero))
+        maps += [(eye, tuple(1 if i == k else 0 for i in range(2 * n))) for k in range(2 * n)]
+        gens = [tuple(index[lab] for lab in transform_labels(fam.labels, r, a)) for r, a in maps]
         return schreier_sims(gens, degree=fam.size)
     if variant == "real_clifford":
         if d != 2:
@@ -554,16 +550,12 @@ def wreath_recompose(sigma, inners, d):
 def verify_Sf_machinery(d, n, b):
     """Build S_{[b,.]}, check pairwise non-orthogonality and the sum rule
     sum Pi = C (1 + A(b)) with C independent of b."""
-    from .operators import gram_closed_form
-
     if d == 2:
         raise OddOnly("S_f machinery requires odd d")
     b = tuple(x % d for x in b)
     lags = enumerate_lagrangians(d, n)
     family = [StabilizerLabel.make(L, b) for L in lags]
-    nonorth = all(
-        gram_closed_form(x, y) > 0 for i, x in enumerate(family) for y in family[i:]
-    )
+    nonorth = all(v > 0 for row in build_gram(family).values for v in row)
     dim = d ** n
     acc = OpMatrix.zero(stab_projector(family[0]).m, dim)
     for lab in family:

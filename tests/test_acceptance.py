@@ -183,6 +183,8 @@ def test_criterion_6_theorem1_case3_agsp_32():
         for k in range(2 * n)
     ]
     k2_perm = tuple(index[transform_label(lab, k_alpha(d, n, 2), zero)] for lab in fam.labels)
+    # the library maps each Lagrangian once per generator; same permutations
+    assert predicted_group(d, n, "agsp").generators == [*sp_perms, k2_perm, *translation_perms]
     # each factor certified independently by the engine
     sp_part = schreier_sims(sp_perms, degree=fam.size)
     assert sp_part.order() == 51840

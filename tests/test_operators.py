@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
 from stabsym.clifford import real_clifford_orbit
 from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
 from stabsym.operators import (
     OpMatrix,
+    build_gram,
     enumerate_qubit_states,
     gram_bruteforce_all_pairs,
     gram_closed_form,
@@ -24,10 +27,14 @@ from stabsym.operators import (
 )
 from stabsym.phase_space import (
     LagrangianSubspace,
+    StabilizerLabel,
     all_vectors,
+    enumerate_lagrangians,
     enumerate_stabilizer_labels,
+    subspace_intersection,
     symplectic_form,
     vec_add,
+    vec_sub,
 )
 
 
@@ -137,6 +144,19 @@ def test_phase_point_sum_is_identity_d3_n1():
     assert acc == OpMatrix.identity(conductor_for(d), 3).scale(3)
 
 
+def test_phase_point_equals_the_defining_sum():
+    # A(a) = d^-n sum_b omega^[a,b] T(b), each term a dense matrix
+    rng = random.Random(3)
+    for d, n, count in ((2, 1, 4), (3, 1, 9), (5, 1, 3), (3, 2, 3)):
+        m = conductor_for(d)
+        for a in rng.sample(list(all_vectors(d, 2 * n)), count):
+            acc = OpMatrix.zero(m, d ** n)
+            for b in all_vectors(d, 2 * n):
+                omega_ab = root_of_unity(m, (m // d) * symplectic_form(a, b, d))
+                acc = acc + weyl(d, n, b).scale(omega_ab)
+            assert phase_point(d, n, a) == acc.scale(Fraction(1, d ** n))
+
+
 def test_phase_point_mono_matches_dense():
     for d, n in ((3, 1), (5, 1), (3, 2)):
         for a in list(all_vectors(d, 2 * n))[:12]:
@@ -231,6 +251,8 @@ def test_gram_closed_form_basics():
         assert gram_closed_form(lab, lab) == 1
     same_l = [l for l in labels if l.L == labels[0].L]
     assert gram_closed_form(same_l[0], same_l[1]) == 0
+    with pytest.raises(ValueError):
+        gram_closed_form(labels[0], enumerate_stabilizer_labels(5, 1)[0])
 
 
 def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
@@ -239,6 +261,55 @@ def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
         for j, y in enumerate(fam.labels):
             brute = hs_inner(fam.projectors[i], fam.projectors[j]).as_fraction()
             assert gram_closed_form(x, y) == brute
+
+
+def _gram_entry_loop(labels):
+    # the closed form entry by entry, straight from its definition
+    inters = {}
+    out = []
+    for x in labels:
+        d, n = x.d, x.n
+        row = []
+        for y in labels:
+            if (x.L, y.L) not in inters:
+                inters[x.L, y.L] = subspace_intersection(x.L, y.L)
+            inter = inters[x.L, y.L]
+            diff = vec_sub(x.rep, y.rep, d)
+            if any(symplectic_form(diff, b, d) for b in inter.basis):
+                row.append(Fraction(0))
+            else:
+                row.append(Fraction(d) ** (inter.dim - n))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [13, 17])
+def test_closed_form_gram_equals_the_entry_loop(d):
+    # a form [rep, b] of a canonical label sums n products below d^2; at
+    # d = 17 one reaches 16 * 16 = 256, beyond uint8
+    labels = enumerate_stabilizer_labels(d, 1)
+    assert build_gram(labels).values == _gram_entry_loop(labels)
+
+
+@st.composite
+def label_pairs(draw):
+    d, n = draw(st.sampled_from([(5, 1), (3, 2)]))
+    lags = enumerate_lagrangians(d, n)
+    first = draw(st.sampled_from(lags))
+    # one pair in three shares its Lagrangian, where distinct labels are orthogonal
+    second = first if draw(st.integers(0, 2)) == 0 else draw(st.sampled_from(lags))
+    reps = st.lists(st.integers(-50, 50), min_size=2 * n, max_size=2 * n)
+    return StabilizerLabel.make(first, draw(reps)), StabilizerLabel.make(second, draw(reps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_pairs())
+def test_gram_closed_form_equals_the_hilbert_schmidt_inner(pair):
+    x, y = pair
+    brute = hs_inner(stab_projector(x), stab_projector(y)).as_fraction()
+    assert gram_closed_form(x, y) == brute
+    if x.L == y.L:
+        assert brute == (1 if x == y else 0)
 
 
 def test_gram_value_multisets():
@@ -257,8 +328,9 @@ def test_gram_d3_n2_value_set():
 
 
 def test_gram_bruteforce_tensor_matches_closed_form_sample():
-    fam = stabilizer_states(3, 1)
-    assert gram_bruteforce_all_pairs(fam.projectors) == fam.gram.values
+    for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        fam = stabilizer_states(d, n)
+        assert gram_bruteforce_all_pairs(fam.projectors) == fam.gram.values
     # qubits and rebits have no closed form: the Hilbert-Schmidt loop is the reference
     for projs in (stabilizer_states(2, 2).projectors, real_clifford_orbit(1).projectors):
         loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)

@@ -19,6 +19,7 @@ from stabsym.phase_space import (
     subspace_intersection,
     symplectic_form,
     transform_label,
+    transform_labels,
     vec_add,
 )
 from stabsym.zmod import ZModMatrix
@@ -215,6 +216,20 @@ def test_similitude_action_bijective_and_coset_preserving_32():
         assert set(out.coset().points()) == {
             apply_affine_similitude(t, x) for x in lab.coset().points()
         }
+
+
+def test_transform_labels_maps_like_transform_label():
+    # each Lagrangian is mapped once; every image label must still be the one
+    # transform_label builds alone, for shears, similitudes and translations
+    from stabsym.clifford import k_alpha, sp_generators
+
+    for d, n in ((3, 1), (5, 1), (3, 2)):
+        labels = enumerate_stabilizer_labels(d, n)
+        shift = tuple(range(1, 2 * n + 1))
+        for r in (*sp_generators(d, n), k_alpha(d, n, 2)):
+            assert transform_labels(labels, r, shift) == [
+                transform_label(lab, r, shift) for lab in labels
+            ]
 
 
 def test_subspace_json_roundtrip():
