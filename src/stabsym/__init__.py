@@ -54,7 +54,6 @@ from .moments import (
 )
 from .permgroup import PermGroup, schreier_sims
 from .symmetry import (
-    ColoredGraph,
     gram_automorphisms,
     predicted_group,
     verify_Sf_machinery,

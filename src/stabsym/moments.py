@@ -89,18 +89,15 @@ def symmetric_basis(m, dim):
 
 @lru_cache(maxsize=None)
 def trace_table(q: OperatorSet, kind="hermitian"):
-    """Exact rational table t[i][j] = tr(B_i q_j) for the chosen spanning basis."""
+    """Exact table tr(B_i q_j) = rows[i][j] / scale for the chosen spanning
+    basis, as (rows, scale): rows of Python ints, so that products of
+    entries stay exact, and one positive scale, in lowest terms."""
     if kind == "hermitian":
         basis = [mono.to_matrix() for _, mono in hermitian_basis(q.d, q.n)]
     else:
         basis = symmetric_basis(q.conductor, q.dim)
-    return trace_pairs(basis, q.elements)
-
-
-def _int_table(table):
-    scale = lcm(*(v.denominator for row in table for v in row))
-    ints = [[int(v * scale) for v in row] for row in table]
-    return ints, scale
+    ints, scale = trace_pairs(basis, q.elements)
+    return tuple(map(tuple, ints.tolist())), scale
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,7 @@ def _pair_sums(q: OperatorSet):
     """S2[i][j] = sum_q t_i t_j as integers plus the overall scale."""
     import numpy as np
 
-    ints, scale = _int_table(trace_table(q, "hermitian"))
+    ints, scale = trace_table(q, "hermitian")
     guard_int64(q.size, _max_abs(ints), 2)
     arr = np.array(ints, dtype=np.int64)
     return arr @ arr.T, scale
@@ -249,7 +246,7 @@ def is_complex_3design(q: OperatorSet, stop_at_first=True) -> DesignReport:
     basis = hermitian_basis(q.d, q.n)
     monos = [m for _, m in basis]
     dd = q.dim
-    ints, scale = _int_table(trace_table(q, "hermitian"))
+    ints, scale = trace_table(q, "hermitian")
     denom = Fraction(1, q.size * scale ** 3)
     m = q.conductor
     witness = None
@@ -352,18 +349,15 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
     the ratio between the two invariants instead of assuming it.
     """
     basis = list(symmetric_basis(q.conductor, q.dim))
-    table = trace_table(q, "symmetric")
+    table, scale = trace_table(q, "symmetric")
     nb = len(basis)
     tr_single = [b.trace().as_fraction() for b in basis]
     hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]
     equations = []
-    coords = []
     for i in range(nb):
         for j in range(i, nb):
-            lhs = sum((table[i][t] * table[j][t] for t in range(q.size)), Fraction(0))
-            lhs /= q.size
+            lhs = Fraction(sum(a * b for a, b in zip(table[i], table[j])), q.size * scale ** 2)
             equations.append((hs[i][j], tr_single[i] * tr_single[j], lhs))
-            coords.append((i, j))
     sol = _solve_linear_positive(equations, 2)
     if sol is None:
         return DesignReport("real_4design", False,
@@ -375,7 +369,7 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
 def is_real_6design(q: OperatorSet) -> DesignReport:
     """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB))."""
     basis = list(symmetric_basis(q.conductor, q.dim))
-    table = trace_table(q, "symmetric")
+    table, scale = trace_table(q, "symmetric")
     nb = len(basis)
     tr_single = [b.trace().as_fraction() for b in basis]
     hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]
@@ -384,8 +378,8 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
     for i in range(nb):
         for j in range(i, nb):
             for k in range(j, nb):
-                lhs = sum((table[i][t] * table[j][t] * table[k][t] for t in range(q.size)),
-                          Fraction(0)) / q.size
+                lhs = Fraction(sum(a * b * c for a, b, c in zip(table[i], table[j], table[k])),
+                               q.size * scale ** 3)
                 c1 = tr_single[i] * tr_single[j] * tr_single[k]
                 c2 = tr_single[i] * hs[j][k] + tr_single[j] * hs[i][k] + tr_single[k] * hs[i][j]
                 equations.append((c1, c2, sym_trace(i, j, k).as_fraction(), lhs))
@@ -409,7 +403,7 @@ def _gram_data(q: OperatorSet):
     """
     import numpy as np
 
-    ints, scale = _int_table(trace_table(q, "hermitian"))
+    ints, scale = trace_table(q, "hermitian")
     guard_int64(len(ints), _max_abs(ints), 2)
     t = np.array(ints, dtype=np.int64)
     gram = (t.T @ t)  # tr(q_i q_j) * scale^2 * dim

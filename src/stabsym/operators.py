@@ -424,17 +424,17 @@ def _pair_table(lags):
     return dims, jb
 
 
-def closed_form_gram(labels):
-    """All tr(Pi_x Pi_y) of the odd-d stabilizer labels, as a tuple of tuples
-    of Fractions: d^(dim(L∩M) - n) if the functionals [x, .] and [y, .]
-    agree on L∩M, else 0.
+def closed_form_gram(labels) -> GramMatrix:
+    """The Gram of the odd-d stabilizer labels: tr(Pi_x Pi_y) =
+    d^(dim(L∩M) - n) if the functionals [x, .] and [y, .] agree on L∩M,
+    else 0.
 
     The intersections depend only on the pair of Lagrangians (`_pair_table`).
     forms[x, j, t] = [rep_x, b_t(L_x ∩ L_j)] mod d, and by bilinearity entry
     (x, y) is nonzero iff forms[x, L_y] == forms[y, L_x].  Each form sums 2n
     products of residues below d, so it is computed exactly in the smallest
-    unsigned dtype that holds 2n (d - 1)^2.  The entries are drawn from a
-    legend of n + 2 shared Fractions.
+    unsigned dtype that holds 2n (d - 1)^2.  Entry (x, y) is code 0 (value 0)
+    or 1 + dim(L_x ∩ L_y), and the n + 2 values increase with the code.
     """
     labels = tuple(labels)
     d, n = labels[0].d, labels[0].n
@@ -450,57 +450,72 @@ def closed_form_gram(labels):
     pair = forms[:, li]  # pair[x, y] = [rep_x, basis of L_x ∩ L_y]
     agree = (pair == pair.transpose(1, 0, 2)).all(axis=2)
     codes = np.where(agree, dims[li][:, li] + 1, 0)
-    legend = np.array([Fraction(0)] + [Fraction(d) ** (k - n) for k in range(n + 1)], dtype=object)
-    return tuple(map(tuple, legend[codes].tolist()))
+    legend = (Fraction(0), *(Fraction(d) ** (k - n) for k in range(n + 1)))
+    return GramMatrix.from_keys(labels, codes, legend.__getitem__)
 
 
 def gram_closed_form(x: StabilizerLabel, y: StabilizerLabel) -> Fraction:
     """tr(Pi_x Pi_y) = d^(dim(L∩M) - n) * [g and h agree on L∩M], d odd:
     `closed_form_gram` of the pair."""
-    return closed_form_gram((x, y))[0][1]
+    return closed_form_gram((x, y)).values[0][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Exact pairwise overlaps tr(q_i q_j) of a state family."""
+    """Exact pairwise overlaps tr(q_i q_j) of a state family as colour codes:
+    entry (i, j) is legend[codes[i, j]].  The legend is the sorted tuple of
+    the distinct values that occur, so every code is used; codes is a
+    read-only array in the smallest unsigned dtype that holds them."""
 
     labels: tuple
-    values: tuple  # tuple of tuples of Fraction
+    codes: np.ndarray
+    legend: tuple  # of Fraction, strictly increasing
+
+    @classmethod
+    def from_keys(cls, labels, keys, value):
+        """The Gram with entries value(keys[i, j]), for an integer matrix
+        keys and a map value that strictly increases with the key: each
+        entry's code is the rank of its key among the distinct keys."""
+        distinct = sorted(set(keys.ravel().tolist()))
+        codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
+        codes.flags.writeable = False
+        return cls(tuple(labels), codes, tuple(map(value, distinct)))
 
     @property
     def size(self):
         return len(self.labels)
 
+    @property
+    def values(self):
+        """The entries as a tuple of tuples of Fractions, built on each call."""
+        return tuple(map(tuple, np.array(self.legend, dtype=object)[self.codes].tolist()))
+
     def value_multiset(self):
-        out = {}
-        for row in self.values:
-            for v in row:
-                out[v] = out.get(v, 0) + 1
-        return out
+        counts = np.bincount(self.codes.ravel(), minlength=len(self.legend))
+        return dict(zip(self.legend, counts.tolist()))
 
     def to_csv(self):
-        lines = []
-        for row in self.values:
-            lines.append(",".join(f"{v.numerator}/{v.denominator}" for v in row))
-        return "\n".join(lines) + "\n"
+        names = [f"{v.numerator}/{v.denominator}" for v in self.legend]
+        return "".join(",".join(map(names.__getitem__, row)) + "\n" for row in self.codes.tolist())
 
 
 def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
     """Gram matrix of a state family.
 
     Odd-d stabilizer labels use the closed form; anything else (qubit states,
-    rebit projectors) uses brute-force traces of the supplied projector
-    matrices (`gram_bruteforce_all_pairs`).
+    rebit projectors) uses the pairwise traces `trace_pairs` of the supplied
+    projector matrices.
     """
     states = tuple(states)
     size = len(states)
     if size * size > budget:
         raise BudgetExceeded(f"{size}^2 Gram entries exceed budget")
     if states and isinstance(states[0], StabilizerLabel) and projectors is None:
-        return GramMatrix(labels=states, values=closed_form_gram(states))
+        return closed_form_gram(states)
     if projectors is None:
         raise ValueError("non-label states need explicit projector matrices")
-    return GramMatrix(labels=states, values=gram_bruteforce_all_pairs(projectors))
+    ints, scale = trace_pairs(projectors, projectors)
+    return GramMatrix.from_keys(states, ints, lambda v: Fraction(v, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -508,32 +523,40 @@ def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A finite family of states: labels, exact projectors, and Gram data."""
+    """A finite family of stabilizer states: labels, Gram data, and the exact
+    projectors, which an odd-d family builds on first access."""
 
-    kind: str
     d: int
     n: int
     labels: tuple
-    projectors: tuple
     gram: GramMatrix
 
     @property
     def size(self):
         return len(self.labels)
 
+    @property
+    def projectors(self):
+        return _projectors(self.d, self.n)
 
-def gram_bruteforce_all_pairs(projectors):
-    """All pairwise tr(P_i P_j) of the projectors as exact Fractions."""
-    return trace_pairs(projectors, projectors)
+
+@lru_cache(maxsize=None)
+def _projectors(d, n):
+    """The stabilizer projectors of (d, n), in the order of their labels."""
+    if d == 2:
+        return tuple(stab_projector_qubit(s.L, s.signs) for s in enumerate_qubit_states(n))
+    return tuple(map(stab_projector, enumerate_stabilizer_labels(d, n)))
 
 
 def trace_pairs(left, right):
-    """All tr(L_x R_y) as exact Fractions, by one contraction of the stacked
-    coefficient tensors with the field's multiplication tensor.
+    """All tr(L_x R_y) as (ints, scale): tr(L_x R_y) = ints[x, y] / scale,
+    with ints an int64 matrix and scale a positive int, in lowest terms.
 
-    Each stack is brought to its common denominator; raises if any trace has
-    a nonzero component outside the rational line.  numpy computes in int64
-    here, after a guard against overflow, so every value is exact.
+    One contraction of the stacked coefficient tensors with the field's
+    multiplication tensor, each stack brought to its common denominator;
+    raises if any trace has a nonzero component outside the rational line.
+    numpy computes in int64 here, after a guard against overflow, so every
+    value is exact.
     """
     mul = _field(left[0].m).mul
     stacks, scale = [], 1
@@ -551,19 +574,20 @@ def trace_pairs(left, right):
     out = np.einsum("xija,yjib,abc->xyc", lhs, rhs, mul, optimize=["einsum_path", (0, 2), (0, 1)])
     if np.any(out[:, :, 1:]):
         raise ValueError("brute-force trace has irrational part")
-    return tuple(tuple(Fraction(int(v), scale) for v in row) for row in out[:, :, 0])
+    g = gcd(scale, int(np.gcd.reduce(out[:, :, 0], axis=None)))
+    return out[:, :, 0] // g, scale // g
 
 
 @lru_cache(maxsize=None)
 def stabilizer_states(d, n) -> StateFamily:
-    """The full stabilizer-state family for (d, n) with exact projectors."""
+    """The full stabilizer-state family for (d, n) and its Gram; the exact
+    projectors of an odd-d family are built when first read."""
     require_prime(d)
     if d == 2:
+        # the brute-force Gram reads the projectors, so they are built here
         labels = enumerate_qubit_states(n)
-        projs = tuple(stab_projector_qubit(s.L, s.signs) for s in labels)
-        gram = build_gram(labels, projectors=projs)
+        gram = build_gram(labels, projectors=_projectors(d, n))
     else:
         labels = enumerate_stabilizer_labels(d, n)
-        projs = tuple(stab_projector(lab) for lab in labels)
         gram = build_gram(labels)
-    return StateFamily(kind="stabilizer", d=d, n=n, labels=labels, projectors=projs, gram=gram)
+    return StateFamily(d=d, n=n, labels=labels, gram=gram)

@@ -10,6 +10,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceeded
 from .zmod import require_prime, rref_rows, solve_rows
 
@@ -332,16 +334,19 @@ def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
 
 
 def transform_labels(labels, matrix, a):
-    """`transform_label` of every label, each Lagrangian mapped and reduced
-    once: the image reps are reduced against the mapped Lagrangians."""
+    """`transform_label` of every label: all reps mapped by one integer
+    product mod d, each Lagrangian mapped and reduced once, and each image
+    rep reduced against its mapped Lagrangian."""
+    d = labels[0].d
+    reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a) % d
     images = {}
     out = []
-    for lab in labels:
+    for lab, rep in zip(labels, reps.tolist()):
         new_L = images.get(lab.L)
         if new_L is None:
             new_rows = [matrix.apply(row) for row in lab.L.basis]
-            new_L = images[lab.L] = LagrangianSubspace.from_rows(new_rows, lab.d)
-        out.append(StabilizerLabel.make(new_L, vec_add(matrix.apply(lab.rep), a, lab.d)))
+            new_L = images[lab.L] = LagrangianSubspace.from_rows(new_rows, d)
+        out.append(StabilizerLabel.make(new_L, rep))
     return out
 
 

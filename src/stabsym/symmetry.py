@@ -9,9 +9,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -63,30 +61,9 @@ def default_time_budget() -> float:
             f"STABSYM_BUDGET_SECONDS must be a finite number >= 0, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    """Complete edge-colored graph encoding exact pairwise overlaps."""
-
-    n: int
-    colors: tuple  # row-major tuple of tuples of small ints
-    legend: tuple  # color id -> Fraction value
-
-    @classmethod
-    def from_gram(cls, gram: GramMatrix):
-        # normalized fractions are equal iff their (numerator, denominator)
-        # pairs are, and a pair hashes far faster than a Fraction
-        pair = attrgetter("numerator", "denominator")
-        pairs = set()
-        for row in gram.values:
-            pairs.update(map(pair, row))
-        values = sorted(Fraction(*p) for p in pairs)
-        code = {pair(v): i for i, v in enumerate(values)}.__getitem__
-        colors = tuple(tuple(map(code, map(pair, row))) for row in gram.values)
-        return cls(n=gram.size, colors=colors, legend=tuple(values))
-
-
 class AutomorphismSearch:
-    """Complete individualization-refinement search for color automorphisms.
+    """Complete individualization-refinement search for the color
+    automorphisms of a Gram: the permutations that preserve its codes.
 
     Refinement is exact and splitter-driven (McKay & Piperno, "Practical graph
     isomorphism, II", J. Symb. Comput. 60 (2014); Junttila & Kaski, bliss,
@@ -129,10 +106,10 @@ class AutomorphismSearch:
     complete base and strong generating set, so the orbit pruning is exact.
     """
 
-    def __init__(self, graph: ColoredGraph, time_budget=None, seeds=None):
-        self.n = graph.n
-        self.ncolors = len(graph.legend)
-        self.m = np.array(graph.colors, dtype=np.min_scalar_type(max(self.ncolors - 1, 0)))
+    def __init__(self, gram: GramMatrix, time_budget=None, seeds=None):
+        self.n = gram.size
+        self.ncolors = len(gram.legend)
+        self.m = gram.codes
         self.budget = default_time_budget() if time_budget is None else budget_seconds(time_budget)
         self.deadline = None
         self.seeds = PermGroup(self.n) if seeds is None else seeds
@@ -319,8 +296,7 @@ def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=None) -> PermGr
     before the chain is used for known-group pruning, so soundness and
     exhaustive-tree completeness are unaffected.
     """
-    graph = ColoredGraph.from_gram(gram)
-    return AutomorphismSearch(graph, time_budget=time_budget, seeds=seeds).run()
+    return AutomorphismSearch(gram, time_budget=time_budget, seeds=seeds).run()
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +531,7 @@ def verify_Sf_machinery(d, n, b):
     b = tuple(x % d for x in b)
     lags = enumerate_lagrangians(d, n)
     family = [StabilizerLabel.make(L, b) for L in lags]
-    nonorth = all(v > 0 for row in build_gram(family).values for v in row)
+    nonorth = build_gram(family).legend[0] > 0  # the legend is sorted
     dim = d ** n
     acc = OpMatrix.zero(stab_projector(family[0]).m, dim)
     for lab in family:

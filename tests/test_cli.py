@@ -228,12 +228,14 @@ def _argv_id(argv):
     ["facets", "--d", "3"],
     ["enumerate", "--d", "3", "--n", "2"],
     ["report", "--d", "3", "--n", "1"],
-    *(["gram", "--d", str(d), "--n", str(n)] for d, n in ((3, 1), (5, 1), (3, 2))),
+    *(["gram", "--d", str(d), "--n", str(n)] for d, n in ((3, 1), (5, 1), (3, 2), (2, 2))),
+    ["gram", "--d", "2", "--n", "2", "--set", "rebit"],
 ], ids=_argv_id)
 def test_command_goldens_replay(capsys, tmp_path, argv):
     # `--golden` reports recorded before the verification logic moved from the
-    # CLI into the library (the `gram` ones before the closed-form Gram became
-    # one integer kernel); the reports must not move
+    # CLI into the library (the odd-d `gram` ones before the closed-form Gram
+    # became one integer kernel, the d = 2 ones before the Gram became colour
+    # codes over a legend); the reports must not move
     replay(capsys, tmp_path, *argv)
 
 

@@ -67,12 +67,13 @@ def test_trace_table_matches_hs_inner_sampled():
     rng = random.Random(7)
     for q in (stabilizer_operator_set(3, 1), stabilizer_operator_set(2, 2)):
         basis = hermitian_basis(q.d, q.n)
-        table = trace_table(q, "hermitian")
+        rows, scale = trace_table(q, "hermitian")
+        assert gcd(scale, *(x for row in rows for x in row)) == 1  # lowest terms
         for _ in range(40):
             i = rng.randrange(len(basis))
             j = rng.randrange(q.size)
             direct = hs_inner(basis[i][1].to_matrix(), q.elements[j])
-            assert direct == CycNumber.from_fraction(q.conductor, table[i][j])
+            assert direct == CycNumber.from_fraction(q.conductor, Fraction(rows[i][j], scale))
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
@@ -183,7 +184,7 @@ def _span_sets():
 def test_gram_data_picks_as_a_full_pass_and_stops_early(monkeypatch):
     # the greedy pick over every difference q_i - q_0, with no early stop
     for q in _span_sets():
-        ints = moments._int_table(trace_table(q, "hermitian"))[0]
+        ints = trace_table(q, "hermitian")[0]
         cols = list(zip(*ints))
         ech = _Echelon(len(ints))
         full = tuple(i for i in range(1, q.size)
@@ -288,9 +289,10 @@ def _huge_entry_set(monkeypatch, entry):
     # huge entry
     q0 = stabilizer_operator_set(2, 1)
     q = OperatorSet(name="huge-entry", d=2, n=1, elements=q0.elements)
-    table = [list(row) for row in trace_table(q0, "hermitian")]
-    table[1][2] = Fraction(entry)
-    monkeypatch.setattr(moments, "trace_table", lambda q, kind="hermitian": table)
+    rows, scale = trace_table(q0, "hermitian")
+    rows = [list(row) for row in rows]
+    rows[1][2] = entry * scale  # the trace `entry`
+    monkeypatch.setattr(moments, "trace_table", lambda q, kind="hermitian": (rows, scale))
     return q
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from stabsym.operators import (
     OpMatrix,
     build_gram,
     enumerate_qubit_states,
-    gram_bruteforce_all_pairs,
     gram_closed_form,
     hs_inner,
     mono_sum,
@@ -22,6 +22,7 @@ from stabsym.operators import (
     stab_projector_qubit,
     stab_projector_wigner,
     stabilizer_states,
+    trace_pairs,
     weyl,
     weyl_mono,
 )
@@ -36,6 +37,7 @@ from stabsym.phase_space import (
     vec_add,
     vec_sub,
 )
+from stabsym.symmetry import rebit_gram
 
 
 def _rand_vec(rng, d, n):
@@ -330,11 +332,47 @@ def test_gram_d3_n2_value_set():
 def test_gram_bruteforce_tensor_matches_closed_form_sample():
     for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
         fam = stabilizer_states(d, n)
-        assert gram_bruteforce_all_pairs(fam.projectors) == fam.gram.values
+        brute = build_gram(fam.labels, projectors=fam.projectors)
+        assert brute.values == fam.gram.values
+        # equal values over sorted legends of the values that occur: equal codes
+        assert brute.legend == fam.gram.legend
+        assert np.array_equal(brute.codes, fam.gram.codes)
     # qubits and rebits have no closed form: the Hilbert-Schmidt loop is the reference
     for projs in (stabilizer_states(2, 2).projectors, real_clifford_orbit(1).projectors):
         loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)
-        assert gram_bruteforce_all_pairs(projs) == loop
+        assert build_gram(projs, projectors=projs).values == loop
+
+
+def _gram_families():
+    lags = enumerate_lagrangians(3, 2)
+    return {
+        **{f"stab{d}{n}": stabilizer_states(d, n).gram
+           for d, n in ((3, 1), (3, 2), (5, 1), (2, 1), (2, 2))},
+        "rebit2": rebit_gram(2),
+        # an S_f family: its states are pairwise non-orthogonal, so no 0
+        "sf32": build_gram([StabilizerLabel.make(L, (1, 0, 2, 0)) for L in lags]),
+    }
+
+
+@pytest.mark.parametrize("name", ["stab31", "stab32", "stab51", "stab21", "stab22", "rebit2",
+                                  "sf32"])
+def test_gram_codes_index_a_sorted_legend(name):
+    gram = _gram_families()[name]
+    legend = gram.legend
+    assert all(isinstance(v, Fraction) for v in legend)
+    assert all(a < b for a, b in zip(legend, legend[1:]))
+    assert (name == "sf32") == (0 not in legend)
+    assert gram.codes.shape == (gram.size, gram.size)
+    assert gram.codes.dtype == np.min_scalar_type(len(legend) - 1)
+    assert set(np.unique(gram.codes).tolist()) == set(range(len(legend)))
+    assert not gram.codes.flags.writeable
+    with pytest.raises(ValueError):
+        gram.codes[0, 0] = 0
+    values = gram.values
+    assert all(values[i][j] == legend[gram.codes[i, j]]
+               for i in range(gram.size) for j in range(gram.size))
+    assert gram.value_multiset() == {
+        v: sum(row.count(v) for row in values) for v in legend}
 
 
 def test_mono_sum_equals_the_dense_sum():
@@ -358,7 +396,7 @@ def test_gram_bruteforce_int64_guard_counts_the_reduction():
     # multiplication tensor mod Phi_12 (entries +-1): 4 * 16 * 2^58 >= 2^63
     p = OpMatrix.from_rational(12, [[1, 0], [0, Fraction(1, 2 ** 29)]])
     with pytest.raises(BudgetExceeded):
-        gram_bruteforce_all_pairs([p])
+        trace_pairs([p], [p])
 
 
 def test_shifted_vertices_sum_to_zero_per_functional():

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from stabsym import operators
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
 from stabsym.operators import GramMatrix, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
 from stabsym.phase_space import all_vectors, basis_blocks
 from stabsym.symmetry import (
     AutomorphismSearch,
-    ColoredGraph,
     basis_partition_preserved,
     gram_automorphisms,
     predicted_group,
@@ -29,10 +29,9 @@ from stabsym.symmetry import (
 
 
 def test_colored_graph_from_gram():
-    fam = stabilizer_states(2, 1)
-    graph = ColoredGraph.from_gram(fam.gram)
-    assert graph.n == 6
-    assert graph.legend == (Fraction(0), Fraction(1, 2), Fraction(1))
+    gram = stabilizer_states(2, 1).gram
+    assert gram.size == 6
+    assert gram.legend == (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 @pytest.mark.parametrize(
@@ -145,9 +144,26 @@ def test_seed_rejection():
     bad = list(range(6))  # swap one state across bases: breaks the Gram
     a, b = blocks[0][0], blocks[1][0]
     bad[a], bad[b] = bad[b], bad[a]
-    graph = ColoredGraph.from_gram(fam.gram)
     with pytest.raises(Mismatch):
-        AutomorphismSearch(graph, seeds=PermGroup.from_generators([bad]))
+        AutomorphismSearch(fam.gram, seeds=PermGroup.from_generators([bad]))
+
+
+def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
+    # odd-d families build their projectors on first access, and the labels
+    # and the Gram are all that Theorem 1 reads; qubit families build them
+    # with their brute-force Gram
+    def unread(d, n):
+        raise AssertionError(f"projectors of {(d, n)} read")
+
+    monkeypatch.setattr(operators, "_projectors", unread)
+    fam = stabilizer_states.__wrapped__(3, 1)
+    for variant in ("wreath", "agsp"):
+        seeds = predicted_group.__wrapped__(3, 1, variant)
+        assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
+    with pytest.raises(AssertionError, match="projectors of"):
+        fam.projectors
+    with pytest.raises(AssertionError, match="projectors of"):
+        stabilizer_states.__wrapped__(2, 1)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -1])
@@ -198,8 +214,7 @@ def brute_force_order(colors):
 
 
 def gram_of(colors):
-    return GramMatrix(labels=tuple(range(len(colors))),
-                      values=tuple(tuple(Fraction(c) for c in row) for row in colors))
+    return GramMatrix.from_keys(range(len(colors)), np.array(colors), Fraction)
 
 
 @st.composite
@@ -256,7 +271,7 @@ def test_search_order_matches_brute_force(colors):
 @given(color_matrices(), st.data())
 def test_refine_is_coarsest_equitable(colors, data):
     n = len(colors)
-    search = AutomorphismSearch(ColoredGraph.from_gram(gram_of(colors)))
+    search = AutomorphismSearch(gram_of(colors))
     start = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     start = np.unique(start, return_inverse=True)[1].ravel()  # contiguous cell ids
     labels, _ = search.refine(start)
@@ -277,9 +292,9 @@ def test_refine_is_coarsest_equitable(colors, data):
 
 @pytest.mark.parametrize("d,n,variant", [(3, 1, "wreath"), (2, 2, "extended_clifford")])
 def test_refine_commutes_with_automorphisms(d, n, variant):
-    graph = ColoredGraph.from_gram(stabilizer_states(d, n).gram)
-    search = AutomorphismSearch(graph)
-    root, _ = search.refine(np.zeros(graph.n, dtype=np.int64))
+    gram = stabilizer_states(d, n).gram
+    search = AutomorphismSearch(gram)
+    root, _ = search.refine(np.zeros(gram.size, dtype=np.int64))
     rng = random.Random(7)
     for g in predicted_group(d, n, variant).generators:
         g = np.array(g)
