@@ -4,7 +4,9 @@ Numbers are stored as integer coefficient vectors over the power basis
 {zeta_m^k : k < phi(m)} together with a single positive denominator, fully
 reduced modulo the m-th cyclotomic polynomial.  Each field also caches the
 same arithmetic as small integer tensors (`_Field.mul`, `_Field.galois`), which
-the dense matrices of `operators.OpMatrix` contract against.
+the dense matrices of `operators.OpMatrix` contract against in one guarded
+kernel (`_Field.contract`, `_Field.galois_map`): int64 where a bound proves it
+exact, Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from .errors import ConductorTooSmall
+from .errors import ConductorTooSmall, fits_int64
 from .zmod import require_prime
 
 
@@ -47,10 +49,35 @@ def cyclotomic_poly(m: int):
     return tuple(poly)
 
 
+def _int64(x):
+    """x as an int64 array and max|x| as a Python int, or None if an entry
+    does not fit int64 (`astype` raises OverflowError exactly then)."""
+    try:
+        x = x.astype(np.int64)
+    except OverflowError:
+        return None
+    return x, max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def _exact(op, terms, operands, tensor):
+    """op(*operands, tensor) as an object array of Python ints, for an op
+    that sums at most `terms` products of one entry of each operand and one
+    of the tensor.  It runs in int64 when every operand fits int64 and
+    `fits_int64` proves that no sum, partial sums included, reaches 2^63;
+    otherwise the same op runs on Python ints, which never overflow.
+    tensor = (object array, its `_int64` form)."""
+    tensor_obj, (tensor64, tensor_max) = tensor
+    small = [_int64(x) for x in operands]
+    if None in small or not fits_int64(terms, tensor_max, *(b for _, b in small)):
+        return op(*(np.asarray(x, dtype=object) for x in operands), tensor_obj)
+    return op(*(x for x, _ in small), tensor64).astype(object)
+
+
 class _Field:
     """Cached per-conductor data: zeta-power expansions, the reduction rows
     of scalar products, and the power-basis tensors of multiplication and of
-    the Galois maps."""
+    the Galois maps, which `contract` and `galois_map` apply to coefficient
+    arrays."""
 
     def __init__(self, m: int):
         self.m = m
@@ -72,24 +99,47 @@ class _Field:
         self.pows = np.array(pows, dtype=object)
         k = np.arange(deg)
         self.mul = self.pows[(k[:, None] + k[None, :]) % m]
+        self._mul = (self.mul, _int64(self.mul))
         self._galois = {}
 
     def galois(self, t):
         """The matrix of zeta -> zeta^t on the power basis: row k is zeta^(kt)."""
+        return self._galois_tensor(t)[0]
+
+    def _galois_tensor(self, t):
         if t not in self._galois:
             if gcd(t, self.m) != 1:
                 raise ValueError("t must be a unit mod m")
-            self._galois[t] = self.pows[(np.arange(self.deg) * t) % self.m]
+            gal = self.pows[(np.arange(self.deg) * t) % self.m]
+            self._galois[t] = (gal, _int64(gal))
         return self._galois[t]
 
     def contract(self, x, y, axes):
         """Power-basis coefficients of the sum over `axes` (as in
         np.tensordot) of the products of the numbers x[..., a] and y[..., b];
         the last axis of each holds coefficients and is not summed.  The free
-        axes of x come first, then those of y, then the coefficient axis."""
-        pair = np.tensordot(x, y, axes)
+        axes of x come first, then those of y, then the coefficient axis.
+
+        Each output coefficient sums at most k * deg^2 products
+        x * y * mul[a, b, c]: k the number of summed index tuples (the
+        product of the lengths of `axes`), deg^2 the coefficient pairs.
+        `_exact` bounds that sum and computes it in int64 when the bound
+        allows, on Python ints otherwise; the result is an object array of
+        Python ints either way."""
         a = x.ndim - len(axes[0]) - 1
-        return np.tensordot(pair, self.mul, axes=([a, pair.ndim - 1], [0, 1]))
+        terms = self.deg ** 2 * prod(x.shape[i] for i in axes[0])
+
+        def op(x, y, mul):
+            pair = np.tensordot(x, y, axes)
+            return np.tensordot(pair, mul, axes=([a, pair.ndim - 1], [0, 1]))
+
+        return _exact(op, terms, (x, y), self._mul)
+
+    def galois_map(self, x, t):
+        """Power-basis coefficients of zeta -> zeta^t applied to each number
+        x[..., :], an array of Python ints, through the same guarded kernel
+        as `contract` (deg products per coefficient)."""
+        return _exact(np.dot, self.deg, (x,), self._galois_tensor(t))
 
     def reduce(self, conv):
         """Reduce a convolution (length <= 2*deg - 1) to the power basis."""

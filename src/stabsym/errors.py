@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the int64 overflow bound."""
+
+from math import prod
 
 
 class StabsymError(Exception):
@@ -9,10 +11,18 @@ class BudgetExceeded(StabsymError):
     """An enumeration or search would exceed the configured size/time cap."""
 
 
+def fits_int64(terms, *bounds):
+    """Whether every sum of at most `terms` products, each of one factor of
+    absolute value <= b for every b in bounds, has absolute value below 2^63,
+    so that int64 computes it, and each of its partial sums, exactly.  The
+    product is taken over Python ints, so numpy scalars cannot wrap it."""
+    return prod(map(int, bounds), start=int(terms)) < 2 ** 63
+
+
 def guard_int64(terms, bound, k):
     """Raise BudgetExceeded unless a sum of `terms` products of k factors of
     absolute value <= bound fits the int64 numpy arrays it is computed in."""
-    if terms * bound ** k >= 2 ** 63:
+    if not fits_int64(terms, *(bound,) * k):
         raise BudgetExceeded(
             f"{terms} products of {k} entries up to {bound} may overflow int64"
         )

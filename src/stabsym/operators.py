@@ -32,9 +32,14 @@ class OpMatrix:
     The entries are stored as one object array of Python ints, coef[i, j, k]
     the coefficient of zeta_m^k in entry (i, j), over one positive common
     denominator den, in lowest terms (gcd of den and every coefficient is 1),
-    so equal matrices have equal storage.  Every product is one contraction
-    with the field's multiplication tensor, every Galois map one product with
-    its power-basis matrix.  The array is read-only.
+    so equal matrices have equal storage.  The array is read-only.
+
+    Every product (`@`, `trace_product`, `scale` by a CycNumber) is one
+    `_Field.contract` with the field's multiplication tensor, and every
+    Galois map (`conj`, `dagger`, `entrywise_galois`) one
+    `_Field.galois_map`: both compute in int64 when a bound proves the
+    result exact and on the Python ints otherwise, and return Python ints,
+    so the storage does not depend on the path taken.
     """
 
     __slots__ = ("m", "coef", "den")
@@ -112,8 +117,8 @@ class OpMatrix:
             return OpMatrix._make(self.m, self.coef * c.numerator, self.den * c.denominator)
         if not isinstance(c, CycNumber) or c.m != self.m:
             raise ValueError(f"scale must be rational or a CycNumber of conductor {self.m}")
-        times_c = np.tensordot(_field(self.m).mul, np.array(c.num, dtype=object), ([1], [0]))
-        return OpMatrix._make(self.m, self.coef.dot(times_c), self.den * c.den)
+        times_c = _field(self.m).contract(self.coef, np.array(c.num, dtype=object), ([], []))
+        return OpMatrix._make(self.m, times_c, self.den * c.den)
 
     def __neg__(self):
         return self.scale(-1)
@@ -122,7 +127,7 @@ class OpMatrix:
         return OpMatrix._make(self.m, self.coef.transpose(1, 0, 2), self.den)
 
     def _galois(self, t):
-        return OpMatrix._make(self.m, self.coef.dot(_field(self.m).galois(t)), self.den)
+        return OpMatrix._make(self.m, _field(self.m).galois_map(self.coef, t), self.den)
 
     def conj(self):
         return self._galois(self.m - 1)
@@ -252,7 +257,13 @@ def _index(digits, d):
 
 
 def weyl_mono(d, n, a) -> Mono:
-    """T(a) as a monomial operator; a = (a_X, a_Z) concatenated."""
+    """T(a) as a monomial operator; a = (a_X, a_Z) concatenated.  `Mono` is
+    frozen, so one instance per (d, n, a) is cached and shared."""
+    return _weyl_mono(d, n, tuple(map(int, a)))
+
+
+@lru_cache(maxsize=8192)
+def _weyl_mono(d, n, a) -> Mono:
     require_prime(d)
     ax, az = a[:n], a[n:]
     dim = d ** n
@@ -460,6 +471,9 @@ def gram_closed_form(x: StabilizerLabel, y: StabilizerLabel) -> Fraction:
     return closed_form_gram((x, y)).values[0][1]
 
 
+_TABLE_SPAN = 16  # widest key span `GramMatrix.from_keys` ranks through a table
+
+
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Exact pairwise overlaps tr(q_i q_j) of a state family as colour codes:
@@ -475,9 +489,21 @@ class GramMatrix:
     def from_keys(cls, labels, keys, value):
         """The Gram with entries value(keys[i, j]), for an integer matrix
         keys and a map value that strictly increases with the key: each
-        entry's code is the rank of its key among the distinct keys."""
-        distinct = sorted(set(keys.ravel().tolist()))
-        codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
+        entry's code is the rank of its key among the distinct keys.
+
+        Keys within a span of `_TABLE_SPAN` (the closed form's n + 2 codes)
+        are found by one comparison pass per possible key and ranked through
+        a table indexed by key, with no copy of keys wider than the codes;
+        wider spans are ranked by np.unique."""
+        low, high = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
+        if keys.size and high - low < _TABLE_SPAN:
+            present = np.array([(keys == k).any() for k in range(low, high + 1)])
+            distinct = (np.flatnonzero(present) + low).tolist()
+            dtype = np.min_scalar_type(len(distinct) - 1)
+            codes = (np.cumsum(present) - 1).astype(dtype)[keys - low if low else keys]
+        else:
+            distinct = np.unique(keys).tolist()
+            codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
         codes.flags.writeable = False
         return cls(tuple(labels), codes, tuple(map(value, distinct)))
 

@@ -140,7 +140,10 @@ class PermGroup:
     def _sift(self, p, start=0):
         base, invs = self.base, self.inverse_transversals
         for l in range(start, len(base)):
-            u_inv = invs[l].get(p[base[l]])
+            b = base[l]
+            if p[b] == b:  # the representative is the identity
+                continue
+            u_inv = invs[l].get(p[b])
             if u_inv is None:
                 return p, l
             p = compose(u_inv, p)

@@ -10,6 +10,7 @@ from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, t
 from stabsym.clifford import real_clifford_orbit
 from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
 from stabsym.operators import (
+    GramMatrix,
     OpMatrix,
     build_gram,
     enumerate_qubit_states,
@@ -373,6 +374,29 @@ def test_gram_codes_index_a_sorted_legend(name):
                for i in range(gram.size) for j in range(gram.size))
     assert gram.value_multiset() == {
         v: sum(row.count(v) for row in values) for v in legend}
+
+
+def rank_by_sorted_set(keys):
+    """Codes and distinct keys by sorting the set of Python ints."""
+    distinct = sorted(set(keys.ravel().tolist()))
+    return np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1)), distinct
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((np.uint8, np.uint16, np.int64)), st.integers(0, 40),
+       st.sampled_from((1, 3, 15, 16, 17, 300)), st.integers(1, 9), st.data())
+def test_from_keys_ranks_like_the_sorted_set(dtype, low, span, size, data):
+    # spans below and above the table's width, gaps, and a nonzero lowest key
+    values = st.integers(low, min(low + span - 1, np.iinfo(dtype).max))
+    if np.dtype(dtype).kind == "i":
+        values = st.integers(low - span, low + span - 1)
+    keys = np.array(data.draw(st.lists(values, min_size=size * size, max_size=size * size)),
+                    dtype=dtype).reshape(size, size)
+    gram = GramMatrix.from_keys(range(size), keys, Fraction)
+    codes, distinct = rank_by_sorted_set(keys)
+    assert gram.codes.dtype == codes.dtype and gram.codes.tolist() == codes.tolist()
+    assert gram.legend == tuple(map(Fraction, distinct))
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in gram.legend)
 
 
 def test_mono_sum_equals_the_dense_sum():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsym.cyclotomic import CycNumber, GaloisMap, _field, galois_apply
-from stabsym.operators import OpMatrix, hs_inner
+from stabsym.errors import fits_int64
+from stabsym.operators import OpMatrix, hs_inner, trace_product
 
 CONDUCTORS = (8, 12, 20)
 
@@ -177,3 +178,88 @@ def test_entries_must_be_cycnumbers_of_the_conductor():
         OpMatrix.identity(12, 2).scale(one8)
     with pytest.raises(ValueError):
         OpMatrix.identity(12, 2) @ OpMatrix.identity(8, 2)
+
+
+# -- the guarded int64 kernel against the Python-int contraction -------------
+
+def python_contract(f, x, y, axes):
+    """`_Field.contract` on the Python ints alone: the reference the int64
+    path must equal."""
+    pair = np.tensordot(x, y, axes)
+    a = x.ndim - len(axes[0]) - 1
+    return np.tensordot(pair, f.mul, axes=([a, pair.ndim - 1], [0, 1]))
+
+
+def python_galois(f, x, t):
+    return x.dot(f.galois(t))
+
+
+def equal_python_ints(got, want):
+    assert got.dtype == object and all(type(v) is int for v in got.flat)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
+# tensors near 2^31 straddle the bound, those from 2^62 up fail it, and those
+# from 2^63 up do not fit int64 at all
+MAGNITUDES = (3, 2 ** 20, 2 ** 31 - 1, 2 ** 31, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 70)
+
+
+@st.composite
+def coefficient_tensors(draw, shape):
+    top = draw(st.sampled_from(MAGNITUDES))
+    entry = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, top - 1)))
+    flat = draw(st.lists(entry, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=object).reshape(shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((3, 4, 5, 7)), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_guarded_kernel_equals_the_python_int_contraction(m, dim, den, data):
+    f = _field(m)
+    x, y = (data.draw(coefficient_tensors((dim, dim, f.deg))) for _ in range(2))
+    c = data.draw(coefficient_tensors((f.deg,)))
+    for axes in (([1], [0]), ([0, 1], [1, 0]), ([], [])):  # matmul, trace, outer
+        equal_python_ints(f.contract(x, y, axes), python_contract(f, x, y, axes))
+    equal_python_ints(f.contract(x, c, ([], [])), python_contract(f, x, c, ([], [])))
+    for t in (1, m - 1):
+        equal_python_ints(f.galois_map(x, t), python_galois(f, x, t))
+    # the OpMatrix products built on the kernel
+    a, b = OpMatrix._make(m, x, den), OpMatrix._make(m, y, 1)
+    scalar = CycNumber(m, c.tolist(), den)
+    assert a @ b == OpMatrix._make(m, python_contract(f, a.coef, b.coef, ([1], [0])), a.den * b.den)
+    assert trace_product(a, b) == CycNumber(
+        m, python_contract(f, a.coef, b.coef, ([0, 1], [1, 0])).tolist(), a.den * b.den)
+    assert a.scale(scalar) == OpMatrix._make(
+        m, python_contract(f, a.coef, np.array(scalar.num, dtype=object), ([], [])),
+        a.den * scalar.den)
+    conj = OpMatrix._make(m, python_galois(f, a.coef, m - 1), a.den)
+    assert a.conj() == conj and a.dagger() == conj.transpose()
+    assert hs_inner(a, b) == trace_product(conj.transpose(), b)
+
+
+def test_kernel_falls_back_when_the_bound_fails_for_int64_inputs():
+    # every entry is M (1 + i) with M = 2^31 - 1 at conductor 4, so each
+    # coefficient fits int64, and so does dim * max|mul| * M^2 = 2 M^2 < 2^63;
+    # but a product (1 + i)^2 = 2i puts 2 M^2 per product, 4 M^2 >= 2^63 per
+    # entry of A A on the i coefficient: only the deg^2 = 4 coefficient pairs
+    # of the bound send it to the Python ints
+    m, big = 4, 2 ** 31 - 1
+    f = _field(m)
+    coef = np.full((2, 2, 2), big, dtype=object)
+    assert fits_int64(2 * 1, big, big) and not fits_int64(2 * f.deg ** 2, 1, big, big)
+    want = np.zeros((2, 2, 2), dtype=object)
+    want[:, :, 1] = 4 * big * big
+    equal_python_ints(f.contract(coef, coef, ([1], [0])), want)
+    a = OpMatrix._make(m, coef, 2)
+    entry = CycNumber(m, [big, big], 2)
+    p = a @ a
+    same(p, ref_matmul([[entry] * 2] * 2, [[entry] * 2] * 2))
+    # (M (1 + i) / 2)^2 summed twice is M^2 i: the 4 over 4 cancels
+    assert p.den == 1 and p.coef.tolist() == [[[0, big * big]] * 2] * 2
+    assert np.gcd.reduce(np.append(p.coef.ravel(), p.den)) == 1
+
+
+def test_fits_int64_holds_exactly_below_two_to_the_63():
+    assert fits_int64(2, 2 ** 31, 2 ** 31 - 1) and not fits_int64(2, 2 ** 31, 2 ** 31)
+    assert fits_int64(1, 2 ** 63 - 1) and not fits_int64(1, 2 ** 63)
+    assert not fits_int64(np.int64(2 ** 40), np.int64(2 ** 40))  # no int64 wraparound

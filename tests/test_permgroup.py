@@ -182,6 +182,27 @@ def test_stored_inverses_undo_representatives(case):
     assert_stored_inverses(schreier_sims(gens, degree=n))
 
 
+def sift_composing_every_level(group, p):
+    """The sift that composes with the representative's inverse at every
+    level, the identity's included."""
+    for l, b in enumerate(group.base):
+        u_inv = group.inverse_transversals[l].get(p[b])
+        if u_inv is None:
+            return p, l
+        p = compose(u_inv, p)
+    return p, len(group.base)
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets(), st.data())
+def test_sift_skipping_fixed_base_points_gives_the_same_residue(case, data):
+    n, gens = case
+    group = schreier_sims(gens, degree=n)
+    for _ in range(4):
+        p = tuple(data.draw(st.permutations(range(n))))
+        assert group._sift(p) == sift_composing_every_level(group, p)
+
+
 @settings(max_examples=50, deadline=None)
 @given(generator_sets(), st.data(), st.lists(st.integers(0, 2), min_size=1, max_size=16))
 def test_rebased_chain_matches_sympy(case, data, word):
