@@ -59,18 +59,19 @@ def _int64(x):
     return x, max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def _exact(op, terms, operands, tensor):
+def _exact(op, terms, operands, tensor=None):
     """op(*operands, tensor) as an object array of Python ints, for an op
     that sums at most `terms` products of one entry of each operand and one
-    of the tensor.  It runs in int64 when every operand fits int64 and
-    `fits_int64` proves that no sum, partial sums included, reaches 2^63;
-    otherwise the same op runs on Python ints, which never overflow.
+    of the tensor (op(*operands) and the operands alone when tensor is
+    None).  It runs in int64 when every operand fits int64 and `fits_int64`
+    proves that no sum, partial sums included, reaches 2^63; otherwise the
+    same op runs on Python ints, which never overflow.
     tensor = (object array, its `_int64` form)."""
-    tensor_obj, (tensor64, tensor_max) = tensor
+    fixed = () if tensor is None else (tensor,)
     small = [_int64(x) for x in operands]
-    if None in small or not fits_int64(terms, tensor_max, *(b for _, b in small)):
-        return op(*(np.asarray(x, dtype=object) for x in operands), tensor_obj)
-    return op(*(x for x, _ in small), tensor64).astype(object)
+    if None in small or not fits_int64(terms, *(b for _, (_, b) in fixed), *(b for _, b in small)):
+        return op(*(np.asarray(x, dtype=object) for x in operands), *(t for t, _ in fixed))
+    return op(*(x for x, _ in small), *(t for _, (t, _) in fixed)).astype(object)
 
 
 class _Field:

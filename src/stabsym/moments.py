@@ -1,22 +1,39 @@
 """Moment forms F_k of finite operator sets and the design/condition predicates
-that control which symmetry notions coincide."""
+that control which symmetry notions coincide.
+
+The predicates compare whole integer tables.  The moment side is a bi- or
+trilinear form in the rows of the trace table, or on dir(Q) in the
+Gram-difference rows D_i = G[i] - G[0] (sum_t D_i D_j D_k is the eight-term
+F_3 of the q_i - q_0).  The Jordan side tr(M_i M_j M_k) + tr(M_i M_k M_j) is
+taken one i-slab at a time, the products M_i M_j and then one contraction
+against the stack, in full power-basis coefficients (it can be irrational:
+Q[sqrt 5] at d = 5), and a scan stops at the first slab holding a failure.
+"Equal" and "proportional" are integer cross-multiplications over common
+denominators, in `cyclotomic._exact` (int64 where `fits_int64` proves it
+exact, Python ints otherwise); no N^3 array is built.
+"""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
+import numpy as np
+
 from .clifford import real_clifford_orbit
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _exact, _field
 from .errors import StabsymError, Unsupported, guard_int64
 from .operators import (
     OpMatrix,
-    hs_inner,
+    coefficient_stack,
+    mono_traces,
     phase_point_all,
     phase_point_mono,
+    rational_traces,
     stabilizer_states,
     trace_pairs,
     trace_product,
@@ -87,16 +104,42 @@ def symmetric_basis(m, dim):
                                             for r in range(dim)]) for i, j in pairs)
 
 
+_Basis = namedtuple("_Basis", "labels monos mats stack den single pair c")
+
+
+def _traces(b: _Basis, mats):
+    """All tr(B_x Q_y) for the basis b, as (ints, scale) in lowest terms; a
+    monomial basis gathers one entry of Q_y per column of B_x."""
+    if b.monos is None:
+        return trace_pairs(b.mats, mats)
+    stack, den = coefficient_stack(mats)
+    return rational_traces(mono_traces(b.monos, stack), den)
+
+
+@lru_cache(maxsize=None)
+def _basis(kind, d, n, m) -> _Basis:
+    """The basis `kind` with its exact traces: B_x = mats[x] = stack[x] / den,
+    tr B_x = single[x] / c and tr(B_x B_y) = pair[x, y] / c, Python ints over
+    one positive c; labels and monomial forms for the Hermitian basis only."""
+    if kind == "hermitian":
+        labels, monos = zip(*hermitian_basis(d, n))
+        mats = tuple(mono.to_matrix() for mono in monos)
+    else:
+        labels = monos = None
+        mats = symmetric_basis(m, d ** n)
+    b = _Basis(labels, monos, mats, *coefficient_stack(mats), None, None, None)
+    (single, c1), (pair, c2) = (_traces(b, x) for x in ([OpMatrix.identity(m, d ** n)], mats))
+    c = lcm(c1, c2)
+    return b._replace(single=single[:, 0].astype(object) * (c // c1),
+                      pair=pair.astype(object) * (c // c2), c=c)
+
+
 @lru_cache(maxsize=None)
 def trace_table(q: OperatorSet, kind="hermitian"):
     """Exact table tr(B_i q_j) = rows[i][j] / scale for the chosen spanning
     basis, as (rows, scale): rows of Python ints, so that products of
     entries stay exact, and one positive scale, in lowest terms."""
-    if kind == "hermitian":
-        basis = [mono.to_matrix() for _, mono in hermitian_basis(q.d, q.n)]
-    else:
-        basis = symmetric_basis(q.conductor, q.dim)
-    ints, scale = trace_pairs(basis, q.elements)
+    ints, scale = _traces(_basis(kind, q.d, q.n, q.conductor), q.elements)
     return tuple(map(tuple, ints.tolist())), scale
 
 
@@ -205,78 +248,88 @@ def _max_abs(rows):
 
 def _pair_sums(q: OperatorSet):
     """S2[i][j] = sum_q t_i t_j as integers plus the overall scale."""
-    import numpy as np
-
     ints, scale = trace_table(q, "hermitian")
     guard_int64(q.size, _max_abs(ints), 2)
     arr = np.array(ints, dtype=np.int64)
     return arr @ arr.T, scale
 
 
+def _times(x, y):
+    """x * y entrywise, with numpy broadcasting, as Python ints."""
+    return _exact(np.multiply, 1, (np.asarray(x), np.asarray(y)))
+
+
+def _trilinear(rows, i):
+    """sum_t rows[i][t] rows[j][t] rows[k][t] for j, k >= i, as Python ints.
+    (If the rows from i on are all 0, so is the first product.)"""
+    tail = rows[i:]
+    return _exact(lambda x, y, z: (x * y) @ z.T, rows.shape[1], (tail, rows[i], tail))
+
+
+def _jordan_slab(field_, stack, i):
+    """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
+    numerators over den^3, for the matrices M_x = stack[x] / den."""
+    tail = stack[i:]
+    prod = field_.contract(stack[i], tail, ([1], [1]))  # (M_i M_j)[r, s] at [r, j, s]
+    t = field_.contract(prod, tail, ([0, 2], [2, 1]))  # tr(M_i M_j M_k) at [j, k]
+    return t + t.transpose(1, 0, 2)
+
+
+def _trace_terms(b: _Basis, i):
+    """For j, k >= i over c^3: tr_i tr_j tr_k and c times the cross terms
+    tr_i tr(B_j B_k) + tr_j tr(B_i B_k) + tr_k tr(B_i B_j)."""
+    t, row = b.single[i:], b.pair[i, i:]
+    cross = b.single[i] * b.pair[i:, i:] + np.outer(t, row) + np.outer(row, t)
+    return b.single[i] * np.outer(t, t), b.c * cross
+
+
 def is_complex_2design(q: OperatorSet) -> DesignReport:
-    """Exact comparison of F_2 with (tr A tr B + tr AB) / (D(D+1)) on a basis."""
-    basis = hermitian_basis(q.d, q.n)
-    monos = [m for _, m in basis]
+    """Exact comparison of F_2 with (tr A tr B + tr AB) / (D(D+1)) on a basis;
+    the witness is the pair i <= j with the largest gap, the first one among
+    equal gaps."""
+    b = _basis("hermitian", q.d, q.n, q.conductor)
     dd = q.dim
     s2, scale = _pair_sums(q)
-    denom = q.size * scale * scale
-    worst = None
-    for i in range(len(monos)):
-        for j in range(i, len(monos)):
-            lhs = Fraction(int(s2[i, j]), denom)
-            tr_i = monos[i].trace().as_fraction()
-            tr_j = monos[j].trace().as_fraction()
-            tr_ij = monos[i].trace_product(monos[j]).as_fraction()
-            rhs = Fraction(tr_i * tr_j + tr_ij, dd * (dd + 1))
-            if lhs != rhs:
-                gap = abs(lhs - rhs)
-                if worst is None or gap > worst[0]:
-                    worst = (gap, basis[i][0], basis[j][0], lhs, rhs)
-    if worst is None:
+    iu = np.triu_indices(len(b.single))
+    # F_2 = s2 / (|Q| scale^2) against (t_i t_j + c p_ij) / (c^2 D(D+1))
+    form = np.outer(b.single, b.single)[iu] + b.c * b.pair[iu]
+    gap = abs(_times(s2[iu], b.c ** 2 * dd * (dd + 1)) - _times(form, q.size * scale ** 2))
+    e = int(np.argmax(gap))
+    if not gap[e]:
         return DesignReport("complex_2design", True)
-    return DesignReport("complex_2design", False, witness=worst[1:])
+    i, j = iu[0][e], iu[1][e]
+    return DesignReport("complex_2design", False, witness=(
+        b.labels[i], b.labels[j], Fraction(int(s2[i, j]), q.size * scale ** 2),
+        Fraction(form[e], b.c ** 2 * dd * (dd + 1))))
 
 
-def is_complex_3design(q: OperatorSet, stop_at_first=True) -> DesignReport:
-    """Exact comparison of F_3 with the 6-term symmetric form.
+def is_complex_3design(q: OperatorSet) -> DesignReport:
+    """Exact comparison of F_3 with the 6-term symmetric form; the witness is
+    the first failing triple i <= j <= k.
 
     The correct normalization of the 6-term sum is 1/(D(D+1)(D+2)), anchored by
     F_3(1,1,1) = 1 for trace-1 states.
     """
-    basis = hermitian_basis(q.d, q.n)
-    monos = [m for _, m in basis]
+    b = _basis("hermitian", q.d, q.n, q.conductor)
     dd = q.dim
     ints, scale = trace_table(q, "hermitian")
-    denom = Fraction(1, q.size * scale ** 3)
-    m = q.conductor
-    witness = None
-    nb = len(monos)
-    tr_single = [monos[i].trace().as_fraction() for i in range(nb)]
-    tr_pair = [[monos[i].trace_product(monos[j]).as_fraction() for j in range(nb)] for i in range(nb)]
-    for i in range(nb):
-        for j in range(i, nb):
-            prod_ij = monos[i] @ monos[j]
-            for k in range(j, nb):
-                s = 0
-                row_i, row_j, row_k = ints[i], ints[j], ints[k]
-                for t in range(q.size):
-                    s += row_i[t] * row_j[t] * row_k[t]
-                lhs = CycNumber.from_fraction(m, s * denom)
-                sym = prod_ij.trace_product(monos[k]) + (monos[i] @ monos[k]).trace_product(monos[j])
-                rhs = (
-                    CycNumber.from_fraction(m, tr_single[i] * tr_single[j] * tr_single[k])
-                    + CycNumber.from_fraction(m, tr_single[i] * tr_pair[j][k])
-                    + CycNumber.from_fraction(m, tr_single[j] * tr_pair[i][k])
-                    + CycNumber.from_fraction(m, tr_single[k] * tr_pair[i][j])
-                    + sym
-                ) * Fraction(1, dd * (dd + 1) * (dd + 2))
-                if lhs != rhs:
-                    witness = (basis[i][0], basis[j][0], basis[k][0])
-                    if stop_at_first:
-                        return DesignReport("complex_3design", False, witness=witness)
-    if witness is None:
-        return DesignReport("complex_3design", True)
-    return DesignReport("complex_3design", False, witness=witness)
+    rows = np.array(ints, dtype=object)
+    lden, c3 = q.size * scale ** 3, b.c ** 3
+    for i in range(len(rows)):
+        iu = np.triu_indices(len(rows) - i)
+        # tr(B_i B_j B_k) at [j, k] over den: B_i B_j is monomial like the basis
+        t = mono_traces([b.monos[i] @ mono for mono in b.monos[i:]], b.stack[i:])
+        # F_3 = lhs / lden against (terms / c^3 + jordan / den) / (D(D+1)(D+2))
+        c1, c2 = _trace_terms(b, i)
+        diff = _times((t + t.transpose(1, 0, 2))[iu], c3 * lden)
+        diff[:, 0] += _times((c1 + c2)[iu], b.den * lden)
+        diff[:, 0] -= _times(_trilinear(rows, i)[iu], c3 * b.den * dd * (dd + 1) * (dd + 2))
+        bad = diff.any(axis=1)
+        if bad.any():
+            e = int(bad.argmax())
+            witness = (b.labels[i], b.labels[i + iu[0][e]], b.labels[i + iu[1][e]])
+            return DesignReport("complex_3design", False, witness=witness)
+    return DesignReport("complex_3design", True)
 
 
 def _solve_linear_positive(equations, unknowns):
@@ -289,8 +342,9 @@ def _solve_linear_positive(equations, unknowns):
     """
     ech = _Echelon(unknowns + 1)
     for eq in equations:
-        scale = lcm(*(Fraction(x).denominator for x in eq))
-        ech.insert([int(Fraction(x) * scale) for x in eq])
+        eq = [Fraction(x) for x in eq]
+        scale = lcm(*(x.denominator for x in eq))
+        ech.insert([x.numerator * (scale // x.denominator) for x in eq])
     if unknowns in ech.pivots:
         return None  # a row 0 = b with b != 0
     free = [c for c in range(unknowns) if c not in ech.pivots]
@@ -310,17 +364,12 @@ def _solve_linear_positive(equations, unknowns):
     if not free:
         return particular if all(x > 0 for x in particular) else None
     null = back_substitute(True)
-    lo, hi = None, None  # open interval for t with particular + t*null > 0
-    for pv, nv in zip(particular, null):
-        if nv == 0:
-            if pv <= 0:
-                return None
-        elif nv > 0:
-            bound = -pv / nv
-            lo = bound if lo is None or bound > lo else lo
-        else:
-            bound = -pv / nv
-            hi = bound if hi is None or bound < hi else hi
+    pairs = list(zip(particular, null))
+    if any(nv == 0 and pv <= 0 for pv, nv in pairs):
+        return None
+    # the open interval lo < t < hi on which particular + t*null > 0
+    lo = max((-pv / nv for pv, nv in pairs if nv > 0), default=None)
+    hi = min((-pv / nv for pv, nv in pairs if nv < 0), default=None)
     if lo is not None and hi is not None:
         if lo >= hi:
             return None
@@ -334,30 +383,21 @@ def _solve_linear_positive(equations, unknowns):
     return [pv + t * nv for pv, nv in zip(particular, null)]
 
 
-def _symmetrized_trace(mats):
-    """(i, j, k) -> tr(M_i M_j M_k) + tr(M_i M_k M_j), each pair product
-    M_i M_j formed once."""
-    product = lru_cache(maxsize=None)(lambda i, j: mats[i] @ mats[j])
-    return lambda i, j, k: (trace_product(product(i, j), mats[k])
-                            + trace_product(product(i, k), mats[j]))
-
-
 def is_real_4design(q: OperatorSet) -> DesignReport:
     """F_2 = K_hs (A|B) + K_tr (A|1)(B|1) with exactly solved positive constants.
 
     Solving both constants exactly doubles as the consistency proof and pins
     the ratio between the two invariants instead of assuming it.
     """
-    basis = list(symmetric_basis(q.conductor, q.dim))
-    table, scale = trace_table(q, "symmetric")
-    nb = len(basis)
-    tr_single = [b.trace().as_fraction() for b in basis]
-    hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]
-    equations = []
-    for i in range(nb):
-        for j in range(i, nb):
-            lhs = Fraction(sum(a * b for a, b in zip(table[i], table[j])), q.size * scale ** 2)
-            equations.append((hs[i][j], tr_single[i] * tr_single[j], lhs))
+    b = _basis("symmetric", q.d, q.n, q.conductor)
+    ints, scale = trace_table(q, "symmetric")
+    rows = np.array(ints, dtype=object)
+    iu = np.triu_indices(len(rows))
+    lhs = _exact(lambda x, y: x @ y.T, q.size, (rows, rows))[iu]
+    # over c^2 |Q| scale^2; (B_i|B_j) = tr(B_i B_j) on the real symmetric basis
+    lden = q.size * scale ** 2
+    equations = zip(b.pair[iu] * (b.c * lden), np.outer(b.single, b.single)[iu] * lden,
+                    lhs * b.c ** 2)
     sol = _solve_linear_positive(equations, 2)
     if sol is None:
         return DesignReport("real_4design", False,
@@ -368,21 +408,20 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
 
 def is_real_6design(q: OperatorSet) -> DesignReport:
     """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB))."""
-    basis = list(symmetric_basis(q.conductor, q.dim))
-    table, scale = trace_table(q, "symmetric")
-    nb = len(basis)
-    tr_single = [b.trace().as_fraction() for b in basis]
-    hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]
-    sym_trace = _symmetrized_trace(basis)
+    b = _basis("symmetric", q.d, q.n, q.conductor)
+    ints, scale = trace_table(q, "symmetric")
+    rows = np.array(ints, dtype=object)
+    lden, c3, den3 = q.size * scale ** 3, b.c ** 3, b.den ** 3
+    w = lcm(lden, c3, den3)
     equations = []
-    for i in range(nb):
-        for j in range(i, nb):
-            for k in range(j, nb):
-                lhs = Fraction(sum(a * b * c for a, b, c in zip(table[i], table[j], table[k])),
-                               q.size * scale ** 3)
-                c1 = tr_single[i] * tr_single[j] * tr_single[k]
-                c2 = tr_single[i] * hs[j][k] + tr_single[j] * hs[i][k] + tr_single[k] * hs[i][j]
-                equations.append((c1, c2, sym_trace(i, j, k).as_fraction(), lhs))
+    for i in range(len(rows)):
+        iu = np.triu_indices(len(rows) - i)
+        c1, c2 = _trace_terms(b, i)
+        jordan = _jordan_slab(_field(q.conductor), b.stack, i)[iu]
+        if jordan[:, 1:].any():
+            raise ValueError("irrational symmetrized trace on the rational basis")
+        equations += zip(c1[iu] * (w // c3), c2[iu] * (w // c3), jordan[:, 0] * (w // den3),
+                         _trilinear(rows, i)[iu] * (w // lden))
     sol = _solve_linear_positive(equations, 3)
     if sol is None:
         return DesignReport("real_6design", False,
@@ -401,8 +440,6 @@ def _gram_data(q: OperatorSet):
     The Gram comes from Parseval over the orthogonal Hermitian basis, whose
     orthonormality is itself verified in the operator tests.
     """
-    import numpy as np
-
     ints, scale = trace_table(q, "hermitian")
     guard_int64(len(ints), _max_abs(ints), 2)
     t = np.array(ints, dtype=np.int64)
@@ -422,143 +459,114 @@ def _gram_data(q: OperatorSet):
     return gram, gscale, tuple(picked)
 
 
+def _proportional_scan(blocks):
+    """Where lhs / rhs stops being one constant, over blocks taken in order.
+
+    A block is (keys, lhs, rhs): entry e is named by keys[e], lhs[e] is an
+    integer and rhs[e] a vector of power-basis integers, each over one
+    denominator common to all blocks.  The constant is lhs / rhs at the
+    reference, the first entry with rhs != 0; an entry fails when
+    lhs * rhs_ref != lhs_ref * rhs (before the reference: when lhs != 0).
+    Returns (ref, bad), each (key, lhs, rhs) or None, ref None when bad
+    comes first; no block after the one holding bad is read.
+    """
+    ref = None
+    for keys, lhs, rhs in blocks:
+        start = None
+        if ref is None:
+            nonzero = (rhs != 0).any(axis=1)
+            if nonzero.any():
+                start = int(nonzero.argmax())
+                ref = keys[start], lhs[start], rhs[start]
+        bad = (lhs != 0 if ref is None
+               else (_times(lhs[:, None], ref[2]) != _times(ref[1], rhs)).any(axis=1))
+        if bad.any():
+            e = int(bad.argmax())
+            return (None if start is not None and e < start else ref), (keys[e], lhs[e], rhs[e])
+    return ref, None
+
+
 def check_lin_wig_condition(q: OperatorSet):
     """F_2 proportional to HS on dir(Q); mu_1 orthogonal to dir(Q) in both forms."""
     gram, gscale, picked = _gram_data(q)
     size = q.size
     mg = int(abs(gram).max())
     guard_int64(size, mg, 2)
-    f2sums = gram @ gram.T  # sum_t G[i,t] G[j,t]
+    idx = np.asarray(picked, dtype=np.intp)
+    diffs = gram[idx] - gram[0]
+    iu = np.triu_indices(len(idx))
+    # over dir(Q), for i <= j: F_2 = sum_t D_i D_j / (|Q| gscale^2) and
+    # (q_i - q_0 | q_j - q_0) = (D_i[j] - D_i[0]) / gscale
+    f2 = _exact(lambda x, y: x @ y.T, size, (diffs, diffs))[iu]
+    hs = (diffs[:, idx] - diffs[:, :1])[iu]
+    ref, bad = _proportional_scan([(np.stack([idx[iu[0]], idx[iu[1]]], 1), f2, hs[:, None])])
 
-    def g(i, j):
-        return Fraction(int(gram[i, j]), gscale)
+    def values(entry):
+        (i, j), f2_v, hs_v = entry
+        return int(i), int(j), Fraction(f2_v, size * gscale ** 2), Fraction(int(hs_v[0]), gscale)
 
-    def du(i, j):
-        return g(i, j) - g(i, 0) - g(0, j) + g(0, 0)
-
-    def f2_states(i, j):
-        return Fraction(int(f2sums[i, j]), size * gscale * gscale)
-
-    def f2_diff(i, j):
-        return f2_states(i, j) - f2_states(i, 0) - f2_states(0, j) + f2_states(0, 0)
-
-    clauses = {}
-    const = None
-    witness = None
-    for ii, i in enumerate(picked):
-        for j in picked[ii:]:
-            hs_v = du(i, j)
-            f2_v = f2_diff(i, j)
-            if hs_v == 0:
-                if f2_v != 0:
-                    witness = (i, j, f2_v, hs_v)
-                    break
-            else:
-                c = f2_v / hs_v
-                if const is None:
-                    const = c
-                elif c != const:
-                    witness = (i, j, f2_v, hs_v)
-                    break
-        if witness:
-            break
-    clauses["f2_proportional_on_dir"] = witness is None
+    clauses = {"f2_proportional_on_dir": bad is None}
     # column sums are at most size*mg, differences of Gram rows at most 2*mg
     guard_int64(size, 2 * size * mg, 2)
     col_sums = gram.sum(axis=0)
-    clauses["mu1_orthogonal_hs"] = all(
-        int(col_sums[i]) == int(col_sums[0]) for i in picked
-    )
-    f2_ok = True
-    for i in picked:
-        val = int((col_sums * (gram[i] - gram[0])).sum())
-        if val != 0:
-            f2_ok = False
-            break
-    clauses["mu1_orthogonal_f2"] = f2_ok
-    passed = all(clauses.values())
+    clauses["mu1_orthogonal_hs"] = bool((col_sums[idx] == col_sums[0]).all())
+    clauses["mu1_orthogonal_f2"] = not (diffs @ col_sums).any()
     return {
         "condition": "lin_subset_wig",
-        "pass": passed,
+        "pass": all(clauses.values()),
         "clauses": clauses,
-        "constant": None if const is None else str(const),
+        "constant": None if ref is None else str(values(ref)[2] / values(ref)[3]),
         "dir_dimension": len(picked),
-        "witness": None if witness is None else [str(w) for w in witness],
+        "witness": None if bad is None else [str(w) for w in values(bad)],
     }
 
 
-def check_lin_jor_condition(q: OperatorSet):
-    """The Lin ⊂ Wig condition plus mu_1 ∝ 1, a full span, and the F_3 clause."""
-    base = check_lin_wig_condition(q)
+def check_lin_jor_condition(q: OperatorSet, wig=None):
+    """The Lin ⊂ Wig condition (the report `wig`, computed when not given)
+    plus mu_1 ∝ 1, a full span, and the F_3 clause."""
+    base = check_lin_wig_condition(q) if wig is None else wig
     gram, gscale, picked = _gram_data(q)
     size = q.size
     clauses = dict(base["clauses"])
     mu = first_moment(q)
-    target = OpMatrix.identity(q.conductor, q.dim).scale(
-        mu.trace().as_fraction() / q.dim
-    )
+    target = OpMatrix.identity(q.conductor, q.dim).scale(mu.trace().as_fraction() / q.dim)
     clauses["mu1_proportional_identity"] = mu == target
     span_dim = span_dimension(q)
-    full_herm = q.dim ** 2
-    full_sym = q.dim * (q.dim + 1) // 2
-    clauses["span_full"] = span_dim in (full_herm, full_sym)
+    clauses["span_full"] = span_dim in (q.dim ** 2, q.dim * (q.dim + 1) // 2)  # Herm or Sym
 
     guard_int64(size, int(abs(gram).max()), 3)
-
-    def f3_states(i, j, k):
-        v = int((gram[i] * gram[j] * gram[k]).sum())
-        return Fraction(v, size * gscale ** 3)
-
-    def f3_diff(i, j, k):
-        total = Fraction(0)
-        for a, sa in ((i, 1), (0, -1)):
-            for b, sb in ((j, 1), (0, -1)):
-                for c, sc in ((k, 1), (0, -1)):
-                    total += sa * sb * sc * f3_states(a, b, c)
-        return total
-
-    sym_trace = _symmetrized_trace({i: q.elements[i] - q.elements[0] for i in picked})
+    idx = np.asarray(picked, dtype=np.intp)
+    diffs = gram[idx] - gram[0]
+    stack, den = coefficient_stack(q.elements)
+    mats = stack[idx] - stack[0]  # q_i - q_0 over den
     m = q.conductor
-    const = None
-    witness = None
-    for ii, i in enumerate(picked):
-        for jj in range(ii, len(picked)):
-            j = picked[jj]
-            for k in picked[jj:]:
-                lhs = f3_diff(i, j, k)
-                # the symmetrized trace is real but may be irrational (e.g. in
-                # Q[sqrt 5]); compare in the cyclotomic field throughout
-                rhs = sym_trace(i, j, k)
-                if rhs.is_zero():
-                    if lhs != 0:
-                        witness = (i, j, k, lhs, rhs)
-                        break
-                else:
-                    c = CycNumber.from_fraction(m, lhs) * rhs.inverse()
-                    if const is None:
-                        const = c
-                    elif c != const:
-                        witness = (i, j, k, lhs, rhs)
-                        break
-            if witness:
-                break
-        if witness:
-            break
-    clauses["f3_proportional_on_dir"] = witness is None
-    passed = all(clauses.values())
-    if const is None:
-        const_str = None
-    elif const.is_rational():
-        const_str = str(const.as_fraction())
-    else:
-        const_str = repr(const)
+
+    def slabs():
+        # F_3 = sum_t D_i D_j D_k / (|Q| gscale^3) against the Jordan side over
+        # den^3; the symmetrized trace is real but may be irrational
+        for a in range(len(idx)):
+            iu = np.triu_indices(len(idx) - a)
+            keys = np.stack([np.full(len(iu[0]), idx[a]), idx[a + iu[0]], idx[a + iu[1]]], 1)
+            yield keys, _trilinear(diffs, a)[iu], _jordan_slab(_field(m), mats, a)[iu]
+
+    ref, bad = _proportional_scan(slabs())
+
+    def values(entry):
+        keys, lhs, rhs = entry
+        return *map(int, keys), Fraction(lhs, size * gscale ** 3), CycNumber(m, list(rhs), den ** 3)
+
+    clauses["f3_proportional_on_dir"] = bad is None
+    const_str = None
+    if ref is not None:
+        const = CycNumber.from_fraction(m, values(ref)[3]) / values(ref)[4]
+        const_str = str(const.as_fraction()) if const.is_rational() else repr(const)
     return {
         "condition": "lin_subset_jor",
-        "pass": passed,
+        "pass": all(clauses.values()),
         "clauses": clauses,
         "f3_constant": const_str,
         "span_dimension": span_dim,
-        "witness": None if witness is None else [str(w) for w in witness],
+        "witness": None if bad is None else [str(w) for w in values(bad)],
     }
 
 
@@ -577,25 +585,16 @@ def verify_design(which, d, n):
     checks = {}
     if which == "stab":
         q = stabilizer_operator_set(d, n)
-        expected = {
-            "complex_2design": True,
-            "complex_3design": d == 2,
-            "lin_subset_wig": True,
-            "lin_subset_jor": d == 2,
-        }
+        expected = {"complex_2design": True, "complex_3design": d == 2,
+                    "lin_subset_wig": True, "lin_subset_jor": d == 2}
         checks["complex_2design"] = is_complex_2design(q).to_json()
-        checks["complex_3design"] = is_complex_3design(q, stop_at_first=(d != 2)).to_json()
+        checks["complex_3design"] = is_complex_3design(q).to_json()
     elif which == "rebit":
         if d != 2:
             raise Unsupported("the rebit states are d = 2")
         q = rebit_operator_set(n)
-        expected = {
-            "complex_2design": False,
-            "real_4design": True,
-            "real_6design": True,
-            "lin_subset_wig": True,
-            "lin_subset_jor": True,
-        }
+        expected = {"complex_2design": False, "real_4design": True, "real_6design": True,
+                    "lin_subset_wig": True, "lin_subset_jor": True}
         checks["complex_2design"] = is_complex_2design(q).to_json()
         checks["real_4design"] = is_real_4design(q).to_json()
         checks["real_6design"] = is_real_6design(q).to_json()
@@ -604,8 +603,8 @@ def verify_design(which, d, n):
         expected = {"lin_subset_wig": True, "lin_subset_jor": False}
     else:
         raise Unsupported(f"no operator set {which!r}")
-    checks["lin_subset_wig"] = check_lin_wig_condition(q)
-    checks["lin_subset_jor"] = check_lin_jor_condition(q)
+    checks["lin_subset_wig"] = wig = check_lin_wig_condition(q)
+    checks["lin_subset_jor"] = check_lin_jor_condition(q, wig)
     return {
         "checks": checks,
         "expected": expected,

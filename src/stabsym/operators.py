@@ -11,7 +11,15 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import CycNumber, _field, conductor_for, galois_exponent, root_of_unity
+from .cyclotomic import (
+    CycNumber,
+    _exact,
+    _field,
+    _int64,
+    conductor_for,
+    galois_exponent,
+    root_of_unity,
+)
 from .errors import BudgetExceeded, InconsistentSigns, OddOnly, guard_int64
 from .phase_space import (
     LagrangianSubspace,
@@ -303,6 +311,39 @@ def mono_sum(monos, scale) -> OpMatrix:
     return OpMatrix._make(m, coef * scale.numerator, scale.denominator)
 
 
+def mono_traces(monos, stack):
+    """All tr(B_x Q_y) for monomial operators B_x and the matrices Q_y, given
+    as a coefficient stack (`coefficient_stack`): an object array [x, y, k]
+    of Python ints, power-basis coefficients over the stack's denominator.
+
+    tr(B Q) = sum_c zeta^expo[c] Q[c, perm[c]]: one entry of Q per column of
+    B, so an output coefficient sums dim * deg^2 products with the field's
+    multiplication tensor (dim^2 * deg^2 for dense B), in the guarded kernel
+    `cyclotomic._exact`.
+    """
+    mono = monos[0]
+    m = conductor_for(mono.d)
+    f = _field(m)
+    dim = len(mono.perm)
+    perms, expos = (np.array([getattr(b, a) for b in monos]) for a in ("perm", "expo"))
+    small = _int64(stack)  # gathering int64 entries saves converting the larger copy
+    gathered = (stack if small is None else small[0])[:, np.arange(dim), perms]
+    # gathered[y, x, c] = Q_y[c, perm_x[c]]
+    roots = f.pows[(m // mono.r) * expos]  # [x, c] = zeta^expo_x[c]
+    path = ["einsum_path", (1, 2), (0, 1)]  # the roots with mul first
+    return _exact(lambda g, r, mul: np.einsum("yxcb,xca,abk->xyk", g, r, mul, optimize=path),
+                  dim * f.deg ** 2, (gathered, roots), f._mul)
+
+
+def rational_traces(out, scale):
+    """out[..., 0] / scale in lowest terms, as (ints, scale), for traces
+    out / scale in power-basis coefficients that must be rational."""
+    if np.any(out[..., 1:]):
+        raise ValueError("brute-force trace has irrational part")
+    g = gcd(scale, int(np.gcd.reduce(out[..., 0], axis=None)))
+    return out[..., 0] // g, scale // g
+
+
 @lru_cache(maxsize=None)
 def phase_point_all(d, n):
     """All phase-space point operators A(a), keyed by a, from the defining sum."""
@@ -323,20 +364,15 @@ def phase_point(d, n, a) -> OpMatrix:
 
 @lru_cache(maxsize=None)
 def phase_point_mono(d, n, a) -> Mono:
-    """A(a) as a monomial operator (cross-checked against the defining sum in tests)."""
+    """A(a) = T(a)^dagger A(0) T(a) as a monomial operator, A(0) the parity
+    |x> -> |-x> (cross-checked against the defining sum in tests)."""
     if d == 2:
         raise OddOnly("qubit A(a) is not monomial; use phase_point")
-    mat = phase_point(d, n, a)
-    m = conductor_for(d)
-    roots = [tuple(_field(m).pows[(m // d) * e]) for e in range(d)]
-    perm, expo = [], []
-    for col in mat.coef.transpose(1, 0, 2):  # col[p] is the entry (p, q)
-        nz = [p for p, x in enumerate(col) if any(x)]
-        if len(nz) != 1 or mat.den != 1 or tuple(col[nz[0]]) not in roots:
-            raise AssertionError("A(a) must be monomial with unit phases")
-        perm.append(nz[0])
-        expo.append(roots.index(tuple(col[nz[0]])))
-    return Mono(d, n, tuple(perm), tuple(expo))
+    dim = d ** n
+    parity = Mono(d, n, tuple(_index([-x % d for x in _digits(q, d, n)], d) for q in range(dim)),
+                  (0,) * dim)
+    t = weyl_mono(d, n, a)
+    return t.dagger() @ parity @ t
 
 
 @lru_cache(maxsize=8192)
@@ -574,6 +610,14 @@ def _projectors(d, n):
     return tuple(map(stab_projector, enumerate_stabilizer_labels(d, n)))
 
 
+def coefficient_stack(mats):
+    """The coefficient tensors of mats over one common denominator, as
+    (stack, den): mats[x] = stack[x] / den, stack an object array of Python
+    ints with the matrix index first."""
+    den = lcm(*(x.den for x in mats))
+    return np.stack([x.coef * (den // x.den) for x in mats]), den
+
+
 def trace_pairs(left, right):
     """All tr(L_x R_y) as (ints, scale): tr(L_x R_y) = ints[x, y] / scale,
     with ints an int64 matrix and scale a positive int, in lowest terms.
@@ -587,8 +631,8 @@ def trace_pairs(left, right):
     mul = _field(left[0].m).mul
     stacks, scale = [], 1
     for mats in (left, right):
-        den = lcm(*(x.den for x in mats))
-        stacks.append(np.stack([x.coef * (den // x.den) for x in mats]))
+        stack, den = coefficient_stack(mats)
+        stacks.append(stack)
         scale *= den
     bound = max(max(map(abs, x.flat)) for x in stacks)
     # a coefficient of tr(L_x R_y) sums dim^2 entry products, each expanded
@@ -598,10 +642,7 @@ def trace_pairs(left, right):
     lhs, rhs, mul = (x.astype(np.int64) for x in (*stacks, mul))
     # L with mul first, then R: numpy's own path choice is the 7-index loop
     out = np.einsum("xija,yjib,abc->xyc", lhs, rhs, mul, optimize=["einsum_path", (0, 2), (0, 1)])
-    if np.any(out[:, :, 1:]):
-        raise ValueError("brute-force trace has irrational part")
-    g = gcd(scale, int(np.gcd.reduce(out[:, :, 0], axis=None)))
-    return out[:, :, 0] // g, scale // g
+    return rational_traces(out, scale)
 
 
 @lru_cache(maxsize=None)

@@ -220,7 +220,7 @@ def test_criterion_8_design_predicates():
         r3 = is_complex_3design(q)
         assert not r3.passed and r3.witness is not None
     for n in (1, 2):
-        assert is_complex_3design(stabilizer_operator_set(2, n), stop_at_first=False).passed
+        assert is_complex_3design(stabilizer_operator_set(2, n)).passed
     for n in (1, 2):
         q = rebit_operator_set(n)
         r4, r6 = is_real_4design(q), is_real_6design(q)

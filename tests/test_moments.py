@@ -7,7 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from stabsym import moments
+import moments_reference
+from stabsym import cyclotomic, moments
 from stabsym.clifford import metaplectic
 from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import BudgetExceeded, StabsymError, guard_int64
@@ -33,7 +34,7 @@ from stabsym.moments import (
     symmetric_basis,
     trace_table,
 )
-from stabsym.operators import OpMatrix, hs_inner
+from stabsym.operators import OpMatrix, hs_inner, stabilizer_states
 from stabsym.zmod import ZModMatrix
 
 
@@ -89,7 +90,7 @@ def test_odd_stabilizer_sets_fail_3design_with_witness(d, n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_qubit_stabilizer_sets_are_3designs(n):
-    assert is_complex_3design(stabilizer_operator_set(2, n), stop_at_first=False).passed
+    assert is_complex_3design(stabilizer_operator_set(2, n)).passed
 
 
 def test_rebits_fail_complex_2design():
@@ -353,3 +354,92 @@ def test_symmetric_basis_spans():
     assert len(basis) == 3
     for b in basis:
         assert b.is_hermitian()
+
+
+# ---------------------------------------------------------------------------
+# The table kernels against the per-entry reference predicates
+
+PREDICATES = ("is_complex_2design", "is_complex_3design", "check_lin_wig_condition",
+              "check_lin_jor_condition")
+REAL_PREDICATES = ("is_real_4design", "is_real_6design")
+
+
+def _outcome(fn, q):
+    """The full report as JSON, or the type and message of what fn raised."""
+    try:
+        report = fn(q)
+    except StabsymError as exc:
+        return type(exc).__name__, str(exc)
+    return report.to_json() if isinstance(report, moments.DesignReport) else report
+
+
+def _reports(module, q):
+    names = PREDICATES + (REAL_PREDICATES if q.d == 2 else ())
+    return {name: _outcome(getattr(module, name), q) for name in names}
+
+
+@st.composite
+def stabilizer_subsets(draw):
+    """A random subset, in random order, of the (2,1), (3,1), (2,2) or (5,1)
+    stabilizer states, or a union of their bases (the states of one
+    Lagrangian); such sets are rarely designs."""
+    d, n = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (5, 1))))
+    full = stabilizer_operator_set(d, n)
+    if draw(st.booleans()):
+        bases = {}
+        for i, label in enumerate(stabilizer_states(d, n).labels):
+            bases.setdefault(label.L, []).append(i)
+        bases = list(bases.values())
+        chosen = draw(st.lists(st.sampled_from(range(len(bases))), min_size=1, unique=True))
+        picked = [i for b in sorted(chosen) for i in bases[b]]
+    else:
+        picked = draw(st.lists(st.integers(0, full.size - 1), min_size=2,
+                               max_size=min(full.size, 24), unique=True))
+    return OperatorSet(name=f"subset({d},{n})", d=d, n=n,
+                       elements=tuple(full.elements[i] for i in picked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stabilizer_subsets())
+def test_table_kernels_match_per_entry_reference(q):
+    assert _reports(moments, q) == _reports(moments_reference, q)
+
+
+@pytest.mark.parametrize("q", [
+    stabilizer_operator_set(2, 2), stabilizer_operator_set(5, 1), stabilizer_operator_set(7, 1),
+    rebit_operator_set(2), phase_point_operator_set(3, 1),
+], ids=lambda q: q.name)
+def test_table_kernels_match_reference_on_full_sets(q):
+    # (2,2) and the rebits pass every slab; (5,1) and (7,1) fail in the first
+    # with an irrational Jordan value; the phase points fail at a zero one
+    assert _reports(moments, q) == _reports(moments_reference, q)
+
+
+def test_python_int_path_gives_identical_reports(monkeypatch):
+    sets = (stabilizer_operator_set(2, 2), stabilizer_operator_set(5, 1),
+            rebit_operator_set(2), phase_point_operator_set(3, 1))
+    expected = [_reports(moments, q) for q in sets]
+    calls = []
+
+    def never_fits(*args):
+        calls.append(args)
+        return False
+
+    monkeypatch.setattr(cyclotomic, "fits_int64", never_fits)
+    # fresh sets and bases, so that the trace tables are recomputed too
+    moments._basis.cache_clear()
+    fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, elements=q.elements)
+             for q in sets]
+    assert [_reports(moments, q) for q in fresh] == expected
+    assert calls  # every guarded op took the Python-int branch
+
+
+def test_verify_design_checks_lin_wig_once(monkeypatch):
+    calls = []
+    check = moments.check_lin_wig_condition
+    monkeypatch.setattr(moments, "check_lin_wig_condition",
+                        lambda q: calls.append(q) or check(q))
+    report = moments.verify_design("stab", 3, 1)
+    assert len(calls) == 1
+    assert report["checks"]["lin_subset_jor"]["clauses"]["f2_proportional_on_dir"]
+    assert report["checks"]["lin_subset_wig"] == check(stabilizer_operator_set(3, 1))
