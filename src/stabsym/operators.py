@@ -339,7 +339,7 @@ def rational_traces(out, scale):
     """out[..., 0] / scale in lowest terms, as (ints, scale), for traces
     out / scale in power-basis coefficients that must be rational."""
     if np.any(out[..., 1:]):
-        raise ValueError("brute-force trace has irrational part")
+        raise ValueError("trace has irrational part")
     g = gcd(scale, int(np.gcd.reduce(out[..., 0], axis=None)))
     return out[..., 0] // g, scale // g
 
