@@ -98,6 +98,8 @@ def cmd_gram(args):
 
 
 def cmd_autgroup(args):
+    if args.variant and (args.variant == "real_clifford") != (args.set == "rebit"):
+        raise Unsupported(f"--variant {args.variant} is not a case of --set {args.set}")
     variant = args.variant or default_variant(args.d, args.n, args.set)
     try:
         result = verify_theorem1(args.d, args.n, variant, time_budget=args.budget_seconds)

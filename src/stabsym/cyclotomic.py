@@ -19,7 +19,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import ConductorTooSmall, fits_int64
+from .errors import ConductorTooSmall
 from .zmod import require_prime
 
 
@@ -49,6 +49,14 @@ def cyclotomic_poly(m: int):
     return tuple(poly)
 
 
+def fits_int64(terms, *bounds):
+    """Whether every sum of at most `terms` products, each of one factor of
+    absolute value <= b for every b in bounds, has absolute value below 2^63,
+    so that int64 computes it, and each of its partial sums, exactly.  The
+    product is taken over Python ints, so numpy scalars cannot wrap it."""
+    return prod(map(int, bounds), start=int(terms)) < 2 ** 63
+
+
 def _int64(x):
     """x as an int64 array and max|x| as a Python int, or None if an entry
     does not fit int64 (`astype` raises OverflowError exactly then)."""
@@ -65,8 +73,9 @@ def _exact(op, terms, operands, tensor=None):
     of the tensor (op(*operands) and the operands alone when tensor is
     None).  It runs in int64 when every operand fits int64 and `fits_int64`
     proves that no sum, partial sums included, reaches 2^63; otherwise the
-    same op runs on Python ints, which never overflow.
-    tensor = (object array, its `_int64` form)."""
+    same op runs on Python ints, which never overflow.  This is the
+    library's one overflow policy: every exact integer contraction runs
+    here.  tensor = (object array, its `_int64` form)."""
     fixed = () if tensor is None else (tensor,)
     small = [_int64(x) for x in operands]
     if None in small or not fits_int64(terms, *(b for _, (_, b) in fixed), *(b for _, b in small)):

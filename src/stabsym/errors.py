@@ -1,6 +1,4 @@
-"""Shared exception types and the int64 overflow bound."""
-
-from math import prod
+"""Shared exception types."""
 
 
 class StabsymError(Exception):
@@ -9,23 +7,6 @@ class StabsymError(Exception):
 
 class BudgetExceeded(StabsymError):
     """An enumeration or search would exceed the configured size/time cap."""
-
-
-def fits_int64(terms, *bounds):
-    """Whether every sum of at most `terms` products, each of one factor of
-    absolute value <= b for every b in bounds, has absolute value below 2^63,
-    so that int64 computes it, and each of its partial sums, exactly.  The
-    product is taken over Python ints, so numpy scalars cannot wrap it."""
-    return prod(map(int, bounds), start=int(terms)) < 2 ** 63
-
-
-def guard_int64(terms, bound, k):
-    """Raise BudgetExceeded unless a sum of `terms` products of k factors of
-    absolute value <= bound fits the int64 numpy arrays it is computed in."""
-    if not fits_int64(terms, *(bound,) * k):
-        raise BudgetExceeded(
-            f"{terms} products of {k} entries up to {bound} may overflow int64"
-        )
 
 
 class SingularMatrix(StabsymError):

@@ -26,14 +26,15 @@ import numpy as np
 
 from .clifford import real_clifford_orbit
 from .cyclotomic import CycNumber, _exact, _field
-from .errors import StabsymError, Unsupported, guard_int64
+from .errors import StabsymError, Unsupported
 from .operators import (
     OpMatrix,
     coefficient_stack,
+    lowest_terms,
     mono_traces,
-    phase_point_all,
+    phase_point,
     phase_point_mono,
-    rational_traces,
+    rational_part,
     stabilizer_states,
     trace_pairs,
     trace_product,
@@ -42,9 +43,11 @@ from .operators import (
 from .phase_space import all_vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """A finite set of Hermitian trace-1 operators with uniform weights."""
+    """A finite set of Hermitian trace-1 operators with uniform weights.
+    Equal and hashed by identity, so the functions cached on a set never
+    hash its elements; the constructors below are cached, one set each."""
 
     name: str
     d: int
@@ -78,10 +81,8 @@ def rebit_operator_set(n) -> OperatorSet:
 
 @lru_cache(maxsize=None)
 def phase_point_operator_set(d, n) -> OperatorSet:
-    ops = phase_point_all(d, n)
-    keys = sorted(ops)
     return OperatorSet(name=f"phase_points({d},{n})", d=d, n=n,
-                       elements=tuple(ops[k] for k in keys))
+                       elements=tuple(phase_point(d, n, a) for a in sorted(all_vectors(d, 2 * n))))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ def _traces(b: _Basis, mats):
     if b.monos is None:
         return trace_pairs(b.mats, mats)
     stack, den = coefficient_stack(mats)
-    return rational_traces(mono_traces(b.monos, stack), den)
+    return lowest_terms(rational_part(mono_traces(b.monos, stack)), den)
 
 
 @lru_cache(maxsize=None)
@@ -130,8 +131,7 @@ def _basis(kind, d, n, m) -> _Basis:
     b = _Basis(labels, monos, mats, *coefficient_stack(mats), None, None, None)
     (single, c1), (pair, c2) = (_traces(b, x) for x in ([OpMatrix.identity(m, d ** n)], mats))
     c = lcm(c1, c2)
-    return b._replace(single=single[:, 0].astype(object) * (c // c1),
-                      pair=pair.astype(object) * (c // c2), c=c)
+    return b._replace(single=single[:, 0] * (c // c1), pair=pair * (c // c2), c=c)
 
 
 @lru_cache(maxsize=None)
@@ -242,16 +242,12 @@ class DesignReport:
         }
 
 
-def _max_abs(rows):
-    return max(abs(x) for row in rows for x in row)
-
-
-def _pair_sums(q: OperatorSet):
-    """S2[i][j] = sum_q t_i t_j as integers plus the overall scale."""
-    ints, scale = trace_table(q, "hermitian")
-    guard_int64(q.size, _max_abs(ints), 2)
-    arr = np.array(ints, dtype=np.int64)
-    return arr @ arr.T, scale
+def _pair_sums(q: OperatorSet, kind="hermitian"):
+    """S2[i][j] = sum_q t_i t_j over the trace table `kind`, as Python ints,
+    plus the table's scale."""
+    ints, scale = trace_table(q, kind)
+    rows = np.array(ints, dtype=object)
+    return _exact(lambda x, y: x @ y.T, q.size, (rows, rows)), scale
 
 
 def _times(x, y):
@@ -390,10 +386,9 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
     the ratio between the two invariants instead of assuming it.
     """
     b = _basis("symmetric", q.d, q.n, q.conductor)
-    ints, scale = trace_table(q, "symmetric")
-    rows = np.array(ints, dtype=object)
-    iu = np.triu_indices(len(rows))
-    lhs = _exact(lambda x, y: x @ y.T, q.size, (rows, rows))[iu]
+    s2, scale = _pair_sums(q, "symmetric")
+    iu = np.triu_indices(len(s2))
+    lhs = s2[iu]
     # over c^2 |Q| scale^2; (B_i|B_j) = tr(B_i B_j) on the real symmetric basis
     lden = q.size * scale ** 2
     equations = zip(b.pair[iu] * (b.c * lden), np.outer(b.single, b.single)[iu] * lden,
@@ -435,15 +430,15 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
 
 @lru_cache(maxsize=None)
 def _gram_data(q: OperatorSet):
-    """(numpy int Gram, scale, dir-basis indices): g_ij = G[i,j] / scale.
+    """(Gram as an object array of Python ints, scale, dir-basis indices):
+    g_ij = G[i,j] / scale.
 
     The Gram comes from Parseval over the orthogonal Hermitian basis, whose
     orthonormality is itself verified in the operator tests.
     """
     ints, scale = trace_table(q, "hermitian")
-    guard_int64(len(ints), _max_abs(ints), 2)
-    t = np.array(ints, dtype=np.int64)
-    gram = (t.T @ t)  # tr(q_i q_j) * scale^2 * dim
+    t = np.array(ints, dtype=object)
+    gram = _exact(lambda x, y: x.T @ y, len(ints), (t, t))  # tr(q_i q_j) * scale^2 * dim
     gscale = scale * scale * q.dim
     # independent differences q_i - q_0 via coordinate echelon
     ech = _Echelon(len(ints))
@@ -490,8 +485,6 @@ def check_lin_wig_condition(q: OperatorSet):
     """F_2 proportional to HS on dir(Q); mu_1 orthogonal to dir(Q) in both forms."""
     gram, gscale, picked = _gram_data(q)
     size = q.size
-    mg = int(abs(gram).max())
-    guard_int64(size, mg, 2)
     idx = np.asarray(picked, dtype=np.intp)
     diffs = gram[idx] - gram[0]
     iu = np.triu_indices(len(idx))
@@ -506,11 +499,9 @@ def check_lin_wig_condition(q: OperatorSet):
         return int(i), int(j), Fraction(f2_v, size * gscale ** 2), Fraction(int(hs_v[0]), gscale)
 
     clauses = {"f2_proportional_on_dir": bad is None}
-    # column sums are at most size*mg, differences of Gram rows at most 2*mg
-    guard_int64(size, 2 * size * mg, 2)
-    col_sums = gram.sum(axis=0)
+    col_sums = _exact(lambda g: g.sum(axis=0), size, (gram,))
     clauses["mu1_orthogonal_hs"] = bool((col_sums[idx] == col_sums[0]).all())
-    clauses["mu1_orthogonal_f2"] = not (diffs @ col_sums).any()
+    clauses["mu1_orthogonal_f2"] = not _exact(np.dot, size, (diffs, col_sums)).any()
     return {
         "condition": "lin_subset_wig",
         "pass": all(clauses.values()),
@@ -534,7 +525,6 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
     span_dim = span_dimension(q)
     clauses["span_full"] = span_dim in (q.dim ** 2, q.dim * (q.dim + 1) // 2)  # Herm or Sym
 
-    guard_int64(size, int(abs(gram).max()), 3)
     idx = np.asarray(picked, dtype=np.intp)
     diffs = gram[idx] - gram[0]
     stack, den = coefficient_stack(q.elements)

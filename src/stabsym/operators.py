@@ -20,7 +20,7 @@ from .cyclotomic import (
     galois_exponent,
     root_of_unity,
 )
-from .errors import BudgetExceeded, InconsistentSigns, OddOnly, guard_int64
+from .errors import BudgetExceeded, InconsistentSigns, OddOnly
 from .phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
@@ -335,31 +335,35 @@ def mono_traces(monos, stack):
                   dim * f.deg ** 2, (gathered, roots), f._mul)
 
 
-def rational_traces(out, scale):
-    """out[..., 0] / scale in lowest terms, as (ints, scale), for traces
-    out / scale in power-basis coefficients that must be rational."""
+def rational_part(out):
+    """out[..., 0], for traces in power-basis coefficients that must be
+    rational."""
     if np.any(out[..., 1:]):
         raise ValueError("trace has irrational part")
-    g = gcd(scale, int(np.gcd.reduce(out[..., 0], axis=None)))
-    return out[..., 0] // g, scale // g
+    return out[..., 0]
 
 
-@lru_cache(maxsize=None)
-def phase_point_all(d, n):
-    """All phase-space point operators A(a), keyed by a, from the defining sum."""
-    scale = Fraction(1, d ** n)
-    weyls = {b: weyl_mono(d, n, b) for b in all_vectors(d, 2 * n)}
-    step = 2 if d == 2 else 1  # omega = i^2 when d = 2
-    out = {}
-    for a in all_vectors(d, 2 * n):
-        terms = [t.phase_shift(step * symplectic_form(a, b, d)) for b, t in weyls.items()]
-        out[a] = mono_sum(terms, scale)
-    return out
+def lowest_terms(ints, scale):
+    """ints / scale in lowest terms, as (ints, scale)."""
+    g = gcd(scale, int(np.gcd.reduce(ints, axis=None)))
+    return ints // g, scale // g
 
 
 def phase_point(d, n, a) -> OpMatrix:
-    """A(a) = d^-n sum_b omega^([a,b]) T(b)."""
-    return phase_point_all(d, n)[tuple(x % d for x in a)]
+    """A(a) = d^-n sum_b omega^([a,b]) T(b): for odd d the dense form of the
+    monomial `phase_point_mono`, for d = 2 the defining sum.  Cached per
+    point, like `weyl_mono`."""
+    return _phase_point(d, n, tuple(int(x) % d for x in a))
+
+
+@lru_cache(maxsize=None)
+def _phase_point(d, n, a) -> OpMatrix:
+    if d != 2:
+        return phase_point_mono(d, n, a).to_matrix()
+    # omega = i^2 when d = 2
+    terms = [weyl_mono(d, n, b).phase_shift(2 * symplectic_form(a, b, d))
+             for b in all_vectors(d, 2 * n)]
+    return mono_sum(terms, Fraction(1, d ** n))
 
 
 @lru_cache(maxsize=None)
@@ -524,19 +528,24 @@ class GramMatrix:
     @classmethod
     def from_keys(cls, labels, keys, value):
         """The Gram with entries value(keys[i, j]), for an integer matrix
-        keys and a map value that strictly increases with the key: each
-        entry's code is the rank of its key among the distinct keys.
+        keys (numpy integers or Python ints) and a map value that strictly
+        increases with the key: each entry's code is the rank of its key
+        among the distinct keys.
 
-        Keys within a span of `_TABLE_SPAN` (the closed form's n + 2 codes)
-        are found by one comparison pass per possible key and ranked through
-        a table indexed by key, with no copy of keys wider than the codes;
-        wider spans are ranked by np.unique."""
+        Keys within a span of `_TABLE_SPAN` (the closed form's n + 2 codes,
+        the brute-force Gram's few values) are shifted to start at 0 (as
+        uint8 if they are Python ints), found by one comparison pass per
+        possible key and ranked through a table indexed by key, with no copy
+        of keys wider than the codes; wider spans are ranked by np.unique."""
         low, high = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
         if keys.size and high - low < _TABLE_SPAN:
-            present = np.array([(keys == k).any() for k in range(low, high + 1)])
-            distinct = (np.flatnonzero(present) + low).tolist()
+            index = keys - low if low else keys
+            if index.dtype == object:
+                index = index.astype(np.uint8)
+            present = np.array([(index == k).any() for k in range(high - low + 1)])
+            distinct = [low + k for k in np.flatnonzero(present).tolist()]
             dtype = np.min_scalar_type(len(distinct) - 1)
-            codes = (np.cumsum(present) - 1).astype(dtype)[keys - low if low else keys]
+            codes = (np.cumsum(present) - 1).astype(dtype)[index]
         else:
             distinct = np.unique(keys).tolist()
             codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
@@ -620,29 +629,25 @@ def coefficient_stack(mats):
 
 def trace_pairs(left, right):
     """All tr(L_x R_y) as (ints, scale): tr(L_x R_y) = ints[x, y] / scale,
-    with ints an int64 matrix and scale a positive int, in lowest terms.
+    with ints an object array of Python ints and scale a positive int, in
+    lowest terms.
 
-    One contraction of the stacked coefficient tensors with the field's
-    multiplication tensor, each stack brought to its common denominator;
-    raises if any trace has a nonzero component outside the rational line.
-    numpy computes in int64 here, after a guard against overflow, so every
-    value is exact.
+    The sibling of `mono_traces` for dense L_x: one contraction of the two
+    coefficient stacks with the field's multiplication tensor, in the
+    guarded kernel `cyclotomic._exact`.  A coefficient of tr(L_x R_y) sums
+    dim^2 entry products, each expanded through the deg^2 coefficient pairs.
+    The op raises if any trace has a nonzero component outside the rational
+    line, and keeps only the rational one, so only that is turned into
+    Python ints.
     """
-    mul = _field(left[0].m).mul
-    stacks, scale = [], 1
-    for mats in (left, right):
-        stack, den = coefficient_stack(mats)
-        stacks.append(stack)
-        scale *= den
-    bound = max(max(map(abs, x.flat)) for x in stacks)
-    # a coefficient of tr(L_x R_y) sums dim^2 entry products, each expanded
-    # through the deg^2 coefficient pairs (a, b) with a factor mul[a, b, c]
-    dim, deg = left[0].dim, mul.shape[0]
-    guard_int64(dim * dim * deg * deg * max(map(abs, mul.flat)), bound, 2)
-    lhs, rhs, mul = (x.astype(np.int64) for x in (*stacks, mul))
+    f = _field(left[0].m)
+    (lhs, lden), (rhs, rden) = coefficient_stack(left), coefficient_stack(right)
     # L with mul first, then R: numpy's own path choice is the 7-index loop
-    out = np.einsum("xija,yjib,abc->xyc", lhs, rhs, mul, optimize=["einsum_path", (0, 2), (0, 1)])
-    return rational_traces(out, scale)
+    path = ["einsum_path", (0, 2), (0, 1)]
+    ints = _exact(lambda x, y, mul: rational_part(np.einsum("xija,yjib,abc->xyc", x, y, mul,
+                                                            optimize=path)),
+                  left[0].dim ** 2 * f.deg ** 2, (lhs, rhs), f._mul)
+    return lowest_terms(ints, lden * rden)
 
 
 @lru_cache(maxsize=None)

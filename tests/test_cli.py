@@ -240,6 +240,16 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
     replay(capsys, tmp_path, *argv)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [["gram", "--d", "2", "--n", "3"],
+                                  ["autgroup", "--d", "2", "--n", "3"]], ids=_argv_id)
+def test_qubit_n3_goldens_replay(capsys, tmp_path, argv):
+    # opt-in (`-m slow`): the 1 080 three-qubit states, the largest
+    # brute-force Gram (`trace_pairs` of the projectors); recorded before
+    # that Gram ran through the guarded kernel
+    replay(capsys, tmp_path, *argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["sf-sum", "--d", "2", "--n", "1"],
     ["autgroup", "--d", "2", "--n", "1", "--variant", "agsp"],
@@ -249,6 +259,8 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
     ["autgroup", "--d", "3", "--n", "1", "--set", "rebit"],
     ["verify-design", "--d", "5", "--n", "1", "--set", "rebit"],
     ["gram", "--d", "3", "--n", "1", "--set", "rebit"],
+    ["autgroup", "--d", "2", "--n", "2", "--set", "rebit", "--variant", "extended_clifford"],
+    ["autgroup", "--d", "2", "--n", "2", "--set", "stab", "--variant", "real_clifford"],
 ], ids=_argv_id)
 def test_unsupported_combination_is_a_usage_error(capsys, argv):
     assert main(argv) == 2  # an exception escaping main would fail this test

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import moments_reference
 from stabsym import cyclotomic, moments
-from stabsym.clifford import metaplectic
+from stabsym.clifford import metaplectic, real_clifford_orbit
 from stabsym.cyclotomic import CycNumber, conductor_for
-from stabsym.errors import BudgetExceeded, StabsymError, guard_int64
+from stabsym.errors import StabsymError
 from stabsym.moments import (
     OperatorSet,
     _Echelon,
@@ -34,7 +34,7 @@ from stabsym.moments import (
     symmetric_basis,
     trace_table,
 )
-from stabsym.operators import OpMatrix, hs_inner, stabilizer_states
+from stabsym.operators import OpMatrix, build_gram, hs_inner, stabilizer_states
 from stabsym.zmod import ZModMatrix
 
 
@@ -279,43 +279,68 @@ def test_solver_rank_one_in_three_unknowns_raises():
         _solve_linear_positive(equations, 3)
 
 
-def test_int64_guard_boundary():
-    guard_int64(1, 2 ** 31, 2)  # 2^62 fits
-    with pytest.raises(BudgetExceeded):
-        guard_int64(2, 2 ** 31, 2)  # 2^63 does not
-
-
 def _huge_entry_set(monkeypatch, entry):
-    # a fresh set (the Gram data is cached per set) whose trace table has one
-    # huge entry
+    # a fresh set (the Gram data is cached per set) whose Hermitian trace
+    # table has one huge entry, read by the library and the oracle alike
     q0 = stabilizer_operator_set(2, 1)
     q = OperatorSet(name="huge-entry", d=2, n=1, elements=q0.elements)
     rows, scale = trace_table(q0, "hermitian")
     rows = [list(row) for row in rows]
     rows[1][2] = entry * scale  # the trace `entry`
-    monkeypatch.setattr(moments, "trace_table", lambda q, kind="hermitian": (rows, scale))
+
+    def table(q, kind="hermitian"):
+        return (rows, scale) if kind == "hermitian" else trace_table(q, kind)
+
+    monkeypatch.setattr(moments, "trace_table", table)
+    monkeypatch.setattr(moments_reference, "trace_table", table)
     return q
 
 
-def test_int64_guard_on_a_huge_table_entry(monkeypatch):
-    q = _huge_entry_set(monkeypatch, 2 ** 31)
-    with pytest.raises(BudgetExceeded):
-        _pair_sums(q)
-    with pytest.raises(BudgetExceeded):
-        _gram_data(q)
+def _never_fits(monkeypatch):
+    """Send every guarded op to the Python ints from now on."""
+    monkeypatch.setattr(cyclotomic, "fits_int64", lambda *args: False)
 
 
-def test_int64_guard_on_huge_gram_entries(monkeypatch):
+@pytest.mark.parametrize("entry", [2 ** 31, 2 ** 70])
+def test_huge_table_entry_is_computed_exactly(monkeypatch, entry):
+    # the pair sums of 2^31 * scale overflow int64, and 2^70 does not fit it
+    q = _huge_entry_set(monkeypatch, entry)
+    rows, scale = moments.trace_table(q)
+    s2, gram_data = _pair_sums(q), _gram_data(q)
+    assert s2[1] == scale
+    assert s2[0].tolist() == [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
+    cols = list(zip(*rows))
+    assert gram_data[0].tolist() == [[sum(a * b for a, b in zip(x, y)) for y in cols]
+                                     for x in cols]
+    reports = _reports(moments, q)
+    assert reports == _reports(moments_reference, q)
+    _never_fits(monkeypatch)
+    fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, elements=q.elements)
+    assert _pair_sums(fresh)[0].tolist() == s2[0].tolist()
+    gram, gscale, picked = _gram_data(fresh)
+    assert (gram.tolist(), gscale, picked) == (gram_data[0].tolist(), *gram_data[1:])
+    assert _reports(moments, fresh) == reports
+
+
+@pytest.mark.parametrize("entry,check", [
+    (2 ** 31, "check_lin_wig_condition"), (2 ** 21, "check_lin_jor_condition"),
+    (2 ** 32, "check_lin_wig_condition"), (2 ** 22, "check_lin_jor_condition"),
+    (2 ** 70, "check_lin_jor_condition"),
+])
+def test_huge_gram_entries_are_computed_exactly(monkeypatch, entry, check):
+    # 2^31 and 2^21 fail the bound of the quadratic and the cubic forms; with
+    # 2^32 and 2^22 one product alone reaches 2^64 and 2^66, so int64 would
+    # wrap; 2^70 does not fit int64 at all
     q = _huge_entry_set(monkeypatch, 0)
     gram, gscale, picked = _gram_data(q)
-    for entry, check in ((2 ** 31, check_lin_wig_condition),
-                         (2 ** 21, check_lin_jor_condition)):
-        # 2^21 passes the quadratic guards and fails the cubic F_3 one
-        huge = gram.copy()
-        huge[0, 0] = entry
-        monkeypatch.setattr(moments, "_gram_data", lambda q, g=huge: (g, gscale, picked))
-        with pytest.raises(BudgetExceeded):
-            check(q)
+    huge = gram.copy()
+    huge[0, 0] = entry
+    for module in (moments, moments_reference):
+        monkeypatch.setattr(module, "_gram_data", lambda q: (huge, gscale, picked))
+    report = getattr(moments, check)(q)
+    assert report == getattr(moments_reference, check)(q)
+    _never_fits(monkeypatch)
+    assert getattr(moments, check)(q) == report
 
 
 def test_lin_wig_condition_passes():
@@ -415,10 +440,19 @@ def test_table_kernels_match_reference_on_full_sets(q):
     assert _reports(moments, q) == _reports(moments_reference, q)
 
 
+def _brute_force_grams():
+    """The Grams of the (2,2) stabilizer states and the n = 2 rebits from the
+    traces of their projectors, as (codes, dtype, legend)."""
+    grams = [build_gram(p, projectors=p)
+             for p in (stabilizer_states(2, 2).projectors, real_clifford_orbit(2).projectors)]
+    return [(g.codes.tolist(), g.codes.dtype, g.legend) for g in grams]
+
+
 def test_python_int_path_gives_identical_reports(monkeypatch):
     sets = (stabilizer_operator_set(2, 2), stabilizer_operator_set(5, 1),
             rebit_operator_set(2), phase_point_operator_set(3, 1))
     expected = [_reports(moments, q) for q in sets]
+    grams = _brute_force_grams()
     calls = []
 
     def never_fits(*args):
@@ -431,6 +465,7 @@ def test_python_int_path_gives_identical_reports(monkeypatch):
     fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, elements=q.elements)
              for q in sets]
     assert [_reports(moments, q) for q in fresh] == expected
+    assert _brute_force_grams() == grams
     assert calls  # every guarded op took the Python-int branch
 
 

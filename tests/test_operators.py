@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabsym import cyclotomic
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
 from stabsym.clifford import real_clifford_orbit
-from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
+from stabsym.errors import InconsistentSigns, OddOnly
 from stabsym.operators import (
     GramMatrix,
     OpMatrix,
@@ -24,6 +25,7 @@ from stabsym.operators import (
     stab_projector_wigner,
     stabilizer_states,
     trace_pairs,
+    trace_product,
     weyl,
     weyl_mono,
 )
@@ -161,9 +163,13 @@ def test_phase_point_equals_the_defining_sum():
 
 
 def test_phase_point_mono_matches_dense():
+    # every odd-d A(a) against its defining sum, added up as monomials (each
+    # dense term is checked above)
     for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        weyls = {b: weyl_mono(d, n, b) for b in all_vectors(d, 2 * n)}
         for a in all_vectors(d, 2 * n):
-            assert phase_point_mono(d, n, a).to_matrix() == phase_point(d, n, a)
+            terms = [t.phase_shift(symplectic_form(a, b, d)) for b, t in weyls.items()]
+            assert phase_point_mono(d, n, a).to_matrix() == mono_sum(terms, Fraction(1, d ** n))
 
 
 def test_stab_projector_z_eigenprojector():
@@ -383,12 +389,15 @@ def rank_by_sorted_set(keys):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from((np.uint8, np.uint16, np.int64)), st.integers(0, 40),
+@given(st.sampled_from((np.uint8, np.uint16, np.int64, object)), st.integers(0, 40),
        st.sampled_from((1, 3, 15, 16, 17, 300)), st.integers(1, 9), st.data())
 def test_from_keys_ranks_like_the_sorted_set(dtype, low, span, size, data):
-    # spans below and above the table's width, gaps, and a nonzero lowest key
-    values = st.integers(low, min(low + span - 1, np.iinfo(dtype).max))
-    if np.dtype(dtype).kind == "i":
+    # spans below and above the table's width, gaps, and a nonzero lowest key;
+    # Python-int keys (object) beyond int64, as `trace_pairs` may return them
+    if np.dtype(dtype).kind == "u":
+        values = st.integers(low, min(low + span - 1, np.iinfo(dtype).max))
+    else:
+        low += 2 ** 64 if dtype is object else 0
         values = st.integers(low - span, low + span - 1)
     keys = np.array(data.draw(st.lists(values, min_size=size * size, max_size=size * size)),
                     dtype=dtype).reshape(size, size)
@@ -414,13 +423,18 @@ def test_mono_sum_equals_the_dense_sum():
             assert mono_sum(monos, Fraction(1, d ** n)) == acc.scale(Fraction(1, d ** n))
 
 
-def test_gram_bruteforce_int64_guard_counts_the_reduction():
+def test_gram_bruteforce_beyond_int64_is_exact(monkeypatch):
     # the scale 2^29 turns the entry 1 into 2^29: dim^2 * 2^58 = 2^60 products
     # fit int64, but each expands through the 4 * 4 coefficient pairs of the
-    # multiplication tensor mod Phi_12 (entries +-1): 4 * 16 * 2^58 >= 2^63
+    # multiplication tensor mod Phi_12 (entries +-1): 4 * 16 * 2^58 >= 2^63,
+    # so the traces are summed on the Python ints
     p = OpMatrix.from_rational(12, [[1, 0], [0, Fraction(1, 2 ** 29)]])
-    with pytest.raises(BudgetExceeded):
-        trace_pairs([p], [p])
+    ints, scale = trace_pairs([p], [p])
+    assert (ints.tolist(), scale) == ([[2 ** 58 + 1]], 2 ** 58)
+    assert Fraction(ints[0, 0], scale) == trace_product(p, p).as_fraction()
+    monkeypatch.setattr(cyclotomic, "fits_int64", lambda *args: False)
+    ints, scale = trace_pairs([p], [p])
+    assert (ints.tolist(), scale) == ([[2 ** 58 + 1]], 2 ** 58)
 
 
 def test_shifted_vertices_sum_to_zero_per_functional():

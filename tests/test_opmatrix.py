@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabsym.cyclotomic import CycNumber, GaloisMap, _field, galois_apply
-from stabsym.errors import fits_int64
+from stabsym.cyclotomic import CycNumber, GaloisMap, _field, fits_int64, galois_apply
 from stabsym.operators import OpMatrix, hs_inner, trace_product
 
 CONDUCTORS = (8, 12, 20)
