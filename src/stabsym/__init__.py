@@ -55,6 +55,7 @@ from .moments import (
 from .permgroup import PermGroup, schreier_sims
 from .symmetry import (
     gram_automorphisms,
+    predicted_generators,
     predicted_group,
     verify_Sf_machinery,
     verify_theorem1,

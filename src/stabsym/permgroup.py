@@ -1,12 +1,19 @@
-"""Permutation groups with a stabilizer chain (deterministic Schreier-Sims).
+"""Permutation groups with a stabilizer chain.
 
 Permutations are tuples p of length `degree` with p[i] = image of i; they
 compose as functions acting on the left: (p * q)(x) = p(q(x)).  Each level of
 the chain keeps the inverse of every coset representative beside it, so
-sifting and the Schreier generators compose with stored inverses and never
-invert (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  A complete
-chain moves to another base by sifting random elements of the group until
-the known order is reached (`PermGroup.rebased`, Seress 2003, section 5.4).
+sifting composes with stored inverses and never inverts (Seress, *Permutation
+Group Algorithms*, 2003, ch. 4).  A new strong generator extends each level's
+orbit incrementally, from the old points under the new generator and from
+the new points under every generator.
+
+Two ways build a chain.  `add_generator` (`from_generators`, `schreier_sims`)
+is deterministic Schreier-Sims: every Schreier generator is sifted, so the
+chain is complete.  `random_chain` sifts the generators and then random
+products of them (Seress 2003, section 4.3): the result is a chain of a
+subgroup of the generated group on a base of the caller's choosing, and it is
+complete only once a caller certifies its order.
 """
 
 from __future__ import annotations
@@ -16,6 +23,13 @@ import time
 from operator import itemgetter
 
 from .errors import SearchTimeout
+
+# `random_chain` stops after this many consecutive random elements sift to the
+# identity; its callers certify the chain, so the count affects speed only
+RANDOM_SIFT_STOP = 24
+# product-replacement state size (Celler, Leedham-Green, Murray, Niemeyer and
+# O'Brien, Comm. Algebra 23 (1995))
+_PRODUCT_SLOTS = 10
 
 
 def identity_perm(n):
@@ -48,6 +62,7 @@ class PermGroup:
         self.identity = identity_perm(degree)
         self.base = []
         self.level_gens = []  # level_gens[l]: generators stabilizing base[:l]
+        self.level_gen_inverses = []  # level_gen_inverses[l][i]: level_gens[l][i]^-1
         self.transversals = []  # transversals[l]: dict point -> coset rep u, u(base[l]) = point
         self.inverse_transversals = []  # inverse_transversals[l]: dict point -> u^-1
         self.generators = []  # the externally supplied generators
@@ -69,72 +84,116 @@ class PermGroup:
             grp.add_generator(g, deadline=deadline)
         return grp
 
-    def rebased(self, base, deadline=None):
-        """The same group on a chain whose base starts with `base`.
+    @classmethod
+    def random_chain(cls, gens, base, degree, deadline=None):
+        """A chain of a subgroup of <gens> on a base starting with `base`.
 
-        Draws uniformly random elements of this complete chain (one random
-        coset representative per level, multiplied u_0 * u_1 * ..., from
-        `random.Random(0)`), sifts each into the new chain and adds every
-        non-identity residue to the generators of every level up to the one
-        it sifted to, until the transversal sizes multiply to `self.order()`.
-        This is exact: for any chain the product of the transversal sizes is
-        at most |<S_0>| <= |G|, and equality forces <S_i> to be the full
-        stabilizer of base[:i] at every level.  `deadline`, a
-        `time.monotonic()` value checked once per drawn element, raises
-        `SearchTimeout` carrying the partial chain.
+        Sifts each generator, then product-replacement products of `gens`
+        (the "rattle" accumulator over `_PRODUCT_SLOTS` slots, drawn from
+        `random.Random(0)`), and adds every non-identity residue as a strong
+        generator, until `RANDOM_SIFT_STOP` consecutive elements sift to the
+        identity.  No Schreier generator is formed, so the chain may be
+        incomplete: its membership answers "yes" are sound, its orbits are
+        orbits of subgroups of the pointwise stabilizers, and it is complete
+        only once a caller certifies its order (the automorphism search does).
+        `deadline`, a `time.monotonic()` value checked once per drawn element,
+        raises `SearchTimeout` carrying the partial chain.
         """
-        grp = PermGroup(self.degree)
-        grp.generators = list(self.generators)
+        grp = cls(degree)
+        grp.generators = [tuple(g) for g in gens]
         for b in base:
             grp._append_base_point(b)
-        order, ident = self.order(), self.identity
-        reps = [list(trans.values()) for trans in self.transversals]
-        rng = random.Random(0)
-        while grp.order() < order:
+
+        def check_deadline():
             if deadline is not None and time.monotonic() >= deadline:
                 raise SearchTimeout("stabilizer chain deadline reached", partial=grp)
-            p = ident
-            for level in reps:
-                p = compose(p, rng.choice(level))
-            residue, l = grp._sift(p)
-            if residue != ident:
-                grp._add_strong_generator(residue, l)
+
+        for g in grp.generators:
+            check_deadline()
+            grp._add_residue(g)
+        if not grp.generators:
+            return grp
+        rng = random.Random(0)
+        slots = [grp.generators[i % len(grp.generators)]
+                 for i in range(max(_PRODUCT_SLOTS, len(grp.generators)))]
+        acc = grp.identity
+        identity_run = 0
+        while identity_run < RANDOM_SIFT_STOP:
+            check_deadline()
+            i, j = rng.sample(range(len(slots)), 2)
+            slots[i] = compose(slots[i], slots[j]) if rng.random() < 0.5 else compose(
+                slots[j], slots[i])
+            acc = compose(acc, slots[i])
+            identity_run = 0 if grp._add_residue(acc) else identity_run + 1
         return grp
+
+    def adjoin(self, g):
+        """Add g to the generators and its residue to the strong generators.
+
+        Orbits close under the residue, but no Schreier generator is formed:
+        the chain stays a chain of a subgroup of <generators> (as from
+        `random_chain`), complete only once a caller certifies its order.
+        """
+        g = tuple(g)
+        if len(g) != self.degree:
+            raise ValueError("degree mismatch")
+        self.generators.append(g)
+        self._add_residue(g)
 
     # -- chain maintenance -------------------------------------------------
     def _append_base_point(self, b):
         self.base.append(b)
         self.level_gens.append([])
+        self.level_gen_inverses.append([])
         self.transversals.append({b: self.identity})
         self.inverse_transversals.append({b: self.identity})
+
+    def _add_residue(self, p):
+        """Sift p and add a non-identity residue as a strong generator;
+        returns whether it did."""
+        residue, l = self._sift(p)
+        if residue == self.identity:
+            return False
+        self._add_strong_generator(residue, l)
+        return True
 
     def _add_strong_generator(self, residue, l):
         """Add a residue that sifted to level l (so it fixes base[:l]) to the
         generators of levels <= l; returns each level's new orbit points."""
         if l == len(self.base):
             self._append_base_point(next(i for i, x in enumerate(residue) if x != i))
-        for gens in self.level_gens[:l + 1]:
-            gens.append(residue)
-        return [self._rebuild_orbit(i) for i in range(l + 1)]
-
-    def _rebuild_orbit(self, l):
-        """BFS orbit of base[l] under level_gens[l]; returns new points."""
-        trans, invs = self.transversals[l], self.inverse_transversals[l]
-        queue = list(trans)
+        residue_inv = inverse(residue)
         new_points = []
+        for i in range(l + 1):
+            self.level_gens[i].append(residue)
+            self.level_gen_inverses[i].append(residue_inv)
+            new_points.append(self._extend_orbit(i))
+        return new_points
+
+    def _extend_orbit(self, l):
+        """Close level l's orbit after a generator joined it last: that
+        generator on every old point, then every generator on the new points.
+        Representatives extend as u_gamma = h * u_beta, with the stored
+        inverse u_gamma^-1 = u_beta^-1 * h^-1.  Returns the new points."""
+        trans, invs = self.transversals[l], self.inverse_transversals[l]
+        gens = list(zip(self.level_gens[l], self.level_gen_inverses[l]))
+        new_points = []
+
+        def reach(beta, h, h_inv):
+            gamma = h[beta]
+            if gamma not in trans:
+                trans[gamma] = compose(h, trans[beta])
+                invs[gamma] = compose(invs[beta], h_inv)
+                new_points.append(gamma)
+
+        for beta in list(trans):
+            reach(beta, *gens[-1])
         qi = 0
-        while qi < len(queue):
-            beta = queue[qi]
+        while qi < len(new_points):
+            beta = new_points[qi]
             qi += 1
-            u = trans[beta]
-            for g in self.level_gens[l]:
-                gamma = g[beta]
-                if gamma not in trans:
-                    u_gamma = compose(g, u)
-                    trans[gamma] = u_gamma
-                    invs[gamma] = inverse(u_gamma)
-                    queue.append(gamma)
-                    new_points.append(gamma)
+            for h, h_inv in gens:
+                reach(beta, h, h_inv)
         return new_points
 
     def _sift(self, p, start=0):

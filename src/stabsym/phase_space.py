@@ -335,19 +335,22 @@ def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
 
 def transform_labels(labels, matrix, a):
     """`transform_label` of every label: all reps mapped by one integer
-    product mod d, each Lagrangian mapped and reduced once, and each image
-    rep reduced against its mapped Lagrangian."""
+    product mod d, each Lagrangian mapped and reduced once, and every image
+    rep reduced against its mapped Lagrangian in one pass over the echelon
+    rows (row r of each label's image basis clears that row's pivot, as in
+    `Subspace.reduce`)."""
     d = labels[0].d
     reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a) % d
-    images = {}
-    out = []
-    for lab, rep in zip(labels, reps.tolist()):
-        new_L = images.get(lab.L)
-        if new_L is None:
-            new_rows = [matrix.apply(row) for row in lab.L.basis]
-            new_L = images[lab.L] = LagrangianSubspace.from_rows(new_rows, d)
-        out.append(StabilizerLabel.make(new_L, rep))
-    return out
+    slot = {}
+    which = [slot.setdefault(lab.L, len(slot)) for lab in labels]
+    images = [LagrangianSubspace.from_rows([matrix.apply(row) for row in L.basis], d)
+              for L in slot]
+    basis = np.array([L.basis for L in images])[which]  # (labels, n, 2n)
+    pivots = np.array([L.pivots for L in images])[which]  # (labels, n)
+    at = np.arange(len(labels))
+    for r in range(basis.shape[1]):
+        reps = (reps - reps[at, pivots[:, r], None] * basis[:, r]) % d
+    return [StabilizerLabel(L=images[k], rep=tuple(rep)) for k, rep in zip(which, reps.tolist())]
 
 
 def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:

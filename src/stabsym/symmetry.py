@@ -95,15 +95,28 @@ class AutomorphismSearch:
     leaf.  Such a node stops refining at the first round that departs from
     the path's trace.
 
-    Soundness: every emitted generator is re-verified against the color
-    matrix.  Completeness: the tree is exhausted under orbit pruning by the
-    already-found group (stabilizer-chain aligned with the search base) and
-    invariant-based pruning, both of which only discard branches that cannot
-    contain new generators.  The seeds are a certified chain (a `PermGroup`)
-    of known automorphisms.  Once the first path fixes the search base, the
-    seed chain moves onto that base by a base change (`PermGroup.rebased`),
-    which stops at the seeds' certified order; a chain of full order is a
-    complete base and strong generating set, so the orbit pruning is exact.
+    Soundness: the seeds and every emitted generator are verified against
+    the color matrix, so the chain holds automorphisms only.
+
+    Completeness, by the orbit-product certificate (the group order of nauty:
+    McKay & Piperno 2014).  Once the first path fixes the search base
+    b_0, ..., b_(m-1), the chain is `PermGroup.random_chain` of the seeds on
+    that base: a chain of a subgroup of <seeds>, possibly incomplete.  Each
+    level k of the chain acts with a subgroup of Aut_(b_0..b_(k-1)), the
+    pointwise stabilizer, so pruning by its orbits discards only vertices
+    with no automorphism to find or whose automorphisms the chain already
+    has, and a "yes" from its membership test is always sound.  A found
+    automorphism gamma outside the chain is `PermGroup.adjoin`ed: its residue
+    becomes a strong generator and the orbits close under it, with no
+    Schreier generators.  At depth k every vertex of the target cell is
+    either searched (an automorphism fixing b_0..b_(k-1) and taking b_k to
+    it is found whenever one exists) or lies in the chain's orbit of a
+    searched vertex, so once the tree is exhausted the level-k transversal is
+    the orbit of b_k under all of Aut_(b_0..b_(k-1)).  An automorphism
+    fixing the whole base fixes the discrete first leaf, hence is the
+    identity, so |Aut| is the product of the transversal sizes, `order()`.
+    That product is at most the order of the group the strong generators
+    generate, a subgroup of Aut; equality makes the chain complete.
     """
 
     def __init__(self, gram: GramMatrix, time_budget=None, seeds=None):
@@ -112,8 +125,8 @@ class AutomorphismSearch:
         self.m = gram.codes
         self.budget = default_time_budget() if time_budget is None else budget_seconds(time_budget)
         self.deadline = None
-        self.seeds = PermGroup(self.n) if seeds is None else seeds
-        for s in self.seeds.generators:
+        self.seeds = [tuple(int(x) for x in s) for s in (() if seeds is None else seeds)]
+        for s in self.seeds:
             if not self._is_automorphism(np.array(s, dtype=np.int64)):
                 raise Mismatch("seed permutation does not preserve the Gram", witness=s)
 
@@ -210,8 +223,10 @@ class AutomorphismSearch:
         self.path_invariants = {}
         self.chain = None
         self._dfs(np.zeros(self.n, dtype=np.int64), None, 0, True)
-        chain = self.chain if self.chain is not None else PermGroup(self.n)
-        for g in chain.generators:
+        if self.chain is None:  # a discrete root: the base is empty
+            self._grow_chain(0)
+        chain = self.chain
+        for g in chain.generators[len(self.seeds):]:
             if not self._is_automorphism(np.array(g, dtype=np.int64)):
                 raise Mismatch("search produced a non-automorphism", witness=g)
         return chain
@@ -221,16 +236,17 @@ class AutomorphismSearch:
                              partial=partial, nodes=self.nodes, depth=depth)
 
     def _grow_chain(self, depth, gamma=None):
-        """Rebase the seed chain onto the search base if there is no chain
-        yet, then add `gamma` to it; both run under the search deadline."""
-        try:
+        """Build the seeds' random chain on the search base if there is no
+        chain yet, under the search deadline, then adjoin `gamma` to it."""
+        if self.chain is None:
             # created only once the first path (and hence the base) is complete
-            if self.chain is None:
-                self.chain = self.seeds.rebased(self.base_seq, deadline=self.deadline)
-            if gamma is not None:
-                self.chain.add_generator(gamma, deadline=self.deadline)
-        except SearchTimeout as exc:
-            raise self._timeout(depth, exc.partial) from exc
+            try:
+                self.chain = PermGroup.random_chain(self.seeds, self.base_seq, self.n,
+                                                    deadline=self.deadline)
+            except SearchTimeout as exc:
+                raise self._timeout(depth, exc.partial) from exc
+        if gamma is not None:
+            self.chain.adjoin(gamma)
 
     def _dfs(self, labels, splitters, depth, on_path):
         self.nodes += 1
@@ -291,10 +307,10 @@ class AutomorphismSearch:
 def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=None) -> PermGroup:
     """The full, certified group of Gram-preserving state permutations.
 
-    Optional seeds are a certified chain of candidate automorphisms (e.g. a
-    predicted group); each of its generators is verified against the Gram
-    before the chain is used for known-group pruning, so soundness and
-    exhaustive-tree completeness are unaffected.
+    Optional seeds are a sequence of candidate automorphisms (e.g. a predicted
+    group's generators); each is verified against the Gram before the search
+    uses it.  The returned chain is complete; its `generators` are the seeds
+    followed by every automorphism the search found outside their chain.
     """
     return AutomorphismSearch(gram, time_budget=time_budget, seeds=seeds).run()
 
@@ -356,14 +372,15 @@ def variant_name(d, n, variant):
 
 
 @lru_cache(maxsize=None)
-def predicted_group(d, n, variant) -> PermGroup:
-    """Explicit permutation realization of the predicted symmetry group."""
+def predicted_generators(d, n, variant) -> tuple:
+    """Generators of the predicted symmetry group, as permutations of the
+    family's states (of the rebit orbit for "real_clifford")."""
     fam = stabilizer_states(d, n)
     if variant == "wreath":
         if n != 1:
             raise Unsupported("the wreath case is n = 1")
         gens = _wreath_generators(d, fam.size, basis_blocks(fam.labels))
-        return schreier_sims(gens, degree=fam.size)
+        return tuple(gens)
     if variant == "extended_clifford":
         if d != 2:
             raise Unsupported("the extended Clifford case is d = 2")
@@ -379,7 +396,7 @@ def predicted_group(d, n, variant) -> PermGroup:
             for u in transforms
         ]
         gens.append(_perm_from_matrix_action(fam.projectors, lambda p: p.transpose()))
-        return schreier_sims(gens, degree=fam.size)
+        return tuple(gens)
     if variant == "agsp":
         if d == 2:
             raise OddOnly("the AGSp label action requires odd d")
@@ -390,7 +407,7 @@ def predicted_group(d, n, variant) -> PermGroup:
         maps.append((k_alpha(d, n, primitive_root(d)), zero))
         maps += [(eye, tuple(1 if i == k else 0 for i in range(2 * n))) for k in range(2 * n)]
         gens = [tuple(index[lab] for lab in transform_labels(fam.labels, r, a)) for r, a in maps]
-        return schreier_sims(gens, degree=fam.size)
+        return tuple(gens)
     if variant == "real_clifford":
         if d != 2:
             raise Unsupported("the rebit states are d = 2")
@@ -399,8 +416,14 @@ def predicted_group(d, n, variant) -> PermGroup:
             _perm_from_matrix_action(orbit.projectors, lambda p, u=u: u @ p @ u.dagger())
             for _, u in real_clifford_generators(n)
         ]
-        return schreier_sims(gens, degree=orbit.size)
+        return tuple(gens)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+@lru_cache(maxsize=None)
+def predicted_group(d, n, variant) -> PermGroup:
+    """The predicted symmetry group's chain, by deterministic Schreier-Sims."""
+    return schreier_sims(predicted_generators(d, n, variant))
 
 
 @lru_cache(maxsize=None)
@@ -437,11 +460,15 @@ def basis_partition_preserved(perm, blocks) -> bool:
 def verify_theorem1(d, n, variant, time_budget=None):
     """Compare computed Gram automorphisms against the predicted group.
 
-    The predicted generators are passed to the search as seeds; they are
-    verified to preserve the Gram, and the exhausted search certifies that no
-    further automorphism exists.
+    The predicted generators S are passed to the search as seeds; they are
+    verified to preserve the Gram, and the exhausted search certifies the
+    order of its chain.  When the search found no automorphism outside the
+    seeds' random chain, every strong generator lies in <S> <= Aut, so
+    <S> = Aut and the certified order is the predicted order.  Otherwise the
+    deterministic Schreier-Sims chain of S decides, under what remains of the
+    time budget.
     """
-    predicted = predicted_group(d, n, variant)
+    gens = predicted_generators(d, n, variant)
     if variant == "real_clifford":
         gram = rebit_gram(n)
         labels = None
@@ -449,18 +476,32 @@ def verify_theorem1(d, n, variant, time_budget=None):
         fam = stabilizer_states(d, n)
         gram = fam.gram
         labels = fam.labels
-    computed = gram_automorphisms(gram, time_budget=time_budget, seeds=predicted)
+    budget = default_time_budget() if time_budget is None else budget_seconds(time_budget)
+    deadline = time.monotonic() + budget
+    computed = gram_automorphisms(gram, time_budget=budget, seeds=gens)
+    found = computed.generators[len(gens):]
+    if found:
+        try:
+            predicted = PermGroup.from_generators(gens, deadline=deadline)
+        except SearchTimeout as exc:
+            raise SearchTimeout(
+                f"time budget of {budget:g} s exhausted by the predicted group's chain",
+                partial=exc.partial) from exc
+        predicted_order = predicted.order()
+        missing_bwd = [g for g in found if not predicted.contains(g)]
+    else:
+        predicted_order = computed.order()
+        missing_bwd = []
+    missing_fwd = [g for g in gens if not computed.contains(g)]
     report = {
         "d": d,
         "n": n,
         "variant": variant,
         "predicted": variant_name(d, n, variant),
         "computed_order": computed.order(),
-        "predicted_order": predicted.order(),
+        "predicted_order": predicted_order,
     }
-    report["orders_match"] = computed.order() == predicted.order()
-    missing_fwd = [g for g in predicted.generators if not computed.contains(g)]
-    missing_bwd = [g for g in computed.generators if not predicted.contains(g)]
+    report["orders_match"] = computed.order() == predicted_order
     report["predicted_in_computed"] = not missing_fwd
     report["computed_in_predicted"] = not missing_bwd
     if n == 1 and labels is not None:

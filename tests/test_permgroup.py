@@ -203,19 +203,51 @@ def test_sift_skipping_fixed_base_points_gives_the_same_residue(case, data):
         assert group._sift(p) == sift_composing_every_level(group, p)
 
 
-@settings(max_examples=50, deadline=None)
-@given(generator_sets(), st.data(), st.lists(st.integers(0, 2), min_size=1, max_size=16))
-def test_rebased_chain_matches_sympy(case, data, word):
-    n, gens = case
-    base = data.draw(st.permutations(range(n)))
-    group = schreier_sims(gens, degree=n).rebased(base)
-    assert group.base == list(base)
-    assert group.order() == sympy_group(gens).order()
+def assert_chain_of_a_subgroup(group, gens, base):
+    """`group` is a chain of a subgroup of <gens> on a base starting with
+    `base`: prefix kept, stored inverses, strong generators in sympy's group,
+    an order dividing sympy's, and every generator a member."""
+    oracle = sympy_group(gens)
+    assert group.base[:len(base)] == list(base)
     assert_stored_inverses(group)
-    p = identity_perm(n)
-    for i in word:
-        p = compose(p, gens[i % len(gens)])
-    assert group.contains(p)
+    strong = group.level_gens[0] if group.level_gens else []
+    assert all(oracle.contains(Permutation(list(g))) for g in strong)
+    assert oracle.order() % group.order() == 0
+    assert all(group.contains(g) for g in gens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets(), st.data())
+def test_random_chain_is_a_chain_of_a_subgroup(case, data):
+    n, gens = case
+    base = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    assert_chain_of_a_subgroup(PermGroup.random_chain(gens, base, n), gens, base)
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets(), st.data())
+def test_adjoin_keeps_a_chain_of_a_subgroup(case, data):
+    # adjoining forms no Schreier generators: the chain stays a chain of a
+    # subgroup of its generators, now one holding the adjoined element
+    n, gens = case
+    group = PermGroup.random_chain(gens[:1], data.draw(st.permutations(range(n))), n)
+    for g in gens[1:]:
+        group.adjoin(g)
+    assert group.generators == [tuple(g) for g in gens]
+    assert_chain_of_a_subgroup(group, gens, [])
+
+
+def test_random_chain_stops_on_a_run_of_identity_sifts(monkeypatch):
+    import stabsym.permgroup
+
+    gens = [cycle(6, (0, 1)), cycle(6, tuple(range(6)))]
+    assert PermGroup.random_chain(gens, [0, 1], 6).order() == 720
+    # with a run length of 0 only the generators are sifted: their residues
+    # (0 1) and (1 2 3 4 5) give orbits of 6 and 5 points
+    monkeypatch.setattr(stabsym.permgroup, "RANDOM_SIFT_STOP", 0)
+    sifted = PermGroup.random_chain(gens, [0, 1], 6)
+    assert sifted.level_gens[0] == [cycle(6, (0, 1)), cycle(6, (1, 2, 3, 4, 5))]
+    assert sifted.order() == 30
 
 
 def test_stored_inverses_of_theorem1_groups():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from stabsym import operators
+from stabsym import operators, symmetry
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
 from stabsym.operators import GramMatrix, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
@@ -19,6 +19,7 @@ from stabsym.symmetry import (
     AutomorphismSearch,
     basis_partition_preserved,
     gram_automorphisms,
+    predicted_generators,
     predicted_group,
     rebit_gram,
     verify_Sf_machinery,
@@ -145,7 +146,7 @@ def test_seed_rejection():
     a, b = blocks[0][0], blocks[1][0]
     bad[a], bad[b] = bad[b], bad[a]
     with pytest.raises(Mismatch):
-        AutomorphismSearch(fam.gram, seeds=PermGroup.from_generators([bad]))
+        AutomorphismSearch(fam.gram, seeds=[bad])
 
 
 def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
@@ -158,7 +159,7 @@ def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
     monkeypatch.setattr(operators, "_projectors", unread)
     fam = stabilizer_states.__wrapped__(3, 1)
     for variant in ("wreath", "agsp"):
-        seeds = predicted_group.__wrapped__(3, 1, variant)
+        seeds = predicted_generators.__wrapped__(3, 1, variant)
         assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
     with pytest.raises(AssertionError, match="projectors of"):
         fam.projectors
@@ -185,14 +186,13 @@ def test_search_timeout_raises():
 
 
 def test_seed_chain_timeout_reports_progress(monkeypatch):
-    # the base change of the seed chain runs under the search deadline: with
-    # a chain clock past every deadline, the budget runs out while the seed
-    # chain is rebased, after the first path, and the search reports how far
-    # it got
+    # the seeds' random chain is built under the search deadline: with a
+    # chain clock past every deadline, the budget runs out while the chain is
+    # built, after the first path, and the search reports how far it got
     import stabsym.permgroup
 
     fam = stabilizer_states(3, 1)
-    seeds = predicted_group(3, 1, "wreath")
+    seeds = predicted_generators(3, 1, "wreath")
     monkeypatch.setattr(stabsym.permgroup, "time", SimpleNamespace(monotonic=lambda: math.inf))
     with pytest.raises(SearchTimeout) as info:
         gram_automorphisms(fam.gram, time_budget=600, seeds=seeds)
@@ -323,30 +323,154 @@ def test_many_colors_certify_exactly():
     assert gram_automorphisms(gram_of(colors)).order() == brute_force_order(colors) >= 2
 
 
+THEOREM1_CASES = [
+    (3, 2, "agsp"), (2, 1, "wreath"), (3, 1, "wreath"), (5, 1, "wreath"), (7, 1, "wreath"),
+    (2, 2, "extended_clifford"), (2, 2, "real_clifford"),
+]
+
+
+def theorem1_gram(d, n, variant):
+    return rebit_gram(n) if variant == "real_clifford" else stabilizer_states(d, n).gram
+
+
+def sympy_order(gens):
+    return PermutationGroup([Permutation(list(g)) for g in gens]).order()
+
+
 @pytest.mark.parametrize("d,n,variant", [
     (2, 1, "wreath"), (3, 1, "wreath"), (5, 1, "wreath"),
     (2, 2, "extended_clifford"), (3, 2, "agsp"), (2, 2, "real_clifford"),
 ])
 def test_known_order_chain_is_complete(d, n, variant):
-    # the base change stops once the new chain reaches the known order
-    full = predicted_group(d, n, variant)
-    gens = full.generators
-    hint = list(range(full.degree - 1, full.degree - 4, -1))
-    moved = full.rebased(hint)
+    # the random chain of the predicted generators on another base is a chain
+    # of a subgroup of their group; the chain the search certifies on its own
+    # base has their group's order and holds every deterministic strong
+    # generator, so it is complete
+    gens = predicted_generators(d, n, variant)
+    degree = len(gens[0])
+    hint = list(range(degree - 1, degree - 4, -1))
+    moved = PermGroup.random_chain(gens, hint, degree)
+    oracle = PermutationGroup([Permutation(list(g)) for g in gens])
     assert moved.base[:3] == hint
-    assert moved.order() == full.order()
-    assert all(moved.contains(g) for g in full.level_gens[0])
-    assert moved.order() == PermutationGroup([Permutation(list(g)) for g in gens]).order()
+    for level, b in enumerate(moved.base):
+        for point, u in moved.transversals[level].items():
+            assert u[b] == point
+            assert compose(moved.inverse_transversals[level][point], u) == moved.identity
+    assert all(oracle.contains(Permutation(list(g))) for g in moved.level_gens[0])
+    assert oracle.order() % moved.order() == 0
+    certified = gram_automorphisms(theorem1_gram(d, n, variant), seeds=gens)
+    assert certified.order() == oracle.order()
+    assert all(certified.contains(g) for g in predicted_group(d, n, variant).level_gens[0])
 
 
-def test_rebased_past_its_deadline_raises_with_a_partial_chain():
-    full = predicted_group(3, 1, "wreath")
+def test_random_chain_past_its_deadline_raises_with_a_partial_chain():
+    gens = predicted_generators(3, 1, "wreath")
     with pytest.raises(SearchTimeout) as info:
-        full.rebased([11, 10], deadline=time.monotonic() - 1)
+        PermGroup.random_chain(gens, [11, 10], len(gens[0]), deadline=time.monotonic() - 1)
     partial = info.value.partial
     assert partial is not None and partial.base == [11, 10]
-    assert partial.order() < full.order()
+    assert partial.order() < predicted_group(3, 1, "wreath").order()
     assert f"partial order {partial.order()}" in str(info.value)
+
+
+class NoSchreierSims(PermGroup):
+    @classmethod
+    def from_generators(cls, *args, **kwargs):
+        raise AssertionError("deterministic Schreier-Sims ran")
+
+
+@pytest.mark.parametrize("d,n,variant", THEOREM1_CASES)
+def test_search_certifies_the_seed_chain(d, n, variant, monkeypatch):
+    # the search finds no automorphism outside the seeds' random chain, so
+    # the certified order is the predicted order with no deterministic
+    # Schreier-Sims, and it is sympy's order for the predicted generators
+    gens = predicted_generators(d, n, variant)
+    want = sympy_order(gens)
+    chain = gram_automorphisms(theorem1_gram(d, n, variant), seeds=gens)
+    assert chain.generators == list(gens)  # nothing found
+    assert chain.order() == want
+    monkeypatch.setattr(symmetry, "PermGroup", NoSchreierSims)
+    report = verify_theorem1(d, n, variant)
+    assert report["computed_order"] == report["predicted_order"] == want
+    assert report["match"]
+
+
+@pytest.mark.parametrize("d,n,variant", [
+    (2, 1, "wreath"), (3, 1, "wreath"), (2, 2, "extended_clifford"), (3, 2, "agsp"),
+])
+def test_seed_prefixes_certify_the_full_order(d, n, variant):
+    # seeds generating a proper subgroup leave automorphisms to the search;
+    # the certified chain still has the full order
+    gens = predicted_generators(d, n, variant)
+    gram = theorem1_gram(d, n, variant)
+    want = predicted_group(d, n, variant).order()
+    for k in range(len(gens)):
+        chain = gram_automorphisms(gram, seeds=gens[:k])
+        assert chain.generators[:k] == list(gens[:k])
+        assert chain.order() == want
+
+
+@pytest.mark.parametrize("d,n,variant", [(3, 1, "wreath"), (2, 2, "extended_clifford")])
+def test_reports_do_not_depend_on_the_random_chain_stop(d, n, variant, monkeypatch):
+    import stabsym.permgroup
+
+    report = verify_theorem1(d, n, variant)
+    monkeypatch.setattr(stabsym.permgroup, "RANDOM_SIFT_STOP", 0)
+    gens = predicted_generators(d, n, variant)
+    chain = gram_automorphisms(theorem1_gram(d, n, variant), seeds=gens)
+    assert len(chain.generators) > len(gens)  # the fallback runs
+    assert verify_theorem1(d, n, variant) == report
+
+
+def proper_subgroup_generators(d, n, variant):
+    gens = predicted_generators(d, n, variant)
+    # (2,2) without the transpose; (3,1) without the outer block cycle
+    return gens[:-1]
+
+
+@pytest.mark.parametrize("d,n,variant", [(3, 1, "wreath"), (2, 2, "extended_clifford")])
+def test_a_too_small_prediction_is_a_mismatch(d, n, variant, monkeypatch):
+    gens = proper_subgroup_generators(d, n, variant)
+    assert sympy_order(gens) < predicted_group(d, n, variant).order()
+    monkeypatch.setattr(symmetry, "predicted_generators", lambda *args: gens)
+    with pytest.raises(Mismatch) as info:
+        verify_theorem1(d, n, variant)
+    witness = info.value.witness
+    assert witness is not None
+    assert not PermutationGroup([Permutation(list(g)) for g in gens]).contains(
+        Permutation(list(witness)))
+
+
+def test_the_fallback_chain_runs_under_the_budget(monkeypatch, capsys):
+    # when the search finds automorphisms outside the seeds' chain, the
+    # deterministic chain of the prediction gets what remains of the budget:
+    # with the chain clock past every deadline once the search is done, it
+    # stops and reports the partial order instead of running unbounded
+    import stabsym.permgroup
+    from stabsym.cli import main
+
+    gens = proper_subgroup_generators(3, 1, "wreath")
+    search = symmetry.gram_automorphisms
+
+    def search_then_expire(*args, **kwargs):
+        out = search(*args, **kwargs)
+        monkeypatch.setattr(stabsym.permgroup, "time",
+                            SimpleNamespace(monotonic=lambda: math.inf))
+        return out
+
+    monkeypatch.setattr(symmetry, "predicted_generators", lambda *args: gens)
+    monkeypatch.setattr(symmetry, "gram_automorphisms", search_then_expire)
+    with pytest.raises(SearchTimeout) as info:
+        verify_theorem1(3, 1, "wreath", time_budget=600)
+    partial = info.value.partial
+    assert partial is not None and partial.order() < sympy_order(gens)
+    assert str(info.value) == (f"time budget of 600 s exhausted by the predicted group's "
+                               f"chain (partial order {partial.order()})")
+    monkeypatch.setattr(stabsym.permgroup, "time", time)
+    assert main(["autgroup", "--d", "3", "--n", "1", "--budget-seconds", "600"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "budget exceeded: time budget of 600 s exhausted by the predicted group's chain "
+        "(partial order ")
 
 
 def test_wreath_decompose_identity_and_roundtrip():
