@@ -1,6 +1,6 @@
 """Symplectic and Clifford machinery: Sp(2n, d), similitudes, the faithful
 metaplectic section for single qudits, Galois-extended Clifford elements with
-their exact composition law, qubit gates and the real Clifford orbit."""
+their exact composition law, qubit gates as label maps and the rebit states."""
 
 from __future__ import annotations
 
@@ -20,9 +20,18 @@ from .cyclotomic import (
     sqrt_d,
 )
 from .errors import BudgetExceeded, OddOnly, WordDecompositionFailure
-from .operators import OpMatrix, phase_point, weyl, weyl_mono
+from .operators import OpMatrix, StateFamily, build_gram, phase_point, weyl, weyl_mono
 from .permgroup import PermGroup
-from .phase_space import all_vectors, symplectic_form, vec_add
+from .phase_space import (
+    LagrangianSubspace,
+    StabilizerLabel,
+    all_vectors,
+    enumerate_stabilizer_labels,
+    label_from_functional,
+    label_permutations,
+    symplectic_form,
+    vec_add,
+)
 from .zmod import ZModMatrix, inv_mod, invert, legendre, require_prime
 
 
@@ -382,51 +391,62 @@ def qubit_gate(n, name, i=0, j=1) -> OpMatrix:
     return OpMatrix(m, rows)
 
 
-def real_clifford_generators(n):
-    """The (name, matrix) generator list Z_i, H_i, CZ_ij of the real Clifford group."""
-    gens = []
-    for i in range(n):
-        gens.append((f"Z{i}", qubit_gate(n, "Z", i)))
-        gens.append((f"H{i}", qubit_gate(n, "H", i)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            gens.append((f"CZ{i}{j}", qubit_gate(n, "CZ", i, j)))
-    return gens
+def qubit_gate_action(n, name, i=0, j=1):
+    """The `transform_labels` map (S, 0, eta) with U T(b) U^dagger =
+    (-1)^eta(b) T(S b) for U = qubit_gate(n, name, i, j), name in H, S, Y, Z,
+    CZ: the tableau rules (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
+    rows = [list(r) for r in ZModMatrix.identity(2 * n, 2).rows]
+    x, z = i, n + i
+    if name == "H":  # X <-> Z, Y -> -Y
+        rows[x], rows[z] = rows[z], rows[x]
+        eta = lambda b: b[x] * b[z]
+    elif name == "S":  # X -> Y, Y -> -X
+        rows[z][x] = 1
+        eta = lambda b: b[x] * b[z]
+    elif name in ("Y", "Z"):  # Z flips X; Y flips X and Z
+        eta = lambda b: (b[x] + (name == "Y") * b[z]) % 2
+    elif name == "CZ":  # X_i -> X_i Z_j, X_j -> Z_i X_j
+        rows[n + j][x] = rows[z][j] = 1
+        eta = lambda b: b[x] * b[j] * (b[z] + b[n + j]) % 2
+    else:
+        raise ValueError(name)
+    return ZModMatrix(rows, 2), (0,) * (2 * n), eta
+
+
+def transpose_action(n):
+    """The label map of transposition: T(b)^T = (-1)^(b_X.b_Z) T(b)."""
+    return (ZModMatrix.identity(2 * n, 2), (0,) * (2 * n),
+            lambda b: sum(x * z for x, z in zip(b[:n], b[n:])) % 2)
 
 
 @dataclass(frozen=True)
-class RealCliffordOrbit:
-    """BFS closure of |0...0><0...0| under the real Clifford generators."""
+class RealCliffordOrbit(StateFamily):
+    """The rebit states: the orbit of |0...0> under the real Clifford gates
+    Z_i, H_i, CZ_ij, in breadth-first order, with each gate's permutation."""
 
-    n: int
-    projectors: tuple
-    generator_names: tuple
-
-    @property
-    def size(self):
-        return len(self.projectors)
+    generators: tuple
 
 
 @lru_cache(maxsize=None)
 def real_clifford_orbit(n) -> RealCliffordOrbit:
     if n > 3:
         raise BudgetExceeded("rebit orbit supported for n <= 3")
-    m = conductor_for(2)
-    dim = 2 ** n
-    start = OpMatrix.from_rational(m, [[int(i == j == 0) for j in range(dim)] for i in range(dim)])
-    gens = real_clifford_generators(n)
-    seen = {start: None}
+    labels = enumerate_stabilizer_labels(2, n)
+    gates = [(g, i) for i in range(n) for g in ("Z", "H")]
+    gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]
+    perms = label_permutations(labels, [qubit_gate_action(n, *g) for g in gates])
+    z_basis = LagrangianSubspace.from_rows(ZModMatrix.identity(2 * n, 2).rows[n:], 2)
+    start = labels.index(StabilizerLabel.make(z_basis, (0,) * (2 * n)))
+    seen = {start: 0}
     queue = [start]
-    while queue:
-        p = queue.pop(0)
-        for _, g in gens:
-            q = g @ p @ g.dagger()
-            if q not in seen:
-                seen[q] = None
-                queue.append(q)
-    return RealCliffordOrbit(
-        n=n, projectors=tuple(seen), generator_names=tuple(name for name, _ in gens)
-    )
+    for p in queue:
+        for perm in perms:
+            if perm[p] not in seen:
+                seen[perm[p]] = len(seen)
+                queue.append(perm[p])
+    orbit = tuple(labels[p] for p in seen)
+    gens = tuple(tuple(seen[perm[p]] for p in seen) for perm in perms)
+    return RealCliffordOrbit(d=2, n=n, labels=orbit, gram=build_gram(orbit), generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -435,30 +455,22 @@ def real_clifford_orbit(n) -> RealCliffordOrbit:
 _XYZ_VECTORS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
-def _single_qubit_states_xyz():
-    """The 6 qubit states ordered as (basis, eigenvalue index): X+, X-, Y+, Y-, Z+, Z-."""
-    from .operators import stab_projector_qubit
-    from .phase_space import LagrangianSubspace
-
-    out = []
-    for basis in ("X", "Y", "Z"):
-        L = LagrangianSubspace.from_rows([_XYZ_VECTORS[basis]], 2)
-        for sign in (1, -1):
-            out.append(((basis, 0 if sign == 1 else 1), stab_projector_qubit(L, (sign,))))
-    return out
-
-
 def wreath_decompose_table():
     """Induced wreath coordinates of the five standard generators at d=2, n=1.
 
     Each row reports the basis permutation sigma and, per source basis B, the
-    within-basis map applied as B leaves: 'e' (identity) or 't' (transposition).
+    within-basis map applied as B leaves: 'e' (identity) or 't' (transposition),
+    read off the labels of X+, X-, Y+, Y-, Z+, Z- keyed (basis, eigenvalue index).
     """
-    states = _single_qubit_states_xyz()
-    index = {p: key for key, p in states}
+    keys = [(basis, k) for basis in ("X", "Y", "Z") for k in (0, 1)]
+    labels = [label_from_functional(LagrangianSubspace.from_rows([_XYZ_VECTORS[basis]], 2), (k,))
+              for basis, k in keys]
+    names = ("Y", "Z", "H", "S")
+    perms = label_permutations(labels, [transpose_action(1)]
+                               + [qubit_gate_action(1, name) for name in names])
 
-    def decompose(transform):
-        mapping = {key: index[transform(p)] for key, p in states}
+    def decompose(perm):
+        mapping = {key: keys[image] for key, image in zip(keys, perm)}
         outer = {}
         inner = {}
         for basis in ("X", "Y", "Z"):
@@ -469,12 +481,8 @@ def wreath_decompose_table():
             inner[basis] = "e" if (img0[1], img1[1]) == (0, 1) else "t"
         return {"outer": outer, "inner": inner}
 
-    rows = {}
-    rows["complex_conjugation"] = decompose(lambda p: p.transpose())
-    for name in ("Y", "Z", "H", "S"):
-        u = qubit_gate(1, name, 0)
-        rows[f"conjugation_by_{name}"] = decompose(lambda p, u=u: u @ p @ u.dagger())
-    return rows
+    rows = {f"conjugation_by_{name}": decompose(perm) for name, perm in zip(names, perms[1:])}
+    return {"complex_conjugation": decompose(perms[0]), **rows}
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@ point operators A(a), stabilizer projectors and their Gram data."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -22,16 +21,14 @@ from .cyclotomic import (
 )
 from .errors import BudgetExceeded, InconsistentSigns, OddOnly
 from .phase_space import (
-    LagrangianSubspace,
     StabilizerLabel,
     Subspace,
     all_vectors,
-    enumerate_lagrangians,
     enumerate_stabilizer_labels,
-    subspace_intersection,
+    sign_bits,
     symplectic_form,
 )
-from .zmod import require_prime
+from .zmod import null_space, require_prime
 
 
 class OpMatrix:
@@ -381,11 +378,11 @@ def phase_point_mono(d, n, a) -> Mono:
 
 @lru_cache(maxsize=8192)
 def stab_projector(label: StabilizerLabel) -> OpMatrix:
-    """Pi_L^g = d^-n sum_{b in L} omega^(g(b)) T(b) for odd d."""
-    d, n = label.d, label.n
-    if d == 2:
-        raise OddOnly("use stab_projector_qubit for d = 2")
-    terms = [weyl_mono(d, n, b).phase_shift(label.functional(b)) for b in label.L.points()]
+    """Pi_L^g = d^-n sum_{b in L} omega^(g(b) + c_L(b)) T(b) (`StabilizerLabel`)."""
+    d, n, signs = label.d, label.n, sign_bits(label.L)
+    step = 2 if d == 2 else 1  # omega = zeta^step for the monomials' zeta (i at d = 2)
+    terms = [weyl_mono(d, n, b).phase_shift(step * (label.functional(b) + c))
+             for b, c in signs.items()]
     return mono_sum(terms, Fraction(1, d ** n))
 
 
@@ -433,71 +430,58 @@ def stab_projector_qubit(L: Subspace, signs) -> OpMatrix:
     return mono_sum(group.values(), Fraction(1, dim))
 
 
-@dataclass(frozen=True)
-class QubitStabState:
-    """A qubit stabilizer state named by (Lagrangian, basis sign tuple)."""
-
-    L: LagrangianSubspace
-    signs: tuple
-
-    def sort_key(self):
-        return (self.L.basis, self.signs)
-
-
-@lru_cache(maxsize=None)
-def enumerate_qubit_states(n):
-    """All valid (L, signs) pairs for d = 2, sorted: 6 for n=1, 60 for n=2."""
-    out = []
-    for L in enumerate_lagrangians(2, n):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(QubitStabState(L, signs))
-    out.sort(key=QubitStabState.sort_key)
-    return tuple(out)
-
-
 @lru_cache(maxsize=1024)
 def _pair_table(lags):
-    """For Lagrangians lags of one (d, n), per pair (L_i, L_j): dim(L_i ∩ L_j)
-    as dims[i, j], and J b_t = (b_Z, -b_X) for the canonical basis b_t of
-    L_i ∩ L_j as jb[i, j, t], padded with zero rows to n, so that
-    [a, b_t] = a . J b_t.  Both arrays are read-only: the table is cached.
-    Lagrangians of different (d, n) raise ValueError (`subspace_intersection`)."""
+    """For Lagrangians lags of one (d, n) (else ValueError), per pair
+    (L_i, L_j): dim(L_i ∩ L_j) as dims[i, j], J b_t = (b_Z, -b_X) for a basis
+    b_t of L_i ∩ L_j (one for both orders) as jb[i, j, t], padded with zero
+    rows to n, so that [a, b_t] = a . J b_t, and c_(L_i)(b_t) as signs[i, j, t]
+    (`sign_bits`); read-only, as the table is cached.  L_j is its own
+    symplectic complement, so k . basis(L_i) lies in L_j iff
+    pairing[i][j] k = 0, pairing[i][j][s][r] = [b_r(L_i), b_s(L_j)]."""
     d, n = lags[0].d, lags[0].ambient // 2
+    if any((L.d, L.ambient) != (d, 2 * n) for L in lags):
+        raise ValueError("mismatched ambient spaces")
     dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
     jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
-    for i, a in enumerate(lags):
+    signs = np.zeros((len(lags),) * 2 + (n,), dtype=np.uint8)
+    bits = [sign_bits(L) for L in lags]
+    basis = np.array([L.basis for L in lags])  # (lags, n, 2n)
+    jbasis = np.concatenate([basis[..., n:], -basis[..., :n] % d], axis=2)
+    pairing = (np.einsum("irk,jsk->ijsr", basis, jbasis) % d).tolist()
+    for i in range(len(lags)):
         for j in range(i, len(lags)):
-            inter = subspace_intersection(a, lags[j])
-            dims[i, j] = dims[j, i] = inter.dim
-            for t, b in enumerate(inter.basis):
+            kernel = null_space(pairing[i][j], n, d)
+            dims[i, j] = dims[j, i] = len(kernel)
+            for t, k in enumerate(kernel):
+                b = tuple((np.dot(k, basis[i]) % d).tolist())
                 jb[i, j, t] = jb[j, i, t] = b[n:] + tuple((-x) % d for x in b[:n])
-    dims.flags.writeable = jb.flags.writeable = False
-    return dims, jb
+                if d == 2:  # c_L is 0 at odd d
+                    signs[i, j, t], signs[j, i, t] = bits[i][b], bits[j][b]
+    dims.flags.writeable = jb.flags.writeable = signs.flags.writeable = False
+    return dims, jb, signs
 
 
 def closed_form_gram(labels) -> GramMatrix:
-    """The Gram of the odd-d stabilizer labels: tr(Pi_x Pi_y) =
-    d^(dim(L∩M) - n) if the functionals [x, .] and [y, .] agree on L∩M,
-    else 0.
+    """The Gram of stabilizer labels: tr(Pi_x Pi_y) = d^(dim(L∩M) - n) if
+    the characters chi_x and chi_y (`StabilizerLabel`) agree on L∩M, else 0.
 
     The intersections depend only on the pair of Lagrangians (`_pair_table`).
-    forms[x, j, t] = [rep_x, b_t(L_x ∩ L_j)] mod d, and by bilinearity entry
-    (x, y) is nonzero iff forms[x, L_y] == forms[y, L_x].  Each form sums 2n
-    products of residues below d, so it is computed exactly in the smallest
-    unsigned dtype that holds 2n (d - 1)^2.  Entry (x, y) is code 0 (value 0)
-    or 1 + dim(L_x ∩ L_y), and the n + 2 values increase with the code.
+    forms[x, j, t] = chi_x(b_t(L_x ∩ L_j)) mod d, and as each chi is a
+    character, entry (x, y) is nonzero iff forms[x, L_y] == forms[y, L_x].
+    Each form sums 2n products of residues below d and a sign bit, exactly in
+    the smallest unsigned dtype that holds 2n (d - 1)^2 + 1.  Entry (x, y) is
+    code 0 (value 0) or 1 + dim(L_x ∩ L_y); the n + 2 values increase with it.
     """
     labels = tuple(labels)
     d, n = labels[0].d, labels[0].n
-    if d == 2:
-        raise OddOnly("qubit Gram entries come from brute force")
     lags = tuple(dict.fromkeys(lab.L for lab in labels))
-    dims, jb = _pair_table(lags)
+    dims, jb, signs = _pair_table(lags)
     where = {L: i for i, L in enumerate(lags)}
     li = np.array([where[lab.L] for lab in labels])
     reps = np.array([lab.rep for lab in labels], dtype=jb.dtype)
-    acc = np.min_scalar_type(2 * n * (d - 1) ** 2)
-    forms = np.einsum("xa,xjta->xjt", reps, jb[li], dtype=acc) % d
+    acc = np.min_scalar_type(2 * n * (d - 1) ** 2 + 1)
+    forms = (np.einsum("xa,xjta->xjt", reps, jb[li], dtype=acc) + signs[li]) % d
     pair = forms[:, li]  # pair[x, y] = [rep_x, basis of L_x ∩ L_y]
     agree = (pair == pair.transpose(1, 0, 2)).all(axis=2)
     codes = np.where(agree, dims[li][:, li] + 1, 0)
@@ -506,7 +490,7 @@ def closed_form_gram(labels) -> GramMatrix:
 
 
 def gram_closed_form(x: StabilizerLabel, y: StabilizerLabel) -> Fraction:
-    """tr(Pi_x Pi_y) = d^(dim(L∩M) - n) * [g and h agree on L∩M], d odd:
+    """tr(Pi_x Pi_y) = d^(dim(L∩M) - n) * [chi_x and chi_y agree on L∩M]:
     `closed_form_gram` of the pair."""
     return closed_form_gram((x, y)).values[0][1]
 
@@ -573,9 +557,8 @@ class GramMatrix:
 def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
     """Gram matrix of a state family.
 
-    Odd-d stabilizer labels use the closed form; anything else (qubit states,
-    rebit projectors) uses the pairwise traces `trace_pairs` of the supplied
-    projector matrices.
+    Stabilizer labels use the closed form; given `projectors`, the Gram is
+    their pairwise traces `trace_pairs`, the brute force.
     """
     states = tuple(states)
     size = len(states)
@@ -595,7 +578,7 @@ def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
 @dataclass(frozen=True)
 class StateFamily:
     """A finite family of stabilizer states: labels, Gram data, and the exact
-    projectors, which an odd-d family builds on first access."""
+    projectors, built (`stab_projector`) when first read."""
 
     d: int
     n: int
@@ -606,17 +589,9 @@ class StateFamily:
     def size(self):
         return len(self.labels)
 
-    @property
+    @cached_property
     def projectors(self):
-        return _projectors(self.d, self.n)
-
-
-@lru_cache(maxsize=None)
-def _projectors(d, n):
-    """The stabilizer projectors of (d, n), in the order of their labels."""
-    if d == 2:
-        return tuple(stab_projector_qubit(s.L, s.signs) for s in enumerate_qubit_states(n))
-    return tuple(map(stab_projector, enumerate_stabilizer_labels(d, n)))
+        return tuple(map(stab_projector, self.labels))
 
 
 def coefficient_stack(mats):
@@ -653,13 +628,10 @@ def trace_pairs(left, right):
 @lru_cache(maxsize=None)
 def stabilizer_states(d, n) -> StateFamily:
     """The full stabilizer-state family for (d, n) and its Gram; the exact
-    projectors of an odd-d family are built when first read."""
+    projectors are built when first read."""
     require_prime(d)
-    if d == 2:
-        # the brute-force Gram reads the projectors, so they are built here
-        labels = enumerate_qubit_states(n)
-        gram = build_gram(labels, projectors=_projectors(d, n))
-    else:
-        labels = enumerate_stabilizer_labels(d, n)
-        gram = build_gram(labels)
-    return StateFamily(d=d, n=n, labels=labels, gram=gram)
+    labels = enumerate_stabilizer_labels(d, n)
+    if d == 2:  # by Lagrangian, then by the signs (-1)^[rep, b_i] of its basis stabilizers
+        labels = tuple(sorted(labels, key=lambda x: (x.L.basis,
+                                                     [-x.functional(b) for b in x.L.basis])))
+    return StateFamily(d=d, n=n, labels=labels, gram=build_gram(labels))

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceeded
-from .zmod import require_prime, rref_rows, solve_rows
+from .zmod import invert, null_space, require_prime, rref_rows, solve_rows
 
 MAX_POINTS = 4096  # default cap on d^{2n} for enumerations
 
@@ -113,15 +113,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.from_rows([], d, ambient=a.ambient)
     # left kernel of the stacked matrix [A; -B]: rows w with w[:k] A = w[k:] B
     stacked = list(a.basis) + [tuple((-x) % d for x in row) for row in b.basis]
-    cols = list(zip(*stacked))  # transpose: ambient rows, k+l cols
-    ech, pivots, rank = rref_rows(cols, d)
-    free = [j for j in range(len(stacked)) if j not in pivots]
     gens = []
-    for j in free:
-        w = [0] * len(stacked)
-        w[j] = 1
-        for row, p in zip(ech, pivots):
-            w[p] = (-row[j]) % d
+    for w in null_space(list(zip(*stacked)), len(stacked), d):
         vec = [0] * a.ambient
         for c, row in zip(w[: a.dim], a.basis):
             if c:
@@ -146,6 +139,23 @@ class LagrangianSubspace(Subspace):
                 if symplectic_form(u, v, d):
                     raise ValueError("form does not vanish on the span")
         return cls(basis=sub.basis, d=d, ambient=sub.ambient)
+
+
+@lru_cache(maxsize=None)
+def sign_bits(L: LagrangianSubspace) -> dict:
+    """c_L(b) at every b = sum k_i b_i in L (k_i is b at the i-th pivot):
+    prod_{k_i = 1} T(b_i) = (-1)^c_L(b) T(b), b_i the canonical basis.  At d = 2
+    T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`): X^(x_k) passes
+    Z^(z_l) with (-1)^(x_k.z_l), and Z^(b_Z) X^(b_X) = i^(b_X.b_Z) T(b)."""
+    out = dict.fromkeys(L.points(), 0)
+    if L.d != 2:  # T(a) T(b) = T(a + b) when [a, b] = 0
+        return out
+    n = L.ambient // 2
+    for b in out:
+        rows = np.array([row for row, p in zip(L.basis, L.pivots) if b[p]]).reshape(-1, 2 * n)
+        xz = rows[:, :n] @ rows[:, n:].T  # xz[k, l] = x_k . z_l
+        out[b] = int(np.dot(b[:n], b[n:]) - np.trace(xz) + 2 * np.triu(xz, 1).sum()) % 4 // 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,8 @@ class AffineSubspace:
 class StabilizerLabel:
     """A Lagrangian L plus the canonical coset representative of L + a.
 
-    The representative encodes the functional g(b) = [a, b] on L.
+    The representative encodes the functional g(b) = [a, b] on L.  The state
+    is d^-n sum_{b in L} omega^chi(b) T(b), chi = g + c_L (`sign_bits`).
     """
 
     L: LagrangianSubspace
@@ -333,24 +344,43 @@ def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
     return StabilizerLabel.make(new_L, new_rep)
 
 
-def transform_labels(labels, matrix, a):
+def transform_labels(labels, matrix, a, eta=None):
     """`transform_label` of every label: all reps mapped by one integer
     product mod d, each Lagrangian mapped and reduced once, and every image
     rep reduced against its mapped Lagrangian in one pass over the echelon
     rows (row r of each label's image basis clears that row's pivot, as in
-    `Subspace.reduce`)."""
+    `Subspace.reduce`).
+
+    With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
+    symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
+    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L."""
     d = labels[0].d
-    reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a) % d
     slot = {}
     which = [slot.setdefault(lab.L, len(slot)) for lab in labels]
-    images = [LagrangianSubspace.from_rows([matrix.apply(row) for row in L.basis], d)
-              for L in slot]
-    basis = np.array([L.basis for L in images])[which]  # (labels, n, 2n)
+    mapped = np.array([L.basis for L in slot]) @ np.array(matrix.rows).T % d
+    images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
+    basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
+    shifts = np.zeros((len(slot), matrix.ncols), dtype=np.int64)
+    if eta is not None:
+        pre = (basis @ np.array(invert(matrix).rows).T % d).tolist()
+        for k, (L, image) in enumerate(zip(slot, images)):
+            values = [sign_bits(L)[b] + eta(b) for b in map(tuple, pre[k])]
+            shifts[k] = label_from_functional(image, values).rep
+    reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
+            + shifts[which]) % d
+    basis = basis[which]  # (labels, n, 2n)
     pivots = np.array([L.pivots for L in images])[which]  # (labels, n)
     at = np.arange(len(labels))
     for r in range(basis.shape[1]):
         reps = (reps - reps[at, pivots[:, r], None] * basis[:, r]) % d
     return [StabilizerLabel(L=images[k], rep=tuple(rep)) for k, rep in zip(which, reps.tolist())]
+
+
+def label_permutations(labels, maps):
+    """The permutation of `labels` by each `transform_labels` map
+    (matrix, a[, eta]); every image must be one of the labels."""
+    index = {lab: k for k, lab in enumerate(labels)}
+    return [tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
 
 
 def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:

@@ -16,10 +16,10 @@ import numpy as np
 from .clifford import (
     k_alpha,
     primitive_root,
-    qubit_gate,
+    qubit_gate_action,
     real_clifford_orbit,
-    real_clifford_generators,
     sp_generators,
+    transpose_action,
 )
 from .errors import Mismatch, NotBasisPreserving, OddOnly, SearchTimeout, Unsupported
 from .operators import (
@@ -36,7 +36,7 @@ from .phase_space import (
     all_vectors,
     basis_blocks,
     enumerate_lagrangians,
-    transform_labels,
+    label_permutations,
 )
 from .zmod import ZModMatrix
 
@@ -212,7 +212,7 @@ class AutomorphismSearch:
         return order
 
     def _is_automorphism(self, g):
-        return bool(np.array_equal(self.m[np.ix_(g, g)], self.m))
+        return bool(np.array_equal(self.m.take(g, 0).take(g, 1), self.m))
 
     # -- search ------------------------------------------------------------
     def run(self) -> PermGroup:
@@ -318,11 +318,6 @@ def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=None) -> PermGr
 # ---------------------------------------------------------------------------
 # Predicted groups for the four cases
 
-def _perm_from_matrix_action(projectors, transform):
-    index = {p: i for i, p in enumerate(projectors)}
-    return tuple(index[transform(p)] for p in projectors)
-
-
 def _wreath_generators(d, n_labels, blocks):
     """Wreath generators on labels grouped into contiguous equal blocks."""
     nblocks = len(blocks)
@@ -384,39 +379,23 @@ def predicted_generators(d, n, variant) -> tuple:
     if variant == "extended_clifford":
         if d != 2:
             raise Unsupported("the extended Clifford case is d = 2")
-        transforms = []
-        for i in range(n):
-            transforms.append(qubit_gate(n, "H", i))
-            transforms.append(qubit_gate(n, "S", i))
-        for i in range(n):
-            for j in range(i + 1, n):
-                transforms.append(qubit_gate(n, "CZ", i, j))
-        gens = [
-            _perm_from_matrix_action(fam.projectors, lambda p, u=u: u @ p @ u.dagger())
-            for u in transforms
-        ]
-        gens.append(_perm_from_matrix_action(fam.projectors, lambda p: p.transpose()))
-        return tuple(gens)
+        gates = [(g, i) for i in range(n) for g in ("H", "S")]
+        gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]
+        actions = [qubit_gate_action(n, *g) for g in gates] + [transpose_action(n)]
+        return tuple(label_permutations(fam.labels, actions))
     if variant == "agsp":
         if d == 2:
             raise OddOnly("the AGSp label action requires odd d")
-        index = {lab: i for i, lab in enumerate(fam.labels)}
         zero = (0,) * (2 * n)
         eye = ZModMatrix.identity(2 * n, d)
         maps = [(s, zero) for s in sp_generators(d, n)]
         maps.append((k_alpha(d, n, primitive_root(d)), zero))
         maps += [(eye, tuple(1 if i == k else 0 for i in range(2 * n))) for k in range(2 * n)]
-        gens = [tuple(index[lab] for lab in transform_labels(fam.labels, r, a)) for r, a in maps]
-        return tuple(gens)
+        return tuple(label_permutations(fam.labels, maps))
     if variant == "real_clifford":
         if d != 2:
             raise Unsupported("the rebit states are d = 2")
-        orbit = real_clifford_orbit(n)
-        gens = [
-            _perm_from_matrix_action(orbit.projectors, lambda p, u=u: u @ p @ u.dagger())
-            for _, u in real_clifford_generators(n)
-        ]
-        return tuple(gens)
+        return real_clifford_orbit(n).generators
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -426,10 +405,8 @@ def predicted_group(d, n, variant) -> PermGroup:
     return schreier_sims(predicted_generators(d, n, variant))
 
 
-@lru_cache(maxsize=None)
 def rebit_gram(n) -> GramMatrix:
-    orbit = real_clifford_orbit(n)
-    return build_gram(orbit.projectors, projectors=orbit.projectors)
+    return real_clifford_orbit(n).gram
 
 
 def family_gram(which, d, n) -> GramMatrix:

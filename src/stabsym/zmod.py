@@ -129,6 +129,19 @@ def rref_rows(rows, d: int):
     return [tuple(row) for row in rows[:r]], tuple(pivots), r
 
 
+def null_space(rows, ncols: int, d: int):
+    """A basis of {k : r . k = 0 over Z_d for every row r}."""
+    ech, pivots, _ = rref_rows(rows, d)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        k = [0] * ncols
+        k[f] = 1
+        for row, p in zip(ech, pivots):
+            k[p] = (-row[f]) % d
+        out.append(k)
+    return out
+
+
 def solve_rows(a_rows, b, d: int):
     """One solution x of A x = b over Z_d, or None if inconsistent."""
     nrows = len(a_rows)

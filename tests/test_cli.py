@@ -244,9 +244,9 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [["gram", "--d", "2", "--n", "3"],
                                   ["autgroup", "--d", "2", "--n", "3"]], ids=_argv_id)
 def test_qubit_n3_goldens_replay(capsys, tmp_path, argv):
-    # opt-in (`-m slow`): the 1 080 three-qubit states, the largest
-    # brute-force Gram (`trace_pairs` of the projectors); recorded before
-    # that Gram ran through the guarded kernel
+    # opt-in (`-m slow`): the 1 080 three-qubit states, recorded from the
+    # brute-force Gram (`trace_pairs` of the projectors) before the d = 2
+    # Gram became the closed form on labels
     replay(capsys, tmp_path, *argv)
 
 

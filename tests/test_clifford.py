@@ -14,12 +14,14 @@ from stabsym.clifford import (
     matrix_point_perm,
     metaplectic,
     qubit_gate,
+    qubit_gate_action,
     real_clifford_orbit,
     similitude_multiplier,
     sl2_elements,
     sp_generators,
     sp_order,
     sp_order_formula,
+    transpose_action,
     transvection,
     wreath_decompose_table,
 )
@@ -33,8 +35,10 @@ from stabsym.cyclotomic import (
     tau,
 )
 from stabsym.errors import OddOnly, WordDecompositionFailure
-from stabsym.operators import OpMatrix, phase_point, weyl
-from stabsym.phase_space import all_vectors, vec_add
+from stabsym.operators import OpMatrix, phase_point, stab_projector, stabilizer_states, weyl
+from stabsym.phase_space import all_vectors, transform_labels, vec_add
+
+from dense_oracles import dense_real_clifford_orbit, real_gates
 from stabsym.zmod import ZModMatrix, inv_mod, legendre
 
 
@@ -362,28 +366,57 @@ def test_real_orbit_n1():
 
 
 def test_real_orbit_closure():
-    from stabsym.clifford import real_clifford_generators
-
     for n in (1, 2):
         orbit = real_clifford_orbit(n)
         members = set(orbit.projectors)
-        for _, g in real_clifford_generators(n):
+        for gate in real_gates(n):
+            g = qubit_gate(n, *gate)
             for p in orbit.projectors:
                 assert g @ p @ g.dagger() in members
+            assert set(transform_labels(orbit.labels, *qubit_gate_action(n, *gate))) == set(
+                orbit.labels)
 
 
 def test_real_orbit_n2_matches_rational_filter():
     # independent enumeration: qubit stabilizer projectors with all-rational entries
-    from stabsym.operators import enumerate_qubit_states, stab_projector_qubit
-
     orbit = real_clifford_orbit(2)
     rational = []
-    for st in enumerate_qubit_states(2):
-        p = stab_projector_qubit(st.L, st.signs)
+    for lab in stabilizer_states(2, 2).labels:
+        p = stab_projector(lab)
         if all(x.is_rational() for row in p.rows for x in row):
             rational.append(p)
     assert orbit.size == len(rational)
     assert set(orbit.projectors) == set(rational)
+    # the real states are those whose Lagrangian holds no odd number of Y factors
+    real = {lab for lab in stabilizer_states(2, 2).labels
+            if all(sum(b[k] * b[2 + k] for k in range(2)) % 2 == 0 for b in lab.L.points())}
+    assert set(orbit.labels) == real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_orbit_is_the_dense_breadth_first_orbit(n):
+    # the same states in the same order: 4, 24 and 240 of them
+    orbit = real_clifford_orbit(n)
+    assert orbit.size == (4, 24, 240)[n - 1]
+    assert orbit.projectors == dense_real_clifford_orbit(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_label_maps_match_dense_conjugation_on_every_pauli(n):
+    # U T(b) U^dagger = (-1)^eta(b) T(S b) on all 4^n Paulis, and
+    # T(b)^T = (-1)^eta(b) T(b)
+    gates = [(g, i) for g in ("H", "S", "Y", "Z") for i in range(n)]
+    gates += [("CZ", 0, 1)] if n == 2 else []
+    for gate in gates:
+        s, a, eta = qubit_gate_action(n, *gate)
+        assert a == (0,) * (2 * n)
+        u = qubit_gate(n, *gate)
+        for b in all_vectors(2, 2 * n):
+            image = weyl(2, n, s.apply(b))
+            assert u @ weyl(2, n, b) @ u.dagger() == (-image if eta(b) else image), (gate, b)
+    s, a, eta = transpose_action(n)
+    for b in all_vectors(2, 2 * n):
+        assert weyl(2, n, b).transpose() == (-weyl(2, n, b) if eta(b) else weyl(2, n, b))
 
 
 def test_wreath_table_of_standard_generators():

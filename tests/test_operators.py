@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 from stabsym import cyclotomic
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
 from stabsym.clifford import real_clifford_orbit
-from stabsym.errors import InconsistentSigns, OddOnly
+from stabsym.errors import InconsistentSigns
 from stabsym.operators import (
     GramMatrix,
     OpMatrix,
     build_gram,
-    enumerate_qubit_states,
     gram_closed_form,
     hs_inner,
     mono_sum,
@@ -35,12 +35,16 @@ from stabsym.phase_space import (
     all_vectors,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
+    label_from_functional,
+    sign_bits,
     subspace_intersection,
     symplectic_form,
     vec_add,
     vec_sub,
 )
 from stabsym.symmetry import rebit_gram
+
+from dense_oracles import dense_real_clifford_orbit
 
 
 def _rand_vec(rng, d, n):
@@ -205,10 +209,30 @@ def test_projector_forms_agree_d3_n2_all():
         assert stab_projector(lab) == stab_projector_wigner(lab)
 
 
-def test_stab_projector_rejects_qubits():
-    qubit_label = enumerate_stabilizer_labels(2, 1)[0]
-    with pytest.raises(OddOnly):
-        stab_projector(qubit_label)
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_sign_bits_are_the_phases_of_basis_products(d, n):
+    # prod_i T(b_i)^(k_i) = (-1)^c_L(b) T(b) for b = sum k_i b_i, with the
+    # monomials' own products; at odd d the product is T(b) exactly
+    for L in enumerate_lagrangians(d, n):
+        signs = sign_bits(L)
+        assert set(signs) == set(L.points())
+        for b, c in signs.items():
+            prod = weyl_mono(d, n, (0,) * (2 * n))
+            for row, p in zip(L.basis, L.pivots):
+                for _ in range(b[p]):
+                    prod = prod @ weyl_mono(d, n, row)
+            assert c in ((0, 1) if d == 2 else (0,))
+            assert prod == weyl_mono(d, n, b).phase_shift(2 * c)
+
+
+def test_stab_projector_covers_qubits():
+    # the label (L, rep) with [rep, b_i] = 1 where the sign of b_i is -1 is
+    # the qubit state with those basis stabilizer signs
+    for n in (1, 2):
+        for L in enumerate_lagrangians(2, n):
+            for signs in itertools.product((1, -1), repeat=n):
+                label = label_from_functional(L, [(1 - s) // 2 for s in signs])
+                assert stab_projector(label) == stab_projector_qubit(L, signs)
 
 
 def test_qubit_projector_z_state():
@@ -221,9 +245,9 @@ def test_qubit_projector_z_state():
 
 def test_qubit_state_counts_and_validity():
     for n, count in ((1, 6), (2, 60)):
-        states = enumerate_qubit_states(n)
+        states = stabilizer_states(2, n).labels
         assert len(states) == count
-        projs = [stab_projector_qubit(s.L, s.signs) for s in states]
+        projs = [stab_projector(s) for s in states]
         assert len(set(projs)) == count
         for pi in projs[: 12 if n == 2 else 6]:
             assert pi.trace() == CycNumber.one(pi.m)
@@ -302,7 +326,7 @@ def test_closed_form_gram_equals_the_entry_loop(d):
 
 @st.composite
 def label_pairs(draw):
-    d, n = draw(st.sampled_from([(5, 1), (3, 2)]))
+    d, n = draw(st.sampled_from([(5, 1), (3, 2), (2, 2), (2, 3)]))
     lags = enumerate_lagrangians(d, n)
     first = draw(st.sampled_from(lags))
     # one pair in three shares its Lagrangian, where distinct labels are orthogonal
@@ -337,17 +361,28 @@ def test_gram_d3_n2_value_set():
 
 
 def test_gram_bruteforce_tensor_matches_closed_form_sample():
-    for d, n in ((3, 1), (5, 1), (7, 1), (3, 2)):
+    # (2,3) is the `slow` golden replay of `gram --d 2 --n 3`
+    for d, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)):
         fam = stabilizer_states(d, n)
         brute = build_gram(fam.labels, projectors=fam.projectors)
         assert brute.values == fam.gram.values
         # equal values over sorted legends of the values that occur: equal codes
         assert brute.legend == fam.gram.legend
         assert np.array_equal(brute.codes, fam.gram.codes)
-    # qubits and rebits have no closed form: the Hilbert-Schmidt loop is the reference
+    # the brute force itself against the Hilbert-Schmidt loop, for qubits and rebits
     for projs in (stabilizer_states(2, 2).projectors, real_clifford_orbit(1).projectors):
         loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)
         assert build_gram(projs, projectors=projs).values == loop
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rebit_closed_form_gram_equals_brute_force(n):
+    # the dense breadth-first orbit: the same states in the same order
+    dense = dense_real_clifford_orbit(n)
+    brute = build_gram(dense, projectors=dense)
+    gram = rebit_gram(n)
+    assert brute.values == gram.values
+    assert brute.legend == gram.legend and np.array_equal(brute.codes, gram.codes)
 
 
 def _gram_families():

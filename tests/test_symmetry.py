@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from stabsym import operators, symmetry
+from stabsym.clifford import qubit_gate, qubit_gate_action, real_clifford_orbit, transpose_action
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
 from stabsym.operators import GramMatrix, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
-from stabsym.phase_space import all_vectors, basis_blocks
+from stabsym.phase_space import all_vectors, basis_blocks, label_permutations
 from stabsym.symmetry import (
     AutomorphismSearch,
     basis_partition_preserved,
@@ -26,6 +27,14 @@ from stabsym.symmetry import (
     verify_theorem1,
     wreath_decompose,
     wreath_recompose,
+)
+
+from dense_oracles import (
+    conjugation,
+    dense_real_clifford_orbit,
+    extended_clifford_perms,
+    perm_from_matrix_action,
+    real_gates,
 )
 
 
@@ -93,22 +102,40 @@ def test_predicted_agsp_order_31():
 def test_transpose_adds_factor_two_at_22():
     # the extended Clifford group is twice the Clifford conjugation group
     fam = stabilizer_states(2, 2)
-    from stabsym.symmetry import _perm_from_matrix_action
-    from stabsym.clifford import qubit_gate
-
-    transforms = []
-    for i in range(2):
-        transforms.append(qubit_gate(2, "H", i))
-        transforms.append(qubit_gate(2, "S", i))
-    transforms.append(qubit_gate(2, "CZ", 0, 1))
-    gens = [
-        _perm_from_matrix_action(fam.projectors, lambda p, u=u: u @ p @ u.dagger())
-        for u in transforms
-    ]
+    actions = [qubit_gate_action(2, g, i) for i in range(2) for g in ("H", "S")]
+    actions.append(qubit_gate_action(2, "CZ", 0, 1))
+    gens = label_permutations(fam.labels, actions)
     unitary_part = schreier_sims(gens, degree=fam.size)
     assert unitary_part.order() == 11520
-    transpose_perm = _perm_from_matrix_action(fam.projectors, lambda p: p.transpose())
+    transpose_perm = label_permutations(fam.labels, [transpose_action(2)])[0]
     assert not unitary_part.contains(transpose_perm)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_label_generators_match_dense_conjugation(n):
+    # the extended Clifford generators on the qubit states, and the real
+    # Clifford generators on the rebits, read off the conjugated projectors
+    fam = stabilizer_states(2, n)
+    dense = extended_clifford_perms(n, fam.projectors)
+    assert predicted_generators(2, n, "extended_clifford") == tuple(dense)
+    rebits = dense_real_clifford_orbit(n)
+    dense = [perm_from_matrix_action(rebits, conjugation(qubit_gate(n, *g))) for g in real_gates(n)]
+    assert predicted_generators(2, n, "real_clifford") == tuple(dense)
+
+
+def test_qubit_cases_build_without_dense_kernels(monkeypatch):
+    # the d = 2 Gram is the closed form, not `trace_pairs` of projectors, and
+    # no generator conjugates a matrix
+    def dense(*args):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(operators, "trace_pairs", dense)
+    monkeypatch.setattr(operators.OpMatrix, "__matmul__", dense)
+    fam = stabilizer_states.__wrapped__(2, 2)
+    assert fam.gram.values == stabilizer_states(2, 2).gram.values
+    assert real_clifford_orbit.__wrapped__(2).gram.values == rebit_gram(2).values
+    for variant in ("extended_clifford", "real_clifford"):
+        assert predicted_generators.__wrapped__(2, 2, variant) == predicted_generators(2, 2, variant)
 
 
 def test_verify_theorem1_case1():
@@ -150,21 +177,22 @@ def test_seed_rejection():
 
 
 def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
-    # odd-d families build their projectors on first access, and the labels
-    # and the Gram are all that Theorem 1 reads; qubit families build them
-    # with their brute-force Gram
-    def unread(d, n):
-        raise AssertionError(f"projectors of {(d, n)} read")
+    # families build their projectors on first access, and the labels and
+    # the Gram are all that Theorem 1 reads, at odd d and, with the closed
+    # form, at d = 2 too
+    def unread(label):
+        raise AssertionError(f"projector of {label} read")
 
-    monkeypatch.setattr(operators, "_projectors", unread)
+    monkeypatch.setattr(operators, "stab_projector", unread)
     fam = stabilizer_states.__wrapped__(3, 1)
     for variant in ("wreath", "agsp"):
         seeds = predicted_generators.__wrapped__(3, 1, variant)
         assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
-    with pytest.raises(AssertionError, match="projectors of"):
+    with pytest.raises(AssertionError, match="projector of"):
         fam.projectors
-    with pytest.raises(AssertionError, match="projectors of"):
-        stabilizer_states.__wrapped__(2, 1)
+    qubits = stabilizer_states.__wrapped__(2, 1)
+    seeds = predicted_generators.__wrapped__(2, 1, "extended_clifford")
+    assert gram_automorphisms(qubits.gram, seeds=seeds).order() == 48
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -1])
