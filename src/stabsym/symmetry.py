@@ -370,6 +370,10 @@ def variant_name(d, n, variant):
 def predicted_generators(d, n, variant) -> tuple:
     """Generators of the predicted symmetry group, as permutations of the
     family's states (of the rebit orbit for "real_clifford")."""
+    if variant == "real_clifford":
+        if d != 2:
+            raise Unsupported("the rebit states are d = 2")
+        return real_clifford_orbit(n).generators
     fam = stabilizer_states(d, n)
     if variant == "wreath":
         if n != 1:
@@ -392,10 +396,6 @@ def predicted_generators(d, n, variant) -> tuple:
         maps.append((k_alpha(d, n, primitive_root(d)), zero))
         maps += [(eye, tuple(1 if i == k else 0 for i in range(2 * n))) for k in range(2 * n)]
         return tuple(label_permutations(fam.labels, maps))
-    if variant == "real_clifford":
-        if d != 2:
-            raise Unsupported("the rebit states are d = 2")
-        return real_clifford_orbit(n).generators
     raise ValueError(f"unknown variant {variant!r}")
 
 
