@@ -26,7 +26,6 @@ from .operators import (
     hs_inner,
     phase_point,
     stab_projector,
-    stab_projector_qubit,
     stabilizer_states,
     weyl,
 )

@@ -14,13 +14,10 @@ from .cyclotomic import (
     GaloisMap,
     conductor_for,
     gauss_sum,
-    iunit,
-    omega,
     root_of_unity,
-    sqrt_d,
 )
 from .errors import BudgetExceeded, OddOnly, WordDecompositionFailure
-from .operators import OpMatrix, StateFamily, build_gram, phase_point, weyl, weyl_mono
+from .operators import OpMatrix, StateFamily, build_gram, phase_point_mono, weyl, weyl_mono
 from .permgroup import PermGroup
 from .phase_space import (
     LagrangianSubspace,
@@ -178,11 +175,17 @@ def _gauss_sum_inverse(d):
 
 def metaplectic(d, s) -> OpMatrix:
     """The canonical unitary U_S with U_S T(b) U_S^dagger = T(Sb) exactly,
-    multiplicative in S (n = 1, odd d), from the closed form above."""
+    multiplicative in S (n = 1, odd d), from the closed form above; S a
+    `ZModMatrix` or its rows, cached per (d, S mod d)."""
     if d == 2:
         raise OddOnly("the metaplectic section needs odd d")
-    rows = s.rows if isinstance(s, ZModMatrix) else tuple(map(tuple, s))
-    (a, b), (c, e) = ((x % d for x in row) for row in rows)
+    rows = s.rows if isinstance(s, ZModMatrix) else s
+    return _metaplectic(d, tuple(tuple(x % d for x in row) for row in rows))
+
+
+@lru_cache(maxsize=1024)  # all of SL(2, d) up to d = 7
+def _metaplectic(d, rows) -> OpMatrix:
+    (a, b), (c, e) = rows
     if (a * e - b * c) % d != 1:
         raise WordDecompositionFailure(f"{rows} is not in SL(2, {d})")
     m = conductor_for(d)
@@ -304,10 +307,10 @@ class ExtCliffordElement:
         return GaloisMap(self.alpha % self.d, self.d)
 
     def matrix(self) -> OpMatrix:
-        """The linear part omega^mu T(a) U_S as an exact matrix."""
+        """The linear part omega^mu T(a) U_S as an exact matrix: the
+        monomial omega^mu T(a) times the cached U_S, one product."""
         d = self.d
-        u = weyl(d, 1, self.a) @ metaplectic(d, self.S)
-        return u.scale(omega(d) ** (self.mu % d))
+        return weyl_mono(d, 1, self.a).phase_shift(self.mu).to_matrix() @ metaplectic(d, self.S)
 
     def forget(self) -> AffineSimilitude:
         """The induced affine similitude (a, S, alpha) on phase space."""
@@ -320,13 +323,6 @@ class ExtCliffordElement:
             "S": [list(r) for r in self.S.rows],
             "alpha": self.alpha % self.d,
         }
-
-
-def ext_apply(e: ExtCliffordElement, m: OpMatrix) -> OpMatrix:
-    """Adjoint action rho -> (M C_alpha) rho (M C_alpha)^{-1} with M = e.matrix()."""
-    gal = e.galois()
-    u = e.matrix()
-    return u @ m.entrywise_galois(gal) @ u.dagger()
 
 
 def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElement:
@@ -352,49 +348,11 @@ def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElem
 # ---------------------------------------------------------------------------
 # Qubit gates, the real Clifford group and the rebit orbit
 
-def _bit(q, i, n):
-    return (q >> (n - 1 - i)) & 1
-
-
-@lru_cache(maxsize=None)
-def qubit_gate(n, name, i=0, j=1) -> OpMatrix:
-    """H/S/Z/X/Y on qubit i, or CZ on qubits (i, j), of an n-qubit register."""
-    m = conductor_for(2)
-    dim = 2 ** n
-    one, zero = CycNumber.one(m), CycNumber.zero(m)
-    iu = iunit(2)
-    if name == "CZ":
-        rows = [[zero] * dim for _ in range(dim)]
-        for q in range(dim):
-            rows[q][q] = -one if _bit(q, i, n) and _bit(q, j, n) else one
-        return OpMatrix(m, rows)
-    if name == "H":
-        r = sqrt_d(2).inverse()
-        local = ((r, r), (r, -r))
-    elif name == "S":
-        local = ((one, zero), (zero, iu))
-    elif name == "Z":
-        local = ((one, zero), (zero, -one))
-    elif name == "X":
-        local = ((zero, one), (one, zero))
-    elif name == "Y":
-        local = ((zero, -iu), (iu, zero))
-    else:
-        raise ValueError(name)
-    rows = [[zero] * dim for _ in range(dim)]
-    for q in range(dim):
-        for bi in (0, 1):
-            val = local[bi][_bit(q, i, n)]
-            if not val.is_zero():
-                q2 = (q & ~(1 << (n - 1 - i))) | (bi << (n - 1 - i))
-                rows[q2][q] = val
-    return OpMatrix(m, rows)
-
-
 def qubit_gate_action(n, name, i=0, j=1):
     """The `transform_labels` map (S, 0, eta) with U T(b) U^dagger =
-    (-1)^eta(b) T(S b) for U = qubit_gate(n, name, i, j), name in H, S, Y, Z,
-    CZ: the tableau rules (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
+    (-1)^eta(b) T(S b) for the gate U = name on qubit i (CZ on qubits i and
+    j) of an n-qubit register, name in H, S, Y, Z, CZ: the tableau rules
+    (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
     rows = [list(r) for r in ZModMatrix.identity(2 * n, 2).rows]
     x, z = i, n + i
     if name == "H":  # X <-> Z, Y -> -Y
@@ -568,9 +526,9 @@ def verify_clifford_laws(d, n, seed, samples):
             "pass": all(composes(rand_ext(), rand_ext()) for _ in range(samples))}
 
         def galois_acts(alpha, x):
-            e = ExtCliffordElement(mu=0, a=(0, 0), S=ZModMatrix.identity(2, d), alpha=alpha)
-            ka = k_alpha(d, 1, alpha)
-            return ext_apply(e, phase_point(d, 1, x)) == phase_point(d, 1, ka.apply(x))
+            # C_alpha with U = 1 acts on the monomial A(x) alone
+            image = phase_point_mono(d, 1, x).galois(GaloisMap(alpha, d))
+            return image == phase_point_mono(d, 1, k_alpha(d, 1, alpha).apply(x))
 
         checks["galois_action_on_phase_points"] = {
             "pass": all(galois_acts(alpha, x) for alpha in range(2, d) for x in all_vectors(d, 2))}

@@ -25,8 +25,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .clifford import real_clifford_orbit
-from .cyclotomic import CycNumber, _exact, _field
-from .errors import StabsymError, Unsupported
+from .cyclotomic import CycNumber, _exact, _field, conductor_for
+from .errors import BudgetExceeded, StabsymError, Unsupported
 from .operators import (
     OpMatrix,
     coefficient_stack,
@@ -40,7 +40,7 @@ from .operators import (
     trace_product,
     weyl_mono,
 )
-from .phase_space import all_vectors
+from .phase_space import all_vectors, enumerate_stabilizer_labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +67,24 @@ class OperatorSet:
         return self.elements[0].m
 
 
+TABLE_BUDGET = 100_000_000  # entries the Hermitian trace table may gather, as `build_gram`'s
+
+
+def check_table_budget(d, n, size):
+    """Refuse (BudgetExceeded) a set of `size` operators at (d, n) whose
+    Hermitian trace table would gather more than TABLE_BUDGET entries: one
+    per set element, basis element, column and power-basis coefficient
+    (`operators.mono_traces`), so a set is refused before its dense matrices
+    are built."""
+    entries = size * d ** (3 * n) * _field(conductor_for(d)).deg
+    if entries > TABLE_BUDGET:
+        raise BudgetExceeded(f"the trace table of {size} operators at (d, n) = ({d}, {n}) "
+                             f"gathers {entries} entries, over the budget of {TABLE_BUDGET}")
+
+
 @lru_cache(maxsize=None)
 def stabilizer_operator_set(d, n) -> OperatorSet:
+    check_table_budget(d, n, len(enumerate_stabilizer_labels(d, n)))
     fam = stabilizer_states(d, n)
     return OperatorSet(name=f"stabilizer({d},{n})", d=d, n=n, elements=fam.projectors)
 
@@ -76,11 +92,13 @@ def stabilizer_operator_set(d, n) -> OperatorSet:
 @lru_cache(maxsize=None)
 def rebit_operator_set(n) -> OperatorSet:
     orbit = real_clifford_orbit(n)
+    check_table_budget(2, n, orbit.size)
     return OperatorSet(name=f"rebit({n})", d=2, n=n, elements=orbit.projectors)
 
 
 @lru_cache(maxsize=None)
 def phase_point_operator_set(d, n) -> OperatorSet:
+    check_table_budget(d, n, d ** (2 * n))
     return OperatorSet(name=f"phase_points({d},{n})", d=d, n=n,
                        elements=tuple(phase_point(d, n, a) for a in sorted(all_vectors(d, 2 * n))))
 

@@ -348,8 +348,7 @@ def transform_labels(labels, matrix, a, eta=None):
     """`transform_label` of every label: all reps mapped by one integer
     product mod d, each Lagrangian mapped and reduced once, and every image
     rep reduced against its mapped Lagrangian in one pass over the echelon
-    rows (row r of each label's image basis clears that row's pivot, as in
-    `Subspace.reduce`).
+    rows (`reduce_reps`).
 
     With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
     symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
@@ -368,12 +367,18 @@ def transform_labels(labels, matrix, a, eta=None):
             shifts[k] = label_from_functional(image, values).rep
     reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
             + shifts[which]) % d
-    basis = basis[which]  # (labels, n, 2n)
-    pivots = np.array([L.pivots for L in images])[which]  # (labels, n)
-    at = np.arange(len(labels))
-    for r in range(basis.shape[1]):
-        reps = (reps - reps[at, pivots[:, r], None] * basis[:, r]) % d
+    reps = reduce_reps(reps, basis[which], np.array([L.pivots for L in images])[which], d)
     return [StabilizerLabel(L=images[k], rep=tuple(rep)) for k, rep in zip(which, reps.tolist())]
+
+
+def reduce_reps(reps, basis, pivots, d):
+    """`Subspace.reduce` of every reps[..., :] against the echelon basis
+    basis[..., n, 2n] with pivot columns pivots[..., n], broadcast over the
+    leading axes: row r of each basis clears that row's pivot."""
+    for r in range(basis.shape[-2]):
+        at = np.broadcast_to(pivots[..., r, None], reps.shape[:-1] + (1,))
+        reps = (reps - np.take_along_axis(reps, at, -1) * basis[..., r, :]) % d
+    return reps
 
 
 def label_permutations(labels, maps):

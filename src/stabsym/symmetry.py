@@ -9,6 +9,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -22,21 +23,14 @@ from .clifford import (
     transpose_action,
 )
 from .errors import Mismatch, NotBasisPreserving, OddOnly, SearchTimeout, Unsupported
-from .operators import (
-    GramMatrix,
-    OpMatrix,
-    phase_point,
-    stab_projector,
-    stabilizer_states,
-    build_gram,
-)
+from .operators import GramMatrix, character_keys, stabilizer_states
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
-    StabilizerLabel,
     all_vectors,
     basis_blocks,
     enumerate_lagrangians,
     label_permutations,
+    reduce_reps,
 )
 from .zmod import ZModMatrix
 
@@ -541,33 +535,84 @@ def wreath_recompose(sigma, inners, d):
 # ---------------------------------------------------------------------------
 # The S_f sum rule
 
-def verify_Sf_machinery(d, n, b):
-    """Build S_{[b,.]}, check pairwise non-orthogonality and the sum rule
-    sum Pi = C (1 + A(b)) with C independent of b."""
+def sf_checks(lags, reps, bs):
+    """The S_f checks of the families given by reps (B, lags, 2n), the
+    family of bs[k] (B, 2n) being the label (lags[l], reps[k, l]) of every
+    Lagrangian l, as arrays over k: (pairwise non-orthogonal, the trace
+    t = tr sum_l Pi, sum_l Pi = C (1 + A(b)) with C = t / (d^n + 1)).
+
+    Pi_(L,rep) = d^-n sum_{v in L} omega^[rep,v] T(v) (`stab_projector`, odd
+    d) and A(b) = d^-n sum_v omega^[b,v] T(v) (`phase_point`).  The T(v) are
+    a basis, so the rule holds iff it holds in every coefficient: d^n times
+    that of T(v) is sum_k hist[v, k] omega^k on the left, hist[v, k] the
+    number of l with v in L_l and [rep_l, v] = k, and C (d^n [v = 0] +
+    omega^[b,v]) on the right.  For prime d, sum_k h_k omega^k = 0 iff h is
+    constant in k.  So t is rational iff hist[0, 1:] is constant, and the
+    rule holds iff (d^n + 1) hist[v] - t (d^n [v = 0] e_0 + e_[b,v]) is
+    constant in k for every v, in integers.  Non-orthogonality is the closed
+    form on each family (`character_keys`): every two characters agree on
+    the intersection of their Lagrangians.
+    """
+    d, n = lags[0].d, lags[0].ambient // 2
+    dim, size = d ** n, d ** (2 * n)
+
+    def pairing(a, v):  # [a, v] mod d = a . (v_Z, -v_X)
+        return np.einsum("...a,...a", a, np.concatenate([v[..., n:], -v[..., :n]], -1)) % d
+
+    points = np.array([L.points() for L in lags])  # (lags, d^n, 2n)
+    where = points @ d ** np.arange(2 * n - 1, -1, -1)  # index in all_vectors order
+    chi = pairing(reps[:, :, None], points)  # (B, lags, d^n)
+    at = (np.arange(len(bs))[:, None, None] * size + where) * d + chi
+    hist = np.bincount(at.ravel(), minlength=len(bs) * size * d).reshape(len(bs), size, d)
+    zero = hist[:, 0]  # tr T(v) = d^n [v = 0]: the trace is sum_k zero[k] omega^k
+    trace = zero[:, 0] - zero[:, 1]
+    expected = np.zeros_like(hist)
+    vectors = np.array(list(all_vectors(d, 2 * n)))
+    np.put_along_axis(expected, pairing(bs[:, None], vectors)[..., None], 1, axis=2)
+    expected[:, 0, 0] += dim
+    diff = (dim + 1) * hist - trace[:, None, None] * expected
+    holds = ((zero[:, 1:] == zero[:, 1:2]).all(1) & (trace > 0)
+             & (diff == diff[..., :1]).all(axis=(1, 2)))
+    keys = character_keys(lags, np.arange(len(lags)), reps)  # (B, lags, lags)
+    nonorth = (keys == keys.transpose(0, 2, 1)).all(axis=(1, 2))
+    return nonorth, trace, holds
+
+
+_SF_CHUNK = 1 << 22  # histogram and key entries per `sf_checks` call
+
+
+def _sf_families(d, n, bs):
+    """`sf_checks` of the families {(L, b): L Lagrangian} of every b in bs,
+    a few b at a time."""
     if d == 2:
         raise OddOnly("S_f machinery requires odd d")
-    b = tuple(x % d for x in b)
     lags = enumerate_lagrangians(d, n)
-    family = [StabilizerLabel.make(L, b) for L in lags]
-    nonorth = build_gram(family).legend[0] > 0  # the legend is sorted
-    dim = d ** n
-    acc = OpMatrix.zero(stab_projector(family[0]).m, dim)
-    for lab in family:
-        acc = acc + stab_projector(lab)
-    # taking the trace of sum Pi = C (1 + A(b)) determines C; the matrix
-    # identity is then asserted exactly, and callers compare C across b
-    c = acc.trace().as_fraction() / (dim + 1)
-    expected = (OpMatrix.identity(acc.m, dim) + phase_point(d, n, b)).scale(c)
-    sum_ok = c > 0 and acc == expected
+    basis, pivots = (np.array([getattr(L, a) for L in lags]) for a in ("basis", "pivots"))
+    bs = np.array(bs, dtype=np.int64).reshape(-1, 2 * n) % d
+    step = max(1, _SF_CHUNK // (d ** (2 * n + 1) + len(lags) ** 2))
+    parts = []
+    for chunk in (bs[i:i + step] for i in range(0, len(bs), step)):
+        reps = reduce_reps(np.broadcast_to(chunk[:, None], (len(chunk), *basis[:, 0].shape)),
+                           basis, pivots, d)
+        parts.append(sf_checks(lags, reps, chunk))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def verify_Sf_machinery(d, n, b):
+    """Build S_{[b,.]}, check pairwise non-orthogonality and the sum rule
+    sum Pi = C (1 + A(b)) with C independent of b (`sf_checks`)."""
+    b = tuple(x % d for x in b)
+    nonorth, trace, holds = _sf_families(d, n, [b])
+    nonorth, holds = bool(nonorth[0]), bool(holds[0])
     return {
         "d": d,
         "n": n,
         "b": list(b),
-        "set_size": len(family),
+        "set_size": len(enumerate_lagrangians(d, n)),
         "pairwise_nonorthogonal": nonorth,
-        "sum_rule": sum_ok,
-        "C": str(c) if sum_ok else None,
-        "pass": nonorth and sum_ok,
+        "sum_rule": holds,
+        "C": str(Fraction(int(trace[0]), d ** n + 1)) if holds else None,
+        "pass": nonorth and holds,
     }
 
 
@@ -580,7 +625,7 @@ def verify_sf_sum(d, n, seed, samples):
     else:
         rng = random.Random(seed)
         bs = [tuple(rng.randrange(d) for _ in range(2 * n)) for _ in range(samples)]
-    results = [verify_Sf_machinery(d, n, b) for b in bs]
-    constants = {r["C"] for r in results}
-    ok = all(r["pass"] for r in results) and len(constants) == 1
-    return {"tested_b": len(results), "C": constants.pop() if ok else None, "pass": ok}
+    nonorth, trace, holds = _sf_families(d, n, bs)
+    ok = bool((nonorth & holds).all()) and len(set(trace.tolist())) == 1
+    return {"tested_b": len(bs), "C": str(Fraction(int(trace[0]), d ** n + 1)) if ok else None,
+            "pass": ok}

@@ -132,6 +132,16 @@ def test_budget_exit_code(capsys):
     assert "nodes visited" in err and "depth" in err
 
 
+def test_trace_table_budget_exit_code(capsys):
+    # the (5,2) stabilizer trace table would gather 487.5 M entries (3.6 GiB):
+    # refused before the 3 900 dense projectors are built
+    assert main(["verify-design", "--d", "5", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: the trace table of 3900 operators at (d, n) ="
+                            " (5, 2) gathers 487500000 entries, over the budget of 100000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     *(["autgroup", "--d", "5", "--n", "1", "--budget-seconds", v] for v in ("nan", "inf", "-1")),
     *([cmd, "--d", "3", "--n", n] for cmd in ("enumerate", "verify-design", "autgroup")
@@ -225,6 +235,8 @@ def _argv_id(argv):
     *(["verify-clifford", "--seed", "7", "--d", str(d), "--n", "1"] for d in (2, 3, 5, 7)),
     ["verify-clifford", "--seed", "7", "--d", "2", "--n", "2"],
     *(["sf-sum", "--d", "3", "--n", str(n)] for n in (1, 2)),
+    ["sf-sum", "--d", "5", "--n", "1"],
+    ["sf-sum", "--d", "5", "--n", "2", "--samples", "50"],
     ["facets", "--d", "3"],
     ["enumerate", "--d", "3", "--n", "2"],
     ["report", "--d", "3", "--n", "1"],

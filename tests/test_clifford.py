@@ -8,12 +8,11 @@ from stabsym.clifford import (
     ExtCliffordElement,
     Similitude,
     agsp_compose,
-    ext_apply,
     ext_compose,
     k_alpha,
     matrix_point_perm,
+    _metaplectic,
     metaplectic,
-    qubit_gate,
     qubit_gate_action,
     real_clifford_orbit,
     similitude_multiplier,
@@ -35,10 +34,17 @@ from stabsym.cyclotomic import (
     tau,
 )
 from stabsym.errors import OddOnly, WordDecompositionFailure
-from stabsym.operators import OpMatrix, phase_point, stab_projector, stabilizer_states, weyl
+from stabsym.operators import (
+    OpMatrix,
+    phase_point,
+    phase_point_mono,
+    stab_projector,
+    stabilizer_states,
+    weyl,
+)
 from stabsym.phase_space import all_vectors, transform_labels, vec_add
 
-from dense_oracles import dense_real_clifford_orbit, real_gates
+from dense_oracles import dense_real_clifford_orbit, ext_apply, qubit_gate, real_gates
 from stabsym.zmod import ZModMatrix, inv_mod, legendre
 
 
@@ -222,6 +228,44 @@ def test_galois_action_on_phase_points_exhaustive_d5():
         ka = k_alpha(d, 1, alpha)
         for x in all_vectors(d, 2):
             assert ext_apply(e, phase_point(d, 1, x)) == phase_point(d, 1, ka.apply(x))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_mono_galois_is_the_entrywise_galois_map(d):
+    # verify_clifford_laws checks C_alpha on A(x) as the monomial map
+    # expo -> alpha expo; the dense entrywise map is its oracle
+    for alpha in range(1, d):
+        gal = GaloisMap(alpha, d)
+        for x in all_vectors(d, 2):
+            mono = phase_point_mono(d, 1, x)
+            assert mono.galois(gal).to_matrix() == mono.to_matrix().entrywise_galois(gal)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_metaplectic_cache_keys_on_s_mod_d(d):
+    # one cached U_S per (d, S mod d), whatever form S takes
+    rng = random.Random(d)
+    for _ in range(10):
+        rows = rng.choice(sl2_elements(d))
+        lifted = [[x + d * rng.randrange(-3, 4) for x in row] for row in rows]
+        forms = [ZModMatrix(rows, d), [list(r) for r in rows], rows, lifted,
+                 ZModMatrix(lifted, d)]
+        first = metaplectic(d, forms[0])
+        assert all(metaplectic(d, s) == first for s in forms)
+        assert first == _metaplectic.__wrapped__(d, rows)  # as if built afresh
+        assert first.dagger() @ first == OpMatrix.identity(first.m, d)
+
+
+def test_ext_matrix_is_phase_times_weyl_times_section():
+    # ExtCliffordElement.matrix() is one product of the monomial omega^mu T(a)
+    # with U_S; the dense product with omega^mu as a scalar is its oracle
+    d = 5
+    rng = random.Random(4)
+    for _ in range(20):
+        e = ExtCliffordElement(mu=rng.randrange(-d, 2 * d), a=(rng.randrange(d), rng.randrange(d)),
+                               S=ZModMatrix(rng.choice(sl2_elements(d)), d), alpha=1)
+        dense = (weyl(d, 1, e.a) @ metaplectic(d, e.S)).scale(omega(d) ** (e.mu % d))
+        assert e.matrix() == dense
 
 
 def test_clifford_affine_action_on_phase_points():

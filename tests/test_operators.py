@@ -21,7 +21,6 @@ from stabsym.operators import (
     phase_point,
     phase_point_mono,
     stab_projector,
-    stab_projector_qubit,
     stab_projector_wigner,
     stabilizer_states,
     trace_pairs,
@@ -44,7 +43,7 @@ from stabsym.phase_space import (
 )
 from stabsym.symmetry import rebit_gram
 
-from dense_oracles import dense_real_clifford_orbit
+from dense_oracles import dense_real_clifford_orbit, stab_projector_qubit
 
 
 def _rand_vec(rng, d, n):

@@ -11,11 +11,18 @@ from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from stabsym import operators, symmetry
-from stabsym.clifford import qubit_gate, qubit_gate_action, real_clifford_orbit, transpose_action
+from stabsym.clifford import qubit_gate_action, real_clifford_orbit, transpose_action
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
 from stabsym.operators import GramMatrix, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
-from stabsym.phase_space import all_vectors, basis_blocks, label_permutations
+from stabsym.phase_space import (
+    StabilizerLabel,
+    all_vectors,
+    basis_blocks,
+    enumerate_lagrangians,
+    label_permutations,
+    vec_add,
+)
 from stabsym.symmetry import (
     AutomorphismSearch,
     basis_partition_preserved,
@@ -23,6 +30,7 @@ from stabsym.symmetry import (
     predicted_generators,
     predicted_group,
     rebit_gram,
+    sf_checks,
     verify_Sf_machinery,
     verify_theorem1,
     wreath_decompose,
@@ -32,8 +40,10 @@ from stabsym.symmetry import (
 from dense_oracles import (
     conjugation,
     dense_real_clifford_orbit,
+    dense_sf_machinery,
     extended_clifford_perms,
     perm_from_matrix_action,
+    qubit_gate,
     real_gates,
 )
 
@@ -555,3 +565,41 @@ def test_sf_machinery_d3_n2_sampled():
         b = tuple(rng.randrange(3) for _ in range(4))
         report = verify_Sf_machinery(3, 2, b)
         assert report["pass"] and report["C"] == "4"
+
+
+@pytest.mark.parametrize("d,n,samples", [(3, 1, None), (5, 1, None), (3, 2, 12)])
+def test_sf_weyl_basis_equals_the_dense_projector_sum(d, n, samples):
+    bs = list(all_vectors(d, 2 * n))
+    if samples is not None:
+        bs = random.Random(5).sample(bs, samples)
+    for b in bs:
+        assert verify_Sf_machinery(d, n, b) == dense_sf_machinery(d, n, b)
+
+
+def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
+    bs = list(all_vectors(3, 4))
+    whole = symmetry._sf_families(3, 2, bs)
+    monkeypatch.setattr(symmetry, "_SF_CHUNK", 1)  # one b per sf_checks call
+    chunked = symmetry._sf_families(3, 2, bs)
+    for x, y in zip(whole, chunked):
+        assert x.tolist() == y.tolist()
+
+
+def _sf_flags(b, family):
+    """(pairwise non-orthogonal, sum rule) of sf_checks on the labels."""
+    nonorth, _, holds = sf_checks(tuple(lab.L for lab in family),
+                                  np.array([[lab.rep for lab in family]]), np.array([b]))
+    return bool(nonorth[0]), bool(holds[0])
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
+def test_sf_checks_reject_a_mutated_family(d, n):
+    b = (1,) * (2 * n)
+    family = [StabilizerLabel.make(L, b) for L in enumerate_lagrangians(d, n)]
+    off = next(v for v in all_vectors(d, 2 * n) if any(family[0].L.reduce(v)))
+    moved = [StabilizerLabel.make(family[0].L, vec_add(b, off, d)), *family[1:]]
+    assert _sf_flags(b, family) == (True, True)
+    for mutant in (family[1:], moved):  # one Lagrangian dropped; one label in another coset
+        dense = dense_sf_machinery(d, n, b, mutant)
+        assert _sf_flags(b, mutant) == (dense["pairwise_nonorthogonal"], dense["sum_rule"])
+        assert dense["sum_rule"] is False
