@@ -11,7 +11,6 @@ from .phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
     Subspace,
-    apply_affine_similitude,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     intersect,
@@ -32,7 +31,6 @@ from .operators import (
 from .clifford import (
     AffineSimilitude,
     ExtCliffordElement,
-    Similitude,
     agsp_compose,
     ext_compose,
     metaplectic,
@@ -60,6 +58,6 @@ from .symmetry import (
     verify_theorem1,
     wreath_decompose,
 )
-from .polytope1 import direct_sum_check, facet_family, polytope_membership
+from .polytope1 import direct_sum_check, polytope_membership
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .clifford import verify_clifford_laws
 from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsupported
 from .moments import verify_design
 from .phase_space import verify_enumeration
-from .polytope1 import facet_report
+from .polytope1 import MAX_FACET_D, facet_report
 from .symmetry import (budget_seconds, default_variant, family_gram, verify_sf_sum,
                        verify_theorem1)
 from .zmod import is_prime
@@ -131,19 +131,13 @@ def cmd_sfsum(args):
 
 
 def cmd_report(args):
-    sections = [
-        ("enumerate", cmd_enumerate),
-        ("gram", cmd_gram),
-        ("verify-design", cmd_verify_design),
-        ("verify-clifford", cmd_verify_clifford),
-        ("autgroup", cmd_autgroup),
-    ]
-    if args.d != 2 and args.n == 1 and args.d <= 5:
-        sections.append(("facets", cmd_facets))
+    sections = ["enumerate", "gram", "verify-design", "verify-clifford", "autgroup"]
+    if args.n == 1 and 2 < args.d <= MAX_FACET_D:
+        sections.append("facets")
     sub = {}
     code = 0
-    for name, fn in sections:
-        rep, c = fn(args)
+    for name in sections:
+        rep, c = HANDLERS[name](args)
         if rep and name == "enumerate":
             rep = {k: v for k, v in rep.items() if not isinstance(v, list)}
         sub[name] = rep

@@ -29,7 +29,7 @@ from .phase_space import (
     symplectic_form,
     vec_add,
 )
-from .zmod import ZModMatrix, inv_mod, invert, legendre, require_prime
+from .zmod import ZModMatrix, inv_mod, legendre, require_prime
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +204,7 @@ def _metaplectic(d, rows) -> OpMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Similitudes and the affine similitude group
-
-@dataclass(frozen=True)
-class Similitude:
-    """R in GSp with multiplier alpha; factorizes as R = S K_alpha."""
-
-    R: ZModMatrix
-    alpha: int
-
-    @classmethod
-    def from_matrix(cls, r: ZModMatrix):
-        mu = similitude_multiplier(r)
-        if mu is None or mu == 0:
-            raise ValueError("not a symplectic similitude")
-        return cls(R=r, alpha=mu)
-
-    @property
-    def symplectic_part(self) -> ZModMatrix:
-        d = self.R.d
-        n = self.R.ncols // 2
-        return self.R @ invert(k_alpha(d, n, self.alpha))
-
+# The affine similitude group
 
 @dataclass(frozen=True)
 class AffineSimilitude:
@@ -311,10 +290,6 @@ class ExtCliffordElement:
         monomial omega^mu T(a) times the cached U_S, one product."""
         d = self.d
         return weyl_mono(d, 1, self.a).phase_shift(self.mu).to_matrix() @ metaplectic(d, self.S)
-
-    def forget(self) -> AffineSimilitude:
-        """The induced affine similitude (a, S, alpha) on phase space."""
-        return AffineSimilitude(a=self.a, S=self.S, alpha=self.alpha % self.d)
 
     def to_json(self):
         return {

@@ -17,7 +17,6 @@ from .cyclotomic import (
     _int64,
     conductor_for,
     galois_exponent,
-    root_of_unity,
 )
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
@@ -145,9 +144,6 @@ class OpMatrix:
     def entrywise_galois(self, gal):
         return self._galois(galois_exponent(gal, self.m))
 
-    def is_hermitian(self):
-        return self == self.dagger()
-
     def __eq__(self, other):
         return (
             isinstance(other, OpMatrix)
@@ -226,27 +222,6 @@ class Mono:
         if gal.d != self.d:
             raise ValueError("Galois map of another d")
         return Mono(self.d, self.n, self.perm, tuple(gal.alpha * e % self.d for e in self.expo))
-
-    def _phase(self, e):
-        m = conductor_for(self.d)
-        return root_of_unity(m, (m // self.r) * e)
-
-    def trace(self) -> CycNumber:
-        m = conductor_for(self.d)
-        acc = CycNumber.zero(m)
-        for q, p in enumerate(self.perm):
-            if p == q:
-                acc = acc + self._phase(self.expo[q])
-        return acc
-
-    def trace_product(self, other) -> CycNumber:
-        """tr(self @ other) without building matrices."""
-        m = conductor_for(self.d)
-        acc = CycNumber.zero(m)
-        for q in range(len(self.perm)):
-            if self.perm[other.perm[q]] == q:
-                acc = acc + self._phase((other.expo[q] + self.expo[other.perm[q]]) % self.r)
-        return acc
 
     def to_matrix(self) -> OpMatrix:
         return mono_sum([self], 1)
@@ -390,19 +365,6 @@ def stab_projector(label: StabilizerLabel) -> OpMatrix:
     terms = [weyl_mono(d, n, b).phase_shift(step * (label.functional(b) + c))
              for b, c in signs.items()]
     return mono_sum(terms, Fraction(1, d ** n))
-
-
-def stab_projector_wigner(label: StabilizerLabel) -> OpMatrix:
-    """The same projector from the phase-space side: d^-n sum_{b in L+a} A(b)."""
-    d, n = label.d, label.n
-    if d == 2:
-        raise OddOnly("phase-space form requires odd d")
-    m = conductor_for(d)
-    dim = d ** n
-    acc = OpMatrix.zero(m, dim)
-    for x in label.coset().points():
-        acc = acc + phase_point(d, n, x)
-    return acc.scale(Fraction(1, dim))
 
 
 @lru_cache(maxsize=1024)

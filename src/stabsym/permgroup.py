@@ -50,10 +50,6 @@ def inverse(p):
     return tuple(out)
 
 
-def is_identity(p):
-    return tuple(p) == identity_perm(len(p))
-
-
 class PermGroup:
     """A permutation group certified by a stabilizer chain."""
 

@@ -330,25 +330,11 @@ def intersect(a: AffineSubspace, b: AffineSubspace):
     return AffineSubspace.make(direction, tuple(point))
 
 
-def apply_affine_similitude(t, x):
-    """x -> R x + a for an affine similitude t with fields a, R (t.R = S K_alpha)."""
-    return vec_add(t.matrix.apply(x), t.a, t.d)
-
-
-def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
-    """Image of the labelled coset under x -> matrix . x + a."""
-    d = label.d
-    new_rows = [matrix.apply(row) for row in label.L.basis]
-    new_L = LagrangianSubspace.from_rows(new_rows, d)
-    new_rep = vec_add(matrix.apply(label.rep), a, d)
-    return StabilizerLabel.make(new_L, new_rep)
-
-
 def transform_labels(labels, matrix, a, eta=None):
-    """`transform_label` of every label: all reps mapped by one integer
-    product mod d, each Lagrangian mapped and reduced once, and every image
-    rep reduced against its mapped Lagrangian in one pass over the echelon
-    rows (`reduce_reps`).
+    """The images of the labelled cosets under x -> matrix . x + a: all reps
+    mapped by one integer product mod d, each Lagrangian mapped and reduced
+    once, and every image rep reduced against its mapped Lagrangian in one
+    pass over the echelon rows (`reduce_reps`).
 
     With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
     symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =

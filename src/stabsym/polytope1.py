@@ -1,17 +1,25 @@
-"""Single-qudit geometry: the shifted stabilizer polytope, its direct-sum
-decomposition into regular simplices, and the explicit facet family."""
+"""Single-qudit geometry: the shifted stabilizer polytope, a direct sum of
+d + 1 regular simplices (one per basis), and its d^(d+1) facets
+X_g = (1/d) 1 + sum_i pi_(g_i), one shifted vertex g_i per basis block.  The
+direct sum makes every facet quantity a sum or a minimum over the blocks, so
+no function here lists the facets."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+
+import numpy as np
 
 from .errors import BudgetExceeded, Mismatch, OddOnly
-from .operators import OpMatrix, hs_inner, stabilizer_states
+from .operators import OpMatrix, stabilizer_states, trace_pairs
 from .phase_space import basis_blocks
 from .zmod import require_prime
+
+MAX_FACET_D = 11  # the overlap table takes ~2 s at d = 11, ~7 s at d = 13
 
 
 @dataclass(frozen=True)
@@ -20,17 +28,6 @@ class ShiftedVertex:
 
     label: object
     matrix: OpMatrix
-
-
-@dataclass(frozen=True)
-class FacetOperator:
-    """X = (1/d) 1 + sum_i pi_{L_i}^{g_i}, one character per line."""
-
-    characters: tuple  # one state index per block
-    matrix: OpMatrix
-
-    def to_json(self):
-        return {"characters": list(self.characters), "matrix": self.matrix.to_json()}
 
 
 def shifted_vertices(d):
@@ -43,6 +40,14 @@ def shifted_vertices(d):
     ]
 
 
+@lru_cache(maxsize=None)
+def _overlap_table(d):
+    """tr(pi_x pi_y) for every pair of shifted vertices, as (ints, scale)
+    (`operators.trace_pairs`)."""
+    mats = [v.matrix for v in shifted_vertices(d)]
+    return trace_pairs(mats, mats)
+
+
 def direct_sum_check(d):
     """Verify the three-value overlap table, per-line zero sums, and
     cross-line orthogonality of the shifted polytope."""
@@ -50,83 +55,56 @@ def direct_sum_check(d):
     if d == 2:
         raise OddOnly("direct-sum geometry is stated for odd d")
     fam = stabilizer_states(d, 1)
-    verts = shifted_vertices(d)
-    report = {"d": d, "pass": True}
-    expected_diag = Fraction(d - 1, d)
-    expected_same = Fraction(-1, d)
-    for i, x in enumerate(verts):
-        for j, y in enumerate(verts):
-            v = hs_inner(x.matrix, y.matrix).as_fraction()
-            li, lj = fam.labels[i].L, fam.labels[j].L
-            if i == j:
-                expected = expected_diag
-            elif li == lj:
-                expected = expected_same
-            else:
-                expected = Fraction(0)
-            if v != expected:
-                raise Mismatch(f"overlap table violated at {(i, j)}", witness=(i, j, v))
-    report["overlap_table"] = True
-    m = verts[0].matrix.m
     blocks = basis_blocks(fam.labels)
+    block_of = np.empty(fam.size, dtype=np.int64)
+    for b, block in enumerate(blocks):
+        block_of[block] = b
+    # d times the expected overlaps: d - 1 on the diagonal, -1 within a
+    # line, 0 across lines
+    expected = np.where(block_of[:, None] == block_of[None, :], -1, 0)
+    np.fill_diagonal(expected, d - 1)
+    ints, scale = _overlap_table(d)
+    bad = np.argwhere(ints * d != expected * scale)
+    if bad.size:
+        i, j = map(int, bad[0])  # row-major order
+        raise Mismatch(f"overlap table violated at {(i, j)}",
+                       witness=(i, j, Fraction(ints[i, j], scale)))
+    verts = shifted_vertices(d)
+    zero = OpMatrix.zero(verts[0].matrix.m, d)
     for block in blocks:
-        acc = OpMatrix.zero(m, d)
-        for i in block:
-            acc = acc + verts[i].matrix
-        if acc != OpMatrix.zero(m, d):
+        if sum((verts[i].matrix for i in block), zero) != zero:
             raise Mismatch("per-line vertex sum does not vanish", witness=block)
-    report["line_sums_vanish"] = True
-    report["blocks"] = len(blocks)
-    return report
-
-
-@lru_cache(maxsize=None)
-def facet_family(d):
-    """All d^(d+1) facet operators of the single-qudit stabilizer polytope."""
-    require_prime(d)
-    if d == 2:
-        raise OddOnly("the facet family is stated for odd d")
-    if d > 5:
-        raise BudgetExceeded("facet family implemented for odd d <= 5")
-    fam = stabilizer_states(d, 1)
-    verts = shifted_vertices(d)
-    blocks = basis_blocks(fam.labels)
-    m = verts[0].matrix.m
-    base = OpMatrix.identity(m, d).scale(Fraction(1, d))
-    facets = []
-    for choice in itertools.product(*blocks):
-        acc = base
-        for i in choice:
-            acc = acc + verts[i].matrix
-        facets.append(FacetOperator(characters=choice, matrix=acc))
-    assert len({f.matrix for f in facets}) == len(facets), "duplicate facet"
-    return tuple(facets)
+    return {"d": d, "pass": True, "overlap_table": True, "line_sums_vanish": True,
+            "blocks": len(blocks)}
 
 
 def polytope_membership(a: OpMatrix, d):
-    """Exact membership of a trace-1 Hermitian matrix in the stabilizer polytope.
+    """Exact membership of a trace-1 Hermitian matrix A in the stabilizer
+    polytope: A lies inside iff tr(X_g A) >= 0 for every facet X_g.
 
-    Returns (inside, violated_facet_or_None); inner products must be rational.
+    With t_y = tr(Pi_y A) and s = tr(A)/d, tr(X_g A) = s + sum_i (t_(g_i) - s),
+    one term per basis block, so the least facet value takes each block's
+    least term.  Returns (inside, characters): characters is None if A lies
+    inside, else the vertex indices g of the first violated facet in
+    `itertools.product(*basis_blocks)` order.  The traces must be rational.
     """
-    facets = facet_family(d)
-    for facet in facets:
-        # tr(A X) = (X|A), as every facet operator X is Hermitian
-        val = hs_inner(facet.matrix, a).as_fraction()
-        if val < 0:
-            return False, facet
-    return True, None
-
-
-def facet_incidence_counts(d):
-    """For each facet, the number of vertices with tr(X Pi) = 0 and the minimum."""
     fam = stabilizer_states(d, 1)
-    out = []
-    for facet in facet_family(d):
-        vals = [hs_inner(facet.matrix, p).as_fraction() for p in fam.projectors]
-        if min(vals) < 0:
-            raise Mismatch("facet fails the supporting-hyperplane property")
-        out.append((vals.count(Fraction(0)), min(vals)))
-    return out
+    ints, scale = trace_pairs(fam.projectors, [a])
+    s = a.trace().as_fraction() / d
+    blocks = basis_blocks(fam.labels)
+    terms = [[Fraction(ints[y, 0], scale) - s for y in block] for block in blocks]
+    # rest[i]: the least sum of the terms of blocks i, i + 1, ...
+    rest = list(itertools.accumulate(map(min, reversed(terms)), initial=0))[::-1]
+    if s + rest[0] >= 0:
+        return True, None
+    # block by block, the first vertex that still leaves the sum negative
+    # when every later block takes its least term
+    characters, acc = [], s
+    for block, row, later in zip(blocks, terms, rest[1:]):
+        k = next(k for k, t in enumerate(row) if acc + t + later < 0)
+        characters.append(block[k])
+        acc += row[k]
+    return False, tuple(characters)
 
 
 def wigner_negative_state(d) -> OpMatrix:
@@ -141,18 +119,36 @@ def wigner_negative_state(d) -> OpMatrix:
 def facet_report(d):
     """The n = 1 facet verdict: every facet supports the polytope and touches
     (d - 1)(d + 1) vertices, the direct sum holds, and the Wigner-negative
-    state lies outside with a violated facet as witness."""
-    facets = facet_family(d)
-    counts = facet_incidence_counts(d)
-    supporting = all(minimum == 0 for _, minimum in counts)
-    per_facet = {zeros for zeros, _ in counts}
+    state lies outside with a violated facet as witness.
+
+    `direct_sum_check` certifies that shifted vertices of different lines
+    are orthogonal, so tr(X_g Pi_y) = tr(Pi_(g_j) Pi_y) for y in block j: the
+    (zeros, minimum) pairs of the facets are the sums and minima of one Gram
+    row per block.  Two facets take different rows in some block, so they
+    are distinct."""
+    require_prime(d)
+    if d > MAX_FACET_D:
+        raise BudgetExceeded(f"the facet report is implemented for odd d <= {MAX_FACET_D}")
+    direct_sum = direct_sum_check(d)
+    ints, scale = _overlap_table(d)
+    blocks = basis_blocks(stabilizer_states(d, 1).labels)
+    per_block = []
+    for block in blocks:
+        rows = [[Fraction(ints[x, y], scale) + Fraction(1, d) for y in block] for x in block]
+        per_block.append({(row.count(0), min(row)) for row in rows})
+    facets = reduce(lambda acc, pairs: {(z + bz, min(m, bm)) for z, m in acc for bz, bm in pairs},
+                    per_block)
+    if any(minimum < 0 for _, minimum in facets):
+        raise Mismatch("facet fails the supporting-hyperplane property")
+    supporting = all(minimum == 0 for _, minimum in facets)
+    per_facet = {zeros for zeros, _ in facets}
     inside, violated = polytope_membership(wigner_negative_state(d), d)
     return {
-        "facet_count": len(facets),
+        "facet_count": math.prod(map(len, blocks)),
         "supporting": supporting,
         "vertices_per_facet": sorted(per_facet),
-        "direct_sum": direct_sum_check(d),
+        "direct_sum": direct_sum,
         "wigner_negative_state_inside": inside,
-        "violated_facet_characters": None if violated is None else list(violated.characters),
+        "violated_facet_characters": None if violated is None else list(violated),
         "pass": supporting and not inside and per_facet == {(d - 1) * (d + 1)},
     }

@@ -8,7 +8,6 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -125,9 +124,9 @@ class AutomorphismSearch:
                 raise Mismatch("seed permutation does not preserve the Gram", witness=s)
 
     # -- partition refinement -------------------------------------------
-    def refine(self, labels, splitters=None, expect=None):
+    def refine(self, labels, splitter=None, expect=None):
         """Equitable refinement of `labels` (cell ids 0..k-1) driven by the
-        `splitters` cells (all cells when None).
+        cell `splitter` (all cells when None).
 
         Returns (labels, invariant): canonical cell ids and the split trace.
         Given the trace `expect` to match, it stops at the first round that
@@ -135,7 +134,7 @@ class AutomorphismSearch:
         """
         k = self.ncolors
         ncells = int(labels.max()) + 1  # cell ids fit the 4-byte key: ncells <= n
-        queue = np.arange(ncells) if splitters is None else np.unique(splitters)
+        queue = np.arange(ncells) if splitter is None else np.array([splitter])
         trace = []
         while queue.size:
             sizes = np.bincount(labels, minlength=ncells)
@@ -242,19 +241,19 @@ class AutomorphismSearch:
         if gamma is not None:
             self.chain.adjoin(gamma)
 
-    def _dfs(self, labels, splitters, depth, on_path):
+    def _dfs(self, labels, splitter, depth, on_path):
         self.nodes += 1
         if time.monotonic() >= self.deadline:
             raise self._timeout(depth, self.chain)
         if on_path:
-            labels, self.path_invariants[depth] = self.refine(labels, splitters)
+            labels, self.path_invariants[depth] = self.refine(labels, splitter)
         else:
             # only a node with the first path's trace at its depth can lead
             # to an automorphic image of the first leaf
             expect = self.path_invariants.get(depth)
             if expect is None:
                 return None
-            labels, _ = self.refine(labels, splitters, expect)
+            labels, _ = self.refine(labels, splitter, expect)
             if labels is None:
                 return None
         cell = self._target_cell(labels)
@@ -520,16 +519,6 @@ def wreath_decompose(perm, d):
         for k, v in enumerate(block):
             inners[bi][k] = pos[perm[v]][1]
     return tuple(sigma), tuple(tuple(g) for g in inners)
-
-
-def wreath_recompose(sigma, inners, d):
-    fam = stabilizer_states(d, 1)
-    blocks = basis_blocks(fam.labels)
-    perm = [None] * fam.size
-    for bi, block in enumerate(blocks):
-        for k, v in enumerate(block):
-            perm[v] = blocks[sigma[bi]][inners[bi][k]]
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

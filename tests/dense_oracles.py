@@ -10,23 +10,48 @@ projector, and the rebit states are the breadth-first closure of
 S_f sum rule is checked on Weyl coefficients (`symmetry.sf_checks`) and the
 Galois action on A(x) as a monomial map; `dense_sf_machinery` and
 `ext_apply` take the same steps with sums and products of dense matrices.
+
+The n = 1 facet verdict and polytope membership are sums and minima over
+basis blocks in the library (`polytope1`); `dense_facet_family` lists all
+d^(d+1) facet operators as dense matrices and `dense_membership` and
+`dense_incidence_counts` take one `hs_inner` per facet.  The rest are
+one-element or single-operator forms of the library's batched kernels:
+`transform_label`, `mono_trace`, `mono_trace_product`,
+`stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
+`is_hermitian` and `is_identity`.
 """
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from stabsym.cyclotomic import CycNumber, conductor_for, iunit, sqrt_d
-from stabsym.errors import InconsistentSigns, OddOnly
+from stabsym.clifford import AffineSimilitude, k_alpha, similitude_multiplier
+from stabsym.cyclotomic import CycNumber, conductor_for, iunit, root_of_unity, sqrt_d
+from stabsym.errors import InconsistentSigns, Mismatch, OddOnly
 from stabsym.operators import (
     Mono,
     OpMatrix,
     build_gram,
+    hs_inner,
     mono_sum,
     phase_point,
     stab_projector,
+    stabilizer_states,
     weyl_mono,
 )
-from stabsym.phase_space import Subspace, StabilizerLabel, enumerate_lagrangians, symplectic_form
+from stabsym.permgroup import identity_perm
+from stabsym.phase_space import (
+    LagrangianSubspace,
+    StabilizerLabel,
+    Subspace,
+    basis_blocks,
+    enumerate_lagrangians,
+    symplectic_form,
+    vec_add,
+)
+from stabsym.polytope1 import shifted_vertices
+from stabsym.zmod import ZModMatrix, invert
 
 
 def real_gates(n):
@@ -189,3 +214,139 @@ def dense_sf_machinery(d, n, b, family=None):
         "C": str(c) if sum_ok else None,
         "pass": nonorth and sum_ok,
     }
+
+
+@dataclass(frozen=True)
+class FacetOperator:
+    """X = (1/d) 1 + sum_i pi_{L_i}^{g_i}, one character per line."""
+
+    characters: tuple  # one state index per block
+    matrix: OpMatrix
+
+
+@lru_cache(maxsize=None)
+def dense_facet_family(d):
+    """All d^(d+1) facet operators of the single-qudit stabilizer polytope,
+    in `itertools.product(*basis_blocks)` order."""
+    verts = shifted_vertices(d)
+    base = OpMatrix.identity(verts[0].matrix.m, d).scale(Fraction(1, d))
+    facets = []
+    for choice in itertools.product(*basis_blocks(stabilizer_states(d, 1).labels)):
+        acc = base
+        for i in choice:
+            acc = acc + verts[i].matrix
+        facets.append(FacetOperator(characters=choice, matrix=acc))
+    assert len({f.matrix for f in facets}) == len(facets), "duplicate facet"
+    return tuple(facets)
+
+
+def dense_membership(a: OpMatrix, d):
+    """`polytope1.polytope_membership` by one `hs_inner` per facet: (inside,
+    the first violated facet or None)."""
+    for facet in dense_facet_family(d):
+        # tr(A X) = (X|A), as every facet operator X is Hermitian
+        if hs_inner(facet.matrix, a).as_fraction() < 0:
+            return False, facet
+    return True, None
+
+
+def dense_incidence_counts(d):
+    """For each facet, the number of vertices with tr(X Pi) = 0 and the minimum."""
+    fam = stabilizer_states(d, 1)
+    out = []
+    for facet in dense_facet_family(d):
+        vals = [hs_inner(facet.matrix, p).as_fraction() for p in fam.projectors]
+        if min(vals) < 0:
+            raise Mismatch("facet fails the supporting-hyperplane property")
+        out.append((vals.count(Fraction(0)), min(vals)))
+    return out
+
+
+def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
+    """Image of the labelled coset under x -> matrix . x + a."""
+    d = label.d
+    new_rows = [matrix.apply(row) for row in label.L.basis]
+    new_L = LagrangianSubspace.from_rows(new_rows, d)
+    new_rep = vec_add(matrix.apply(label.rep), a, d)
+    return StabilizerLabel.make(new_L, new_rep)
+
+
+def _mono_phase(mono: Mono, e):
+    m = conductor_for(mono.d)
+    return root_of_unity(m, (m // mono.r) * e)
+
+
+def mono_trace(mono: Mono) -> CycNumber:
+    acc = CycNumber.zero(conductor_for(mono.d))
+    for q, p in enumerate(mono.perm):
+        if p == q:
+            acc = acc + _mono_phase(mono, mono.expo[q])
+    return acc
+
+
+def mono_trace_product(a: Mono, b: Mono) -> CycNumber:
+    """tr(a @ b) without building matrices."""
+    acc = CycNumber.zero(conductor_for(a.d))
+    for q in range(len(a.perm)):
+        if a.perm[b.perm[q]] == q:
+            acc = acc + _mono_phase(a, (b.expo[q] + a.expo[b.perm[q]]) % a.r)
+    return acc
+
+
+def stab_projector_wigner(label: StabilizerLabel) -> OpMatrix:
+    """The stabilizer projector from the phase-space side: d^-n sum_{b in L+a} A(b)."""
+    d, n = label.d, label.n
+    if d == 2:
+        raise OddOnly("phase-space form requires odd d")
+    dim = d ** n
+    acc = OpMatrix.zero(conductor_for(d), dim)
+    for x in label.coset().points():
+        acc = acc + phase_point(d, n, x)
+    return acc.scale(Fraction(1, dim))
+
+
+def wreath_recompose(sigma, inners, d):
+    """The n = 1 state permutation of wreath coordinates (sigma, inners), the
+    inverse of `symmetry.wreath_decompose`."""
+    fam = stabilizer_states(d, 1)
+    blocks = basis_blocks(fam.labels)
+    perm = [None] * fam.size
+    for bi, block in enumerate(blocks):
+        for k, v in enumerate(block):
+            perm[v] = blocks[sigma[bi]][inners[bi][k]]
+    return tuple(perm)
+
+
+@dataclass(frozen=True)
+class Similitude:
+    """R in GSp with multiplier alpha; factorizes as R = S K_alpha."""
+
+    R: ZModMatrix
+    alpha: int
+
+    @classmethod
+    def from_matrix(cls, r: ZModMatrix):
+        mu = similitude_multiplier(r)
+        if mu is None or mu == 0:
+            raise ValueError("not a symplectic similitude")
+        return cls(R=r, alpha=mu)
+
+    @property
+    def symplectic_part(self) -> ZModMatrix:
+        d = self.R.d
+        n = self.R.ncols // 2
+        return self.R @ invert(k_alpha(d, n, self.alpha))
+
+
+def forget(e) -> AffineSimilitude:
+    """The affine similitude (a, S, alpha) that an `ExtCliffordElement` e
+    induces on phase space."""
+    return AffineSimilitude(a=e.a, S=e.S, alpha=e.alpha % e.d)
+
+
+def is_hermitian(a: OpMatrix):
+    return a == a.dagger()
+
+
+def is_identity(p):
+    return tuple(p) == identity_perm(len(p))

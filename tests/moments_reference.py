@@ -24,6 +24,8 @@ from stabsym.moments import (
 )
 from stabsym.operators import OpMatrix, hs_inner, trace_product
 
+from dense_oracles import mono_trace, mono_trace_product
+
 
 def _symmetrized_trace(mats):
     """(i, j, k) -> tr(M_i M_j M_k) + tr(M_i M_k M_j), each pair product
@@ -43,9 +45,9 @@ def is_complex_2design(q):
     for i in range(len(monos)):
         for j in range(i, len(monos)):
             lhs = Fraction(int(s2[i, j]), denom)
-            tr_i = monos[i].trace().as_fraction()
-            tr_j = monos[j].trace().as_fraction()
-            tr_ij = monos[i].trace_product(monos[j]).as_fraction()
+            tr_i = mono_trace(monos[i]).as_fraction()
+            tr_j = mono_trace(monos[j]).as_fraction()
+            tr_ij = mono_trace_product(monos[i], monos[j]).as_fraction()
             rhs = Fraction(tr_i * tr_j + tr_ij, dd * (dd + 1))
             if lhs != rhs:
                 gap = abs(lhs - rhs)
@@ -65,15 +67,17 @@ def is_complex_3design(q):
     denom = Fraction(1, q.size * scale ** 3)
     m = q.conductor
     nb = len(monos)
-    tr_single = [monos[i].trace().as_fraction() for i in range(nb)]
-    tr_pair = [[monos[i].trace_product(monos[j]).as_fraction() for j in range(nb)] for i in range(nb)]
+    tr_single = [mono_trace(monos[i]).as_fraction() for i in range(nb)]
+    tr_pair = [[mono_trace_product(monos[i], monos[j]).as_fraction() for j in range(nb)]
+               for i in range(nb)]
     for i in range(nb):
         for j in range(i, nb):
             prod_ij = monos[i] @ monos[j]
             for k in range(j, nb):
                 s = sum(a * b * c for a, b, c in zip(ints[i], ints[j], ints[k]))
                 lhs = CycNumber.from_fraction(m, s * denom)
-                sym = prod_ij.trace_product(monos[k]) + (monos[i] @ monos[k]).trace_product(monos[j])
+                sym = (mono_trace_product(prod_ij, monos[k])
+                       + mono_trace_product(monos[i] @ monos[k], monos[j]))
                 rhs = (
                     CycNumber.from_fraction(m, tr_single[i] * tr_single[j] * tr_single[k])
                     + CycNumber.from_fraction(m, tr_single[i] * tr_pair[j][k])

@@ -37,6 +37,8 @@ from stabsym.moments import (
 from stabsym.operators import OpMatrix, build_gram, hs_inner, stabilizer_states
 from stabsym.zmod import ZModMatrix
 
+from dense_oracles import is_hermitian
+
 
 def test_f1_of_identity_is_one():
     q = stabilizer_operator_set(3, 1)
@@ -217,7 +219,7 @@ def integer_rows(draw):
     return rows
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(integer_rows())
 def test_echelon_rank_and_picked_rows_match_sympy(rows):
     ech = _Echelon(len(rows[0]))
@@ -252,7 +254,7 @@ def positive_systems(draw):
     return [(*row, sum(c * x for c, x in zip(row, x0))) for row in a], k
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(positive_systems())
 def test_solver_returns_an_exact_positive_solution(system):
     equations, k = system
@@ -378,7 +380,7 @@ def test_symmetric_basis_spans():
     basis = symmetric_basis(conductor_for(2), 2)
     assert len(basis) == 3
     for b in basis:
-        assert b.is_hermitian()
+        assert is_hermitian(b)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +426,7 @@ def stabilizer_subsets(draw):
                        elements=tuple(full.elements[i] for i in picked))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(stabilizer_subsets())
 def test_table_kernels_match_per_entry_reference(q):
     assert _reports(moments, q) == _reports(moments_reference, q)

@@ -21,7 +21,6 @@ from stabsym.operators import (
     phase_point,
     phase_point_mono,
     stab_projector,
-    stab_projector_wigner,
     stabilizer_states,
     trace_pairs,
     trace_product,
@@ -43,7 +42,13 @@ from stabsym.phase_space import (
 )
 from stabsym.symmetry import rebit_gram
 
-from dense_oracles import dense_real_clifford_orbit, stab_projector_qubit
+from dense_oracles import (
+    dense_real_clifford_orbit,
+    is_hermitian,
+    mono_trace_product,
+    stab_projector_qubit,
+    stab_projector_wigner,
+)
 
 
 def _rand_vec(rng, d, n):
@@ -66,7 +71,7 @@ def test_weyl_t11_is_y_for_qubit():
     t = weyl(2, 1, (1, 1))
     i = root_of_unity(8, 2)
     assert t.rows[0][1] == -i and t.rows[1][0] == i
-    assert t.is_hermitian()
+    assert is_hermitian(t)
 
 
 def test_composition_law_exhaustive_d3_n1():
@@ -118,7 +123,7 @@ def test_mono_agrees_with_dense_product():
             ma, mb = weyl_mono(d, n, a), weyl_mono(d, n, b)
             assert (ma @ mb).to_matrix() == ma.to_matrix() @ mb.to_matrix()
             assert ma.dagger().to_matrix() == ma.to_matrix().dagger()
-            assert ma.trace_product(mb) == (ma.to_matrix() @ mb.to_matrix()).trace()
+            assert mono_trace_product(ma, mb) == (ma.to_matrix() @ mb.to_matrix()).trace()
 
 
 def test_phase_point_a0_is_parity_d3():
@@ -132,7 +137,7 @@ def test_phase_point_hermitian_trace_one():
     for d, n in ((3, 1), (5, 1)):
         for a in list(all_vectors(d, 2 * n))[:10]:
             op = phase_point(d, n, a)
-            assert op.is_hermitian()
+            assert is_hermitian(op)
             assert op.trace() == CycNumber.one(op.m)
 
 
@@ -194,7 +199,7 @@ def test_stab_projector_properties_d3_n1():
     assert len(fam.projectors) == 12
     for pi in fam.projectors:
         assert pi.trace() == CycNumber.one(pi.m)
-        assert pi.is_hermitian()
+        assert is_hermitian(pi)
         assert pi @ pi == pi
 
 
@@ -251,7 +256,7 @@ def test_qubit_state_counts_and_validity():
         for pi in projs[: 12 if n == 2 else 6]:
             assert pi.trace() == CycNumber.one(pi.m)
             assert pi @ pi == pi
-            assert pi.is_hermitian()
+            assert is_hermitian(pi)
 
 
 def test_qubit_inconsistent_signs():
@@ -334,7 +339,7 @@ def label_pairs(draw):
     return StabilizerLabel.make(first, draw(reps)), StabilizerLabel.make(second, draw(reps))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(label_pairs())
 def test_gram_closed_form_equals_the_hilbert_schmidt_inner(pair):
     x, y = pair
@@ -422,7 +427,7 @@ def rank_by_sorted_set(keys):
     return np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1)), distinct
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from((np.uint8, np.uint16, np.int64, object)), st.integers(0, 40),
        st.sampled_from((1, 3, 15, 16, 17, 300)), st.integers(1, 9), st.data())
 def test_from_keys_ranks_like_the_sorted_set(dtype, low, span, size, data):

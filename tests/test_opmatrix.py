@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from stabsym.cyclotomic import CycNumber, GaloisMap, _field, fits_int64, galois_apply
 from stabsym.operators import OpMatrix, hs_inner, trace_product
 
+from dense_oracles import is_hermitian
+
 CONDUCTORS = (8, 12, 20)
 
 
@@ -81,7 +83,7 @@ def matrices(draw, count=2, big=False):
 
 # -- tests ----------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(matrices(), st.integers(-5, 5), st.fractions(max_denominator=7), st.data())
 def test_tensor_form_matches_the_entrywise_reference(xy, k, q, data):
     x, y = xy
@@ -101,7 +103,7 @@ def test_tensor_form_matches_the_entrywise_reference(xy, k, q, data):
     assert a.trace() == ref_trace(x)
     assert hs_inner(a, b) == ref_hs_inner(x, y)
     assert a.to_json() == ref_to_json(x)
-    assert a.is_hermitian() == (ref_transpose(ref_map(CycNumber.conj, x)) == x)
+    assert is_hermitian(a) == (ref_transpose(ref_map(CycNumber.conj, x)) == x)
     if m != 8:  # C_alpha needs omega_d, d = m / 4 odd
         d = m // 4
         for alpha in range(1, d):
@@ -109,7 +111,7 @@ def test_tensor_form_matches_the_entrywise_reference(xy, k, q, data):
             same(a.entrywise_galois(gal), ref_map(lambda s: galois_apply(gal, s), x))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(matrices(count=3))
 def test_equal_matrices_by_different_routes_are_equal_and_hash_equal(xyz):
     x, y, z = xyz
@@ -133,7 +135,7 @@ def test_equal_matrices_by_different_routes_are_equal_and_hash_equal(xyz):
     assert (a @ b).dagger() == b.dagger() @ a.dagger()
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(matrices(big=True))
 def test_coefficients_beyond_int64_stay_exact(xy):
     x, y = xy
@@ -211,7 +213,7 @@ def coefficient_tensors(draw, shape):
     return np.array(flat, dtype=object).reshape(shape)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from((3, 4, 5, 7)), st.integers(1, 4), st.integers(1, 5), st.data())
 def test_guarded_kernel_equals_the_python_int_contraction(m, dim, den, data):
     f = _field(m)

@@ -13,10 +13,11 @@ from stabsym.permgroup import (
     compose,
     identity_perm,
     inverse,
-    is_identity,
     schreier_sims,
 )
 from stabsym.symmetry import predicted_group
+
+from dense_oracles import is_identity
 
 
 def cycle(n, pts):

@@ -3,23 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from stabsym.errors import BudgetExceeded
+from stabsym import polytope1
+from stabsym.errors import BudgetExceeded, Mismatch
 from stabsym.operators import OpMatrix, hs_inner, stabilizer_states
 from stabsym.polytope1 import (
+    MAX_FACET_D,
     direct_sum_check,
-    facet_family,
-    facet_incidence_counts,
+    facet_report,
     polytope_membership,
     shifted_vertices,
     wigner_negative_state,
 )
 from stabsym.phase_space import basis_blocks
 
+from dense_oracles import dense_facet_family, dense_incidence_counts, dense_membership, is_hermitian
+
 
 def test_shifted_vertices_traceless_hermitian():
     for v in shifted_vertices(3):
         assert v.matrix.trace().is_zero()
-        assert v.matrix.is_hermitian()
+        assert is_hermitian(v.matrix)
 
 
 def test_direct_sum_check_d3():
@@ -34,33 +37,50 @@ def test_direct_sum_check_d5():
     assert report["blocks"] == 6
 
 
+def test_direct_sum_check_witness_is_first_failing_pair(monkeypatch):
+    # the overlap table read through a corrupted copy: two wrong entries,
+    # the first in row-major order is the witness
+    ints, scale = polytope1._overlap_table(3)
+    bad = ints.copy()
+    bad[7, 2] += 1
+    bad[2, 9] += 1
+    monkeypatch.setattr(polytope1, "_overlap_table", lambda d: (bad, scale))
+    with pytest.raises(Mismatch, match=r"overlap table violated at \(2, 9\)") as exc:
+        direct_sum_check(3)
+    assert exc.value.witness == (2, 9, Fraction(bad[2, 9], scale))
+
+
 def test_shifted_overlap_diagonal_value():
     verts = shifted_vertices(3)
     assert hs_inner(verts[0].matrix, verts[0].matrix).as_fraction() == Fraction(2, 3)
 
 
 def test_facet_count_d3():
-    assert len(facet_family(3)) == 81
+    assert len(dense_facet_family(3)) == 81
+    assert facet_report(3)["facet_count"] == 81
 
 
 def test_facets_budget():
-    with pytest.raises(BudgetExceeded):
-        facet_family(7)
+    assert MAX_FACET_D == 11
+    with pytest.raises(BudgetExceeded, match="odd d <= 11"):
+        facet_report(13)
 
 
 def test_facets_support_with_eight_incident_vertices():
-    counts = facet_incidence_counts(3)
+    counts = dense_incidence_counts(3)
     for zeros, minimum in counts:
         assert minimum == 0
         assert zeros == 8  # (d-1)(d+1)
+    report = facet_report(3)
+    assert report["supporting"] and report["vertices_per_facet"] == [8]
 
 
 def test_facet_trace_by_hs_inner_matches_dense_trace():
     # the facet operators are Hermitian, so tr(X P) = (X|P) for every pair
     fam = stabilizer_states(3, 1)
     rho = wigner_negative_state(3)
-    for facet in facet_family(3):
-        assert facet.matrix.is_hermitian()
+    for facet in dense_facet_family(3):
+        assert is_hermitian(facet.matrix)
         for p in (*fam.projectors, rho):
             assert hs_inner(facet.matrix, p) == (facet.matrix @ p).trace()
 
@@ -85,7 +105,7 @@ def test_membership_center_inside():
     inside, facet = polytope_membership(center, 3)
     assert inside and facet is None
     # the center is strictly inside: all inner products positive
-    for f in facet_family(3):
+    for f in dense_facet_family(3):
         assert (center @ f.matrix).trace().as_fraction() > 0
 
 
@@ -94,6 +114,13 @@ def test_membership_vertices_on_boundary():
     for p in fam.projectors:
         inside, _ = polytope_membership(p, 3)
         assert inside
+
+
+def _combination(weights, mats):
+    acc = OpMatrix.zero(mats[0].m, mats[0].dim)
+    for w, p in zip(weights, mats):
+        acc = acc + p.scale(w)
+    return acc
 
 
 def test_random_convex_combinations_inside():
@@ -105,11 +132,27 @@ def test_random_convex_combinations_inside():
         if total == 0:
             continue
         weights = [w / total for w in weights]
-        acc = OpMatrix.zero(fam.projectors[0].m, 3)
-        for w, p in zip(weights, fam.projectors):
-            acc = acc + p.scale(w)
-        inside, _ = polytope_membership(acc, 3)
+        inside, _ = polytope_membership(_combination(weights, fam.projectors), 3)
         assert inside
+
+
+def test_membership_matches_dense_oracle():
+    # trace-1 affine combinations of the vertices and the Wigner-negative
+    # state, some weights negative: membership and the first violated facet
+    # agree with one hs_inner per facet
+    rng = random.Random(5)
+    mats = [*stabilizer_states(3, 1).projectors, wigner_negative_state(3)]
+    verdicts = []
+    for _ in range(60):
+        weights = [Fraction(rng.randrange(-2, 6)) for _ in mats]
+        total = sum(weights)
+        if total == 0:
+            continue
+        a = _combination([w / total for w in weights], mats)
+        inside, facet = dense_membership(a, 3)
+        assert polytope_membership(a, 3) == (inside, None if inside else facet.characters)
+        verdicts.append(inside)
+    assert 10 <= verdicts.count(True) and 10 <= verdicts.count(False)
 
 
 def test_wigner_negative_state_rejected():
@@ -117,8 +160,9 @@ def test_wigner_negative_state_rejected():
 
     rho = wigner_negative_state(3)
     assert rho.trace() == CycNumber.one(rho.m)
-    assert rho.is_hermitian()
-    inside, facet = polytope_membership(rho, 3)
+    assert is_hermitian(rho)
+    inside, characters = polytope_membership(rho, 3)
     assert not inside
-    assert facet is not None
+    assert characters is not None
+    facet = next(f for f in dense_facet_family(3) if f.characters == characters)
     assert (rho @ facet.matrix).trace().as_fraction() < 0

@@ -34,7 +34,6 @@ from stabsym.symmetry import (
     verify_Sf_machinery,
     verify_theorem1,
     wreath_decompose,
-    wreath_recompose,
 )
 
 from dense_oracles import (
@@ -45,6 +44,7 @@ from dense_oracles import (
     perm_from_matrix_action,
     qubit_gate,
     real_gates,
+    wreath_recompose,
 )
 
 
@@ -323,7 +323,7 @@ def test_refine_is_coarsest_equitable(colors, data):
         return
     v = int(movable[data.draw(st.integers(0, movable.size - 1))])
     child, cell = search._individualize(labels, v)
-    refined, _ = search.refine(child, [cell])
+    refined, _ = search.refine(child, cell)
     assert is_equitable(search.m, refined)
     assert cells_of(refined) == cells_of(search.refine(child)[0])
 
