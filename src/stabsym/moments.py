@@ -5,12 +5,21 @@ The predicates compare whole integer tables.  The moment side is a bi- or
 trilinear form in the rows of the trace table, or on dir(Q) in the
 Gram-difference rows D_i = G[i] - G[0] (sum_t D_i D_j D_k is the eight-term
 F_3 of the q_i - q_0).  The Jordan side tr(M_i M_j M_k) + tr(M_i M_k M_j) is
-taken one i-slab at a time, the products M_i M_j and then one contraction
-against the stack, in full power-basis coefficients (it can be irrational:
-Q[sqrt 5] at d = 5), and a scan stops at the first slab holding a failure.
-"Equal" and "proportional" are integer cross-multiplications over common
-denominators, in `cyclotomic._exact` (int64 where `fits_int64` proves it
-exact, Python ints otherwise); no N^3 array is built.
+taken one i-slab at a time, in full power-basis coefficients (it can be
+irrational: Q[sqrt 5] at d = 5), and a scan stops at the first slab holding a
+failure.  "Equal" and "proportional" are integer cross-multiplications over
+common denominators, in `cyclotomic._exact` (int64 where `fits_int64` proves
+it exact, Python ints otherwise); no N^3 array is built.
+
+At odd d every check reads integer tables on phase space and builds no
+cyclotomic matrix.  The Hermitian basis is the phase-point operators A(a),
+with tr A(a) = 1, tr A(a) A(b) = d^n [a = b] and
+tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])) (`_phase_forms`);
+a stabilizer state has the 0/1 coset indicator as its table column, its
+discrete Wigner function (`_incidence`), and the Jordan side is a count of
+form values weighted by the table (`_phase_space_slab`).  The dense kernels
+(`operators.mono_traces`, `_jordan_slab`) serve d = 2 and the sets given by
+their elements only.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, lcm
 
@@ -40,19 +49,25 @@ from .operators import (
     trace_product,
     weyl_mono,
 )
-from .phase_space import all_vectors, enumerate_stabilizer_labels
+from .phase_space import StabilizerLabel, all_vectors, enumerate_stabilizer_labels, reduce_reps
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """A finite set of Hermitian trace-1 operators with uniform weights.
     Equal and hashed by identity, so the functions cached on a set never
-    hash its elements; the constructors below are cached, one set each."""
+    hash its elements; the constructors below are cached, one set each.
+
+    At odd d a set may carry `labels`, one per element: a `StabilizerLabel`
+    for a stabilizer state or a phase-space point a for A(a).  The trace
+    table of a labelled set is then read from the labels; a set of elements
+    only has its table gathered from the dense matrices."""
 
     name: str
     d: int
     n: int
     elements: tuple
+    labels: tuple | None = None
 
     @property
     def dim(self):
@@ -72,10 +87,12 @@ TABLE_BUDGET = 100_000_000  # entries the Hermitian trace table may gather, as `
 
 def check_table_budget(d, n, size):
     """Refuse (BudgetExceeded) a set of `size` operators at (d, n) whose
-    Hermitian trace table would gather more than TABLE_BUDGET entries: one
-    per set element, basis element, column and power-basis coefficient
-    (`operators.mono_traces`), so a set is refused before its dense matrices
-    are built."""
+    Hermitian trace table, gathered from dense matrices as for a set of
+    elements only (`operators.mono_traces`), would take more than
+    TABLE_BUDGET entries: one per set element, basis element, column and
+    power-basis coefficient, so a set is refused before its dense matrices
+    are built.  A labelled odd-d set gathers nothing, but the same estimate
+    still bounds the Gram and the elimination of `_gram_data`."""
     entries = size * d ** (3 * n) * _field(conductor_for(d)).deg
     if entries > TABLE_BUDGET:
         raise BudgetExceeded(f"the trace table of {size} operators at (d, n) = ({d}, {n}) "
@@ -86,7 +103,8 @@ def check_table_budget(d, n, size):
 def stabilizer_operator_set(d, n) -> OperatorSet:
     check_table_budget(d, n, len(enumerate_stabilizer_labels(d, n)))
     fam = stabilizer_states(d, n)
-    return OperatorSet(name=f"stabilizer({d},{n})", d=d, n=n, elements=fam.projectors)
+    return OperatorSet(name=f"stabilizer({d},{n})", d=d, n=n, elements=fam.projectors,
+                       labels=None if d == 2 else fam.labels)
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +117,10 @@ def rebit_operator_set(n) -> OperatorSet:
 @lru_cache(maxsize=None)
 def phase_point_operator_set(d, n) -> OperatorSet:
     check_table_budget(d, n, d ** (2 * n))
+    points = tuple(sorted(all_vectors(d, 2 * n)))
     return OperatorSet(name=f"phase_points({d},{n})", d=d, n=n,
-                       elements=tuple(phase_point(d, n, a) for a in sorted(all_vectors(d, 2 * n))))
+                       elements=tuple(phase_point(d, n, a) for a in points),
+                       labels=None if d == 2 else points)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +143,7 @@ def symmetric_basis(m, dim):
                                             for r in range(dim)]) for i, j in pairs)
 
 
-_Basis = namedtuple("_Basis", "labels monos mats stack den single pair c")
+_Basis = namedtuple("_Basis", "labels monos mats stack den single pair c forms")
 
 
 def _traces(b: _Basis, mats):
@@ -135,29 +155,88 @@ def _traces(b: _Basis, mats):
     return lowest_terms(rational_part(mono_traces(b.monos, stack)), den)
 
 
+def _points(d, n):
+    """The d^(2n) phase-space points as rows of an int64 array, in
+    `hermitian_basis` order: row a is the point whose base-d digits are a."""
+    return np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+
+
+@lru_cache(maxsize=None)
+def _phase_forms(d, n):
+    """[a, b] mod d for every pair of phase-space points, rows and columns in
+    `hermitian_basis` order, as a read-only int64 array: for odd d,
+    tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
+    [b - a, c - a] is that sum."""
+    p = _points(d, n)
+    jp = np.concatenate([p[:, n:], -p[:, :n]], axis=1)  # [a, b] = a . J b, J b = (b_Z, -b_X)
+    forms = (_exact(lambda x, y: x @ y.T, 2 * n, (p, jp)) % d).astype(np.int64)
+    forms.flags.writeable = False
+    return forms
+
+
 @lru_cache(maxsize=None)
 def _basis(kind, d, n, m) -> _Basis:
     """The basis `kind` with its exact traces: B_x = mats[x] = stack[x] / den,
     tr B_x = single[x] / c and tr(B_x B_y) = pair[x, y] / c, Python ints over
-    one positive c; labels and monomial forms for the Hermitian basis only."""
+    one positive c; labels and monomial forms for the Hermitian basis only.
+
+    At odd d the Hermitian basis is the A(a) in closed form: tr A(a) = 1,
+    tr A(a) A(b) = d^n [a = b], den = c = 1, no matrices, and `forms` the
+    symplectic forms of the points (`_phase_forms`)."""
     if kind == "hermitian":
         labels, monos = zip(*hermitian_basis(d, n))
+        if d != 2:
+            size = len(labels)
+            pair = np.zeros((size, size), dtype=object)
+            pair[range(size), range(size)] = d ** n
+            return _Basis(labels, monos, None, None, 1, np.full(size, 1, dtype=object), pair, 1,
+                          _phase_forms(d, n))
         mats = tuple(mono.to_matrix() for mono in monos)
     else:
         labels = monos = None
         mats = symmetric_basis(m, d ** n)
-    b = _Basis(labels, monos, mats, *coefficient_stack(mats), None, None, None)
+    b = _Basis(labels, monos, mats, *coefficient_stack(mats), None, None, None, None)
     (single, c1), (pair, c2) = (_traces(b, x) for x in ([OpMatrix.identity(m, d ** n)], mats))
     c = lcm(c1, c2)
     return b._replace(single=single[:, 0] * (c // c1), pair=pair * (c // c2), c=c)
+
+
+def _incidence(q: OperatorSet):
+    """The Hermitian trace table of a labelled odd-d set, over scale 1, rows
+    in `hermitian_basis` order: tr(A(a) Pi_x) = [a in rep_x + L_x] for a
+    stabilizer label x (Pi_x = d^-n times the sum of the A(a) over its coset,
+    so this is its discrete Wigner function), tr(A(a) A(x)) = d^n [a = x]
+    for a point x.  A point lies in rep + L iff its canonical representative
+    modulo L is rep: every point is reduced once per Lagrangian."""
+    d, n = q.d, q.n
+    shape = (d,) * (2 * n)
+    if not isinstance(q.labels[0], StabilizerLabel):
+        cells = np.ravel_multi_index(np.array(q.labels).T, shape)
+        return d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
+    lags = tuple(dict.fromkeys(lab.L for lab in q.labels))
+    where = {L: i for i, L in enumerate(lags)}
+    li = np.array([where[lab.L] for lab in q.labels])
+    points = _points(d, n)
+    canon = reduce_reps(np.broadcast_to(points, (len(lags),) + points.shape),
+                        np.array([L.basis for L in lags])[:, None],
+                        np.array([L.pivots for L in lags])[:, None], d)
+    key = np.min_scalar_type(d ** (2 * n) - 1)
+    cells = np.ravel_multi_index(np.moveaxis(canon, -1, 0), shape).astype(key)  # [L, a]
+    reps = np.ravel_multi_index(np.array([lab.rep for lab in q.labels]).T, shape).astype(key)
+    return (cells[li] == reps[:, None]).T.astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def trace_table(q: OperatorSet, kind="hermitian"):
     """Exact table tr(B_i q_j) = rows[i][j] / scale for the chosen spanning
     basis, as (rows, scale): rows of Python ints, so that products of
-    entries stay exact, and one positive scale, in lowest terms."""
-    ints, scale = _traces(_basis(kind, q.d, q.n, q.conductor), q.elements)
+    entries stay exact, and one positive scale, in lowest terms.  The
+    Hermitian table of a labelled odd-d set is read from its labels
+    (`_incidence`); every other table is gathered from the matrices."""
+    if kind == "hermitian" and q.labels is not None and q.d != 2:
+        ints, scale = _incidence(q), 1
+    else:
+        ints, scale = _traces(_basis(kind, q.d, q.n, q.conductor), q.elements)
     return tuple(map(tuple, ints.tolist())), scale
 
 
@@ -177,14 +256,6 @@ def moment_form(q: OperatorSet, k, args):
             term = term * trace_product(a, el)
         acc = acc + term
     return acc * Fraction(1, q.size)
-
-
-def first_moment(q: OperatorSet) -> OpMatrix:
-    """mu_1 = (1/|Q|) sum q."""
-    acc = OpMatrix.zero(q.conductor, q.dim)
-    for el in q.elements:
-        acc = acc + el
-    return acc.scale(Fraction(1, q.size))
 
 
 class _Echelon:
@@ -289,6 +360,42 @@ def _jordan_slab(field_, stack, i):
     return t + t.transpose(1, 0, 2)
 
 
+def _phase_space_slab(field_, forms, d, diffs, i):
+    """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
+    numerators over (d^n scale)^3, for M_x = d^-n sum_a diffs[x, a] A(a) /
+    scale at odd d, diffs an object array of Python ints (differences of
+    trace-table columns over their scale).
+
+    With e(a, b, c) = 2([a, b] + [b, c] + [c, a]) mod d from `forms`,
+    tr(M_i M_j M_k) is sum_v omega^v (tail H_v tail^T)[j, k] over
+    (d^n scale)^3, tail = diffs[i:] and H_v[b, c] = sum_a diffs[i, a]
+    [e(a, b, c) = v]: counts over the support of diffs[i] and one integer
+    contraction, no matrix.  Swapping b and c negates e, so the
+    symmetrized sum takes H_v + H_-v."""
+    tail = diffs[i:]
+    support = np.flatnonzero(diffs[i])
+    w = forms[support]
+    e = 2 * (w[:, :, None] + forms + forms.T[support][:, None, :]) % d  # [a, b, c]
+    counts = np.stack([_exact(lambda x, hit: np.tensordot(x, hit, 1), len(support),
+                              (diffs[i, support], e == v)) for v in range(d)])
+    counts = counts + counts[-np.arange(d) % d]
+    roots = field_.pows[(field_.m // d) * np.arange(d)]  # [v] = omega^v
+    return _exact(lambda x, h, y, r: np.tensordot(x @ h @ y.T, r, ([0], [0])),
+                  d * forms.shape[0] ** 2, (tail, counts, tail, roots))
+
+
+def _triple_traces(b: _Basis, d, m, i):
+    """tr(B_i B_j B_k) at [j, k] for j, k >= i, as power-basis numerators
+    over b.den: at odd d omega^(2([a_i, a_j] + [a_j, a_k] + [a_k, a_i]))
+    read from `pows`, at d = 2 gathered from the products B_i B_j, which are
+    monomial like the basis."""
+    if b.forms is None:
+        return mono_traces([b.monos[i] @ mono for mono in b.monos[i:]], b.stack[i:])
+    w = b.forms
+    e = 2 * (w[i, i:, None] + w[i:, i:] + w[None, i:, i]) % d
+    return _field(m).pows[(m // d) * e]
+
+
 def _trace_terms(b: _Basis, i):
     """For j, k >= i over c^3: tr_i tr_j tr_k and c times the cross terms
     tr_i tr(B_j B_k) + tr_j tr(B_i B_k) + tr_k tr(B_i B_j)."""
@@ -331,8 +438,7 @@ def is_complex_3design(q: OperatorSet) -> DesignReport:
     lden, c3 = q.size * scale ** 3, b.c ** 3
     for i in range(len(rows)):
         iu = np.triu_indices(len(rows) - i)
-        # tr(B_i B_j B_k) at [j, k] over den: B_i B_j is monomial like the basis
-        t = mono_traces([b.monos[i] @ mono for mono in b.monos[i:]], b.stack[i:])
+        t = _triple_traces(b, q.d, q.conductor, i)  # over den
         # F_3 = lhs / lden against (terms / c^3 + jordan / den) / (D(D+1)(D+2))
         c1, c2 = _trace_terms(b, i)
         diff = _times((t + t.transpose(1, 0, 2))[iu], c3 * lden)
@@ -532,36 +638,50 @@ def check_lin_wig_condition(q: OperatorSet):
 
 def check_lin_jor_condition(q: OperatorSet, wig=None):
     """The Lin ⊂ Wig condition (the report `wig`, computed when not given)
-    plus mu_1 ∝ 1, a full span, and the F_3 clause."""
+    plus mu_1 ∝ 1, a full span, and the F_3 clause.  The Jordan side is
+    `_jordan_slab` of the dense differences at d = 2 and
+    `_phase_space_slab` of the trace-table differences at odd d."""
     base = check_lin_wig_condition(q) if wig is None else wig
     gram, gscale, picked = _gram_data(q)
     size = q.size
     clauses = dict(base["clauses"])
-    mu = first_moment(q)
-    target = OpMatrix.identity(q.conductor, q.dim).scale(mu.trace().as_fraction() / q.dim)
-    clauses["mu1_proportional_identity"] = mu == target
+    b = _basis("hermitian", q.d, q.n, q.conductor)
+    ints, scale = trace_table(q, "hermitian")
+    table = np.array(ints, dtype=object)
+    # mu_1 ∝ 1 iff its basis traces, the table's row sums over |Q| scale, are
+    # proportional to those of 1 (the basis spans)
+    sums = _exact(lambda t: t.sum(axis=1), size, (table,))
+    k = int(np.flatnonzero(b.single)[0])  # tr B_k != 0
+    clauses["mu1_proportional_identity"] = bool(
+        (_times(sums, b.single[k]) == _times(b.single, sums[k])).all())
     span_dim = span_dimension(q)
     clauses["span_full"] = span_dim in (q.dim ** 2, q.dim * (q.dim + 1) // 2)  # Herm or Sym
 
     idx = np.asarray(picked, dtype=np.intp)
     diffs = gram[idx] - gram[0]
-    stack, den = coefficient_stack(q.elements)
-    mats = stack[idx] - stack[0]  # q_i - q_0 over den
     m = q.conductor
+    if q.d == 2:
+        stack, den = coefficient_stack(q.elements)
+        mats, jden = stack[idx] - stack[0], den ** 3  # q_i - q_0 over den
+        jordan = partial(_jordan_slab, _field(m), mats)
+    else:
+        # q_i - q_0 = d^-n sum_a cols[i, a] A(a) / scale
+        cols, jden = table.T[idx] - table.T[0], (q.dim * scale) ** 3
+        jordan = partial(_phase_space_slab, _field(m), b.forms, q.d, cols)
 
     def slabs():
         # F_3 = sum_t D_i D_j D_k / (|Q| gscale^3) against the Jordan side over
-        # den^3; the symmetrized trace is real but may be irrational
+        # jden; the symmetrized trace is real but may be irrational
         for a in range(len(idx)):
             iu = np.triu_indices(len(idx) - a)
             keys = np.stack([np.full(len(iu[0]), idx[a]), idx[a + iu[0]], idx[a + iu[1]]], 1)
-            yield keys, _trilinear(diffs, a)[iu], _jordan_slab(_field(m), mats, a)[iu]
+            yield keys, _trilinear(diffs, a)[iu], jordan(a)[iu]
 
     ref, bad = _proportional_scan(slabs())
 
     def values(entry):
         keys, lhs, rhs = entry
-        return *map(int, keys), Fraction(lhs, size * gscale ** 3), CycNumber(m, list(rhs), den ** 3)
+        return *map(int, keys), Fraction(lhs, size * gscale ** 3), CycNumber(m, list(rhs), jden)
 
     clauses["f3_proportional_on_dir"] = bad is None
     const_str = None

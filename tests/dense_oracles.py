@@ -18,7 +18,8 @@ d^(d+1) facet operators as dense matrices and `dense_membership` and
 one-element or single-operator forms of the library's batched kernels:
 `transform_label`, `mono_trace`, `mono_trace_product`,
 `stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
-`is_hermitian` and `is_identity`.
+`is_hermitian` and `is_identity`.  `first_moment` is the dense sum behind
+the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
 """
 
 import itertools
@@ -291,6 +292,14 @@ def mono_trace_product(a: Mono, b: Mono) -> CycNumber:
         if a.perm[b.perm[q]] == q:
             acc = acc + _mono_phase(a, (b.expo[q] + a.expo[b.perm[q]]) % a.r)
     return acc
+
+
+def first_moment(q) -> OpMatrix:
+    """mu_1 = (1/|Q|) sum q for an `OperatorSet` q."""
+    acc = OpMatrix.zero(q.conductor, q.dim)
+    for el in q.elements:
+        acc = acc + el
+    return acc.scale(Fraction(1, q.size))
 
 
 def stab_projector_wigner(label: StabilizerLabel) -> OpMatrix:

@@ -4,7 +4,8 @@ Each predicate here visits one basis pair or triple at a time with
 `Fraction`s and `CycNumber`s, exactly as the library did before its table
 kernels; the oracle tests in test_moments.py compare full reports against
 these.  They share the library's trace tables, Gram data and solver, which
-have oracles of their own.
+have oracles of their own; so the mu_1 ∝ 1 clause reads the table's row
+sums here too, and `dense_oracles.first_moment` is its dense oracle.
 """
 
 from fractions import Fraction
@@ -16,13 +17,12 @@ from stabsym.moments import (
     _gram_data,
     _pair_sums,
     _solve_linear_positive,
-    first_moment,
     hermitian_basis,
     span_dimension,
     symmetric_basis,
     trace_table,
 )
-from stabsym.operators import OpMatrix, hs_inner, trace_product
+from stabsym.operators import hs_inner, trace_product
 
 from dense_oracles import mono_trace, mono_trace_product
 
@@ -191,9 +191,13 @@ def check_lin_jor_condition(q):
     gram, gscale, picked = _gram_data(q)
     size = q.size
     clauses = dict(base["clauses"])
-    mu = first_moment(q)
-    target = OpMatrix.identity(q.conductor, q.dim).scale(mu.trace().as_fraction() / q.dim)
-    clauses["mu1_proportional_identity"] = mu == target
+    # mu_1 ∝ 1 iff its basis traces tr(B_a mu_1), the table's row sums over
+    # |Q| scale, are one constant times tr B_a
+    ints, scale = trace_table(q, "hermitian")
+    traces = [mono_trace(mono).as_fraction() for _, mono in hermitian_basis(q.d, q.n)]
+    mu = [Fraction(sum(row), size * scale) for row in ints]
+    ratio = next(x / t for x, t in zip(mu, traces) if t)
+    clauses["mu1_proportional_identity"] = all(x == ratio * t for x, t in zip(mu, traces))
     span_dim = span_dimension(q)
     clauses["span_full"] = span_dim in (q.dim ** 2, q.dim * (q.dim + 1) // 2)
 

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import moments_reference
-from stabsym import cyclotomic, moments
+from stabsym import cyclotomic, moments, operators
 from stabsym.clifford import metaplectic, real_clifford_orbit
 from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import StabsymError
@@ -20,7 +22,6 @@ from stabsym.moments import (
     _solve_linear_positive,
     check_lin_jor_condition,
     check_lin_wig_condition,
-    first_moment,
     hermitian_basis,
     is_complex_2design,
     is_complex_3design,
@@ -34,10 +35,19 @@ from stabsym.moments import (
     symmetric_basis,
     trace_table,
 )
-from stabsym.operators import OpMatrix, build_gram, hs_inner, stabilizer_states
+from stabsym.operators import (
+    OpMatrix,
+    build_gram,
+    coefficient_stack,
+    hs_inner,
+    lowest_terms,
+    mono_traces,
+    rational_part,
+    stabilizer_states,
+)
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import is_hermitian
+from dense_oracles import first_moment, is_hermitian
 
 
 def test_f1_of_identity_is_one():
@@ -409,7 +419,8 @@ def _reports(module, q):
 def stabilizer_subsets(draw):
     """A random subset, in random order, of the (2,1), (3,1), (2,2) or (5,1)
     stabilizer states, or a union of their bases (the states of one
-    Lagrangian); such sets are rarely designs."""
+    Lagrangian); such sets are rarely designs.  At odd d the subset carries
+    its labels, or, on a drawn coin, its elements only."""
     d, n = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (5, 1))))
     full = stabilizer_operator_set(d, n)
     if draw(st.booleans()):
@@ -422,8 +433,11 @@ def stabilizer_subsets(draw):
     else:
         picked = draw(st.lists(st.integers(0, full.size - 1), min_size=2,
                                max_size=min(full.size, 24), unique=True))
+    labels = None
+    if full.labels is not None and draw(st.booleans()):
+        labels = tuple(full.labels[i] for i in picked)
     return OperatorSet(name=f"subset({d},{n})", d=d, n=n,
-                       elements=tuple(full.elements[i] for i in picked))
+                       elements=tuple(full.elements[i] for i in picked), labels=labels)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -464,8 +478,9 @@ def test_python_int_path_gives_identical_reports(monkeypatch):
     monkeypatch.setattr(cyclotomic, "fits_int64", never_fits)
     # fresh sets and bases, so that the trace tables are recomputed too
     moments._basis.cache_clear()
-    fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, elements=q.elements)
-             for q in sets]
+    moments._phase_forms.cache_clear()
+    fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, elements=q.elements,
+                         labels=q.labels) for q in sets]
     assert [_reports(moments, q) for q in fresh] == expected
     assert _brute_force_grams() == grams
     assert calls  # every guarded op took the Python-int branch
@@ -480,3 +495,126 @@ def test_verify_design_checks_lin_wig_once(monkeypatch):
     assert len(calls) == 1
     assert report["checks"]["lin_subset_jor"]["clauses"]["f2_proportional_on_dir"]
     assert report["checks"]["lin_subset_wig"] == check(stabilizer_operator_set(3, 1))
+
+
+# ---------------------------------------------------------------------------
+# The odd-d closed forms against the dense kernels
+
+def _dense_traces(monos, mats):
+    """All tr(B_x Q_y) gathered from the dense Q_y (`mono_traces`), as (ints,
+    scale) in lowest terms."""
+    stack, den = coefficient_stack(mats)
+    return lowest_terms(rational_part(mono_traces(monos, stack)), den)
+
+
+def _hermitian_monos(d, n):
+    return [mono for _, mono in hermitian_basis(d, n)]
+
+
+@pytest.mark.parametrize("q", [
+    *(stabilizer_operator_set(d, n) for d, n in ((3, 1), (5, 1), (7, 1), (3, 2))),
+    phase_point_operator_set(3, 1),
+], ids=lambda q: q.name)
+def test_incidence_table_matches_mono_traces(q):
+    assert q.labels is not None
+    ints, scale = _dense_traces(_hermitian_monos(q.d, q.n), q.elements)
+    assert trace_table(q) == (tuple(map(tuple, ints.tolist())), scale)
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
+def test_closed_form_basis_matches_dense(d, n):
+    m = conductor_for(d)
+    b = moments._basis("hermitian", d, n, m)
+    assert b.mats is None and b.stack is None
+    monos = _hermitian_monos(d, n)
+    mats = [mono.to_matrix() for mono in monos]
+    (single, c1), (pair, c2) = (_dense_traces(monos, x)
+                                for x in ([OpMatrix.identity(m, d ** n)], mats))
+    assert [Fraction(x, b.c) for x in b.single] == [Fraction(x, c1) for x in single[:, 0]]
+    assert ([[Fraction(x, b.c) for x in row] for row in b.pair.tolist()]
+            == [[Fraction(x, c2) for x in row] for row in pair.tolist()])
+    assert b.den == coefficient_stack(mats)[1] == 1
+
+
+@pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (3, 2, [40])])
+def test_triple_traces_match_mono_traces_of_products(d, n, slabs):
+    m = conductor_for(d)
+    b = moments._basis("hermitian", d, n, m)
+    monos = _hermitian_monos(d, n)
+    stack, den = coefficient_stack([mono.to_matrix() for mono in monos])
+    for i in range(len(monos)) if slabs is None else slabs:
+        dense = mono_traces([monos[i] @ mono for mono in monos[i:]], stack[i:])
+        closed = moments._triple_traces(b, d, m, i)
+        assert (closed * den == dense * b.den).all()
+
+
+def _jordan_slabs_agree(q, slabs):
+    """The table-side Jordan slab equals `_jordan_slab` of the dense
+    differences q_i - q_0, as rationals, on the given slabs (None: all)."""
+    m = q.conductor
+    idx = np.asarray(_gram_data(q)[2])
+    stack, den = coefficient_stack(q.elements)
+    ints, scale = trace_table(q)
+    cols = np.array(ints, dtype=object).T
+    forms = moments._basis("hermitian", q.d, q.n, m).forms
+    for i in range(len(idx)) if slabs is None else slabs:
+        dense = moments._jordan_slab(cyclotomic._field(m), stack[idx] - stack[0], i)
+        closed = moments._phase_space_slab(cyclotomic._field(m), forms, q.d,
+                                           cols[idx] - cols[0], i)
+        assert (closed * den ** 3 == dense * (q.dim * scale) ** 3).all()
+
+
+@pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (7, 1, [0]), (3, 2, [0])])
+def test_phase_space_slab_matches_dense_jordan_slab(d, n, slabs):
+    _jordan_slabs_agree(stabilizer_operator_set(d, n), slabs)
+
+
+def test_phase_space_slab_matches_dense_on_an_unlabelled_subset():
+    full = stabilizer_operator_set(5, 1)
+    picked = random.Random(5).sample(range(full.size), 12)
+    q = OperatorSet(name="unlabelled subset(5,1)", d=5, n=1,
+                    elements=tuple(full.elements[i] for i in picked))
+    _jordan_slabs_agree(q, None)
+
+
+def test_mu1_clause_matches_dense_first_moment():
+    full = stabilizer_operator_set(3, 1)
+    sets = [*_span_sets(), OperatorSet(name="three states", d=3, n=1, elements=full.elements[:3]),
+            OperatorSet(name="two states", d=3, n=1, elements=full.elements[3:5],
+                        labels=full.labels[3:5])]
+    for q in sets:
+        mu = first_moment(q)
+        dense = mu == OpMatrix.identity(q.conductor, q.dim).scale(Fraction(1, q.dim))
+        assert check_lin_jor_condition(q)["clauses"]["mu1_proportional_identity"] == dense
+    # the first three states are one basis, the next two are not
+    assert [check_lin_jor_condition(q)["clauses"]["mu1_proportional_identity"]
+            for q in sets[-2:]] == [True, False]
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize("which,d,n,golden", [
+    ("stab", 3, 1, "verify-design_d3_n1.json"), ("stab", 5, 1, "verify-design_d5_n1.json"),
+    ("stab", 3, 2, "verify-design_d3_n2.json"),
+    ("phase-points", 3, 1, "verify-design_d3_n1_set-phase-points.json"),
+])
+def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d, n, golden):
+    # fresh sets and bases: no trace, product or sum of dense matrices is taken
+    def dense(*args, **kwargs):
+        raise AssertionError("dense kernel called")
+
+    for module in (operators, moments):
+        monkeypatch.setattr(module, "mono_traces", dense)
+        monkeypatch.setattr(module, "coefficient_stack", dense)
+        monkeypatch.setattr(module, "trace_pairs", dense)
+    monkeypatch.setattr(cyclotomic._Field, "contract", dense)
+    monkeypatch.setattr(OpMatrix, "__matmul__", dense)
+    monkeypatch.setattr(OpMatrix, "__add__", dense)
+    for name in ("stabilizer_operator_set", "phase_point_operator_set"):
+        monkeypatch.setattr(moments, name, getattr(moments, name).__wrapped__)
+    moments._basis.cache_clear()
+    moments._phase_forms.cache_clear()
+    expected = json.loads((GOLDENS / golden).read_text())
+    report = moments.verify_design(which, d, n)
+    assert {"command": "verify-design", "d": d, "n": n, "set": which, **report} == expected
