@@ -16,6 +16,7 @@ from .phase_space import (
     intersect,
     label_from_functional,
     symplectic_form,
+    wreath_decompose,
 )
 from .operators import (
     GramMatrix,
@@ -56,7 +57,6 @@ from .symmetry import (
     predicted_group,
     verify_Sf_machinery,
     verify_theorem1,
-    wreath_decompose,
 )
 from .polytope1 import direct_sum_check, polytope_membership
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .cyclotomic import (
     CycNumber,
     GaloisMap,
@@ -16,18 +18,21 @@ from .cyclotomic import (
     gauss_sum,
     root_of_unity,
 )
-from .errors import BudgetExceeded, OddOnly, WordDecompositionFailure
+from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
 from .operators import OpMatrix, StateFamily, build_gram, phase_point_mono, weyl, weyl_mono
 from .permgroup import PermGroup
 from .phase_space import (
+    MAX_POINTS,
     LagrangianSubspace,
     StabilizerLabel,
     all_vectors,
     enumerate_stabilizer_labels,
+    jvec,
     label_from_functional,
     label_permutations,
     symplectic_form,
     vec_add,
+    wreath_decompose,
 )
 from .zmod import ZModMatrix, inv_mod, legendre, require_prime
 
@@ -73,8 +78,7 @@ def k_alpha(d, n, alpha) -> ZModMatrix:
 def transvection(v, d) -> ZModMatrix:
     """t_v: x -> x + [x, v] v."""
     size = len(v)
-    n = size // 2
-    jv = tuple(v[n:]) + tuple((-x) % d for x in v[:n])
+    jv = (jvec(np.array(v)) % d).tolist()
     rows = [
         [(1 if i == j else 0) + v[i] * jv[j] for j in range(size)]
         for i in range(size)
@@ -91,21 +95,28 @@ def sp_order_formula(d, n) -> int:
 
 @lru_cache(maxsize=None)
 def sp_generators(d, n):
-    """A certified generating set of Sp(2n, d) built from transvections."""
+    """A certified generating set of Sp(2n, d) built from transvections: the
+    order of the group they generate on the nonzero points is |Sp(2n, d)|
+    (`sp_order_formula`) and each is symplectic, else Mismatch."""
     require_prime(d)
-    if d ** (2 * n) > 4096:
+    if d ** (2 * n) > MAX_POINTS:
         raise BudgetExceeded("phase space too large for certification")
     units = [tuple(1 if k == i else 0 for k in range(2 * n)) for i in range(2 * n)]
     small = list(units)
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             small.append(tuple((x + y) % d for x, y in zip(units[i], units[j])))
-    gens = [transvection(v, d) for v in small]
-    if _order_on_nonzero(gens, d, n) != sp_order_formula(d, n):
-        gens = [transvection(v, d) for v in all_vectors(d, 2 * n) if any(v)]
-        assert _order_on_nonzero(gens, d, n) == sp_order_formula(d, n)
+    for vectors in (small, _nonzero_points(d, n)):  # the few, else every transvection
+        gens = [transvection(v, d) for v in vectors]
+        order = _order_on_nonzero(gens, d, n)
+        if order == sp_order_formula(d, n):
+            break
+    else:
+        raise Mismatch(f"the transvections generate a group of order {order}, "
+                       f"not |Sp({2 * n}, {d})|", witness=order)
     for g in gens:
-        assert is_symplectic(g)
+        if not is_symplectic(g):
+            raise Mismatch("a transvection is not symplectic", witness=g)
     return tuple(gens)
 
 
@@ -393,29 +404,23 @@ def wreath_decompose_table():
 
     Each row reports the basis permutation sigma and, per source basis B, the
     within-basis map applied as B leaves: 'e' (identity) or 't' (transposition),
-    read off the labels of X+, X-, Y+, Y-, Z+, Z- keyed (basis, eigenvalue index).
+    read off the labels of X+, X-, Y+, Y-, Z+, Z-, one block of two per basis
+    (`phase_space.wreath_decompose`).
     """
-    keys = [(basis, k) for basis in ("X", "Y", "Z") for k in (0, 1)]
+    bases = tuple(_XYZ_VECTORS)
     labels = [label_from_functional(LagrangianSubspace.from_rows([_XYZ_VECTORS[basis]], 2), (k,))
-              for basis, k in keys]
+              for basis in bases for k in (0, 1)]
     names = ("Y", "Z", "H", "S")
     perms = label_permutations(labels, [transpose_action(1)]
                                + [qubit_gate_action(1, name) for name in names])
 
-    def decompose(perm):
-        mapping = {key: keys[image] for key, image in zip(keys, perm)}
-        outer = {}
-        inner = {}
-        for basis in ("X", "Y", "Z"):
-            img0, img1 = mapping[(basis, 0)], mapping[(basis, 1)]
-            if img0[0] != img1[0]:
-                raise AssertionError("basis partition broken")
-            outer[basis] = img0[0]
-            inner[basis] = "e" if (img0[1], img1[1]) == (0, 1) else "t"
-        return {"outer": outer, "inner": inner}
+    def coordinates(perm):
+        sigma, inners = wreath_decompose(perm, [[0, 1], [2, 3], [4, 5]])
+        return {"outer": {b: bases[s] for b, s in zip(bases, sigma)},
+                "inner": {b: "e" if g == (0, 1) else "t" for b, g in zip(bases, inners)}}
 
-    rows = {f"conjugation_by_{name}": decompose(perm) for name, perm in zip(names, perms[1:])}
-    return {"complex_conjugation": decompose(perms[0]), **rows}
+    rows = {f"conjugation_by_{name}": coordinates(perm) for name, perm in zip(names, perms[1:])}
+    return {"complex_conjugation": coordinates(perms[0]), **rows}
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .clifford import real_clifford_orbit
 from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
 from .operators import (
+    MAX_ENTRIES,
     OpMatrix,
     coefficient_stack,
     lowest_terms,
@@ -49,7 +50,14 @@ from .operators import (
     trace_product,
     weyl_mono,
 )
-from .phase_space import StabilizerLabel, all_vectors, enumerate_stabilizer_labels, reduce_reps
+from .phase_space import (
+    StabilizerLabel,
+    all_vectors,
+    enumerate_stabilizer_labels,
+    jvec,
+    lagrangian_index,
+    reduce_reps,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +90,18 @@ class OperatorSet:
         return self.elements[0].m
 
 
-TABLE_BUDGET = 100_000_000  # entries the Hermitian trace table may gather, as `build_gram`'s
-
-
 def check_table_budget(d, n, size):
     """Refuse (BudgetExceeded) a set of `size` operators at (d, n) whose
     Hermitian trace table, gathered from dense matrices as for a set of
     elements only (`operators.mono_traces`), would take more than
-    TABLE_BUDGET entries: one per set element, basis element, column and
-    power-basis coefficient, so a set is refused before its dense matrices
-    are built.  A labelled odd-d set gathers nothing, but the same estimate
-    still bounds the Gram and the elimination of `_gram_data`."""
+    MAX_ENTRIES (`operators`) entries: one per set element, basis element,
+    column and power-basis coefficient, so a set is refused before its dense
+    matrices are built.  A labelled odd-d set gathers nothing, but the same
+    estimate still bounds the Gram and the elimination of `_gram_data`."""
     entries = size * d ** (3 * n) * _field(conductor_for(d)).deg
-    if entries > TABLE_BUDGET:
+    if entries > MAX_ENTRIES:
         raise BudgetExceeded(f"the trace table of {size} operators at (d, n) = ({d}, {n}) "
-                             f"gathers {entries} entries, over the budget of {TABLE_BUDGET}")
+                             f"gathers {entries} entries, over the budget of {MAX_ENTRIES}")
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +173,7 @@ def _phase_forms(d, n):
     tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
     [b - a, c - a] is that sum."""
     p = _points(d, n)
-    jp = np.concatenate([p[:, n:], -p[:, :n]], axis=1)  # [a, b] = a . J b, J b = (b_Z, -b_X)
-    forms = (_exact(lambda x, y: x @ y.T, 2 * n, (p, jp)) % d).astype(np.int64)
+    forms = (_exact(lambda x, y: x @ y.T, 2 * n, (p, jvec(p))) % d).astype(np.int64)
     forms.flags.writeable = False
     return forms
 
@@ -213,9 +217,7 @@ def _incidence(q: OperatorSet):
     if not isinstance(q.labels[0], StabilizerLabel):
         cells = np.ravel_multi_index(np.array(q.labels).T, shape)
         return d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
-    lags = tuple(dict.fromkeys(lab.L for lab in q.labels))
-    where = {L: i for i, L in enumerate(lags)}
-    li = np.array([where[lab.L] for lab in q.labels])
+    lags, li = lagrangian_index(q.labels)
     points = _points(d, n)
     canon = reduce_reps(np.broadcast_to(points, (len(lags),) + points.shape),
                         np.array([L.basis for L in lags])[:, None],

@@ -23,6 +23,8 @@ from .phase_space import (
     StabilizerLabel,
     all_vectors,
     enumerate_stabilizer_labels,
+    jvec,
+    lagrangian_index,
     sign_bits,
     symplectic_form,
 )
@@ -384,15 +386,14 @@ def _pair_table(lags):
     signs = np.zeros((len(lags),) * 2 + (n,), dtype=np.uint8)
     bits = [sign_bits(L) for L in lags]
     basis = np.array([L.basis for L in lags])  # (lags, n, 2n)
-    jbasis = np.concatenate([basis[..., n:], -basis[..., :n] % d], axis=2)
-    pairing = (np.einsum("irk,jsk->ijsr", basis, jbasis) % d).tolist()
+    pairing = (np.einsum("irk,jsk->ijsr", basis, jvec(basis)) % d).tolist()
     for i in range(len(lags)):
         for j in range(i, len(lags)):
             kernel = null_space(pairing[i][j], n, d)
             dims[i, j] = dims[j, i] = len(kernel)
             for t, k in enumerate(kernel):
                 b = tuple((np.dot(k, basis[i]) % d).tolist())
-                jb[i, j, t] = jb[j, i, t] = b[n:] + tuple((-x) % d for x in b[:n])
+                jb[i, j, t] = jb[j, i, t] = jvec(np.array(b)) % d
                 if d == 2:  # c_L is 0 at odd d
                     signs[i, j, t], signs[j, i, t] = bits[i][b], bits[j][b]
     dims.flags.writeable = jb.flags.writeable = signs.flags.writeable = False
@@ -429,9 +430,7 @@ def closed_form_gram(labels) -> GramMatrix:
     """
     labels = tuple(labels)
     d, n = labels[0].d, labels[0].n
-    lags = tuple(dict.fromkeys(lab.L for lab in labels))
-    where = {L: i for i, L in enumerate(lags)}
-    li = np.array([where[lab.L] for lab in labels])
+    lags, li = lagrangian_index(labels)
     keys = character_keys(lags, li, np.array([lab.rep for lab in labels]))
     # both sides gathered by rows: comparing C-order arrays, not one with its
     # transpose, is the bulk of the saving at N = 3 900
@@ -506,22 +505,20 @@ class GramMatrix:
         return "".join(",".join(map(names.__getitem__, row)) + "\n" for row in self.codes.tolist())
 
 
-def build_gram(states, projectors=None, budget=100_000_000) -> GramMatrix:
-    """Gram matrix of a state family.
+MAX_ENTRIES = 100_000_000  # cap on the entries of a Gram and of a gathered trace table
 
-    Stabilizer labels use the closed form; given `projectors`, the Gram is
-    their pairwise traces `trace_pairs`, the brute force.
-    """
+
+def build_gram(states) -> GramMatrix:
+    """The Gram of a family of stabilizer labels, by the closed form
+    (`closed_form_gram`); a family of more than MAX_ENTRIES entries is
+    refused (BudgetExceeded)."""
     states = tuple(states)
     size = len(states)
-    if size * size > budget:
+    if size * size > MAX_ENTRIES:
         raise BudgetExceeded(f"{size}^2 Gram entries exceed budget")
-    if states and isinstance(states[0], StabilizerLabel) and projectors is None:
-        return closed_form_gram(states)
-    if projectors is None:
-        raise ValueError("non-label states need explicit projector matrices")
-    ints, scale = trace_pairs(projectors, projectors)
-    return GramMatrix.from_keys(states, ints, lambda v: Fraction(v, scale))
+    if not states or not isinstance(states[0], StabilizerLabel):
+        raise ValueError("the Gram is built from stabilizer labels")
+    return closed_form_gram(states)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotBasisPreserving
 from .zmod import invert, null_space, require_prime, rref_rows, solve_rows
 
-MAX_POINTS = 4096  # default cap on d^{2n} for enumerations
+MAX_POINTS = 4096  # cap on d^{2n} for enumerations and certified generating sets
 
 
 def symplectic_form(a, b, d: int, n: int | None = None) -> int:
@@ -27,6 +27,13 @@ def symplectic_form(a, b, d: int, n: int | None = None) -> int:
     for i in range(n):
         s += a[i] * b[n + i] - b[i] * a[n + i]
     return s % d
+
+
+def jvec(b):
+    """J b = (b_Z, -b_X) along the last axis of an integer array b, so that
+    [a, b] = a . J b mod d."""
+    n = b.shape[-1] // 2
+    return np.concatenate([b[..., n:], -b[..., :n]], axis=-1)
 
 
 def vec_add(a, b, d):
@@ -215,10 +222,13 @@ class StabilizerLabel:
         return (self.L.basis, self.rep)
 
 
-def _check_budget(d, n, budget):
-    cap = MAX_POINTS if budget is None else budget
-    if d ** (2 * n) > cap:
-        raise BudgetExceeded(f"d^(2n) = {d ** (2 * n)} exceeds cap {cap}")
+def lagrangian_index(labels):
+    """(lags, li): the distinct Lagrangians of the stabilizer `labels` in
+    order of first appearance, and the array of each label's index into
+    them."""
+    lags = tuple(dict.fromkeys(lab.L for lab in labels))
+    where = {L: i for i, L in enumerate(lags)}
+    return lags, np.array([where[lab.L] for lab in labels])
 
 
 def basis_blocks(labels):
@@ -228,6 +238,33 @@ def basis_blocks(labels):
     for i, lab in enumerate(labels):
         blocks.setdefault(lab.L, []).append(i)
     return [blocks[L] for L in sorted(blocks, key=lambda L: L.basis)]
+
+
+def wreath_decompose(perm, blocks):
+    """The wreath coordinates (sigma, inners) of a permutation of indices
+    grouped into equal `blocks` (at n = 1 the `basis_blocks`): sigma[b] is
+    the block that block b is mapped onto, and inners[b][k] the position
+    there of the image of position k of block b.  A permutation that
+    scatters a block raises NotBasisPreserving."""
+    where = {v: (b, k) for b, block in enumerate(blocks) for k, v in enumerate(block)}
+    sigma, inners = [], []
+    for b, block in enumerate(blocks):
+        targets, inner = zip(*(where[perm[v]] for v in block))
+        if len(set(targets)) != 1:
+            raise NotBasisPreserving(f"block {b} is scattered by the permutation")
+        sigma.append(targets[0])
+        inners.append(inner)
+    return tuple(sigma), tuple(inners)
+
+
+def wreath_compose(sigma, inners, blocks):
+    """The permutation with wreath coordinates (sigma, inners) on `blocks`,
+    the inverse of `wreath_decompose`."""
+    perm = [None] * sum(map(len, blocks))
+    for block, target, inner in zip(blocks, sigma, inners):
+        for v, k in zip(block, inner):
+            perm[v] = blocks[target][k]
+    return tuple(perm)
 
 
 def enumerate_subspaces(d, ambient, k):
@@ -250,10 +287,11 @@ def enumerate_subspaces(d, ambient, k):
 
 
 @lru_cache(maxsize=None)
-def enumerate_lagrangians(d, n, budget=None):
+def enumerate_lagrangians(d, n):
     """All Lagrangian subspaces of Z_d^{2n}, sorted by canonical basis."""
     require_prime(d)
-    _check_budget(d, n, budget)
+    if d ** (2 * n) > MAX_POINTS:
+        raise BudgetExceeded(f"d^(2n) = {d ** (2 * n)} exceeds cap {MAX_POINTS}")
     out = []
     for rows in enumerate_subspaces(d, 2 * n, n):
         if all(symplectic_form(u, v, d) == 0 for u in rows for v in rows):
@@ -277,11 +315,10 @@ def coset_reps(L: Subspace):
 
 
 @lru_cache(maxsize=None)
-def enumerate_stabilizer_labels(d, n, budget=None):
+def enumerate_stabilizer_labels(d, n):
     """All (Lagrangian, coset) stabilizer labels, deterministically sorted."""
-    _check_budget(d, n, budget)
     out = []
-    for L in enumerate_lagrangians(d, n, budget):
+    for L in enumerate_lagrangians(d, n):
         for rep in coset_reps(L):
             out.append(StabilizerLabel.make(L, rep))
     out.sort(key=StabilizerLabel.sort_key)
@@ -340,15 +377,14 @@ def transform_labels(labels, matrix, a, eta=None):
     symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
     c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L."""
     d = labels[0].d
-    slot = {}
-    which = [slot.setdefault(lab.L, len(slot)) for lab in labels]
-    mapped = np.array([L.basis for L in slot]) @ np.array(matrix.rows).T % d
+    lags, which = lagrangian_index(labels)
+    mapped = np.array([L.basis for L in lags]) @ np.array(matrix.rows).T % d
     images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
     basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
-    shifts = np.zeros((len(slot), matrix.ncols), dtype=np.int64)
+    shifts = np.zeros((len(lags), matrix.ncols), dtype=np.int64)
     if eta is not None:
         pre = (basis @ np.array(invert(matrix).rows).T % d).tolist()
-        for k, (L, image) in enumerate(zip(slot, images)):
+        for k, (L, image) in enumerate(zip(lags, images)):
             values = [sign_bits(L)[b] + eta(b) for b in map(tuple, pre[k])]
             shifts[k] = label_from_functional(image, values).rep
     reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
@@ -377,14 +413,9 @@ def label_permutations(labels, maps):
 def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:
     """Label whose representative a satisfies [a, b_i] = values[i] on the basis of L."""
     d = L.d
-    n = L.ambient // 2
     if len(values) != L.dim:
         raise ValueError("one value per basis row required")
-    # [a, b] = sum_i a_i (Jb)_i with Jb = (b_Z, -b_X)
-    rows = []
-    for b in L.basis:
-        jb = tuple(b[n:]) + tuple((-x) % d for x in b[:n])
-        rows.append(jb)
+    rows = (jvec(np.array(L.basis)) % d).tolist()  # [a, b] = a . J b
     sol = solve_rows(rows, [v % d for v in values], d)
     assert sol is not None, "functionals on a Lagrangian are always representable"
     return StabilizerLabel.make(L, sol)

@@ -28,8 +28,11 @@ from .phase_space import (
     all_vectors,
     basis_blocks,
     enumerate_lagrangians,
+    jvec,
     label_permutations,
     reduce_reps,
+    wreath_compose,
+    wreath_decompose,
 )
 from .zmod import ZModMatrix
 
@@ -311,31 +314,21 @@ def gram_automorphisms(gram: GramMatrix, time_budget=None, seeds=None) -> PermGr
 # ---------------------------------------------------------------------------
 # Predicted groups for the four cases
 
-def _wreath_generators(d, n_labels, blocks):
-    """Wreath generators on labels grouped into contiguous equal blocks."""
-    nblocks = len(blocks)
-    gens = []
-    size = len(blocks[0])
-    ident = list(range(n_labels))
-    # inner S_size on the first block: transposition and a size-cycle
-    t = ident[:]
-    t[blocks[0][0]], t[blocks[0][1]] = t[blocks[0][1]], t[blocks[0][0]]
-    gens.append(tuple(t))
-    c = ident[:]
-    for i, v in enumerate(blocks[0]):
-        c[v] = blocks[0][(i + 1) % size]
-    gens.append(tuple(c))
-    # outer S_{nblocks}: index-aligned block transposition and block cycle
-    t = ident[:]
-    for a, b in zip(blocks[0], blocks[1]):
-        t[a], t[b] = b, a
-    gens.append(tuple(t))
-    c = ident[:]
-    for bi in range(nblocks):
-        for a, b in zip(blocks[bi], blocks[(bi + 1) % nblocks]):
-            c[a] = b
-    gens.append(tuple(c))
-    return gens
+def _wreath_generators(blocks):
+    """S_d wr S_(d+1) on the basis blocks, from wreath coordinates
+    (`wreath_compose`): a transposition and a d-cycle within the first
+    block, then a transposition and a cycle of the blocks."""
+    def swap(m):
+        return (1, 0, *range(2, m))
+
+    def cycle(m):
+        return (*range(1, m), 0)
+
+    nblocks, size = len(blocks), len(blocks[0])
+    fixed = tuple(range(size))
+    inner = [(tuple(range(nblocks)), (g(size),) + (fixed,) * (nblocks - 1)) for g in (swap, cycle)]
+    outer = [(g(nblocks), (fixed,) * nblocks) for g in (swap, cycle)]
+    return tuple(wreath_compose(sigma, inners, blocks) for sigma, inners in inner + outer)
 
 
 def default_variant(d, n, which):
@@ -371,8 +364,7 @@ def predicted_generators(d, n, variant) -> tuple:
     if variant == "wreath":
         if n != 1:
             raise Unsupported("the wreath case is n = 1")
-        gens = _wreath_generators(d, fam.size, basis_blocks(fam.labels))
-        return tuple(gens)
+        return _wreath_generators(basis_blocks(fam.labels))
     if variant == "extended_clifford":
         if d != 2:
             raise Unsupported("the extended Clifford case is d = 2")
@@ -414,18 +406,6 @@ def family_gram(which, d, n) -> GramMatrix:
 
 # ---------------------------------------------------------------------------
 # Theorem-1 verification
-
-def basis_partition_preserved(perm, blocks) -> bool:
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = bi
-    for block in blocks:
-        images = {block_of[perm[v]] for v in block}
-        if len(images) != 1:
-            return False
-    return True
-
 
 def verify_theorem1(d, n, variant, time_budget=None):
     """Compare computed Gram automorphisms against the predicted group.
@@ -476,9 +456,12 @@ def verify_theorem1(d, n, variant, time_budget=None):
     report["computed_in_predicted"] = not missing_bwd
     if n == 1 and labels is not None:
         blocks = basis_blocks(labels)
-        report["basis_partition_preserved"] = all(
-            basis_partition_preserved(g, blocks) for g in computed.generators
-        )
+        try:
+            for g in computed.generators:
+                wreath_decompose(g, blocks)
+            report["basis_partition_preserved"] = True
+        except NotBasisPreserving:
+            report["basis_partition_preserved"] = False
     report["match"] = (
         report["orders_match"]
         and report["predicted_in_computed"]
@@ -491,34 +474,6 @@ def verify_theorem1(d, n, variant, time_budget=None):
             witness=witness,
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Wreath coordinates for n = 1
-
-def wreath_decompose(perm, d):
-    """Decompose an n=1 state permutation into (sigma, inner maps).
-
-    Returns (sigma, inners): sigma[b] is the image block of block b, and
-    inners[b] maps within-block positions of b onto positions of sigma[b].
-    """
-    fam = stabilizer_states(d, 1)
-    blocks = basis_blocks(fam.labels)
-    pos = {}
-    for bi, block in enumerate(blocks):
-        for k, v in enumerate(block):
-            pos[v] = (bi, k)
-    sigma = [None] * len(blocks)
-    inners = [[None] * d for _ in blocks]
-    for bi, block in enumerate(blocks):
-        targets = {pos[perm[v]][0] for v in block}
-        if len(targets) != 1:
-            raise NotBasisPreserving(f"block {bi} is scattered by the permutation")
-        ti = targets.pop()
-        sigma[bi] = ti
-        for k, v in enumerate(block):
-            inners[bi][k] = pos[perm[v]][1]
-    return tuple(sigma), tuple(tuple(g) for g in inners)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +500,8 @@ def sf_checks(lags, reps, bs):
     d, n = lags[0].d, lags[0].ambient // 2
     dim, size = d ** n, d ** (2 * n)
 
-    def pairing(a, v):  # [a, v] mod d = a . (v_Z, -v_X)
-        return np.einsum("...a,...a", a, np.concatenate([v[..., n:], -v[..., :n]], -1)) % d
+    def pairing(a, v):  # [a, v] mod d
+        return np.einsum("...a,...a", a, jvec(v)) % d
 
     points = np.array([L.points() for L in lags])  # (lags, d^n, 2n)
     where = points @ d ** np.arange(2 * n - 1, -1, -1)  # index in all_vectors order

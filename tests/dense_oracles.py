@@ -12,9 +12,13 @@ Galois action on A(x) as a monomial map; `dense_sf_machinery` and
 `ext_apply` take the same steps with sums and products of dense matrices.
 
 The n = 1 facet verdict and polytope membership are sums and minima over
-basis blocks in the library (`polytope1`); `dense_facet_family` lists all
+basis blocks in the library (`polytope1`), and its shifted overlap table is
+read from the closed-form Gram; `shifted_vertices` are the dense
+pi = Pi - (1/d) 1, `dense_overlap_table` their pairwise traces,
+`dense_line_sums_vanish` sums them per line, `dense_facet_family` lists all
 d^(d+1) facet operators as dense matrices and `dense_membership` and
-`dense_incidence_counts` take one `hs_inner` per facet.  The rest are
+`dense_incidence_counts` take one `hs_inner` per facet.  `bruteforce_gram`
+is the Gram of dense projectors by their pairwise traces.  The rest are
 one-element or single-operator forms of the library's batched kernels:
 `transform_label`, `mono_trace`, `mono_trace_product`,
 `stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
@@ -31,6 +35,7 @@ from stabsym.clifford import AffineSimilitude, k_alpha, similitude_multiplier
 from stabsym.cyclotomic import CycNumber, conductor_for, iunit, root_of_unity, sqrt_d
 from stabsym.errors import InconsistentSigns, Mismatch, OddOnly
 from stabsym.operators import (
+    GramMatrix,
     Mono,
     OpMatrix,
     build_gram,
@@ -39,6 +44,7 @@ from stabsym.operators import (
     phase_point,
     stab_projector,
     stabilizer_states,
+    trace_pairs,
     weyl_mono,
 )
 from stabsym.permgroup import identity_perm
@@ -51,7 +57,6 @@ from stabsym.phase_space import (
     symplectic_form,
     vec_add,
 )
-from stabsym.polytope1 import shifted_vertices
 from stabsym.zmod import ZModMatrix, invert
 
 
@@ -217,6 +222,43 @@ def dense_sf_machinery(d, n, b, family=None):
     }
 
 
+def bruteforce_gram(states, projectors):
+    """The Gram of `states` with the given exact projectors: their pairwise
+    traces (`trace_pairs`), ranked into codes over a legend."""
+    ints, scale = trace_pairs(projectors, projectors)
+    return GramMatrix.from_keys(states, ints, lambda v: Fraction(v, scale))
+
+
+@dataclass(frozen=True)
+class ShiftedVertex:
+    """pi = Pi - (1/d) 1: the traceless part of a stabilizer vertex."""
+
+    label: object
+    matrix: OpMatrix
+
+
+def shifted_vertices(d):
+    fam = stabilizer_states(d, 1)
+    eye = OpMatrix.identity(fam.projectors[0].m, d)
+    return [ShiftedVertex(label=lab, matrix=p - eye.scale(Fraction(1, d)))
+            for lab, p in zip(fam.labels, fam.projectors)]
+
+
+def dense_overlap_table(d):
+    """tr(pi_x pi_y) for every pair of dense shifted vertices, as (ints,
+    scale)."""
+    mats = [v.matrix for v in shifted_vertices(d)]
+    return trace_pairs(mats, mats)
+
+
+def dense_line_sums_vanish(d):
+    """Whether the dense shifted vertices of every basis block sum to zero."""
+    verts = shifted_vertices(d)
+    zero = OpMatrix.zero(verts[0].matrix.m, d)
+    return all(sum((verts[i].matrix for i in block), zero) == zero
+               for block in basis_blocks(stabilizer_states(d, 1).labels))
+
+
 @dataclass(frozen=True)
 class FacetOperator:
     """X = (1/d) 1 + sum_i pi_{L_i}^{g_i}, one character per line."""
@@ -314,12 +356,10 @@ def stab_projector_wigner(label: StabilizerLabel) -> OpMatrix:
     return acc.scale(Fraction(1, dim))
 
 
-def wreath_recompose(sigma, inners, d):
-    """The n = 1 state permutation of wreath coordinates (sigma, inners), the
-    inverse of `symmetry.wreath_decompose`."""
-    fam = stabilizer_states(d, 1)
-    blocks = basis_blocks(fam.labels)
-    perm = [None] * fam.size
+def wreath_recompose(sigma, inners, blocks):
+    """The permutation of wreath coordinates (sigma, inners) on `blocks`, the
+    inverse of `phase_space.wreath_decompose`."""
+    perm = [None] * sum(map(len, blocks))
     for bi, block in enumerate(blocks):
         for k, v in enumerate(block):
             perm[v] = blocks[sigma[bi]][inners[bi][k]]

@@ -23,7 +23,6 @@ from stabsym.moments import (
     stabilizer_operator_set,
 )
 from stabsym.operators import (
-    build_gram,
     hs_inner,
     phase_point_mono,
     stabilizer_states,
@@ -39,10 +38,10 @@ from stabsym.phase_space import (
     enumerate_stabilizer_labels,
     symplectic_form,
     vec_add,
+    wreath_decompose,
 )
 from stabsym.polytope1 import facet_report
 from stabsym.symmetry import (
-    basis_partition_preserved,
     gram_automorphisms,
     predicted_group,
     verify_sf_sum,
@@ -50,7 +49,7 @@ from stabsym.symmetry import (
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import mono_trace_product, transform_label
+from dense_oracles import bruteforce_gram, mono_trace_product, transform_label
 
 
 def report(criterion, ok, detail=""):
@@ -133,7 +132,7 @@ def test_criterion_2_operator_identities():
 def test_criterion_3_gram_formula_all_pairs_32():
     t0 = time.monotonic()
     fam = stabilizer_states(3, 2)
-    brute = build_gram(fam.labels, projectors=fam.projectors)
+    brute = bruteforce_gram(fam.labels, fam.projectors)
     assert brute.size == fam.size == 360
     assert brute.values == fam.gram.values
     elapsed = time.monotonic() - t0
@@ -150,7 +149,7 @@ def test_criterion_4_theorem1_case1_wreath():
         assert group.order() == math.factorial(d) ** (d + 1) * math.factorial(d + 1)
         blocks = basis_blocks(fam.labels)
         for g in group.generators:
-            assert basis_partition_preserved(g, blocks)
+            wreath_decompose(g, blocks)  # raises if g scatters a basis block
         assert verify_theorem1(d, 1, "wreath")["match"]
     elapsed = time.monotonic() - t0
     report(4, elapsed < 300, f"wreath orders 48/31104/(5!)^6*6! certified in {elapsed:.1f}s")

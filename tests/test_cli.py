@@ -239,7 +239,7 @@ def _argv_id(argv):
     *(["sf-sum", "--d", "3", "--n", str(n)] for n in (1, 2)),
     ["sf-sum", "--d", "5", "--n", "1"],
     ["sf-sum", "--d", "5", "--n", "2", "--samples", "50"],
-    *(["facets", "--d", str(d)] for d in (3, 5, 7)),
+    *(["facets", "--d", str(d)] for d in (3, 5, 7, 11)),
     ["enumerate", "--d", "3", "--n", "2"],
     *(["report", "--d", str(d), "--n", "1"] for d in (3, 5)),
     *(["gram", "--d", str(d), "--n", str(n)] for d, n in ((3, 1), (5, 1), (3, 2), (2, 2))),
@@ -251,8 +251,8 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
     # became one integer kernel, the d = 2 ones before the Gram became colour
     # codes over a legend, verify-clifford at d = 7 before products of exact
     # matrices ran in int64, facets and report at d = 5 before the facets
-    # were read per basis block, facets at d = 7 after); the reports must not
-    # move
+    # were read per basis block, facets at d = 7 and 11 after); the reports
+    # must not move
     replay(capsys, tmp_path, *argv)
 
 
@@ -264,13 +264,6 @@ def test_qubit_n3_goldens_replay(capsys, tmp_path, argv):
     # brute-force Gram (`trace_pairs` of the projectors) before the d = 2
     # Gram became the closed form on labels
     replay(capsys, tmp_path, *argv)
-
-
-@pytest.mark.slow
-def test_facets_d11_golden_replay(capsys, tmp_path):
-    # opt-in (`-m slow`): the largest d with a facet report, 11^12 facets
-    # read from the 132 x 132 overlap table (~3 s)
-    replay(capsys, tmp_path, "facets", "--d", "11")
 
 
 @pytest.mark.parametrize("argv", [

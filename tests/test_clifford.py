@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import stabsym
+from stabsym import clifford
 from stabsym.clifford import (
+    WREATH_TABLE,
     AffineSimilitude,
     ExtCliffordElement,
     agsp_compose,
@@ -32,7 +39,7 @@ from stabsym.cyclotomic import (
     root_of_unity,
     tau,
 )
-from stabsym.errors import OddOnly, WordDecompositionFailure
+from stabsym.errors import Mismatch, OddOnly, WordDecompositionFailure
 from stabsym.operators import (
     OpMatrix,
     phase_point,
@@ -62,6 +69,38 @@ def _random_sl2(d, rng):
 def test_sp_orders(d, n, order):
     assert sp_order_formula(d, n) == order
     assert sp_order(d, n) == order
+
+
+@pytest.fixture
+def fresh_sp_generators():
+    sp_generators.cache_clear()
+    yield
+    sp_generators.cache_clear()
+
+
+def test_sp_generators_refuse_a_wrong_order(monkeypatch, fresh_sp_generators):
+    monkeypatch.setattr(clifford, "sp_order_formula", lambda d, n: 25)
+    with pytest.raises(Mismatch, match=r"order 24, not \|Sp\(2, 3\)\|") as exc:
+        sp_generators(3, 1)
+    assert exc.value.witness == 24
+
+
+def test_sp_generators_refuse_a_non_symplectic_generator(monkeypatch, fresh_sp_generators):
+    monkeypatch.setattr(clifford, "is_symplectic", lambda m: False)
+    with pytest.raises(Mismatch, match="not symplectic"):
+        sp_generators(3, 1)
+
+
+def test_sp_generators_certify_under_python_O():
+    # `python -O` strips asserts; the certificate must still refuse
+    code = ("from stabsym import clifford\n"
+            "clifford.sp_order_formula = lambda d, n: 25\n"
+            "try:\n    clifford.sp_generators(3, 1)\n"
+            "except clifford.Mismatch:\n    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(stabsym.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "refused\n"
 
 
 def test_transvections_are_symplectic():
@@ -480,3 +519,4 @@ def test_wreath_table_of_standard_generators():
         "outer": {"X": "Z", "Y": "Y", "Z": "X"}, "inner": {"X": "e", "Y": "t", "Z": "e"}}
     assert table["conjugation_by_S"] == {
         "outer": {"X": "Y", "Y": "X", "Z": "Z"}, "inner": {"X": "e", "Y": "t", "Z": "e"}}
+    assert table == WREATH_TABLE

@@ -37,7 +37,6 @@ from stabsym.moments import (
 )
 from stabsym.operators import (
     OpMatrix,
-    build_gram,
     coefficient_stack,
     hs_inner,
     lowest_terms,
@@ -47,7 +46,7 @@ from stabsym.operators import (
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import first_moment, is_hermitian
+from dense_oracles import bruteforce_gram, first_moment, is_hermitian
 
 
 def test_f1_of_identity_is_one():
@@ -459,7 +458,7 @@ def test_table_kernels_match_reference_on_full_sets(q):
 def _brute_force_grams():
     """The Grams of the (2,2) stabilizer states and the n = 2 rebits from the
     traces of their projectors, as (codes, dtype, legend)."""
-    grams = [build_gram(p, projectors=p)
+    grams = [bruteforce_gram(p, p)
              for p in (stabilizer_states(2, 2).projectors, real_clifford_orbit(2).projectors)]
     return [(g.codes.tolist(), g.codes.dtype, g.legend) for g in grams]
 

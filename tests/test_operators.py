@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabsym import cyclotomic
+from stabsym import cyclotomic, operators
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
 from stabsym.clifford import real_clifford_orbit
-from stabsym.errors import InconsistentSigns
+from stabsym.errors import BudgetExceeded, InconsistentSigns
 from stabsym.operators import (
     GramMatrix,
     OpMatrix,
@@ -43,6 +43,7 @@ from stabsym.phase_space import (
 from stabsym.symmetry import rebit_gram
 
 from dense_oracles import (
+    bruteforce_gram,
     dense_real_clifford_orbit,
     is_hermitian,
     mono_trace_product,
@@ -368,7 +369,7 @@ def test_gram_bruteforce_tensor_matches_closed_form_sample():
     # (2,3) is the `slow` golden replay of `gram --d 2 --n 3`
     for d, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)):
         fam = stabilizer_states(d, n)
-        brute = build_gram(fam.labels, projectors=fam.projectors)
+        brute = bruteforce_gram(fam.labels, fam.projectors)
         assert brute.values == fam.gram.values
         # equal values over sorted legends of the values that occur: equal codes
         assert brute.legend == fam.gram.legend
@@ -376,14 +377,14 @@ def test_gram_bruteforce_tensor_matches_closed_form_sample():
     # the brute force itself against the Hilbert-Schmidt loop, for qubits and rebits
     for projs in (stabilizer_states(2, 2).projectors, real_clifford_orbit(1).projectors):
         loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)
-        assert build_gram(projs, projectors=projs).values == loop
+        assert bruteforce_gram(projs, projs).values == loop
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rebit_closed_form_gram_equals_brute_force(n):
     # the dense breadth-first orbit: the same states in the same order
     dense = dense_real_clifford_orbit(n)
-    brute = build_gram(dense, projectors=dense)
+    brute = bruteforce_gram(dense, dense)
     gram = rebit_gram(n)
     assert brute.values == gram.values
     assert brute.legend == gram.legend and np.array_equal(brute.codes, gram.codes)
@@ -489,6 +490,15 @@ def test_shifted_vertices_sum_to_zero_per_functional():
         for pi in group:
             acc = acc + pi - OpMatrix.identity(pi.m, 3).scale(third)
         assert acc == OpMatrix.zero(group[0].m, 3)
+
+
+def test_build_gram_takes_labels_under_the_entry_cap(monkeypatch):
+    fam = stabilizer_states(2, 1)
+    with pytest.raises(ValueError, match="stabilizer labels"):
+        build_gram(fam.projectors)
+    monkeypatch.setattr(operators, "MAX_ENTRIES", 35)
+    with pytest.raises(BudgetExceeded, match=r"6\^2 Gram entries exceed budget"):
+        build_gram(fam.labels)
 
 
 def test_gram_csv_format():

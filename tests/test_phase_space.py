@@ -107,8 +107,15 @@ def test_cosets_partition_phase_space():
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
+    from stabsym.clifford import sp_generators
+
+    # every site reads the one cap MAX_POINTS = 4096 < 5^6
+    with pytest.raises(BudgetExceeded, match=r"d\^\(2n\) = 15625 exceeds cap 4096"):
         enumerate_lagrangians(5, 3)
+    with pytest.raises(BudgetExceeded, match=r"d\^\(2n\) = 15625 exceeds cap 4096"):
+        enumerate_stabilizer_labels(5, 3)
+    with pytest.raises(BudgetExceeded, match="phase space too large for certification"):
+        sp_generators(5, 3)
 
 
 def test_subspace_enumeration_count_gaussian():

@@ -11,12 +11,19 @@ from stabsym.polytope1 import (
     direct_sum_check,
     facet_report,
     polytope_membership,
-    shifted_vertices,
     wigner_negative_state,
 )
 from stabsym.phase_space import basis_blocks
 
-from dense_oracles import dense_facet_family, dense_incidence_counts, dense_membership, is_hermitian
+from dense_oracles import (
+    dense_facet_family,
+    dense_incidence_counts,
+    dense_line_sums_vanish,
+    dense_membership,
+    dense_overlap_table,
+    is_hermitian,
+    shifted_vertices,
+)
 
 
 def test_shifted_vertices_traceless_hermitian():
@@ -29,12 +36,24 @@ def test_direct_sum_check_d3():
     report = direct_sum_check(3)
     assert report["overlap_table"] and report["line_sums_vanish"]
     assert report["blocks"] == 4
+    assert dense_line_sums_vanish(3)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_overlap_table_equals_the_dense_shifted_vertex_traces(d):
+    # the table read from the closed-form Gram against tr(pi_x pi_y) of the
+    # dense shifted vertices, in the same (ints, scale) lowest terms
+    ints, scale = polytope1._overlap_table(d)
+    dense, dense_scale = dense_overlap_table(d)
+    assert scale == dense_scale == d
+    assert ints.tolist() == dense.tolist()
 
 
 def test_direct_sum_check_d5():
     report = direct_sum_check(5)
     assert report["overlap_table"] and report["line_sums_vanish"]
     assert report["blocks"] == 6
+    assert dense_line_sums_vanish(5)
 
 
 def test_direct_sum_check_witness_is_first_failing_pair(monkeypatch):

@@ -22,10 +22,11 @@ from stabsym.phase_space import (
     enumerate_lagrangians,
     label_permutations,
     vec_add,
+    wreath_compose,
+    wreath_decompose,
 )
 from stabsym.symmetry import (
     AutomorphismSearch,
-    basis_partition_preserved,
     gram_automorphisms,
     predicted_generators,
     predicted_group,
@@ -33,7 +34,6 @@ from stabsym.symmetry import (
     sf_checks,
     verify_Sf_machinery,
     verify_theorem1,
-    wreath_decompose,
 )
 
 from dense_oracles import (
@@ -91,7 +91,7 @@ def test_basis_partition_preserved_n1():
     group = gram_automorphisms(fam.gram)
     blocks = basis_blocks(fam.labels)
     for g in group.generators:
-        assert basis_partition_preserved(g, blocks)
+        wreath_decompose(g, blocks)  # raises if g scatters a basis block
 
 
 def test_predicted_wreath_orders():
@@ -514,8 +514,9 @@ def test_the_fallback_chain_runs_under_the_budget(monkeypatch, capsys):
 def test_wreath_decompose_identity_and_roundtrip():
     d = 5
     fam = stabilizer_states(d, 1)
+    blocks = basis_blocks(fam.labels)
     ident = tuple(range(fam.size))
-    sigma, inners = wreath_decompose(ident, d)
+    sigma, inners = wreath_decompose(ident, blocks)
     assert sigma == tuple(range(d + 1))
     assert all(g == tuple(range(d)) for g in inners)
     group = predicted_group(d, 1, "wreath")
@@ -523,8 +524,21 @@ def test_wreath_decompose_identity_and_roundtrip():
     perm = ident
     for _ in range(6):
         perm = compose(perm, rng.choice(group.generators))
-    sigma, inners = wreath_decompose(perm, d)
-    assert wreath_recompose(sigma, inners, d) == perm
+    sigma, inners = wreath_decompose(perm, blocks)
+    assert wreath_recompose(sigma, inners, blocks) == perm
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_wreath_coordinates_of_computed_generators_recompose(d):
+    # every generator the search returns for `autgroup --d d --n 1`, the
+    # seeds and any it found, decomposes and recomposes to itself
+    blocks = basis_blocks(stabilizer_states(d, 1).labels)
+    gens = gram_automorphisms(stabilizer_states(d, 1).gram,
+                              seeds=predicted_generators(d, 1, "wreath")).generators
+    for g in gens:
+        coordinates = wreath_decompose(g, blocks)
+        assert wreath_recompose(*coordinates, blocks) == tuple(g)
+        assert wreath_compose(*coordinates, blocks) == tuple(g)
 
 
 def test_wreath_decompose_rejects_scattering():
@@ -533,8 +547,16 @@ def test_wreath_decompose_rejects_scattering():
     bad = list(range(fam.size))
     blocks = basis_blocks(fam.labels)
     bad[blocks[0][0]], bad[blocks[1][0]] = bad[blocks[1][0]], bad[blocks[0][0]]
-    with pytest.raises(NotBasisPreserving):
-        wreath_decompose(tuple(bad), d)
+    with pytest.raises(NotBasisPreserving, match="block 0 is scattered"):
+        wreath_decompose(tuple(bad), blocks)
+
+
+def test_theorem1_reports_a_scattered_block(monkeypatch):
+    def scattered(perm, blocks):
+        raise NotBasisPreserving("block 0 is scattered by the permutation")
+
+    monkeypatch.setattr(symmetry, "wreath_decompose", scattered)
+    assert verify_theorem1(3, 1, "wreath")["basis_partition_preserved"] is False
 
 
 def test_computed_symmetries_fix_uniform_sum():
