@@ -363,16 +363,10 @@ def transpose_action(n):
             lambda b: sum(x * z for x, z in zip(b[:n], b[n:])) % 2)
 
 
-@dataclass(frozen=True)
-class RealCliffordOrbit(StateFamily):
-    """The rebit states: the orbit of |0...0> under the real Clifford gates
-    Z_i, H_i, CZ_ij, in breadth-first order, with each gate's permutation."""
-
-    generators: tuple
-
-
 @lru_cache(maxsize=None)
-def real_clifford_orbit(n) -> RealCliffordOrbit:
+def real_clifford_closure(n):
+    """(labels, generators) of the rebit states, with no Gram: the labels in
+    breadth-first order from |0...0>, each gate Z_i, H_i, CZ_ij permuting them."""
     if n > 3:
         raise BudgetExceeded("rebit orbit supported for n <= 3")
     labels = enumerate_stabilizer_labels(2, n)
@@ -388,9 +382,15 @@ def real_clifford_orbit(n) -> RealCliffordOrbit:
             if perm[p] not in seen:
                 seen[perm[p]] = len(seen)
                 queue.append(perm[p])
-    orbit = tuple(labels[p] for p in seen)
     gens = tuple(tuple(seen[perm[p]] for p in seen) for perm in perms)
-    return RealCliffordOrbit(d=2, n=n, labels=orbit, gram=build_gram(orbit), generators=gens)
+    return tuple(labels[p] for p in seen), gens
+
+
+@lru_cache(maxsize=None)
+def real_clifford_orbit(n) -> StateFamily:
+    """The rebit states of `real_clifford_closure` with their Gram."""
+    labels, _ = real_clifford_closure(n)
+    return StateFamily(d=2, n=n, labels=labels, gram=build_gram(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,15 @@ failure.  "Equal" and "proportional" are integer cross-multiplications over
 common denominators, in `cyclotomic._exact` (int64 where `fits_int64` proves
 it exact, Python ints otherwise); no N^3 array is built.
 
-At odd d every check reads integer tables on phase space and builds no
-cyclotomic matrix.  The Hermitian basis is the phase-point operators A(a),
-with tr A(a) = 1, tr A(a) A(b) = d^n [a = b] and
-tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])) (`_phase_forms`);
-a stabilizer state has the 0/1 coset indicator as its table column, its
-discrete Wigner function (`_incidence`), and the Jordan side is a count of
-form values weighted by the table (`_phase_space_slab`).  The dense kernels
-(`operators.mono_traces`, `_jordan_slab`) serve d = 2 and the sets given by
-their elements only.
+At every prime d the checks read integer tables on phase space and build no
+cyclotomic matrix.  The Hermitian basis B_a, the A(a) at odd d and the Paulis
+T(a) at d = 2, is in closed form (`_basis`, `_triples`).  A labelled set has
+its table read from the labels (`_incidence`): a stabilizer state's column is
+its discrete Wigner function at odd d and its signed Pauli incidence at
+d = 2.  The real predicates take the real Paulis (a_X.a_Z even) as their
+basis of Sym, and the Jordan side is a count of triple-trace exponents
+weighted by the table (`_phase_space_slab`).  Only a set given by its
+elements has its table gathered from dense matrices (`operators.mono_traces`).
 """
 
 from __future__ import annotations
@@ -27,77 +27,66 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import combinations
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
 
-from .clifford import real_clifford_orbit
+from .clifford import real_clifford_closure
 from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
 from .operators import (
     MAX_ENTRIES,
-    OpMatrix,
-    coefficient_stack,
     lowest_terms,
     mono_traces,
     phase_point,
     phase_point_mono,
     rational_part,
-    stabilizer_states,
-    trace_pairs,
+    stab_projector,
+    stabilizer_labels,
     trace_product,
     weyl_mono,
 )
 from .phase_space import (
     StabilizerLabel,
     all_vectors,
-    enumerate_stabilizer_labels,
     jvec,
+    lagrangian_count,
     lagrangian_index,
     reduce_reps,
+    sign_bits,
 )
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """A finite set of Hermitian trace-1 operators with uniform weights.
-    Equal and hashed by identity, so the functions cached on a set never
-    hash its elements; the constructors below are cached, one set each.
+    """A finite set of Hermitian trace-1 operators with uniform weights,
+    given by its `elements` or by its `labels`, one per element: a
+    `StabilizerLabel` for a stabilizer state or a phase-space point a for
+    A(a).  The trace table of a labelled set is read from the labels, and its
+    elements are built only when first read.  Equal and hashed by identity,
+    so the functions cached on a set never hash its elements; the
+    constructors below are cached, one set each."""
 
-    At odd d a set may carry `labels`, one per element: a `StabilizerLabel`
-    for a stabilizer state or a phase-space point a for A(a).  The trace
-    table of a labelled set is then read from the labels; a set of elements
-    only has its table gathered from the dense matrices."""
+    def __init__(self, name, d, n, elements=None, labels=None):
+        self.name, self.d, self.n, self.labels = name, d, n, labels
+        self.dim, self.conductor = d ** n, conductor_for(d)
+        self.size = len(elements if labels is None else labels)
+        if elements is not None:
+            self.elements = tuple(elements)
 
-    name: str
-    d: int
-    n: int
-    elements: tuple
-    labels: tuple | None = None
-
-    @property
-    def dim(self):
-        return self.elements[0].dim
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    @property
-    def conductor(self):
-        return self.elements[0].m
+    @cached_property
+    def elements(self):
+        if isinstance(self.labels[0], StabilizerLabel):
+            return tuple(map(stab_projector, self.labels))
+        return tuple(phase_point(self.d, self.n, a) for a in self.labels)
 
 
 def check_table_budget(d, n, size):
     """Refuse (BudgetExceeded) a set of `size` operators at (d, n) whose
-    Hermitian trace table, gathered from dense matrices as for a set of
-    elements only (`operators.mono_traces`), would take more than
-    MAX_ENTRIES (`operators`) entries: one per set element, basis element,
-    column and power-basis coefficient, so a set is refused before its dense
-    matrices are built.  A labelled odd-d set gathers nothing, but the same
-    estimate still bounds the Gram and the elimination of `_gram_data`."""
+    Hermitian trace table, gathered as for a set of elements only
+    (`operators.mono_traces`), would take more than MAX_ENTRIES entries (one
+    per element, basis element, column and power-basis coefficient); the
+    estimate also bounds the Gram and elimination of `_gram_data`."""
     entries = size * d ** (3 * n) * _field(conductor_for(d)).deg
     if entries > MAX_ENTRIES:
         raise BudgetExceeded(f"the trace table of {size} operators at (d, n) = ({d}, {n}) "
@@ -106,26 +95,24 @@ def check_table_budget(d, n, size):
 
 @lru_cache(maxsize=None)
 def stabilizer_operator_set(d, n) -> OperatorSet:
-    check_table_budget(d, n, len(enumerate_stabilizer_labels(d, n)))
-    fam = stabilizer_states(d, n)
-    return OperatorSet(name=f"stabilizer({d},{n})", d=d, n=n, elements=fam.projectors,
-                       labels=None if d == 2 else fam.labels)
+    """The stabilizer states of (d, n) as labels, in `stabilizer_states`
+    order, refused by their count d^n prod_k (d^k + 1) before any is listed."""
+    check_table_budget(d, n, d ** n * lagrangian_count(d, n))
+    return OperatorSet(name=f"stabilizer({d},{n})", d=d, n=n, labels=stabilizer_labels(d, n))
 
 
 @lru_cache(maxsize=None)
 def rebit_operator_set(n) -> OperatorSet:
-    orbit = real_clifford_orbit(n)
-    check_table_budget(2, n, orbit.size)
-    return OperatorSet(name=f"rebit({n})", d=2, n=n, elements=orbit.projectors)
+    labels, _ = real_clifford_closure(n)
+    check_table_budget(2, n, len(labels))
+    return OperatorSet(name=f"rebit({n})", d=2, n=n, labels=labels)
 
 
 @lru_cache(maxsize=None)
 def phase_point_operator_set(d, n) -> OperatorSet:
     check_table_budget(d, n, d ** (2 * n))
-    points = tuple(sorted(all_vectors(d, 2 * n)))
     return OperatorSet(name=f"phase_points({d},{n})", d=d, n=n,
-                       elements=tuple(phase_point(d, n, a) for a in points),
-                       labels=None if d == 2 else points)
+                       labels=tuple(sorted(all_vectors(d, 2 * n))))
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +121,8 @@ def phase_point_operator_set(d, n) -> OperatorSet:
 @lru_cache(maxsize=None)
 def hermitian_basis(d, n):
     """An orthogonal Hermitian basis: A(a) for odd d, the Pauli T(a) for d=2."""
-    labels = sorted(all_vectors(d, 2 * n))
-    if d == 2:
-        return tuple((a, weyl_mono(d, n, a)) for a in labels)
-    return tuple((a, phase_point_mono(d, n, a)) for a in labels)
-
-
-@lru_cache(maxsize=None)
-def symmetric_basis(m, dim):
-    """Rational basis of Sym: E_ii and E_ij + E_ji."""
-    pairs = [(i, i) for i in range(dim)] + list(combinations(range(dim), 2))
-    return tuple(OpMatrix.from_rational(m, [[int((r, c) in ((i, j), (j, i))) for c in range(dim)]
-                                            for r in range(dim)]) for i, j in pairs)
-
-
-_Basis = namedtuple("_Basis", "labels monos mats stack den single pair c forms")
-
-
-def _traces(b: _Basis, mats):
-    """All tr(B_x Q_y) for the basis b, as (ints, scale) in lowest terms; a
-    monomial basis gathers one entry of Q_y per column of B_x."""
-    if b.monos is None:
-        return trace_pairs(b.mats, mats)
-    stack, den = coefficient_stack(mats)
-    return lowest_terms(rational_part(mono_traces(b.monos, stack)), den)
+    mono = weyl_mono if d == 2 else phase_point_mono
+    return tuple((a, mono(d, n, a)) for a in sorted(all_vectors(d, 2 * n)))
 
 
 def _points(d, n):
@@ -169,9 +134,7 @@ def _points(d, n):
 @lru_cache(maxsize=None)
 def _phase_forms(d, n):
     """[a, b] mod d for every pair of phase-space points, rows and columns in
-    `hermitian_basis` order, as a read-only int64 array: for odd d,
-    tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
-    [b - a, c - a] is that sum."""
+    `hermitian_basis` order, as a read-only int64 array."""
     p = _points(d, n)
     forms = (_exact(lambda x, y: x @ y.T, 2 * n, (p, jvec(p))) % d).astype(np.int64)
     forms.flags.writeable = False
@@ -179,66 +142,107 @@ def _phase_forms(d, n):
 
 
 @lru_cache(maxsize=None)
-def _basis(kind, d, n, m) -> _Basis:
-    """The basis `kind` with its exact traces: B_x = mats[x] = stack[x] / den,
-    tr B_x = single[x] / c and tr(B_x B_y) = pair[x, y] / c, Python ints over
-    one positive c; labels and monomial forms for the Hermitian basis only.
+def _pauli_products(n):
+    """beta(a, b) mod 4 with T(a) T(b) = i^beta T(a + b), for every pair of
+    d = 2 points in `hermitian_basis` order, as a read-only int64 array:
+    T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`) and
+    X^(a_X) Z^(b_Z) = (-1)^(a_X.b_Z) Z^(b_Z) X^(a_X)."""
+    p = _points(2, n)
+    x, z, c = p[:, :n], p[:, n:], p[:, None] ^ p  # c[a, b] = a + b
+    own = (x * z).sum(axis=1)
+    beta = (2 * x @ z.T - own[:, None] - own + (c[..., :n] * c[..., n:]).sum(axis=-1)) % 4
+    beta.flags.writeable = False
+    return beta
 
-    At odd d the Hermitian basis is the A(a) in closed form: tr A(a) = 1,
-    tr A(a) A(b) = d^n [a = b], den = c = 1, no matrices, and `forms` the
-    symplectic forms of the points (`_phase_forms`)."""
-    if kind == "hermitian":
-        labels, monos = zip(*hermitian_basis(d, n))
-        if d != 2:
-            size = len(labels)
-            pair = np.zeros((size, size), dtype=object)
-            pair[range(size), range(size)] = d ** n
-            return _Basis(labels, monos, None, None, 1, np.full(size, 1, dtype=object), pair, 1,
-                          _phase_forms(d, n))
-        mats = tuple(mono.to_matrix() for mono in monos)
+
+def _triples(d, n, a, b, c):
+    """tr(B_a B_b B_c) = values[e] for the basis points a, b, c (index
+    arrays in `hermitian_basis` order that broadcast together), as (e,
+    values): values[v] = norm zeta_r^v in power-basis integers over the
+    conductor of d for v < r, and values[r] = 0.  At odd d,
+    tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
+    [b - a, c - a] is that sum (r = d, norm 1).  At d = 2,
+    tr(T(a) T(b) T(c)) = 2^n i^beta(a, b) [a + b + c = 0] (r = 4, norm 2^n)
+    from `_pauli_products` and tr(T(x) T(y)) = 2^n [x = y]; the point index
+    of a + b is a ^ b."""
+    if d == 2:
+        e, r, norm = np.where(c == a ^ b, _pauli_products(n)[a, b], 4), 4, 2 ** n
     else:
-        labels = monos = None
-        mats = symmetric_basis(m, d ** n)
-    b = _Basis(labels, monos, mats, *coefficient_stack(mats), None, None, None, None)
-    (single, c1), (pair, c2) = (_traces(b, x) for x in ([OpMatrix.identity(m, d ** n)], mats))
-    c = lcm(c1, c2)
-    return b._replace(single=single[:, 0] * (c // c1), pair=pair * (c // c2), c=c)
+        w = _phase_forms(d, n)
+        e, r, norm = 2 * (w[a, b] + w[b, c] + w[c, a]) % d, d, 1
+    m = conductor_for(d)
+    f = _field(m)
+    return e, np.vstack([norm * f.pows[(m // r) * np.arange(r)], np.zeros((1, f.deg), int)])
+
+
+_Basis = namedtuple("_Basis", "labels points single pair")
+
+
+@lru_cache(maxsize=None)
+def _basis(d, n, real=False) -> _Basis:
+    """The Hermitian basis B_a in closed form: labels, their indices `points`
+    in `hermitian_basis` order, tr B_a = single[a] and tr(B_a B_b) =
+    pair[a, b] as Python ints (A(a): 1, d^n [a = b]; T(a): 2^n [a = 0],
+    2^n [a = b]).  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
+    2^(n-1) (2^n + 1) of them, an orthogonal basis of Sym."""
+    if real and d != 2:
+        raise Unsupported("the real basis is defined at d = 2")
+    p = _points(d, n)
+    points = np.flatnonzero((p[:, :n] * p[:, n:]).sum(axis=1) % 2 == 0) if real \
+        else np.arange(len(p))
+    single = 2 ** n * (points == 0) if d == 2 else np.ones(len(points), dtype=int)
+    return _Basis(tuple(map(tuple, p[points].tolist())), points, single.astype(object),
+                  np.diag(np.full(len(points), d ** n, dtype=object)))
 
 
 def _incidence(q: OperatorSet):
-    """The Hermitian trace table of a labelled odd-d set, over scale 1, rows
-    in `hermitian_basis` order: tr(A(a) Pi_x) = [a in rep_x + L_x] for a
-    stabilizer label x (Pi_x = d^-n times the sum of the A(a) over its coset,
-    so this is its discrete Wigner function), tr(A(a) A(x)) = d^n [a = x]
-    for a point x.  A point lies in rep + L iff its canonical representative
-    modulo L is rep: every point is reduced once per Lagrangian."""
+    """The Hermitian trace table of a labelled set, over scale 1, rows in
+    `hermitian_basis` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
+    odd d, tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
+    (`StabilizerLabel`): at d = 2, tr(T(b) Pi_x) = (-1)^([rep_x, b] +
+    c_L(b)) [b in L_x], with c_L from `sign_bits`; at odd d,
+    tr(A(a) Pi_x) = [a in rep_x + L_x] (Pi_x = d^-n times the sum of the
+    A(a) over its coset, so this is its discrete Wigner function).  A point
+    lies in rep + L iff its canonical representative modulo L is rep: every
+    point is reduced once per Lagrangian."""
     d, n = q.d, q.n
     shape = (d,) * (2 * n)
     if not isinstance(q.labels[0], StabilizerLabel):
         cells = np.ravel_multi_index(np.array(q.labels).T, shape)
+        if d == 2:
+            return 1 - 2 * _phase_forms(2, n)[:, cells]
         return d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
     lags, li = lagrangian_index(q.labels)
+    reps = np.ravel_multi_index(np.array([lab.rep for lab in q.labels]).T, shape)
+    if d == 2:
+        signs = np.zeros((len(lags), 4 ** n), dtype=np.int8)  # (-1)^c_L(b) [b in L]
+        for k, L in enumerate(lags):
+            cells, bits = zip(*sign_bits(L).items())
+            signs[k, np.ravel_multi_index(np.array(cells).T, shape)] = 1 - 2 * np.array(bits)
+        return signs[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
     points = _points(d, n)
     canon = reduce_reps(np.broadcast_to(points, (len(lags),) + points.shape),
                         np.array([L.basis for L in lags])[:, None],
                         np.array([L.pivots for L in lags])[:, None], d)
     key = np.min_scalar_type(d ** (2 * n) - 1)
     cells = np.ravel_multi_index(np.moveaxis(canon, -1, 0), shape).astype(key)  # [L, a]
-    reps = np.ravel_multi_index(np.array([lab.rep for lab in q.labels]).T, shape).astype(key)
-    return (cells[li] == reps[:, None]).T.astype(np.uint8)
+    return (cells[li] == reps.astype(key)[:, None]).T.astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def trace_table(q: OperatorSet, kind="hermitian"):
-    """Exact table tr(B_i q_j) = rows[i][j] / scale for the chosen spanning
-    basis, as (rows, scale): rows of Python ints, so that products of
-    entries stay exact, and one positive scale, in lowest terms.  The
-    Hermitian table of a labelled odd-d set is read from its labels
-    (`_incidence`); every other table is gathered from the matrices."""
-    if kind == "hermitian" and q.labels is not None and q.d != 2:
+    """Exact table tr(B_i q_j) = rows[i][j] / scale for the Hermitian basis
+    or, kind "symmetric", its real-Paulis rows (`_basis`, d = 2), as (rows,
+    scale): rows of Python ints and one positive scale, in lowest terms for
+    the Hermitian table.  It is read from the labels of a labelled set
+    (`_incidence`), else gathered from the elements (`operators.mono_traces`)."""
+    if q.labels is not None:
         ints, scale = _incidence(q), 1
     else:
-        ints, scale = _traces(_basis(kind, q.d, q.n, q.conductor), q.elements)
+        out, den = mono_traces([mono for _, mono in hermitian_basis(q.d, q.n)], q.elements)
+        ints, scale = lowest_terms(rational_part(out), den)
+    if kind == "symmetric":
+        ints = ints[_basis(q.d, q.n, real=True).points]
     return tuple(map(tuple, ints.tolist())), scale
 
 
@@ -353,77 +357,61 @@ def _trilinear(rows, i):
     return _exact(lambda x, y, z: (x * y) @ z.T, rows.shape[1], (tail, rows[i], tail))
 
 
-def _jordan_slab(field_, stack, i):
+def _phase_space_slab(d, n, diffs, i):
     """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
-    numerators over den^3, for the matrices M_x = stack[x] / den."""
-    tail = stack[i:]
-    prod = field_.contract(stack[i], tail, ([1], [1]))  # (M_i M_j)[r, s] at [r, j, s]
-    t = field_.contract(prod, tail, ([0, 2], [2, 1]))  # tr(M_i M_j M_k) at [j, k]
-    return t + t.transpose(1, 0, 2)
+    numerators over (d^n scale)^3, for M_x = d^-n sum_a diffs[x, a] B_a /
+    scale, diffs an object array of Python ints (differences of Hermitian
+    trace-table columns over their scale; tr(B_a B_b) = d^n [a = b]).
 
-
-def _phase_space_slab(field_, forms, d, diffs, i):
-    """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
-    numerators over (d^n scale)^3, for M_x = d^-n sum_a diffs[x, a] A(a) /
-    scale at odd d, diffs an object array of Python ints (differences of
-    trace-table columns over their scale).
-
-    With e(a, b, c) = 2([a, b] + [b, c] + [c, a]) mod d from `forms`,
-    tr(M_i M_j M_k) is sum_v omega^v (tail H_v tail^T)[j, k] over
+    With tr(B_a B_b B_c) = norm zeta_r^e(a, b, c) (`_triples`),
+    tr(M_i M_j M_k) is sum_v norm zeta_r^v (tail H_v tail^T)[j, k] over
     (d^n scale)^3, tail = diffs[i:] and H_v[b, c] = sum_a diffs[i, a]
     [e(a, b, c) = v]: counts over the support of diffs[i] and one integer
-    contraction, no matrix.  Swapping b and c negates e, so the
-    symmetrized sum takes H_v + H_-v."""
+    contraction, no matrix.  Swapping b and c transposes H_v."""
     tail = diffs[i:]
     support = np.flatnonzero(diffs[i])
-    w = forms[support]
-    e = 2 * (w[:, :, None] + forms + forms.T[support][:, None, :]) % d  # [a, b, c]
+    points = np.arange(diffs.shape[1])
+    e, values = _triples(d, n, support[:, None, None], points[:, None], points)
     counts = np.stack([_exact(lambda x, hit: np.tensordot(x, hit, 1), len(support),
-                              (diffs[i, support], e == v)) for v in range(d)])
-    counts = counts + counts[-np.arange(d) % d]
-    roots = field_.pows[(field_.m // d) * np.arange(d)]  # [v] = omega^v
-    return _exact(lambda x, h, y, r: np.tensordot(x @ h @ y.T, r, ([0], [0])),
-                  d * forms.shape[0] ** 2, (tail, counts, tail, roots))
+                              (diffs[i, support], e == v)) for v in range(len(values) - 1)])
+    counts = counts + counts.transpose(0, 2, 1)
+    return _exact(lambda x, h, y, w: np.tensordot(x @ h @ y.T, w, ([0], [0])),
+                  len(counts) * len(points) ** 2, (tail, counts, tail, values[:-1]))
 
 
-def _triple_traces(b: _Basis, d, m, i):
-    """tr(B_i B_j B_k) at [j, k] for j, k >= i, as power-basis numerators
-    over b.den: at odd d omega^(2([a_i, a_j] + [a_j, a_k] + [a_k, a_i]))
-    read from `pows`, at d = 2 gathered from the products B_i B_j, which are
-    monomial like the basis."""
-    if b.forms is None:
-        return mono_traces([b.monos[i] @ mono for mono in b.monos[i:]], b.stack[i:])
-    w = b.forms
-    e = 2 * (w[i, i:, None] + w[i:, i:] + w[None, i:, i]) % d
-    return _field(m).pows[(m // d) * e]
+def _triple_traces(b: _Basis, d, n, i):
+    """tr(B_i B_j B_k) at [j, k] for j, k >= i of the basis b, as power-basis
+    integers (`_triples`)."""
+    e, values = _triples(d, n, b.points[i], b.points[i:, None], b.points[i:])
+    return values[e]
 
 
 def _trace_terms(b: _Basis, i):
-    """For j, k >= i over c^3: tr_i tr_j tr_k and c times the cross terms
+    """For j, k >= i: tr_i tr_j tr_k and the cross terms
     tr_i tr(B_j B_k) + tr_j tr(B_i B_k) + tr_k tr(B_i B_j)."""
     t, row = b.single[i:], b.pair[i, i:]
     cross = b.single[i] * b.pair[i:, i:] + np.outer(t, row) + np.outer(row, t)
-    return b.single[i] * np.outer(t, t), b.c * cross
+    return b.single[i] * np.outer(t, t), cross
 
 
 def is_complex_2design(q: OperatorSet) -> DesignReport:
     """Exact comparison of F_2 with (tr A tr B + tr AB) / (D(D+1)) on a basis;
     the witness is the pair i <= j with the largest gap, the first one among
     equal gaps."""
-    b = _basis("hermitian", q.d, q.n, q.conductor)
+    b = _basis(q.d, q.n)
     dd = q.dim
     s2, scale = _pair_sums(q)
     iu = np.triu_indices(len(b.single))
-    # F_2 = s2 / (|Q| scale^2) against (t_i t_j + c p_ij) / (c^2 D(D+1))
-    form = np.outer(b.single, b.single)[iu] + b.c * b.pair[iu]
-    gap = abs(_times(s2[iu], b.c ** 2 * dd * (dd + 1)) - _times(form, q.size * scale ** 2))
+    # F_2 = s2 / (|Q| scale^2) against (t_i t_j + p_ij) / (D(D+1))
+    form = np.outer(b.single, b.single)[iu] + b.pair[iu]
+    gap = abs(_times(s2[iu], dd * (dd + 1)) - _times(form, q.size * scale ** 2))
     e = int(np.argmax(gap))
     if not gap[e]:
         return DesignReport("complex_2design", True)
     i, j = iu[0][e], iu[1][e]
     return DesignReport("complex_2design", False, witness=(
         b.labels[i], b.labels[j], Fraction(int(s2[i, j]), q.size * scale ** 2),
-        Fraction(form[e], b.c ** 2 * dd * (dd + 1))))
+        Fraction(form[e], dd * (dd + 1))))
 
 
 def is_complex_3design(q: OperatorSet) -> DesignReport:
@@ -433,19 +421,19 @@ def is_complex_3design(q: OperatorSet) -> DesignReport:
     The correct normalization of the 6-term sum is 1/(D(D+1)(D+2)), anchored by
     F_3(1,1,1) = 1 for trace-1 states.
     """
-    b = _basis("hermitian", q.d, q.n, q.conductor)
+    b = _basis(q.d, q.n)
     dd = q.dim
     ints, scale = trace_table(q, "hermitian")
     rows = np.array(ints, dtype=object)
-    lden, c3 = q.size * scale ** 3, b.c ** 3
+    lden = q.size * scale ** 3
     for i in range(len(rows)):
         iu = np.triu_indices(len(rows) - i)
-        t = _triple_traces(b, q.d, q.conductor, i)  # over den
-        # F_3 = lhs / lden against (terms / c^3 + jordan / den) / (D(D+1)(D+2))
+        t = _triple_traces(b, q.d, q.n, i)
+        # F_3 = lhs / lden against (terms + jordan) / (D(D+1)(D+2))
         c1, c2 = _trace_terms(b, i)
-        diff = _times((t + t.transpose(1, 0, 2))[iu], c3 * lden)
-        diff[:, 0] += _times((c1 + c2)[iu], b.den * lden)
-        diff[:, 0] -= _times(_trilinear(rows, i)[iu], c3 * b.den * dd * (dd + 1) * (dd + 2))
+        diff = _times((t + t.transpose(1, 0, 2))[iu], lden)
+        diff[:, 0] += _times((c1 + c2)[iu], lden)
+        diff[:, 0] -= _times(_trilinear(rows, i)[iu], dd * (dd + 1) * (dd + 2))
         bad = diff.any(axis=1)
         if bad.any():
             e = int(bad.argmax())
@@ -506,19 +494,18 @@ def _solve_linear_positive(equations, unknowns):
 
 
 def is_real_4design(q: OperatorSet) -> DesignReport:
-    """F_2 = K_hs (A|B) + K_tr (A|1)(B|1) with exactly solved positive constants.
+    """F_2 = K_hs (A|B) + K_tr (A|1)(B|1) with exactly solved positive
+    constants, on the real Paulis (d = 2; Unsupported at odd d).
 
     Solving both constants exactly doubles as the consistency proof and pins
     the ratio between the two invariants instead of assuming it.
     """
-    b = _basis("symmetric", q.d, q.n, q.conductor)
+    b = _basis(q.d, q.n, real=True)
     s2, scale = _pair_sums(q, "symmetric")
     iu = np.triu_indices(len(s2))
-    lhs = s2[iu]
-    # over c^2 |Q| scale^2; (B_i|B_j) = tr(B_i B_j) on the real symmetric basis
+    # over |Q| scale^2; (B_i|B_j) = tr(B_i B_j) on the real symmetric basis
     lden = q.size * scale ** 2
-    equations = zip(b.pair[iu] * (b.c * lden), np.outer(b.single, b.single)[iu] * lden,
-                    lhs * b.c ** 2)
+    equations = zip(b.pair[iu] * lden, np.outer(b.single, b.single)[iu] * lden, s2[iu])
     sol = _solve_linear_positive(equations, 2)
     if sol is None:
         return DesignReport("real_4design", False,
@@ -528,21 +515,19 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
 
 
 def is_real_6design(q: OperatorSet) -> DesignReport:
-    """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB))."""
-    b = _basis("symmetric", q.d, q.n, q.conductor)
+    """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB)),
+    on the real Paulis (d = 2; Unsupported at odd d)."""
+    b = _basis(q.d, q.n, real=True)
     ints, scale = trace_table(q, "symmetric")
     rows = np.array(ints, dtype=object)
-    lden, c3, den3 = q.size * scale ** 3, b.c ** 3, b.den ** 3
-    w = lcm(lden, c3, den3)
+    lden = q.size * scale ** 3
     equations = []
     for i in range(len(rows)):
         iu = np.triu_indices(len(rows) - i)
         c1, c2 = _trace_terms(b, i)
-        jordan = _jordan_slab(_field(q.conductor), b.stack, i)[iu]
-        if jordan[:, 1:].any():
-            raise ValueError("irrational symmetrized trace on the rational basis")
-        equations += zip(c1[iu] * (w // c3), c2[iu] * (w // c3), jordan[:, 0] * (w // den3),
-                         _trilinear(rows, i)[iu] * (w // lden))
+        t = _triple_traces(b, q.d, q.n, i)
+        jordan = rational_part(t + t.transpose(1, 0, 2))[iu]
+        equations += zip(c1[iu] * lden, c2[iu] * lden, jordan * lden, _trilinear(rows, i)[iu])
     sol = _solve_linear_positive(equations, 3)
     if sol is None:
         return DesignReport("real_6design", False,
@@ -640,14 +625,13 @@ def check_lin_wig_condition(q: OperatorSet):
 
 def check_lin_jor_condition(q: OperatorSet, wig=None):
     """The Lin ⊂ Wig condition (the report `wig`, computed when not given)
-    plus mu_1 ∝ 1, a full span, and the F_3 clause.  The Jordan side is
-    `_jordan_slab` of the dense differences at d = 2 and
-    `_phase_space_slab` of the trace-table differences at odd d."""
+    plus mu_1 ∝ 1, a full span, and the F_3 clause, whose Jordan side is
+    `_phase_space_slab` of the trace-table differences."""
     base = check_lin_wig_condition(q) if wig is None else wig
     gram, gscale, picked = _gram_data(q)
     size = q.size
     clauses = dict(base["clauses"])
-    b = _basis("hermitian", q.d, q.n, q.conductor)
+    b = _basis(q.d, q.n)
     ints, scale = trace_table(q, "hermitian")
     table = np.array(ints, dtype=object)
     # mu_1 ∝ 1 iff its basis traces, the table's row sums over |Q| scale, are
@@ -662,14 +646,8 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
     idx = np.asarray(picked, dtype=np.intp)
     diffs = gram[idx] - gram[0]
     m = q.conductor
-    if q.d == 2:
-        stack, den = coefficient_stack(q.elements)
-        mats, jden = stack[idx] - stack[0], den ** 3  # q_i - q_0 over den
-        jordan = partial(_jordan_slab, _field(m), mats)
-    else:
-        # q_i - q_0 = d^-n sum_a cols[i, a] A(a) / scale
-        cols, jden = table.T[idx] - table.T[0], (q.dim * scale) ** 3
-        jordan = partial(_phase_space_slab, _field(m), b.forms, q.d, cols)
+    # q_i - q_0 = d^-n sum_a cols[i, a] B_a / scale
+    cols, jden = table.T[idx] - table.T[0], (q.dim * scale) ** 3
 
     def slabs():
         # F_3 = sum_t D_i D_j D_k / (|Q| gscale^3) against the Jordan side over
@@ -677,7 +655,7 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
         for a in range(len(idx)):
             iu = np.triu_indices(len(idx) - a)
             keys = np.stack([np.full(len(iu[0]), idx[a]), idx[a + iu[0]], idx[a + iu[1]]], 1)
-            yield keys, _trilinear(diffs, a)[iu], jordan(a)[iu]
+            yield keys, _trilinear(diffs, a)[iu], _phase_space_slab(q.d, q.n, cols, a)[iu]
 
     ref, bad = _proportional_scan(slabs())
 

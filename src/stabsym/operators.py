@@ -291,16 +291,18 @@ def mono_sum(monos, scale) -> OpMatrix:
     return OpMatrix._make(m, coef * scale.numerator, scale.denominator)
 
 
-def mono_traces(monos, stack):
-    """All tr(B_x Q_y) for monomial operators B_x and the matrices Q_y, given
-    as a coefficient stack (`coefficient_stack`): an object array [x, y, k]
-    of Python ints, power-basis coefficients over the stack's denominator.
+def mono_traces(monos, mats):
+    """All tr(B_x Q_y) for monomial operators B_x and matrices Q_y, as (out,
+    den): out an object array [x, y, k] of Python ints, power-basis
+    coefficients over den, the matrices' common denominator
+    (`coefficient_stack`).
 
     tr(B Q) = sum_c zeta^expo[c] Q[c, perm[c]]: one entry of Q per column of
     B, so an output coefficient sums dim * deg^2 products with the field's
     multiplication tensor (dim^2 * deg^2 for dense B), in the guarded kernel
     `cyclotomic._exact`.
     """
+    stack, den = coefficient_stack(mats)
     mono = monos[0]
     m = conductor_for(mono.d)
     f = _field(m)
@@ -312,7 +314,7 @@ def mono_traces(monos, stack):
     roots = f.pows[(m // mono.r) * expos]  # [x, c] = zeta^expo_x[c]
     path = ["einsum_path", (1, 2), (0, 1)]  # the roots with mul first
     return _exact(lambda g, r, mul: np.einsum("yxcb,xca,abk->xyk", g, r, mul, optimize=path),
-                  dim * f.deg ** 2, (gathered, roots), f._mul)
+                  dim * f.deg ** 2, (gathered, roots), f._mul), den
 
 
 def rational_part(out):
@@ -575,12 +577,20 @@ def trace_pairs(left, right):
 
 
 @lru_cache(maxsize=None)
+def stabilizer_labels(d, n) -> tuple:
+    """The labels of `stabilizer_states`, with no Gram: sorted, and at d = 2
+    by Lagrangian, then by the signs (-1)^[rep, b_i] of its basis stabilizers."""
+    require_prime(d)
+    labels = enumerate_stabilizer_labels(d, n)
+    if d == 2:
+        labels = tuple(sorted(labels, key=lambda x: (x.L.basis,
+                                                     [-x.functional(b) for b in x.L.basis])))
+    return labels
+
+
+@lru_cache(maxsize=None)
 def stabilizer_states(d, n) -> StateFamily:
     """The full stabilizer-state family for (d, n) and its Gram; the exact
     projectors are built when first read."""
-    require_prime(d)
-    labels = enumerate_stabilizer_labels(d, n)
-    if d == 2:  # by Lagrangian, then by the signs (-1)^[rep, b_i] of its basis stabilizers
-        labels = tuple(sorted(labels, key=lambda x: (x.L.basis,
-                                                     [-x.functional(b) for b in x.L.basis])))
+    labels = stabilizer_labels(d, n)
     return StateFamily(d=d, n=n, labels=labels, gram=build_gram(labels))

@@ -17,6 +17,7 @@ from .clifford import (
     k_alpha,
     primitive_root,
     qubit_gate_action,
+    real_clifford_closure,
     real_clifford_orbit,
     sp_generators,
     transpose_action,
@@ -359,7 +360,7 @@ def predicted_generators(d, n, variant) -> tuple:
     if variant == "real_clifford":
         if d != 2:
             raise Unsupported("the rebit states are d = 2")
-        return real_clifford_orbit(n).generators
+        return real_clifford_closure(n)[1]
     fam = stabilizer_states(d, n)
     if variant == "wreath":
         if n != 1:

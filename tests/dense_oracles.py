@@ -24,6 +24,12 @@ one-element or single-operator forms of the library's batched kernels:
 `stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
 `is_hermitian` and `is_identity`.  `first_moment` is the dense sum behind
 the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
+
+The moment predicates read closed-form bases and labelled trace tables in
+the library (`moments._basis`, `moments._incidence`); `symmetric_basis` is
+the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
+`jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
+`moments._phase_space_slab`.
 """
 
 import itertools
@@ -32,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from stabsym.clifford import AffineSimilitude, k_alpha, similitude_multiplier
-from stabsym.cyclotomic import CycNumber, conductor_for, iunit, root_of_unity, sqrt_d
+from stabsym.cyclotomic import CycNumber, _field, conductor_for, iunit, root_of_unity, sqrt_d
 from stabsym.errors import InconsistentSigns, Mismatch, OddOnly
 from stabsym.operators import (
     GramMatrix,
@@ -399,3 +405,22 @@ def is_hermitian(a: OpMatrix):
 
 def is_identity(p):
     return tuple(p) == identity_perm(len(p))
+
+
+@lru_cache(maxsize=None)
+def symmetric_basis(m, dim):
+    """Rational basis of Sym: E_ii and E_ij + E_ji."""
+    pairs = [(i, i) for i in range(dim)] + list(itertools.combinations(range(dim), 2))
+    return tuple(OpMatrix.from_rational(m, [[int((r, c) in ((i, j), (j, i))) for c in range(dim)]
+                                            for r in range(dim)]) for i, j in pairs)
+
+
+def jordan_slab(m, stack, i):
+    """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
+    numerators over den^3, for the matrices M_x = stack[x] / den over
+    Q[zeta_m] (`operators.coefficient_stack`)."""
+    f = _field(m)
+    tail = stack[i:]
+    prod = f.contract(stack[i], tail, ([1], [1]))  # (M_i M_j)[r, s] at [r, j, s]
+    t = f.contract(prod, tail, ([0, 2], [2, 1]))  # tr(M_i M_j M_k) at [j, k]
+    return t + t.transpose(1, 0, 2)

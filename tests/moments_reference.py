@@ -3,9 +3,13 @@
 Each predicate here visits one basis pair or triple at a time with
 `Fraction`s and `CycNumber`s, exactly as the library did before its table
 kernels; the oracle tests in test_moments.py compare full reports against
-these.  They share the library's trace tables, Gram data and solver, which
-have oracles of their own; so the mu_1 ∝ 1 clause reads the table's row
-sums here too, and `dense_oracles.first_moment` is its dense oracle.
+these.  They share the library's Hermitian trace tables, Gram data and
+solver, which have oracles of their own; so the mu_1 ∝ 1 clause reads the
+table's row sums here too, and `dense_oracles.first_moment` is its dense
+oracle.  The real predicates take their own basis of Sym,
+`dense_oracles.symmetric_basis`, and its table of dense traces against the
+elements (`operators.trace_pairs`), where the library reads the real-Pauli
+rows of the Hermitian table.
 """
 
 from fractions import Fraction
@@ -19,12 +23,11 @@ from stabsym.moments import (
     _solve_linear_positive,
     hermitian_basis,
     span_dimension,
-    symmetric_basis,
     trace_table,
 )
-from stabsym.operators import hs_inner, trace_product
+from stabsym.operators import hs_inner, trace_pairs, trace_product
 
-from dense_oracles import mono_trace, mono_trace_product
+from dense_oracles import mono_trace, mono_trace_product, symmetric_basis
 
 
 def _symmetrized_trace(mats):
@@ -33,6 +36,14 @@ def _symmetrized_trace(mats):
     product = lru_cache(maxsize=None)(lambda i, j: mats[i] @ mats[j])
     return lambda i, j, k: (trace_product(product(i, j), mats[k])
                             + trace_product(product(i, k), mats[j]))
+
+
+def _symmetric_table(q):
+    """The basis `symmetric_basis` and its traces against the elements of q,
+    as (basis, rows, scale)."""
+    basis = symmetric_basis(q.conductor, q.dim)
+    ints, scale = trace_pairs(basis, q.elements)
+    return basis, ints.tolist(), scale
 
 
 def is_complex_2design(q):
@@ -92,8 +103,7 @@ def is_complex_3design(q):
 
 
 def is_real_4design(q):
-    basis = list(symmetric_basis(q.conductor, q.dim))
-    table, scale = trace_table(q, "symmetric")
+    basis, table, scale = _symmetric_table(q)
     nb = len(basis)
     tr_single = [b.trace().as_fraction() for b in basis]
     hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]
@@ -111,8 +121,7 @@ def is_real_4design(q):
 
 
 def is_real_6design(q):
-    basis = list(symmetric_basis(q.conductor, q.dim))
-    table, scale = trace_table(q, "symmetric")
+    basis, table, scale = _symmetric_table(q)
     nb = len(basis)
     tr_single = [b.trace().as_fraction() for b in basis]
     hs = [[hs_inner(basis[i], basis[j]).as_fraction() for j in range(nb)] for i in range(nb)]

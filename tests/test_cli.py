@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stabsym import operators, phase_space
 from stabsym.cli import build_parser, golden_name, main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -144,6 +145,21 @@ def test_trace_table_budget_exit_code(capsys):
                             " (5, 2) gathers 487500000 entries, over the budget of 100000000\n")
 
 
+def test_qubit_n4_is_refused_before_enumeration(capsys, monkeypatch):
+    # the (2,4) set is counted in closed form, d^n prod_k (d^k + 1) = 36 720
+    # states, and refused before a Lagrangian or a label is listed
+    def enumerate_(*args):
+        raise AssertionError("enumerated")
+
+    for module in (phase_space, operators):
+        monkeypatch.setattr(module, "enumerate_stabilizer_labels", enumerate_)
+    monkeypatch.setattr(phase_space, "enumerate_lagrangians", enumerate_)
+    assert main(["verify-design", "--d", "2", "--n", "4"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: the trace table of 36720 operators at"
+                                       " (d, n) = (2, 4) gathers 601620480 entries, over the"
+                                       " budget of 100000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     *(["autgroup", "--d", "5", "--n", "1", "--budget-seconds", v] for v in ("nan", "inf", "-1")),
     *([cmd, "--d", "3", "--n", n] for cmd in ("enumerate", "verify-design", "autgroup")
@@ -222,10 +238,12 @@ def replay(capsys, tmp_path, *argv):
 @pytest.mark.parametrize("which,d,n", [
     ("stab", 2, 1), ("stab", 3, 1), ("stab", 5, 1), ("stab", 7, 1), ("stab", 2, 2),
     ("stab", 3, 2), ("rebit", 2, 1), ("rebit", 2, 2), ("phase-points", 3, 1),
+    ("phase-points", 2, 1), ("phase-points", 2, 2),
 ])
 def test_verify_design_goldens_replay(capsys, tmp_path, which, d, n):
     # `--golden` reports recorded before the moments elimination was last
-    # changed; the design constants and condition reports must not move
+    # changed (the d = 2 phase-point ones before the d = 2 tables were read
+    # from labels); the design constants and condition reports must not move
     replay(capsys, tmp_path, "verify-design", "--d", str(d), "--n", str(n), "--set", which)
 
 
@@ -258,11 +276,16 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("argv", [["gram", "--d", "2", "--n", "3"],
-                                  ["autgroup", "--d", "2", "--n", "3"]], ids=_argv_id)
+                                  ["autgroup", "--d", "2", "--n", "3"],
+                                  ["verify-design", "--d", "2", "--n", "3"],
+                                  ["verify-design", "--d", "2", "--n", "3", "--set", "rebit"]],
+                         ids=_argv_id)
 def test_qubit_n3_goldens_replay(capsys, tmp_path, argv):
     # opt-in (`-m slow`): the 1 080 three-qubit states, recorded from the
     # brute-force Gram (`trace_pairs` of the projectors) before the d = 2
-    # Gram became the closed form on labels
+    # Gram became the closed form on labels, and the three-qubit and
+    # three-rebit design reports before the d = 2 trace tables were read
+    # from labels
     replay(capsys, tmp_path, *argv)
 
 

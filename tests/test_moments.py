@@ -10,10 +10,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import moments_reference
-from stabsym import cyclotomic, moments, operators
+from stabsym import clifford, cyclotomic, moments, operators
 from stabsym.clifford import metaplectic, real_clifford_orbit
 from stabsym.cyclotomic import CycNumber, conductor_for
-from stabsym.errors import StabsymError
+from stabsym.errors import StabsymError, Unsupported
 from stabsym.moments import (
     OperatorSet,
     _Echelon,
@@ -32,7 +32,6 @@ from stabsym.moments import (
     rebit_operator_set,
     span_dimension,
     stabilizer_operator_set,
-    symmetric_basis,
     trace_table,
 )
 from stabsym.operators import (
@@ -43,10 +42,11 @@ from stabsym.operators import (
     mono_traces,
     rational_part,
     stabilizer_states,
+    weyl,
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import bruteforce_gram, first_moment, is_hermitian
+from dense_oracles import bruteforce_gram, first_moment, jordan_slab
 
 
 def test_f1_of_identity_is_one():
@@ -386,10 +386,27 @@ def test_design_report_json():
 
 
 def test_symmetric_basis_spans():
-    basis = symmetric_basis(conductor_for(2), 2)
-    assert len(basis) == 3
-    for b in basis:
-        assert is_hermitian(b)
+    # the real Paulis (a_X.a_Z even) are real symmetric, pairwise orthogonal
+    # and as many as dim Sym = D(D+1)/2, so they span Sym; the rows the mask
+    # leaves out are i times a real matrix
+    for n in (1, 2, 3):
+        b, full = moments._basis(2, n, real=True), moments._basis(2, n)
+        dim = 2 ** n
+        assert len(b.points) == 2 ** (n - 1) * (2 ** n + 1) == dim * (dim + 1) // 2
+        assert b.labels == tuple(full.labels[a] for a in b.points)
+        mats = [weyl(2, n, a) for a in b.labels]
+        for mat in mats:
+            assert mat == mat.transpose() and not mat.coef[..., 1:].any()
+        ints, scale = operators.trace_pairs(mats, mats)
+        assert scale == 1 and (ints == np.diag(np.full(len(mats), dim, dtype=object))).all()
+        for a in set(range(4 ** n)) - set(b.points.tolist()):
+            assert not weyl(2, n, full.labels[a]).coef[..., 0].any()
+
+
+@pytest.mark.parametrize("check", ["is_real_4design", "is_real_6design"])
+def test_real_designs_are_defined_at_d2_only(check):
+    with pytest.raises(Unsupported, match="the real basis is defined at d = 2"):
+        getattr(moments, check)(stabilizer_operator_set(3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +435,8 @@ def _reports(module, q):
 def stabilizer_subsets(draw):
     """A random subset, in random order, of the (2,1), (3,1), (2,2) or (5,1)
     stabilizer states, or a union of their bases (the states of one
-    Lagrangian); such sets are rarely designs.  At odd d the subset carries
-    its labels, or, on a drawn coin, its elements only."""
+    Lagrangian); such sets are rarely designs.  The subset carries its
+    labels, or, on a drawn coin, its elements only."""
     d, n = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (5, 1))))
     full = stabilizer_operator_set(d, n)
     if draw(st.booleans()):
@@ -433,7 +450,7 @@ def stabilizer_subsets(draw):
         picked = draw(st.lists(st.integers(0, full.size - 1), min_size=2,
                                max_size=min(full.size, 24), unique=True))
     labels = None
-    if full.labels is not None and draw(st.booleans()):
+    if draw(st.booleans()):
         labels = tuple(full.labels[i] for i in picked)
     return OperatorSet(name=f"subset({d},{n})", d=d, n=n,
                        elements=tuple(full.elements[i] for i in picked), labels=labels)
@@ -476,8 +493,8 @@ def test_python_int_path_gives_identical_reports(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "fits_int64", never_fits)
     # fresh sets and bases, so that the trace tables are recomputed too
-    moments._basis.cache_clear()
-    moments._phase_forms.cache_clear()
+    for table in (moments._basis, moments._phase_forms, moments._pauli_products):
+        table.cache_clear()
     fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, elements=q.elements,
                          labels=q.labels) for q in sets]
     assert [_reports(moments, q) for q in fresh] == expected
@@ -497,13 +514,13 @@ def test_verify_design_checks_lin_wig_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The odd-d closed forms against the dense kernels
+# The closed forms against the dense kernels
 
 def _dense_traces(monos, mats):
     """All tr(B_x Q_y) gathered from the dense Q_y (`mono_traces`), as (ints,
     scale) in lowest terms."""
-    stack, den = coefficient_stack(mats)
-    return lowest_terms(rational_part(mono_traces(monos, stack)), den)
+    out, den = mono_traces(monos, mats)
+    return lowest_terms(rational_part(out), den)
 
 
 def _hermitian_monos(d, n):
@@ -513,6 +530,9 @@ def _hermitian_monos(d, n):
 @pytest.mark.parametrize("q", [
     *(stabilizer_operator_set(d, n) for d, n in ((3, 1), (5, 1), (7, 1), (3, 2))),
     phase_point_operator_set(3, 1),
+    *(stabilizer_operator_set(2, n) for n in (1, 2, 3)),
+    *(rebit_operator_set(n) for n in (1, 2, 3)),
+    *(phase_point_operator_set(2, n) for n in (1, 2)),
 ], ids=lambda q: q.name)
 def test_incidence_table_matches_mono_traces(q):
     assert q.labels is not None
@@ -520,60 +540,62 @@ def test_incidence_table_matches_mono_traces(q):
     assert trace_table(q) == (tuple(map(tuple, ints.tolist())), scale)
 
 
-@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (2, 3)])
 def test_closed_form_basis_matches_dense(d, n):
     m = conductor_for(d)
-    b = moments._basis("hermitian", d, n, m)
-    assert b.mats is None and b.stack is None
+    b = moments._basis(d, n)
     monos = _hermitian_monos(d, n)
     mats = [mono.to_matrix() for mono in monos]
     (single, c1), (pair, c2) = (_dense_traces(monos, x)
                                 for x in ([OpMatrix.identity(m, d ** n)], mats))
-    assert [Fraction(x, b.c) for x in b.single] == [Fraction(x, c1) for x in single[:, 0]]
-    assert ([[Fraction(x, b.c) for x in row] for row in b.pair.tolist()]
-            == [[Fraction(x, c2) for x in row] for row in pair.tolist()])
-    assert b.den == coefficient_stack(mats)[1] == 1
+    assert b.single.tolist() == [Fraction(x, c1) for x in single[:, 0]]
+    assert b.pair.tolist() == [[Fraction(x, c2) for x in row] for row in pair.tolist()]
+    assert b.labels == tuple(a for a, _ in hermitian_basis(d, n))
 
 
-@pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (3, 2, [40])])
+@pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (3, 2, [40]), (2, 1, None),
+                                       (2, 2, None), (2, 3, [0, 21, 63])])
 def test_triple_traces_match_mono_traces_of_products(d, n, slabs):
-    m = conductor_for(d)
-    b = moments._basis("hermitian", d, n, m)
+    b = moments._basis(d, n)
     monos = _hermitian_monos(d, n)
-    stack, den = coefficient_stack([mono.to_matrix() for mono in monos])
+    mats = [mono.to_matrix() for mono in monos]
     for i in range(len(monos)) if slabs is None else slabs:
-        dense = mono_traces([monos[i] @ mono for mono in monos[i:]], stack[i:])
-        closed = moments._triple_traces(b, d, m, i)
-        assert (closed * den == dense * b.den).all()
+        dense, den = mono_traces([monos[i] @ mono for mono in monos[i:]], mats[i:])
+        closed = moments._triple_traces(b, d, n, i)
+        assert (closed * den == dense).all()
 
 
 def _jordan_slabs_agree(q, slabs):
-    """The table-side Jordan slab equals `_jordan_slab` of the dense
+    """The table-side Jordan slab equals `jordan_slab` of the dense
     differences q_i - q_0, as rationals, on the given slabs (None: all)."""
     m = q.conductor
     idx = np.asarray(_gram_data(q)[2])
     stack, den = coefficient_stack(q.elements)
     ints, scale = trace_table(q)
     cols = np.array(ints, dtype=object).T
-    forms = moments._basis("hermitian", q.d, q.n, m).forms
     for i in range(len(idx)) if slabs is None else slabs:
-        dense = moments._jordan_slab(cyclotomic._field(m), stack[idx] - stack[0], i)
-        closed = moments._phase_space_slab(cyclotomic._field(m), forms, q.d,
-                                           cols[idx] - cols[0], i)
+        dense = jordan_slab(m, stack[idx] - stack[0], i)
+        closed = moments._phase_space_slab(q.d, q.n, cols[idx] - cols[0], i)
         assert (closed * den ** 3 == dense * (q.dim * scale) ** 3).all()
 
 
-@pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (7, 1, [0]), (3, 2, [0])])
+@pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (7, 1, [0]), (3, 2, [0]),
+                                       (2, 2, None)])
 def test_phase_space_slab_matches_dense_jordan_slab(d, n, slabs):
     _jordan_slabs_agree(stabilizer_operator_set(d, n), slabs)
 
 
+def test_phase_space_slab_matches_dense_on_rebits():
+    _jordan_slabs_agree(rebit_operator_set(2), None)
+
+
 def test_phase_space_slab_matches_dense_on_an_unlabelled_subset():
-    full = stabilizer_operator_set(5, 1)
-    picked = random.Random(5).sample(range(full.size), 12)
-    q = OperatorSet(name="unlabelled subset(5,1)", d=5, n=1,
-                    elements=tuple(full.elements[i] for i in picked))
-    _jordan_slabs_agree(q, None)
+    for d, n in ((5, 1), (2, 2)):
+        full = stabilizer_operator_set(d, n)
+        picked = random.Random(5).sample(range(full.size), 12)
+        q = OperatorSet(name=f"unlabelled subset({d},{n})", d=d, n=n,
+                        elements=tuple(full.elements[i] for i in picked))
+        _jordan_slabs_agree(q, None)
 
 
 def test_mu1_clause_matches_dense_first_moment():
@@ -597,23 +619,29 @@ GOLDENS = Path(__file__).parent / "goldens"
     ("stab", 3, 1, "verify-design_d3_n1.json"), ("stab", 5, 1, "verify-design_d5_n1.json"),
     ("stab", 3, 2, "verify-design_d3_n2.json"),
     ("phase-points", 3, 1, "verify-design_d3_n1_set-phase-points.json"),
+    *(("stab", 2, n, f"verify-design_d2_n{n}.json") for n in (1, 2)),
+    *(("rebit", 2, n, f"verify-design_d2_n{n}_set-rebit.json") for n in (1, 2)),
+    *(("phase-points", 2, n, f"verify-design_d2_n{n}_set-phase-points.json") for n in (1, 2)),
 ])
 def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d, n, golden):
-    # fresh sets and bases: no trace, product or sum of dense matrices is taken
+    # at every d, despite the name (kept for stable test ids): fresh sets and
+    # bases, and no dense matrix is built, traced, multiplied or added
     def dense(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
-    for module in (operators, moments):
-        monkeypatch.setattr(module, "mono_traces", dense)
-        monkeypatch.setattr(module, "coefficient_stack", dense)
-        monkeypatch.setattr(module, "trace_pairs", dense)
+    for name in ("mono_traces", "coefficient_stack", "trace_pairs", "stab_projector", "mono_sum",
+                 "phase_point", "build_gram"):
+        monkeypatch.setattr(operators, name, dense)
+    for name in ("mono_traces", "stab_projector", "phase_point"):
+        monkeypatch.setattr(moments, name, dense)
+    monkeypatch.setattr(clifford, "build_gram", dense)
     monkeypatch.setattr(cyclotomic._Field, "contract", dense)
     monkeypatch.setattr(OpMatrix, "__matmul__", dense)
     monkeypatch.setattr(OpMatrix, "__add__", dense)
-    for name in ("stabilizer_operator_set", "phase_point_operator_set"):
+    for name in ("stabilizer_operator_set", "rebit_operator_set", "phase_point_operator_set"):
         monkeypatch.setattr(moments, name, getattr(moments, name).__wrapped__)
-    moments._basis.cache_clear()
-    moments._phase_forms.cache_clear()
+    for table in (moments._basis, moments._phase_forms, moments._pauli_products):
+        table.cache_clear()
     expected = json.loads((GOLDENS / golden).read_text())
     report = moments.verify_design(which, d, n)
     assert {"command": "verify-design", "d": d, "n": n, "set": which, **report} == expected
