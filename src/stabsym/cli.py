@@ -20,7 +20,7 @@ from .clifford import verify_clifford_laws
 from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsupported
 from .moments import verify_design
 from .phase_space import verify_enumeration
-from .polytope1 import MAX_FACET_D, facet_report
+from .polytope1 import facet_report
 from .symmetry import (budget_seconds, default_variant, family_gram, verify_sf_sum,
                        verify_theorem1)
 from .zmod import is_prime
@@ -132,7 +132,7 @@ def cmd_sfsum(args):
 
 def cmd_report(args):
     sections = ["enumerate", "gram", "verify-design", "verify-clifford", "autgroup"]
-    if args.n == 1 and 2 < args.d <= MAX_FACET_D:
+    if args.n == 1 and args.d > 2:
         sections.append("facets")
     sub = {}
     code = 0

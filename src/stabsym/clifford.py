@@ -19,7 +19,7 @@ from .cyclotomic import (
     root_of_unity,
 )
 from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
-from .operators import OpMatrix, StateFamily, build_gram, phase_point_mono, weyl, weyl_mono
+from .operators import OpMatrix, StateFamily, build_gram, phase_point_mono, weyl_mono
 from .permgroup import PermGroup
 from .phase_space import (
     MAX_POINTS,
@@ -512,8 +512,10 @@ def verify_clifford_laws(d, n, seed, samples):
 
         checks["galois_action_on_phase_points"] = {
             "pass": all(galois_acts(alpha, x) for alpha in range(2, d) for x in all_vectors(d, 2))}
+        conj = GaloisMap(d - 1, d)  # entrywise complex conjugation, on a Mono
         checks["transpose_is_k_minus_one"] = {"pass": all(
-            weyl(d, 1, a).conj() == weyl(d, 1, (a[0], (-a[1]) % d)) for a in all_vectors(d, 2))}
+            weyl_mono(d, 1, a).galois(conj) == weyl_mono(d, 1, (a[0], (-a[1]) % d))
+            for a in all_vectors(d, 2))}
 
     if d == 2 and n == 1:
         rows = wreath_decompose_table()

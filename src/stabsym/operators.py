@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -528,8 +528,7 @@ def build_gram(states) -> GramMatrix:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A finite family of stabilizer states: labels, Gram data, and the exact
-    projectors, built (`stab_projector`) when first read."""
+    """A finite family of stabilizer states: labels and Gram data."""
 
     d: int
     n: int
@@ -540,10 +539,6 @@ class StateFamily:
     def size(self):
         return len(self.labels)
 
-    @cached_property
-    def projectors(self):
-        return tuple(map(stab_projector, self.labels))
-
 
 def coefficient_stack(mats):
     """The coefficient tensors of mats over one common denominator, as
@@ -551,29 +546,6 @@ def coefficient_stack(mats):
     ints with the matrix index first."""
     den = lcm(*(x.den for x in mats))
     return np.stack([x.coef * (den // x.den) for x in mats]), den
-
-
-def trace_pairs(left, right):
-    """All tr(L_x R_y) as (ints, scale): tr(L_x R_y) = ints[x, y] / scale,
-    with ints an object array of Python ints and scale a positive int, in
-    lowest terms.
-
-    The sibling of `mono_traces` for dense L_x: one contraction of the two
-    coefficient stacks with the field's multiplication tensor, in the
-    guarded kernel `cyclotomic._exact`.  A coefficient of tr(L_x R_y) sums
-    dim^2 entry products, each expanded through the deg^2 coefficient pairs.
-    The op raises if any trace has a nonzero component outside the rational
-    line, and keeps only the rational one, so only that is turned into
-    Python ints.
-    """
-    f = _field(left[0].m)
-    (lhs, lden), (rhs, rden) = coefficient_stack(left), coefficient_stack(right)
-    # L with mul first, then R: numpy's own path choice is the 7-index loop
-    path = ["einsum_path", (0, 2), (0, 1)]
-    ints = _exact(lambda x, y, mul: rational_part(np.einsum("xija,yjib,abc->xyc", x, y, mul,
-                                                            optimize=path)),
-                  left[0].dim ** 2 * f.deg ** 2, (lhs, rhs), f._mul)
-    return lowest_terms(ints, lden * rden)
 
 
 @lru_cache(maxsize=None)
@@ -590,7 +562,6 @@ def stabilizer_labels(d, n) -> tuple:
 
 @lru_cache(maxsize=None)
 def stabilizer_states(d, n) -> StateFamily:
-    """The full stabilizer-state family for (d, n) and its Gram; the exact
-    projectors are built when first read."""
+    """The full stabilizer-state family for (d, n) and its Gram."""
     labels = stabilizer_labels(d, n)
     return StateFamily(d=d, n=n, labels=labels, gram=build_gram(labels))

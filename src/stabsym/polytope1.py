@@ -2,91 +2,103 @@
 d + 1 regular simplices (one per basis), and its d^(d+1) facets
 X_g = (1/d) 1 + sum_i pi_(g_i), one shifted vertex g_i per basis block.  The
 direct sum makes every facet quantity a sum or a minimum over the blocks, so
-no function here lists the facets."""
+no function here lists the facets.
+
+No function here builds a matrix: the overlaps are the closed-form Gram's
+codes, and an operator is given by its discrete Wigner function (Gross,
+J. Math. Phys. 47, 122107 (2006)), read through the coset incidence of the
+moment checks (`moments._incidence`)."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
-from .cyclotomic import conductor_for
-from .errors import BudgetExceeded, Mismatch, OddOnly
-from .operators import OpMatrix, phase_point, stabilizer_states, trace_pairs
+from .errors import Mismatch, OddOnly
+from .moments import OperatorSet, _incidence
+from .operators import stabilizer_labels, stabilizer_states
 from .phase_space import basis_blocks, lagrangian_index
-from .zmod import require_prime
-
-# The largest d whose facet report is held to a golden.  The report takes
-# ~0.6 s at d = 11 and ~0.8 s at d = 13 (2-core x86-64, Python 3.11), most
-# of it the dense traces tr(Pi_y A) of `polytope_membership`.
-MAX_FACET_D = 11
-
-
-@lru_cache(maxsize=None)
-def _overlap_table(d):
-    """tr(pi_x pi_y) = tr(Pi_x Pi_y) - 1/d for every pair of shifted vertices
-    pi = Pi - (1/d) 1, as (ints, scale) in lowest terms: the codes and
-    legend of the closed-form Gram of `stabilizer_states(d, 1)`."""
-    gram = stabilizer_states(d, 1).gram
-    shifted = [v - Fraction(1, d) for v in gram.legend]
-    scale = math.lcm(*(v.denominator for v in shifted))
-    ints = np.array([v.numerator * (scale // v.denominator) for v in shifted], dtype=object)
-    return ints[gram.codes], scale
 
 
 def direct_sum_check(d):
-    """Verify the three-value overlap table of the shifted vertices (so
-    different lines are orthogonal), and that each line's shifted vertices
-    sum to zero: the pi are Hermitian, so ||sum_(x in B) pi_x||^2 is the sum
-    of the table over the block B."""
-    require_prime(d)
+    """Verify the three-value overlap table of the shifted vertices
+    pi = Pi - (1/d) 1 (so different lines are orthogonal), and that each
+    line's shifted vertices sum to zero: the pi are Hermitian, so
+    ||sum_(x in B) pi_x||^2 is the sum of the table over the block B.
+
+    The table is read from the codes of the closed-form Gram of
+    `stabilizer_states(d, 1)`: tr(Pi_x Pi_y) takes the legend (0, 1/d, 1),
+    so its codes must be 2 on the diagonal, 0 within a line and 1 across
+    lines, and d tr(pi_x pi_y) is -1, 0 or d - 1 by code."""
     if d == 2:
         raise OddOnly("direct-sum geometry is stated for odd d")
-    labels = stabilizer_states(d, 1).labels
-    blocks = basis_blocks(labels)
-    line = lagrangian_index(labels)[1]
-    # d times the expected overlaps: d - 1 on the diagonal, -1 within a
-    # line, 0 across lines
-    expected = np.where(line[:, None] == line, -1, 0)
-    np.fill_diagonal(expected, d - 1)
-    ints, scale = _overlap_table(d)
-    bad = np.argwhere(ints * d != expected * scale)
+    gram = stabilizer_states(d, 1).gram
+    if gram.legend != (0, Fraction(1, d), 1):
+        raise Mismatch(f"overlap values {gram.legend} are not (0, 1/d, 1)", witness=gram.legend)
+    blocks = basis_blocks(gram.labels)
+    line = lagrangian_index(gram.labels)[1]
+    expected = (line[:, None] != line).astype(gram.codes.dtype)
+    np.fill_diagonal(expected, 2)
+    bad = np.argwhere(gram.codes != expected)
     if bad.size:
         i, j = map(int, bad[0])  # row-major order
         raise Mismatch(f"overlap table violated at {(i, j)}",
-                       witness=(i, j, Fraction(ints[i, j], scale)))
+                       witness=(i, j, gram.legend[gram.codes[i, j]] - Fraction(1, d)))
+    shifted = np.array([-1, 0, d - 1])
     for block in blocks:
-        if ints[np.ix_(block, block)].sum():
+        if np.bincount(gram.codes[np.ix_(block, block)].ravel(), minlength=3) @ shifted:
             raise Mismatch("per-line vertex sum does not vanish", witness=block)
     return {"d": d, "pass": True, "overlap_table": True, "line_sums_vanish": True,
             "blocks": len(blocks)}
 
 
-def polytope_membership(a: OpMatrix, d):
-    """Exact membership of a trace-1 Hermitian matrix A in the stabilizer
-    polytope: A lies inside iff tr(X_g A) >= 0 for every facet X_g.
+def polytope_membership(w, d):
+    """Exact membership of a trace-1 Hermitian operator A in the stabilizer
+    polytope, given by its Wigner function w[x] = tr(A(x) A) at the d^2
+    points x in `moments.hermitian_basis` order: A lies inside iff
+    tr(X_g A) >= 0 for every facet X_g.
 
-    With t_y = tr(Pi_y A) and s = tr(A)/d, tr(X_g A) = s + sum_i (t_(g_i) - s),
-    one term per basis block, so the least facet value takes each block's
-    least term.  Returns (inside, characters): characters is None if A lies
-    inside, else the vertex indices g of the first violated facet in
-    `itertools.product(*basis_blocks)` order.  The traces must be rational.
-    """
-    fam = stabilizer_states(d, 1)
-    ints, scale = trace_pairs(fam.projectors, [a])
-    s = a.trace().as_fraction() / d
-    blocks = basis_blocks(fam.labels)
-    terms = [[Fraction(ints[y, 0], scale) - s for y in block] for block in blocks]
+    The A(x) sum to d 1, so tr A = d^-1 sum_x w[x], and
+    t_y = tr(Pi_y A) = d^-1 sum_(x in rep_y + L_y) w[x].  With s = tr(A)/d,
+    tr(X_g A) = s + sum_i (t_(g_i) - s), one term per basis block, so the
+    least facet value takes each block's least term.  Returns (inside,
+    characters): characters is None if A lies inside, else the vertex
+    indices g of the first violated facet in
+    `itertools.product(*basis_blocks)` order.  A w of the wrong length, with
+    an entry that is not rational, or of trace other than 1 raises
+    ValueError."""
+    if d == 2:
+        raise OddOnly("direct-sum geometry is stated for odd d")
+    w = tuple(w)
+    if len(w) != d * d:
+        raise ValueError(f"a Wigner function at d = {d} has {d * d} entries, not {len(w)}")
+    if not all(isinstance(v, numbers.Rational) for v in w):
+        raise ValueError("Wigner function values must be rational")
+    w = tuple(map(Fraction, w))
+    if sum(w) != d:
+        raise ValueError(f"trace {sum(w) / d} is not 1")
+    den = math.lcm(*(v.denominator for v in w))
+    ints = np.array([int(v * den) for v in w], dtype=object)
+    labels = stabilizer_labels(d, 1)
+    # the ones of the 0/1 coset incidence: point x lies in the coset of y
+    x, y = np.nonzero(_incidence(OperatorSet(f"stabilizer({d},1)", d, 1, labels=labels)))
+    sums = np.zeros(len(labels), dtype=object)  # den * d * t_y
+    np.add.at(sums, y, ints[x])
+    blocks = basis_blocks(labels)
+    # den * d * tr(X_g A) = den + sum_i terms[i][g_i], as s = 1/d
+    terms = [[sums[y] - den for y in block] for block in blocks]
     # rest[i]: the least sum of the terms of blocks i, i + 1, ...
     rest = list(itertools.accumulate(map(min, reversed(terms)), initial=0))[::-1]
-    if s + rest[0] >= 0:
+    if den + rest[0] >= 0:
         return True, None
     # block by block, the first vertex that still leaves the sum negative
     # when every later block takes its least term
-    characters, acc = [], s
+    characters, acc = [], den
     for block, row, later in zip(blocks, terms, rest[1:]):
         k = next(k for k, t in enumerate(row) if acc + t + later < 0)
         characters.append(block[k])
@@ -94,10 +106,12 @@ def polytope_membership(a: OpMatrix, d):
     return False, tuple(characters)
 
 
-def wigner_negative_state(d) -> OpMatrix:
-    """A trace-1 Hermitian matrix with a negative Wigner value: (1 - A(0))/2-type."""
-    eye = OpMatrix.identity(conductor_for(d), d)
-    return (eye - phase_point(d, 1, (0, 0))).scale(Fraction(1, d - 1))
+def wigner_negative_state(d):
+    """The Wigner function of rho = (1 - A(0))/(d - 1), a trace-1 Hermitian
+    operator with a negative Wigner value: tr A(x) = 1 and
+    tr(A(x) A(0)) = d [x = 0] give w[x] = (1 - d [x = 0])/(d - 1), with the
+    points in `moments.hermitian_basis` order (0 first)."""
+    return tuple(Fraction(1 - d * (x == 0), d - 1) for x in range(d * d))
 
 
 def facet_report(d):
@@ -110,9 +124,6 @@ def facet_report(d):
     (zeros, minimum) pairs of the facets are the sums and minima of one Gram
     row per block.  Two facets take different rows in some block, so they
     are distinct."""
-    require_prime(d)
-    if d > MAX_FACET_D:
-        raise BudgetExceeded(f"the facet report is implemented for odd d <= {MAX_FACET_D}")
     direct_sum = direct_sum_check(d)
     gram = stabilizer_states(d, 1).gram
     blocks = basis_blocks(gram.labels)

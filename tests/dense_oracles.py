@@ -12,13 +12,18 @@ Galois action on A(x) as a monomial map; `dense_sf_machinery` and
 `ext_apply` take the same steps with sums and products of dense matrices.
 
 The n = 1 facet verdict and polytope membership are sums and minima over
-basis blocks in the library (`polytope1`), and its shifted overlap table is
-read from the closed-form Gram; `shifted_vertices` are the dense
-pi = Pi - (1/d) 1, `dense_overlap_table` their pairwise traces,
-`dense_line_sums_vanish` sums them per line, `dense_facet_family` lists all
-d^(d+1) facet operators as dense matrices and `dense_membership` and
-`dense_incidence_counts` take one `hs_inner` per facet.  `bruteforce_gram`
-is the Gram of dense projectors by their pairwise traces.  The rest are
+basis blocks in the library (`polytope1`), its shifted overlap table is read
+from the closed-form Gram's codes, and membership takes an operator's
+Wigner function; `shifted_vertices` are the dense pi = Pi - (1/d) 1,
+`dense_overlap_table` their pairwise traces, `dense_line_sums_vanish` sums
+them per line, `dense_facet_family` lists all d^(d+1) facet operators as
+dense matrices and `dense_membership` and `dense_incidence_counts` take one
+`hs_inner` per facet; `dense_wigner` reads a dense matrix's Wigner function
+and `wigner_negative_matrix` is the dense form of the library's
+Wigner-negative state.  `family_projectors` builds a family's dense
+projectors, `trace_pairs` is every pairwise trace of two lists of dense
+matrices in one contraction, and `bruteforce_gram` the Gram of dense
+projectors by those traces.  The rest are
 one-element or single-operator forms of the library's batched kernels:
 `transform_label`, `mono_trace`, `mono_trace_product`,
 `stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
@@ -37,20 +42,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
+from stabsym import operators
 from stabsym.clifford import AffineSimilitude, k_alpha, similitude_multiplier
-from stabsym.cyclotomic import CycNumber, _field, conductor_for, iunit, root_of_unity, sqrt_d
+from stabsym.cyclotomic import (
+    CycNumber,
+    _exact,
+    _field,
+    conductor_for,
+    iunit,
+    root_of_unity,
+    sqrt_d,
+)
 from stabsym.errors import InconsistentSigns, Mismatch, OddOnly
+from stabsym.moments import hermitian_basis
 from stabsym.operators import (
     GramMatrix,
     Mono,
     OpMatrix,
     build_gram,
+    coefficient_stack,
     hs_inner,
+    lowest_terms,
     mono_sum,
+    mono_traces,
     phase_point,
+    rational_part,
     stab_projector,
     stabilizer_states,
-    trace_pairs,
     weyl_mono,
 )
 from stabsym.permgroup import identity_perm
@@ -228,6 +248,34 @@ def dense_sf_machinery(d, n, b, family=None):
     }
 
 
+def family_projectors(fam):
+    """The exact projectors of a `StateFamily`'s labels, built on each call
+    (`operators.stab_projector`, looked up when called)."""
+    return tuple(map(operators.stab_projector, fam.labels))
+
+
+def trace_pairs(left, right):
+    """All tr(L_x R_y) as (ints, scale): tr(L_x R_y) = ints[x, y] / scale,
+    with ints an object array of Python ints and scale a positive int, in
+    lowest terms.
+
+    One contraction of the two coefficient stacks with the field's
+    multiplication tensor, in the guarded kernel `cyclotomic._exact`.  A
+    coefficient of tr(L_x R_y) sums dim^2 entry products, each expanded
+    through the deg^2 coefficient pairs.  It raises if any trace has a
+    nonzero component outside the rational line, and keeps only the rational
+    one, so only that is turned into Python ints.
+    """
+    f = _field(left[0].m)
+    (lhs, lden), (rhs, rden) = coefficient_stack(left), coefficient_stack(right)
+    # L with mul first, then R: numpy's own path choice is the 7-index loop
+    path = ["einsum_path", (0, 2), (0, 1)]
+    ints = _exact(lambda x, y, mul: rational_part(np.einsum("xija,yjib,abc->xyc", x, y, mul,
+                                                            optimize=path)),
+                  left[0].dim ** 2 * f.deg ** 2, (lhs, rhs), f._mul)
+    return lowest_terms(ints, lden * rden)
+
+
 def bruteforce_gram(states, projectors):
     """The Gram of `states` with the given exact projectors: their pairwise
     traces (`trace_pairs`), ranked into codes over a legend."""
@@ -245,9 +293,9 @@ class ShiftedVertex:
 
 def shifted_vertices(d):
     fam = stabilizer_states(d, 1)
-    eye = OpMatrix.identity(fam.projectors[0].m, d)
+    eye = OpMatrix.identity(conductor_for(d), d)
     return [ShiftedVertex(label=lab, matrix=p - eye.scale(Fraction(1, d)))
-            for lab, p in zip(fam.labels, fam.projectors)]
+            for lab, p in zip(fam.labels, family_projectors(fam))]
 
 
 def dense_overlap_table(d):
@@ -289,6 +337,20 @@ def dense_facet_family(d):
     return tuple(facets)
 
 
+def wigner_negative_matrix(d) -> OpMatrix:
+    """rho = (1 - A(0))/(d - 1) as a dense matrix, the operator whose Wigner
+    function is `polytope1.wigner_negative_state`."""
+    eye = OpMatrix.identity(conductor_for(d), d)
+    return (eye - phase_point(d, 1, (0, 0))).scale(Fraction(1, d - 1))
+
+
+def dense_wigner(a: OpMatrix, d):
+    """The Wigner function w[x] = tr(A(x) a) of a dense single-qudit matrix,
+    the points in `moments.hermitian_basis` order, by `mono_traces`."""
+    out, den = mono_traces([mono for _, mono in hermitian_basis(d, 1)], [a])
+    return tuple(Fraction(int(v), den) for v in rational_part(out)[:, 0])
+
+
 def dense_membership(a: OpMatrix, d):
     """`polytope1.polytope_membership` by one `hs_inner` per facet: (inside,
     the first violated facet or None)."""
@@ -301,10 +363,10 @@ def dense_membership(a: OpMatrix, d):
 
 def dense_incidence_counts(d):
     """For each facet, the number of vertices with tr(X Pi) = 0 and the minimum."""
-    fam = stabilizer_states(d, 1)
+    projs = family_projectors(stabilizer_states(d, 1))
     out = []
     for facet in dense_facet_family(d):
-        vals = [hs_inner(facet.matrix, p).as_fraction() for p in fam.projectors]
+        vals = [hs_inner(facet.matrix, p).as_fraction() for p in projs]
         if min(vals) < 0:
             raise Mismatch("facet fails the supporting-hyperplane property")
         out.append((vals.count(Fraction(0)), min(vals)))

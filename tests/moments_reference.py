@@ -8,7 +8,7 @@ solver, which have oracles of their own; so the mu_1 ∝ 1 clause reads the
 table's row sums here too, and `dense_oracles.first_moment` is its dense
 oracle.  The real predicates take their own basis of Sym,
 `dense_oracles.symmetric_basis`, and its table of dense traces against the
-elements (`operators.trace_pairs`), where the library reads the real-Pauli
+elements (`dense_oracles.trace_pairs`), where the library reads the real-Pauli
 rows of the Hermitian table.
 """
 
@@ -25,9 +25,9 @@ from stabsym.moments import (
     span_dimension,
     trace_table,
 )
-from stabsym.operators import hs_inner, trace_pairs, trace_product
+from stabsym.operators import hs_inner, trace_product
 
-from dense_oracles import mono_trace, mono_trace_product, symmetric_basis
+from dense_oracles import mono_trace, mono_trace_product, symmetric_basis, trace_pairs
 
 
 def _symmetrized_trace(mats):

@@ -49,7 +49,12 @@ from stabsym.symmetry import (
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import bruteforce_gram, mono_trace_product, transform_label
+from dense_oracles import (
+    bruteforce_gram,
+    family_projectors,
+    mono_trace_product,
+    transform_label,
+)
 
 
 def report(criterion, ok, detail=""):
@@ -132,7 +137,7 @@ def test_criterion_2_operator_identities():
 def test_criterion_3_gram_formula_all_pairs_32():
     t0 = time.monotonic()
     fam = stabilizer_states(3, 2)
-    brute = bruteforce_gram(fam.labels, fam.projectors)
+    brute = bruteforce_gram(fam.labels, family_projectors(fam))
     assert brute.size == fam.size == 360
     assert brute.values == fam.gram.values
     elapsed = time.monotonic() - t0

@@ -124,9 +124,8 @@ def test_budget_exit_code(capsys):
     code = main(["enumerate", "--d", "5", "--n", "3"])
     assert code == 3
     capsys.readouterr()
-    assert main(["facets", "--d", "13"]) == 3  # a size limit, unlike d = 2
-    assert capsys.readouterr().err == ("budget exceeded: the facet report is implemented"
-                                       " for odd d <= 11\n")
+    assert main(["facets", "--d", "67"]) == 3  # a size limit, unlike d = 2
+    assert capsys.readouterr().err == "budget exceeded: d^(2n) = 4489 exceeds cap 4096\n"
     # a budget of 0 s is spent before the first search node, on any machine
     code = main(["autgroup", "--budget-seconds", "0", "--d", "3", "--n", "2"])
     err = capsys.readouterr().err

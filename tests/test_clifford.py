@@ -47,6 +47,7 @@ from stabsym.operators import (
     stab_projector,
     stabilizer_states,
     weyl,
+    weyl_mono,
 )
 from stabsym.phase_space import all_vectors, transform_labels, vec_add
 
@@ -54,6 +55,7 @@ from dense_oracles import (
     Similitude,
     dense_real_clifford_orbit,
     ext_apply,
+    family_projectors,
     forget,
     qubit_gate,
     real_gates,
@@ -287,6 +289,17 @@ def test_mono_galois_is_the_entrywise_galois_map(d):
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
+def test_mono_conjugation_is_the_dense_conjugate(d):
+    # verify_clifford_laws reads the entrywise conjugate of T(a) as the
+    # monomial Galois map alpha = d - 1; the dense conjugate is its oracle
+    conj = GaloisMap(d - 1, d)
+    for a in all_vectors(d, 2):
+        assert weyl_mono(d, 1, a).galois(conj).to_matrix() == weyl(d, 1, a).conj()
+    # negative control: T(1, 1) is not its own conjugate
+    assert weyl_mono(d, 1, (1, 1)).galois(conj) != weyl_mono(d, 1, (1, 1))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
 def test_metaplectic_cache_keys_on_s_mod_d(d):
     # one cached U_S per (d, S mod d), whatever form S takes
     rng = random.Random(d)
@@ -449,16 +462,17 @@ def test_real_orbit_n1():
     assert orbit.size == 4
     half = Fraction(1, 2)
     plus = OpMatrix.from_rational(8, [[half, half], [half, half]])
-    assert plus in orbit.projectors
+    assert plus in family_projectors(orbit)
 
 
 def test_real_orbit_closure():
     for n in (1, 2):
         orbit = real_clifford_orbit(n)
-        members = set(orbit.projectors)
+        projs = family_projectors(orbit)
+        members = set(projs)
         for gate in real_gates(n):
             g = qubit_gate(n, *gate)
-            for p in orbit.projectors:
+            for p in projs:
                 assert g @ p @ g.dagger() in members
             assert set(transform_labels(orbit.labels, *qubit_gate_action(n, *gate))) == set(
                 orbit.labels)
@@ -473,7 +487,7 @@ def test_real_orbit_n2_matches_rational_filter():
         if all(x.is_rational() for row in p.rows for x in row):
             rational.append(p)
     assert orbit.size == len(rational)
-    assert set(orbit.projectors) == set(rational)
+    assert set(family_projectors(orbit)) == set(rational)
     # the real states are those whose Lagrangian holds no odd number of Y factors
     real = {lab for lab in stabilizer_states(2, 2).labels
             if all(sum(b[k] * b[2 + k] for k in range(2)) % 2 == 0 for b in lab.L.points())}
@@ -485,7 +499,7 @@ def test_real_orbit_is_the_dense_breadth_first_orbit(n):
     # the same states in the same order: 4, 24 and 240 of them
     orbit = real_clifford_orbit(n)
     assert orbit.size == (4, 24, 240)[n - 1]
-    assert orbit.projectors == dense_real_clifford_orbit(n)
+    assert family_projectors(orbit) == dense_real_clifford_orbit(n)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -46,7 +46,13 @@ from stabsym.operators import (
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import bruteforce_gram, first_moment, jordan_slab
+from dense_oracles import (
+    bruteforce_gram,
+    family_projectors,
+    first_moment,
+    jordan_slab,
+    trace_pairs,
+)
 
 
 def test_f1_of_identity_is_one():
@@ -397,7 +403,7 @@ def test_symmetric_basis_spans():
         mats = [weyl(2, n, a) for a in b.labels]
         for mat in mats:
             assert mat == mat.transpose() and not mat.coef[..., 1:].any()
-        ints, scale = operators.trace_pairs(mats, mats)
+        ints, scale = trace_pairs(mats, mats)
         assert scale == 1 and (ints == np.diag(np.full(len(mats), dim, dtype=object))).all()
         for a in set(range(4 ** n)) - set(b.points.tolist()):
             assert not weyl(2, n, full.labels[a]).coef[..., 0].any()
@@ -476,7 +482,7 @@ def _brute_force_grams():
     """The Grams of the (2,2) stabilizer states and the n = 2 rebits from the
     traces of their projectors, as (codes, dtype, legend)."""
     grams = [bruteforce_gram(p, p)
-             for p in (stabilizer_states(2, 2).projectors, real_clifford_orbit(2).projectors)]
+             for p in map(family_projectors, (stabilizer_states(2, 2), real_clifford_orbit(2)))]
     return [(g.codes.tolist(), g.codes.dtype, g.legend) for g in grams]
 
 
@@ -629,8 +635,8 @@ def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d,
     def dense(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
-    for name in ("mono_traces", "coefficient_stack", "trace_pairs", "stab_projector", "mono_sum",
-                 "phase_point", "build_gram"):
+    for name in ("mono_traces", "coefficient_stack", "stab_projector", "mono_sum", "phase_point",
+                 "build_gram"):
         monkeypatch.setattr(operators, name, dense)
     for name in ("mono_traces", "stab_projector", "phase_point"):
         monkeypatch.setattr(moments, name, dense)

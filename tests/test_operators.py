@@ -22,7 +22,6 @@ from stabsym.operators import (
     phase_point_mono,
     stab_projector,
     stabilizer_states,
-    trace_pairs,
     trace_product,
     weyl,
     weyl_mono,
@@ -45,10 +44,12 @@ from stabsym.symmetry import rebit_gram
 from dense_oracles import (
     bruteforce_gram,
     dense_real_clifford_orbit,
+    family_projectors,
     is_hermitian,
     mono_trace_product,
     stab_projector_qubit,
     stab_projector_wigner,
+    trace_pairs,
 )
 
 
@@ -196,9 +197,9 @@ def test_stab_projector_z_eigenprojector():
 
 
 def test_stab_projector_properties_d3_n1():
-    fam = stabilizer_states(3, 1)
-    assert len(fam.projectors) == 12
-    for pi in fam.projectors:
+    projs = family_projectors(stabilizer_states(3, 1))
+    assert len(projs) == 12
+    for pi in projs:
         assert pi.trace() == CycNumber.one(pi.m)
         assert is_hermitian(pi)
         assert pi @ pi == pi
@@ -279,7 +280,8 @@ def test_hs_inner_cross_basis_d5():
     # states from different Lagrangians overlap in 1/5
     x = next(i for i, l in enumerate(fam.labels))
     y = next(i for i, l in enumerate(fam.labels) if l.L != fam.labels[x].L)
-    v = hs_inner(fam.projectors[x], fam.projectors[y])
+    projs = family_projectors(fam)
+    v = hs_inner(projs[x], projs[y])
     assert v == CycNumber.from_fraction(conductor_for(5), Fraction(1, 5))
 
 
@@ -295,9 +297,10 @@ def test_gram_closed_form_basics():
 
 def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
     fam = stabilizer_states(3, 1)
+    projs = family_projectors(fam)
     for i, x in enumerate(fam.labels):
         for j, y in enumerate(fam.labels):
-            brute = hs_inner(fam.projectors[i], fam.projectors[j]).as_fraction()
+            brute = hs_inner(projs[i], projs[j]).as_fraction()
             assert gram_closed_form(x, y) == brute
 
 
@@ -369,13 +372,13 @@ def test_gram_bruteforce_tensor_matches_closed_form_sample():
     # (2,3) is the `slow` golden replay of `gram --d 2 --n 3`
     for d, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)):
         fam = stabilizer_states(d, n)
-        brute = bruteforce_gram(fam.labels, fam.projectors)
+        brute = bruteforce_gram(fam.labels, family_projectors(fam))
         assert brute.values == fam.gram.values
         # equal values over sorted legends of the values that occur: equal codes
         assert brute.legend == fam.gram.legend
         assert np.array_equal(brute.codes, fam.gram.codes)
     # the brute force itself against the Hilbert-Schmidt loop, for qubits and rebits
-    for projs in (stabilizer_states(2, 2).projectors, real_clifford_orbit(1).projectors):
+    for projs in map(family_projectors, (stabilizer_states(2, 2), real_clifford_orbit(1))):
         loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)
         assert bruteforce_gram(projs, projs).values == loop
 
@@ -482,7 +485,7 @@ def test_shifted_vertices_sum_to_zero_per_functional():
     d, n = 3, 1
     fam = stabilizer_states(d, n)
     by_l = {}
-    for lab, pi in zip(fam.labels, fam.projectors):
+    for lab, pi in zip(fam.labels, family_projectors(fam)):
         by_l.setdefault(lab.L, []).append(pi)
     third = Fraction(1, 3)
     for group in by_l.values():
@@ -495,7 +498,7 @@ def test_shifted_vertices_sum_to_zero_per_functional():
 def test_build_gram_takes_labels_under_the_entry_cap(monkeypatch):
     fam = stabilizer_states(2, 1)
     with pytest.raises(ValueError, match="stabilizer labels"):
-        build_gram(fam.projectors)
+        build_gram(family_projectors(fam))
     monkeypatch.setattr(operators, "MAX_ENTRIES", 35)
     with pytest.raises(BudgetExceeded, match=r"6\^2 Gram entries exceed budget"):
         build_gram(fam.labels)

@@ -1,13 +1,23 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from stabsym import polytope1
+from stabsym import cyclotomic, moments, operators, polytope1
+from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import BudgetExceeded, Mismatch
-from stabsym.operators import OpMatrix, hs_inner, stabilizer_states
+from stabsym.operators import (
+    OpMatrix,
+    hs_inner,
+    phase_point,
+    stab_projector,
+    stabilizer_states,
+    trace_product,
+)
 from stabsym.polytope1 import (
-    MAX_FACET_D,
     direct_sum_check,
     facet_report,
     polytope_membership,
@@ -21,9 +31,14 @@ from dense_oracles import (
     dense_line_sums_vanish,
     dense_membership,
     dense_overlap_table,
+    dense_wigner,
+    family_projectors,
     is_hermitian,
     shifted_vertices,
+    wigner_negative_matrix,
 )
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def test_shifted_vertices_traceless_hermitian():
@@ -41,12 +56,13 @@ def test_direct_sum_check_d3():
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_overlap_table_equals_the_dense_shifted_vertex_traces(d):
-    # the table read from the closed-form Gram against tr(pi_x pi_y) of the
-    # dense shifted vertices, in the same (ints, scale) lowest terms
-    ints, scale = polytope1._overlap_table(d)
+    # d tr(pi_x pi_y) = d tr(Pi_x Pi_y) - 1 from the closed-form Gram's
+    # codes and legend, against the dense shifted vertices' traces
+    gram = stabilizer_states(d, 1).gram
+    table = [[d * gram.legend[c] - 1 for c in row] for row in gram.codes.tolist()]
     dense, dense_scale = dense_overlap_table(d)
-    assert scale == dense_scale == d
-    assert ints.tolist() == dense.tolist()
+    assert dense_scale == d
+    assert dense.tolist() == table
 
 
 def test_direct_sum_check_d5():
@@ -57,16 +73,17 @@ def test_direct_sum_check_d5():
 
 
 def test_direct_sum_check_witness_is_first_failing_pair(monkeypatch):
-    # the overlap table read through a corrupted copy: two wrong entries,
+    # the Gram read through a corrupted copy of its codes: two wrong entries,
     # the first in row-major order is the witness
-    ints, scale = polytope1._overlap_table(3)
-    bad = ints.copy()
+    fam = stabilizer_states(3, 1)
+    bad = fam.gram.codes.copy()
     bad[7, 2] += 1
     bad[2, 9] += 1
-    monkeypatch.setattr(polytope1, "_overlap_table", lambda d: (bad, scale))
+    corrupted = dataclasses.replace(fam, gram=dataclasses.replace(fam.gram, codes=bad))
+    monkeypatch.setattr(polytope1, "stabilizer_states", lambda d, n: corrupted)
     with pytest.raises(Mismatch, match=r"overlap table violated at \(2, 9\)") as exc:
         direct_sum_check(3)
-    assert exc.value.witness == (2, 9, Fraction(bad[2, 9], scale))
+    assert exc.value.witness == (2, 9, fam.gram.legend[bad[2, 9]] - Fraction(1, 3))
 
 
 def test_shifted_overlap_diagonal_value():
@@ -80,9 +97,32 @@ def test_facet_count_d3():
 
 
 def test_facets_budget():
-    assert MAX_FACET_D == 11
-    with pytest.raises(BudgetExceeded, match="odd d <= 11"):
-        facet_report(13)
+    # bounded by the phase-space cap alone: 67^2 > 4096
+    with pytest.raises(BudgetExceeded, match=r"d\^\(2n\) = 4489 exceeds cap 4096"):
+        facet_report(67)
+
+
+def _violated_facet_value(d, characters):
+    # tr(X_g rho) = sum_i tr(Pi_(g_i) rho) - 1 for X_g = sum_i Pi_(g_i) - 1,
+    # from the d + 1 chosen dense projectors and the dense rho
+    labels = stabilizer_states(d, 1).labels
+    rho = wigner_negative_matrix(d)
+    return sum(trace_product(stab_projector(labels[g]), rho).as_fraction()
+               for g in characters) - 1
+
+
+@pytest.mark.parametrize("d", [13, 17, 23])
+def test_facet_report_beyond_the_former_cap(d):
+    report = facet_report(d)
+    assert report["facet_count"] == d ** (d + 1)
+    assert report["vertices_per_facet"] == [(d - 1) * (d + 1)]
+    assert report["supporting"] and report["pass"]
+    assert report["wigner_negative_state_inside"] is False
+    characters = report["violated_facet_characters"]
+    blocks = basis_blocks(stabilizer_states(d, 1).labels)
+    assert [next(b for b, block in enumerate(blocks) if g in block) for g in characters] \
+        == list(range(d + 1))
+    assert _violated_facet_value(d, characters) < 0
 
 
 def test_facets_support_with_eight_incident_vertices():
@@ -94,13 +134,31 @@ def test_facets_support_with_eight_incident_vertices():
     assert report["supporting"] and report["vertices_per_facet"] == [8]
 
 
+@pytest.mark.parametrize("d", [3, 11])
+def test_facet_report_builds_without_dense_kernels(monkeypatch, d):
+    # no projector, phase point or dense product: the Gram's codes and the
+    # Wigner function give the whole report
+    def dense(*args, **kwargs):
+        raise AssertionError("dense kernel called")
+
+    for name in ("stab_projector", "mono_sum", "mono_traces", "phase_point"):
+        monkeypatch.setattr(operators, name, dense)
+    for name in ("stab_projector", "mono_traces", "phase_point"):
+        monkeypatch.setattr(moments, name, dense)
+    monkeypatch.setattr(cyclotomic._Field, "contract", dense)
+    monkeypatch.setattr(OpMatrix, "__matmul__", dense)
+    monkeypatch.setattr(polytope1, "stabilizer_states", operators.stabilizer_states.__wrapped__)
+    expected = json.loads((GOLDENS / f"facets_d{d}_n1.json").read_text())
+    assert {"command": "facets", "d": d, "n": 1, **facet_report(d)} == expected
+
+
 def test_facet_trace_by_hs_inner_matches_dense_trace():
     # the facet operators are Hermitian, so tr(X P) = (X|P) for every pair
-    fam = stabilizer_states(3, 1)
-    rho = wigner_negative_state(3)
+    projs = family_projectors(stabilizer_states(3, 1))
+    rho = wigner_negative_matrix(3)
     for facet in dense_facet_family(3):
         assert is_hermitian(facet.matrix)
-        for p in (*fam.projectors, rho):
+        for p in (*projs, rho):
             assert hs_inner(facet.matrix, p) == (facet.matrix @ p).trace()
 
 
@@ -118,10 +176,19 @@ def test_self_duality_of_simplex_blocks():
                 assert v == (Fraction(d - 1, d) if i == j else Fraction(-1, d))
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_wigner_negative_state_is_the_dense_wigner_function(d):
+    rho = wigner_negative_matrix(d)
+    assert rho.trace() == CycNumber.one(rho.m) and is_hermitian(rho)
+    w = wigner_negative_state(d)
+    assert w == dense_wigner(rho, d)
+    assert w == tuple(hs_inner(phase_point(d, 1, x), rho).as_fraction()
+                      for x, _ in moments.hermitian_basis(d, 1))
+
+
 def test_membership_center_inside():
-    m = stabilizer_states(3, 1).projectors[0].m
-    center = OpMatrix.identity(m, 3).scale(Fraction(1, 3))
-    inside, facet = polytope_membership(center, 3)
+    center = OpMatrix.identity(conductor_for(3), 3).scale(Fraction(1, 3))
+    inside, facet = polytope_membership(dense_wigner(center, 3), 3)
     assert inside and facet is None
     # the center is strictly inside: all inner products positive
     for f in dense_facet_family(3):
@@ -129,9 +196,8 @@ def test_membership_center_inside():
 
 
 def test_membership_vertices_on_boundary():
-    fam = stabilizer_states(3, 1)
-    for p in fam.projectors:
-        inside, _ = polytope_membership(p, 3)
+    for p in family_projectors(stabilizer_states(3, 1)):
+        inside, _ = polytope_membership(dense_wigner(p, 3), 3)
         assert inside
 
 
@@ -144,14 +210,14 @@ def _combination(weights, mats):
 
 def test_random_convex_combinations_inside():
     rng = random.Random(12)
-    fam = stabilizer_states(3, 1)
+    projs = family_projectors(stabilizer_states(3, 1))
     for _ in range(10):
-        weights = [Fraction(rng.randrange(0, 5)) for _ in fam.projectors]
+        weights = [Fraction(rng.randrange(0, 5)) for _ in projs]
         total = sum(weights)
         if total == 0:
             continue
         weights = [w / total for w in weights]
-        inside, _ = polytope_membership(_combination(weights, fam.projectors), 3)
+        inside, _ = polytope_membership(dense_wigner(_combination(weights, projs), 3), 3)
         assert inside
 
 
@@ -160,7 +226,7 @@ def test_membership_matches_dense_oracle():
     # state, some weights negative: membership and the first violated facet
     # agree with one hs_inner per facet
     rng = random.Random(5)
-    mats = [*stabilizer_states(3, 1).projectors, wigner_negative_state(3)]
+    mats = [*family_projectors(stabilizer_states(3, 1)), wigner_negative_matrix(3)]
     verdicts = []
     for _ in range(60):
         weights = [Fraction(rng.randrange(-2, 6)) for _ in mats]
@@ -169,19 +235,27 @@ def test_membership_matches_dense_oracle():
             continue
         a = _combination([w / total for w in weights], mats)
         inside, facet = dense_membership(a, 3)
-        assert polytope_membership(a, 3) == (inside, None if inside else facet.characters)
+        assert polytope_membership(dense_wigner(a, 3), 3) == \
+            (inside, None if inside else facet.characters)
         verdicts.append(inside)
     assert 10 <= verdicts.count(True) and 10 <= verdicts.count(False)
 
 
 def test_wigner_negative_state_rejected():
-    from stabsym.cyclotomic import CycNumber
-
-    rho = wigner_negative_state(3)
-    assert rho.trace() == CycNumber.one(rho.m)
-    assert is_hermitian(rho)
-    inside, characters = polytope_membership(rho, 3)
+    inside, characters = polytope_membership(wigner_negative_state(3), 3)
     assert not inside
     assert characters is not None
+    rho = wigner_negative_matrix(3)
     facet = next(f for f in dense_facet_family(3) if f.characters == characters)
     assert (rho @ facet.matrix).trace().as_fraction() < 0
+
+
+@pytest.mark.parametrize("w,message", [
+    ((Fraction(1, 3),) * 8, "has 9 entries, not 8"),
+    ((1,) * 8 + (0.0,), "values must be rational"),
+    ((1,) * 8 + (CycNumber.zero(conductor_for(3)),), "values must be rational"),
+    ((1,) * 9, "trace 3 is not 1"),
+], ids=["length", "float", "cyclotomic", "trace"])
+def test_membership_rejects_what_is_not_a_trace_one_wigner_function(w, message):
+    with pytest.raises(ValueError, match=message):
+        polytope_membership(w, 3)

@@ -41,6 +41,7 @@ from dense_oracles import (
     dense_real_clifford_orbit,
     dense_sf_machinery,
     extended_clifford_perms,
+    family_projectors,
     perm_from_matrix_action,
     qubit_gate,
     real_gates,
@@ -126,7 +127,7 @@ def test_label_generators_match_dense_conjugation(n):
     # the extended Clifford generators on the qubit states, and the real
     # Clifford generators on the rebits, read off the conjugated projectors
     fam = stabilizer_states(2, n)
-    dense = extended_clifford_perms(n, fam.projectors)
+    dense = extended_clifford_perms(n, family_projectors(fam))
     assert predicted_generators(2, n, "extended_clifford") == tuple(dense)
     rebits = dense_real_clifford_orbit(n)
     dense = [perm_from_matrix_action(rebits, conjugation(qubit_gate(n, *g))) for g in real_gates(n)]
@@ -134,12 +135,12 @@ def test_label_generators_match_dense_conjugation(n):
 
 
 def test_qubit_cases_build_without_dense_kernels(monkeypatch):
-    # the d = 2 Gram is the closed form, not `trace_pairs` of projectors, and
-    # no generator conjugates a matrix
+    # the d = 2 Gram is the closed form, not traces of projectors, and no
+    # generator conjugates a matrix
     def dense(*args):
         raise AssertionError("dense kernel called")
 
-    monkeypatch.setattr(operators, "trace_pairs", dense)
+    monkeypatch.setattr(operators, "stab_projector", dense)
     monkeypatch.setattr(operators.OpMatrix, "__matmul__", dense)
     fam = stabilizer_states.__wrapped__(2, 2)
     assert fam.gram.values == stabilizer_states(2, 2).gram.values
@@ -187,9 +188,9 @@ def test_seed_rejection():
 
 
 def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
-    # families build their projectors on first access, and the labels and
-    # the Gram are all that Theorem 1 reads, at odd d and, with the closed
-    # form, at d = 2 too
+    # the labels and the Gram are all that Theorem 1 reads, at odd d and,
+    # with the closed form, at d = 2 too; the patched builder is the one the
+    # dense projectors of a family go through
     def unread(label):
         raise AssertionError(f"projector of {label} read")
 
@@ -199,7 +200,7 @@ def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
         seeds = predicted_generators.__wrapped__(3, 1, variant)
         assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
     with pytest.raises(AssertionError, match="projector of"):
-        fam.projectors
+        family_projectors(fam)
     qubits = stabilizer_states.__wrapped__(2, 1)
     seeds = predicted_generators.__wrapped__(2, 1, "extended_clifford")
     assert gram_automorphisms(qubits.gram, seeds=seeds).order() == 48
@@ -565,13 +566,14 @@ def test_computed_symmetries_fix_uniform_sum():
 
     fam = stabilizer_states(3, 1)
     group = gram_automorphisms(fam.gram)
-    total = OpMatrix.zero(fam.projectors[0].m, 3)
-    for p in fam.projectors:
+    projs = family_projectors(fam)
+    total = OpMatrix.zero(projs[0].m, 3)
+    for p in projs:
         total = total + p
     for g in group.generators:
         permuted = OpMatrix.zero(total.m, 3)
         for i in range(fam.size):
-            permuted = permuted + fam.projectors[g[i]]
+            permuted = permuted + projs[g[i]]
         assert permuted == total
 
 
