@@ -24,8 +24,6 @@ from .operators import (
     build_gram,
     gram_closed_form,
     hs_inner,
-    phase_point,
-    stab_projector,
     stabilizer_states,
     weyl,
 )
@@ -48,7 +46,6 @@ from .moments import (
     is_complex_3design,
     is_real_4design,
     is_real_6design,
-    moment_form,
 )
 from .permgroup import PermGroup, schreier_sims
 from .symmetry import (

@@ -1,25 +1,24 @@
 """Moment forms F_k of finite operator sets and the design/condition predicates
 that control which symmetry notions coincide.
 
-The predicates compare whole integer tables.  The moment side is a bi- or
-trilinear form in the rows of the trace table, or on dir(Q) in the
-Gram-difference rows D_i = G[i] - G[0] (sum_t D_i D_j D_k is the eight-term
-F_3 of the q_i - q_0).  The Jordan side tr(M_i M_j M_k) + tr(M_i M_k M_j) is
-taken one i-slab at a time, in full power-basis coefficients (it can be
-irrational: Q[sqrt 5] at d = 5), and a scan stops at the first slab holding a
-failure.  "Equal" and "proportional" are integer cross-multiplications over
-common denominators, in `cyclotomic._exact` (int64 where `fits_int64` proves
-it exact, Python ints otherwise); no N^3 array is built.
+The predicates compare whole integer tables read from one table, the
+Hermitian trace table T (d^(2n) rows, one column per element), and its pair
+sums S2 = T T^T.  On dir(Q), with C = T[:, picked] - T[:, [0]] the
+coordinates of a basis of differences q_i - q_0 (`_dir_basis`), F_2 is
+C^T S2 C, HS is C^T C and F_3 the trilinear form of the rows of D = C^T T,
+so no array has two axes of length |Q|.  The Jordan side tr(M_i M_j M_k) +
+tr(M_i M_k M_j) is taken one i-slab at a time, in full power-basis
+coefficients (it can be irrational: Q[sqrt 5] at d = 5), and a scan stops at
+the first slab holding a failure.  "Equal" and "proportional" are integer
+cross-multiplications over common denominators, in `cyclotomic._exact`.
 
-At every prime d the checks read integer tables on phase space and build no
-cyclotomic matrix.  The Hermitian basis B_a, the A(a) at odd d and the Paulis
-T(a) at d = 2, is in closed form (`_basis`, `_triples`).  A labelled set has
-its table read from the labels (`_incidence`): a stabilizer state's column is
-its discrete Wigner function at odd d and its signed Pauli incidence at
-d = 2.  The real predicates take the real Paulis (a_X.a_Z even) as their
-basis of Sym, and the Jordan side is a count of triple-trace exponents
-weighted by the table (`_phase_space_slab`).  Only a set given by its
-elements has its table gathered from dense matrices (`operators.mono_traces`).
+No check builds a cyclotomic matrix.  The Hermitian basis B_a, the A(a) at
+odd d and the Paulis T(a) at d = 2, is in closed form (`_basis`,
+`_triples`).  A set is its labels, and its table is read from them
+(`_incidence`): a stabilizer state's column is its discrete Wigner function
+at odd d and its signed Pauli incidence at d = 2.  The real predicates take
+the real Paulis (a_X.a_Z even) as their basis of Sym, and the Jordan side is
+a count of triple-trace exponents weighted by the table (`_phase_space_slab`).
 """
 
 from __future__ import annotations
@@ -27,24 +26,20 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
+from numbers import Integral
 
 import numpy as np
 
 from .clifford import real_clifford_closure
-from .cyclotomic import CycNumber, _exact, _field, conductor_for
+from .cyclotomic import CycNumber, _exact, _field, _int64, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
 from .operators import (
     MAX_ENTRIES,
-    lowest_terms,
-    mono_traces,
-    phase_point,
     phase_point_mono,
     rational_part,
-    stab_projector,
     stabilizer_labels,
-    trace_product,
     weyl_mono,
 )
 from .phase_space import (
@@ -60,33 +55,33 @@ from .phase_space import (
 
 class OperatorSet:
     """A finite set of Hermitian trace-1 operators with uniform weights,
-    given by its `elements` or by its `labels`, one per element: a
-    `StabilizerLabel` for a stabilizer state or a phase-space point a for
-    A(a).  The trace table of a labelled set is read from the labels, and its
-    elements are built only when first read.  Equal and hashed by identity,
-    so the functions cached on a set never hash its elements; the
-    constructors below are cached, one set each."""
+    given by its labels, one per element: a `StabilizerLabel` of (d, n) for
+    a stabilizer state, or a point a, 2n residues mod d, for A(a); anything
+    else raises ValueError.  Equal and hashed by identity, so the functions
+    cached on a set never hash its labels; the constructors below are
+    cached, one set each."""
 
-    def __init__(self, name, d, n, elements=None, labels=None):
+    def __init__(self, name, d, n, labels):
+        labels = tuple(labels)
+        if not labels:
+            raise ValueError("an operator set needs at least one label")
+        stab = isinstance(labels[0], StabilizerLabel)
+        kind = "stabilizer label" if stab else "point of 2n residues mod d"
+        for x in labels:
+            if isinstance(x, StabilizerLabel) != stab or not (
+                    (x.d, x.n) == (d, n) if stab else len(x) == 2 * n
+                    and all(isinstance(v, Integral) and 0 <= v < d for v in x)):
+                raise ValueError(f"{x!r} is not a {kind} at (d, n) = ({d}, {n})")
         self.name, self.d, self.n, self.labels = name, d, n, labels
-        self.dim, self.conductor = d ** n, conductor_for(d)
-        self.size = len(elements if labels is None else labels)
-        if elements is not None:
-            self.elements = tuple(elements)
-
-    @cached_property
-    def elements(self):
-        if isinstance(self.labels[0], StabilizerLabel):
-            return tuple(map(stab_projector, self.labels))
-        return tuple(phase_point(self.d, self.n, a) for a in self.labels)
+        self.dim, self.conductor, self.size = d ** n, conductor_for(d), len(labels)
 
 
 def check_table_budget(d, n, size):
-    """Refuse (BudgetExceeded) a set of `size` operators at (d, n) whose
-    Hermitian trace table, gathered as for a set of elements only
-    (`operators.mono_traces`), would take more than MAX_ENTRIES entries (one
-    per element, basis element, column and power-basis coefficient); the
-    estimate also bounds the Gram and elimination of `_gram_data`."""
+    """Refuse (BudgetExceeded) a set of `size` operators at (d, n) when a
+    Hermitian trace table gathered from dense elements would take more than
+    MAX_ENTRIES entries (size d^(3n) deg).  None is gathered: the count is
+    the size cap of a set, and bounds the echelon pick of `_dir_basis` (up
+    to |Q| rows of d^(2n) Python ints), the largest cost left at (5,2)."""
     entries = size * d ** (3 * n) * _field(conductor_for(d)).deg
     if entries > MAX_ENTRIES:
         raise BudgetExceeded(f"the trace table of {size} operators at (d, n) = ({d}, {n}) "
@@ -196,7 +191,7 @@ def _basis(d, n, real=False) -> _Basis:
 
 
 def _incidence(q: OperatorSet):
-    """The Hermitian trace table of a labelled set, over scale 1, rows in
+    """The Hermitian trace table of a set, over scale 1, rows in
     `hermitian_basis` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
     odd d, tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
     (`StabilizerLabel`): at d = 2, tr(T(b) Pi_x) = (-1)^([rep_x, b] +
@@ -233,35 +228,25 @@ def _incidence(q: OperatorSet):
 def trace_table(q: OperatorSet, kind="hermitian"):
     """Exact table tr(B_i q_j) = rows[i][j] / scale for the Hermitian basis
     or, kind "symmetric", its real-Paulis rows (`_basis`, d = 2), as (rows,
-    scale): rows of Python ints and one positive scale, in lowest terms for
-    the Hermitian table.  It is read from the labels of a labelled set
-    (`_incidence`), else gathered from the elements (`operators.mono_traces`)."""
-    if q.labels is not None:
-        ints, scale = _incidence(q), 1
-    else:
-        out, den = mono_traces([mono for _, mono in hermitian_basis(q.d, q.n)], q.elements)
-        ints, scale = lowest_terms(rational_part(out), den)
+    scale): rows of Python ints and one positive scale, read from the labels
+    (`_incidence`), so the scale is 1."""
+    ints = _incidence(q)
     if kind == "symmetric":
         ints = ints[_basis(q.d, q.n, real=True).points]
-    return tuple(map(tuple, ints.tolist())), scale
+    return tuple(map(tuple, ints.tolist())), 1
 
 
-# ---------------------------------------------------------------------------
-# Moment forms
+def _compact(x):
+    """x as int64 when every entry fits (`_int64`), else as it is, so that
+    `_exact` converts it cheaply on each call."""
+    small = _int64(x)
+    return x if small is None else small[0]
 
-def moment_form(q: OperatorSet, k, args):
-    """F_k^Q(A_1..A_k) = (1/|Q|) sum_q prod_i tr(A_i q), exact."""
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
-    if len(args) != k:
-        raise ValueError("need exactly k arguments")
-    acc = CycNumber.zero(q.conductor)
-    for el in q.elements:
-        term = CycNumber.one(q.conductor)
-        for a in args:
-            term = term * trace_product(a, el)
-        acc = acc + term
-    return acc * Fraction(1, q.size)
+
+def _table(q: OperatorSet, kind="hermitian"):
+    """`trace_table(q, kind)` as an array (`_compact`) and its scale."""
+    ints, scale = trace_table(q, kind)
+    return _compact(np.array(ints, dtype=object)), scale
 
 
 class _Echelon:
@@ -315,7 +300,7 @@ def span_dimension(q: OperatorSet) -> int:
     Every element has trace 1 and the differences q_i - q_0 are traceless, so
     q_0 lies outside their span: dim span(Q) = dim dir(Q) + 1.
     """
-    return len(_gram_data(q)[2]) + 1
+    return len(_dir_basis(q)[0]) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +322,15 @@ class DesignReport:
         }
 
 
+@lru_cache(maxsize=None)
 def _pair_sums(q: OperatorSet, kind="hermitian"):
-    """S2[i][j] = sum_q t_i t_j over the trace table `kind`, as Python ints,
-    plus the table's scale."""
-    ints, scale = trace_table(q, kind)
-    rows = np.array(ints, dtype=object)
-    return _exact(lambda x, y: x @ y.T, q.size, (rows, rows)), scale
+    """S2 = T T^T, S2[i][j] = sum_q t_i t_j over the trace table `kind`, as a
+    read-only array of Python ints, plus the table's scale; cached, as the
+    2-design and Lin ⊂ Wig checks share it."""
+    rows, scale = _table(q, kind)
+    s2 = _exact(lambda x, y: x @ y.T, q.size, (rows, rows))
+    s2.flags.writeable = False
+    return s2, scale
 
 
 def _times(x, y):
@@ -360,8 +348,8 @@ def _trilinear(rows, i):
 def _phase_space_slab(d, n, diffs, i):
     """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
     numerators over (d^n scale)^3, for M_x = d^-n sum_a diffs[x, a] B_a /
-    scale, diffs an object array of Python ints (differences of Hermitian
-    trace-table columns over their scale; tr(B_a B_b) = d^n [a = b]).
+    scale, diffs int64 or Python ints (differences of Hermitian trace-table
+    columns over their scale; tr(B_a B_b) = d^n [a = b]).
 
     With tr(B_a B_b B_c) = norm zeta_r^e(a, b, c) (`_triples`),
     tr(M_i M_j M_k) is sum_v norm zeta_r^v (tail H_v tail^T)[j, k] over
@@ -423,8 +411,7 @@ def is_complex_3design(q: OperatorSet) -> DesignReport:
     """
     b = _basis(q.d, q.n)
     dd = q.dim
-    ints, scale = trace_table(q, "hermitian")
-    rows = np.array(ints, dtype=object)
+    rows, scale = _table(q)
     lden = q.size * scale ** 3
     for i in range(len(rows)):
         iu = np.triu_indices(len(rows) - i)
@@ -518,8 +505,7 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
     """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB)),
     on the real Paulis (d = 2; Unsupported at odd d)."""
     b = _basis(q.d, q.n, real=True)
-    ints, scale = trace_table(q, "symmetric")
-    rows = np.array(ints, dtype=object)
+    rows, scale = _table(q, "symmetric")
     lden = q.size * scale ** 3
     equations = []
     for i in range(len(rows)):
@@ -540,29 +526,26 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
 # Condition checks behind Lin ⊂ Wig and Lin ⊂ Jor
 
 @lru_cache(maxsize=None)
-def _gram_data(q: OperatorSet):
-    """(Gram as an object array of Python ints, scale, dir-basis indices):
-    g_ij = G[i,j] / scale.
-
-    The Gram comes from Parseval over the orthogonal Hermitian basis, whose
-    orthonormality is itself verified in the operator tests.
-    """
-    ints, scale = trace_table(q, "hermitian")
-    t = np.array(ints, dtype=object)
-    gram = _exact(lambda x, y: x.T @ y, len(ints), (t, t))  # tr(q_i q_j) * scale^2 * dim
-    gscale = scale * scale * q.dim
-    # independent differences q_i - q_0 via coordinate echelon
+def _dir_basis(q: OperatorSet):
+    """(picked, C): the indices i of a basis q_i - q_0 of dir(Q), picked
+    greedily in order by one echelon over their trace-table coordinates, and
+    those coordinates C = T[:, picked] - T[:, [0]] (`_compact`, read-only),
+    with T the Hermitian table.  Every difference is traceless, so its
+    coordinates lie in a hyperplane (the A(a) sum to d^n 1; T(0) = 1 for
+    qubits): the pick stops at rank d^(2n) - 1."""
+    ints, _ = trace_table(q, "hermitian")
     ech = _Echelon(len(ints))
     picked = []
     cols = list(zip(*ints))
-    # every difference is traceless, so its coordinates lie in a hyperplane
-    # (the A(a) sum to d^n 1; T(0) = 1 for qubits): rank <= ncols - 1
     for i in range(1, q.size):
         if ech.insert([x - y for x, y in zip(cols[i], cols[0])]):
             picked.append(i)
             if ech.rank == ech.ncols - 1:
                 break
-    return gram, gscale, tuple(picked)
+    table = np.array(ints, dtype=object)
+    coords = _compact(table[:, np.asarray(picked, dtype=np.intp)] - table[:, :1])
+    coords.flags.writeable = False
+    return tuple(picked), coords
 
 
 def _proportional_scan(blocks):
@@ -594,15 +577,17 @@ def _proportional_scan(blocks):
 
 def check_lin_wig_condition(q: OperatorSet):
     """F_2 proportional to HS on dir(Q); mu_1 orthogonal to dir(Q) in both forms."""
-    gram, gscale, picked = _gram_data(q)
-    size = q.size
+    picked, c = _dir_basis(q)
+    s2, scale = _pair_sums(q)
+    size, nb = q.size, len(c)  # nb = d^(2n) basis rows
+    gscale = scale * scale * q.dim
     idx = np.asarray(picked, dtype=np.intp)
-    diffs = gram[idx] - gram[0]
     iu = np.triu_indices(len(idx))
-    # over dir(Q), for i <= j: F_2 = sum_t D_i D_j / (|Q| gscale^2) and
-    # (q_i - q_0 | q_j - q_0) = (D_i[j] - D_i[0]) / gscale
-    f2 = _exact(lambda x, y: x @ y.T, size, (diffs, diffs))[iu]
-    hs = (diffs[:, idx] - diffs[:, :1])[iu]
+    # by Parseval over the basis (tr(B_a B_b) = d^n [a = b]), over dir(Q), for
+    # i <= j: F_2 = (C^T S2 C)[i, j] / (|Q| gscale^2) and
+    # (q_i - q_0 | q_j - q_0) = (C^T C)[i, j] / gscale
+    f2 = _exact(lambda x, s, y: x.T @ s @ y, nb * nb, (c, s2, c))[iu]
+    hs = _exact(lambda x, y: x.T @ y, nb, (c, c))[iu]
     ref, bad = _proportional_scan([(np.stack([idx[iu[0]], idx[iu[1]]], 1), f2, hs[:, None])])
 
     def values(entry):
@@ -610,9 +595,12 @@ def check_lin_wig_condition(q: OperatorSet):
         return int(i), int(j), Fraction(f2_v, size * gscale ** 2), Fraction(int(hs_v[0]), gscale)
 
     clauses = {"f2_proportional_on_dir": bad is None}
-    col_sums = _exact(lambda g: g.sum(axis=0), size, (gram,))
-    clauses["mu1_orthogonal_hs"] = bool((col_sums[idx] == col_sums[0]).all())
-    clauses["mu1_orthogonal_f2"] = not _exact(np.dot, size, (diffs, col_sums)).any()
+    # mu_1 = sum_q q / |Q| has coordinates u / (|Q| scale), u the table's row sums
+    table, _ = _table(q)
+    u = _exact(lambda t: t.sum(axis=1), size, (table,))
+    clauses["mu1_orthogonal_hs"] = not _exact(lambda x, y: x.T @ y, nb, (c, u)).any()
+    clauses["mu1_orthogonal_f2"] = not _exact(lambda x, s, y: x.T @ s @ y, nb * nb,
+                                              (c, s2, u)).any()
     return {
         "condition": "lin_subset_wig",
         "pass": all(clauses.values()),
@@ -628,12 +616,12 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
     plus mu_1 ∝ 1, a full span, and the F_3 clause, whose Jordan side is
     `_phase_space_slab` of the trace-table differences."""
     base = check_lin_wig_condition(q) if wig is None else wig
-    gram, gscale, picked = _gram_data(q)
+    picked, c = _dir_basis(q)
     size = q.size
     clauses = dict(base["clauses"])
     b = _basis(q.d, q.n)
-    ints, scale = trace_table(q, "hermitian")
-    table = np.array(ints, dtype=object)
+    table, scale = _table(q)
+    gscale = scale * scale * q.dim
     # mu_1 ∝ 1 iff its basis traces, the table's row sums over |Q| scale, are
     # proportional to those of 1 (the basis spans)
     sums = _exact(lambda t: t.sum(axis=1), size, (table,))
@@ -644,10 +632,11 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
     clauses["span_full"] = span_dim in (q.dim ** 2, q.dim * (q.dim + 1) // 2)  # Herm or Sym
 
     idx = np.asarray(picked, dtype=np.intp)
-    diffs = gram[idx] - gram[0]
+    # D = C^T T: tr((q_i - q_0) q) over gscale for every q in Q
+    diffs = _compact(_exact(lambda x, t: x.T @ t, len(c), (c, table)))
     m = q.conductor
-    # q_i - q_0 = d^-n sum_a cols[i, a] B_a / scale
-    cols, jden = table.T[idx] - table.T[0], (q.dim * scale) ** 3
+    # q_i - q_0 = d^-n sum_a C[a, i] B_a / scale
+    jden = (q.dim * scale) ** 3
 
     def slabs():
         # F_3 = sum_t D_i D_j D_k / (|Q| gscale^3) against the Jordan side over
@@ -655,7 +644,7 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
         for a in range(len(idx)):
             iu = np.triu_indices(len(idx) - a)
             keys = np.stack([np.full(len(iu[0]), idx[a]), idx[a + iu[0]], idx[a + iu[1]]], 1)
-            yield keys, _trilinear(diffs, a)[iu], _phase_space_slab(q.d, q.n, cols, a)[iu]
+            yield keys, _trilinear(diffs, a)[iu], _phase_space_slab(q.d, q.n, c.T, a)[iu]
 
     ref, bad = _proportional_scan(slabs())
 

@@ -1,5 +1,6 @@
-"""Exact matrices over cyclotomic fields: Weyl operators T(a), phase-space
-point operators A(a), stabilizer projectors and their Gram data."""
+"""Exact matrices over cyclotomic fields, the Weyl operators T(a) and
+phase-space point operators A(a) as monomials, and the Gram data of
+stabilizer labels."""
 
 from __future__ import annotations
 
@@ -12,21 +13,17 @@ import numpy as np
 
 from .cyclotomic import (
     CycNumber,
-    _exact,
     _field,
-    _int64,
     conductor_for,
     galois_exponent,
 )
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
     StabilizerLabel,
-    all_vectors,
     enumerate_stabilizer_labels,
     jvec,
     lagrangian_index,
     sign_bits,
-    symplectic_form,
 )
 from .zmod import null_space, require_prime
 
@@ -291,32 +288,6 @@ def mono_sum(monos, scale) -> OpMatrix:
     return OpMatrix._make(m, coef * scale.numerator, scale.denominator)
 
 
-def mono_traces(monos, mats):
-    """All tr(B_x Q_y) for monomial operators B_x and matrices Q_y, as (out,
-    den): out an object array [x, y, k] of Python ints, power-basis
-    coefficients over den, the matrices' common denominator
-    (`coefficient_stack`).
-
-    tr(B Q) = sum_c zeta^expo[c] Q[c, perm[c]]: one entry of Q per column of
-    B, so an output coefficient sums dim * deg^2 products with the field's
-    multiplication tensor (dim^2 * deg^2 for dense B), in the guarded kernel
-    `cyclotomic._exact`.
-    """
-    stack, den = coefficient_stack(mats)
-    mono = monos[0]
-    m = conductor_for(mono.d)
-    f = _field(m)
-    dim = len(mono.perm)
-    perms, expos = (np.array([getattr(b, a) for b in monos]) for a in ("perm", "expo"))
-    small = _int64(stack)  # gathering int64 entries saves converting the larger copy
-    gathered = (stack if small is None else small[0])[:, np.arange(dim), perms]
-    # gathered[y, x, c] = Q_y[c, perm_x[c]]
-    roots = f.pows[(m // mono.r) * expos]  # [x, c] = zeta^expo_x[c]
-    path = ["einsum_path", (1, 2), (0, 1)]  # the roots with mul first
-    return _exact(lambda g, r, mul: np.einsum("yxcb,xca,abk->xyk", g, r, mul, optimize=path),
-                  dim * f.deg ** 2, (gathered, roots), f._mul), den
-
-
 def rational_part(out):
     """out[..., 0], for traces in power-basis coefficients that must be
     rational."""
@@ -325,50 +296,17 @@ def rational_part(out):
     return out[..., 0]
 
 
-def lowest_terms(ints, scale):
-    """ints / scale in lowest terms, as (ints, scale)."""
-    g = gcd(scale, int(np.gcd.reduce(ints, axis=None)))
-    return ints // g, scale // g
-
-
-def phase_point(d, n, a) -> OpMatrix:
-    """A(a) = d^-n sum_b omega^([a,b]) T(b): for odd d the dense form of the
-    monomial `phase_point_mono`, for d = 2 the defining sum.  Cached per
-    point, like `weyl_mono`."""
-    return _phase_point(d, n, tuple(int(x) % d for x in a))
-
-
-@lru_cache(maxsize=None)
-def _phase_point(d, n, a) -> OpMatrix:
-    if d != 2:
-        return phase_point_mono(d, n, a).to_matrix()
-    # omega = i^2 when d = 2
-    terms = [weyl_mono(d, n, b).phase_shift(2 * symplectic_form(a, b, d))
-             for b in all_vectors(d, 2 * n)]
-    return mono_sum(terms, Fraction(1, d ** n))
-
-
 @lru_cache(maxsize=None)
 def phase_point_mono(d, n, a) -> Mono:
     """A(a) = T(a)^dagger A(0) T(a) as a monomial operator, A(0) the parity
     |x> -> |-x> (cross-checked against the defining sum in tests)."""
     if d == 2:
-        raise OddOnly("qubit A(a) is not monomial; use phase_point")
+        raise OddOnly("qubit A(a) is not monomial")
     dim = d ** n
     parity = Mono(d, n, tuple(_index([-x % d for x in _digits(q, d, n)], d) for q in range(dim)),
                   (0,) * dim)
     t = weyl_mono(d, n, a)
     return t.dagger() @ parity @ t
-
-
-@lru_cache(maxsize=8192)
-def stab_projector(label: StabilizerLabel) -> OpMatrix:
-    """Pi_L^g = d^-n sum_{b in L} omega^(g(b) + c_L(b)) T(b) (`StabilizerLabel`)."""
-    d, n, signs = label.d, label.n, sign_bits(label.L)
-    step = 2 if d == 2 else 1  # omega = zeta^step for the monomials' zeta (i at d = 2)
-    terms = [weyl_mono(d, n, b).phase_shift(step * (label.functional(b) + c))
-             for b, c in signs.items()]
-    return mono_sum(terms, Fraction(1, d ** n))
 
 
 @lru_cache(maxsize=1024)
@@ -538,14 +476,6 @@ class StateFamily:
     @property
     def size(self):
         return len(self.labels)
-
-
-def coefficient_stack(mats):
-    """The coefficient tensors of mats over one common denominator, as
-    (stack, den): mats[x] = stack[x] / den, stack an object array of Python
-    ints with the matrix index first."""
-    den = lcm(*(x.den for x in mats))
-    return np.stack([x.coef * (den // x.den) for x in mats]), den
 
 
 @lru_cache(maxsize=None)

@@ -486,12 +486,12 @@ def sf_checks(lags, reps, bs):
     Lagrangian l, as arrays over k: (pairwise non-orthogonal, the trace
     t = tr sum_l Pi, sum_l Pi = C (1 + A(b)) with C = t / (d^n + 1)).
 
-    Pi_(L,rep) = d^-n sum_{v in L} omega^[rep,v] T(v) (`stab_projector`, odd
-    d) and A(b) = d^-n sum_v omega^[b,v] T(v) (`phase_point`).  The T(v) are
-    a basis, so the rule holds iff it holds in every coefficient: d^n times
-    that of T(v) is sum_k hist[v, k] omega^k on the left, hist[v, k] the
-    number of l with v in L_l and [rep_l, v] = k, and C (d^n [v = 0] +
-    omega^[b,v]) on the right.  For prime d, sum_k h_k omega^k = 0 iff h is
+    As Weyl sums, Pi_(L,rep) = d^-n sum_{v in L} omega^[rep,v] T(v) (odd d)
+    and A(b) = d^-n sum_v omega^[b,v] T(v).  The T(v) are a basis, so the
+    rule holds iff it holds in every coefficient: d^n times that of T(v) is
+    sum_k hist[v, k] omega^k on the left, hist[v, k] the number of l with v
+    in L_l and [rep_l, v] = k, and C (d^n [v = 0] + omega^[b,v]) on the
+    right.  For prime d, sum_k h_k omega^k = 0 iff h is
     constant in k.  So t is rational iff hist[0, 1:] is constant, and the
     rule holds iff (d^n + 1) hist[v] - t (d^n [v = 0] e_0 + e_[b,v]) is
     constant in k for every v, in integers.  Non-orthogonality is the closed

@@ -35,21 +35,30 @@ the library (`moments._basis`, `moments._incidence`); `symmetric_basis` is
 the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
 `jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
 `moments._phase_space_slab`.
+
+The library builds no dense element of a set: an `OperatorSet` is its
+labels.  The dense side is here.  `stab_projector` and `phase_point` are the
+exact projector Pi_x and point operator A(a), and `set_elements` gives a
+set's elements from its labels.  `coefficient_stack` puts matrices over one
+denominator, `mono_traces` gathers every tr(B_x Q_y) of monomial B_x against
+dense Q_y, and `lowest_terms` reduces a table.  `moment_form` is F_k summed
+element by element.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
-from stabsym import operators
 from stabsym.clifford import AffineSimilitude, k_alpha, similitude_multiplier
 from stabsym.cyclotomic import (
     CycNumber,
     _exact,
     _field,
+    _int64,
     conductor_for,
     iunit,
     root_of_unity,
@@ -62,15 +71,12 @@ from stabsym.operators import (
     Mono,
     OpMatrix,
     build_gram,
-    coefficient_stack,
     hs_inner,
-    lowest_terms,
     mono_sum,
-    mono_traces,
-    phase_point,
+    phase_point_mono,
     rational_part,
-    stab_projector,
     stabilizer_states,
+    trace_product,
     weyl_mono,
 )
 from stabsym.permgroup import identity_perm
@@ -79,7 +85,9 @@ from stabsym.phase_space import (
     StabilizerLabel,
     Subspace,
     basis_blocks,
+    all_vectors,
     enumerate_lagrangians,
+    sign_bits,
     symplectic_form,
     vec_add,
 )
@@ -249,9 +257,8 @@ def dense_sf_machinery(d, n, b, family=None):
 
 
 def family_projectors(fam):
-    """The exact projectors of a `StateFamily`'s labels, built on each call
-    (`operators.stab_projector`, looked up when called)."""
-    return tuple(map(operators.stab_projector, fam.labels))
+    """The exact projectors of a `StateFamily`'s labels (`stab_projector`)."""
+    return tuple(map(stab_projector, fam.labels))
 
 
 def trace_pairs(left, right):
@@ -407,7 +414,7 @@ def mono_trace_product(a: Mono, b: Mono) -> CycNumber:
 def first_moment(q) -> OpMatrix:
     """mu_1 = (1/|Q|) sum q for an `OperatorSet` q."""
     acc = OpMatrix.zero(q.conductor, q.dim)
-    for el in q.elements:
+    for el in set_elements(q):
         acc = acc + el
     return acc.scale(Fraction(1, q.size))
 
@@ -480,9 +487,104 @@ def symmetric_basis(m, dim):
 def jordan_slab(m, stack, i):
     """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
     numerators over den^3, for the matrices M_x = stack[x] / den over
-    Q[zeta_m] (`operators.coefficient_stack`)."""
+    Q[zeta_m] (`coefficient_stack`)."""
     f = _field(m)
     tail = stack[i:]
     prod = f.contract(stack[i], tail, ([1], [1]))  # (M_i M_j)[r, s] at [r, j, s]
     t = f.contract(prod, tail, ([0, 2], [2, 1]))  # tr(M_i M_j M_k) at [j, k]
     return t + t.transpose(1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Dense elements of operator sets
+
+@lru_cache(maxsize=8192)
+def stab_projector(label: StabilizerLabel) -> OpMatrix:
+    """Pi_L^g = d^-n sum_{b in L} omega^(g(b) + c_L(b)) T(b) (`StabilizerLabel`)."""
+    d, n, signs = label.d, label.n, sign_bits(label.L)
+    step = 2 if d == 2 else 1  # omega = zeta^step for the monomials' zeta (i at d = 2)
+    terms = [weyl_mono(d, n, b).phase_shift(step * (label.functional(b) + c))
+             for b, c in signs.items()]
+    return mono_sum(terms, Fraction(1, d ** n))
+
+
+def phase_point(d, n, a) -> OpMatrix:
+    """A(a) = d^-n sum_b omega^([a,b]) T(b): for odd d the dense form of the
+    monomial `phase_point_mono`, for d = 2 the defining sum.  Cached per
+    point, like `weyl_mono`."""
+    return _phase_point(d, n, tuple(int(x) % d for x in a))
+
+
+@lru_cache(maxsize=None)
+def _phase_point(d, n, a) -> OpMatrix:
+    if d != 2:
+        return phase_point_mono(d, n, a).to_matrix()
+    # omega = i^2 when d = 2
+    terms = [weyl_mono(d, n, b).phase_shift(2 * symplectic_form(a, b, d))
+             for b in all_vectors(d, 2 * n)]
+    return mono_sum(terms, Fraction(1, d ** n))
+
+
+@lru_cache(maxsize=None)
+def set_elements(q):
+    """The dense elements of an `OperatorSet`, built from its labels: the
+    projector of each stabilizer label, the A(a) of each point."""
+    if isinstance(q.labels[0], StabilizerLabel):
+        return tuple(map(stab_projector, q.labels))
+    return tuple(phase_point(q.d, q.n, a) for a in q.labels)
+
+
+def coefficient_stack(mats):
+    """The coefficient tensors of mats over one common denominator, as
+    (stack, den): mats[x] = stack[x] / den, stack an object array of Python
+    ints with the matrix index first."""
+    den = lcm(*(x.den for x in mats))
+    return np.stack([x.coef * (den // x.den) for x in mats]), den
+
+
+def mono_traces(monos, mats):
+    """All tr(B_x Q_y) for monomial operators B_x and matrices Q_y, as (out,
+    den): out an object array [x, y, k] of Python ints, power-basis
+    coefficients over den, the matrices' common denominator
+    (`coefficient_stack`).
+
+    tr(B Q) = sum_c zeta^expo[c] Q[c, perm[c]]: one entry of Q per column of
+    B, so an output coefficient sums dim * deg^2 products with the field's
+    multiplication tensor (dim^2 * deg^2 for dense B), in the guarded kernel
+    `cyclotomic._exact`.
+    """
+    stack, den = coefficient_stack(mats)
+    mono = monos[0]
+    m = conductor_for(mono.d)
+    f = _field(m)
+    dim = len(mono.perm)
+    perms, expos = (np.array([getattr(b, a) for b in monos]) for a in ("perm", "expo"))
+    small = _int64(stack)  # gathering int64 entries saves converting the larger copy
+    gathered = (stack if small is None else small[0])[:, np.arange(dim), perms]
+    # gathered[y, x, c] = Q_y[c, perm_x[c]]
+    roots = f.pows[(m // mono.r) * expos]  # [x, c] = zeta^expo_x[c]
+    path = ["einsum_path", (1, 2), (0, 1)]  # the roots with mul first
+    return _exact(lambda g, r, mul: np.einsum("yxcb,xca,abk->xyk", g, r, mul, optimize=path),
+                  dim * f.deg ** 2, (gathered, roots), f._mul), den
+
+
+def lowest_terms(ints, scale):
+    """ints / scale in lowest terms, as (ints, scale)."""
+    g = gcd(scale, int(np.gcd.reduce(ints, axis=None)))
+    return ints // g, scale // g
+
+
+def moment_form(q, k, args):
+    """F_k^Q(A_1..A_k) = (1/|Q|) sum_q prod_i tr(A_i q), exact, over the
+    dense elements of the `OperatorSet` q."""
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
+    if len(args) != k:
+        raise ValueError("need exactly k arguments")
+    acc = CycNumber.zero(q.conductor)
+    for el in set_elements(q):
+        term = CycNumber.one(q.conductor)
+        for a in args:
+            term = term * trace_product(a, el)
+        acc = acc + term
+    return acc * Fraction(1, q.size)

@@ -3,22 +3,26 @@
 Each predicate here visits one basis pair or triple at a time with
 `Fraction`s and `CycNumber`s, exactly as the library did before its table
 kernels; the oracle tests in test_moments.py compare full reports against
-these.  They share the library's Hermitian trace tables, Gram data and
-solver, which have oracles of their own; so the mu_1 ∝ 1 clause reads the
-table's row sums here too, and `dense_oracles.first_moment` is its dense
-oracle.  The real predicates take their own basis of Sym,
-`dense_oracles.symmetric_basis`, and its table of dense traces against the
-elements (`dense_oracles.trace_pairs`), where the library reads the real-Pauli
-rows of the Hermitian table.
+these.  They share the library's Hermitian trace tables, its pick of a basis
+of dir(Q) and its solver, which have oracles of their own; so the mu_1 ∝ 1
+clause reads the table's row sums here too, and `dense_oracles.first_moment`
+is its dense oracle.  The Lin conditions read the N x N Gram T^T T of the
+table (`_gram`), which the library never forms, and the Jordan side the dense
+elements (`dense_oracles.set_elements`).  The real predicates take their own
+basis of Sym, `dense_oracles.symmetric_basis`, and its table of dense traces
+against the elements (`dense_oracles.trace_pairs`), where the library reads
+the real-Pauli rows of the Hermitian table.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from stabsym.cyclotomic import CycNumber
 from stabsym.moments import (
     DesignReport,
-    _gram_data,
+    _dir_basis,
     _pair_sums,
     _solve_linear_positive,
     hermitian_basis,
@@ -27,7 +31,13 @@ from stabsym.moments import (
 )
 from stabsym.operators import hs_inner, trace_product
 
-from dense_oracles import mono_trace, mono_trace_product, symmetric_basis, trace_pairs
+from dense_oracles import (
+    mono_trace,
+    mono_trace_product,
+    set_elements,
+    symmetric_basis,
+    trace_pairs,
+)
 
 
 def _symmetrized_trace(mats):
@@ -42,7 +52,7 @@ def _symmetric_table(q):
     """The basis `symmetric_basis` and its traces against the elements of q,
     as (basis, rows, scale)."""
     basis = symmetric_basis(q.conductor, q.dim)
-    ints, scale = trace_pairs(basis, q.elements)
+    ints, scale = trace_pairs(basis, set_elements(q))
     return basis, ints.tolist(), scale
 
 
@@ -143,8 +153,17 @@ def is_real_6design(q):
     return DesignReport("real_6design", True, constants={"K1": k1, "K2": k2, "K3": k3})
 
 
+def _gram(q):
+    """(G, gscale, picked): the Gram G = T^T T of the Hermitian table T as
+    Python ints, tr(q_i q_j) = G[i, j] / gscale by Parseval over the basis,
+    and the library's basis q_i - q_0 of dir(Q)."""
+    ints, scale = trace_table(q, "hermitian")
+    t = np.array(ints, dtype=object)
+    return t.T @ t, scale * scale * q.dim, _dir_basis(q)[0]
+
+
 def check_lin_wig_condition(q):
-    gram, gscale, picked = _gram_data(q)
+    gram, gscale, picked = _gram(q)
     size = q.size
     f2sums = gram @ gram.T
 
@@ -197,7 +216,7 @@ def check_lin_wig_condition(q):
 
 def check_lin_jor_condition(q):
     base = check_lin_wig_condition(q)
-    gram, gscale, picked = _gram_data(q)
+    gram, gscale, picked = _gram(q)
     size = q.size
     clauses = dict(base["clauses"])
     # mu_1 ∝ 1 iff its basis traces tr(B_a mu_1), the table's row sums over
@@ -221,7 +240,8 @@ def check_lin_jor_condition(q):
                     total += sa * sb * sc * f3_states(a, b, c)
         return total
 
-    sym_trace = _symmetrized_trace({i: q.elements[i] - q.elements[0] for i in picked})
+    elements = set_elements(q)
+    sym_trace = _symmetrized_trace({i: elements[i] - elements[0] for i in picked})
     m = q.conductor
     const = None
     witness = None

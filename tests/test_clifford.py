@@ -42,9 +42,7 @@ from stabsym.cyclotomic import (
 from stabsym.errors import Mismatch, OddOnly, WordDecompositionFailure
 from stabsym.operators import (
     OpMatrix,
-    phase_point,
     phase_point_mono,
-    stab_projector,
     stabilizer_states,
     weyl,
     weyl_mono,
@@ -57,8 +55,10 @@ from dense_oracles import (
     ext_apply,
     family_projectors,
     forget,
+    phase_point,
     qubit_gate,
     real_gates,
+    stab_projector,
 )
 from stabsym.zmod import ZModMatrix, inv_mod, legendre
 

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import moments_reference
+import stabsym
 from stabsym import clifford, cyclotomic, moments, operators
 from stabsym.clifford import metaplectic, real_clifford_orbit
 from stabsym.cyclotomic import CycNumber, conductor_for
@@ -17,7 +18,7 @@ from stabsym.errors import StabsymError, Unsupported
 from stabsym.moments import (
     OperatorSet,
     _Echelon,
-    _gram_data,
+    _dir_basis,
     _pair_sums,
     _solve_linear_positive,
     check_lin_jor_condition,
@@ -27,7 +28,6 @@ from stabsym.moments import (
     is_complex_3design,
     is_real_4design,
     is_real_6design,
-    moment_form,
     phase_point_operator_set,
     rebit_operator_set,
     span_dimension,
@@ -36,11 +36,9 @@ from stabsym.moments import (
 )
 from stabsym.operators import (
     OpMatrix,
-    coefficient_stack,
     hs_inner,
-    lowest_terms,
-    mono_traces,
     rational_part,
+    stabilizer_labels,
     stabilizer_states,
     weyl,
 )
@@ -48,9 +46,14 @@ from stabsym.zmod import ZModMatrix
 
 from dense_oracles import (
     bruteforce_gram,
+    coefficient_stack,
     family_projectors,
     first_moment,
     jordan_slab,
+    lowest_terms,
+    moment_form,
+    mono_traces,
+    set_elements,
     trace_pairs,
 )
 
@@ -90,7 +93,7 @@ def test_trace_table_matches_hs_inner_sampled():
         for _ in range(40):
             i = rng.randrange(len(basis))
             j = rng.randrange(q.size)
-            direct = hs_inner(basis[i][1].to_matrix(), q.elements[j])
+            direct = hs_inner(basis[i][1].to_matrix(), set_elements(q)[j])
             assert direct == CycNumber.from_fraction(q.conductor, Fraction(rows[i][j], scale))
 
 
@@ -138,16 +141,32 @@ def test_rebit2_constants_match_sphere_values():
 
 
 def test_perturbed_set_fails_real_design():
-    # swap one projector for a non-stabilizer real projector: negative control
-    from stabsym.moments import OperatorSet
+    # negative control: the rebits with one state dropped are no real design
+    for n in (1, 2):
+        q = rebit_operator_set(n)
+        perturbed = OperatorSet(name="perturbed", d=2, n=n, labels=q.labels[1:])
+        assert not is_real_4design(perturbed).passed
+        assert not is_real_6design(perturbed).passed
 
-    q = rebit_operator_set(1)
-    bad = OpMatrix.from_rational(q.conductor, [[Fraction(4, 5), Fraction(2, 5)],
-                                               [Fraction(2, 5), Fraction(1, 5)]])
-    assert bad @ bad == bad  # rank-1 projector onto (2,1)/sqrt5
-    elements = (bad,) + q.elements[1:]
-    perturbed = OperatorSet(name="perturbed", d=2, n=1, elements=elements)
-    assert not is_real_4design(perturbed).passed
+
+def test_operator_set_refuses_empty_labels():
+    with pytest.raises(ValueError, match="at least one label"):
+        OperatorSet("empty", 3, 1, labels=())
+
+
+def test_operator_set_refuses_labels_of_another_d_n():
+    # the (3,1) labels would be read as a wrong (5,1) table
+    with pytest.raises(ValueError, match=r"not a stabilizer label at \(d, n\) = \(5, 1\)"):
+        OperatorSet("x", 5, 1, labels=stabilizer_labels(3, 1))
+    with pytest.raises(ValueError, match="not a stabilizer label"):
+        OperatorSet("x", 3, 2, labels=stabilizer_labels(3, 1))
+
+
+@pytest.mark.parametrize("point", [(0, 3), (0, -1), (0,), (0, 1, 2), (0.0, 1),
+                                   stabilizer_labels(3, 1)[0]])
+def test_operator_set_refuses_points_that_are_not_2n_residues(point):
+    with pytest.raises(ValueError, match="not a point of 2n residues mod d"):
+        OperatorSet("x", 3, 1, labels=[(0, 0), point])
 
 
 def test_fk_symmetry_under_argument_permutations():
@@ -190,7 +209,7 @@ def test_span_dimensions():
     # real symmetric ones
     for q in _span_sets():
         full = q.dim * (q.dim + 1) // 2 if q.name.startswith("rebit") else q.dim ** 2
-        assert span_dimension(q) == len(_gram_data(q)[2]) + 1 == full
+        assert span_dimension(q) == len(_dir_basis(q)[0]) + 1 == full
 
 
 def _span_sets():
@@ -199,22 +218,27 @@ def _span_sets():
             rebit_operator_set(1), rebit_operator_set(2), phase_point_operator_set(3, 1))
 
 
-def test_gram_data_picks_as_a_full_pass_and_stops_early(monkeypatch):
-    # the greedy pick over every difference q_i - q_0, with no early stop
+def _full_pick(rows):
+    """The greedy pick over every difference of columns i and 0 of rows,
+    with no early stop, and those differences as Python ints."""
+    cols = list(zip(*rows))
+    ech = _Echelon(len(rows))
+    picked = tuple(i for i in range(1, len(cols))
+                   if ech.insert([x - y for x, y in zip(cols[i], cols[0])]))
+    return picked, [[col[i] - col[0] for i in picked] for col in zip(*cols)]
+
+
+def test_dir_basis_picks_as_a_full_pass_and_stops_early(monkeypatch):
     for q in _span_sets():
-        ints = trace_table(q, "hermitian")[0]
-        cols = list(zip(*ints))
-        ech = _Echelon(len(ints))
-        full = tuple(i for i in range(1, q.size)
-                     if ech.insert([x - y for x, y in zip(cols[i], cols[0])]))
-        assert _gram_data(q)[2] == full
+        picked, coords = _dir_basis(q)
+        assert (picked, coords.tolist()) == _full_pick(trace_table(q, "hermitian")[0])
     # at (3,2) the rank reaches ncols - 1 = 80 long before the 359th difference
     calls = []
     insert = _Echelon.insert
     monkeypatch.setattr(_Echelon, "insert", lambda self, row: calls.append(1) or insert(self, row))
     q = stabilizer_operator_set(3, 2)
-    picked = _gram_data.__wrapped__(q)[2]
-    assert len(picked) == 80
+    picked, coords = _dir_basis.__wrapped__(q)
+    assert len(picked) == 80 and coords.shape == (81, 80)
     assert len(calls) == picked[-1] < q.size - 1
 
 
@@ -297,10 +321,11 @@ def test_solver_rank_one_in_three_unknowns_raises():
 
 
 def _huge_entry_set(monkeypatch, entry):
-    # a fresh set (the Gram data is cached per set) whose Hermitian trace
-    # table has one huge entry, read by the library and the oracle alike
+    # a fresh set (S2 and the dir(Q) basis are cached per set) whose
+    # Hermitian trace table has one huge entry, read by the library and the
+    # oracle alike
     q0 = stabilizer_operator_set(2, 1)
-    q = OperatorSet(name="huge-entry", d=2, n=1, elements=q0.elements)
+    q = OperatorSet(name="huge-entry", d=2, n=1, labels=q0.labels)
     rows, scale = trace_table(q0, "hermitian")
     rows = [list(row) for row in rows]
     rows[1][2] = entry * scale  # the trace `entry`
@@ -323,41 +348,43 @@ def test_huge_table_entry_is_computed_exactly(monkeypatch, entry):
     # the pair sums of 2^31 * scale overflow int64, and 2^70 does not fit it
     q = _huge_entry_set(monkeypatch, entry)
     rows, scale = moments.trace_table(q)
-    s2, gram_data = _pair_sums(q), _gram_data(q)
+    s2, (picked, coords) = _pair_sums(q), _dir_basis(q)
     assert s2[1] == scale
     assert s2[0].tolist() == [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
-    cols = list(zip(*rows))
-    assert gram_data[0].tolist() == [[sum(a * b for a, b in zip(x, y)) for y in cols]
-                                     for x in cols]
+    assert (picked, coords.tolist()) == _full_pick(rows)
     reports = _reports(moments, q)
     assert reports == _reports(moments_reference, q)
     _never_fits(monkeypatch)
-    fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, elements=q.elements)
+    fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, labels=q.labels)
     assert _pair_sums(fresh)[0].tolist() == s2[0].tolist()
-    gram, gscale, picked = _gram_data(fresh)
-    assert (gram.tolist(), gscale, picked) == (gram_data[0].tolist(), *gram_data[1:])
+    fresh_picked, fresh_coords = _dir_basis(fresh)
+    assert (fresh_picked, fresh_coords.tolist()) == (picked, coords.tolist())
     assert _reports(moments, fresh) == reports
 
 
 @pytest.mark.parametrize("entry,check", [
     (2 ** 31, "check_lin_wig_condition"), (2 ** 21, "check_lin_jor_condition"),
     (2 ** 32, "check_lin_wig_condition"), (2 ** 22, "check_lin_jor_condition"),
-    (2 ** 70, "check_lin_jor_condition"),
+    (2 ** 70, "check_lin_jor_condition"), (2 ** 15, "check_lin_wig_condition"),
+    (2 ** 16, "check_lin_wig_condition"), (2 ** 12, "check_lin_jor_condition"),
+    (2 ** 13, "check_lin_jor_condition"), (2 ** 31, "check_lin_jor_condition"),
+    (2 ** 32, "check_lin_jor_condition"),
 ])
 def test_huge_gram_entries_are_computed_exactly(monkeypatch, entry, check):
-    # 2^31 and 2^21 fail the bound of the quadratic and the cubic forms; with
-    # 2^32 and 2^22 one product alone reaches 2^64 and 2^66, so int64 would
-    # wrap; 2^70 does not fit int64 at all
-    q = _huge_entry_set(monkeypatch, 0)
-    gram, gscale, picked = _gram_data(q)
-    huge = gram.copy()
-    huge[0, 0] = entry
-    for module in (moments, moments_reference):
-        monkeypatch.setattr(module, "_gram_data", lambda q: (huge, gscale, picked))
+    # one table entry e makes the Gram entries tr(q_i q_j) ~ e^2, which the
+    # library reads through S2 = T T^T and C^T S2 C (quartic in e, as is
+    # C^T S2 u for mu_1), D = C^T T and the cubic form of D's rows.  The
+    # entries send each form down each Python-int branch of `_exact`: the
+    # bound fails while every value fits int64 (2^15 for C^T S2 C, 2^31 for
+    # S2 and D, 2^12 for the cubic form), a value would wrap int64 (2^16,
+    # 2^32, 2^13 and the larger entries), or the entry does not fit int64
+    # at all (2^70)
+    q = _huge_entry_set(monkeypatch, entry)
     report = getattr(moments, check)(q)
     assert report == getattr(moments_reference, check)(q)
     _never_fits(monkeypatch)
-    assert getattr(moments, check)(q) == report
+    fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, labels=q.labels)
+    assert getattr(moments, check)(fresh) == report
 
 
 def test_lin_wig_condition_passes():
@@ -441,8 +468,7 @@ def _reports(module, q):
 def stabilizer_subsets(draw):
     """A random subset, in random order, of the (2,1), (3,1), (2,2) or (5,1)
     stabilizer states, or a union of their bases (the states of one
-    Lagrangian); such sets are rarely designs.  The subset carries its
-    labels, or, on a drawn coin, its elements only."""
+    Lagrangian); such sets are rarely designs."""
     d, n = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (5, 1))))
     full = stabilizer_operator_set(d, n)
     if draw(st.booleans()):
@@ -455,11 +481,7 @@ def stabilizer_subsets(draw):
     else:
         picked = draw(st.lists(st.integers(0, full.size - 1), min_size=2,
                                max_size=min(full.size, 24), unique=True))
-    labels = None
-    if draw(st.booleans()):
-        labels = tuple(full.labels[i] for i in picked)
-    return OperatorSet(name=f"subset({d},{n})", d=d, n=n,
-                       elements=tuple(full.elements[i] for i in picked), labels=labels)
+    return OperatorSet(name=f"subset({d},{n})", d=d, n=n, labels=[full.labels[i] for i in picked])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -501,8 +523,8 @@ def test_python_int_path_gives_identical_reports(monkeypatch):
     # fresh sets and bases, so that the trace tables are recomputed too
     for table in (moments._basis, moments._phase_forms, moments._pauli_products):
         table.cache_clear()
-    fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, elements=q.elements,
-                         labels=q.labels) for q in sets]
+    fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, labels=q.labels)
+             for q in sets]
     assert [_reports(moments, q) for q in fresh] == expected
     assert _brute_force_grams() == grams
     assert calls  # every guarded op took the Python-int branch
@@ -541,8 +563,7 @@ def _hermitian_monos(d, n):
     *(phase_point_operator_set(2, n) for n in (1, 2)),
 ], ids=lambda q: q.name)
 def test_incidence_table_matches_mono_traces(q):
-    assert q.labels is not None
-    ints, scale = _dense_traces(_hermitian_monos(q.d, q.n), q.elements)
+    ints, scale = _dense_traces(_hermitian_monos(q.d, q.n), set_elements(q))
     assert trace_table(q) == (tuple(map(tuple, ints.tolist())), scale)
 
 
@@ -575,13 +596,13 @@ def _jordan_slabs_agree(q, slabs):
     """The table-side Jordan slab equals `jordan_slab` of the dense
     differences q_i - q_0, as rationals, on the given slabs (None: all)."""
     m = q.conductor
-    idx = np.asarray(_gram_data(q)[2])
-    stack, den = coefficient_stack(q.elements)
-    ints, scale = trace_table(q)
-    cols = np.array(ints, dtype=object).T
+    picked, coords = _dir_basis(q)
+    idx = np.asarray(picked)
+    stack, den = coefficient_stack(set_elements(q))
+    scale = trace_table(q)[1]
     for i in range(len(idx)) if slabs is None else slabs:
         dense = jordan_slab(m, stack[idx] - stack[0], i)
-        closed = moments._phase_space_slab(q.d, q.n, cols[idx] - cols[0], i)
+        closed = moments._phase_space_slab(q.d, q.n, coords.T, i)
         assert (closed * den ** 3 == dense * (q.dim * scale) ** 3).all()
 
 
@@ -595,20 +616,18 @@ def test_phase_space_slab_matches_dense_on_rebits():
     _jordan_slabs_agree(rebit_operator_set(2), None)
 
 
-def test_phase_space_slab_matches_dense_on_an_unlabelled_subset():
+def test_phase_space_slab_matches_dense_on_a_random_subset():
     for d, n in ((5, 1), (2, 2)):
         full = stabilizer_operator_set(d, n)
         picked = random.Random(5).sample(range(full.size), 12)
-        q = OperatorSet(name=f"unlabelled subset({d},{n})", d=d, n=n,
-                        elements=tuple(full.elements[i] for i in picked))
+        q = OperatorSet(name=f"subset({d},{n})", d=d, n=n, labels=[full.labels[i] for i in picked])
         _jordan_slabs_agree(q, None)
 
 
 def test_mu1_clause_matches_dense_first_moment():
     full = stabilizer_operator_set(3, 1)
-    sets = [*_span_sets(), OperatorSet(name="three states", d=3, n=1, elements=full.elements[:3]),
-            OperatorSet(name="two states", d=3, n=1, elements=full.elements[3:5],
-                        labels=full.labels[3:5])]
+    sets = [*_span_sets(), OperatorSet(name="three states", d=3, n=1, labels=full.labels[:3]),
+            OperatorSet(name="two states", d=3, n=1, labels=full.labels[3:5])]
     for q in sets:
         mu = first_moment(q)
         dense = mu == OpMatrix.identity(q.conductor, q.dim).scale(Fraction(1, q.dim))
@@ -635,11 +654,8 @@ def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d,
     def dense(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
-    for name in ("mono_traces", "coefficient_stack", "stab_projector", "mono_sum", "phase_point",
-                 "build_gram"):
+    for name in ("mono_sum", "build_gram"):
         monkeypatch.setattr(operators, name, dense)
-    for name in ("mono_traces", "stab_projector", "phase_point"):
-        monkeypatch.setattr(moments, name, dense)
     monkeypatch.setattr(clifford, "build_gram", dense)
     monkeypatch.setattr(cyclotomic._Field, "contract", dense)
     monkeypatch.setattr(OpMatrix, "__matmul__", dense)
@@ -651,3 +667,34 @@ def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d,
     expected = json.loads((GOLDENS / golden).read_text())
     report = moments.verify_design(which, d, n)
     assert {"command": "verify-design", "d": d, "n": n, "set": which, **report} == expected
+
+
+def test_moment_checks_build_no_n_by_n_array(monkeypatch):
+    # every exact contraction behind verify_design at (3,2), N = 360 states
+    # against d^(2n) = 81 basis rows, has at most one axis of length N
+    shapes = []
+    exact = moments._exact
+
+    def recorded(*args):
+        out = exact(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(moments, "_exact", recorded)
+    monkeypatch.setattr(moments, "stabilizer_operator_set",
+                        moments.stabilizer_operator_set.__wrapped__)
+    report = moments.verify_design("stab", 3, 2)
+    assert report["all_as_expected"]
+    assert shapes and all(sum(x >= 360 for x in shape) < 2 for shape in shapes)
+    assert (80, 360) in shapes  # D = C^T T
+
+
+def test_no_dense_element_path_is_left():
+    removed = ("_gram_data", "moment_form", "mono_traces", "coefficient_stack", "lowest_terms",
+               "stab_projector", "phase_point")
+    for module in (moments, operators, stabsym):
+        assert not [name for name in removed if hasattr(module, name)]
+    q = stabilizer_operator_set(2, 1)
+    assert not hasattr(OperatorSet, "elements") and not hasattr(q, "elements")
+    with pytest.raises(TypeError):
+        OperatorSet("dense", 2, 1, elements=set_elements(q))

@@ -18,9 +18,7 @@ from stabsym.operators import (
     gram_closed_form,
     hs_inner,
     mono_sum,
-    phase_point,
     phase_point_mono,
-    stab_projector,
     stabilizer_states,
     trace_product,
     weyl,
@@ -47,6 +45,8 @@ from dense_oracles import (
     family_projectors,
     is_hermitian,
     mono_trace_product,
+    phase_point,
+    stab_projector,
     stab_projector_qubit,
     stab_projector_wigner,
     trace_pairs,

@@ -136,11 +136,11 @@ def test_label_generators_match_dense_conjugation(n):
 
 def test_qubit_cases_build_without_dense_kernels(monkeypatch):
     # the d = 2 Gram is the closed form, not traces of projectors, and no
-    # generator conjugates a matrix
+    # generator builds or conjugates a matrix
     def dense(*args):
         raise AssertionError("dense kernel called")
 
-    monkeypatch.setattr(operators, "stab_projector", dense)
+    monkeypatch.setattr(operators, "mono_sum", dense)
     monkeypatch.setattr(operators.OpMatrix, "__matmul__", dense)
     fam = stabilizer_states.__wrapped__(2, 2)
     assert fam.gram.values == stabilizer_states(2, 2).gram.values
@@ -189,18 +189,18 @@ def test_seed_rejection():
 
 def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
     # the labels and the Gram are all that Theorem 1 reads, at odd d and,
-    # with the closed form, at d = 2 too; the patched builder is the one the
-    # dense projectors of a family go through
-    def unread(label):
-        raise AssertionError(f"projector of {label} read")
+    # with the closed form, at d = 2 too; the patched builder is the one
+    # behind every dense Weyl or phase-point matrix the library can build
+    def unread(*args):
+        raise AssertionError("dense matrix built")
 
-    monkeypatch.setattr(operators, "stab_projector", unread)
+    monkeypatch.setattr(operators, "mono_sum", unread)
     fam = stabilizer_states.__wrapped__(3, 1)
     for variant in ("wreath", "agsp"):
         seeds = predicted_generators.__wrapped__(3, 1, variant)
         assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
-    with pytest.raises(AssertionError, match="projector of"):
-        family_projectors(fam)
+    with pytest.raises(AssertionError, match="dense matrix built"):
+        operators.weyl(3, 1, (1, 0))
     qubits = stabilizer_states.__wrapped__(2, 1)
     seeds = predicted_generators.__wrapped__(2, 1, "extended_clifford")
     assert gram_automorphisms(qubits.gram, seeds=seeds).order() == 48
