@@ -3,10 +3,15 @@
 Numbers are stored as integer coefficient vectors over the power basis
 {zeta_m^k : k < phi(m)} together with a single positive denominator, fully
 reduced modulo the m-th cyclotomic polynomial.  Each field also caches the
-same arithmetic as small integer tensors (`_Field.mul`, `_Field.galois`), which
-the dense matrices of `operators.OpMatrix` contract against in one guarded
-kernel (`_Field.contract`, `_Field.galois_map`): int64 where a bound proves it
-exact, Python ints otherwise.
+same arithmetic as small integer tensors: the power expansions `pows`, the
+multiplication tensor `mul` and the Galois maps (`_Field.galois`).  Every
+exact integer contraction of the library runs through one guarded kernel,
+`_exact`: int64 where a bound proves it exact, Python ints otherwise.  The
+library's certified paths contract integer tables against `pows`, such as
+the Clifford laws' counts of omega exponents (`clifford.products_equal`)
+and the moment checks' triple-trace counts.  `_Field.contract` and
+`_Field.galois_map`, which multiply and Galois-map the dense matrices of
+`operators.OpMatrix`, serve the tests' dense oracles and no library path.
 """
 
 from __future__ import annotations

@@ -35,13 +35,7 @@ import numpy as np
 from .clifford import real_clifford_closure
 from .cyclotomic import CycNumber, _exact, _field, _int64, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
-from .operators import (
-    MAX_ENTRIES,
-    phase_point_mono,
-    rational_part,
-    stabilizer_labels,
-    weyl_mono,
-)
+from .operators import MAX_ENTRIES, rational_part, stabilizer_labels
 from .phase_space import (
     StabilizerLabel,
     all_vectors,
@@ -113,23 +107,17 @@ def phase_point_operator_set(d, n) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # Spanning bases and exact trace tables
 
-@lru_cache(maxsize=None)
-def hermitian_basis(d, n):
-    """An orthogonal Hermitian basis: A(a) for odd d, the Pauli T(a) for d=2."""
-    mono = weyl_mono if d == 2 else phase_point_mono
-    return tuple((a, mono(d, n, a)) for a in sorted(all_vectors(d, 2 * n)))
-
-
 def _points(d, n):
-    """The d^(2n) phase-space points as rows of an int64 array, in
-    `hermitian_basis` order: row a is the point whose base-d digits are a."""
+    """The d^(2n) phase-space points as rows of an int64 array, in sorted
+    order: row a is the point whose base-d digits are a.  This is the order
+    of the Hermitian basis B_a (`_basis`) and of every trace-table row."""
     return np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
 
 
 @lru_cache(maxsize=None)
 def _phase_forms(d, n):
     """[a, b] mod d for every pair of phase-space points, rows and columns in
-    `hermitian_basis` order, as a read-only int64 array."""
+    `_points` order, as a read-only int64 array."""
     p = _points(d, n)
     forms = (_exact(lambda x, y: x @ y.T, 2 * n, (p, jvec(p))) % d).astype(np.int64)
     forms.flags.writeable = False
@@ -139,7 +127,7 @@ def _phase_forms(d, n):
 @lru_cache(maxsize=None)
 def _pauli_products(n):
     """beta(a, b) mod 4 with T(a) T(b) = i^beta T(a + b), for every pair of
-    d = 2 points in `hermitian_basis` order, as a read-only int64 array:
+    d = 2 points in `_points` order, as a read-only int64 array:
     T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`) and
     X^(a_X) Z^(b_Z) = (-1)^(a_X.b_Z) Z^(b_Z) X^(a_X)."""
     p = _points(2, n)
@@ -152,7 +140,7 @@ def _pauli_products(n):
 
 def _triples(d, n, a, b, c):
     """tr(B_a B_b B_c) = values[e] for the basis points a, b, c (index
-    arrays in `hermitian_basis` order that broadcast together), as (e,
+    arrays in `_points` order that broadcast together), as (e,
     values): values[v] = norm zeta_r^v in power-basis integers over the
     conductor of d for v < r, and values[r] = 0.  At odd d,
     tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
@@ -176,7 +164,7 @@ _Basis = namedtuple("_Basis", "labels points single pair")
 @lru_cache(maxsize=None)
 def _basis(d, n, real=False) -> _Basis:
     """The Hermitian basis B_a in closed form: labels, their indices `points`
-    in `hermitian_basis` order, tr B_a = single[a] and tr(B_a B_b) =
+    in `_points` order, tr B_a = single[a] and tr(B_a B_b) =
     pair[a, b] as Python ints (A(a): 1, d^n [a = b]; T(a): 2^n [a = 0],
     2^n [a = b]).  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
     2^(n-1) (2^n + 1) of them, an orthogonal basis of Sym."""
@@ -192,7 +180,7 @@ def _basis(d, n, real=False) -> _Basis:
 
 def _incidence(q: OperatorSet):
     """The Hermitian trace table of a set, over scale 1, rows in
-    `hermitian_basis` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
+    `_points` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
     odd d, tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
     (`StabilizerLabel`): at d = 2, tr(T(b) Pi_x) = (-1)^([rep_x, b] +
     c_L(b)) [b in L_x], with c_L from `sign_bits`; at odd d,

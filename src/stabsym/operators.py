@@ -1,6 +1,10 @@
 """Exact matrices over cyclotomic fields, the Weyl operators T(a) and
 phase-space point operators A(a) as monomials, and the Gram data of
-stabilizer labels."""
+stabilizer labels.
+
+No certified path builds or multiplies a dense `OpMatrix`: the tests'
+dense oracles do, and the traced benchmark wraps `OpMatrix.__matmul__` by
+name, which is why the class stays in the library."""
 
 from __future__ import annotations
 

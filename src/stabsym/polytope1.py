@@ -60,7 +60,7 @@ def direct_sum_check(d):
 def polytope_membership(w, d):
     """Exact membership of a trace-1 Hermitian operator A in the stabilizer
     polytope, given by its Wigner function w[x] = tr(A(x) A) at the d^2
-    points x in `moments.hermitian_basis` order: A lies inside iff
+    points x in `moments._points` order: A lies inside iff
     tr(X_g A) >= 0 for every facet X_g.
 
     The A(x) sum to d 1, so tr A = d^-1 sum_x w[x], and
@@ -110,7 +110,7 @@ def wigner_negative_state(d):
     """The Wigner function of rho = (1 - A(0))/(d - 1), a trace-1 Hermitian
     operator with a negative Wigner value: tr A(x) = 1 and
     tr(A(x) A(0)) = d [x = 0] give w[x] = (1 - d [x = 0])/(d - 1), with the
-    points in `moments.hermitian_basis` order (0 first)."""
+    points in `moments._points` order (0 first)."""
     return tuple(Fraction(1 - d * (x == 0), d - 1) for x in range(d * d))
 
 

@@ -36,6 +36,14 @@ the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
 `jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
 `moments._phase_space_slab`.
 
+The single-qudit Clifford laws compare phase tables in the library
+(`clifford.PhaseTable`, `clifford.products_equal`).  `dense_metaplectic` is
+the dense closed form of U_S, `dense` expands a table to a dense matrix,
+`weyl_law_pairwise` checks the Weyl law one `Mono` product at a time and
+`similitude_multiplier_loop` reads the multiplier pair by pair.
+`hermitian_basis` lists the Hermitian basis as monomials in
+`moments._points` order.
+
 The library builds no dense element of a set: an `OperatorSet` is its
 labels.  The dense side is here.  `stab_projector` and `phase_point` are the
 exact projector Pi_x and point operator A(a), and `set_elements` gives a
@@ -60,12 +68,12 @@ from stabsym.cyclotomic import (
     _field,
     _int64,
     conductor_for,
+    gauss_sum,
     iunit,
     root_of_unity,
     sqrt_d,
 )
-from stabsym.errors import InconsistentSigns, Mismatch, OddOnly
-from stabsym.moments import hermitian_basis
+from stabsym.errors import InconsistentSigns, Mismatch, OddOnly, WordDecompositionFailure
 from stabsym.operators import (
     GramMatrix,
     Mono,
@@ -91,7 +99,7 @@ from stabsym.phase_space import (
     symplectic_form,
     vec_add,
 )
-from stabsym.zmod import ZModMatrix, invert
+from stabsym.zmod import ZModMatrix, inv_mod, invert, legendre
 
 
 def real_gates(n):
@@ -220,9 +228,9 @@ def stab_projector_qubit(L: Subspace, signs) -> OpMatrix:
 
 
 def ext_apply(e, m: OpMatrix) -> OpMatrix:
-    """Adjoint action rho -> (M C_alpha) rho (M C_alpha)^{-1} with M =
-    e.matrix(), for an `ExtCliffordElement` e."""
-    u = e.matrix()
+    """Adjoint action rho -> (M C_alpha) rho (M C_alpha)^{-1} with M the
+    dense e.matrix(), for an `ExtCliffordElement` e."""
+    u = dense(e.matrix())
     return u @ m.entrywise_galois(e.galois()) @ u.dagger()
 
 
@@ -588,3 +596,87 @@ def moment_form(q, k, args):
             term = term * trace_product(a, el)
         acc = acc + term
     return acc * Fraction(1, q.size)
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(d, n):
+    """An orthogonal Hermitian basis as (point, monomial) pairs, in
+    `moments._points` order: A(a) for odd d, the Pauli T(a) for d = 2."""
+    mono = weyl_mono if d == 2 else phase_point_mono
+    return tuple((a, mono(d, n, a)) for a in sorted(all_vectors(d, 2 * n)))
+
+
+# ---------------------------------------------------------------------------
+# Dense single-qudit Clifford elements
+
+def similitude_multiplier_loop(m: ZModMatrix):
+    """`clifford.similitude_multiplier` pair by pair: [M e_i, M e_j] against
+    [e_i, e_j] for every pair of unit vectors."""
+    d = m.d
+    n = m.ncols // 2
+    mu = None
+    basis = [tuple(1 if k == i else 0 for k in range(2 * n)) for i in range(2 * n)]
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            lhs = symplectic_form(m.apply(a), m.apply(b), d)
+            rhs = symplectic_form(a, b, d)
+            if rhs == 0:
+                if lhs != 0:
+                    return None
+            else:
+                factor = (lhs * inv_mod(rhs, d)) % d
+                if mu is None:
+                    mu = factor
+                elif mu != factor:
+                    return None
+    return mu
+
+
+@lru_cache(maxsize=1024)
+def dense_metaplectic(d, rows) -> OpMatrix:
+    """U_S for S = rows (reduced mod d) as a dense matrix of CycNumbers, from
+    the closed form in `clifford` (Appleby 2005): with tau = omega^((d+1)/2)
+    and the Gauss sum g_d, L(2b) g_d^-1 tau^(b^-1 (a s^2 - 2 r s + e r^2))
+    at (r, s) if b != 0, else L(a) tau^(a c s^2) at (a s, s)."""
+    (a, b), (c, e) = rows
+    if (a * e - b * c) % d != 1:
+        raise WordDecompositionFailure(f"{rows} is not in SL(2, {d})")
+    m = conductor_for(d)
+    half = (d + 1) // 2
+    if b:
+        scale = gauss_sum(d).inverse() * legendre(2 * b, d)
+        phase = [root_of_unity(m, (m // d) * k) * scale for k in range(d)]
+        t = half * inv_mod(b, d)
+        return OpMatrix(m, [[phase[t * (a * q * q - 2 * r * q + e * r * r) % d]
+                             for q in range(d)] for r in range(d)])
+    sign = legendre(a, d)
+    out = [[CycNumber.zero(m)] * d for _ in range(d)]
+    for q in range(d):
+        out[a * q % d][q] = root_of_unity(m, (m // d) * (half * a * c * q * q % d)) * sign
+    return OpMatrix(m, out)
+
+
+def dense(table) -> OpMatrix:
+    """A `clifford.PhaseTable` as a dense matrix, entry by entry:
+    scale * omega^expo[r, q], and 0 where expo[r, q] = -1."""
+    m, d = table.scale.m, table.d
+    phase = [table.scale * root_of_unity(m, (m // d) * k) for k in range(d)]
+    phase.append(CycNumber.zero(m))  # index -1
+    return OpMatrix(m, [[phase[k] for k in row] for row in table.expo.tolist()])
+
+
+def weyl_law_pairwise(d, n, pairs, mono=weyl_mono):
+    """The Weyl law of `clifford._weyl_law` one pair at a time, by `Mono`
+    products of the monomials mono(d, n, a)."""
+    half = (d + 1) // 2
+
+    def law(a, b):
+        s = symplectic_form(a, b, d)
+        ta, tb = mono(d, n, a), mono(d, n, b)
+        ab, ba = ta @ tb, tb @ ta
+        if d == 2:
+            return ab == ba.phase_shift(2 * s) and ta.dagger() == ta
+        return (ab == mono(d, n, vec_add(a, b, d)).phase_shift(-half * s)
+                and ab == ba.phase_shift(-s))
+
+    return all(law(a, b) for a, b in pairs)

@@ -25,13 +25,13 @@ from stabsym.moments import (
     _dir_basis,
     _pair_sums,
     _solve_linear_positive,
-    hermitian_basis,
     span_dimension,
     trace_table,
 )
 from stabsym.operators import hs_inner, trace_product
 
 from dense_oracles import (
+    hermitian_basis,
     mono_trace,
     mono_trace_product,
     set_elements,

@@ -1,3 +1,5 @@
+import itertools
+import json
 import os
 import random
 import subprocess
@@ -6,19 +8,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stabsym
-from stabsym import clifford
+from stabsym import clifford, cyclotomic, operators
 from stabsym.clifford import (
     WREATH_TABLE,
     AffineSimilitude,
     ExtCliffordElement,
+    PhaseTable,
+    _weyl_law,
     agsp_compose,
     ext_compose,
     k_alpha,
     matrix_point_perm,
     _metaplectic,
     metaplectic,
+    products_equal,
     qubit_gate_action,
     real_clifford_orbit,
     similitude_multiplier,
@@ -28,6 +34,7 @@ from stabsym.clifford import (
     sp_order_formula,
     transpose_action,
     transvection,
+    verify_clifford_laws,
     wreath_decompose_table,
 )
 from stabsym.cyclotomic import (
@@ -41,16 +48,19 @@ from stabsym.cyclotomic import (
 )
 from stabsym.errors import Mismatch, OddOnly, WordDecompositionFailure
 from stabsym.operators import (
+    Mono,
     OpMatrix,
     phase_point_mono,
     stabilizer_states,
     weyl,
     weyl_mono,
 )
-from stabsym.phase_space import all_vectors, transform_labels, vec_add
+from stabsym.phase_space import all_vectors, symplectic_form, transform_labels, vec_add
 
 from dense_oracles import (
     Similitude,
+    dense,
+    dense_metaplectic,
     dense_real_clifford_orbit,
     ext_apply,
     family_projectors,
@@ -58,13 +68,20 @@ from dense_oracles import (
     phase_point,
     qubit_gate,
     real_gates,
+    similitude_multiplier_loop,
     stab_projector,
+    weyl_law_pairwise,
 )
 from stabsym.zmod import ZModMatrix, inv_mod, legendre
 
 
 def _random_sl2(d, rng):
     return ZModMatrix(rng.choice(sl2_elements(d)), d)
+
+
+def _section(d, s):
+    """The dense expansion of the phase table U_S."""
+    return dense(metaplectic(d, s))
 
 
 @pytest.mark.parametrize("d,n,order", [(3, 1, 24), (2, 2, 720), (3, 2, 51840)])
@@ -132,14 +149,14 @@ def test_similitude_factorization():
 
 def test_metaplectic_identity():
     for d in (3, 5):
-        u = metaplectic(d, ZModMatrix.identity(2, d))
+        u = _section(d, ZModMatrix.identity(2, d))
         assert u == OpMatrix.identity(conductor_for(d), d)
 
 
 def test_metaplectic_fourier_d3():
     d = 3
     s = ZModMatrix([[0, -1], [1, 0]], d)
-    u = metaplectic(d, s)
+    u = _section(d, s)
     # U = (omega^{jk})/g with g the Gauss sum i*sqrt(3); verify action instead of phases
     for b in all_vectors(d, 2):
         assert u @ weyl(d, 1, b) @ u.dagger() == weyl(d, 1, s.apply(b))
@@ -155,7 +172,7 @@ def test_metaplectic_conjugation_postcondition_all(d):
     sample = table if d == 3 else rng.sample(table, 12)
     for rows in sample:
         s = ZModMatrix(rows, d)
-        u = metaplectic(d, s)
+        u = _section(d, s)
         assert u.dagger() @ u == OpMatrix.identity(conductor_for(d), d)
         for b in all_vectors(d, 2):
             assert u @ weyl(d, 1, b) @ u.dagger() == weyl(d, 1, s.apply(b))
@@ -166,7 +183,7 @@ def test_metaplectic_multiplicative(d):
     rng = random.Random(41)
     for _ in range(50):
         s1, s2 = _random_sl2(d, rng), _random_sl2(d, rng)
-        assert metaplectic(d, s1) @ metaplectic(d, s2) == metaplectic(d, s1 @ s2)
+        assert _section(d, s1) @ _section(d, s2) == _section(d, s1 @ s2)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -176,9 +193,10 @@ def test_metaplectic_galois_closure(d):
         s = _random_sl2(d, rng)
         for alpha in range(2, d):
             gal = GaloisMap(alpha, d)
-            lhs = metaplectic(d, s).entrywise_galois(gal)
+            lhs = _section(d, s).entrywise_galois(gal)
             conj = k_alpha(d, 1, alpha) @ s @ k_alpha(d, 1, inv_mod(alpha, d))
-            assert lhs == metaplectic(d, conj)
+            assert lhs == _section(d, conj)
+            assert dense(metaplectic(d, s).galois(gal)) == lhs
 
 
 def _fourier(d):
@@ -213,15 +231,15 @@ def test_metaplectic_pins_the_standard_generators(d):
     # the hand-built Fourier, multiplier and shear matrix; the Fourier value
     # carries the sign L(-2), so F itself is in the section only for
     # d = 1, 3 mod 8 (here d = 3, 11)
-    assert metaplectic(d, ZModMatrix([[0, -1], [1, 0]], d)) == _fourier(d).scale(legendre(-2, d))
+    assert _section(d, ZModMatrix([[0, -1], [1, 0]], d)) == _fourier(d).scale(legendre(-2, d))
     for g in range(1, d):
-        assert metaplectic(d, ZModMatrix([[g, 0], [0, inv_mod(g, d)]], d)) == _multiplier(d, g)
-    assert metaplectic(d, ZModMatrix([[1, 0], [1, 1]], d)) == _shear(d)
+        assert _section(d, ZModMatrix([[g, 0], [0, inv_mod(g, d)]], d)) == _multiplier(d, g)
+    assert _section(d, ZModMatrix([[1, 0], [1, 1]], d)) == _shear(d)
 
 
 def test_metaplectic_multiplicative_on_all_pairs_d3():
     d = 3
-    section = {rows: metaplectic(d, rows) for rows in sl2_elements(d)}
+    section = {rows: _section(d, rows) for rows in sl2_elements(d)}
     assert len(section) == sp_order_formula(d, 1)
     for r1, u1 in section.items():
         for r2, u2 in section.items():
@@ -237,11 +255,11 @@ def test_metaplectic_laws_sampled_at_larger_d(d, pairs):
     assert len(sl2_elements(d)) == sp_order_formula(d, 1)
     for _ in range(pairs):
         s1, s2 = _random_sl2(d, rng), _random_sl2(d, rng)
-        u1 = metaplectic(d, s1)
+        u1 = _section(d, s1)
         assert u1.dagger() @ u1 == ident
         for b in ((1, 0), (0, 1), (rng.randrange(d), rng.randrange(d))):
             assert u1 @ weyl(d, 1, b) @ u1.dagger() == weyl(d, 1, s1.apply(b))
-        assert u1 @ metaplectic(d, s2) == metaplectic(d, s1 @ s2)
+        assert u1 @ _section(d, s2) == _section(d, s1 @ s2)
 
 
 def test_metaplectic_rejects_nonsymplectic():
@@ -309,21 +327,22 @@ def test_metaplectic_cache_keys_on_s_mod_d(d):
         forms = [ZModMatrix(rows, d), [list(r) for r in rows], rows, lifted,
                  ZModMatrix(lifted, d)]
         first = metaplectic(d, forms[0])
-        assert all(metaplectic(d, s) == first for s in forms)
-        assert first == _metaplectic.__wrapped__(d, rows)  # as if built afresh
-        assert first.dagger() @ first == OpMatrix.identity(first.m, d)
+        assert all(metaplectic(d, s) is first for s in forms)
+        assert dense(first) == dense(_metaplectic.__wrapped__(d, rows))  # as if built afresh
+        assert dense(first).dagger() @ dense(first) == OpMatrix.identity(first.scale.m, d)
+        assert not first.expo.flags.writeable
 
 
 def test_ext_matrix_is_phase_times_weyl_times_section():
-    # ExtCliffordElement.matrix() is one product of the monomial omega^mu T(a)
-    # with U_S; the dense product with omega^mu as a scalar is its oracle
+    # ExtCliffordElement.matrix() folds the monomial omega^mu T(a) into the
+    # rows of U_S; the dense product with omega^mu as a scalar is its oracle
     d = 5
     rng = random.Random(4)
     for _ in range(20):
         e = ExtCliffordElement(mu=rng.randrange(-d, 2 * d), a=(rng.randrange(d), rng.randrange(d)),
                                S=ZModMatrix(rng.choice(sl2_elements(d)), d), alpha=1)
-        dense = (weyl(d, 1, e.a) @ metaplectic(d, e.S)).scale(omega(d) ** (e.mu % d))
-        assert e.matrix() == dense
+        product = (weyl(d, 1, e.a) @ _section(d, e.S)).scale(omega(d) ** (e.mu % d))
+        assert dense(e.matrix()) == product
 
 
 def test_clifford_affine_action_on_phase_points():
@@ -334,7 +353,7 @@ def test_clifford_affine_action_on_phase_points():
     for _ in range(5):
         a = tuple(rng.randrange(d) for _ in range(2))
         s = _random_sl2(d, rng)
-        u = weyl(d, 1, tuple((-x) % d for x in a)) @ metaplectic(d, s)
+        u = weyl(d, 1, tuple((-x) % d for x in a)) @ _section(d, s)
         for x in list(all_vectors(d, 2))[:8]:
             got = u @ phase_point(d, 1, x) @ u.dagger()
             expected = phase_point(d, 1, vec_add(s.apply(x), a, d))
@@ -377,8 +396,8 @@ def test_ext_compose_matches_matrix_product(d):
         g = _random_ext(d, rng)
         h = _random_ext(d, rng)
         hg = ext_compose(h, g)
-        lhs = h.matrix() @ g.matrix().entrywise_galois(h.galois())
-        assert lhs == hg.matrix()
+        lhs = dense(h.matrix()) @ dense(g.matrix()).entrywise_galois(h.galois())
+        assert lhs == dense(hg.matrix())
         assert hg.alpha == (h.alpha * g.alpha) % d
 
 
@@ -410,7 +429,7 @@ def test_galois_conjugation_of_metaplectic_generators():
         for beta in range(2, d):
             gal = GaloisMap(beta, d)
             conj_s = k_alpha(d, 1, beta) @ s @ k_alpha(d, 1, inv_mod(beta, d))
-            assert metaplectic(d, s).entrywise_galois(gal) == metaplectic(d, conj_s)
+            assert _section(d, s).entrywise_galois(gal) == _section(d, conj_s)
 
 
 def test_apply_affine_similitude_api():
@@ -534,3 +553,210 @@ def test_wreath_table_of_standard_generators():
     assert table["conjugation_by_S"] == {
         "outer": {"X": "Y", "Y": "X", "Z": "Z"}, "inner": {"X": "e", "Y": "t", "Z": "e"}}
     assert table == WREATH_TABLE
+
+
+# ---------------------------------------------------------------------------
+# Phase tables and the array checks, against dense and pairwise oracles
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_phase_table_expands_to_the_dense_closed_form(d):
+    for rows in sl2_elements(d):
+        assert dense(metaplectic(d, rows)) == dense_metaplectic(d, rows)
+
+
+def _section_triples(d, s1, s2):
+    """(U_S1, U_S2, U_S1S2), where the law holds, and (U_S1, U_S2, U_S2S1),
+    where it fails unless U_S1 and U_S2 commute; as rows of SL(2, d)."""
+    s1, s2 = ZModMatrix(s1, d), ZModMatrix(s2, d)
+    return [(s1.rows, s2.rows, (s1 @ s2).rows), (s1.rows, s2.rows, (s2 @ s1).rows)]
+
+
+def _agrees_on_sections(d, triple):
+    verdict = products_equal(*(metaplectic(d, rows) for rows in triple))
+    x, y, z = (dense_metaplectic(d, rows) for rows in triple)
+    assert verdict == (x @ y == z)
+    return verdict
+
+
+def _ext_triples(g, h):
+    """(h, C_beta(g), hg) and (h, C_beta(g), gh) as phase tables, beta =
+    h.alpha: the composition law and a wrong product."""
+    y = g.matrix().galois(h.galois())
+    return [(h.matrix(), y, ext_compose(h, g).matrix()),
+            (h.matrix(), y, ext_compose(g, h).matrix())]
+
+
+def _agrees_on_ext(g, h, triple):
+    x, y, z = triple
+    dense_y = dense(g.matrix()).entrywise_galois(h.galois())
+    assert dense(y) == dense_y
+    verdict = products_equal(x, y, z)
+    assert verdict == (dense(x) @ dense_y == dense(z))
+    return verdict
+
+
+def test_products_equal_is_dense_equality_on_all_sl2_pairs_d3():
+    d = 3
+    verdicts = [_agrees_on_sections(d, t) for s1 in sl2_elements(d) for s2 in sl2_elements(d)
+                for t in _section_triples(d, s1, s2)]
+    assert len(verdicts) == 2 * 24 ** 2
+    assert all(verdicts[::2]) and not all(verdicts[1::2])
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_products_equal_is_dense_equality_on_sampled_pairs(d):
+    rng = random.Random(d)
+    sections = [_agrees_on_sections(d, t) for _ in range(200)
+                for t in _section_triples(d, rng.choice(sl2_elements(d)),
+                                          rng.choice(sl2_elements(d)))]
+    assert all(sections[::2]) and not all(sections[1::2])
+    laws = []
+    for _ in range(200):
+        g, h = _random_ext(d, rng), _random_ext(d, rng)
+        laws += [_agrees_on_ext(g, h, t) for t in _ext_triples(g, h)]
+    assert all(laws[::2]) and not all(laws[1::2])
+
+
+def _moved(t, r, q):
+    """t with expo[r, q] moved by 1 mod d (a zero entry, -1, becomes 1)."""
+    expo = t.expo.copy()
+    expo[r, q] = (expo[r, q] + 1) % t.d
+    return PhaseTable(t.d, t.scale, expo)
+
+
+def _flipped(t):
+    return PhaseTable(t.d, -t.scale, t.expo)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_products_equal_rejects_a_moved_exponent_and_a_flipped_sign(d):
+    rng = random.Random(50 + d)
+    triples = [tuple(metaplectic(d, rows) for rows in _section_triples(
+        d, rng.choice(sl2_elements(d)), rng.choice(sl2_elements(d)))[0]) for _ in range(11)]
+    triples += [_ext_triples(_random_ext(d, rng), _random_ext(d, rng))[0] for _ in range(11)]
+    for triple in triples:
+        assert products_equal(*triple)
+        for k in range(3):
+            r, q = rng.randrange(d), rng.randrange(d)
+            for bad in (_moved(triple[k], r, q), _flipped(triple[k])):
+                args = triple[:k] + (bad,) + triple[k + 1:]
+                assert not products_equal(*args)
+                assert not dense(args[0]) @ dense(args[1]) == dense(args[2])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_products_equal_rejects_the_wrong_galois_map(d):
+    rng = random.Random(70 + d)
+    rejected = 0
+    for _ in range(30):
+        g, h = _random_ext(d, rng), _random_ext(d, rng)
+        x, y, z = _ext_triples(g, h)[0]
+        for beta in range(1, d):
+            if beta == h.alpha % d:
+                continue
+            wrong = g.matrix().galois(GaloisMap(beta, d))
+            verdict = products_equal(x, wrong, z)
+            assert verdict == (dense(x) @ dense(wrong) == dense(z))
+            if dense(wrong) != dense(y):  # the wrong map moves g's matrix
+                assert not verdict
+                rejected += 1
+    assert rejected > 0
+
+
+def _perturbed_weyl(d, n, v, bad):
+    t = weyl_mono(d, n, v)
+    return lambda d_, n_, a: bad(t) if tuple(a) == v else weyl_mono(d_, n_, a)
+
+
+_WEYL_FAULTS = {
+    "exponent": lambda t: Mono(t.d, t.n, t.perm, ((t.expo[0] + 1) % t.r,) + t.expo[1:]),
+    "permutation": lambda t: Mono(t.d, t.n, (t.perm[1], t.perm[0]) + t.perm[2:], t.expo),
+    "global_phase": lambda t: t.phase_shift(1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_WEYL_FAULTS))
+@pytest.mark.parametrize("d,n,sampled", [(2, 1, False), (2, 2, False), (3, 1, False),
+                                         (5, 1, False), (3, 2, False), (5, 2, True)])
+def test_weyl_law_array_check_is_the_pairwise_law(monkeypatch, fault, d, n, sampled):
+    rng = random.Random(d * n)
+    vectors = list(all_vectors(d, 2 * n))
+    pairs = ([(rng.choice(vectors), rng.choice(vectors)) for _ in range(100)] if sampled
+             else [(a, b) for a in vectors for b in vectors])
+    v = (1,) + (0,) * (2 * n - 1)
+    pairs.append((v, (0,) * (2 * n - 1) + (1,)))  # T(v) against a non-commuting T(b)
+    assert _weyl_law(d, n, pairs) and weyl_law_pairwise(d, n, pairs)
+    bad = _perturbed_weyl(d, n, v, _WEYL_FAULTS[fault])
+    monkeypatch.setattr(clifford, "weyl_mono", bad)
+    assert not _weyl_law(d, n, pairs)
+    assert not weyl_law_pairwise(d, n, pairs, mono=bad)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_weyl_law_array_check_reads_the_commutation_clause(monkeypatch, d):
+    # one pair (v, w): T(v) becomes a monomial M that does not commute with
+    # T(w) up to omega^-[v, w], and T(v + w) becomes tau^[v, w] M T(w), so
+    # the composition clause holds and only the commutation clause fails
+    v, w = (1, 0), (0, 1)
+    m = _WEYL_FAULTS["permutation"](weyl_mono(d, 1, v))
+    s = symplectic_form(v, w, d)
+    fake = {v: m, vec_add(v, w, d): (m @ weyl_mono(d, 1, w)).phase_shift((d + 1) // 2 * s)}
+    bad = lambda d_, n_, a: fake.get(tuple(a)) or weyl_mono(d_, n_, a)
+    assert _weyl_law(d, 1, [(v, w)])
+    monkeypatch.setattr(clifford, "weyl_mono", bad)
+    assert not weyl_law_pairwise(d, 1, [(v, w)], mono=bad)
+    assert not _weyl_law(d, 1, [(v, w)])
+
+
+def test_weyl_law_of_no_pairs_holds():
+    assert _weyl_law(5, 2, [])
+    assert verify_clifford_laws(5, 2, 0, 0)["checks"]["weyl_composition_law"] == {
+        "pass": True, "pairs": 0}
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_similitude_multiplier_is_the_pairwise_loop_on_every_2x2(d):
+    for r in itertools.product(range(d), repeat=4):
+        m = ZModMatrix([r[:2], r[2:]], d)
+        assert similitude_multiplier(m) == similitude_multiplier_loop(m), r
+
+
+def _similitude_word(word, alpha):
+    gens = sp_generators(3, 2)
+    out = ZModMatrix.identity(4, 3)
+    for i in word:
+        out = out @ gens[i % len(gens)]
+    return out @ k_alpha(3, 2, alpha)
+
+
+_MATRICES_4X4_MOD_3 = st.one_of(
+    st.lists(st.integers(0, 2), min_size=16, max_size=16).map(
+        lambda e: ZModMatrix([e[i:i + 4] for i in range(0, 16, 4)], 3)),
+    st.builds(_similitude_word, st.lists(st.integers(0, 20), max_size=6), st.integers(1, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MATRICES_4X4_MOD_3)
+def test_similitude_multiplier_is_the_pairwise_loop_on_4x4_mod_3(m):
+    assert similitude_multiplier(m) == similitude_multiplier_loop(m)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_verify_clifford_builds_without_dense_kernels(monkeypatch, d):
+    # a fresh section, and no dense matrix is built, multiplied or contracted
+    def dense_kernel(*args, **kwargs):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(OpMatrix, "__matmul__", dense_kernel)
+    monkeypatch.setattr(OpMatrix, "_set", dense_kernel)
+    monkeypatch.setattr(cyclotomic._Field, "contract", dense_kernel)
+    monkeypatch.setattr(operators, "mono_sum", dense_kernel)
+    clifford._metaplectic.cache_clear()
+    expected = json.loads((GOLDENS / f"verify-clifford_d{d}_n1_seed-7.json").read_text())
+    report = verify_clifford_laws(d, 1, 7, 100)
+    assert {"command": "verify-clifford", "d": d, "n": 1, "seed": 7, "samples": 100,
+            **report} == expected

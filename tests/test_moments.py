@@ -23,7 +23,6 @@ from stabsym.moments import (
     _solve_linear_positive,
     check_lin_jor_condition,
     check_lin_wig_condition,
-    hermitian_basis,
     is_complex_2design,
     is_complex_3design,
     is_real_4design,
@@ -47,8 +46,10 @@ from stabsym.zmod import ZModMatrix
 from dense_oracles import (
     bruteforce_gram,
     coefficient_stack,
+    dense,
     family_projectors,
     first_moment,
+    hermitian_basis,
     jordan_slab,
     lowest_terms,
     moment_form,
@@ -190,7 +191,7 @@ def test_f2_invariant_under_symmetry_generators():
     q = stabilizer_operator_set(d, 1)
     rng = random.Random(3)
     basis = [m.to_matrix() for _, m in hermitian_basis(d, 1)]
-    f = metaplectic(d, ZModMatrix([[0, -1], [1, 0]], d))
+    f = dense(metaplectic(d, ZModMatrix([[0, -1], [1, 0]], d)))
     for _ in range(5):
         a, b = rng.choice(basis), rng.choice(basis)
         fa = f.dagger() @ a @ f

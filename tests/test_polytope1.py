@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stabsym import cyclotomic, moments, operators, polytope1
+from stabsym import cyclotomic, operators, polytope1
 from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import BudgetExceeded, Mismatch
 from stabsym.operators import OpMatrix, hs_inner, stabilizer_states, trace_product
@@ -26,6 +26,7 @@ from dense_oracles import (
     dense_overlap_table,
     dense_wigner,
     family_projectors,
+    hermitian_basis,
     is_hermitian,
     phase_point,
     shifted_vertices,
@@ -175,7 +176,7 @@ def test_wigner_negative_state_is_the_dense_wigner_function(d):
     w = wigner_negative_state(d)
     assert w == dense_wigner(rho, d)
     assert w == tuple(hs_inner(phase_point(d, 1, x), rho).as_fraction()
-                      for x, _ in moments.hermitian_basis(d, 1))
+                      for x, _ in hermitian_basis(d, 1))
 
 
 def test_membership_center_inside():
