@@ -34,10 +34,12 @@ from .phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
     all_vectors,
+    code_points,
     enumerate_stabilizer_labels,
     jvec,
     label_from_functional,
     label_permutations,
+    point_codes,
     symplectic_form,
     vec_add,
     wreath_decompose,
@@ -80,6 +82,21 @@ def k_alpha(d, n, alpha) -> ZModMatrix:
     return ZModMatrix(rows, d)
 
 
+def _k_conjugate(s: ZModMatrix, beta) -> ZModMatrix:
+    """K_beta S K_beta^-1: S with its upper right n x n block times beta^-1
+    and its lower left block times beta."""
+    n, inv = s.ncols // 2, inv_mod(beta, s.d)
+    scale = ((1, inv), (beta, 1))
+    return ZModMatrix([[x * scale[i >= n][j >= n] for j, x in enumerate(row)]
+                       for i, row in enumerate(s.rows)], s.d)
+
+
+def _k_apply(beta, a):
+    """K_beta a = (a_X, beta a_Z)."""
+    n = len(a) // 2
+    return (*a[:n], *(beta * x for x in a[n:]))
+
+
 def transvection(v, d) -> ZModMatrix:
     """t_v: x -> x + [x, v] v."""
     size = len(v)
@@ -111,7 +128,7 @@ def sp_generators(d, n):
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             small.append(tuple((x + y) % d for x, y in zip(units[i], units[j])))
-    for vectors in (small, _nonzero_points(d, n)):  # the few, else every transvection
+    for vectors in (small, _nonzero_points(d, n).tolist()):  # the few, else every transvection
         gens = [transvection(v, d) for v in vectors]
         order = _order_on_nonzero(gens, d, n)
         if order == sp_order_formula(d, n):
@@ -126,21 +143,23 @@ def sp_generators(d, n):
 
 
 def _nonzero_points(d, n):
-    return [v for v in all_vectors(d, 2 * n) if any(v)]
+    """The nonzero points of Z_d^{2n} in `all_vectors` order: point i has
+    the code i + 1 (`point_codes`)."""
+    return code_points(np.arange(1, d ** (2 * n)), d, 2 * n)
 
 
-def matrix_point_perm(m: ZModMatrix, points, index=None):
-    """The permutation a matrix induces on a list of phase-space points."""
-    if index is None:
-        index = {p: i for i, p in enumerate(points)}
-    return tuple(index[m.apply(p)] for p in points)
+def nonzero_point_perms(gens, d, n):
+    """The permutation each invertible matrix in `gens` induces on the
+    nonzero points of Z_d^{2n}, in `_nonzero_points` order: one integer
+    product per matrix, and an image's index is its code - 1."""
+    points = _nonzero_points(d, n)
+    return [tuple((point_codes(points @ np.array(g.rows).T % d, d) - 1).tolist())
+            for g in gens]
 
 
 def _order_on_nonzero(gens, d, n):
-    points = _nonzero_points(d, n)
-    index = {p: i for i, p in enumerate(points)}
-    perms = [matrix_point_perm(g, points, index) for g in gens]
-    return PermGroup.from_generators(perms, degree=len(points)).order()
+    perms = nonzero_point_perms(gens, d, n)
+    return PermGroup.from_generators(perms, degree=d ** (2 * n) - 1).order()
 
 
 def sp_order(d, n) -> int:
@@ -313,13 +332,10 @@ def agsp_compose(t: AffineSimilitude, s: AffineSimilitude) -> AffineSimilitude:
     """(b, R, beta) . (a, S, alpha) = (R K_beta a + b, R K_beta S K_beta^{-1}, beta alpha)."""
     if t.d != s.d or t.n != s.n:
         raise ValueError("mismatched spaces")
-    d, n = t.d, t.n
-    kb = k_alpha(d, n, t.alpha)
-    kb_inv = k_alpha(d, n, inv_mod(t.alpha, d))
-    rkb = t.S @ kb
-    new_a = vec_add(rkb.apply(s.a), t.a, d)
-    new_s = rkb @ s.S @ kb_inv
-    return AffineSimilitude(a=new_a, S=new_s, alpha=(t.alpha * s.alpha) % d)
+    d = t.d
+    new_a = vec_add(t.S.apply(_k_apply(t.alpha, s.a)), t.a, d)
+    return AffineSimilitude(a=new_a, S=t.S @ _k_conjugate(s.S, t.alpha),
+                            alpha=(t.alpha * s.alpha) % d)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +394,12 @@ def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElem
         raise ValueError("mixed dimensions")
     d = h.d
     half = (d + 1) // 2
-    kb = k_alpha(d, 1, h.alpha)
-    kb_inv = k_alpha(d, 1, inv_mod(h.alpha, d))
-    rkb = h.S @ kb
-    rkb_a = rkb.apply(g.a)
+    rkb_a = h.S.apply(_k_apply(h.alpha, g.a))
     mu = (h.mu + h.alpha * g.mu - half * symplectic_form(h.a, rkb_a, d)) % d
     return ExtCliffordElement(
         mu=mu,
         a=vec_add(rkb_a, h.a, d),
-        S=rkb @ g.S @ kb_inv,
+        S=h.S @ _k_conjugate(g.S, h.alpha),
         alpha=(h.alpha * g.alpha) % d,
     )
 
@@ -395,7 +408,7 @@ def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElem
 # Qubit gates, the real Clifford group and the rebit orbit
 
 def qubit_gate_action(n, name, i=0, j=1):
-    """The `transform_labels` map (S, 0, eta) with U T(b) U^dagger =
+    """The `label_permutations` map (S, 0, eta) with U T(b) U^dagger =
     (-1)^eta(b) T(S b) for the gate U = name on qubit i (CZ on qubits i and
     j) of an n-qubit register, name in H, S, Y, Z, CZ: the tableau rules
     (Aaronson & Gottesman, PRA 70, 052328 (2004))."""

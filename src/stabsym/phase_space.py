@@ -371,32 +371,6 @@ def intersect(a: AffineSubspace, b: AffineSubspace):
     return AffineSubspace.make(direction, tuple(point))
 
 
-def transform_labels(labels, matrix, a, eta=None):
-    """The images of the labelled cosets under x -> matrix . x + a: all reps
-    mapped by one integer product mod d, each Lagrangian mapped and reduced
-    once, and every image rep reduced against its mapped Lagrangian in one
-    pass over the echelon rows (`reduce_reps`).
-
-    With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
-    symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
-    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L."""
-    d = labels[0].d
-    lags, which = lagrangian_index(labels)
-    mapped = np.array([L.basis for L in lags]) @ np.array(matrix.rows).T % d
-    images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
-    basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
-    shifts = np.zeros((len(lags), matrix.ncols), dtype=np.int64)
-    if eta is not None:
-        pre = (basis @ np.array(invert(matrix).rows).T % d).tolist()
-        for k, (L, image) in enumerate(zip(lags, images)):
-            values = [sign_bits(L)[b] + eta(b) for b in map(tuple, pre[k])]
-            shifts[k] = label_from_functional(image, values).rep
-    reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
-            + shifts[which]) % d
-    reps = reduce_reps(reps, basis[which], np.array([L.pivots for L in images])[which], d)
-    return [StabilizerLabel(L=images[k], rep=tuple(rep)) for k, rep in zip(which, reps.tolist())]
-
-
 def reduce_reps(reps, basis, pivots, d):
     """`Subspace.reduce` of every reps[..., :] against the echelon basis
     basis[..., n, 2n] with pivot columns pivots[..., n], broadcast over the
@@ -407,11 +381,67 @@ def reduce_reps(reps, basis, pivots, d):
     return reps
 
 
+def point_codes(v, d):
+    """The index of each point v[..., :] of Z_d^m in `all_vectors` order: its
+    base-d code, the first coordinate most significant."""
+    return v @ d ** np.arange(v.shape[-1] - 1, -1, -1)
+
+
+def code_points(codes, d, length):
+    """The points of Z_d^length with the base-d `codes`, the inverse of
+    `point_codes`, as an integer array (..., length)."""
+    return np.asarray(codes)[..., None] // d ** np.arange(length - 1, -1, -1) % d
+
+
 def label_permutations(labels, maps):
-    """The permutation of `labels` by each `transform_labels` map
-    (matrix, a[, eta]); every image must be one of the labels."""
-    index = {lab: k for k, lab in enumerate(labels)}
-    return [tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
+    """The permutation of `labels` by each map (matrix, a[, eta]) of phase
+    space, x -> matrix . x + a, every image one of the labels.
+
+    With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
+    symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
+    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L.
+
+    Points are read by their codes (`point_codes`) in two tables built once:
+    member[l, x], whether x lies in Lagrangian l, and coset[l, x], the index
+    of the label (L_l, x + L_l), -1 if it is not given.  The image of
+    Lagrangian l is the labelled Lagrangian that holds M b for every basis
+    row b of l, and a label's image is the coset entry of its mapped rep.
+    A map raises ValueError, naming its index, when the image of a
+    Lagrangian is not exactly one labelled Lagrangian (M singular or not a
+    similitude), when an image coset has no label, or when the images are
+    not a bijection of the labels."""
+    d, n = labels[0].d, labels[0].n
+    lags, which = lagrangian_index(labels)
+    basis = np.array([L.basis for L in lags])  # (Lagrangians, n, 2n)
+    coeffs = np.array(list(itertools.product(range(d), repeat=n)))
+    points = coeffs @ basis % d  # (Lagrangians, d^n, 2n)
+    member = np.zeros((len(lags), d ** (2 * n)), dtype=bool)
+    member[np.arange(len(lags))[:, None], point_codes(points, d)] = True
+    reps = np.array([lab.rep for lab in labels])
+    coset = np.full(member.shape, -1, dtype=np.int64)
+    coset[which[:, None], point_codes((reps[:, None] + points[which]) % d, d)] = (
+        np.arange(len(labels))[:, None])
+    perms = []
+    for k, (matrix, a, *eta) in enumerate(maps):
+        m = np.array(matrix.rows)
+        hits = member[:, point_codes(basis @ m.T % d, d)].all(-1)  # (targets, sources)
+        if (hits.sum(0) != 1).any():
+            raise ValueError(f"map {k}: the image of a Lagrangian is not exactly one "
+                             "labelled Lagrangian")
+        image = hits.argmax(0)
+        shifts = np.zeros((len(lags), 2 * n), dtype=np.int64)
+        if eta:
+            pre = (basis[image] @ np.array(invert(matrix).rows).T % d).tolist()
+            for l, L in enumerate(lags):
+                values = [sign_bits(L)[b] + eta[0](b) for b in map(tuple, pre[l])]
+                shifts[l] = label_from_functional(lags[image[l]], values).rep
+        perm = coset[image[which], point_codes((reps @ m.T + a + shifts[which]) % d, d)]
+        if (perm < 0).any():
+            raise ValueError(f"map {k}: an image coset has no label")
+        if (np.bincount(perm, minlength=perm.size) != 1).any():
+            raise ValueError(f"map {k}: the images are not a bijection of the labels")
+        perms.append(tuple(perm.tolist()))
+    return perms
 
 
 def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:

@@ -20,6 +20,7 @@ from .clifford import (
     real_clifford_closure,
     real_clifford_orbit,
     sp_generators,
+    sp_order_formula,
     transpose_action,
 )
 from .errors import Mismatch, NotBasisPreserving, OddOnly, SearchTimeout, Unsupported
@@ -28,9 +29,11 @@ from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
     all_vectors,
     basis_blocks,
+    code_points,
     enumerate_lagrangians,
     jvec,
     label_permutations,
+    point_codes,
     reduce_reps,
     wreath_compose,
     wreath_decompose,
@@ -385,6 +388,25 @@ def predicted_generators(d, n, variant) -> tuple:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def predicted_order_formula(d, n, variant) -> int:
+    """The order of the predicted group of a Theorem 1 case acting on the
+    states, from its closed form: (d + 1)! (d!)^(d+1) for S_d wr S_(d+1),
+    d^(2n) |Sp(2n, d)| (d - 1) for AGSp, 2 2^(n^2+2n) prod_(j<=n) (4^j - 1)
+    for the extended Clifford group (the Clifford group mod phases, times
+    transposition) and 2^(n^2+n+1) (2^n - 1) prod_(j<n) (4^j - 1) for the
+    real Clifford group mod its centre +-1 (Nebe, Rains & Sloane, Des.
+    Codes Cryptogr. 24, 99 (2001))."""
+    if variant == "wreath":
+        return math.factorial(d + 1) * math.factorial(d) ** (d + 1)
+    if variant == "agsp":
+        return d ** (2 * n) * sp_order_formula(d, n) * (d - 1)
+    if variant == "extended_clifford":
+        return 2 * 2 ** (n * n + 2 * n) * math.prod(4 ** j - 1 for j in range(1, n + 1))
+    if variant == "real_clifford":
+        return 2 ** (n * n + n + 1) * (2 ** n - 1) * math.prod(4 ** j - 1 for j in range(1, n))
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 @lru_cache(maxsize=None)
 def predicted_group(d, n, variant) -> PermGroup:
     """The predicted symmetry group's chain, by deterministic Schreier-Sims."""
@@ -417,7 +439,9 @@ def verify_theorem1(d, n, variant, time_budget=None):
     seeds' random chain, every strong generator lies in <S> <= Aut, so
     <S> = Aut and the certified order is the predicted order.  Otherwise the
     deterministic Schreier-Sims chain of S decides, under what remains of the
-    time budget.
+    time budget.  A predicted order that differs from the paper's group
+    (`predicted_order_formula`) is a Mismatch, so a wrong generating set
+    that the search also matched does not pass.
     """
     gens = predicted_generators(d, n, variant)
     if variant == "real_clifford":
@@ -474,6 +498,10 @@ def verify_theorem1(d, n, variant, time_budget=None):
             f"computed and predicted symmetry groups differ for {(d, n, variant)}",
             witness=witness,
         )
+    formula = predicted_order_formula(d, n, variant)
+    if predicted_order != formula:
+        raise Mismatch(f"the predicted group for {(d, n, variant)} has order {predicted_order}, "
+                       f"not the closed form {formula}", witness=predicted_order)
     return report
 
 
@@ -505,14 +533,14 @@ def sf_checks(lags, reps, bs):
         return np.einsum("...a,...a", a, jvec(v)) % d
 
     points = np.array([L.points() for L in lags])  # (lags, d^n, 2n)
-    where = points @ d ** np.arange(2 * n - 1, -1, -1)  # index in all_vectors order
+    where = point_codes(points, d)
     chi = pairing(reps[:, :, None], points)  # (B, lags, d^n)
     at = (np.arange(len(bs))[:, None, None] * size + where) * d + chi
     hist = np.bincount(at.ravel(), minlength=len(bs) * size * d).reshape(len(bs), size, d)
     zero = hist[:, 0]  # tr T(v) = d^n [v = 0]: the trace is sum_k zero[k] omega^k
     trace = zero[:, 0] - zero[:, 1]
     expected = np.zeros_like(hist)
-    vectors = np.array(list(all_vectors(d, 2 * n)))
+    vectors = code_points(np.arange(size), d, 2 * n)
     np.put_along_axis(expected, pairing(bs[:, None], vectors)[..., None], 1, axis=2)
     expected[:, 0, 0] += dim
     diff = (dim + 1) * hist - trace[:, None, None] * expected

@@ -2,8 +2,11 @@
 kernels.
 
 The library acts on d = 2 stabilizer states as labels: the Gram is the
-closed form, and gates and transposition are maps on labels
-(`phase_space.transform_labels`).  The oracles here act on the exact
+closed form, and gates and transposition permute the labels through
+integer index tables (`phase_space.label_permutations`).  `transform_labels`
+builds every image label as an object, `transform_label` one label alone,
+and `matrix_point_perm` maps phase-space points one tuple at a time, the
+oracle of `clifford.nonzero_point_perms`.  The oracles here act on the exact
 projector matrices instead: a permutation is read off by conjugating every
 projector, and the rebit states are the breadth-first closure of
 |0...0><0...0| under the dense real Clifford gates (`qubit_gate`).  The
@@ -95,6 +98,9 @@ from stabsym.phase_space import (
     basis_blocks,
     all_vectors,
     enumerate_lagrangians,
+    label_from_functional,
+    lagrangian_index,
+    reduce_reps,
     sign_bits,
     symplectic_form,
     vec_add,
@@ -395,6 +401,39 @@ def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
     new_L = LagrangianSubspace.from_rows(new_rows, d)
     new_rep = vec_add(matrix.apply(label.rep), a, d)
     return StabilizerLabel.make(new_L, new_rep)
+
+
+def transform_labels(labels, matrix, a, eta=None):
+    """The images of the labelled cosets under x -> matrix . x + a, as
+    labels: all reps mapped by one integer product mod d, each Lagrangian
+    mapped and reduced once, and every image rep reduced against its mapped
+    Lagrangian in one pass over the echelon rows (`reduce_reps`).
+
+    With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
+    symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
+    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L."""
+    d = labels[0].d
+    lags, which = lagrangian_index(labels)
+    mapped = np.array([L.basis for L in lags]) @ np.array(matrix.rows).T % d
+    images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
+    basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
+    shifts = np.zeros((len(lags), matrix.ncols), dtype=np.int64)
+    if eta is not None:
+        pre = (basis @ np.array(invert(matrix).rows).T % d).tolist()
+        for k, (L, image) in enumerate(zip(lags, images)):
+            values = [sign_bits(L)[b] + eta(b) for b in map(tuple, pre[k])]
+            shifts[k] = label_from_functional(image, values).rep
+    reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
+            + shifts[which]) % d
+    reps = reduce_reps(reps, basis[which], np.array([L.pivots for L in images])[which], d)
+    return [StabilizerLabel(L=images[k], rep=tuple(rep)) for k, rep in zip(which, reps.tolist())]
+
+
+def matrix_point_perm(m: ZModMatrix, points, index=None):
+    """The permutation a matrix induces on a list of phase-space points."""
+    if index is None:
+        index = {p: i for i, p in enumerate(points)}
+    return tuple(index[m.apply(p)] for p in points)
 
 
 def _mono_phase(mono: Mono, e):

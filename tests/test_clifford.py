@@ -21,9 +21,9 @@ from stabsym.clifford import (
     agsp_compose,
     ext_compose,
     k_alpha,
-    matrix_point_perm,
     _metaplectic,
     metaplectic,
+    nonzero_point_perms,
     products_equal,
     qubit_gate_action,
     real_clifford_orbit,
@@ -55,7 +55,7 @@ from stabsym.operators import (
     weyl,
     weyl_mono,
 )
-from stabsym.phase_space import all_vectors, symplectic_form, transform_labels, vec_add
+from stabsym.phase_space import all_vectors, symplectic_form, vec_add
 
 from dense_oracles import (
     Similitude,
@@ -65,11 +65,13 @@ from dense_oracles import (
     ext_apply,
     family_projectors,
     forget,
+    matrix_point_perm,
     phase_point,
     qubit_gate,
     real_gates,
     similitude_multiplier_loop,
     stab_projector,
+    transform_labels,
     weyl_law_pairwise,
 )
 from stabsym.zmod import ZModMatrix, inv_mod, legendre
@@ -88,6 +90,28 @@ def _section(d, s):
 def test_sp_orders(d, n, order):
     assert sp_order_formula(d, n) == order
     assert sp_order(d, n) == order
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_point_perms_match_matrix_point_perm(d, n):
+    # one integer product per generator, indexed by code - 1, gives the
+    # permutation of the nonzero points that maps them one tuple at a time
+    points = [v for v in all_vectors(d, 2 * n) if any(v)]
+    gens = sp_generators(d, n)
+    assert nonzero_point_perms(gens, d, n) == [matrix_point_perm(g, points) for g in gens]
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
+def test_k_conjugation_matches_the_matrix_products(d, n):
+    # K_beta S K_beta^-1 by block scaling, and K_beta a, as in the composition laws
+    rng = random.Random(11)
+    for _ in range(20):
+        s = ZModMatrix([[rng.randrange(d) for _ in range(2 * n)] for _ in range(2 * n)], d)
+        a = tuple(rng.randrange(d) for _ in range(2 * n))
+        beta = rng.randrange(1, d)
+        kb, kb_inv = k_alpha(d, n, beta), k_alpha(d, n, inv_mod(beta, d))
+        assert clifford._k_conjugate(s, beta) == kb @ s @ kb_inv
+        assert tuple(x % d for x in clifford._k_apply(beta, a)) == kb.apply(a)
 
 
 @pytest.fixture

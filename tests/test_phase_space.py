@@ -16,14 +16,14 @@ from stabsym.phase_space import (
     enumerate_subspaces,
     intersect,
     label_from_functional,
+    label_permutations,
     subspace_intersection,
     symplectic_form,
-    transform_labels,
     vec_add,
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import transform_label
+from dense_oracles import transform_label, transform_labels
 
 
 def test_symplectic_canonical_pair():
@@ -237,6 +237,63 @@ def test_transform_labels_maps_like_transform_label():
             assert transform_labels(labels, r, shift) == [
                 transform_label(lab, r, shift) for lab in labels
             ]
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
+def test_label_permutations_match_transform_label(d, n):
+    # the index tables give the permutation of the label objects that
+    # transform_label builds one by one
+    from stabsym.clifford import k_alpha, sp_generators
+
+    labels = enumerate_stabilizer_labels(d, n)
+    index = {lab: k for k, lab in enumerate(labels)}
+    shift = tuple(range(1, 2 * n + 1))
+    maps = [(r, shift) for r in (*sp_generators(d, n), k_alpha(d, n, 2))]
+    assert label_permutations(labels, maps) == [
+        tuple(index[transform_label(lab, r, shift)] for lab in labels) for r, _ in maps]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_label_permutations_match_transform_labels_on_qubit_gates(n):
+    # every qubit gate and transposition, signs t_L included
+    from stabsym.clifford import qubit_gate_action, transpose_action
+
+    labels = enumerate_stabilizer_labels(2, n)
+    index = {lab: k for k, lab in enumerate(labels)}
+    gates = [(g, i) for i in range(n) for g in ("H", "S", "Y", "Z")]
+    gates += [("CZ", i, j) for i in range(n) for j in range(n) if i != j]
+    maps = [qubit_gate_action(n, *g) for g in gates] + [transpose_action(n)]
+    assert label_permutations(labels, maps) == [
+        tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
+
+
+def _bad_map_error(labels, matrix, shift=(0, 0, 0, 0)):
+    eye = ZModMatrix.identity(4, 3)
+    with pytest.raises(ValueError) as info:
+        label_permutations(labels, [(eye, (0, 0, 0, 0)), (matrix, shift)])
+    assert str(info.value).startswith("map 1: ")
+    return str(info.value)
+
+
+def test_label_permutations_refuse_a_singular_or_non_similitude_map():
+    labels = enumerate_stabilizer_labels(3, 2)
+    singular = ZModMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], 3)
+    stretch = ZModMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], 3)
+    for m in (singular, stretch):
+        assert "not exactly one labelled Lagrangian" in _bad_map_error(labels, m)
+
+
+def test_label_permutations_refuse_images_outside_the_labels():
+    from stabsym.clifford import sp_generators
+
+    labels = enumerate_stabilizer_labels(3, 2)
+    dropped = [lab for lab in labels if lab.L != labels[0].L]  # one Lagrangian's block
+    with pytest.raises(ValueError, match="^map 0: .*not exactly one labelled Lagrangian"):
+        label_permutations(dropped, [(r, (0, 0, 0, 0)) for r in sp_generators(3, 2)])
+    eye = ZModMatrix.identity(4, 3)
+    assert "coset has no label" in _bad_map_error(labels[1:], eye, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="^map 0: .*not a bijection"):  # a label given twice
+        label_permutations(labels + labels[:1], [(eye, (0, 0, 0, 0))])
 
 
 def test_subspace_json_roundtrip():

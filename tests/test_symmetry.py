@@ -30,6 +30,7 @@ from stabsym.symmetry import (
     gram_automorphisms,
     predicted_generators,
     predicted_group,
+    predicted_order_formula,
     rebit_gram,
     sf_checks,
     verify_Sf_machinery,
@@ -459,6 +460,31 @@ def test_reports_do_not_depend_on_the_random_chain_stop(d, n, variant, monkeypat
     chain = gram_automorphisms(theorem1_gram(d, n, variant), seeds=gens)
     assert len(chain.generators) > len(gens)  # the fallback runs
     assert verify_theorem1(d, n, variant) == report
+
+
+@pytest.mark.parametrize("d,n,variant,order", [
+    (2, 1, "wreath", 48), (3, 1, "wreath", 31104), (5, 1, "wreath", 2149908480000000),
+    (7, 1, "wreath", 16786680128857246009393152000000000), (3, 1, "agsp", 432),
+    (3, 2, "agsp", 8398080), (2, 1, "extended_clifford", 48), (2, 2, "extended_clifford", 23040),
+    (2, 3, "extended_clifford", 185794560), (2, 2, "real_clifford", 1152),
+    (2, 3, "real_clifford", 2580480),
+])
+def test_predicted_order_formula_gives_the_certified_orders(d, n, variant, order):
+    # the orders of the autgroup goldens and of the predicted chains
+    assert predicted_order_formula(d, n, variant) == order
+
+
+@pytest.mark.parametrize("d,n,variant", [
+    (3, 1, "wreath"), (3, 2, "agsp"), (2, 2, "extended_clifford"), (2, 2, "real_clifford"),
+])
+def test_a_wrong_closed_form_order_is_a_mismatch(d, n, variant, monkeypatch):
+    # the search matches the predicted generators, but their order is not
+    # the paper's group's
+    order = predicted_group(d, n, variant).order()
+    monkeypatch.setattr(symmetry, "predicted_order_formula", lambda *args: order + 1)
+    with pytest.raises(Mismatch, match="not the closed form") as info:
+        verify_theorem1(d, n, variant)
+    assert info.value.witness == order
 
 
 def proper_subgroup_generators(d, n, variant):
