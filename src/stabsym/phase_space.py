@@ -413,8 +413,7 @@ def label_permutations(labels, maps):
     d, n = labels[0].d, labels[0].n
     lags, which = lagrangian_index(labels)
     basis = np.array([L.basis for L in lags])  # (Lagrangians, n, 2n)
-    coeffs = np.array(list(itertools.product(range(d), repeat=n)))
-    points = coeffs @ basis % d  # (Lagrangians, d^n, 2n)
+    points = code_points(np.arange(d ** n), d, n) @ basis % d  # (Lagrangians, d^n, 2n)
     member = np.zeros((len(lags), d ** (2 * n)), dtype=bool)
     member[np.arange(len(lags))[:, None], point_codes(points, d)] = True
     reps = np.array([lab.rep for lab in labels])
