@@ -129,7 +129,7 @@ def sp_generators(d, n):
         for j in range(i + 1, 2 * n):
             small.append(tuple((x + y) % d for x, y in zip(units[i], units[j])))
     for vectors in (small, _nonzero_points(d, n).tolist()):  # the few, else every transvection
-        gens = [transvection(v, d) for v in vectors]
+        gens = tuple(transvection(v, d) for v in vectors)
         order = _order_on_nonzero(gens, d, n)
         if order == sp_order_formula(d, n):
             break
@@ -139,7 +139,7 @@ def sp_generators(d, n):
     for g in gens:
         if not is_symplectic(g):
             raise Mismatch("a transvection is not symplectic", witness=g)
-    return tuple(gens)
+    return gens
 
 
 def _nonzero_points(d, n):
@@ -157,7 +157,11 @@ def nonzero_point_perms(gens, d, n):
             for g in gens]
 
 
+@lru_cache(maxsize=None)
 def _order_on_nonzero(gens, d, n):
+    """The order of the group a tuple of matrices generates on the nonzero
+    points, by a deterministic chain; cached on the tuple, so `sp_order`
+    reads the order `sp_generators` certified."""
     perms = nonzero_point_perms(gens, d, n)
     return PermGroup.from_generators(perms, degree=d ** (2 * n) - 1).order()
 

@@ -2,11 +2,16 @@
 
 Permutations are tuples p of length `degree` with p[i] = image of i; they
 compose as functions acting on the left: (p * q)(x) = p(q(x)).  Each level of
-the chain keeps the inverse of every coset representative beside it, so
-sifting composes with stored inverses and never inverts (Seress, *Permutation
-Group Algorithms*, 2003, ch. 4).  A new strong generator extends each level's
-orbit incrementally, from the old points under the new generator and from
-the new points under every generator.
+the chain keeps a Schreier tree of its orbit: every orbit point gamma other
+than the base point has an edge (beta, i) with level_gens[l][i][beta] = gamma
+(Seress, *Permutation Group Algorithms*, 2003, section 4.1).  A coset
+representative and its inverse are built only when asked for, by walking the
+tree to the nearest cached ancestor, and cached per level; sifting composes
+with these cached inverses, built from the stored generator inverses, and
+never inverts.  A new strong generator extends each level's orbit
+incrementally, from the old points under the new generator and from the new
+points under every generator, one gather per generator and frontier and no
+composition.
 
 Two ways build a chain.  `add_generator` (`from_generators`, `schreier_sims`)
 is deterministic Schreier-Sims: every Schreier generator is sifted, so the
@@ -59,8 +64,14 @@ class PermGroup:
         self.base = []
         self.level_gens = []  # level_gens[l]: generators stabilizing base[:l]
         self.level_gen_inverses = []  # level_gen_inverses[l][i]: level_gens[l][i]^-1
-        self.transversals = []  # transversals[l]: dict point -> coset rep u, u(base[l]) = point
-        self.inverse_transversals = []  # inverse_transversals[l]: dict point -> u^-1
+        # transversals[l]: the Schreier tree, dict orbit point gamma -> edge
+        # (beta, i) with level_gens[l][i][beta] = gamma, None at base[l]
+        self.transversals = []
+        # _reps[l], _inverse_reps[l]: dict point gamma -> the coset
+        # representative u_gamma (u_gamma(base[l]) = gamma) or its inverse,
+        # for the points asked for so far and their tree ancestors
+        self._reps = []
+        self._inverse_reps = []
         self.generators = []  # the externally supplied generators
 
     @classmethod
@@ -141,8 +152,9 @@ class PermGroup:
         self.base.append(b)
         self.level_gens.append([])
         self.level_gen_inverses.append([])
-        self.transversals.append({b: self.identity})
-        self.inverse_transversals.append({b: self.identity})
+        self.transversals.append({b: None})
+        self._reps.append({b: self.identity})
+        self._inverse_reps.append({b: self.identity})
 
     def _add_residue(self, p):
         """Sift p and add a non-identity residue as a strong generator;
@@ -168,39 +180,57 @@ class PermGroup:
 
     def _extend_orbit(self, l):
         """Close level l's orbit after a generator joined it last: that
-        generator on every old point, then every generator on the new points.
-        Representatives extend as u_gamma = h * u_beta, with the stored
-        inverse u_gamma^-1 = u_beta^-1 * h^-1.  Returns the new points."""
-        trans, invs = self.transversals[l], self.inverse_transversals[l]
-        gens = list(zip(self.level_gens[l], self.level_gen_inverses[l]))
+        generator on every old point, then every generator on the new points,
+        a frontier at a time.  Each new point gamma gets the edge (beta, i)
+        with beta = h^-1[gamma] for h = level_gens[l][i]; nothing is
+        composed.  Returns the new points."""
+        tree = self.transversals[l]
+        gens, gen_inverses = self.level_gens[l], self.level_gen_inverses[l]
         new_points = []
-
-        def reach(beta, h, h_inv):
-            gamma = h[beta]
-            if gamma not in trans:
-                trans[gamma] = compose(h, trans[beta])
-                invs[gamma] = compose(invs[beta], h_inv)
-                new_points.append(gamma)
-
-        for beta in list(trans):
-            reach(beta, *gens[-1])
-        qi = 0
-        while qi < len(new_points):
-            beta = new_points[qi]
-            qi += 1
-            for h, h_inv in gens:
-                reach(beta, h, h_inv)
+        frontier, movers = list(tree), [len(gens) - 1]
+        while frontier:
+            reached = []
+            for i in movers:
+                h = gens[i]
+                images = itemgetter(*frontier)(h) if len(frontier) > 1 else (h[frontier[0]],)
+                h_inv = gen_inverses[i]
+                for gamma in set(images).difference(tree):
+                    tree[gamma] = (h_inv[gamma], i)
+                    reached.append(gamma)
+            new_points += reached
+            frontier, movers = reached, range(len(gens))
         return new_points
 
+    def _representative(self, l, gamma, inverted=False):
+        """u_gamma, or u_gamma^-1 when `inverted`, from the nearest cached
+        ancestor of gamma in level l's tree: u_gamma = h * u_beta and
+        u_gamma^-1 = u_beta^-1 * h^-1 along the edge (beta, i), h =
+        level_gens[l][i].  Caches every representative on the way."""
+        tree = self.transversals[l]
+        cache = (self._inverse_reps if inverted else self._reps)[l]
+        gens = (self.level_gen_inverses if inverted else self.level_gens)[l]
+        path = []
+        while gamma not in cache:
+            path.append(gamma)
+            gamma = tree[gamma][0]
+        u = cache[gamma]
+        for gamma in reversed(path):
+            h = gens[tree[gamma][1]]
+            u = cache[gamma] = compose(u, h) if inverted else compose(h, u)
+        return u
+
     def _sift(self, p, start=0):
-        base, invs = self.base, self.inverse_transversals
+        base, trees, invs = self.base, self.transversals, self._inverse_reps
         for l in range(start, len(base)):
             b = base[l]
-            if p[b] == b:  # the representative is the identity
+            gamma = p[b]
+            if gamma == b:  # the representative is the identity
                 continue
-            u_inv = invs[l].get(p[b])
+            u_inv = invs[l].get(gamma)
             if u_inv is None:
-                return p, l
+                if gamma not in trees[l]:
+                    return p, l
+                u_inv = self._representative(l, gamma, inverted=True)
             p = compose(u_inv, p)
         return p, len(base)
 
@@ -217,13 +247,13 @@ class PermGroup:
     def add_generator(self, g, deadline=None):
         """Insert g (and all induced Schreier generators) into the chain.
 
-        Each Schreier generator is sifted once per call: transversals and the
-        base only grow and a stored representative never changes, so a perm
-        that once sifted to the identity always does, and one that left a
-        residue lies in the group of the strong generators from then on.
-        With `deadline`, a `time.monotonic()` value, each step checks the
-        clock first and raises `SearchTimeout`, carrying the partial chain,
-        once the deadline is reached.
+        Each Schreier generator is sifted once per call: trees and the base
+        only grow and a tree edge never changes, so neither does a
+        representative, and a perm that once sifted to the identity always
+        does, and one that left a residue lies in the group of the strong
+        generators from then on.  With `deadline`, a `time.monotonic()`
+        value, each step checks the clock first and raises `SearchTimeout`,
+        carrying the partial chain, once the deadline is reached.
         """
         g = tuple(g)
         if len(g) != self.degree:
@@ -240,15 +270,17 @@ class PermGroup:
             if residue == ident:
                 continue
             new_pts = self._add_strong_generator(residue, l)
+            rep = self._representative
             for i in range(l + 1):
-                # Schreier generators: new generator against the whole orbit,
-                # old generators against the newly reached points
-                trans, invs = self.transversals[i], self.inverse_transversals[i]
-                schreier = [compose(invs[residue[beta]], compose(residue, u))
-                            for beta, u in trans.items()]
+                # Schreier generators u_{h beta}^-1 h u_beta: new generator
+                # against the whole orbit, every generator against the newly
+                # reached points
+                schreier = [compose(rep(i, residue[beta], inverted=True),
+                                    compose(residue, rep(i, beta)))
+                            for beta in self.transversals[i]]
                 for beta in new_pts[i]:
-                    u = trans[beta]
-                    schreier.extend(compose(invs[h[beta]], compose(h, u))
+                    u = rep(i, beta)
+                    schreier.extend(compose(rep(i, h[beta], inverted=True), compose(h, u))
                                     for h in self.level_gens[i])
                 for s in schreier:
                     key = (i + 1, s)

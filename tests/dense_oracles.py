@@ -47,6 +47,12 @@ the dense closed form of U_S, `dense` expands a table to a dense matrix,
 `hermitian_basis` lists the Hermitian basis as monomials in
 `moments._points` order.
 
+A stabilizer chain keeps a Schreier tree per level and builds coset
+representatives on demand (`permgroup.PermGroup`); `tree_representative`
+multiplies the generators along a tree path from scratch, and
+`assert_schreier_trees` checks every edge and every representative of a
+chain against it.
+
 The library builds no dense element of a set: an `OperatorSet` is its
 labels.  The dense side is here.  `stab_projector` and `phase_point` are the
 exact projector Pi_x and point operator A(a), and `set_elements` gives a
@@ -90,7 +96,7 @@ from stabsym.operators import (
     trace_product,
     weyl_mono,
 )
-from stabsym.permgroup import identity_perm
+from stabsym.permgroup import compose, identity_perm
 from stabsym.phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
@@ -521,6 +527,43 @@ def is_hermitian(a: OpMatrix):
 
 def is_identity(p):
     return tuple(p) == identity_perm(len(p))
+
+
+def tree_representative(group, l, gamma):
+    """u_gamma of level l: the product h_k ... h_1 of the generators on the
+    tree path from base[l] to gamma, each edge (beta, i) read as
+    level_gens[l][i] and nothing taken from the chain's caches."""
+    tree, u = group.transversals[l], identity_perm(group.degree)
+    for _ in range(len(tree)):
+        if tree[gamma] is None:
+            return u
+        gamma, i = tree[gamma]
+        u = compose(u, group.level_gens[l][i])
+    raise AssertionError(f"the level-{l} tree has a cycle")
+
+
+def assert_schreier_trees(group):
+    """Every level's Schreier tree at full strength: the base point is the
+    root, every other orbit point gamma has an edge (beta, i) inside the
+    orbit with level_gens[l][i][beta] == gamma, the orbit is closed under
+    the level's generators, whose stored inverses undo them, the
+    representative built on demand is the product along the tree path and
+    maps base[l] to gamma, and its cached inverse undoes it."""
+    ident = identity_perm(group.degree)
+    assert len(group.transversals) == len(group.level_gens) == len(group.base)
+    for l, (b, tree) in enumerate(zip(group.base, group.transversals)):
+        gens, gen_inverses = group.level_gens[l], group.level_gen_inverses[l]
+        assert tree[b] is None
+        assert all(compose(h_inv, h) == ident for h, h_inv in zip(gens, gen_inverses, strict=True))
+        assert all(h[x] in tree for h in gens for x in tree)
+        for gamma, edge in tree.items():
+            if gamma != b:
+                beta, i = edge
+                assert beta in tree and gens[i][beta] == gamma
+            u = tree_representative(group, l, gamma)
+            assert u[b] == gamma
+            assert group._representative(l, gamma) == u
+            assert compose(group._representative(l, gamma, inverted=True), u) == ident
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -286,6 +287,30 @@ def test_qubit_n3_goldens_replay(capsys, tmp_path, argv):
     # three-rebit design reports before the d = 2 trace tables were read
     # from labels
     replay(capsys, tmp_path, *argv)
+
+
+@pytest.mark.slow
+def test_agsp_d5_n2_golden_replays(capsys, tmp_path):
+    # opt-in (`-m slow`): Theorem 1 at (5,2), 3 125 states, recorded before
+    # the stabilizer chain kept Schreier trees
+    replay(capsys, tmp_path, "autgroup", "--d", "5", "--n", "2")
+
+
+@pytest.mark.slow
+def test_agsp_d5_n2_peak_rss_is_under_200_mb():
+    # opt-in (`-m slow`): the chain's 7 987 orbit points at (5,2) are tree
+    # edges, not 3 900-tuples (541 MB peak when every representative and its
+    # inverse was stored); a fresh interpreter runs the command as its only
+    # child, so RUSAGE_CHILDREN reads that command's peak alone
+    code = ("import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'stabsym.cli', 'autgroup', '--d', '5',"
+            " '--n', '2'], stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    peak_mb = int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 200
 
 
 @pytest.mark.parametrize("argv", [

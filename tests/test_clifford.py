@@ -92,6 +92,17 @@ def test_sp_orders(d, n, order):
     assert sp_order(d, n) == order
 
 
+def test_sp_order_reads_the_order_sp_generators_certified(monkeypatch):
+    # the order certified on the nonzero points is returned, no second chain
+    sp_generators(3, 2)
+
+    def second_chain(*args, **kwargs):
+        raise AssertionError("a second chain was built")
+
+    monkeypatch.setattr(clifford.PermGroup, "from_generators", second_chain)
+    assert sp_order(3, 2) == sp_order_formula(3, 2)
+
+
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_point_perms_match_matrix_point_perm(d, n):
     # one integer product per generator, indexed by code - 1, gives the

@@ -15,9 +15,9 @@ from stabsym.permgroup import (
     inverse,
     schreier_sims,
 )
-from stabsym.symmetry import predicted_group
+from stabsym.symmetry import predicted_generators, predicted_group
 
-from dense_oracles import is_identity
+from dense_oracles import assert_schreier_trees, is_identity, tree_representative
 
 
 def cycle(n, pts):
@@ -166,31 +166,21 @@ def test_generator_times_outside_transposition_is_not_member(case, data):
     assert not group.contains(p)
 
 
-def assert_stored_inverses(group):
-    ident = identity_perm(group.degree)
-    assert len(group.inverse_transversals) == len(group.transversals) == len(group.base)
-    for b, trans, invs in zip(group.base, group.transversals, group.inverse_transversals):
-        assert trans.keys() == invs.keys()
-        for point, u in trans.items():
-            assert u[b] == point
-            assert compose(invs[point], u) == ident
-
-
 @settings(max_examples=50, deadline=None)
 @given(generator_sets())
-def test_stored_inverses_undo_representatives(case):
+def test_schreier_trees_give_the_representatives(case):
     n, gens = case
-    assert_stored_inverses(schreier_sims(gens, degree=n))
+    assert_schreier_trees(schreier_sims(gens, degree=n))
 
 
 def sift_composing_every_level(group, p):
     """The sift that composes with the representative's inverse at every
-    level, the identity's included."""
+    level, the identity's included, each inverse inverted from the product
+    along the tree path."""
     for l, b in enumerate(group.base):
-        u_inv = group.inverse_transversals[l].get(p[b])
-        if u_inv is None:
+        if p[b] not in group.transversals[l]:
             return p, l
-        p = compose(u_inv, p)
+        p = compose(inverse(tree_representative(group, l, p[b])), p)
     return p, len(group.base)
 
 
@@ -206,11 +196,11 @@ def test_sift_skipping_fixed_base_points_gives_the_same_residue(case, data):
 
 def assert_chain_of_a_subgroup(group, gens, base):
     """`group` is a chain of a subgroup of <gens> on a base starting with
-    `base`: prefix kept, stored inverses, strong generators in sympy's group,
+    `base`: prefix kept, Schreier trees, strong generators in sympy's group,
     an order dividing sympy's, and every generator a member."""
     oracle = sympy_group(gens)
     assert group.base[:len(base)] == list(base)
-    assert_stored_inverses(group)
+    assert_schreier_trees(group)
     strong = group.level_gens[0] if group.level_gens else []
     assert all(oracle.contains(Permutation(list(g))) for g in strong)
     assert oracle.order() % group.order() == 0
@@ -251,7 +241,45 @@ def test_random_chain_stops_on_a_run_of_identity_sifts(monkeypatch):
     assert sifted.order() == 30
 
 
-def test_stored_inverses_of_theorem1_groups():
+def test_schreier_trees_of_theorem1_groups():
     for args in ((3, 1, "wreath"), (5, 1, "wreath"), (2, 2, "extended_clifford"),
                  (2, 2, "real_clifford")):
-        assert_stored_inverses(predicted_group(*args))
+        assert_schreier_trees(predicted_group(*args))
+
+
+def test_orbits_grow_without_composing(monkeypatch):
+    # a random chain caches a representative only for an orbit point, and
+    # adjoining a generator closes the orbits by gathers over the frontier,
+    # with no composition
+    import stabsym.permgroup
+
+    gens = predicted_generators(5, 1, "wreath")
+    degree = len(gens[0])
+    group = PermGroup.random_chain(gens, [], degree)
+    for tree, reps, inverse_reps in zip(group.transversals, group._reps, group._inverse_reps):
+        assert reps.keys() <= tree.keys() and inverse_reps.keys() <= tree.keys()
+
+    partial = PermGroup.random_chain(gens[:1], [], degree)
+    composed, extended = [], []
+    compose_ = stabsym.permgroup.compose
+    extend_orbit = PermGroup._extend_orbit
+
+    def counting_extend_orbit(self, l):
+        def counting_compose(p, q):
+            composed.append(l)
+            return compose_(p, q)
+
+        extended.append(l)
+        monkeypatch.setattr(stabsym.permgroup, "compose", counting_compose)
+        try:
+            return extend_orbit(self, l)
+        finally:
+            monkeypatch.setattr(stabsym.permgroup, "compose", compose_)
+
+    monkeypatch.setattr(PermGroup, "_extend_orbit", counting_extend_orbit)
+    points = sum(len(tree) for tree in partial.transversals)
+    for g in gens[1:]:
+        partial.adjoin(g)
+    assert extended and sum(len(tree) for tree in partial.transversals) > points
+    assert composed == []
+    assert_schreier_trees(partial)

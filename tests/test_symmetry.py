@@ -38,6 +38,7 @@ from stabsym.symmetry import (
 )
 
 from dense_oracles import (
+    assert_schreier_trees,
     conjugation,
     dense_real_clifford_orbit,
     dense_sf_machinery,
@@ -392,10 +393,7 @@ def test_known_order_chain_is_complete(d, n, variant):
     moved = PermGroup.random_chain(gens, hint, degree)
     oracle = PermutationGroup([Permutation(list(g)) for g in gens])
     assert moved.base[:3] == hint
-    for level, b in enumerate(moved.base):
-        for point, u in moved.transversals[level].items():
-            assert u[b] == point
-            assert compose(moved.inverse_transversals[level][point], u) == moved.identity
+    assert_schreier_trees(moved)
     assert all(oracle.contains(Permutation(list(g))) for g in moved.level_gens[0])
     assert oracle.order() % moved.order() == 0
     certified = gram_automorphisms(theorem1_gram(d, n, variant), seeds=gens)
