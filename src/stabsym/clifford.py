@@ -117,9 +117,11 @@ def sp_order_formula(d, n) -> int:
 
 @lru_cache(maxsize=None)
 def sp_generators(d, n):
-    """A certified generating set of Sp(2n, d) built from transvections: the
-    order of the group they generate on the nonzero points is |Sp(2n, d)|
-    (`sp_order_formula`) and each is symplectic, else Mismatch."""
+    """A certified generating set of Sp(2n, d) built from transvections, else
+    Mismatch: each is symplectic, so a chain of the group they generate on
+    the nonzero points (`_order_on_nonzero`) has order at most
+    |<gens>| <= |Sp(2n, d)|, and a chain that reaches |Sp(2n, d)|
+    (`sp_order_formula`) certifies both."""
     require_prime(d)
     if d ** (2 * n) > MAX_POINTS:
         raise BudgetExceeded("phase space too large for certification")
@@ -134,7 +136,7 @@ def sp_generators(d, n):
         if order == sp_order_formula(d, n):
             break
     else:
-        raise Mismatch(f"the transvections generate a group of order {order}, "
+        raise Mismatch(f"a chain of the transvections reaches order {order}, "
                        f"not |Sp({2 * n}, {d})|", witness=order)
     for g in gens:
         if not is_symplectic(g):
@@ -159,11 +161,13 @@ def nonzero_point_perms(gens, d, n):
 
 @lru_cache(maxsize=None)
 def _order_on_nonzero(gens, d, n):
-    """The order of the group a tuple of matrices generates on the nonzero
-    points, by a deterministic chain; cached on the tuple, so `sp_order`
-    reads the order `sp_generators` certified."""
+    """The order of a random chain (`PermGroup.random_chain`) of the group a
+    tuple of matrices generates on the nonzero points: at most the order of
+    that group, and equal to it once it reaches the group's known order.
+    Cached on the tuple, so `sp_order` reads the order `sp_generators`
+    certified."""
     perms = nonzero_point_perms(gens, d, n)
-    return PermGroup.from_generators(perms, degree=d ** (2 * n) - 1).order()
+    return PermGroup.random_chain(perms, (), d ** (2 * n) - 1).order()
 
 
 def sp_order(d, n) -> int:
@@ -415,29 +419,31 @@ def qubit_gate_action(n, name, i=0, j=1):
     """The `label_permutations` map (S, 0, eta) with U T(b) U^dagger =
     (-1)^eta(b) T(S b) for the gate U = name on qubit i (CZ on qubits i and
     j) of an n-qubit register, name in H, S, Y, Z, CZ: the tableau rules
-    (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
+    (Aaronson & Gottesman, PRA 70, 052328 (2004)).  eta takes an integer
+    array of points b and acts along its last axis."""
     rows = [list(r) for r in ZModMatrix.identity(2 * n, 2).rows]
     x, z = i, n + i
     if name == "H":  # X <-> Z, Y -> -Y
         rows[x], rows[z] = rows[z], rows[x]
-        eta = lambda b: b[x] * b[z]
+        eta = lambda b: b[..., x] * b[..., z]
     elif name == "S":  # X -> Y, Y -> -X
         rows[z][x] = 1
-        eta = lambda b: b[x] * b[z]
+        eta = lambda b: b[..., x] * b[..., z]
     elif name in ("Y", "Z"):  # Z flips X; Y flips X and Z
-        eta = lambda b: (b[x] + (name == "Y") * b[z]) % 2
+        eta = lambda b: (b[..., x] + (name == "Y") * b[..., z]) % 2
     elif name == "CZ":  # X_i -> X_i Z_j, X_j -> Z_i X_j
         rows[n + j][x] = rows[z][j] = 1
-        eta = lambda b: b[x] * b[j] * (b[z] + b[n + j]) % 2
+        eta = lambda b: b[..., x] * b[..., j] * (b[..., z] + b[..., n + j]) % 2
     else:
         raise ValueError(name)
     return ZModMatrix(rows, 2), (0,) * (2 * n), eta
 
 
 def transpose_action(n):
-    """The label map of transposition: T(b)^T = (-1)^(b_X.b_Z) T(b)."""
+    """The label map of transposition: T(b)^T = (-1)^(b_X.b_Z) T(b), eta
+    acting along the last axis of an integer array of points b."""
     return (ZModMatrix.identity(2 * n, 2), (0,) * (2 * n),
-            lambda b: sum(x * z for x, z in zip(b[:n], b[n:])) % 2)
+            lambda b: (b[..., :n] * b[..., n:]).sum(-1) % 2)
 
 
 @lru_cache(maxsize=None)

@@ -39,11 +39,12 @@ from .operators import MAX_ENTRIES, rational_part, stabilizer_labels
 from .phase_space import (
     StabilizerLabel,
     all_vectors,
+    code_points,
     jvec,
+    label_cosets,
     lagrangian_count,
-    lagrangian_index,
-    reduce_reps,
-    sign_bits,
+    lagrangian_tables,
+    point_codes,
 )
 
 
@@ -107,18 +108,11 @@ def phase_point_operator_set(d, n) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # Spanning bases and exact trace tables
 
-def _points(d, n):
-    """The d^(2n) phase-space points as rows of an int64 array, in sorted
-    order: row a is the point whose base-d digits are a.  This is the order
-    of the Hermitian basis B_a (`_basis`) and of every trace-table row."""
-    return np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
-
-
 @lru_cache(maxsize=None)
 def _phase_forms(d, n):
     """[a, b] mod d for every pair of phase-space points, rows and columns in
-    `_points` order, as a read-only int64 array."""
-    p = _points(d, n)
+    `point_codes` order, as a read-only int64 array."""
+    p = code_points(np.arange(d ** (2 * n)), d, 2 * n)
     forms = (_exact(lambda x, y: x @ y.T, 2 * n, (p, jvec(p))) % d).astype(np.int64)
     forms.flags.writeable = False
     return forms
@@ -127,10 +121,10 @@ def _phase_forms(d, n):
 @lru_cache(maxsize=None)
 def _pauli_products(n):
     """beta(a, b) mod 4 with T(a) T(b) = i^beta T(a + b), for every pair of
-    d = 2 points in `_points` order, as a read-only int64 array:
+    d = 2 points in `point_codes` order, as a read-only int64 array:
     T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`) and
     X^(a_X) Z^(b_Z) = (-1)^(a_X.b_Z) Z^(b_Z) X^(a_X)."""
-    p = _points(2, n)
+    p = code_points(np.arange(4 ** n), 2, 2 * n)
     x, z, c = p[:, :n], p[:, n:], p[:, None] ^ p  # c[a, b] = a + b
     own = (x * z).sum(axis=1)
     beta = (2 * x @ z.T - own[:, None] - own + (c[..., :n] * c[..., n:]).sum(axis=-1)) % 4
@@ -140,7 +134,7 @@ def _pauli_products(n):
 
 def _triples(d, n, a, b, c):
     """tr(B_a B_b B_c) = values[e] for the basis points a, b, c (index
-    arrays in `_points` order that broadcast together), as (e,
+    arrays in `point_codes` order that broadcast together), as (e,
     values): values[v] = norm zeta_r^v in power-basis integers over the
     conductor of d for v < r, and values[r] = 0.  At odd d,
     tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
@@ -164,13 +158,13 @@ _Basis = namedtuple("_Basis", "labels points single pair")
 @lru_cache(maxsize=None)
 def _basis(d, n, real=False) -> _Basis:
     """The Hermitian basis B_a in closed form: labels, their indices `points`
-    in `_points` order, tr B_a = single[a] and tr(B_a B_b) =
+    in `point_codes` order, tr B_a = single[a] and tr(B_a B_b) =
     pair[a, b] as Python ints (A(a): 1, d^n [a = b]; T(a): 2^n [a = 0],
     2^n [a = b]).  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
     2^(n-1) (2^n + 1) of them, an orthogonal basis of Sym."""
     if real and d != 2:
         raise Unsupported("the real basis is defined at d = 2")
-    p = _points(d, n)
+    p = code_points(np.arange(d ** (2 * n)), d, 2 * n)
     points = np.flatnonzero((p[:, :n] * p[:, n:]).sum(axis=1) % 2 == 0) if real \
         else np.arange(len(p))
     single = 2 ** n * (points == 0) if d == 2 else np.ones(len(points), dtype=int)
@@ -180,36 +174,26 @@ def _basis(d, n, real=False) -> _Basis:
 
 def _incidence(q: OperatorSet):
     """The Hermitian trace table of a set, over scale 1, rows in
-    `_points` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
+    `point_codes` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
     odd d, tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
     (`StabilizerLabel`): at d = 2, tr(T(b) Pi_x) = (-1)^([rep_x, b] +
-    c_L(b)) [b in L_x], with c_L from `sign_bits`; at odd d,
-    tr(A(a) Pi_x) = [a in rep_x + L_x] (Pi_x = d^-n times the sum of the
-    A(a) over its coset, so this is its discrete Wigner function).  A point
-    lies in rep + L iff its canonical representative modulo L is rep: every
-    point is reduced once per Lagrangian."""
+    c_L(b)) [b in L_x], with member and c_L from `lagrangian_tables`; at odd
+    d, tr(A(a) Pi_x) = [a in rep_x + L_x] (Pi_x = d^-n times the sum of the
+    A(a) over its coset, so this is its discrete Wigner function), read from
+    the coset table of `label_cosets`."""
     d, n = q.d, q.n
-    shape = (d,) * (2 * n)
     if not isinstance(q.labels[0], StabilizerLabel):
-        cells = np.ravel_multi_index(np.array(q.labels).T, shape)
+        cells = point_codes(np.array(q.labels), d)
         if d == 2:
             return 1 - 2 * _phase_forms(2, n)[:, cells]
         return d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
-    lags, li = lagrangian_index(q.labels)
-    reps = np.ravel_multi_index(np.array([lab.rep for lab in q.labels]).T, shape)
+    lags, li, coset = label_cosets(q.labels)
     if d == 2:
-        signs = np.zeros((len(lags), 4 ** n), dtype=np.int8)  # (-1)^c_L(b) [b in L]
-        for k, L in enumerate(lags):
-            cells, bits = zip(*sign_bits(L).items())
-            signs[k, np.ravel_multi_index(np.array(cells).T, shape)] = 1 - 2 * np.array(bits)
-        return signs[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
-    points = _points(d, n)
-    canon = reduce_reps(np.broadcast_to(points, (len(lags),) + points.shape),
-                        np.array([L.basis for L in lags])[:, None],
-                        np.array([L.pivots for L in lags])[:, None], d)
-    key = np.min_scalar_type(d ** (2 * n) - 1)
-    cells = np.ravel_multi_index(np.moveaxis(canon, -1, 0), shape).astype(key)  # [L, a]
-    return (cells[li] == reps.astype(key)[:, None]).T.astype(np.uint8)
+        tables = lagrangian_tables(lags)
+        signed = tables.member.astype(np.int8) - 2 * tables.signs.astype(np.int8)
+        reps = point_codes(np.array([lab.rep for lab in q.labels]), 2)
+        return signed[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
+    return (coset[li] == np.arange(len(q.labels))[:, None]).T.astype(np.uint8)
 
 
 @lru_cache(maxsize=None)

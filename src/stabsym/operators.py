@@ -24,10 +24,12 @@ from .cyclotomic import (
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
     StabilizerLabel,
+    code_points,
     enumerate_stabilizer_labels,
     jvec,
     lagrangian_index,
-    sign_bits,
+    lagrangian_tables,
+    point_codes,
 )
 from .zmod import null_space, require_prime
 
@@ -230,21 +232,6 @@ class Mono:
         return mono_sum([self], 1)
 
 
-def _digits(q, d, n):
-    out = []
-    for _ in range(n):
-        out.append(q % d)
-        q //= d
-    return tuple(reversed(out))
-
-
-def _index(digits, d):
-    q = 0
-    for x in digits:
-        q = q * d + x
-    return q
-
-
 def weyl_mono(d, n, a) -> Mono:
     """T(a) as a monomial operator; a = (a_X, a_Z) concatenated.  `Mono` is
     frozen, so one instance per (d, n, a) is cached and shared."""
@@ -254,22 +241,11 @@ def weyl_mono(d, n, a) -> Mono:
 @lru_cache(maxsize=8192)
 def _weyl_mono(d, n, a) -> Mono:
     require_prime(d)
-    ax, az = a[:n], a[n:]
-    dim = d ** n
-    perm = []
-    expo = []
-    half = (d + 1) // 2
-    dot = sum(x * z for x, z in zip(ax, az))
-    for q in range(dim):
-        digs = _digits(q, d, n)
-        out = tuple((x + y) % d for x, y in zip(digs, ax))
-        perm.append(_index(out, d))
-        ph = sum(z * o for z, o in zip(az, out))
-        if d == 2:
-            expo.append((-dot + 2 * ph) % 4)
-        else:
-            expo.append((half * (-dot) + ph) % d)
-    return Mono(d, n, tuple(perm), tuple(expo))
+    ax, az = np.array(a[:n]), np.array(a[n:])
+    out = (code_points(np.arange(d ** n), d, n) + ax) % d  # T(a) takes |q> to |q + a_X>
+    dot, ph = int(ax @ az), out @ az
+    expo = (2 * ph - dot) % 4 if d == 2 else ((d + 1) // 2 * -dot + ph) % d
+    return Mono(d, n, tuple(point_codes(out, d).tolist()), tuple(expo.tolist()))
 
 
 def weyl(d, n, a) -> OpMatrix:
@@ -307,7 +283,7 @@ def phase_point_mono(d, n, a) -> Mono:
     if d == 2:
         raise OddOnly("qubit A(a) is not monomial")
     dim = d ** n
-    parity = Mono(d, n, tuple(_index([-x % d for x in _digits(q, d, n)], d) for q in range(dim)),
+    parity = Mono(d, n, tuple(point_codes(-code_points(np.arange(dim), d, n) % d, d).tolist()),
                   (0,) * dim)
     t = weyl_mono(d, n, a)
     return t.dagger() @ parity @ t
@@ -319,27 +295,26 @@ def _pair_table(lags):
     (L_i, L_j): dim(L_i ∩ L_j) as dims[i, j], J b_t = (b_Z, -b_X) for a basis
     b_t of L_i ∩ L_j (one for both orders) as jb[i, j, t], padded with zero
     rows to n, so that [a, b_t] = a . J b_t, and c_(L_i)(b_t) as signs[i, j, t]
-    (`sign_bits`); read-only, as the table is cached.  L_j is its own
-    symplectic complement, so k . basis(L_i) lies in L_j iff
-    pairing[i][j] k = 0, pairing[i][j][s][r] = [b_r(L_i), b_s(L_j)]."""
+    (the signs of `lagrangian_tables`, 0 at the zero rows); read-only, as
+    the table is cached.  L_j is its own symplectic complement, so
+    k . basis(L_i) lies in L_j iff pairing[i][j] k = 0,
+    pairing[i][j][s][r] = [b_r(L_i), b_s(L_j)]."""
+    tables = lagrangian_tables(lags)
     d, n = lags[0].d, lags[0].ambient // 2
-    if any((L.d, L.ambient) != (d, 2 * n) for L in lags):
-        raise ValueError("mismatched ambient spaces")
     dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
     jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
-    signs = np.zeros((len(lags),) * 2 + (n,), dtype=np.uint8)
-    bits = [sign_bits(L) for L in lags]
-    basis = np.array([L.basis for L in lags])  # (lags, n, 2n)
+    codes = np.zeros((len(lags),) * 2 + (n,), dtype=np.min_scalar_type(d ** (2 * n) - 1))
+    basis = tables.basis
     pairing = (np.einsum("irk,jsk->ijsr", basis, jvec(basis)) % d).tolist()
     for i in range(len(lags)):
         for j in range(i, len(lags)):
             kernel = null_space(pairing[i][j], n, d)
             dims[i, j] = dims[j, i] = len(kernel)
             for t, k in enumerate(kernel):
-                b = tuple((np.dot(k, basis[i]) % d).tolist())
-                jb[i, j, t] = jb[j, i, t] = jvec(np.array(b)) % d
-                if d == 2:  # c_L is 0 at odd d
-                    signs[i, j, t], signs[j, i, t] = bits[i][b], bits[j][b]
+                b = np.dot(k, basis[i]) % d
+                jb[i, j, t] = jb[j, i, t] = jvec(b) % d
+                codes[i, j, t] = codes[j, i, t] = point_codes(b, d)
+    signs = tables.signs[np.arange(len(lags))[:, None, None], codes]
     dims.flags.writeable = jb.flags.writeable = signs.flags.writeable = False
     return dims, jb, signs
 

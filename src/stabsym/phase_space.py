@@ -7,6 +7,7 @@ concatenated; subspaces are canonical RREF row spans.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -149,23 +150,6 @@ class LagrangianSubspace(Subspace):
         return cls(basis=sub.basis, d=d, ambient=sub.ambient)
 
 
-@lru_cache(maxsize=None)
-def sign_bits(L: LagrangianSubspace) -> dict:
-    """c_L(b) at every b = sum k_i b_i in L (k_i is b at the i-th pivot):
-    prod_{k_i = 1} T(b_i) = (-1)^c_L(b) T(b), b_i the canonical basis.  At d = 2
-    T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`): X^(x_k) passes
-    Z^(z_l) with (-1)^(x_k.z_l), and Z^(b_Z) X^(b_X) = i^(b_X.b_Z) T(b)."""
-    out = dict.fromkeys(L.points(), 0)
-    if L.d != 2:  # T(a) T(b) = T(a + b) when [a, b] = 0
-        return out
-    n = L.ambient // 2
-    for b in out:
-        rows = np.array([row for row, p in zip(L.basis, L.pivots) if b[p]]).reshape(-1, 2 * n)
-        xz = rows[:, :n] @ rows[:, n:].T  # xz[k, l] = x_k . z_l
-        out[b] = int(np.dot(b[:n], b[n:]) - np.trace(xz) + 2 * np.triu(xz, 1).sum()) % 4 // 2
-    return out
-
-
 @dataclass(frozen=True)
 class AffineSubspace:
     """A coset direction + canonical representative."""
@@ -194,7 +178,8 @@ class StabilizerLabel:
     """A Lagrangian L plus the canonical coset representative of L + a.
 
     The representative encodes the functional g(b) = [a, b] on L.  The state
-    is d^-n sum_{b in L} omega^chi(b) T(b), chi = g + c_L (`sign_bits`).
+    is d^-n sum_{b in L} omega^chi(b) T(b), chi = g + c_L, with c_L the
+    signs of `lagrangian_tables`.
     """
 
     L: LagrangianSubspace
@@ -371,16 +356,6 @@ def intersect(a: AffineSubspace, b: AffineSubspace):
     return AffineSubspace.make(direction, tuple(point))
 
 
-def reduce_reps(reps, basis, pivots, d):
-    """`Subspace.reduce` of every reps[..., :] against the echelon basis
-    basis[..., n, 2n] with pivot columns pivots[..., n], broadcast over the
-    leading axes: row r of each basis clears that row's pivot."""
-    for r in range(basis.shape[-2]):
-        at = np.broadcast_to(pivots[..., r, None], reps.shape[:-1] + (1,))
-        reps = (reps - np.take_along_axis(reps, at, -1) * basis[..., r, :]) % d
-    return reps
-
-
 def point_codes(v, d):
     """The index of each point v[..., :] of Z_d^m in `all_vectors` order: its
     base-d code, the first coordinate most significant."""
@@ -393,48 +368,99 @@ def code_points(codes, d, length):
     return np.asarray(codes)[..., None] // d ** np.arange(length - 1, -1, -1) % d
 
 
+LagrangianTables = namedtuple("LagrangianTables", "basis pivots points codes member signs")
+
+
+@lru_cache(maxsize=1024)
+def lagrangian_tables(lags) -> LagrangianTables:
+    """Integer tables of Lagrangians lags of one (d, n) (else ValueError),
+    read-only, as they are cached: the echelon basis[l] (n x 2n) of L_l and
+    its pivot columns pivots[l]; points[l], the d^n points of L_l in
+    `Subspace.points` order, and their `point_codes` codes[l]; member[l, x],
+    whether the point with code x lies in L_l; and signs[l, x] = c_L(x), 0
+    off L_l and at odd d.
+
+    The sign c_L(b) of b = sum k_i b_i in L (k_i is b at the i-th pivot) is
+    defined by prod_{k_i = 1} T(b_i) = (-1)^c_L(b) T(b).  At odd d it is 0,
+    as T(a) T(b) = T(a + b) when [a, b] = 0.  At d = 2, T(a) =
+    i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`): X^(x_k) passes
+    Z^(z_l) with (-1)^(x_k.z_l), and Z^(b_Z) X^(b_X) = i^(b_X.b_Z) T(b), so
+    2 c_L(b) = b_X.b_Z - sum_i k_i x_i.z_i + 2 sum_(i<j) k_i k_j x_i.z_j
+    mod 4, for the rows b_i = (x_i, z_i) of the basis."""
+    d, n = lags[0].d, lags[0].ambient // 2
+    if any((L.d, L.ambient) != (d, 2 * n) for L in lags):
+        raise ValueError("mismatched ambient spaces")
+    basis = np.array([L.basis for L in lags])
+    pivots = np.array([L.pivots for L in lags])
+    k = code_points(np.arange(d ** n), d, n)  # row p: the coefficients of point p
+    points = k @ basis % d
+    codes = point_codes(points, d)
+    at = np.arange(len(lags))[:, None], codes
+    member = np.zeros((len(lags), d ** (2 * n)), dtype=bool)
+    member[at] = True
+    signs = np.zeros(member.shape, dtype=np.uint8)
+    if d == 2:
+        xz = basis[..., :n] @ basis[..., n:].swapaxes(1, 2)  # xz[l, i, j] = x_i . z_j
+        twice = ((points[..., :n] * points[..., n:]).sum(-1)
+                 - np.einsum("pi,li->lp", k, np.diagonal(xz, axis1=1, axis2=2))
+                 + 2 * np.einsum("pi,lij,pj->lp", k, np.triu(xz, 1), k))
+        signs[at] = twice % 4 // 2
+    tables = LagrangianTables(basis, pivots, points, codes, member, signs)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def label_cosets(labels):
+    """(lags, li, coset) of stabilizer `labels` of one (d, n): the
+    Lagrangians and each label's index into them (`lagrangian_index`), and
+    coset[l, x], the index of the label (L_l, x + L_l) for the point x
+    (by its `point_codes` code), -1 if it is not given."""
+    d, n = labels[0].d, labels[0].n
+    lags, li = lagrangian_index(labels)
+    reps = np.array([lab.rep for lab in labels])
+    coset = np.full((len(lags), d ** (2 * n)), -1, dtype=np.int64)
+    coset[li[:, None], point_codes((reps[:, None] + lagrangian_tables(lags).points[li]) % d, d)] = (
+        np.arange(len(labels))[:, None])
+    return lags, li, coset
+
+
 def label_permutations(labels, maps):
     """The permutation of `labels` by each map (matrix, a[, eta]) of phase
     space, x -> matrix . x + a, every image one of the labels.
 
     With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
     symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
-    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L.
+    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L; eta takes an
+    integer array of points and acts along its last axis.
 
-    Points are read by their codes (`point_codes`) in two tables built once:
-    member[l, x], whether x lies in Lagrangian l, and coset[l, x], the index
-    of the label (L_l, x + L_l), -1 if it is not given.  The image of
-    Lagrangian l is the labelled Lagrangian that holds M b for every basis
-    row b of l, and a label's image is the coset entry of its mapped rep.
-    A map raises ValueError, naming its index, when the image of a
-    Lagrangian is not exactly one labelled Lagrangian (M singular or not a
-    similitude), when an image coset has no label, or when the images are
-    not a bijection of the labels."""
+    Points are read by their codes (`point_codes`) in the tables of
+    `lagrangian_tables` and `label_cosets`.  The image of Lagrangian l is
+    the labelled Lagrangian that holds M b for every basis row b of l, and
+    a label's image is the coset entry of its mapped rep.  t_L is J f for f
+    the values at the pivots of S L (`label_from_functional`), for every
+    Lagrangian at once.  A map raises ValueError, naming its index, when the
+    image of a Lagrangian is not exactly one labelled Lagrangian (M singular
+    or not a similitude), when an image coset has no label, or when the
+    images are not a bijection of the labels."""
     d, n = labels[0].d, labels[0].n
-    lags, which = lagrangian_index(labels)
-    basis = np.array([L.basis for L in lags])  # (Lagrangians, n, 2n)
-    points = code_points(np.arange(d ** n), d, n) @ basis % d  # (Lagrangians, d^n, 2n)
-    member = np.zeros((len(lags), d ** (2 * n)), dtype=bool)
-    member[np.arange(len(lags))[:, None], point_codes(points, d)] = True
+    lags, which, coset = label_cosets(labels)
+    tables = lagrangian_tables(lags)
     reps = np.array([lab.rep for lab in labels])
-    coset = np.full(member.shape, -1, dtype=np.int64)
-    coset[which[:, None], point_codes((reps[:, None] + points[which]) % d, d)] = (
-        np.arange(len(labels))[:, None])
+    rows = np.arange(len(lags))[:, None]
     perms = []
     for k, (matrix, a, *eta) in enumerate(maps):
         m = np.array(matrix.rows)
-        hits = member[:, point_codes(basis @ m.T % d, d)].all(-1)  # (targets, sources)
+        hits = tables.member[:, point_codes(tables.basis @ m.T % d, d)].all(-1)  # (targets, sources)
         if (hits.sum(0) != 1).any():
             raise ValueError(f"map {k}: the image of a Lagrangian is not exactly one "
                              "labelled Lagrangian")
         image = hits.argmax(0)
-        shifts = np.zeros((len(lags), 2 * n), dtype=np.int64)
+        f = np.zeros((len(lags), 2 * n), dtype=np.int64)
         if eta:
-            pre = (basis[image] @ np.array(invert(matrix).rows).T % d).tolist()
-            for l, L in enumerate(lags):
-                values = [sign_bits(L)[b] + eta[0](b) for b in map(tuple, pre[l])]
-                shifts[l] = label_from_functional(lags[image[l]], values).rep
-        perm = coset[image[which], point_codes((reps @ m.T + a + shifts[which]) % d, d)]
+            pre = tables.basis[image] @ np.array(invert(matrix).rows).T % d  # rows in L_l
+            f[rows, tables.pivots[image]] = tables.signs[rows, point_codes(pre, d)] + eta[0](pre)
+        perm = coset[image[which], point_codes((reps @ m.T + a + jvec(f)[which]) % d, d)]
         if (perm < 0).any():
             raise ValueError(f"map {k}: an image coset has no label")
         if (np.bincount(perm, minlength=perm.size) != 1).any():
@@ -444,11 +470,11 @@ def label_permutations(labels, maps):
 
 
 def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:
-    """Label whose representative a satisfies [a, b_i] = values[i] on the basis of L."""
-    d = L.d
+    """Label whose representative a satisfies [a, b_i] = values[i] on the
+    basis of L: a = J f, f the values at the pivots, as [J f, b] = f . b and
+    the echelon row b_i is 1 at its own pivot and 0 at the others."""
     if len(values) != L.dim:
         raise ValueError("one value per basis row required")
-    rows = (jvec(np.array(L.basis)) % d).tolist()  # [a, b] = a . J b
-    sol = solve_rows(rows, [v % d for v in values], d)
-    assert sol is not None, "functionals on a Lagrangian are always representable"
-    return StabilizerLabel.make(L, sol)
+    f = np.zeros(L.ambient, dtype=np.int64)
+    f[list(L.pivots)] = values
+    return StabilizerLabel.make(L, tuple(jvec(f).tolist()))

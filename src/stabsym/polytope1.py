@@ -6,8 +6,8 @@ no function here lists the facets.
 
 No function here builds a matrix: the overlaps are the closed-form Gram's
 codes, and an operator is given by its discrete Wigner function (Gross,
-J. Math. Phys. 47, 122107 (2006)), read through the coset incidence of the
-moment checks (`moments._incidence`)."""
+J. Math. Phys. 47, 122107 (2006)), summed over each coset through the coset
+table of the labels (`phase_space.label_cosets`)."""
 
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import Mismatch, OddOnly
-from .moments import OperatorSet, _incidence
 from .operators import stabilizer_labels, stabilizer_states
-from .phase_space import basis_blocks, lagrangian_index
+from .phase_space import basis_blocks, label_cosets, lagrangian_index
 
 
 def direct_sum_check(d):
@@ -60,7 +59,7 @@ def direct_sum_check(d):
 def polytope_membership(w, d):
     """Exact membership of a trace-1 Hermitian operator A in the stabilizer
     polytope, given by its Wigner function w[x] = tr(A(x) A) at the d^2
-    points x in `moments._points` order: A lies inside iff
+    points x in `phase_space.point_codes` order: A lies inside iff
     tr(X_g A) >= 0 for every facet X_g.
 
     The A(x) sum to d 1, so tr A = d^-1 sum_x w[x], and
@@ -85,10 +84,9 @@ def polytope_membership(w, d):
     den = math.lcm(*(v.denominator for v in w))
     ints = np.array([int(v * den) for v in w], dtype=object)
     labels = stabilizer_labels(d, 1)
-    # the ones of the 0/1 coset incidence: point x lies in the coset of y
-    x, y = np.nonzero(_incidence(OperatorSet(f"stabilizer({d},1)", d, 1, labels=labels)))
+    coset = label_cosets(labels)[2]  # coset[l, x]: the label y with x in rep_y + L_l
     sums = np.zeros(len(labels), dtype=object)  # den * d * t_y
-    np.add.at(sums, y, ints[x])
+    np.add.at(sums, coset, np.broadcast_to(ints, coset.shape))
     blocks = basis_blocks(labels)
     # den * d * tr(X_g A) = den + sum_i terms[i][g_i], as s = 1/d
     terms = [[sums[y] - den for y in block] for block in blocks]
@@ -110,7 +108,7 @@ def wigner_negative_state(d):
     """The Wigner function of rho = (1 - A(0))/(d - 1), a trace-1 Hermitian
     operator with a negative Wigner value: tr A(x) = 1 and
     tr(A(x) A(0)) = d [x = 0] give w[x] = (1 - d [x = 0])/(d - 1), with the
-    points in `moments._points` order (0 first)."""
+    points in `phase_space.point_codes` order (0 first)."""
     return tuple(Fraction(1 - d * (x == 0), d - 1) for x in range(d * d))
 
 

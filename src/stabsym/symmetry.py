@@ -33,8 +33,7 @@ from .phase_space import (
     enumerate_lagrangians,
     jvec,
     label_permutations,
-    point_codes,
-    reduce_reps,
+    lagrangian_tables,
     wreath_compose,
     wreath_decompose,
 )
@@ -272,18 +271,21 @@ class AutomorphismSearch:
             self.base_seq.append(v0)
             self._dfs(*self._individualize(labels, v0), depth + 1, True)
             self._grow_chain(depth)
-            processed = [v0]
-            orbit = self.chain.orbit_of(depth, processed)
+            # v0 is base[depth], so its orbit is the level's Schreier tree;
+            # an adjoined gamma takes v0 to its v, so after an adjoin only the
+            # vertices that found no automorphism need their orbits again
+            failed = []
+            orbit = set(self.chain.transversals[depth])
             for v in candidates[1:]:
                 v = int(v)
                 if v in orbit:
                     continue
                 gamma = self._dfs(*self._individualize(labels, v), depth + 1, False)
-                processed.append(v)
                 if gamma is not None and not self.chain.contains(gamma):
                     self._grow_chain(depth, gamma)
-                    orbit = self.chain.orbit_of(depth, processed)
+                    orbit = set(self.chain.transversals[depth]) | self.chain.orbit_of(depth, failed)
                 else:
+                    failed.append(v)
                     orbit |= self.chain.orbit_of(depth, [v])
             return None
         for v in candidates:
@@ -532,8 +534,8 @@ def sf_checks(lags, reps, bs):
     def pairing(a, v):  # [a, v] mod d
         return np.einsum("...a,...a", a, jvec(v)) % d
 
-    points = np.array([L.points() for L in lags])  # (lags, d^n, 2n)
-    where = point_codes(points, d)
+    tables = lagrangian_tables(lags)
+    points, where = tables.points, tables.codes  # (lags, d^n, 2n), (lags, d^n)
     chi = pairing(reps[:, :, None], points)  # (B, lags, d^n)
     at = (np.arange(len(bs))[:, None, None] * size + where) * d + chi
     hist = np.bincount(at.ravel(), minlength=len(bs) * size * d).reshape(len(bs), size, d)
@@ -560,13 +562,12 @@ def _sf_families(d, n, bs):
     if d == 2:
         raise OddOnly("S_f machinery requires odd d")
     lags = enumerate_lagrangians(d, n)
-    basis, pivots = (np.array([getattr(L, a) for L in lags]) for a in ("basis", "pivots"))
     bs = np.array(bs, dtype=np.int64).reshape(-1, 2 * n) % d
     step = max(1, _SF_CHUNK // (d ** (2 * n + 1) + len(lags) ** 2))
     parts = []
     for chunk in (bs[i:i + step] for i in range(0, len(bs), step)):
-        reps = reduce_reps(np.broadcast_to(chunk[:, None], (len(chunk), *basis[:, 0].shape)),
-                           basis, pivots, d)
+        # b itself represents (L, b): [rep, v] = [b, v] for v in L
+        reps = np.broadcast_to(chunk[:, None], (len(chunk), len(lags), 2 * n))
         parts.append(sf_checks(lags, reps, chunk))
     return tuple(np.concatenate(x) for x in zip(*parts))
 

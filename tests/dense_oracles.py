@@ -28,7 +28,9 @@ projectors, `trace_pairs` is every pairwise trace of two lists of dense
 matrices in one contraction, and `bruteforce_gram` the Gram of dense
 projectors by those traces.  The rest are
 one-element or single-operator forms of the library's batched kernels:
-`transform_label`, `mono_trace`, `mono_trace_product`,
+`transform_label`, `sign_bits` (c_L one point at a time, the oracle of
+`phase_space.lagrangian_tables`), `solved_functional_label` (one
+`solve_rows` per label), `mono_trace`, `mono_trace_product`,
 `stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
 `is_hermitian` and `is_identity`.  `first_moment` is the dense sum behind
 the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
@@ -45,7 +47,7 @@ the dense closed form of U_S, `dense` expands a table to a dense matrix,
 `weyl_law_pairwise` checks the Weyl law one `Mono` product at a time and
 `similitude_multiplier_loop` reads the multiplier pair by pair.
 `hermitian_basis` lists the Hermitian basis as monomials in
-`moments._points` order.
+`phase_space.point_codes` order.
 
 A stabilizer chain keeps a Schreier tree per level and builds coset
 representatives on demand (`permgroup.PermGroup`); `tree_representative`
@@ -104,14 +106,12 @@ from stabsym.phase_space import (
     basis_blocks,
     all_vectors,
     enumerate_lagrangians,
-    label_from_functional,
+    jvec,
     lagrangian_index,
-    reduce_reps,
-    sign_bits,
     symplectic_form,
     vec_add,
 )
-from stabsym.zmod import ZModMatrix, inv_mod, invert, legendre
+from stabsym.zmod import ZModMatrix, inv_mod, invert, legendre, solve_rows
 
 
 def real_gates(n):
@@ -409,30 +409,62 @@ def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
     return StabilizerLabel.make(new_L, new_rep)
 
 
+@lru_cache(maxsize=None)
+def sign_bits(L: LagrangianSubspace) -> dict:
+    """c_L(b) at every b = sum k_i b_i in L (k_i is b at the i-th pivot), one
+    point at a time: prod_{k_i = 1} T(b_i) = (-1)^c_L(b) T(b), b_i the
+    canonical basis, so at d = 2 c_L(b) is read from the products x_k . z_l
+    of the rows it sums; the oracle of `phase_space.lagrangian_tables`'s
+    signs."""
+    out = dict.fromkeys(L.points(), 0)
+    if L.d != 2:  # T(a) T(b) = T(a + b) when [a, b] = 0
+        return out
+    n = L.ambient // 2
+    for b in out:
+        rows = np.array([row for row, p in zip(L.basis, L.pivots) if b[p]]).reshape(-1, 2 * n)
+        xz = rows[:, :n] @ rows[:, n:].T  # xz[k, l] = x_k . z_l
+        out[b] = int(np.dot(b[:n], b[n:]) - np.trace(xz) + 2 * np.triu(xz, 1).sum()) % 4 // 2
+    return out
+
+
+def solved_functional_label(L: LagrangianSubspace, values) -> StabilizerLabel:
+    """The label whose rep a has [a, b_i] = values[i] on the basis of L, by
+    one `solve_rows` of a . J b_i = values[i]: the oracle of
+    `phase_space.label_from_functional`."""
+    d = L.d
+    rows = (jvec(np.array(L.basis)) % d).tolist()  # [a, b] = a . J b
+    sol = solve_rows(rows, [v % d for v in values], d)
+    assert sol is not None, "functionals on a Lagrangian are always representable"
+    return StabilizerLabel.make(L, sol)
+
+
 def transform_labels(labels, matrix, a, eta=None):
     """The images of the labelled cosets under x -> matrix . x + a, as
     labels: all reps mapped by one integer product mod d, each Lagrangian
     mapped and reduced once, and every image rep reduced against its mapped
-    Lagrangian in one pass over the echelon rows (`reduce_reps`).
+    Lagrangian (`StabilizerLabel.make`).
 
-    With `eta` (d = 2) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
+    With `eta` (d = 2; it takes an integer array of points and acts along
+    its last axis) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
     symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
-    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L."""
+    c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L: c_L from
+    `sign_bits` and t_L by `solved_functional_label`, one Lagrangian at a
+    time."""
     d = labels[0].d
     lags, which = lagrangian_index(labels)
     mapped = np.array([L.basis for L in lags]) @ np.array(matrix.rows).T % d
     images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
-    basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
     shifts = np.zeros((len(lags), matrix.ncols), dtype=np.int64)
     if eta is not None:
-        pre = (basis @ np.array(invert(matrix).rows).T % d).tolist()
+        basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
+        pre = basis @ np.array(invert(matrix).rows).T % d
         for k, (L, image) in enumerate(zip(lags, images)):
-            values = [sign_bits(L)[b] + eta(b) for b in map(tuple, pre[k])]
-            shifts[k] = label_from_functional(image, values).rep
+            values = [sign_bits(L)[b] + e for b, e in zip(map(tuple, pre[k].tolist()),
+                                                          eta(pre[k]).tolist())]
+            shifts[k] = solved_functional_label(image, values).rep
     reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
             + shifts[which]) % d
-    reps = reduce_reps(reps, basis[which], np.array([L.pivots for L in images])[which], d)
-    return [StabilizerLabel(L=images[k], rep=tuple(rep)) for k, rep in zip(which, reps.tolist())]
+    return [StabilizerLabel.make(images[k], tuple(rep)) for k, rep in zip(which, reps.tolist())]
 
 
 def matrix_point_perm(m: ZModMatrix, points, index=None):
@@ -683,7 +715,7 @@ def moment_form(q, k, args):
 @lru_cache(maxsize=None)
 def hermitian_basis(d, n):
     """An orthogonal Hermitian basis as (point, monomial) pairs, in
-    `moments._points` order: A(a) for odd d, the Pauli T(a) for d = 2."""
+    `phase_space.point_codes` order: A(a) for odd d, the Pauli T(a) for d = 2."""
     mono = weyl_mono if d == 2 else phase_point_mono
     return tuple((a, mono(d, n, a)) for a in sorted(all_vectors(d, 2 * n)))
 

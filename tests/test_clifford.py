@@ -7,8 +7,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 import stabsym
 from stabsym import clifford, cyclotomic, operators
@@ -100,7 +102,17 @@ def test_sp_order_reads_the_order_sp_generators_certified(monkeypatch):
         raise AssertionError("a second chain was built")
 
     monkeypatch.setattr(clifford.PermGroup, "from_generators", second_chain)
+    monkeypatch.setattr(clifford.PermGroup, "random_chain", second_chain)
     assert sp_order(3, 2) == sp_order_formula(3, 2)
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (2, 2), (3, 2)])
+def test_sp_generators_generate_sp_by_sympy(d, n):
+    # an independent chain: sympy's order of the certified generators on the
+    # nonzero points is |Sp(2n, d)|, which the random chain reached
+    perms = nonzero_point_perms(sp_generators(d, n), d, n)
+    group = PermutationGroup([Permutation(list(p)) for p in perms])
+    assert group.order() == sp_order_formula(d, n)
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -559,19 +571,20 @@ def test_real_orbit_is_the_dense_breadth_first_orbit(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_label_maps_match_dense_conjugation_on_every_pauli(n):
     # U T(b) U^dagger = (-1)^eta(b) T(S b) on all 4^n Paulis, and
-    # T(b)^T = (-1)^eta(b) T(b)
+    # T(b)^T = (-1)^eta(b) T(b), eta taking all the points as one array
+    points = list(all_vectors(2, 2 * n))
     gates = [(g, i) for g in ("H", "S", "Y", "Z") for i in range(n)]
     gates += [("CZ", 0, 1)] if n == 2 else []
     for gate in gates:
         s, a, eta = qubit_gate_action(n, *gate)
         assert a == (0,) * (2 * n)
         u = qubit_gate(n, *gate)
-        for b in all_vectors(2, 2 * n):
+        for b, flip in zip(points, eta(np.array(points)).tolist()):
             image = weyl(2, n, s.apply(b))
-            assert u @ weyl(2, n, b) @ u.dagger() == (-image if eta(b) else image), (gate, b)
+            assert u @ weyl(2, n, b) @ u.dagger() == (-image if flip else image), (gate, b)
     s, a, eta = transpose_action(n)
-    for b in all_vectors(2, 2 * n):
-        assert weyl(2, n, b).transpose() == (-weyl(2, n, b) if eta(b) else weyl(2, n, b))
+    for b, flip in zip(points, eta(np.array(points)).tolist()):
+        assert weyl(2, n, b).transpose() == (-weyl(2, n, b) if flip else weyl(2, n, b))
 
 
 def test_wreath_table_of_standard_generators():

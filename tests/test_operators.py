@@ -31,7 +31,8 @@ from stabsym.phase_space import (
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     label_from_functional,
-    sign_bits,
+    lagrangian_tables,
+    point_codes,
     subspace_intersection,
     symplectic_form,
     vec_add,
@@ -46,6 +47,7 @@ from dense_oracles import (
     is_hermitian,
     mono_trace_product,
     phase_point,
+    sign_bits,
     stab_projector,
     stab_projector_qubit,
     stab_projector_wigner,
@@ -215,13 +217,21 @@ def test_projector_forms_agree_d3_n2_all():
         assert stab_projector(lab) == stab_projector_wigner(lab)
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_sign_bits_are_the_phases_of_basis_products(d, n):
     # prod_i T(b_i)^(k_i) = (-1)^c_L(b) T(b) for b = sum k_i b_i, with the
-    # monomials' own products; at odd d the product is T(b) exactly
-    for L in enumerate_lagrangians(d, n):
-        signs = sign_bits(L)
-        assert set(signs) == set(L.points())
+    # monomials' own products; at odd d the product is T(b) exactly.  The
+    # table of every Lagrangian at once lists L's points in `points` order,
+    # holds the per-point oracle's signs on L and is 0 off L
+    lags = enumerate_lagrangians(d, n)
+    tables = lagrangian_tables(lags)
+    for l, L in enumerate(lags):
+        assert tables.points[l].tolist() == [list(b) for b in L.points()]
+        assert tables.codes[l].tolist() == point_codes(tables.points[l], d).tolist()
+        assert np.flatnonzero(tables.member[l]).tolist() == sorted(tables.codes[l].tolist())
+        assert not tables.signs[l, ~tables.member[l]].any()
+        signs = dict(zip(L.points(), tables.signs[l, tables.codes[l]].tolist()))
+        assert signs == sign_bits(L)
         for b, c in signs.items():
             prod = weyl_mono(d, n, (0,) * (2 * n))
             for row, p in zip(L.basis, L.pivots):

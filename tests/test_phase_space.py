@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stabsym.clifford import qubit_gate_action
 from stabsym.errors import BudgetExceeded
 from stabsym.phase_space import (
     AffineSubspace,
@@ -23,7 +25,7 @@ from stabsym.phase_space import (
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import transform_label, transform_labels
+from dense_oracles import solved_functional_label, transform_label, transform_labels
 
 
 def test_symplectic_canonical_pair():
@@ -184,6 +186,19 @@ def test_label_from_functional_roundtrip():
             assert symplectic_form(lab.rep, b, d) == v
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (5, 1)])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_label_from_functional_matches_the_solver(d, n, data):
+    # a = J f with f the values at the pivots, against one solve per label
+    lags = enumerate_lagrangians(d, n)
+    values = data.draw(st.lists(st.integers(-d, 2 * d - 1), min_size=n * len(lags),
+                                max_size=n * len(lags)))
+    for k, L in enumerate(lags):
+        part = values[n * k:n * (k + 1)]
+        assert label_from_functional(L, part) == solved_functional_label(L, part)
+
+
 def test_subspace_intersection_dim():
     d = 3
     A = Subspace.from_rows([(1, 0, 0, 0), (0, 1, 0, 0)], d)
@@ -263,6 +278,16 @@ def test_label_permutations_match_transform_labels_on_qubit_gates(n):
     gates = [(g, i) for i in range(n) for g in ("H", "S", "Y", "Z")]
     gates += [("CZ", i, j) for i in range(n) for j in range(n) if i != j]
     maps = [qubit_gate_action(n, *g) for g in gates] + [transpose_action(n)]
+    assert label_permutations(labels, maps) == [
+        tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
+
+
+@pytest.mark.slow
+def test_label_permutations_match_transform_labels_at_four_qubits():
+    # opt-in (`-m slow`): Z_0, H_0 and CZ_01 on the 36 720 labels at (2,4)
+    labels = enumerate_stabilizer_labels(2, 4)
+    index = {lab: k for k, lab in enumerate(labels)}
+    maps = [qubit_gate_action(4, *g) for g in (("Z", 0), ("H", 0), ("CZ", 0, 1))]
     assert label_permutations(labels, maps) == [
         tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
 

@@ -448,6 +448,28 @@ def test_seed_prefixes_certify_the_full_order(d, n, variant):
         assert chain.order() == want
 
 
+WREATH_5_BASE = [5 * j + i for i in range(4) for j in range(6)]
+
+
+@pytest.mark.parametrize("d,n,variant,seeded,nodes,base,sizes", [
+    (3, 2, "agsp", True, 5, [0, 45, 21, 1], [360, 243, 48, 2]),
+    (5, 1, "wreath", True, 25, WREATH_5_BASE, [30, 25, 20, 15, 10, 5] + [4] * 6 + [3] * 6 + [2] * 6),
+    (5, 1, "wreath", False, 435, WREATH_5_BASE, [30, 25, 20, 15, 10, 5] + [4] * 6 + [3] * 6 + [2] * 6),
+])
+def test_search_nodes_base_and_orders_are_pinned(d, n, variant, seeded, nodes, base, sizes):
+    # the pruning orbit read from the level's Schreier tree, and recomputed
+    # after an adjoin for the vertices that found nothing only, prunes the
+    # same vertices as the orbit of every processed vertex (figures of the
+    # search that recomputed that orbit by `orbit_of`)
+    seeds = predicted_generators(d, n, variant) if seeded else None
+    search = AutomorphismSearch(theorem1_gram(d, n, variant), seeds=seeds)
+    chain = search.run()
+    assert search.nodes == nodes
+    assert search.base_seq == chain.base == base
+    assert [len(t) for t in chain.transversals] == sizes
+    assert chain.order() == predicted_order_formula(d, n, variant)
+
+
 @pytest.mark.parametrize("d,n,variant", [(3, 1, "wreath"), (2, 2, "extended_clifford")])
 def test_reports_do_not_depend_on_the_random_chain_stop(d, n, variant, monkeypatch):
     import stabsym.permgroup
