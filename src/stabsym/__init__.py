@@ -4,16 +4,14 @@ Everything is computed over explicit cyclotomic fields or prime fields; no
 floating point enters any verified value.
 """
 
-from .zmod import ZMod, ZModMatrix, invert, legendre, rref
+from .zmod import ZModMatrix, invert, legendre, rref
 from .cyclotomic import CycNumber, GaloisMap, galois_apply, root_of_unity, sqrt_d
 from .phase_space import (
-    AffineSubspace,
     LagrangianSubspace,
     StabilizerLabel,
     Subspace,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
-    intersect,
     label_from_functional,
     symplectic_form,
     wreath_decompose,

@@ -297,23 +297,24 @@ def _pair_table(lags):
     rows to n, so that [a, b_t] = a . J b_t, and c_(L_i)(b_t) as signs[i, j, t]
     (the signs of `lagrangian_tables`, 0 at the zero rows); read-only, as
     the table is cached.  L_j is its own symplectic complement, so
-    k . basis(L_i) lies in L_j iff pairing[i][j] k = 0,
-    pairing[i][j][s][r] = [b_r(L_i), b_s(L_j)]."""
+    k . basis(L_i) lies in L_j iff pairing[i, j] k = 0,
+    pairing[i, j, s, r] = [b_r(L_i), b_s(L_j)]: the kernels of the pairings
+    of every pair i <= j are one batched `zmod.null_space`, written to both
+    orders, and the signs of each order read at its own first Lagrangian."""
     tables = lagrangian_tables(lags)
     d, n = lags[0].d, lags[0].ambient // 2
+    # a pairing sums 2n products of residues below d, exactly in this dtype
+    basis = tables.basis.astype(np.min_scalar_type(-2 * n * (d - 1) ** 2))
+    i, j = np.triu_indices(len(lags))
+    left = basis[i]
+    kernel = null_space(jvec(basis)[j] @ left.swapaxes(1, 2), d)
+    b = kernel @ left % d  # zero rows stay zero
     dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
     jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
     codes = np.zeros((len(lags),) * 2 + (n,), dtype=np.min_scalar_type(d ** (2 * n) - 1))
-    basis = tables.basis
-    pairing = (np.einsum("irk,jsk->ijsr", basis, jvec(basis)) % d).tolist()
-    for i in range(len(lags)):
-        for j in range(i, len(lags)):
-            kernel = null_space(pairing[i][j], n, d)
-            dims[i, j] = dims[j, i] = len(kernel)
-            for t, k in enumerate(kernel):
-                b = np.dot(k, basis[i]) % d
-                jb[i, j, t] = jb[j, i, t] = jvec(b) % d
-                codes[i, j, t] = codes[j, i, t] = point_codes(b, d)
+    dims[i, j] = dims[j, i] = kernel.any(-1).sum(-1)
+    jb[i, j] = jb[j, i] = jvec(b) % d
+    codes[i, j] = codes[j, i] = point_codes(b, d)
     signs = tables.signs[np.arange(len(lags))[:, None, None], codes]
     dims.flags.writeable = jb.flags.writeable = signs.flags.writeable = False
     return dims, jb, signs

@@ -15,7 +15,7 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetExceeded, NotBasisPreserving
-from .zmod import invert, null_space, require_prime, rref_rows, solve_rows
+from .zmod import invert, require_prime, rref
 
 MAX_POINTS = 4096  # cap on d^{2n} for enumerations and certified generating sets
 
@@ -42,10 +42,6 @@ def vec_add(a, b, d):
     return tuple((x + y) % d for x, y in zip(a, b))
 
 
-def vec_sub(a, b, d):
-    return tuple((x - y) % d for x, y in zip(a, b))
-
-
 def all_vectors(d, length):
     return itertools.product(range(d), repeat=length)
 
@@ -65,8 +61,9 @@ class Subspace:
             if ambient is None:
                 raise ValueError("empty row list needs explicit ambient dimension")
             return cls(basis=(), d=d, ambient=ambient)
-        ech, _, _ = rref_rows(rows, d)
-        return cls(basis=tuple(ech), d=d, ambient=len(rows[0]))
+        ech, pivots = rref(np.array(rows), d)
+        return cls(basis=tuple(map(tuple, ech[pivots < ech.shape[1]].tolist())), d=d,
+                   ambient=ech.shape[1])
 
     @property
     def dim(self):
@@ -105,34 +102,6 @@ class Subspace:
             out.append(tuple(v))
         return out
 
-    def to_json(self):
-        return {"d": self.d, "ambient": self.ambient, "rows": [list(r) for r in self.basis]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls.from_rows([tuple(r) for r in obj["rows"]], obj["d"], ambient=obj["ambient"])
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection of two row spans."""
-    if a.d != b.d or a.ambient != b.ambient:
-        raise ValueError("mismatched ambient spaces")
-    d = a.d
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.from_rows([], d, ambient=a.ambient)
-    # left kernel of the stacked matrix [A; -B]: rows w with w[:k] A = w[k:] B
-    stacked = list(a.basis) + [tuple((-x) % d for x in row) for row in b.basis]
-    gens = []
-    for w in null_space(list(zip(*stacked)), len(stacked), d):
-        vec = [0] * a.ambient
-        for c, row in zip(w[: a.dim], a.basis):
-            if c:
-                vec = [(x + c * y) % d for x, y in zip(vec, row)]
-        gens.append(tuple(vec))
-    return Subspace.from_rows(gens, d, ambient=a.ambient) if gens else Subspace.from_rows(
-        [], d, ambient=a.ambient
-    )
-
 
 class LagrangianSubspace(Subspace):
     """A maximal isotropic subspace: dimension n with vanishing form."""
@@ -148,29 +117,6 @@ class LagrangianSubspace(Subspace):
                 if symplectic_form(u, v, d):
                     raise ValueError("form does not vanish on the span")
         return cls(basis=sub.basis, d=d, ambient=sub.ambient)
-
-
-@dataclass(frozen=True)
-class AffineSubspace:
-    """A coset direction + canonical representative."""
-
-    direction: Subspace
-    rep: tuple
-
-    @classmethod
-    def make(cls, direction, rep):
-        return cls(direction=direction, rep=direction.reduce(rep))
-
-    @property
-    def d(self):
-        return self.direction.d
-
-    def points(self):
-        d = self.d
-        return [vec_add(self.rep, p, d) for p in self.direction.points()]
-
-    def contains(self, v):
-        return self.direction.reduce(v) == self.rep
 
 
 @dataclass(frozen=True)
@@ -196,9 +142,6 @@ class StabilizerLabel:
     @property
     def n(self):
         return self.L.ambient // 2
-
-    def coset(self) -> AffineSubspace:
-        return AffineSubspace.make(self.L, self.rep)
 
     def functional(self, b) -> int:
         """g(b) = [rep, b] for b in L."""
@@ -278,10 +221,10 @@ def enumerate_lagrangians(d, n):
     require_prime(d)
     if d ** (2 * n) > MAX_POINTS:
         raise BudgetExceeded(f"d^(2n) = {d ** (2 * n)} exceeds cap {MAX_POINTS}")
-    out = []
-    for rows in enumerate_subspaces(d, 2 * n, n):
-        if all(symplectic_form(u, v, d) == 0 for u in rows for v in rows):
-            out.append(LagrangianSubspace.from_rows(rows, d))
+    # the rows are canonical already, so they are not row-reduced again
+    out = [LagrangianSubspace(basis=rows, d=d, ambient=2 * n)
+           for rows in enumerate_subspaces(d, 2 * n, n)
+           if all(symplectic_form(u, v, d) == 0 for u in rows for v in rows)]
     out.sort(key=lambda L: L.basis)
     return tuple(out)
 
@@ -331,29 +274,6 @@ def verify_enumeration(d, n):
         ],
         "count_matches_product_formula": len(lags) == lagrangian_count(d, n),
     }
-
-
-def intersect(a: AffineSubspace, b: AffineSubspace):
-    """Exact intersection coset of two affine subspaces, or None when empty."""
-    if a.d != b.d or a.direction.ambient != b.direction.ambient:
-        raise ValueError("mismatched ambient spaces")
-    d = a.d
-    direction = subspace_intersection(a.direction, b.direction)
-    # solve rep_a + u . A = rep_b + v . B for a common point
-    rows_a = list(a.direction.basis)
-    rows_b = list(b.direction.basis)
-    cols = list(zip(*(rows_a + [tuple((-x) % d for x in r) for r in rows_b]))) if rows_a or rows_b else []
-    target = vec_sub(b.rep, a.rep, d)
-    if not cols:
-        return a if a.rep == b.rep else None
-    sol = solve_rows(cols, target, d)
-    if sol is None:
-        return None
-    point = list(a.rep)
-    for c, row in zip(sol[: len(rows_a)], rows_a):
-        if c:
-            point = [(x + c * y) % d for x, y in zip(point, row)]
-    return AffineSubspace.make(direction, tuple(point))
 
 
 def point_codes(v, d):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+
+import numpy as np
 
 from .errors import SingularMatrix
 
@@ -25,51 +27,6 @@ def require_prime(d: int) -> None:
         raise ValueError(f"modulus {d} is not prime")
 
 
-@dataclass(frozen=True)
-class ZMod:
-    """A fully reduced element of Z_d, d prime."""
-
-    value: int
-    d: int
-
-    def __post_init__(self):
-        require_prime(self.d)
-        object.__setattr__(self, "value", self.value % self.d)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ZMod):
-            if other.d != self.d:
-                raise ValueError("mixed moduli")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return ZMod(self.value + self._coerce(other), self.d)
-
-    def __sub__(self, other):
-        return ZMod(self.value - self._coerce(other), self.d)
-
-    def __mul__(self, other):
-        return ZMod(self.value * self._coerce(other), self.d)
-
-    def __neg__(self):
-        return ZMod(-self.value, self.d)
-
-    def inverse(self) -> "ZMod":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return ZMod(pow(self.value, self.d - 2, self.d), self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other) % self.d
-        if o == 0:
-            raise ZeroDivisionError("division by zero in Z_d")
-        return self * pow(o, self.d - 2, self.d)
-
-    def __int__(self):
-        return self.value
-
-
 def inv_mod(a: int, d: int) -> int:
     """Inverse of a in Z_d (d prime)."""
     a %= d
@@ -78,11 +35,8 @@ def inv_mod(a: int, d: int) -> int:
     return pow(a, d - 2, d)
 
 
-def legendre(a, d: int | None = None) -> int:
+def legendre(a: int, d: int) -> int:
     """Legendre symbol (a/d) for odd prime d; 0 on multiples of d."""
-    if isinstance(a, ZMod):
-        d = a.d
-        a = a.value
     require_prime(d)
     if d == 2:
         raise ValueError("Legendre symbol requires odd d")
@@ -91,69 +45,6 @@ def legendre(a, d: int | None = None) -> int:
         return 0
     s = pow(a, (d - 1) // 2, d)
     return 1 if s == 1 else -1
-
-
-# Row-level helpers on plain int lists; these are the workhorses that
-# ZModMatrix and the phase-space module share.
-
-def rref_rows(rows, d: int):
-    """Reduced row echelon form of a list of int rows over Z_d.
-
-    Returns (rows, pivots, rank) with zero rows dropped from the echelon part
-    and pivot columns strictly increasing.
-    """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] % d:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = inv_mod(rows[r][c], d)
-        rows[r] = [(x * inv) % d for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % d:
-                f = rows[i][c] % d
-                rows[i] = [(x - f * y) % d for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in rows[:r]], tuple(pivots), r
-
-
-def null_space(rows, ncols: int, d: int):
-    """A basis of {k : r . k = 0 over Z_d for every row r}."""
-    ech, pivots, _ = rref_rows(rows, d)
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        k = [0] * ncols
-        k[f] = 1
-        for row, p in zip(ech, pivots):
-            k[p] = (-row[f]) % d
-        out.append(k)
-    return out
-
-
-def solve_rows(a_rows, b, d: int):
-    """One solution x of A x = b over Z_d, or None if inconsistent."""
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    aug = [list(r) + [bv % d] for r, bv in zip(a_rows, b)]
-    ech, pivots, rank = rref_rows(aug, d)
-    x = [0] * ncols
-    for row, p in zip(ech, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
-    return tuple(x)
 
 
 class ZModMatrix:
@@ -226,11 +117,55 @@ class ZModMatrix:
         return tuple(sum(x * y for x, y in zip(row, v)) % d for row in self.rows)
 
 
-def rref(m: ZModMatrix):
-    """RREF of m; returns (ZModMatrix with zero rows trailing, pivots, rank)."""
-    ech, pivots, rank = rref_rows(m.rows, m.d)
-    padded = list(ech) + [tuple([0] * m.ncols)] * (m.nrows - rank)
-    return ZModMatrix(padded, m.d), pivots, rank
+def rref(a, d: int):
+    """The reduced row echelon form over Z_d of every matrix in an integer
+    stack a of shape (..., r, c), all at once: (ech, pivots), ech the
+    echelon stack with its zero rows trailing and pivots[..., i] the pivot
+    column of row i, or c for a zero row.
+
+    One numpy step per column reduces every matrix that has a pivot there,
+    with inverses read from a length-d table, in the smallest signed dtype
+    that holds d^2 (a row minus a multiple of the pivot row stays above
+    -(d - 1)^2 before it is reduced)."""
+    require_prime(d)
+    a = np.asarray(a)
+    *lead, r, c = a.shape
+    dtype = np.min_scalar_type(-d * d)
+    ech = (a.reshape(prod(lead), r, c) % d).astype(dtype)
+    inv = np.array([0, *(pow(x, d - 2, d) for x in range(1, d))], dtype=dtype)
+    pivots = np.full(ech.shape[:2], c, dtype=np.intp)
+    rank = np.zeros(len(ech), dtype=np.intp)
+    rows = np.arange(r)
+    for col in range(c):
+        nonzero = (ech[:, :, col] != 0) & (rows >= rank[:, None])  # below the echelon part
+        m = np.flatnonzero(nonzero.any(1))  # the matrices with a pivot in col
+        if not m.size:
+            continue
+        k, s = rank[m], nonzero[m].argmax(1)  # row s moves up to row k
+        pivot_row = ech[m, s]
+        ech[m, s] = ech[m, k]
+        ech[m, k] = pivot_row * inv[pivot_row[:, col]][:, None] % d
+        f = ech[m, :, col]
+        f[np.arange(m.size), k] = 0
+        ech[m] = (ech[m] - f[:, :, None] * ech[m, k][:, None, :]) % d
+        pivots[m, k] = col
+        rank[m] += 1
+    return ech.reshape(a.shape), pivots.reshape(*lead, r)
+
+
+def null_space(a, d: int):
+    """A basis of the kernel {k : a k = 0 over Z_d} of every matrix in a
+    stack a of shape (..., r, c), as a stack (..., c, c): for the t-th free
+    column f of `rref`, row t is e_f - sum_i ech[i, f] e_(p_i), and the
+    rows from c - rank on are zero."""
+    ech, pivots = rref(a, d)
+    c = ech.shape[-1]
+    onehot = pivots[..., None] == np.arange(c)  # [i, p]: p is the pivot column of row i
+    basis = (np.eye(c, dtype=ech.dtype) - ech.swapaxes(-1, -2) @ onehot.astype(ech.dtype)) % d
+    free = np.argsort(onehot.any(-2), axis=-1, kind="stable")  # free columns first, in order
+    kernel = np.take_along_axis(basis, free[..., None], axis=-2)
+    kernel[np.arange(c) >= c - onehot.sum((-2, -1))[..., None]] = 0
+    return kernel
 
 
 def invert(m: ZModMatrix) -> ZModMatrix:
@@ -238,8 +173,7 @@ def invert(m: ZModMatrix) -> ZModMatrix:
     n = m.nrows
     if n != m.ncols:
         raise SingularMatrix("not square")
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
-    ech, pivots, rank = rref_rows(aug, m.d)
-    if rank < n or pivots != tuple(range(n)):
+    ech, pivots = rref(np.hstack([np.array(m.rows), np.eye(n, dtype=int)]), m.d)
+    if (pivots != np.arange(n)).any():
         raise SingularMatrix("rank deficient")
-    return ZModMatrix([row[n:] for row in ech], m.d)
+    return ZModMatrix(ech[:, n:].tolist(), m.d)

@@ -29,8 +29,8 @@ matrices in one contraction, and `bruteforce_gram` the Gram of dense
 projectors by those traces.  The rest are
 one-element or single-operator forms of the library's batched kernels:
 `transform_label`, `sign_bits` (c_L one point at a time, the oracle of
-`phase_space.lagrangian_tables`), `solved_functional_label` (one
-`solve_rows` per label), `mono_trace`, `mono_trace_product`,
+`phase_space.lagrangian_tables`), `functional_label_by_search` (a search
+of all d^(2n) points per label), `mono_trace`, `mono_trace_product`,
 `stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
 `is_hermitian` and `is_identity`.  `first_moment` is the dense sum behind
 the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
@@ -48,6 +48,11 @@ the dense closed form of U_S, `dense` expands a table to a dense matrix,
 `similitude_multiplier_loop` reads the multiplier pair by pair.
 `hermitian_basis` lists the Hermitian basis as monomials in
 `phase_space.point_codes` order.
+
+The library's one Z_d elimination is the batched `zmod.rref`;
+`rref_rows` and `null_space_rows` are the per-matrix elimination on lists
+of ints, and `pair_table_loop` builds the Lagrangian pair table with one
+`null_space_rows` per pair, the oracle of `operators._pair_table`.
 
 A stabilizer chain keeps a Schreier tree per level and builds coset
 representatives on demand (`permgroup.PermGroup`); `tree_representative`
@@ -108,10 +113,12 @@ from stabsym.phase_space import (
     enumerate_lagrangians,
     jvec,
     lagrangian_index,
+    lagrangian_tables,
+    point_codes,
     symplectic_form,
     vec_add,
 )
-from stabsym.zmod import ZModMatrix, inv_mod, invert, legendre, solve_rows
+from stabsym.zmod import ZModMatrix, inv_mod, invert, legendre
 
 
 def real_gates(n):
@@ -427,15 +434,19 @@ def sign_bits(L: LagrangianSubspace) -> dict:
     return out
 
 
-def solved_functional_label(L: LagrangianSubspace, values) -> StabilizerLabel:
-    """The label whose rep a has [a, b_i] = values[i] on the basis of L, by
-    one `solve_rows` of a . J b_i = values[i]: the oracle of
-    `phase_space.label_from_functional`."""
-    d = L.d
-    rows = (jvec(np.array(L.basis)) % d).tolist()  # [a, b] = a . J b
-    sol = solve_rows(rows, [v % d for v in values], d)
-    assert sol is not None, "functionals on a Lagrangian are always representable"
-    return StabilizerLabel.make(L, sol)
+@lru_cache(maxsize=None)
+def _all_points(d, length):
+    return np.array(list(all_vectors(d, length)))
+
+
+def functional_label_by_search(L: LagrangianSubspace, values) -> StabilizerLabel:
+    """The label whose rep a has [a, b_i] = values[i] on the basis of L, a
+    the first of the d^(2n) points in `all_vectors` order with a . J b_i =
+    values[i]: the oracle of `phase_space.label_from_functional`."""
+    points = _all_points(L.d, L.ambient)
+    hits = ((points @ jvec(np.array(L.basis)).T - values) % L.d == 0).all(1)
+    assert hits.any(), "functionals on a Lagrangian are always representable"
+    return StabilizerLabel.make(L, tuple(points[hits.argmax()].tolist()))
 
 
 def transform_labels(labels, matrix, a, eta=None):
@@ -448,7 +459,7 @@ def transform_labels(labels, matrix, a, eta=None):
     its last axis) the map takes T(b) to (-1)^eta(b) T(S b), S = matrix
     symplectic, and (L, rep) to (S L, S rep + a + t_L), [t_L, b'] =
     c_L(S^-1 b') + eta(S^-1 b') on the basis rows b' of S L: c_L from
-    `sign_bits` and t_L by `solved_functional_label`, one Lagrangian at a
+    `sign_bits` and t_L by `functional_label_by_search`, one Lagrangian at a
     time."""
     d = labels[0].d
     lags, which = lagrangian_index(labels)
@@ -461,10 +472,73 @@ def transform_labels(labels, matrix, a, eta=None):
         for k, (L, image) in enumerate(zip(lags, images)):
             values = [sign_bits(L)[b] + e for b, e in zip(map(tuple, pre[k].tolist()),
                                                           eta(pre[k]).tolist())]
-            shifts[k] = solved_functional_label(image, values).rep
+            shifts[k] = functional_label_by_search(image, values).rep
     reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
             + shifts[which]) % d
     return [StabilizerLabel.make(images[k], tuple(rep)) for k, rep in zip(which, reps.tolist())]
+
+
+def rref_rows(rows, d: int):
+    """Reduced row echelon form of a list of int rows over Z_d, one row
+    operation at a time: (rows, pivots, rank), zero rows dropped and pivot
+    columns strictly increasing."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] % d), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = inv_mod(rows[r][c], d)
+        rows[r] = [(x * inv) % d for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] % d:
+                f = rows[i][c] % d
+                rows[i] = [(x - f * y) % d for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in rows[:r]], tuple(pivots), r
+
+
+def null_space_rows(rows, ncols: int, d: int):
+    """A basis of {k : r . k = 0 over Z_d for every row r}: for each free
+    column f of `rref_rows`, e_f - sum_i ech[i][f] e_(p_i)."""
+    ech, pivots, _ = rref_rows(rows, d)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        k = [0] * ncols
+        k[f] = 1
+        for row, p in zip(ech, pivots):
+            k[p] = (-row[f]) % d
+        out.append(k)
+    return out
+
+
+def pair_table_loop(lags):
+    """`operators._pair_table` with one `null_space_rows` per pair of
+    Lagrangians (i <= j), each result written to both orders: (dims, jb,
+    signs) in the same dtypes."""
+    tables = lagrangian_tables(lags)
+    d, n = lags[0].d, lags[0].ambient // 2
+    dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
+    jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
+    codes = np.zeros((len(lags),) * 2 + (n,), dtype=np.min_scalar_type(d ** (2 * n) - 1))
+    basis = tables.basis
+    pairing = (np.einsum("irk,jsk->ijsr", basis, jvec(basis)) % d).tolist()
+    for i in range(len(lags)):
+        for j in range(i, len(lags)):
+            kernel = null_space_rows(pairing[i][j], n, d)
+            dims[i, j] = dims[j, i] = len(kernel)
+            for t, k in enumerate(kernel):
+                b = np.dot(k, basis[i]) % d
+                jb[i, j, t] = jb[j, i, t] = jvec(b) % d
+                codes[i, j, t] = codes[j, i, t] = point_codes(b, d)
+    return dims, jb, tables.signs[np.arange(len(lags))[:, None, None], codes]
 
 
 def matrix_point_perm(m: ZModMatrix, points, index=None):
@@ -511,8 +585,8 @@ def stab_projector_wigner(label: StabilizerLabel) -> OpMatrix:
         raise OddOnly("phase-space form requires odd d")
     dim = d ** n
     acc = OpMatrix.zero(conductor_for(d), dim)
-    for x in label.coset().points():
-        acc = acc + phase_point(d, n, x)
+    for b in label.L.points():
+        acc = acc + phase_point(d, n, vec_add(label.rep, b, d))
     return acc.scale(Fraction(1, dim))
 
 

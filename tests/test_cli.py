@@ -297,20 +297,40 @@ def test_agsp_d5_n2_golden_replays(capsys, tmp_path):
 
 
 @pytest.mark.slow
-def test_agsp_d5_n2_peak_rss_is_under_200_mb():
-    # opt-in (`-m slow`): the chain's 7 987 orbit points at (5,2) are tree
-    # edges, not 3 900-tuples (541 MB peak when every representative and its
-    # inverse was stored); a fresh interpreter runs the command as its only
-    # child, so RUSAGE_CHILDREN reads that command's peak alone
+def test_sf_sum_d7_n2_golden_replays(capsys, tmp_path):
+    # opt-in (`-m slow`): the (7,2) pair table of 400 Lagrangians, recorded
+    # while it was built with one elimination per pair
+    replay(capsys, tmp_path, "sf-sum", "--d", "7", "--n", "2", "--samples", "20")
+
+
+def peak_rss_mb(*argv):
+    """The peak resident set of the command argv in MB: a fresh interpreter
+    runs it as its only child, so RUSAGE_CHILDREN reads that command's peak
+    alone."""
     code = ("import resource, subprocess, sys\n"
-            "subprocess.run([sys.executable, '-m', 'stabsym.cli', 'autgroup', '--d', '5',"
-            " '--n', '2'], stdout=subprocess.DEVNULL, check=True)\n"
+            f"subprocess.run([sys.executable, '-m', 'stabsym.cli', *{list(argv)!r}],"
+            " stdout=subprocess.DEVNULL, check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    peak_mb = int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb < 200
+    return int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.slow
+def test_agsp_d5_n2_peak_rss_is_under_200_mb():
+    # opt-in (`-m slow`): the chain's 7 987 orbit points at (5,2) are tree
+    # edges, not 3 900-tuples (541 MB peak when every representative and its
+    # inverse was stored)
+    assert peak_rss_mb("autgroup", "--d", "5", "--n", "2") < 200
+
+
+@pytest.mark.slow
+def test_sf_sum_d3_n3_peak_rss_is_under_400_mb():
+    # opt-in (`-m slow`): the (3,3) pair table of 1 120 Lagrangians is one
+    # batched elimination over its 627 760 pairs (593 MB peak with one list
+    # elimination per pair, over the pairings as nested Python lists)
+    assert peak_rss_mb("sf-sum", "--d", "3", "--n", "3", "--samples", "5") < 400
 
 
 @pytest.mark.parametrize("argv", [

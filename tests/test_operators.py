@@ -33,10 +33,8 @@ from stabsym.phase_space import (
     label_from_functional,
     lagrangian_tables,
     point_codes,
-    subspace_intersection,
     symplectic_form,
     vec_add,
-    vec_sub,
 )
 from stabsym.symmetry import rebit_gram
 
@@ -46,6 +44,7 @@ from dense_oracles import (
     family_projectors,
     is_hermitian,
     mono_trace_product,
+    pair_table_loop,
     phase_point,
     sign_bits,
     stab_projector,
@@ -315,7 +314,8 @@ def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
 
 
 def _gram_entry_loop(labels):
-    # the closed form entry by entry, straight from its definition
+    # the closed form entry by entry, straight from its definition, with
+    # L ∩ M the points the two Lagrangians share
     inters = {}
     out = []
     for x in labels:
@@ -323,13 +323,13 @@ def _gram_entry_loop(labels):
         row = []
         for y in labels:
             if (x.L, y.L) not in inters:
-                inters[x.L, y.L] = subspace_intersection(x.L, y.L)
+                inters[x.L, y.L] = set(x.L.points()) & set(y.L.points())
             inter = inters[x.L, y.L]
-            diff = vec_sub(x.rep, y.rep, d)
-            if any(symplectic_form(diff, b, d) for b in inter.basis):
+            diff = tuple((u - v) % d for u, v in zip(x.rep, y.rep))
+            if any(symplectic_form(diff, b, d) for b in inter):
                 row.append(Fraction(0))
             else:
-                row.append(Fraction(d) ** (inter.dim - n))
+                row.append(Fraction(len(inter), d ** n))
         out.append(tuple(row))
     return tuple(out)
 
@@ -340,6 +340,20 @@ def test_closed_form_gram_equals_the_entry_loop(d):
     # d = 17 one reaches 16 * 16 = 256, beyond uint8
     labels = enumerate_stabilizer_labels(d, 1)
     assert build_gram(labels).values == _gram_entry_loop(labels)
+
+
+@pytest.mark.parametrize("d,n", [
+    (2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3),
+    pytest.param(5, 2, marks=pytest.mark.slow), pytest.param(7, 2, marks=pytest.mark.slow),
+])
+def test_pair_table_equals_the_per_pair_loop(d, n):
+    # one batched elimination over the i <= j pairs, mirrored, against one
+    # list elimination per pair: every entry and every dtype
+    lags = enumerate_lagrangians(d, n)
+    for got, want in zip(operators._pair_table(lags), pair_table_loop(lags)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+        assert not got.flags.writeable
 
 
 @st.composite

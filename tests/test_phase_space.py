@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stabsym.clifford import qubit_gate_action
 from stabsym.errors import BudgetExceeded
 from stabsym.phase_space import (
-    AffineSubspace,
     LagrangianSubspace,
     StabilizerLabel,
     Subspace,
@@ -16,16 +15,14 @@ from stabsym.phase_space import (
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     enumerate_subspaces,
-    intersect,
     label_from_functional,
     label_permutations,
-    subspace_intersection,
     symplectic_form,
     vec_add,
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import solved_functional_label, transform_label, transform_labels
+from dense_oracles import functional_label_by_search, transform_label, transform_labels
 
 
 def test_symplectic_canonical_pair():
@@ -97,12 +94,16 @@ def test_stabilizer_label_counts(d, n, count):
     assert len(labels) == d ** n * len(enumerate_lagrangians(d, n))
 
 
+def _coset_points(L, rep):
+    return [vec_add(rep, b, L.d) for b in L.points()]
+
+
 def test_cosets_partition_phase_space():
     d, n = 3, 2
     for L in enumerate_lagrangians(d, n)[:5]:
         seen = set()
         for rep in coset_reps(L):
-            pts = set(AffineSubspace.make(L, rep).points())
+            pts = set(_coset_points(L, rep))
             assert not (pts & seen)
             seen |= pts
         assert len(seen) == d ** (2 * n)
@@ -125,38 +126,12 @@ def test_subspace_enumeration_count_gaussian():
     assert len(enumerate_subspaces(3, 4, 2)) == 130
 
 
-def test_affine_intersection_identity_and_parallel():
-    d = 3
-    L = Subspace.from_rows([(1, 0)], d)
-    a = AffineSubspace.make(L, (0, 1))
-    assert intersect(a, a) == a
-    b = AffineSubspace.make(L, (0, 2))
-    assert intersect(a, b) is None
-
-
-def test_affine_intersection_matches_pointwise_oracle():
-    d, n = 3, 2
-    lags = enumerate_lagrangians(d, n)
-    rng = random.Random(20)
-    for _ in range(60):
-        L, M = rng.choice(lags), rng.choice(lags)
-        a = AffineSubspace.make(L, tuple(rng.randrange(d) for _ in range(4)))
-        b = AffineSubspace.make(M, tuple(rng.randrange(d) for _ in range(4)))
-        got = intersect(a, b)
-        expected = set(a.points()) & set(b.points())
-        if got is None:
-            assert expected == set()
-        else:
-            assert set(got.points()) == expected
-
-
 def test_canonical_rep_is_lex_smallest():
     d, n = 3, 2
     rng = random.Random(8)
     for L in enumerate_lagrangians(d, n)[:10]:
         v = tuple(rng.randrange(d) for _ in range(4))
-        aff = AffineSubspace.make(L, v)
-        assert aff.rep == min(aff.points())
+        assert StabilizerLabel.make(L, v).rep == min(_coset_points(L, v))
 
 
 def test_label_from_functional_zero():
@@ -190,21 +165,13 @@ def test_label_from_functional_roundtrip():
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_label_from_functional_matches_the_solver(d, n, data):
-    # a = J f with f the values at the pivots, against one solve per label
+    # a = J f with f the values at the pivots, against a search of all points
     lags = enumerate_lagrangians(d, n)
     values = data.draw(st.lists(st.integers(-d, 2 * d - 1), min_size=n * len(lags),
                                 max_size=n * len(lags)))
     for k, L in enumerate(lags):
         part = values[n * k:n * (k + 1)]
-        assert label_from_functional(L, part) == solved_functional_label(L, part)
-
-
-def test_subspace_intersection_dim():
-    d = 3
-    A = Subspace.from_rows([(1, 0, 0, 0), (0, 1, 0, 0)], d)
-    B = Subspace.from_rows([(0, 1, 0, 0), (0, 0, 1, 0)], d)
-    got = subspace_intersection(A, B)
-    assert got.dim == 1 and got.contains((0, 1, 0, 0))
+        assert label_from_functional(L, part) == functional_label_by_search(L, part)
 
 
 def test_transform_label_bijection_and_lagrangian_images():
@@ -219,7 +186,8 @@ def test_transform_label_bijection_and_lagrangian_images():
     assert len(mapped) == len(labels)
     for lab in list(labels)[:20]:
         out = transform_label(lab, R, a)
-        assert set(out.coset().points()) == {vec_add(R.apply(x), a, d) for x in lab.coset().points()}
+        assert set(_coset_points(out.L, out.rep)) == {
+            vec_add(R.apply(x), a, d) for x in _coset_points(lab.L, lab.rep)}
 
 
 def test_similitude_action_bijective_and_coset_preserving_32():
@@ -235,9 +203,8 @@ def test_similitude_action_bijective_and_coset_preserving_32():
     assert len(images) == d ** (2 * n)
     for lab in enumerate_stabilizer_labels(d, n):
         out = transform_label(lab, t.matrix, t.a)
-        assert set(out.coset().points()) == {
-            t.apply(x) for x in lab.coset().points()
-        }
+        assert set(_coset_points(out.L, out.rep)) == {
+            t.apply(x) for x in _coset_points(lab.L, lab.rep)}
 
 
 def test_transform_labels_maps_like_transform_label():
@@ -321,6 +288,10 @@ def test_label_permutations_refuse_images_outside_the_labels():
         label_permutations(labels + labels[:1], [(eye, (0, 0, 0, 0))])
 
 
-def test_subspace_json_roundtrip():
-    L = enumerate_lagrangians(3, 2)[7]
-    assert Subspace.from_json(L.to_json()).basis == L.basis
+@pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
+def test_from_rows_keeps_the_canonical_basis(d, n):
+    # enumerate_lagrangians takes its canonical rows as they are, with no
+    # second row reduction; reducing them must give them back
+    for L in enumerate_lagrangians(d, n):
+        assert Subspace.from_rows(L.basis, d).basis == L.basis
+        assert LagrangianSubspace.from_rows(L.basis, d) == L

@@ -1,48 +1,53 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from stabsym.errors import SingularMatrix
-from stabsym.zmod import ZMod, ZModMatrix, invert, legendre, rref
+from stabsym.zmod import ZModMatrix, invert, legendre, null_space, rref
 
 
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
-        ZMod(1, 4)
-    with pytest.raises(ValueError):
         ZModMatrix([[1]], 6)
+    with pytest.raises(ValueError):
+        rref(np.eye(2, dtype=int), 4)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(d):
-    elems = [ZMod(v, d) for v in range(d)]
+    # Z_d as the 1 x 1 matrices, inverses by `invert`
+    elems = [ZModMatrix([[v]], d) for v in range(d)]
     for a, b, c in itertools.product(elems, repeat=3):
         assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert (a @ b) @ c == a @ (b @ c)
+        assert a @ (b + c) == a @ b + a @ c
         assert a + b == b + a
-        assert a * b == b * a
-    zero, one = ZMod(0, d), ZMod(1, d)
+        assert a @ b == b @ a
+    zero, one = elems[0], elems[1]
     for a in elems:
         assert a + zero == a
-        assert a * one == a
+        assert a @ one == a
         assert a + (-a) == zero
         if a != zero:
-            assert a * a.inverse() == one
+            assert a @ invert(a) == one
+    with pytest.raises(SingularMatrix):
+        invert(zero)
 
 
 def test_rref_identity_z3():
-    m = ZModMatrix.identity(2, 3)
-    r, pivots, rank = rref(m)
-    assert r == m and pivots == (0, 1) and rank == 2
+    ech, pivots = rref(np.eye(2, dtype=int), 3)
+    assert ech.tolist() == [[1, 0], [0, 1]] and pivots.tolist() == [0, 1]
 
 
 def test_rref_dependent_rows_z5():
-    m = ZModMatrix([[1, 2], [2, 4]], 5)
-    r, pivots, rank = rref(m)
-    assert r.rows == ((1, 2), (0, 0))
-    assert pivots == (0,) and rank == 1
+    ech, pivots = rref(np.array([[1, 2], [2, 4]]), 5)
+    assert ech.tolist() == [[1, 2], [0, 0]]
+    assert pivots.tolist() == [0, 2]  # a zero row's pivot is the column count
 
 
 def _oracle_rank(rows, d):
@@ -68,29 +73,68 @@ def _oracle_rank(rows, d):
 
 def test_rref_rank_matches_oracle_random_z3():
     rng = random.Random(11)
-    for _ in range(50):
-        rows = [[rng.randrange(3) for _ in range(4)] for _ in range(4)]
-        m = ZModMatrix(rows, 3)
-        _, _, rank = rref(m)
-        assert rank == _oracle_rank(rows, 3)
+    stack = [[[rng.randrange(3) for _ in range(4)] for _ in range(4)] for _ in range(50)]
+    _, pivots = rref(np.array(stack), 3)
+    assert (pivots < 4).sum(-1).tolist() == [_oracle_rank(rows, 3) for rows in stack]
 
 
 def test_rref_idempotent_and_row_space_preserved():
     rng = random.Random(5)
-    for _ in range(30):
-        rows = [[rng.randrange(5) for _ in range(4)] for _ in range(3)]
-        m = ZModMatrix(rows, 5)
-        r, pivots, rank = rref(m)
-        r2, pivots2, rank2 = rref(r)
-        assert r2 == r and pivots2 == pivots and rank2 == rank
+    stack = np.array([[[rng.randrange(5) for _ in range(4)] for _ in range(3)] for _ in range(30)])
+    ech, pivots = rref(stack, 5)
+    again, pivots2 = rref(ech, 5)
+    assert (again == ech).all() and (pivots2 == pivots).all()
+    for rows, r, p in zip(stack.tolist(), ech.tolist(), pivots.tolist()):
         # each original row reduces to zero against the echelon basis
-        basis = [list(row) for row in r.rows[:rank]]
+        basis = [(brow, q) for brow, q in zip(r, p) if q < 4]
         for row in rows:
             v = [x % 5 for x in row]
-            for brow, p in zip(basis, pivots):
-                f = v[p]
+            for brow, q in basis:
+                f = v[q]
                 v = [(x - f * y) % 5 for x, y in zip(v, brow)]
             assert all(x == 0 for x in v)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """(d, stack): r x c matrices over Z_d, r < c or r > c, with a zero and
+    a full-rank member among random ones."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 61]))
+    r, c = draw(st.sampled_from([(1, 3), (2, 4), (2, 5), (3, 1), (4, 2), (5, 3)]))
+    entries = st.integers(-d, 2 * d - 1)
+    members = draw(st.lists(st.lists(st.lists(entries, min_size=c, max_size=c),
+                                     min_size=r, max_size=r), min_size=1, max_size=5))
+    k = min(r, c)
+    x = np.array(draw(st.lists(entries, min_size=r * c, max_size=r * c))).reshape(r, c)
+    full = x.copy()  # unit-triangular row mixes of I_k beside or above free entries
+    full[:k, :k] = np.eye(k, dtype=int)
+    full[:k, :k] += np.tril(x[:k, :k], -1)
+    members += [np.zeros((r, c), dtype=int).tolist(), full.tolist()]
+    order = draw(st.permutations(range(len(members))))
+    return d, np.array([members[i] for i in order])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mixed_stacks())
+def test_rref_and_null_space_match_sympy(case):
+    d, stack = case
+    r, c = stack.shape[1:]
+    field = GF(d, symmetric=False)
+    ech, pivots = rref(stack, d)
+    kernel = null_space(stack, d)
+    ranks = []
+    for a, e, p, k in zip(stack, ech, pivots, kernel):
+        ref = DomainMatrix([[field(int(x)) for x in row] for row in a], (r, c), field)
+        ref_ech, ref_pivots = ref.rref()
+        rank = len(ref_pivots)
+        ranks.append(rank)
+        assert e.tolist() == [[int(x) for x in row] for row in ref_ech.to_list()]
+        assert p.tolist() == [*ref_pivots, *[c] * (r - rank)]
+        assert (a @ k.T % d == 0).all()  # a . k = 0 for every kernel row
+        assert not k[c - rank:].any()
+        basis = [[field(int(x)) for x in row] for row in k[:c - rank]]
+        assert DomainMatrix(basis, (c - rank, c), field).rank() == c - rank
+    assert 0 in ranks and min(r, c) in ranks
 
 
 def test_invert_identity_and_scalar():
