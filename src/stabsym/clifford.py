@@ -297,56 +297,6 @@ def _metaplectic(d, rows) -> PhaseTable:
 
 
 # ---------------------------------------------------------------------------
-# The affine similitude group
-
-@dataclass(frozen=True)
-class AffineSimilitude:
-    """The triple (a, S, alpha) acting as x -> S K_alpha x + a."""
-
-    a: tuple
-    S: ZModMatrix
-    alpha: int
-
-    def __post_init__(self):
-        if not is_symplectic(self.S):
-            raise ValueError("linear part must be symplectic")
-        if self.alpha % self.d == 0:
-            raise ValueError("multiplier must be a unit")
-
-    @property
-    def d(self):
-        return self.S.d
-
-    @property
-    def n(self):
-        return self.S.ncols // 2
-
-    @property
-    def matrix(self) -> ZModMatrix:
-        return self.S @ k_alpha(self.d, self.n, self.alpha)
-
-    @classmethod
-    def identity(cls, d, n):
-        return cls(a=(0,) * (2 * n), S=ZModMatrix.identity(2 * n, d), alpha=1)
-
-    def apply(self, x):
-        return vec_add(self.matrix.apply(x), self.a, self.d)
-
-    def to_json(self):
-        return {"a": list(self.a), "S": [list(r) for r in self.S.rows], "alpha": self.alpha}
-
-
-def agsp_compose(t: AffineSimilitude, s: AffineSimilitude) -> AffineSimilitude:
-    """(b, R, beta) . (a, S, alpha) = (R K_beta a + b, R K_beta S K_beta^{-1}, beta alpha)."""
-    if t.d != s.d or t.n != s.n:
-        raise ValueError("mismatched spaces")
-    d = t.d
-    new_a = vec_add(t.S.apply(_k_apply(t.alpha, s.a)), t.a, d)
-    return AffineSimilitude(a=new_a, S=t.S @ _k_conjugate(s.S, t.alpha),
-                            alpha=(t.alpha * s.alpha) % d)
-
-
-# ---------------------------------------------------------------------------
 # Galois-extended Clifford elements (single qudit)
 
 @dataclass(frozen=True)
@@ -397,7 +347,9 @@ class ExtCliffordElement:
 
 def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElement:
     """hg = omega^{nu + beta mu - (1/2)[b, R K_beta a]} T(R K_beta a + b)
-    U_{R K_beta S K_beta^{-1}} C_{beta alpha}."""
+    U_{R K_beta S K_beta^{-1}} C_{beta alpha}.  On phase space an element
+    acts as x -> S K_alpha x + a, the map (S K_alpha, a) of
+    `label_permutations`, and hg as that of h after that of g."""
     if h.d != g.d:
         raise ValueError("mixed dimensions")
     d = h.d

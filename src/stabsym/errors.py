@@ -9,10 +9,6 @@ class BudgetExceeded(StabsymError):
     """An enumeration or search would exceed the configured size/time cap."""
 
 
-class SingularMatrix(StabsymError):
-    """Matrix inversion requested for a rank-deficient matrix."""
-
-
 class ConductorTooSmall(StabsymError):
     """The cyclotomic field does not contain the requested element."""
 

@@ -15,7 +15,7 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetExceeded, NotBasisPreserving
-from .zmod import invert, require_prime, rref
+from .zmod import require_prime, rref
 
 MAX_POINTS = 4096  # cap on d^{2n} for enumerations and certified generating sets
 
@@ -278,8 +278,15 @@ def verify_enumeration(d, n):
 
 def point_codes(v, d):
     """The index of each point v[..., :] of Z_d^m in `all_vectors` order: its
-    base-d code, the first coordinate most significant."""
-    return v @ d ** np.arange(v.shape[-1] - 1, -1, -1)
+    base-d code, the first coordinate most significant, as int64.  The code
+    is built one coordinate at a time (Horner), so a small-dtype v is never
+    copied whole into int64."""
+    v = np.asarray(v)
+    codes = np.zeros(v.shape[:-1], dtype=np.int64)
+    for i in range(v.shape[-1]):
+        codes *= d
+        codes += v[..., i]
+    return codes[()]
 
 
 def code_points(codes, d, length):
@@ -355,31 +362,41 @@ def label_permutations(labels, maps):
     integer array of points and acts along its last axis.
 
     Points are read by their codes (`point_codes`) in the tables of
-    `lagrangian_tables` and `label_cosets`.  The image of Lagrangian l is
-    the labelled Lagrangian that holds M b for every basis row b of l, and
-    a label's image is the coset entry of its mapped rep.  t_L is J f for f
-    the values at the pivots of S L (`label_from_functional`), for every
-    Lagrangian at once.  A map raises ValueError, naming its index, when the
-    image of a Lagrangian is not exactly one labelled Lagrangian (M singular
-    or not a similitude), when an image coset has no label, or when the
-    images are not a bijection of the labels."""
+    `lagrangian_tables` and `label_cosets`.  Each labelled Lagrangian is
+    keyed once by its point set (its packed `member` row), and the image of
+    Lagrangian l is the one whose key is the set of codes of M x for the
+    points x of l: a lookup per Lagrangian.  The pre-image S^-1 b' of a
+    basis row b' of S L is the point of L whose code maps onto b''s, so no
+    matrix is inverted.  A label's image is the coset entry of its mapped
+    rep, and t_L is J f for f the values at the pivots of S L
+    (`label_from_functional`), for every Lagrangian at once.  A map raises
+    ValueError, naming its index, when the image of a Lagrangian is not
+    exactly one labelled Lagrangian (M singular or not a similitude), when
+    an image coset has no label, or when the images are not a bijection of
+    the labels."""
     d, n = labels[0].d, labels[0].n
     lags, which, coset = label_cosets(labels)
     tables = lagrangian_tables(lags)
+    keys = {key.tobytes(): l for l, key in enumerate(np.packbits(tables.member, axis=1))}
+    basis_codes = point_codes(tables.basis, d)
     reps = np.array([lab.rep for lab in labels])
     rows = np.arange(len(lags))[:, None]
     perms = []
     for k, (matrix, a, *eta) in enumerate(maps):
         m = np.array(matrix.rows)
-        hits = tables.member[:, point_codes(tables.basis @ m.T % d, d)].all(-1)  # (targets, sources)
-        if (hits.sum(0) != 1).any():
+        # source[l, x]: the index of the point of L_l that M maps onto x, else -1
+        source = np.full(tables.member.shape, -1, dtype=np.min_scalar_type(-d ** n))
+        source[rows, point_codes(tables.points @ m.T % d, d)] = np.arange(d ** n)
+        image = np.array([keys.get(key.tobytes(), -1)
+                          for key in np.packbits(source >= 0, axis=1)])
+        if (image < 0).any():
             raise ValueError(f"map {k}: the image of a Lagrangian is not exactly one "
                              "labelled Lagrangian")
-        image = hits.argmax(0)
         f = np.zeros((len(lags), 2 * n), dtype=np.int64)
         if eta:
-            pre = tables.basis[image] @ np.array(invert(matrix).rows).T % d  # rows in L_l
-            f[rows, tables.pivots[image]] = tables.signs[rows, point_codes(pre, d)] + eta[0](pre)
+            pre = source[rows, basis_codes[image]]  # the points of L_l onto the basis rows
+            f[rows, tables.pivots[image]] = (tables.signs[rows, tables.codes[rows, pre]]
+                                             + eta[0](tables.points[rows, pre]))
         perm = coset[image[which], point_codes((reps @ m.T + a + jvec(f)[which]) % d, d)]
         if (perm < 0).any():
             raise ValueError(f"map {k}: an image coset has no label")

@@ -7,8 +7,6 @@ from math import prod
 
 import numpy as np
 
-from .errors import SingularMatrix
-
 
 @lru_cache(maxsize=None)
 def is_prime(d: int) -> bool:
@@ -166,14 +164,3 @@ def null_space(a, d: int):
     kernel = np.take_along_axis(basis, free[..., None], axis=-2)
     kernel[np.arange(c) >= c - onehot.sum((-2, -1))[..., None]] = 0
     return kernel
-
-
-def invert(m: ZModMatrix) -> ZModMatrix:
-    """Inverse of a square full-rank matrix over Z_d."""
-    n = m.nrows
-    if n != m.ncols:
-        raise SingularMatrix("not square")
-    ech, pivots = rref(np.hstack([np.array(m.rows), np.eye(n, dtype=int)]), m.d)
-    if (pivots != np.arange(n)).any():
-        raise SingularMatrix("rank deficient")
-    return ZModMatrix(ech[:, n:].tolist(), m.d)

@@ -31,7 +31,7 @@ one-element or single-operator forms of the library's batched kernels:
 `transform_label`, `sign_bits` (c_L one point at a time, the oracle of
 `phase_space.lagrangian_tables`), `functional_label_by_search` (a search
 of all d^(2n) points per label), `mono_trace`, `mono_trace_product`,
-`stab_projector_wigner`, `wreath_recompose`, `Similitude`, `forget`,
+`stab_projector_wigner`, `wreath_recompose`, `Similitude`,
 `is_hermitian` and `is_identity`.  `first_moment` is the dense sum behind
 the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
 
@@ -52,7 +52,9 @@ the dense closed form of U_S, `dense` expands a table to a dense matrix,
 The library's one Z_d elimination is the batched `zmod.rref`;
 `rref_rows` and `null_space_rows` are the per-matrix elimination on lists
 of ints, and `pair_table_loop` builds the Lagrangian pair table with one
-`null_space_rows` per pair, the oracle of `operators._pair_table`.
+`null_space_rows` per pair, the oracle of `operators._pair_table`.  The
+library inverts no Z_d matrix; the oracles' pre-images take sympy's
+`Matrix.inv_mod` (`inverse_mod`).
 
 A stabilizer chain keeps a Schreier tree per level and builds coset
 representatives on demand (`permgroup.PermGroup`); `tree_representative`
@@ -76,8 +78,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
+import sympy
 
-from stabsym.clifford import AffineSimilitude, k_alpha, similitude_multiplier
+from stabsym.clifford import k_alpha, similitude_multiplier
 from stabsym.cyclotomic import (
     CycNumber,
     _exact,
@@ -118,7 +121,7 @@ from stabsym.phase_space import (
     symplectic_form,
     vec_add,
 )
-from stabsym.zmod import ZModMatrix, inv_mod, invert, legendre
+from stabsym.zmod import ZModMatrix, inv_mod, legendre
 
 
 def real_gates(n):
@@ -407,12 +410,25 @@ def dense_incidence_counts(d):
     return out
 
 
-def transform_label(label: StabilizerLabel, matrix, a) -> StabilizerLabel:
-    """Image of the labelled coset under x -> matrix . x + a."""
+def inverse_mod(matrix: ZModMatrix):
+    """The inverse of an invertible `ZModMatrix` over Z_d by sympy's
+    `Matrix.inv_mod`, as an integer array."""
+    return np.array(sympy.Matrix(matrix.rows).inv_mod(matrix.d).tolist(), dtype=np.int64)
+
+
+def transform_label(label: StabilizerLabel, matrix, a, eta=None) -> StabilizerLabel:
+    """Image of the labelled coset under x -> matrix . x + a; with `eta`
+    (d = 2) the rep is also shifted by t_L as in `transform_labels`, for
+    this one label."""
     d = label.d
     new_rows = [matrix.apply(row) for row in label.L.basis]
     new_L = LagrangianSubspace.from_rows(new_rows, d)
     new_rep = vec_add(matrix.apply(label.rep), a, d)
+    if eta is not None:
+        pre = np.array(new_L.basis) @ inverse_mod(matrix).T % d
+        values = [sign_bits(label.L)[b] + e for b, e in zip(map(tuple, pre.tolist()),
+                                                            eta(pre).tolist())]
+        new_rep = vec_add(new_rep, functional_label_by_search(new_L, values).rep, d)
     return StabilizerLabel.make(new_L, new_rep)
 
 
@@ -468,7 +484,7 @@ def transform_labels(labels, matrix, a, eta=None):
     shifts = np.zeros((len(lags), matrix.ncols), dtype=np.int64)
     if eta is not None:
         basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
-        pre = basis @ np.array(invert(matrix).rows).T % d
+        pre = basis @ inverse_mod(matrix).T % d
         for k, (L, image) in enumerate(zip(lags, images)):
             values = [sign_bits(L)[b] + e for b, e in zip(map(tuple, pre[k].tolist()),
                                                           eta(pre[k]).tolist())]
@@ -618,13 +634,7 @@ class Similitude:
     def symplectic_part(self) -> ZModMatrix:
         d = self.R.d
         n = self.R.ncols // 2
-        return self.R @ invert(k_alpha(d, n, self.alpha))
-
-
-def forget(e) -> AffineSimilitude:
-    """The affine similitude (a, S, alpha) that an `ExtCliffordElement` e
-    induces on phase space."""
-    return AffineSimilitude(a=e.a, S=e.S, alpha=e.alpha % e.d)
+        return self.R @ k_alpha(d, n, inv_mod(self.alpha, d))  # K_alpha^-1 = K_(alpha^-1)
 
 
 def is_hermitian(a: OpMatrix):

@@ -16,11 +16,9 @@ import stabsym
 from stabsym import clifford, cyclotomic, operators
 from stabsym.clifford import (
     WREATH_TABLE,
-    AffineSimilitude,
     ExtCliffordElement,
     PhaseTable,
     _weyl_law,
-    agsp_compose,
     ext_compose,
     k_alpha,
     _metaplectic,
@@ -66,7 +64,6 @@ from dense_oracles import (
     dense_real_clifford_orbit,
     ext_apply,
     family_projectors,
-    forget,
     matrix_point_perm,
     phase_point,
     qubit_gate,
@@ -479,36 +476,19 @@ def test_galois_conjugation_of_metaplectic_generators():
             assert _section(d, s).entrywise_galois(gal) == _section(d, conj_s)
 
 
-def test_apply_affine_similitude_api():
-    d = 5
-    ident = AffineSimilitude.identity(d, 1)
-    assert ident.apply((3, 4)) == (3, 4)
-    shift = AffineSimilitude(a=(1, 0), S=ZModMatrix.identity(2, d), alpha=1)
-    assert shift.apply((3, 4)) == (4, 4)
-    ka = AffineSimilitude(a=(0, 0), S=ZModMatrix.identity(2, d), alpha=2)
-    assert ka.apply((1, 1)) == (1, 2)  # K_2 at d=5
-
-
-def test_agsp_identity_and_pointwise():
-    d = 5
-    rng = random.Random(11)
-    ident = AffineSimilitude.identity(d, 1)
-    t = AffineSimilitude(
-        a=(1, 2), S=_random_sl2(d, rng), alpha=3
-    )
-    assert agsp_compose(ident, t) == t
-    s = AffineSimilitude(a=(0, 4), S=_random_sl2(d, rng), alpha=2)
-    comp = agsp_compose(t, s)
-    for x in all_vectors(d, 2):
-        assert comp.apply(x) == t.apply(s.apply(x))
-
-
-def test_agsp_compose_matches_ext_compose_forgetful():
+def test_ext_compose_acts_on_points_as_the_composed_maps():
+    # the (a, S, alpha) of hg acts on phase space as x -> S K_alpha x + a of
+    # h applied after that of g, at every point of Z_d^2
     d = 5
     rng = random.Random(21)
+
+    def act(e, x):
+        return vec_add((e.S @ k_alpha(d, 1, e.alpha)).apply(x), e.a, d)
+
     for _ in range(100):
         g, h = _random_ext(d, rng), _random_ext(d, rng)
-        assert forget(ext_compose(h, g)) == agsp_compose(forget(h), forget(g))
+        hg = ext_compose(h, g)
+        assert all(act(hg, x) == act(h, act(g, x)) for x in all_vectors(d, 2))
 
 
 def test_qubit_gates_unitary_and_hadamard():

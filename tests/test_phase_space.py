@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,12 @@ from stabsym.phase_space import (
 )
 from stabsym.zmod import ZModMatrix
 
-from dense_oracles import functional_label_by_search, transform_label, transform_labels
+from dense_oracles import (
+    functional_label_by_search,
+    real_gates,
+    transform_label,
+    transform_labels,
+)
 
 
 def test_symplectic_canonical_pair():
@@ -193,18 +199,20 @@ def test_transform_label_bijection_and_lagrangian_images():
 def test_similitude_action_bijective_and_coset_preserving_32():
     # a genuine similitude (multiplier -1) composed with a translation:
     # bijection on all 81 points and Lagrangian cosets map to Lagrangian cosets
-    from stabsym.clifford import AffineSimilitude, sp_generators
+    from stabsym.clifford import k_alpha, sp_generators
 
     d, n = 3, 2
-    s = sp_generators(d, n)[3]
-    t = AffineSimilitude(a=(2, 0, 1, 1), S=s, alpha=2)
+    matrix, a = sp_generators(d, n)[3] @ k_alpha(d, n, 2), (2, 0, 1, 1)
 
-    images = {t.apply(x) for x in all_vectors(d, 2 * n)}
+    def apply(x):
+        return vec_add(matrix.apply(x), a, d)
+
+    images = {apply(x) for x in all_vectors(d, 2 * n)}
     assert len(images) == d ** (2 * n)
     for lab in enumerate_stabilizer_labels(d, n):
-        out = transform_label(lab, t.matrix, t.a)
+        out = transform_label(lab, matrix, a)
         assert set(_coset_points(out.L, out.rep)) == {
-            t.apply(x) for x in _coset_points(lab.L, lab.rep)}
+            apply(x) for x in _coset_points(lab.L, lab.rep)}
 
 
 def test_transform_labels_maps_like_transform_label():
@@ -286,6 +294,54 @@ def test_label_permutations_refuse_images_outside_the_labels():
     assert "coset has no label" in _bad_map_error(labels[1:], eye, (1, 0, 0, 0))
     with pytest.raises(ValueError, match="^map 0: .*not a bijection"):  # a label given twice
         label_permutations(labels + labels[:1], [(eye, (0, 0, 0, 0))])
+
+
+def test_label_permutations_on_the_rebit_labels_give_the_closure_generators():
+    # a labelled subset: Z, H and CZ permute the rebit labels of the closure
+    # as its own generators do
+    from stabsym.clifford import real_clifford_closure
+
+    labels, gens = real_clifford_closure(2)
+    assert label_permutations(labels, [qubit_gate_action(2, *g) for g in real_gates(2)]) == list(gens)
+
+
+def test_label_permutations_refuse_the_s_gate_on_the_rebit_labels():
+    # S takes |+> to |+i>, whose Lagrangian holds Y and is not a rebit one
+    from stabsym.clifford import real_clifford_closure
+
+    labels, _ = real_clifford_closure(2)
+    with pytest.raises(ValueError, match="^map 1: .*not exactly one labelled Lagrangian"):
+        label_permutations(labels, [qubit_gate_action(2, "Z", 0), qubit_gate_action(2, "S", 0)])
+
+
+def test_label_permutations_refuse_singular_or_non_similitude_maps_with_eta():
+    # at d = 2 with eta, the map is refused before any pre-image is read
+    from stabsym.clifford import similitude_multiplier, transpose_action
+
+    labels = enumerate_stabilizer_labels(2, 2)
+    eye, zero, eta = transpose_action(2)
+    singular = ZModMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], 2)
+    shear = ZModMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2)
+    assert similitude_multiplier(shear) is None
+    for m in (singular, shear):
+        with pytest.raises(ValueError, match="^map 1: .*not exactly one labelled Lagrangian"):
+            label_permutations(labels, [(eye, zero, eta), (m, zero, eta)])
+
+
+@pytest.mark.slow
+def test_real_clifford_gate_permutations_match_transform_label_at_four_qubits():
+    # opt-in (`-m slow`): the 14 gates Z_i, H_i, CZ_ij on the 36 720 labels at
+    # (2,4), each checked on 64 seeded labels against the per-label oracle
+    labels = enumerate_stabilizer_labels(2, 4)
+    index = {lab: k for k, lab in enumerate(labels)}
+    maps = [qubit_gate_action(4, *g) for g in real_gates(4)]
+    start = time.perf_counter()
+    perms = label_permutations(labels, maps)
+    assert time.perf_counter() - start < 10
+    rng = random.Random(29)
+    for perm, m in zip(perms, maps):
+        for x in rng.sample(range(len(labels)), 64):
+            assert perm[x] == index[transform_label(labels[x], *m)]
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (2, 3)])
