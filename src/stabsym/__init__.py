@@ -4,7 +4,7 @@ Everything is computed over explicit cyclotomic fields or prime fields; no
 floating point enters any verified value.
 """
 
-from .zmod import ZModMatrix, legendre, rref
+from .zmod import legendre, rref
 from .cyclotomic import CycNumber, GaloisMap, galois_apply, root_of_unity, sqrt_d
 from .phase_space import (
     LagrangianSubspace,

@@ -44,7 +44,7 @@ from .phase_space import (
     vec_add,
     wreath_decompose,
 )
-from .zmod import ZModMatrix, inv_mod, legendre, require_prime
+from .zmod import inv_mod, legendre, require_prime
 
 
 # ---------------------------------------------------------------------------
@@ -58,37 +58,37 @@ def _form_matrix(n):
     return form
 
 
-def similitude_multiplier(m: ZModMatrix):
-    """The mu with [Ma, Mb] = mu [a, b], or None if m is not a similitude:
-    G = M^T J M mod d holds every [M e_i, M e_j], so mu = G[0, n] and m is a
-    similitude iff G = mu J (mu = 0 for a singular m)."""
-    d, n = m.d, m.ncols // 2
-    a, form = np.array(m.rows), _form_matrix(n)
+def similitude_multiplier(m, d):
+    """The mu with [Ma, Mb] = mu [a, b] over Z_d (d prime, else ValueError),
+    or None if the integer matrix m is not a similitude: G = M^T J M mod d
+    holds every [M e_i, M e_j], so mu = G[0, n] and m is a similitude iff
+    G = mu J (mu = 0 for a singular m)."""
+    require_prime(d)
+    a = np.asarray(m) % d
+    n = a.shape[1] // 2
+    form = _form_matrix(n)
     gram = a.T @ form @ a % d
     mu = int(gram[0, n])
     return mu if np.array_equal(gram, mu * form % d) else None
 
 
-def is_symplectic(m: ZModMatrix) -> bool:
-    return similitude_multiplier(m) == 1
+def is_symplectic(m, d) -> bool:
+    return similitude_multiplier(m, d) == 1
 
 
-def k_alpha(d, n, alpha) -> ZModMatrix:
-    """The canonical similitude K_alpha = diag(1_n, alpha 1_n)."""
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][i] = 1
-        rows[n + i][n + i] = alpha % d
-    return ZModMatrix(rows, d)
+def k_alpha(d, n, alpha):
+    """The canonical similitude K_alpha = diag(1_n, alpha 1_n) mod d."""
+    return np.diag([1] * n + [alpha % d] * n)
 
 
-def _k_conjugate(s: ZModMatrix, beta) -> ZModMatrix:
-    """K_beta S K_beta^-1: S with its upper right n x n block times beta^-1
-    and its lower left block times beta."""
-    n, inv = s.ncols // 2, inv_mod(beta, s.d)
-    scale = ((1, inv), (beta, 1))
-    return ZModMatrix([[x * scale[i >= n][j >= n] for j, x in enumerate(row)]
-                       for i, row in enumerate(s.rows)], s.d)
+def _k_conjugate(s, beta, d):
+    """K_beta S K_beta^-1 mod d: S with its upper right n x n block times
+    beta^-1 and its lower left block times beta."""
+    out = np.array(s)
+    n = len(out) // 2
+    out[:n, n:] *= inv_mod(beta, d)
+    out[n:, :n] *= beta
+    return out % d
 
 
 def _k_apply(beta, a):
@@ -97,15 +97,10 @@ def _k_apply(beta, a):
     return (*a[:n], *(beta * x for x in a[n:]))
 
 
-def transvection(v, d) -> ZModMatrix:
-    """t_v: x -> x + [x, v] v."""
-    size = len(v)
-    jv = (jvec(np.array(v)) % d).tolist()
-    rows = [
-        [(1 if i == j else 0) + v[i] * jv[j] for j in range(size)]
-        for i in range(size)
-    ]
-    return ZModMatrix(rows, d)
+def transvection(v, d):
+    """t_v: x -> x + [x, v] v, as its matrix 1 + v (J v)^T mod d."""
+    v = np.asarray(v)
+    return (np.eye(len(v), dtype=np.int64) + np.outer(v, jvec(v))) % d
 
 
 def sp_order_formula(d, n) -> int:
@@ -117,30 +112,27 @@ def sp_order_formula(d, n) -> int:
 
 @lru_cache(maxsize=None)
 def sp_generators(d, n):
-    """A certified generating set of Sp(2n, d) built from transvections, else
-    Mismatch: each is symplectic, so a chain of the group they generate on
-    the nonzero points (`_order_on_nonzero`) has order at most
+    """A certified generating set of Sp(2n, d), read-only matrices, else
+    Mismatch: the transvections of the unit vectors and of their pairwise
+    sums.  Each is symplectic, so a random chain (`PermGroup.random_chain`)
+    of the group they generate on the nonzero points has order at most
     |<gens>| <= |Sp(2n, d)|, and a chain that reaches |Sp(2n, d)|
     (`sp_order_formula`) certifies both."""
     require_prime(d)
     if d ** (2 * n) > MAX_POINTS:
         raise BudgetExceeded("phase space too large for certification")
-    units = [tuple(1 if k == i else 0 for k in range(2 * n)) for i in range(2 * n)]
-    small = list(units)
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            small.append(tuple((x + y) % d for x, y in zip(units[i], units[j])))
-    for vectors in (small, _nonzero_points(d, n).tolist()):  # the few, else every transvection
-        gens = tuple(transvection(v, d) for v in vectors)
-        order = _order_on_nonzero(gens, d, n)
-        if order == sp_order_formula(d, n):
-            break
-    else:
+    units = np.eye(2 * n, dtype=np.int64)
+    i, j = np.triu_indices(2 * n, 1)
+    gens = tuple(transvection(v, d) for v in np.concatenate([units, units[i] + units[j]]))
+    perms = nonzero_point_perms(gens, d, n)
+    order = PermGroup.random_chain(perms, (), d ** (2 * n) - 1).order()
+    if order != sp_order_formula(d, n):
         raise Mismatch(f"a chain of the transvections reaches order {order}, "
                        f"not |Sp({2 * n}, {d})|", witness=order)
     for g in gens:
-        if not is_symplectic(g):
+        if not is_symplectic(g, d):
             raise Mismatch("a transvection is not symplectic", witness=g)
+        g.flags.writeable = False
     return gens
 
 
@@ -155,24 +147,15 @@ def nonzero_point_perms(gens, d, n):
     nonzero points of Z_d^{2n}, in `_nonzero_points` order: one integer
     product per matrix, and an image's index is its code - 1."""
     points = _nonzero_points(d, n)
-    return [tuple((point_codes(points @ np.array(g.rows).T % d, d) - 1).tolist())
+    return [tuple((point_codes(points @ np.asarray(g).T % d, d) - 1).tolist())
             for g in gens]
 
 
-@lru_cache(maxsize=None)
-def _order_on_nonzero(gens, d, n):
-    """The order of a random chain (`PermGroup.random_chain`) of the group a
-    tuple of matrices generates on the nonzero points: at most the order of
-    that group, and equal to it once it reaches the group's known order.
-    Cached on the tuple, so `sp_order` reads the order `sp_generators`
-    certified."""
-    perms = nonzero_point_perms(gens, d, n)
-    return PermGroup.random_chain(perms, (), d ** (2 * n) - 1).order()
-
-
 def sp_order(d, n) -> int:
-    """|Sp(2n, d)| certified by the permutation engine on nonzero vectors."""
-    return _order_on_nonzero(sp_generators(d, n), d, n)
+    """|Sp(2n, d)|, certified: `sp_generators` raises unless a chain of its
+    generators on the nonzero vectors reaches `sp_order_formula`."""
+    sp_generators(d, n)
+    return sp_order_formula(d, n)
 
 
 def primitive_root(d):
@@ -273,11 +256,10 @@ def products_equal(x: PhaseTable, y: PhaseTable, z: PhaseTable) -> bool:
 def metaplectic(d, s) -> PhaseTable:
     """The canonical unitary U_S with U_S T(b) U_S^dagger = T(Sb) exactly,
     multiplicative in S (n = 1, odd d), as the phase table of the closed
-    form above; S a `ZModMatrix` or its rows, cached per (d, S mod d)."""
+    form above; S any integer matrix, cached per (d, S mod d)."""
     if d == 2:
         raise OddOnly("the metaplectic section needs odd d")
-    rows = s.rows if isinstance(s, ZModMatrix) else s
-    return _metaplectic(d, tuple(tuple(x % d for x in row) for row in rows))
+    return _metaplectic(d, tuple(map(tuple, (np.asarray(s) % d).tolist())))
 
 
 @lru_cache(maxsize=1024)  # all of SL(2, d) up to d = 7
@@ -301,26 +283,26 @@ def _metaplectic(d, rows) -> PhaseTable:
 
 @dataclass(frozen=True)
 class ExtCliffordElement:
-    """omega^mu T(a) U_S C_alpha for one qudit of odd prime dimension d."""
+    """omega^mu T(a) U_S C_alpha for one qudit of odd prime dimension d; S,
+    any integer matrix, is kept as its rows mod d."""
 
     mu: int
     a: tuple
-    S: ZModMatrix
+    S: tuple
     alpha: int
+    d: int
 
     def __post_init__(self):
-        if self.S.ncols != 2:
+        s = np.asarray(self.S) % self.d
+        if s.shape != (2, 2):
             raise ValueError("matrix-level extended Clifford layer is single-qudit")
-        if not is_symplectic(self.S):
+        if not is_symplectic(s, self.d):  # ValueError for a composite d
             raise ValueError("S must be symplectic")
-
-    @property
-    def d(self):
-        return self.S.d
+        object.__setattr__(self, "S", tuple(map(tuple, s.tolist())))
 
     @classmethod
     def identity(cls, d):
-        return cls(mu=0, a=(0, 0), S=ZModMatrix.identity(2, d), alpha=1)
+        return cls(mu=0, a=(0, 0), S=((1, 0), (0, 1)), alpha=1, d=d)
 
     def galois(self) -> GaloisMap:
         return GaloisMap(self.alpha % self.d, self.d)
@@ -340,7 +322,7 @@ class ExtCliffordElement:
         return {
             "mu": self.mu % self.d,
             "a": list(self.a),
-            "S": [list(r) for r in self.S.rows],
+            "S": [list(r) for r in self.S],
             "alpha": self.alpha % self.d,
         }
 
@@ -354,13 +336,15 @@ def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElem
         raise ValueError("mixed dimensions")
     d = h.d
     half = (d + 1) // 2
-    rkb_a = h.S.apply(_k_apply(h.alpha, g.a))
+    s = np.array(h.S)
+    rkb_a = tuple((s @ _k_apply(h.alpha, g.a) % d).tolist())
     mu = (h.mu + h.alpha * g.mu - half * symplectic_form(h.a, rkb_a, d)) % d
     return ExtCliffordElement(
         mu=mu,
         a=vec_add(rkb_a, h.a, d),
-        S=h.S @ _k_conjugate(g.S, h.alpha),
+        S=s @ _k_conjugate(g.S, h.alpha, d) % d,
         alpha=(h.alpha * g.alpha) % d,
+        d=d,
     )
 
 
@@ -373,28 +357,28 @@ def qubit_gate_action(n, name, i=0, j=1):
     j) of an n-qubit register, name in H, S, Y, Z, CZ: the tableau rules
     (Aaronson & Gottesman, PRA 70, 052328 (2004)).  eta takes an integer
     array of points b and acts along its last axis."""
-    rows = [list(r) for r in ZModMatrix.identity(2 * n, 2).rows]
+    s = np.eye(2 * n, dtype=np.int64)
     x, z = i, n + i
     if name == "H":  # X <-> Z, Y -> -Y
-        rows[x], rows[z] = rows[z], rows[x]
+        s[[x, z]] = s[[z, x]]
         eta = lambda b: b[..., x] * b[..., z]
     elif name == "S":  # X -> Y, Y -> -X
-        rows[z][x] = 1
+        s[z, x] = 1
         eta = lambda b: b[..., x] * b[..., z]
     elif name in ("Y", "Z"):  # Z flips X; Y flips X and Z
         eta = lambda b: (b[..., x] + (name == "Y") * b[..., z]) % 2
     elif name == "CZ":  # X_i -> X_i Z_j, X_j -> Z_i X_j
-        rows[n + j][x] = rows[z][j] = 1
+        s[n + j, x] = s[z, j] = 1
         eta = lambda b: b[..., x] * b[..., j] * (b[..., z] + b[..., n + j]) % 2
     else:
         raise ValueError(name)
-    return ZModMatrix(rows, 2), (0,) * (2 * n), eta
+    return s, (0,) * (2 * n), eta
 
 
 def transpose_action(n):
     """The label map of transposition: T(b)^T = (-1)^(b_X.b_Z) T(b), eta
     acting along the last axis of an integer array of points b."""
-    return (ZModMatrix.identity(2 * n, 2), (0,) * (2 * n),
+    return (np.eye(2 * n, dtype=np.int64), (0,) * (2 * n),
             lambda b: (b[..., :n] * b[..., n:]).sum(-1) % 2)
 
 
@@ -408,7 +392,7 @@ def real_clifford_closure(n):
     gates = [(g, i) for i in range(n) for g in ("Z", "H")]
     gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]
     perms = label_permutations(labels, [qubit_gate_action(n, *g) for g in gates])
-    z_basis = LagrangianSubspace.from_rows(ZModMatrix.identity(2 * n, 2).rows[n:], 2)
+    z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:].tolist(), 2)
     start = labels.index(StabilizerLabel.make(z_basis, (0,) * (2 * n)))
     seen = {start: 0}
     queue = [start]
@@ -540,18 +524,16 @@ def verify_clifford_laws(d, n, seed, samples):
     if d != 2 and n == 1 and d <= 7:
         sl2 = sl2_elements(d)
 
-        def rand_symplectic():
-            return ZModMatrix(rng.choice(sl2), d)
-
         def multiplies(s1, s2):
-            return products_equal(metaplectic(d, s1), metaplectic(d, s2), metaplectic(d, s1 @ s2))
+            return products_equal(metaplectic(d, s1), metaplectic(d, s2),
+                                  metaplectic(d, np.array(s1) @ s2 % d))
 
-        ok = all(multiplies(rand_symplectic(), rand_symplectic()) for _ in range(samples))
+        ok = all(multiplies(rng.choice(sl2), rng.choice(sl2)) for _ in range(samples))
         checks["metaplectic_multiplicative"] = {"pass": ok}
 
         def rand_ext():
             return ExtCliffordElement(mu=rng.randrange(d), a=(rng.randrange(d), rng.randrange(d)),
-                                      S=rand_symplectic(), alpha=rng.randrange(1, d))
+                                      S=rng.choice(sl2), alpha=rng.randrange(1, d), d=d)
 
         def composes(g, h):
             return products_equal(h.matrix(), g.matrix().galois(h.galois()),
@@ -563,7 +545,7 @@ def verify_clifford_laws(d, n, seed, samples):
         def galois_acts(alpha, x):
             # C_alpha with U = 1 acts on the monomial A(x) alone
             image = phase_point_mono(d, 1, x).galois(GaloisMap(alpha, d))
-            return image == phase_point_mono(d, 1, k_alpha(d, 1, alpha).apply(x))
+            return image == phase_point_mono(d, 1, tuple((k_alpha(d, 1, alpha) @ x % d).tolist()))
 
         checks["galois_action_on_phase_points"] = {
             "pass": all(galois_acts(alpha, x) for alpha in range(2, d) for x in all_vectors(d, 2))}

@@ -345,9 +345,11 @@ def label_cosets(labels):
     (by its `point_codes` code), -1 if it is not given."""
     d, n = labels[0].d, labels[0].n
     lags, li = lagrangian_index(labels)
-    reps = np.array([lab.rep for lab in labels])
+    small = np.min_scalar_type(-2 * d)  # signed, holds every rep + point <= 2(d - 1)
+    reps = np.array([lab.rep for lab in labels], dtype=small)
+    points = lagrangian_tables(lags).points.astype(small)
     coset = np.full((len(lags), d ** (2 * n)), -1, dtype=np.int64)
-    coset[li[:, None], point_codes((reps[:, None] + lagrangian_tables(lags).points[li]) % d, d)] = (
+    coset[li[:, None], point_codes((reps[:, None] + points[li]) % d, d)] = (
         np.arange(len(labels))[:, None])
     return lags, li, coset
 
@@ -383,7 +385,7 @@ def label_permutations(labels, maps):
     rows = np.arange(len(lags))[:, None]
     perms = []
     for k, (matrix, a, *eta) in enumerate(maps):
-        m = np.array(matrix.rows)
+        m = np.asarray(matrix)
         # source[l, x]: the index of the point of L_l that M maps onto x, else -1
         source = np.full(tables.member.shape, -1, dtype=np.min_scalar_type(-d ** n))
         source[rows, point_codes(tables.points @ m.T % d, d)] = np.arange(d ** n)

@@ -37,7 +37,6 @@ from .phase_space import (
     wreath_compose,
     wreath_decompose,
 )
-from .zmod import ZModMatrix
 
 
 def budget_seconds(value) -> float:
@@ -382,7 +381,7 @@ def predicted_generators(d, n, variant) -> tuple:
         if d == 2:
             raise OddOnly("the AGSp label action requires odd d")
         zero = (0,) * (2 * n)
-        eye = ZModMatrix.identity(2 * n, d)
+        eye = np.eye(2 * n, dtype=np.int64)
         maps = [(s, zero) for s in sp_generators(d, n)]
         maps.append((k_alpha(d, n, primitive_root(d)), zero))
         maps += [(eye, tuple(1 if i == k else 0 for i in range(2 * n))) for k in range(2 * n)]

@@ -1,4 +1,6 @@
-"""Arithmetic and linear algebra over the prime field Z_d."""
+"""Arithmetic and linear algebra over the prime field Z_d.  A Z_d matrix
+is an integer numpy array (or stack of them), reduced mod d by whatever
+reads it."""
 
 from __future__ import annotations
 
@@ -43,76 +45,6 @@ def legendre(a: int, d: int) -> int:
         return 0
     s = pow(a, (d - 1) // 2, d)
     return 1 if s == 1 else -1
-
-
-class ZModMatrix:
-    """Immutable matrix over Z_d with exact field arithmetic."""
-
-    __slots__ = ("rows", "d")
-
-    def __init__(self, rows, d: int):
-        require_prime(d)
-        rows = tuple(tuple(x % d for x in r) for r in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged rows")
-        self.rows = rows
-        self.d = d
-
-    @classmethod
-    def identity(cls, n: int, d: int) -> "ZModMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], d)
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __eq__(self, other):
-        return isinstance(other, ZModMatrix) and self.d == other.d and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows, self.d))
-
-    def __repr__(self):
-        return f"ZModMatrix({list(map(list, self.rows))}, d={self.d})"
-
-    def __matmul__(self, other):
-        if isinstance(other, ZModMatrix):
-            if other.d != self.d or self.ncols != other.nrows:
-                raise ValueError("shape/modulus mismatch")
-            bt = list(zip(*other.rows))
-            d = self.d
-            return ZModMatrix(
-                [[sum(x * y for x, y in zip(row, col)) % d for col in bt] for row in self.rows],
-                d,
-            )
-        raise TypeError(type(other))
-
-    def __add__(self, other):
-        if self.d != other.d or self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape/modulus mismatch")
-        return ZModMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)], self.d
-        )
-
-    def __neg__(self):
-        return ZModMatrix([[-x for x in r] for r in self.rows], self.d)
-
-    def scale(self, c: int) -> "ZModMatrix":
-        return ZModMatrix([[c * x for x in r] for r in self.rows], self.d)
-
-    def transpose(self) -> "ZModMatrix":
-        return ZModMatrix(list(zip(*self.rows)), self.d)
-
-    def apply(self, v):
-        """Matrix-vector product, v a tuple."""
-        d = self.d
-        return tuple(sum(x * y for x, y in zip(row, v)) % d for row in self.rows)
 
 
 def rref(a, d: int):

@@ -5,11 +5,12 @@ The library acts on d = 2 stabilizer states as labels: the Gram is the
 closed form, and gates and transposition permute the labels through
 integer index tables (`phase_space.label_permutations`).  `transform_labels`
 builds every image label as an object, `transform_label` one label alone,
-and `matrix_point_perm` maps phase-space points one tuple at a time, the
-oracle of `clifford.nonzero_point_perms`.  The oracles here act on the exact
-projector matrices instead: a permutation is read off by conjugating every
-projector, and the rebit states are the breadth-first closure of
-|0...0><0...0| under the dense real Clifford gates (`qubit_gate`).  The
+and `matrix_point_perm` maps phase-space points one tuple at a time
+(`matrix_apply`), the oracle of `clifford.nonzero_point_perms`.  The
+oracles here act on the exact projector matrices instead: a permutation is
+read off by conjugating every projector, and the rebit states are the
+breadth-first closure of |0...0><0...0| under the dense real Clifford
+gates (`qubit_gate`).  The
 S_f sum rule is checked on Weyl coefficients (`symmetry.sf_checks`) and the
 Galois action on A(x) as a monomial map; `dense_sf_machinery` and
 `ext_apply` take the same steps with sums and products of dense matrices.
@@ -121,7 +122,7 @@ from stabsym.phase_space import (
     symplectic_form,
     vec_add,
 )
-from stabsym.zmod import ZModMatrix, inv_mod, legendre
+from stabsym.zmod import inv_mod, legendre
 
 
 def real_gates(n):
@@ -410,22 +411,27 @@ def dense_incidence_counts(d):
     return out
 
 
-def inverse_mod(matrix: ZModMatrix):
-    """The inverse of an invertible `ZModMatrix` over Z_d by sympy's
+def inverse_mod(matrix, d):
+    """The inverse over Z_d of an invertible integer matrix by sympy's
     `Matrix.inv_mod`, as an integer array."""
-    return np.array(sympy.Matrix(matrix.rows).inv_mod(matrix.d).tolist(), dtype=np.int64)
+    return np.array(sympy.Matrix(np.asarray(matrix).tolist()).inv_mod(d).tolist(), dtype=np.int64)
+
+
+def matrix_apply(matrix, v, d):
+    """The tuple matrix . v mod d, one integer row at a time."""
+    return tuple(sum(x * y for x, y in zip(row, v)) % d for row in np.asarray(matrix).tolist())
 
 
 def transform_label(label: StabilizerLabel, matrix, a, eta=None) -> StabilizerLabel:
-    """Image of the labelled coset under x -> matrix . x + a; with `eta`
-    (d = 2) the rep is also shifted by t_L as in `transform_labels`, for
-    this one label."""
+    """Image of the labelled coset under x -> matrix . x + a over Z_d, d =
+    label.d, for an integer matrix; with `eta` (d = 2) the rep is also
+    shifted by t_L as in `transform_labels`, for this one label."""
     d = label.d
-    new_rows = [matrix.apply(row) for row in label.L.basis]
+    new_rows = [matrix_apply(matrix, row, d) for row in label.L.basis]
     new_L = LagrangianSubspace.from_rows(new_rows, d)
-    new_rep = vec_add(matrix.apply(label.rep), a, d)
+    new_rep = vec_add(matrix_apply(matrix, label.rep, d), a, d)
     if eta is not None:
-        pre = np.array(new_L.basis) @ inverse_mod(matrix).T % d
+        pre = np.array(new_L.basis) @ inverse_mod(matrix, d).T % d
         values = [sign_bits(label.L)[b] + e for b, e in zip(map(tuple, pre.tolist()),
                                                             eta(pre).tolist())]
         new_rep = vec_add(new_rep, functional_label_by_search(new_L, values).rep, d)
@@ -479,17 +485,17 @@ def transform_labels(labels, matrix, a, eta=None):
     time."""
     d = labels[0].d
     lags, which = lagrangian_index(labels)
-    mapped = np.array([L.basis for L in lags]) @ np.array(matrix.rows).T % d
+    mapped = np.array([L.basis for L in lags]) @ np.asarray(matrix).T % d
     images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
-    shifts = np.zeros((len(lags), matrix.ncols), dtype=np.int64)
+    shifts = np.zeros((len(lags), 2 * labels[0].n), dtype=np.int64)
     if eta is not None:
         basis = np.array([L.basis for L in images])  # (Lagrangians, n, 2n)
-        pre = basis @ inverse_mod(matrix).T % d
+        pre = basis @ inverse_mod(matrix, d).T % d
         for k, (L, image) in enumerate(zip(lags, images)):
             values = [sign_bits(L)[b] + e for b, e in zip(map(tuple, pre[k].tolist()),
                                                           eta(pre[k]).tolist())]
             shifts[k] = functional_label_by_search(image, values).rep
-    reps = (np.array([lab.rep for lab in labels]) @ np.array(matrix.rows).T + a
+    reps = (np.array([lab.rep for lab in labels]) @ np.asarray(matrix).T + a
             + shifts[which]) % d
     return [StabilizerLabel.make(images[k], tuple(rep)) for k, rep in zip(which, reps.tolist())]
 
@@ -557,11 +563,12 @@ def pair_table_loop(lags):
     return dims, jb, tables.signs[np.arange(len(lags))[:, None, None], codes]
 
 
-def matrix_point_perm(m: ZModMatrix, points, index=None):
-    """The permutation a matrix induces on a list of phase-space points."""
+def matrix_point_perm(m, points, d, index=None):
+    """The permutation an integer matrix induces on a list of points of
+    Z_d^{2n}."""
     if index is None:
         index = {p: i for i, p in enumerate(points)}
-    return tuple(index[m.apply(p)] for p in points)
+    return tuple(index[matrix_apply(m, p, d)] for p in points)
 
 
 def _mono_phase(mono: Mono, e):
@@ -616,25 +623,26 @@ def wreath_recompose(sigma, inners, blocks):
     return tuple(perm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Similitude:
-    """R in GSp with multiplier alpha; factorizes as R = S K_alpha."""
+    """R in GSp(2n, d), an integer matrix, with multiplier alpha;
+    factorizes as R = S K_alpha."""
 
-    R: ZModMatrix
+    R: np.ndarray
     alpha: int
+    d: int
 
     @classmethod
-    def from_matrix(cls, r: ZModMatrix):
-        mu = similitude_multiplier(r)
+    def from_matrix(cls, r, d):
+        mu = similitude_multiplier(r, d)
         if mu is None or mu == 0:
             raise ValueError("not a symplectic similitude")
-        return cls(R=r, alpha=mu)
+        return cls(R=np.asarray(r), alpha=mu, d=d)
 
     @property
-    def symplectic_part(self) -> ZModMatrix:
-        d = self.R.d
-        n = self.R.ncols // 2
-        return self.R @ k_alpha(d, n, inv_mod(self.alpha, d))  # K_alpha^-1 = K_(alpha^-1)
+    def symplectic_part(self):
+        d, n = self.d, len(self.R) // 2
+        return self.R @ k_alpha(d, n, inv_mod(self.alpha, d)) % d  # K_alpha^-1 = K_(alpha^-1)
 
 
 def is_hermitian(a: OpMatrix):
@@ -807,16 +815,15 @@ def hermitian_basis(d, n):
 # ---------------------------------------------------------------------------
 # Dense single-qudit Clifford elements
 
-def similitude_multiplier_loop(m: ZModMatrix):
+def similitude_multiplier_loop(m, d):
     """`clifford.similitude_multiplier` pair by pair: [M e_i, M e_j] against
-    [e_i, e_j] for every pair of unit vectors."""
-    d = m.d
-    n = m.ncols // 2
+    [e_i, e_j] over Z_d for every pair of unit vectors."""
+    n = len(m) // 2
     mu = None
     basis = [tuple(1 if k == i else 0 for k in range(2 * n)) for i in range(2 * n)]
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            lhs = symplectic_form(m.apply(a), m.apply(b), d)
+            lhs = symplectic_form(matrix_apply(m, a, d), matrix_apply(m, b, d), d)
             rhs = symplectic_form(a, b, d)
             if rhs == 0:
                 if lhs != 0:

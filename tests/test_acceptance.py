@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from stabsym.clifford import WREATH_TABLE, k_alpha, real_clifford_orbit, verify_clifford_laws
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, tau
 from stabsym.moments import (
@@ -47,7 +49,6 @@ from stabsym.symmetry import (
     verify_sf_sum,
     verify_theorem1,
 )
-from stabsym.zmod import ZModMatrix
 
 from dense_oracles import (
     bruteforce_gram,
@@ -177,7 +178,7 @@ def test_criterion_6_theorem1_case3_agsp_32():
     from stabsym.clifford import sp_generators
 
     zero = (0,) * (2 * n)
-    eye = ZModMatrix.identity(2 * n, d)
+    eye = np.eye(2 * n, dtype=np.int64)
     sp_perms = [
         tuple(index[transform_label(lab, s, zero)] for lab in fam.labels)
         for s in sp_generators(d, n)

@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from stabsym import clifford, cyclotomic, moments, operators
+from stabsym import clifford, cyclotomic, moments, operators, zmod
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -44,3 +44,7 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     assert not hasattr(clifford, "OpMatrix")
     for name in ("hermitian_basis", "weyl_mono", "phase_point_mono"):
         assert not hasattr(moments, name), name
+    # a Z_d matrix is an integer array, and the certified Sp order is not
+    # reread from a cache keyed on matrices
+    assert not hasattr(zmod, "ZModMatrix")
+    assert not hasattr(clifford, "_order_on_nonzero")

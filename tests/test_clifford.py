@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import stabsym
@@ -20,10 +20,12 @@ from stabsym.clifford import (
     PhaseTable,
     _weyl_law,
     ext_compose,
+    is_symplectic,
     k_alpha,
     _metaplectic,
     metaplectic,
     nonzero_point_perms,
+    primitive_root,
     products_equal,
     qubit_gate_action,
     real_clifford_orbit,
@@ -55,7 +57,13 @@ from stabsym.operators import (
     weyl,
     weyl_mono,
 )
-from stabsym.phase_space import all_vectors, symplectic_form, vec_add
+from stabsym.phase_space import (
+    all_vectors,
+    enumerate_stabilizer_labels,
+    label_permutations,
+    symplectic_form,
+    vec_add,
+)
 
 from dense_oracles import (
     Similitude,
@@ -64,6 +72,7 @@ from dense_oracles import (
     dense_real_clifford_orbit,
     ext_apply,
     family_projectors,
+    matrix_apply,
     matrix_point_perm,
     phase_point,
     qubit_gate,
@@ -73,11 +82,11 @@ from dense_oracles import (
     transform_labels,
     weyl_law_pairwise,
 )
-from stabsym.zmod import ZModMatrix, inv_mod, legendre
+from stabsym.zmod import inv_mod, legendre
 
 
 def _random_sl2(d, rng):
-    return ZModMatrix(rng.choice(sl2_elements(d)), d)
+    return np.array(rng.choice(sl2_elements(d)))
 
 
 def _section(d, s):
@@ -118,7 +127,7 @@ def test_point_perms_match_matrix_point_perm(d, n):
     # permutation of the nonzero points that maps them one tuple at a time
     points = [v for v in all_vectors(d, 2 * n) if any(v)]
     gens = sp_generators(d, n)
-    assert nonzero_point_perms(gens, d, n) == [matrix_point_perm(g, points) for g in gens]
+    assert nonzero_point_perms(gens, d, n) == [matrix_point_perm(g, points, d) for g in gens]
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
@@ -126,12 +135,12 @@ def test_k_conjugation_matches_the_matrix_products(d, n):
     # K_beta S K_beta^-1 by block scaling, and K_beta a, as in the composition laws
     rng = random.Random(11)
     for _ in range(20):
-        s = ZModMatrix([[rng.randrange(d) for _ in range(2 * n)] for _ in range(2 * n)], d)
+        s = np.array([[rng.randrange(d) for _ in range(2 * n)] for _ in range(2 * n)])
         a = tuple(rng.randrange(d) for _ in range(2 * n))
         beta = rng.randrange(1, d)
         kb, kb_inv = k_alpha(d, n, beta), k_alpha(d, n, inv_mod(beta, d))
-        assert clifford._k_conjugate(s, beta) == kb @ s @ kb_inv
-        assert tuple(x % d for x in clifford._k_apply(beta, a)) == kb.apply(a)
+        assert np.array_equal(clifford._k_conjugate(s, beta, d), kb @ s @ kb_inv % d)
+        assert tuple(x % d for x in clifford._k_apply(beta, a)) == matrix_apply(kb, a, d)
 
 
 @pytest.fixture
@@ -149,7 +158,7 @@ def test_sp_generators_refuse_a_wrong_order(monkeypatch, fresh_sp_generators):
 
 
 def test_sp_generators_refuse_a_non_symplectic_generator(monkeypatch, fresh_sp_generators):
-    monkeypatch.setattr(clifford, "is_symplectic", lambda m: False)
+    monkeypatch.setattr(clifford, "is_symplectic", lambda m, d: False)
     with pytest.raises(Mismatch, match="not symplectic"):
         sp_generators(3, 1)
 
@@ -169,14 +178,14 @@ def test_sp_generators_certify_under_python_O():
 def test_transvections_are_symplectic():
     for d, n in ((3, 2), (5, 1), (2, 2)):
         for v in list(all_vectors(d, 2 * n))[1:6]:
-            assert similitude_multiplier(transvection(v, d)) == 1
+            assert similitude_multiplier(transvection(v, d), d) == 1
 
 
 def test_k_alpha_is_similitude():
     for d in (3, 5, 7):
         for alpha in range(1, d):
-            assert similitude_multiplier(k_alpha(d, 1, alpha)) == alpha
-    assert similitude_multiplier(k_alpha(5, 2, 3)) == 3
+            assert similitude_multiplier(k_alpha(d, 1, alpha), d) == alpha
+    assert similitude_multiplier(k_alpha(5, 2, 3), 5) == 3
 
 
 def test_similitude_factorization():
@@ -185,25 +194,25 @@ def test_similitude_factorization():
     for _ in range(10):
         s = _random_sl2(d, rng)
         alpha = rng.randrange(1, d)
-        r = s @ k_alpha(d, 1, alpha)
-        sim = Similitude.from_matrix(r)
+        r = s @ k_alpha(d, 1, alpha) % d
+        sim = Similitude.from_matrix(r, d)
         assert sim.alpha == alpha
-        assert sim.symplectic_part @ k_alpha(d, 1, alpha) == r
+        assert np.array_equal(sim.symplectic_part @ k_alpha(d, 1, alpha) % d, r)
 
 
 def test_metaplectic_identity():
     for d in (3, 5):
-        u = _section(d, ZModMatrix.identity(2, d))
+        u = _section(d, np.eye(2, dtype=np.int64))
         assert u == OpMatrix.identity(conductor_for(d), d)
 
 
 def test_metaplectic_fourier_d3():
     d = 3
-    s = ZModMatrix([[0, -1], [1, 0]], d)
+    s = np.array([[0, -1], [1, 0]])
     u = _section(d, s)
     # U = (omega^{jk})/g with g the Gauss sum i*sqrt(3); verify action instead of phases
     for b in all_vectors(d, 2):
-        assert u @ weyl(d, 1, b) @ u.dagger() == weyl(d, 1, s.apply(b))
+        assert u @ weyl(d, 1, b) @ u.dagger() == weyl(d, 1, matrix_apply(s, b, d))
     # matrix entries are omega^{jk} / (i sqrt 3) up to the canonical phase; check |entry|^2 = 1/3
     e = u.rows[0][0]
     assert (e.conj() * e) == CycNumber.from_fraction(conductor_for(3), Fraction(1, 3))
@@ -215,11 +224,10 @@ def test_metaplectic_conjugation_postcondition_all(d):
     table = sl2_elements(d)
     sample = table if d == 3 else rng.sample(table, 12)
     for rows in sample:
-        s = ZModMatrix(rows, d)
-        u = _section(d, s)
+        u = _section(d, rows)
         assert u.dagger() @ u == OpMatrix.identity(conductor_for(d), d)
         for b in all_vectors(d, 2):
-            assert u @ weyl(d, 1, b) @ u.dagger() == weyl(d, 1, s.apply(b))
+            assert u @ weyl(d, 1, b) @ u.dagger() == weyl(d, 1, matrix_apply(rows, b, d))
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -227,7 +235,7 @@ def test_metaplectic_multiplicative(d):
     rng = random.Random(41)
     for _ in range(50):
         s1, s2 = _random_sl2(d, rng), _random_sl2(d, rng)
-        assert _section(d, s1) @ _section(d, s2) == _section(d, s1 @ s2)
+        assert _section(d, s1) @ _section(d, s2) == _section(d, s1 @ s2 % d)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -238,7 +246,7 @@ def test_metaplectic_galois_closure(d):
         for alpha in range(2, d):
             gal = GaloisMap(alpha, d)
             lhs = _section(d, s).entrywise_galois(gal)
-            conj = k_alpha(d, 1, alpha) @ s @ k_alpha(d, 1, inv_mod(alpha, d))
+            conj = k_alpha(d, 1, alpha) @ s @ k_alpha(d, 1, inv_mod(alpha, d)) % d
             assert lhs == _section(d, conj)
             assert dense(metaplectic(d, s).galois(gal)) == lhs
 
@@ -275,10 +283,10 @@ def test_metaplectic_pins_the_standard_generators(d):
     # the hand-built Fourier, multiplier and shear matrix; the Fourier value
     # carries the sign L(-2), so F itself is in the section only for
     # d = 1, 3 mod 8 (here d = 3, 11)
-    assert _section(d, ZModMatrix([[0, -1], [1, 0]], d)) == _fourier(d).scale(legendre(-2, d))
+    assert _section(d, [[0, -1], [1, 0]]) == _fourier(d).scale(legendre(-2, d))
     for g in range(1, d):
-        assert _section(d, ZModMatrix([[g, 0], [0, inv_mod(g, d)]], d)) == _multiplier(d, g)
-    assert _section(d, ZModMatrix([[1, 0], [1, 1]], d)) == _shear(d)
+        assert _section(d, [[g, 0], [0, inv_mod(g, d)]]) == _multiplier(d, g)
+    assert _section(d, [[1, 0], [1, 1]]) == _shear(d)
 
 
 def test_metaplectic_multiplicative_on_all_pairs_d3():
@@ -287,7 +295,7 @@ def test_metaplectic_multiplicative_on_all_pairs_d3():
     assert len(section) == sp_order_formula(d, 1)
     for r1, u1 in section.items():
         for r2, u2 in section.items():
-            assert u1 @ u2 == section[(ZModMatrix(r1, d) @ ZModMatrix(r2, d)).rows]
+            assert u1 @ u2 == section[tuple(map(tuple, (np.array(r1) @ r2 % d).tolist()))]
 
 
 @pytest.mark.parametrize("d,pairs", [(7, 6), (11, 3)])
@@ -302,17 +310,17 @@ def test_metaplectic_laws_sampled_at_larger_d(d, pairs):
         u1 = _section(d, s1)
         assert u1.dagger() @ u1 == ident
         for b in ((1, 0), (0, 1), (rng.randrange(d), rng.randrange(d))):
-            assert u1 @ weyl(d, 1, b) @ u1.dagger() == weyl(d, 1, s1.apply(b))
-        assert u1 @ _section(d, s2) == _section(d, s1 @ s2)
+            assert u1 @ weyl(d, 1, b) @ u1.dagger() == weyl(d, 1, matrix_apply(s1, b, d))
+        assert u1 @ _section(d, s2) == _section(d, s1 @ s2 % d)
 
 
 def test_metaplectic_rejects_nonsymplectic():
     with pytest.raises(WordDecompositionFailure):
-        metaplectic(3, ZModMatrix([[1, 1], [1, 1]], 3))
+        metaplectic(3, [[1, 1], [1, 1]])
     with pytest.raises(WordDecompositionFailure):
-        metaplectic(11, ZModMatrix([[2, 0], [0, 2]], 11))  # det 4: a similitude
+        metaplectic(11, [[2, 0], [0, 2]])  # det 4: a similitude
     with pytest.raises(OddOnly):
-        metaplectic(2, ZModMatrix.identity(2, 2))
+        metaplectic(2, [[1, 0], [0, 1]])
 
 
 def test_transpose_realizes_k_minus_one_d3():
@@ -333,10 +341,10 @@ def test_ext_identity_action():
 def test_galois_action_on_phase_points_exhaustive_d5():
     d = 5
     for alpha in range(2, d):
-        e = ExtCliffordElement(mu=0, a=(0, 0), S=ZModMatrix.identity(2, d), alpha=alpha)
+        e = ExtCliffordElement(mu=0, a=(0, 0), S=np.eye(2, dtype=np.int64), alpha=alpha, d=d)
         ka = k_alpha(d, 1, alpha)
         for x in all_vectors(d, 2):
-            assert ext_apply(e, phase_point(d, 1, x)) == phase_point(d, 1, ka.apply(x))
+            assert ext_apply(e, phase_point(d, 1, x)) == phase_point(d, 1, matrix_apply(ka, x, d))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -368,8 +376,7 @@ def test_metaplectic_cache_keys_on_s_mod_d(d):
     for _ in range(10):
         rows = rng.choice(sl2_elements(d))
         lifted = [[x + d * rng.randrange(-3, 4) for x in row] for row in rows]
-        forms = [ZModMatrix(rows, d), [list(r) for r in rows], rows, lifted,
-                 ZModMatrix(lifted, d)]
+        forms = [np.array(rows), [list(r) for r in rows], rows, lifted, np.array(lifted)]
         first = metaplectic(d, forms[0])
         assert all(metaplectic(d, s) is first for s in forms)
         assert dense(first) == dense(_metaplectic.__wrapped__(d, rows))  # as if built afresh
@@ -384,7 +391,7 @@ def test_ext_matrix_is_phase_times_weyl_times_section():
     rng = random.Random(4)
     for _ in range(20):
         e = ExtCliffordElement(mu=rng.randrange(-d, 2 * d), a=(rng.randrange(d), rng.randrange(d)),
-                               S=ZModMatrix(rng.choice(sl2_elements(d)), d), alpha=1)
+                               S=rng.choice(sl2_elements(d)), alpha=1, d=d)
         product = (weyl(d, 1, e.a) @ _section(d, e.S)).scale(omega(d) ** (e.mu % d))
         assert dense(e.matrix()) == product
 
@@ -400,7 +407,7 @@ def test_clifford_affine_action_on_phase_points():
         u = weyl(d, 1, tuple((-x) % d for x in a)) @ _section(d, s)
         for x in list(all_vectors(d, 2))[:8]:
             got = u @ phase_point(d, 1, x) @ u.dagger()
-            expected = phase_point(d, 1, vec_add(s.apply(x), a, d))
+            expected = phase_point(d, 1, vec_add(matrix_apply(s, x, d), a, d))
             assert got == expected
 
 
@@ -410,10 +417,10 @@ def test_ext_element_phase_space_action():
     rng = random.Random(29)
     for _ in range(5):
         e = _random_ext(d, rng)
-        mat = e.S @ k_alpha(d, 1, e.alpha)
+        mat = np.array(e.S) @ k_alpha(d, 1, e.alpha)
         for x in list(all_vectors(d, 2))[:6]:
             got = ext_apply(e, phase_point(d, 1, x))
-            target = tuple((m - ai) % d for m, ai in zip(mat.apply(x), e.a))
+            target = tuple((m - ai) % d for m, ai in zip(matrix_apply(mat, x, d), e.a))
             assert got == phase_point(d, 1, target)
 
 
@@ -423,6 +430,7 @@ def _random_ext(d, rng):
         a=tuple(rng.randrange(d) for _ in range(2)),
         S=_random_sl2(d, rng),
         alpha=rng.randrange(1, d),
+        d=d,
     )
 
 
@@ -472,7 +480,7 @@ def test_galois_conjugation_of_metaplectic_generators():
         s = _random_sl2(d, rng)
         for beta in range(2, d):
             gal = GaloisMap(beta, d)
-            conj_s = k_alpha(d, 1, beta) @ s @ k_alpha(d, 1, inv_mod(beta, d))
+            conj_s = k_alpha(d, 1, beta) @ s @ k_alpha(d, 1, inv_mod(beta, d)) % d
             assert _section(d, s).entrywise_galois(gal) == _section(d, conj_s)
 
 
@@ -483,7 +491,7 @@ def test_ext_compose_acts_on_points_as_the_composed_maps():
     rng = random.Random(21)
 
     def act(e, x):
-        return vec_add((e.S @ k_alpha(d, 1, e.alpha)).apply(x), e.a, d)
+        return vec_add(matrix_apply(np.array(e.S) @ k_alpha(d, 1, e.alpha), x, d), e.a, d)
 
     for _ in range(100):
         g, h = _random_ext(d, rng), _random_ext(d, rng)
@@ -560,7 +568,7 @@ def test_label_maps_match_dense_conjugation_on_every_pauli(n):
         assert a == (0,) * (2 * n)
         u = qubit_gate(n, *gate)
         for b, flip in zip(points, eta(np.array(points)).tolist()):
-            image = weyl(2, n, s.apply(b))
+            image = weyl(2, n, matrix_apply(s, b, 2))
             assert u @ weyl(2, n, b) @ u.dagger() == (-image if flip else image), (gate, b)
     s, a, eta = transpose_action(n)
     for b, flip in zip(points, eta(np.array(points)).tolist()):
@@ -598,8 +606,8 @@ def test_phase_table_expands_to_the_dense_closed_form(d):
 def _section_triples(d, s1, s2):
     """(U_S1, U_S2, U_S1S2), where the law holds, and (U_S1, U_S2, U_S2S1),
     where it fails unless U_S1 and U_S2 commute; as rows of SL(2, d)."""
-    s1, s2 = ZModMatrix(s1, d), ZModMatrix(s2, d)
-    return [(s1.rows, s2.rows, (s1 @ s2).rows), (s1.rows, s2.rows, (s2 @ s1).rows)]
+    a, b = np.array(s1), np.array(s2)
+    return [(s1, s2, tuple(map(tuple, (p % d).tolist()))) for p in (a @ b, b @ a)]
 
 
 def _agrees_on_sections(d, triple):
@@ -748,21 +756,21 @@ def test_weyl_law_of_no_pairs_holds():
 @pytest.mark.parametrize("d", [3, 5])
 def test_similitude_multiplier_is_the_pairwise_loop_on_every_2x2(d):
     for r in itertools.product(range(d), repeat=4):
-        m = ZModMatrix([r[:2], r[2:]], d)
-        assert similitude_multiplier(m) == similitude_multiplier_loop(m), r
+        m = np.array([r[:2], r[2:]])
+        assert similitude_multiplier(m, d) == similitude_multiplier_loop(m, d), r
 
 
 def _similitude_word(word, alpha):
     gens = sp_generators(3, 2)
-    out = ZModMatrix.identity(4, 3)
+    out = np.eye(4, dtype=np.int64)
     for i in word:
-        out = out @ gens[i % len(gens)]
-    return out @ k_alpha(3, 2, alpha)
+        out = out @ gens[i % len(gens)] % 3
+    return out @ k_alpha(3, 2, alpha) % 3
 
 
 _MATRICES_4X4_MOD_3 = st.one_of(
     st.lists(st.integers(0, 2), min_size=16, max_size=16).map(
-        lambda e: ZModMatrix([e[i:i + 4] for i in range(0, 16, 4)], 3)),
+        lambda e: np.array(e).reshape(4, 4)),
     st.builds(_similitude_word, st.lists(st.integers(0, 20), max_size=6), st.integers(1, 2)),
 )
 
@@ -770,7 +778,7 @@ _MATRICES_4X4_MOD_3 = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_MATRICES_4X4_MOD_3)
 def test_similitude_multiplier_is_the_pairwise_loop_on_4x4_mod_3(m):
-    assert similitude_multiplier(m) == similitude_multiplier_loop(m)
+    assert similitude_multiplier(m, 3) == similitude_multiplier_loop(m, 3)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -788,3 +796,36 @@ def test_verify_clifford_builds_without_dense_kernels(monkeypatch, d):
     report = verify_clifford_laws(d, 1, 7, 100)
     assert {"command": "verify-clifford", "d": d, "n": 1, "seed": 7, "samples": 100,
             **report} == expected
+
+
+def _agsp_matrices(d, n):
+    """The matrices of the maps behind `predicted_generators(d, n, "agsp")`."""
+    return [*sp_generators(d, n), k_alpha(d, n, primitive_root(d)), np.eye(2 * n, dtype=np.int64)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_unreduced_matrices_give_the_same_answers(data):
+    # a Z_d matrix is reduced by whatever reads it: M and M + d X, X with
+    # negative entries, give the same multiplier, permutations, section and
+    # extended Clifford element
+    d, n = data.draw(st.sampled_from([(3, 1), (5, 1), (3, 2)]))
+    m = data.draw(st.sampled_from(_agsp_matrices(d, n)))
+    x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=4 * n * n,
+                                    max_size=4 * n * n))).reshape(2 * n, 2 * n)
+    assume((x < 0).any())
+    lifted = m + d * x
+    assert similitude_multiplier(lifted, d) == similitude_multiplier(m, d)
+    assert nonzero_point_perms([lifted], d, n) == nonzero_point_perms([m], d, n)
+    labels, shift = enumerate_stabilizer_labels(d, n), tuple(range(1, 2 * n + 1))
+    assert label_permutations(labels, [(lifted, shift)]) == label_permutations(labels, [(m, shift)])
+    if n == 1 and is_symplectic(m, d):
+        assert products_equal(metaplectic(d, lifted), metaplectic(d, np.eye(2, dtype=np.int64)),
+                              metaplectic(d, m))
+        e, f = (ExtCliffordElement(mu=1, a=(2, 1), S=s, alpha=2, d=d) for s in (lifted, m))
+        assert e == f and hash(e) == hash(f)
+
+
+def test_sp_generators_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        sp_generators(3, 2)[0][0, 0] = 2

@@ -41,7 +41,6 @@ from stabsym.operators import (
     stabilizer_states,
     weyl,
 )
-from stabsym.zmod import ZModMatrix
 
 from dense_oracles import (
     bruteforce_gram,
@@ -191,7 +190,7 @@ def test_f2_invariant_under_symmetry_generators():
     q = stabilizer_operator_set(d, 1)
     rng = random.Random(3)
     basis = [m.to_matrix() for _, m in hermitian_basis(d, 1)]
-    f = dense(metaplectic(d, ZModMatrix([[0, -1], [1, 0]], d)))
+    f = dense(metaplectic(d, [[0, -1], [1, 0]]))
     for _ in range(5):
         a, b = rng.choice(basis), rng.choice(basis)
         fa = f.dagger() @ a @ f

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -7,35 +6,34 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from stabsym.zmod import ZModMatrix, inv_mod, legendre, null_space, rref
+from stabsym.clifford import ExtCliffordElement, similitude_multiplier
+from stabsym.zmod import inv_mod, legendre, null_space, rref
 
 
 def test_composite_modulus_rejected():
+    # a Z_d matrix is an integer array; its consumers refuse a composite d
+    eye = np.eye(2, dtype=int)
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        ExtCliffordElement(mu=0, a=(0, 0), S=eye, alpha=1, d=6)
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        similitude_multiplier(eye, 6)
     with pytest.raises(ValueError):
-        ZModMatrix([[1]], 6)
-    with pytest.raises(ValueError):
-        rref(np.eye(2, dtype=int), 4)
+        rref(eye, 4)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(d):
-    # Z_d as the 1 x 1 matrices, inverses by `inv_mod`
-    elems = [ZModMatrix([[v]], d) for v in range(d)]
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a @ b) @ c == a @ (b @ c)
-        assert a @ (b + c) == a @ b + a @ c
-        assert a + b == b + a
-        assert a @ b == b @ a
-    zero, one = elems[0], elems[1]
-    for a in elems:
-        assert a + zero == a
-        assert a @ one == a
-        assert a + (-a) == zero
-        if a != zero:
-            assert a @ ZModMatrix([[inv_mod(a.rows[0][0], d)]], d) == one
+    # Z_d as the residues 0..d-1: `inv_mod` inverts every nonzero residue,
+    # whatever lift it is given, and permutes them; 0 has no inverse
+    inverses = [inv_mod(a, d) for a in range(1, d)]
+    assert sorted(inverses) == list(range(1, d))
+    for a, b in zip(range(1, d), inverses):
+        assert a * b % d == 1
+        assert inv_mod(a - d, d) == inv_mod(a + 3 * d, d) == b
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, d)
+    with pytest.raises(ZeroDivisionError):
+        inv_mod(-d, d)
 
 
 def test_rref_identity_z3():
