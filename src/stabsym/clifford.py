@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -283,8 +284,10 @@ def _metaplectic(d, rows) -> PhaseTable:
 
 @dataclass(frozen=True)
 class ExtCliffordElement:
-    """omega^mu T(a) U_S C_alpha for one qudit of odd prime dimension d; S,
-    any integer matrix, is kept as its rows mod d."""
+    """omega^mu T(a) U_S C_alpha for one qudit of odd prime dimension d.
+    Every field is kept reduced mod d (S, any integer matrix, as its rows),
+    so one element has one form for `==`, hashing and `to_json`; a that is
+    not 2 integers or alpha = 0 mod d is a ValueError."""
 
     mu: int
     a: tuple
@@ -293,19 +296,27 @@ class ExtCliffordElement:
     d: int
 
     def __post_init__(self):
-        s = np.asarray(self.S) % self.d
+        d = self.d
+        s = np.asarray(self.S) % d
         if s.shape != (2, 2):
             raise ValueError("matrix-level extended Clifford layer is single-qudit")
-        if not is_symplectic(s, self.d):  # ValueError for a composite d
+        if not is_symplectic(s, d):  # ValueError for a composite d
             raise ValueError("S must be symplectic")
+        if len(self.a) != 2 or not all(isinstance(x, Integral) for x in self.a):
+            raise ValueError(f"a must be 2 residues mod {d}, not {self.a!r}")
+        if self.alpha % d == 0:
+            raise ValueError(f"alpha must be a unit mod {d}, not {self.alpha!r}")
+        object.__setattr__(self, "mu", int(self.mu) % d)
+        object.__setattr__(self, "a", tuple(int(x) % d for x in self.a))
         object.__setattr__(self, "S", tuple(map(tuple, s.tolist())))
+        object.__setattr__(self, "alpha", int(self.alpha) % d)
 
     @classmethod
     def identity(cls, d):
         return cls(mu=0, a=(0, 0), S=((1, 0), (0, 1)), alpha=1, d=d)
 
     def galois(self) -> GaloisMap:
-        return GaloisMap(self.alpha % self.d, self.d)
+        return GaloisMap(self.alpha, self.d)
 
     def matrix(self) -> PhaseTable:
         """The linear part omega^mu T(a) U_S as a phase table: the monomial
@@ -320,10 +331,10 @@ class ExtCliffordElement:
 
     def to_json(self):
         return {
-            "mu": self.mu % self.d,
+            "mu": self.mu,
             "a": list(self.a),
             "S": [list(r) for r in self.S],
-            "alpha": self.alpha % self.d,
+            "alpha": self.alpha,
         }
 
 
@@ -338,12 +349,11 @@ def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElem
     half = (d + 1) // 2
     s = np.array(h.S)
     rkb_a = tuple((s @ _k_apply(h.alpha, g.a) % d).tolist())
-    mu = (h.mu + h.alpha * g.mu - half * symplectic_form(h.a, rkb_a, d)) % d
     return ExtCliffordElement(
-        mu=mu,
+        mu=h.mu + h.alpha * g.mu - half * symplectic_form(h.a, rkb_a, d),
         a=vec_add(rkb_a, h.a, d),
-        S=s @ _k_conjugate(g.S, h.alpha, d) % d,
-        alpha=(h.alpha * g.alpha) % d,
+        S=s @ _k_conjugate(g.S, h.alpha, d),
+        alpha=h.alpha * g.alpha,
         d=d,
     )
 

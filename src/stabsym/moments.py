@@ -1,24 +1,26 @@
 """Moment forms F_k of finite operator sets and the design/condition predicates
 that control which symmetry notions coincide.
 
-The predicates compare whole integer tables read from one table, the
-Hermitian trace table T (d^(2n) rows, one column per element), and its pair
-sums S2 = T T^T.  On dir(Q), with C = T[:, picked] - T[:, [0]] the
-coordinates of a basis of differences q_i - q_0 (`_dir_basis`), F_2 is
-C^T S2 C, HS is C^T C and F_3 the trilinear form of the rows of D = C^T T,
-so no array has two axes of length |Q|.  The Jordan side tr(M_i M_j M_k) +
-tr(M_i M_k M_j) is taken one i-slab at a time, in full power-basis
-coefficients (it can be irrational: Q[sqrt 5] at d = 5), and a scan stops at
-the first slab holding a failure.  "Equal" and "proportional" are integer
-cross-multiplications over common denominators, in `cyclotomic._exact`.
+Every predicate reads one object, the trace table T of a set (`trace_table`:
+T[a, j] = tr(B_a q_j), d^(2n) integer rows in `point_codes` order, one column
+per element), and its pair sums S2 = T T^T (`_pair_sums`, one per set).  The
+Hermitian basis B_a, the A(a) at odd d and the Paulis T(a) at d = 2, is in
+closed form and orthogonal, tr(B_a B_b) = d^n [a = b] (`_basis`,
+`_triples`), so no check builds a cyclotomic matrix.  A set is its labels,
+and T is read from them: a stabilizer state's column is its discrete Wigner
+function at odd d and its signed Pauli incidence at d = 2.  The real
+predicates read the real-Pauli rows (a_X.a_Z even, a basis of Sym) of T and
+their block of S2.
 
-No check builds a cyclotomic matrix.  The Hermitian basis B_a, the A(a) at
-odd d and the Paulis T(a) at d = 2, is in closed form (`_basis`,
-`_triples`).  A set is its labels, and its table is read from them
-(`_incidence`): a stabilizer state's column is its discrete Wigner function
-at odd d and its signed Pauli incidence at d = 2.  The real predicates take
-the real Paulis (a_X.a_Z even) as their basis of Sym, and the Jordan side is
-a count of triple-trace exponents weighted by the table (`_phase_space_slab`).
+On dir(Q), with C = T[:, picked] - T[:, [0]] the coordinates of a basis of
+differences q_i - q_0 (`_dir_basis`), F_2 is C^T S2 C, HS is C^T C and F_3
+the trilinear form of the rows of D = C^T T, so no array has two axes of
+length |Q|.  The Jordan side tr(M_i M_j M_k) + tr(M_i M_k M_j) is a count of
+triple-trace exponents weighted by C (`_phase_space_slab`), taken one i-slab
+at a time in full power-basis coefficients (it can be irrational: Q[sqrt 5]
+at d = 5), and a scan stops at the first slab holding a failure.  "Equal"
+and "proportional" are integer cross-multiplications over common
+denominators, in `cyclotomic._exact`.
 """
 
 from __future__ import annotations
@@ -152,15 +154,15 @@ def _triples(d, n, a, b, c):
     return e, np.vstack([norm * f.pows[(m // r) * np.arange(r)], np.zeros((1, f.deg), int)])
 
 
-_Basis = namedtuple("_Basis", "labels points single pair")
+_Basis = namedtuple("_Basis", "labels points single")
 
 
 @lru_cache(maxsize=None)
 def _basis(d, n, real=False) -> _Basis:
     """The Hermitian basis B_a in closed form: labels, their indices `points`
-    in `point_codes` order, tr B_a = single[a] and tr(B_a B_b) =
-    pair[a, b] as Python ints (A(a): 1, d^n [a = b]; T(a): 2^n [a = 0],
-    2^n [a = b]).  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
+    in `point_codes` order and tr B_a = single[a] as Python ints (A(a): 1;
+    T(a): 2^n [a = 0]); tr(B_a B_b) = d^n [a = b], the scalar `dim` of a
+    set.  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
     2^(n-1) (2^n + 1) of them, an orthogonal basis of Sym."""
     if real and d != 2:
         raise Unsupported("the real basis is defined at d = 2")
@@ -168,14 +170,15 @@ def _basis(d, n, real=False) -> _Basis:
     points = np.flatnonzero((p[:, :n] * p[:, n:]).sum(axis=1) % 2 == 0) if real \
         else np.arange(len(p))
     single = 2 ** n * (points == 0) if d == 2 else np.ones(len(points), dtype=int)
-    return _Basis(tuple(map(tuple, p[points].tolist())), points, single.astype(object),
-                  np.diag(np.full(len(points), d ** n, dtype=object)))
+    return _Basis(tuple(map(tuple, p[points].tolist())), points, single.astype(object))
 
 
-def _incidence(q: OperatorSet):
-    """The Hermitian trace table of a set, over scale 1, rows in
-    `point_codes` order.  For a point x: tr(A(a) A(x)) = d^n [a = x] at
-    odd d, tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
+@lru_cache(maxsize=None)
+def trace_table(q: OperatorSet):
+    """The trace table T[a, j] = tr(B_a q_j) of a set, read from its labels:
+    a read-only int64 array, rows in `point_codes` order, one column per
+    element.  For a point x: tr(A(a) A(x)) = d^n [a = x] at odd d,
+    tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
     (`StabilizerLabel`): at d = 2, tr(T(b) Pi_x) = (-1)^([rep_x, b] +
     c_L(b)) [b in L_x], with member and c_L from `lagrangian_tables`; at odd
     d, tr(A(a) Pi_x) = [a in rep_x + L_x] (Pi_x = d^-n times the sum of the
@@ -185,27 +188,21 @@ def _incidence(q: OperatorSet):
     if not isinstance(q.labels[0], StabilizerLabel):
         cells = point_codes(np.array(q.labels), d)
         if d == 2:
-            return 1 - 2 * _phase_forms(2, n)[:, cells]
-        return d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
-    lags, li, coset = label_cosets(q.labels)
-    if d == 2:
-        tables = lagrangian_tables(lags)
-        signed = tables.member.astype(np.int8) - 2 * tables.signs.astype(np.int8)
-        reps = point_codes(np.array([lab.rep for lab in q.labels]), 2)
-        return signed[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
-    return (coset[li] == np.arange(len(q.labels))[:, None]).T.astype(np.uint8)
-
-
-@lru_cache(maxsize=None)
-def trace_table(q: OperatorSet, kind="hermitian"):
-    """Exact table tr(B_i q_j) = rows[i][j] / scale for the Hermitian basis
-    or, kind "symmetric", its real-Paulis rows (`_basis`, d = 2), as (rows,
-    scale): rows of Python ints and one positive scale, read from the labels
-    (`_incidence`), so the scale is 1."""
-    ints = _incidence(q)
-    if kind == "symmetric":
-        ints = ints[_basis(q.d, q.n, real=True).points]
-    return tuple(map(tuple, ints.tolist())), 1
+            table = 1 - 2 * _phase_forms(2, n)[:, cells]
+        else:
+            table = d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
+    else:
+        lags, li, coset = label_cosets(q.labels)
+        if d == 2:
+            tables = lagrangian_tables(lags)
+            signed = tables.member.astype(np.int8) - 2 * tables.signs.astype(np.int8)
+            reps = point_codes(np.array([lab.rep for lab in q.labels]), 2)
+            table = signed[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
+        else:
+            table = (coset[li] == np.arange(len(q.labels))[:, None]).T
+    table = table.astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _compact(x):
@@ -213,12 +210,6 @@ def _compact(x):
     `_exact` converts it cheaply on each call."""
     small = _int64(x)
     return x if small is None else small[0]
-
-
-def _table(q: OperatorSet, kind="hermitian"):
-    """`trace_table(q, kind)` as an array (`_compact`) and its scale."""
-    ints, scale = trace_table(q, kind)
-    return _compact(np.array(ints, dtype=object)), scale
 
 
 class _Echelon:
@@ -295,14 +286,14 @@ class DesignReport:
 
 
 @lru_cache(maxsize=None)
-def _pair_sums(q: OperatorSet, kind="hermitian"):
-    """S2 = T T^T, S2[i][j] = sum_q t_i t_j over the trace table `kind`, as a
-    read-only array of Python ints, plus the table's scale; cached, as the
-    2-design and Lin ⊂ Wig checks share it."""
-    rows, scale = _table(q, kind)
-    s2 = _exact(lambda x, y: x @ y.T, q.size, (rows, rows))
+def _pair_sums(q: OperatorSet):
+    """S2 = T T^T, S2[a, b] = sum_q t_a t_b over the trace table, as a
+    read-only array of Python ints; cached, as the 2-design, real-design
+    and Lin ⊂ Wig checks share it."""
+    table = trace_table(q)
+    s2 = _exact(lambda x, y: x @ y.T, q.size, (table, table))
     s2.flags.writeable = False
-    return s2, scale
+    return s2
 
 
 def _times(x, y):
@@ -319,13 +310,13 @@ def _trilinear(rows, i):
 
 def _phase_space_slab(d, n, diffs, i):
     """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
-    numerators over (d^n scale)^3, for M_x = d^-n sum_a diffs[x, a] B_a /
-    scale, diffs int64 or Python ints (differences of Hermitian trace-table
-    columns over their scale; tr(B_a B_b) = d^n [a = b]).
+    numerators over d^(3n), for M_x = d^-n sum_a diffs[x, a] B_a, diffs
+    int64 or Python ints (differences of trace-table columns;
+    tr(B_a B_b) = d^n [a = b]).
 
     With tr(B_a B_b B_c) = norm zeta_r^e(a, b, c) (`_triples`),
     tr(M_i M_j M_k) is sum_v norm zeta_r^v (tail H_v tail^T)[j, k] over
-    (d^n scale)^3, tail = diffs[i:] and H_v[b, c] = sum_a diffs[i, a]
+    d^(3n), tail = diffs[i:] and H_v[b, c] = sum_a diffs[i, a]
     [e(a, b, c) = v]: counts over the support of diffs[i] and one integer
     contraction, no matrix.  Swapping b and c transposes H_v."""
     tail = diffs[i:]
@@ -346,11 +337,13 @@ def _triple_traces(b: _Basis, d, n, i):
     return values[e]
 
 
-def _trace_terms(b: _Basis, i):
+def _trace_terms(b: _Basis, dim, i):
     """For j, k >= i: tr_i tr_j tr_k and the cross terms
-    tr_i tr(B_j B_k) + tr_j tr(B_i B_k) + tr_k tr(B_i B_j)."""
-    t, row = b.single[i:], b.pair[i, i:]
-    cross = b.single[i] * b.pair[i:, i:] + np.outer(t, row) + np.outer(row, t)
+    tr_i tr(B_j B_k) + tr_j tr(B_i B_k) + tr_k tr(B_i B_j), with
+    tr(B_a B_b) = dim [a = b]."""
+    t = b.single[i:]
+    pair = dim * np.eye(len(t), dtype=object)
+    cross = b.single[i] * pair + np.outer(t, pair[0]) + np.outer(pair[0], t)
     return b.single[i] * np.outer(t, t), cross
 
 
@@ -360,17 +353,17 @@ def is_complex_2design(q: OperatorSet) -> DesignReport:
     equal gaps."""
     b = _basis(q.d, q.n)
     dd = q.dim
-    s2, scale = _pair_sums(q)
+    s2 = _pair_sums(q)
     iu = np.triu_indices(len(b.single))
-    # F_2 = s2 / (|Q| scale^2) against (t_i t_j + p_ij) / (D(D+1))
-    form = np.outer(b.single, b.single)[iu] + b.pair[iu]
-    gap = abs(_times(s2[iu], dd * (dd + 1)) - _times(form, q.size * scale ** 2))
+    # F_2 = s2 / |Q| against (tr_i tr_j + tr(B_i B_j)) / (D(D+1))
+    form = np.outer(b.single, b.single)[iu] + dd * (iu[0] == iu[1]).astype(object)
+    gap = abs(_times(s2[iu], dd * (dd + 1)) - _times(form, q.size))
     e = int(np.argmax(gap))
     if not gap[e]:
         return DesignReport("complex_2design", True)
     i, j = iu[0][e], iu[1][e]
     return DesignReport("complex_2design", False, witness=(
-        b.labels[i], b.labels[j], Fraction(int(s2[i, j]), q.size * scale ** 2),
+        b.labels[i], b.labels[j], Fraction(int(s2[i, j]), q.size),
         Fraction(form[e], dd * (dd + 1))))
 
 
@@ -383,15 +376,14 @@ def is_complex_3design(q: OperatorSet) -> DesignReport:
     """
     b = _basis(q.d, q.n)
     dd = q.dim
-    rows, scale = _table(q)
-    lden = q.size * scale ** 3
+    rows = trace_table(q)
     for i in range(len(rows)):
         iu = np.triu_indices(len(rows) - i)
         t = _triple_traces(b, q.d, q.n, i)
-        # F_3 = lhs / lden against (terms + jordan) / (D(D+1)(D+2))
-        c1, c2 = _trace_terms(b, i)
-        diff = _times((t + t.transpose(1, 0, 2))[iu], lden)
-        diff[:, 0] += _times((c1 + c2)[iu], lden)
+        # F_3 = lhs / |Q| against (terms + jordan) / (D(D+1)(D+2))
+        c1, c2 = _trace_terms(b, dd, i)
+        diff = _times((t + t.transpose(1, 0, 2))[iu], q.size)
+        diff[:, 0] += _times((c1 + c2)[iu], q.size)
         diff[:, 0] -= _times(_trilinear(rows, i)[iu], dd * (dd + 1) * (dd + 2))
         bad = diff.any(axis=1)
         if bad.any():
@@ -460,11 +452,11 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
     the ratio between the two invariants instead of assuming it.
     """
     b = _basis(q.d, q.n, real=True)
-    s2, scale = _pair_sums(q, "symmetric")
+    s2 = _pair_sums(q)[np.ix_(b.points, b.points)]
     iu = np.triu_indices(len(s2))
-    # over |Q| scale^2; (B_i|B_j) = tr(B_i B_j) on the real symmetric basis
-    lden = q.size * scale ** 2
-    equations = zip(b.pair[iu] * lden, np.outer(b.single, b.single)[iu] * lden, s2[iu])
+    # over |Q|; (B_i|B_j) = tr(B_i B_j) = D [i = j] on the real symmetric basis
+    hs = q.dim * (iu[0] == iu[1]).astype(object)
+    equations = zip(hs * q.size, np.outer(b.single, b.single)[iu] * q.size, s2[iu])
     sol = _solve_linear_positive(equations, 2)
     if sol is None:
         return DesignReport("real_4design", False,
@@ -477,15 +469,15 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
     """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB)),
     on the real Paulis (d = 2; Unsupported at odd d)."""
     b = _basis(q.d, q.n, real=True)
-    rows, scale = _table(q, "symmetric")
-    lden = q.size * scale ** 3
+    rows = trace_table(q)[b.points]
     equations = []
     for i in range(len(rows)):
         iu = np.triu_indices(len(rows) - i)
-        c1, c2 = _trace_terms(b, i)
+        c1, c2 = _trace_terms(b, q.dim, i)
         t = _triple_traces(b, q.d, q.n, i)
         jordan = rational_part(t + t.transpose(1, 0, 2))[iu]
-        equations += zip(c1[iu] * lden, c2[iu] * lden, jordan * lden, _trilinear(rows, i)[iu])
+        equations += zip(c1[iu] * q.size, c2[iu] * q.size, jordan * q.size,
+                         _trilinear(rows, i)[iu])
     sol = _solve_linear_positive(equations, 3)
     if sol is None:
         return DesignReport("real_6design", False,
@@ -501,21 +493,21 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
 def _dir_basis(q: OperatorSet):
     """(picked, C): the indices i of a basis q_i - q_0 of dir(Q), picked
     greedily in order by one echelon over their trace-table coordinates, and
-    those coordinates C = T[:, picked] - T[:, [0]] (`_compact`, read-only),
-    with T the Hermitian table.  Every difference is traceless, so its
-    coordinates lie in a hyperplane (the A(a) sum to d^n 1; T(0) = 1 for
-    qubits): the pick stops at rank d^(2n) - 1."""
-    ints, _ = trace_table(q, "hermitian")
-    ech = _Echelon(len(ints))
+    those coordinates C = T[:, picked] - T[:, [0]] (`_compact`, read-only).
+    Every difference is traceless, so its coordinates lie in a hyperplane
+    (the A(a) sum to d^n 1; T(0) = 1 for qubits): the pick stops at rank
+    d^(2n) - 1."""
+    table = trace_table(q)
+    ech = _Echelon(len(table))
     picked = []
-    cols = list(zip(*ints))
+    cols = table.T.tolist()
     for i in range(1, q.size):
         if ech.insert([x - y for x, y in zip(cols[i], cols[0])]):
             picked.append(i)
             if ech.rank == ech.ncols - 1:
                 break
-    table = np.array(ints, dtype=object)
-    coords = _compact(table[:, np.asarray(picked, dtype=np.intp)] - table[:, :1])
+    idx = np.asarray(picked, dtype=np.intp)
+    coords = _compact(_exact(lambda t: t[:, idx] - t[:, :1], 2, (table,)))
     coords.flags.writeable = False
     return tuple(picked), coords
 
@@ -550,26 +542,24 @@ def _proportional_scan(blocks):
 def check_lin_wig_condition(q: OperatorSet):
     """F_2 proportional to HS on dir(Q); mu_1 orthogonal to dir(Q) in both forms."""
     picked, c = _dir_basis(q)
-    s2, scale = _pair_sums(q)
-    size, nb = q.size, len(c)  # nb = d^(2n) basis rows
-    gscale = scale * scale * q.dim
+    s2 = _pair_sums(q)
+    size, nb, dd = q.size, len(c), q.dim  # nb = d^(2n) basis rows
     idx = np.asarray(picked, dtype=np.intp)
     iu = np.triu_indices(len(idx))
     # by Parseval over the basis (tr(B_a B_b) = d^n [a = b]), over dir(Q), for
-    # i <= j: F_2 = (C^T S2 C)[i, j] / (|Q| gscale^2) and
-    # (q_i - q_0 | q_j - q_0) = (C^T C)[i, j] / gscale
+    # i <= j: F_2 = (C^T S2 C)[i, j] / (|Q| d^(2n)) and
+    # (q_i - q_0 | q_j - q_0) = (C^T C)[i, j] / d^n
     f2 = _exact(lambda x, s, y: x.T @ s @ y, nb * nb, (c, s2, c))[iu]
     hs = _exact(lambda x, y: x.T @ y, nb, (c, c))[iu]
     ref, bad = _proportional_scan([(np.stack([idx[iu[0]], idx[iu[1]]], 1), f2, hs[:, None])])
 
     def values(entry):
         (i, j), f2_v, hs_v = entry
-        return int(i), int(j), Fraction(f2_v, size * gscale ** 2), Fraction(int(hs_v[0]), gscale)
+        return int(i), int(j), Fraction(f2_v, size * dd ** 2), Fraction(int(hs_v[0]), dd)
 
     clauses = {"f2_proportional_on_dir": bad is None}
-    # mu_1 = sum_q q / |Q| has coordinates u / (|Q| scale), u the table's row sums
-    table, _ = _table(q)
-    u = _exact(lambda t: t.sum(axis=1), size, (table,))
+    # mu_1 = sum_q q / |Q| has coordinates u / |Q|, u the table's row sums
+    u = _exact(lambda t: t.sum(axis=1), size, (trace_table(q),))
     clauses["mu1_orthogonal_hs"] = not _exact(lambda x, y: x.T @ y, nb, (c, u)).any()
     clauses["mu1_orthogonal_f2"] = not _exact(lambda x, s, y: x.T @ s @ y, nb * nb,
                                               (c, s2, u)).any()
@@ -589,30 +579,28 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
     `_phase_space_slab` of the trace-table differences."""
     base = check_lin_wig_condition(q) if wig is None else wig
     picked, c = _dir_basis(q)
-    size = q.size
+    size, dd = q.size, q.dim
     clauses = dict(base["clauses"])
     b = _basis(q.d, q.n)
-    table, scale = _table(q)
-    gscale = scale * scale * q.dim
-    # mu_1 ∝ 1 iff its basis traces, the table's row sums over |Q| scale, are
+    table = trace_table(q)
+    # mu_1 ∝ 1 iff its basis traces, the table's row sums over |Q|, are
     # proportional to those of 1 (the basis spans)
     sums = _exact(lambda t: t.sum(axis=1), size, (table,))
     k = int(np.flatnonzero(b.single)[0])  # tr B_k != 0
     clauses["mu1_proportional_identity"] = bool(
         (_times(sums, b.single[k]) == _times(b.single, sums[k])).all())
     span_dim = span_dimension(q)
-    clauses["span_full"] = span_dim in (q.dim ** 2, q.dim * (q.dim + 1) // 2)  # Herm or Sym
+    clauses["span_full"] = span_dim in (dd ** 2, dd * (dd + 1) // 2)  # Herm or Sym
 
     idx = np.asarray(picked, dtype=np.intp)
-    # D = C^T T: tr((q_i - q_0) q) over gscale for every q in Q
+    # D = C^T T: tr((q_i - q_0) q) over d^n for every q in Q
     diffs = _compact(_exact(lambda x, t: x.T @ t, len(c), (c, table)))
     m = q.conductor
-    # q_i - q_0 = d^-n sum_a C[a, i] B_a / scale
-    jden = (q.dim * scale) ** 3
+    # q_i - q_0 = d^-n sum_a C[a, i] B_a
 
     def slabs():
-        # F_3 = sum_t D_i D_j D_k / (|Q| gscale^3) against the Jordan side over
-        # jden; the symmetrized trace is real but may be irrational
+        # F_3 = sum_t D_i D_j D_k / (|Q| d^(3n)) against the Jordan side over
+        # d^(3n); the symmetrized trace is real but may be irrational
         for a in range(len(idx)):
             iu = np.triu_indices(len(idx) - a)
             keys = np.stack([np.full(len(iu[0]), idx[a]), idx[a + iu[0]], idx[a + iu[1]]], 1)
@@ -622,7 +610,7 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
 
     def values(entry):
         keys, lhs, rhs = entry
-        return *map(int, keys), Fraction(lhs, size * gscale ** 3), CycNumber(m, list(rhs), jden)
+        return *map(int, keys), Fraction(lhs, size * dd ** 3), CycNumber(m, list(rhs), dd ** 3)
 
     clauses["f3_proportional_on_dir"] = bad is None
     const_str = None

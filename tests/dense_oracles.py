@@ -37,7 +37,7 @@ of all d^(2n) points per label), `mono_trace`, `mono_trace_product`,
 the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
 
 The moment predicates read closed-form bases and labelled trace tables in
-the library (`moments._basis`, `moments._incidence`); `symmetric_basis` is
+the library (`moments._basis`, `moments.trace_table`); `symmetric_basis` is
 the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
 `jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
 `moments._phase_space_slab`.

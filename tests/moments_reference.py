@@ -3,21 +3,19 @@
 Each predicate here visits one basis pair or triple at a time with
 `Fraction`s and `CycNumber`s, exactly as the library did before its table
 kernels; the oracle tests in test_moments.py compare full reports against
-these.  They share the library's Hermitian trace tables, its pick of a basis
-of dir(Q) and its solver, which have oracles of their own; so the mu_1 ∝ 1
+these.  They share the library's trace table, its pick of a basis of dir(Q)
+and its solver, which have oracles of their own; so the mu_1 ∝ 1
 clause reads the table's row sums here too, and `dense_oracles.first_moment`
 is its dense oracle.  The Lin conditions read the N x N Gram T^T T of the
 table (`_gram`), which the library never forms, and the Jordan side the dense
 elements (`dense_oracles.set_elements`).  The real predicates take their own
 basis of Sym, `dense_oracles.symmetric_basis`, and its table of dense traces
 against the elements (`dense_oracles.trace_pairs`), where the library reads
-the real-Pauli rows of the Hermitian table.
+the real-Pauli rows of its one table.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from stabsym.cyclotomic import CycNumber
 from stabsym.moments import (
@@ -60,8 +58,8 @@ def is_complex_2design(q):
     basis = hermitian_basis(q.d, q.n)
     monos = [m for _, m in basis]
     dd = q.dim
-    s2, scale = _pair_sums(q)
-    denom = q.size * scale * scale
+    s2 = _pair_sums(q)
+    denom = q.size
     worst = None
     for i in range(len(monos)):
         for j in range(i, len(monos)):
@@ -84,8 +82,8 @@ def is_complex_3design(q):
     basis = hermitian_basis(q.d, q.n)
     monos = [m for _, m in basis]
     dd = q.dim
-    ints, scale = trace_table(q, "hermitian")
-    denom = Fraction(1, q.size * scale ** 3)
+    ints = trace_table(q).tolist()
+    denom = Fraction(1, q.size)
     m = q.conductor
     nb = len(monos)
     tr_single = [mono_trace(monos[i]).as_fraction() for i in range(nb)]
@@ -154,12 +152,11 @@ def is_real_6design(q):
 
 
 def _gram(q):
-    """(G, gscale, picked): the Gram G = T^T T of the Hermitian table T as
-    Python ints, tr(q_i q_j) = G[i, j] / gscale by Parseval over the basis,
-    and the library's basis q_i - q_0 of dir(Q)."""
-    ints, scale = trace_table(q, "hermitian")
-    t = np.array(ints, dtype=object)
-    return t.T @ t, scale * scale * q.dim, _dir_basis(q)[0]
+    """(G, gscale, picked): the Gram G = T^T T of the trace table T as
+    Python ints, tr(q_i q_j) = G[i, j] / gscale with gscale = d^n by
+    Parseval over the basis, and the library's basis q_i - q_0 of dir(Q)."""
+    t = trace_table(q).astype(object)
+    return t.T @ t, q.dim, _dir_basis(q)[0]
 
 
 def check_lin_wig_condition(q):
@@ -220,10 +217,9 @@ def check_lin_jor_condition(q):
     size = q.size
     clauses = dict(base["clauses"])
     # mu_1 ∝ 1 iff its basis traces tr(B_a mu_1), the table's row sums over
-    # |Q| scale, are one constant times tr B_a
-    ints, scale = trace_table(q, "hermitian")
+    # |Q|, are one constant times tr B_a
     traces = [mono_trace(mono).as_fraction() for _, mono in hermitian_basis(q.d, q.n)]
-    mu = [Fraction(sum(row), size * scale) for row in ints]
+    mu = [Fraction(sum(row), size) for row in trace_table(q).tolist()]
     ratio = next(x / t for x, t in zip(mu, traces) if t)
     clauses["mu1_proportional_identity"] = all(x == ratio * t for x, t in zip(mu, traces))
     span_dim = span_dimension(q)

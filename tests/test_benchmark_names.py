@@ -7,6 +7,7 @@ failing a test.  The spans module is read here, not edited."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from stabsym import clifford, cyclotomic, moments, operators, zmod
@@ -48,3 +49,13 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     # reread from a cache keyed on matrices
     assert not hasattr(zmod, "ZModMatrix")
     assert not hasattr(clifford, "_order_on_nonzero")
+
+
+def test_moments_read_one_trace_table_by_set():
+    # the traced benchmark wraps `trace_table` by name and calls it with the
+    # set alone; the table has no second form and the basis no pair matrix
+    assert _spans().SPANS["moments.trace_table"] == [("moments", "trace_table")]
+    assert list(inspect.signature(moments.trace_table).parameters) == ["q"]
+    for name in ("_table", "_incidence"):
+        assert not hasattr(moments, name), name
+    assert "pair" not in moments._Basis._fields

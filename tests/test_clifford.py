@@ -441,6 +441,25 @@ def test_ext_compose_identity():
     assert ext_compose(ExtCliffordElement.identity(d), e) == e
 
 
+def test_ext_element_reduces_every_field():
+    # one element, one form: mu, a and alpha are reduced mod d as S is
+    d = 5
+    s = ((1, 0), (0, 1))
+    e = ExtCliffordElement(mu=6, a=(7, -1), S=s, alpha=1, d=d)
+    f = ExtCliffordElement(mu=1, a=(2, 4), S=s, alpha=1, d=d)
+    assert (e.mu, e.a, e.alpha) == (1, (2, 4), 1)
+    assert e == f and hash(e) == hash(f) and e.to_json() == f.to_json()
+    assert ext_compose(ExtCliffordElement.identity(d), e) == e
+    assert ExtCliffordElement(mu=0, a=(0, 0), S=s, alpha=7, d=d).alpha == 2
+
+
+@pytest.mark.parametrize("a,alpha", [((0, 0), 0), ((0, 0), 5), ((0, 0, 0), 1), ((0,), 1),
+                                     ((0.5, 0), 1)])
+def test_ext_element_refuses_a_zero_alpha_or_a_bad_a(a, alpha):
+    with pytest.raises(ValueError, match="alpha must be a unit|a must be 2 residues"):
+        ExtCliffordElement(mu=0, a=a, S=((1, 0), (0, 1)), alpha=alpha, d=5)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_ext_compose_matches_matrix_product(d):
     rng = random.Random(100 + d)

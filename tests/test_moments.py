@@ -88,13 +88,12 @@ def test_trace_table_matches_hs_inner_sampled():
     rng = random.Random(7)
     for q in (stabilizer_operator_set(3, 1), stabilizer_operator_set(2, 2)):
         basis = hermitian_basis(q.d, q.n)
-        rows, scale = trace_table(q, "hermitian")
-        assert gcd(scale, *(x for row in rows for x in row)) == 1  # lowest terms
+        rows = trace_table(q)
         for _ in range(40):
             i = rng.randrange(len(basis))
             j = rng.randrange(q.size)
             direct = hs_inner(basis[i][1].to_matrix(), set_elements(q)[j])
-            assert direct == CycNumber.from_fraction(q.conductor, Fraction(rows[i][j], scale))
+            assert direct == CycNumber.from_fraction(q.conductor, Fraction(int(rows[i, j])))
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
@@ -231,7 +230,7 @@ def _full_pick(rows):
 def test_dir_basis_picks_as_a_full_pass_and_stops_early(monkeypatch):
     for q in _span_sets():
         picked, coords = _dir_basis(q)
-        assert (picked, coords.tolist()) == _full_pick(trace_table(q, "hermitian")[0])
+        assert (picked, coords.tolist()) == _full_pick(trace_table(q).tolist())
     # at (3,2) the rank reaches ncols - 1 = 80 long before the 359th difference
     calls = []
     insert = _Echelon.insert
@@ -321,20 +320,17 @@ def test_solver_rank_one_in_three_unknowns_raises():
 
 
 def _huge_entry_set(monkeypatch, entry):
-    # a fresh set (S2 and the dir(Q) basis are cached per set) whose
-    # Hermitian trace table has one huge entry, read by the library and the
-    # oracle alike
+    # a fresh set (S2 and the dir(Q) basis are cached per set) whose trace
+    # table has one huge entry, in int64 when it fits, read by the library
+    # and the oracle alike
     q0 = stabilizer_operator_set(2, 1)
     q = OperatorSet(name="huge-entry", d=2, n=1, labels=q0.labels)
-    rows, scale = trace_table(q0, "hermitian")
-    rows = [list(row) for row in rows]
-    rows[1][2] = entry * scale  # the trace `entry`
-
-    def table(q, kind="hermitian"):
-        return (rows, scale) if kind == "hermitian" else trace_table(q, kind)
-
-    monkeypatch.setattr(moments, "trace_table", table)
-    monkeypatch.setattr(moments_reference, "trace_table", table)
+    rows = trace_table(q0).astype(object)
+    rows[1, 2] = entry  # the trace tr(T(1) q_2), on a real Pauli row
+    if entry < 2 ** 63:
+        rows = rows.astype(np.int64)
+    monkeypatch.setattr(moments, "trace_table", lambda q: rows)
+    monkeypatch.setattr(moments_reference, "trace_table", lambda q: rows)
     return q
 
 
@@ -346,17 +342,21 @@ def _never_fits(monkeypatch):
 @pytest.mark.parametrize("entry", [2 ** 31, 2 ** 70])
 def test_huge_table_entry_is_computed_exactly(monkeypatch, entry):
     # the pair sums of 2^31 * scale overflow int64, and 2^70 does not fit it
+    # The real predicates read the huge entry (row 1 is a real Pauli), but
+    # their reference reads dense traces, not the table, so only the four
+    # `PREDICATES` are compared with it; all six are compared between the
+    # int64 and the Python-int paths
     q = _huge_entry_set(monkeypatch, entry)
-    rows, scale = moments.trace_table(q)
+    rows = moments.trace_table(q).tolist()
     s2, (picked, coords) = _pair_sums(q), _dir_basis(q)
-    assert s2[1] == scale
-    assert s2[0].tolist() == [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
+    assert s2.tolist() == [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
     assert (picked, coords.tolist()) == _full_pick(rows)
     reports = _reports(moments, q)
-    assert reports == _reports(moments_reference, q)
+    assert {name: reports[name] for name in PREDICATES} == {
+        name: _outcome(getattr(moments_reference, name), q) for name in PREDICATES}
     _never_fits(monkeypatch)
     fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, labels=q.labels)
-    assert _pair_sums(fresh)[0].tolist() == s2[0].tolist()
+    assert _pair_sums(fresh).tolist() == s2.tolist()
     fresh_picked, fresh_coords = _dir_basis(fresh)
     assert (fresh_picked, fresh_coords.tolist()) == (picked, coords.tolist())
     assert _reports(moments, fresh) == reports
@@ -491,12 +491,14 @@ def test_table_kernels_match_per_entry_reference(q):
 
 
 @pytest.mark.parametrize("q", [
-    stabilizer_operator_set(2, 2), stabilizer_operator_set(5, 1), stabilizer_operator_set(7, 1),
-    rebit_operator_set(2), phase_point_operator_set(3, 1),
+    stabilizer_operator_set(2, 1), stabilizer_operator_set(2, 2), stabilizer_operator_set(5, 1),
+    stabilizer_operator_set(7, 1), rebit_operator_set(2), phase_point_operator_set(3, 1),
 ], ids=lambda q: q.name)
 def test_table_kernels_match_reference_on_full_sets(q):
-    # (2,2) and the rebits pass every slab; (5,1) and (7,1) fail in the first
-    # with an irrational Jordan value; the phase points fail at a zero one
+    # (2,1), (2,2) and the rebits pass every slab; (5,1) and (7,1) fail in
+    # the first with an irrational Jordan value; the phase points fail at a
+    # zero one.  (2,1) is the set of the huge-entry tests, whose real
+    # predicates are compared with the reference here
     assert _reports(moments, q) == _reports(moments_reference, q)
 
 
@@ -541,6 +543,15 @@ def test_verify_design_checks_lin_wig_once(monkeypatch):
     assert report["checks"]["lin_subset_wig"] == check(stabilizer_operator_set(3, 1))
 
 
+def test_verify_design_computes_one_pair_sum_table_per_set(monkeypatch):
+    # the real predicates read a block of the set's one S2, so a fresh rebit
+    # set computes it once for its four S2 readers
+    monkeypatch.setattr(moments, "rebit_operator_set", moments.rebit_operator_set.__wrapped__)
+    before = _pair_sums.cache_info().misses
+    assert moments.verify_design("rebit", 2, 2)["all_as_expected"]
+    assert _pair_sums.cache_info().misses - before == 1
+
+
 # ---------------------------------------------------------------------------
 # The closed forms against the dense kernels
 
@@ -563,8 +574,11 @@ def _hermitian_monos(d, n):
     *(phase_point_operator_set(2, n) for n in (1, 2)),
 ], ids=lambda q: q.name)
 def test_incidence_table_matches_mono_traces(q):
+    # the dense traces are integers, over scale 1, and are the table
     ints, scale = _dense_traces(_hermitian_monos(q.d, q.n), set_elements(q))
-    assert trace_table(q) == (tuple(map(tuple, ints.tolist())), scale)
+    table = trace_table(q)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert scale == 1 and table.tolist() == ints.tolist()
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (2, 3)])
@@ -576,7 +590,9 @@ def test_closed_form_basis_matches_dense(d, n):
     (single, c1), (pair, c2) = (_dense_traces(monos, x)
                                 for x in ([OpMatrix.identity(m, d ** n)], mats))
     assert b.single.tolist() == [Fraction(x, c1) for x in single[:, 0]]
-    assert b.pair.tolist() == [[Fraction(x, c2) for x in row] for row in pair.tolist()]
+    # tr(B_a B_b) = d^n [a = b], the scalar the predicates read
+    assert [[Fraction(x, c2) for x in row] for row in pair.tolist()] == \
+        (d ** n * np.eye(len(monos), dtype=int)).tolist()
     assert b.labels == tuple(a for a, _ in hermitian_basis(d, n))
 
 
@@ -599,11 +615,10 @@ def _jordan_slabs_agree(q, slabs):
     picked, coords = _dir_basis(q)
     idx = np.asarray(picked)
     stack, den = coefficient_stack(set_elements(q))
-    scale = trace_table(q)[1]
     for i in range(len(idx)) if slabs is None else slabs:
         dense = jordan_slab(m, stack[idx] - stack[0], i)
         closed = moments._phase_space_slab(q.d, q.n, coords.T, i)
-        assert (closed * den ** 3 == dense * (q.dim * scale) ** 3).all()
+        assert (closed * den ** 3 == dense * q.dim ** 3).all()
 
 
 @pytest.mark.parametrize("d,n,slabs", [(3, 1, None), (5, 1, None), (7, 1, [0]), (3, 2, [0]),
