@@ -5,7 +5,13 @@ their exact composition law, qubit gates as label maps and the rebit states.
 A single-qudit section value or extended-Clifford element is a phase table
 (`PhaseTable`): one scale times a d x d table of omega exponents, so the
 Clifford laws are integer counts of exponent sums (`products_equal`), not
-cyclotomic matrix products."""
+cyclotomic matrix products.  The laws are written once, over arrays with a
+leading batch axis: the section on a stack of S (`_sections`), the linear
+parts omega^mu T(a) U_S (`_linear_parts`), the Galois maps
+(`PhaseStack.galois`), the composition of elements (mu, a, S, alpha)
+(`_compose`) and the check of a whole stack of triples x y = z
+(`products_equal`, one bincount per batch); `metaplectic`,
+`ExtCliffordElement` and `PhaseTable` are batches of one of them."""
 
 from __future__ import annotations
 
@@ -41,8 +47,6 @@ from .phase_space import (
     label_from_functional,
     label_permutations,
     point_codes,
-    symplectic_form,
-    vec_add,
     wreath_decompose,
 )
 from .zmod import inv_mod, legendre, require_prime
@@ -82,20 +86,34 @@ def k_alpha(d, n, alpha):
     return np.diag([1] * n + [alpha % d] * n)
 
 
+@lru_cache(maxsize=None)
+def _residues(d):
+    """x^-1 and the Legendre symbol L(x) for every residue x mod an odd prime
+    d (both 0 at x = 0), as read-only arrays indexed by x."""
+    inv = np.array([0, *(inv_mod(x, d) for x in range(1, d))])
+    leg = np.array([legendre(x, d) for x in range(d)])
+    inv.flags.writeable = leg.flags.writeable = False
+    return inv, leg
+
+
 def _k_conjugate(s, beta, d):
-    """K_beta S K_beta^-1 mod d: S with its upper right n x n block times
-    beta^-1 and its lower left block times beta."""
+    """K_beta S K_beta^-1 mod d for every S in an integer stack s (..., 2n,
+    2n), beta an integer or an array over its leading axes: S with its upper
+    right n x n block times beta^-1 and its lower left block times beta."""
     out = np.array(s)
-    n = len(out) // 2
-    out[:n, n:] *= inv_mod(beta, d)
-    out[n:, :n] *= beta
+    n = out.shape[-1] // 2
+    beta = np.asarray(beta)[..., None, None] % d
+    out[..., :n, n:] *= _residues(d)[0][beta]
+    out[..., n:, :n] *= beta
     return out % d
 
 
 def _k_apply(beta, a):
-    """K_beta a = (a_X, beta a_Z)."""
-    n = len(a) // 2
-    return (*a[:n], *(beta * x for x in a[n:]))
+    """K_beta a = (a_X, beta a_Z) along the last axis of an integer array a,
+    beta an integer or an array over its leading axes."""
+    a = np.asarray(a)
+    n = a.shape[-1] // 2
+    return np.concatenate([a[..., :n], np.asarray(beta)[..., None] * a[..., n:]], axis=-1)
 
 
 def transvection(v, d):
@@ -195,9 +213,12 @@ def sl2_elements(d):
 
 
 @lru_cache(maxsize=None)
-def _gauss_sum_inverse(d):
-    """g_d^-1, an extended Euclid over the field: computed once per d."""
-    return gauss_sum(d).inverse()
+def _section_scales(d):
+    """The scales L(a) and L(2b) g_d^-1 of U_S as the palette (1, -1,
+    g_d^-1, -g_d^-1), indexed by 2 [b != 0] + [L = -1]; g_d^-1 is one
+    extended Euclid over the field, computed once per d."""
+    one, g_inv = CycNumber.from_fraction(conductor_for(d), 1), gauss_sum(d).inverse()
+    return one, -one, g_inv, -g_inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +227,8 @@ class PhaseTable:
     where expo[r, q] = -1 (one qudit, odd d): a value of the metaplectic
     section or the linear part of an extended Clifford element.  expo is a
     read-only int64 array with entries in [-1, d); the tables compare by
-    `products_equal`, not by ==."""
+    `products_equal`, not by ==.  A table is a `PhaseStack` of one
+    (`stack`), and every array law on it is the stack's."""
 
     d: int
     scale: CycNumber
@@ -215,11 +237,54 @@ class PhaseTable:
     def __post_init__(self):
         self.expo.flags.writeable = False
 
+    def stack(self) -> PhaseStack:
+        return PhaseStack.of([self])
+
     def galois(self, gal: GaloisMap) -> PhaseTable:
-        """The entrywise Galois map C_alpha: omega -> omega^alpha multiplies
-        every exponent by alpha, and `galois_apply` maps the scale."""
-        expo = np.where(self.expo < 0, -1, self.expo * gal.alpha % self.d)
-        return PhaseTable(self.d, galois_apply(gal, self.scale), expo)
+        """The entrywise Galois map C_alpha (`PhaseStack.galois`)."""
+        return self.stack().galois([gal.alpha])[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseStack:
+    """B phase tables of one d: table i is scales[which[i]] * omega^expo[i]
+    (`PhaseTable`).  scales is a short tuple of `CycNumber`s, a handful per
+    d; which, (B,), and expo, (B, d, d), are read-only int64 arrays."""
+
+    d: int
+    scales: tuple
+    which: np.ndarray
+    expo: np.ndarray
+
+    def __post_init__(self):
+        self.which.flags.writeable = self.expo.flags.writeable = False
+
+    @classmethod
+    def of(cls, tables) -> PhaseStack:
+        """The stack of a sequence of `PhaseTable`s of one d, with one
+        palette entry per distinct scale."""
+        palette = {}
+        which = [palette.setdefault(t.scale, len(palette)) for t in tables]
+        return cls(tables[0].d, tuple(palette), np.array(which), np.stack([t.expo for t in tables]))
+
+    def __len__(self):
+        return len(self.which)
+
+    def __getitem__(self, i) -> PhaseTable:
+        return PhaseTable(self.d, self.scales[self.which[i]], self.expo[i])
+
+    def galois(self, alpha) -> PhaseStack:
+        """Table i under C_alpha[i]: omega -> omega^alpha[i] multiplies its
+        exponents by alpha[i], and `galois_apply` maps the scale, once per
+        distinct pair (alpha, scale)."""
+        d, size = self.d, len(self.scales)
+        alpha = np.asarray(alpha) % d
+        pairs, which = np.unique(alpha * size + self.which, return_inverse=True)
+        palette = {}
+        image = [palette.setdefault(galois_apply(GaloisMap(p // size, d), self.scales[p % size]),
+                                    len(palette)) for p in pairs.tolist()]
+        expo = np.where(self.expo < 0, -1, self.expo * alpha[:, None, None] % d)
+        return PhaseStack(d, tuple(palette), np.array(image)[which], expo)
 
 
 @lru_cache(maxsize=1024)
@@ -237,21 +302,53 @@ def _cross_rows(x: CycNumber, y: CycNumber, z: CycNumber, d):
     return (left, _int64(left)), np.vstack([right, np.zeros((1, f.deg), dtype=object)])
 
 
-def products_equal(x: PhaseTable, y: PhaseTable, z: PhaseTable) -> bool:
+def _unsigned(t: PhaseStack):
+    """The scales of a stack as sign * unsigned scale, the unsigned one with
+    a positive first nonzero coefficient: (the tables' signs, their indices
+    into the distinct unsigned scales, those scales)."""
+    palette, index, signs = {}, [], []
+    for c in t.scales:
+        signs.append(-1 if next((v for v in c.num if v), 0) < 0 else 1)
+        index.append(palette.setdefault(c if signs[-1] > 0 else -c, len(palette)))
+    return np.array(signs)[t.which], np.array(index)[t.which], tuple(palette)
+
+
+def products_equal(x, y, z):
     """Whether x y = z in every one of the d^2 entries, zeros included, with
-    no matrix product.  One bincount gives N[r, s, k] = #{q : expo_x[r, q] +
-    expo_y[q, s] = k mod d, neither -1}, so (x y)[r, s] = scale_x scale_y
-    sum_k N[r, s, k] omega^k; that is compared with scale_z
-    omega^expo_z[r, s], each side times the other's denominator
-    (`_cross_rows`)."""
-    d = x.d
-    ex, ey = x.expo[:, :, None], y.expo[None, :, :]
-    cells = (np.arange(d)[:, None, None] * d + np.arange(d)) * d  # (r, s) of (r, q, s)
-    keys = np.where((ex < 0) | (ey < 0), d ** 3, cells + (ex + ey) % d)  # d^3: a zero
-    counts = np.bincount(keys.ravel(), minlength=d ** 3 + 1)[:-1]
-    left, right = _cross_rows(x.scale, y.scale, z.scale, d)
-    lhs = _exact(np.dot, d, (counts.reshape(d * d, d),), left)
-    return bool((lhs == right[z.expo.ravel()]).all())
+    no matrix product: one bool for three `PhaseTable`s (a batch of one), or
+    the (B,) bool array of the B triples' verdicts for three `PhaseStack`s of
+    length B.  One bincount over the whole batch, item i's cells offset by
+    i d^3, gives N[i, r, s, k] = #{q : expo_x[i, r, q] + expo_y[i, q, s] = k
+    mod d, neither -1}, so (x y)[i, r, s] = scale_x scale_y sum_k N[i, r, s, k]
+    omega^k.  Each scale is a sign times an unsigned scale (`_unsigned`), the
+    product of an item's three signs multiplies its counts, and the items are
+    grouped by their triple of unsigned scales (at most 8 for the sections
+    and their Galois images); each group is compared with the unsigned
+    scale_z times omega^expo_z[i, r, s] in one contraction, each side times the other's
+    denominator (`_cross_rows`)."""
+    if isinstance(x, PhaseTable):
+        return bool(products_equal(x.stack(), y.stack(), z.stack())[0])
+    d, size = x.d, len(x)
+    if not len(y) == len(z) == size:
+        raise ValueError("stacks of different lengths")
+    ex, ey = x.expo[:, :, :, None], y.expo[:, None, :, :]
+    keys = ex + ey  # one (B, d, d, d) array, updated in place
+    keys %= d
+    keys += np.arange(size * d * d).reshape(size, d, 1, d) * d  # the cell (i, r, s)
+    zero = size * d ** 3
+    keys[(ex < 0) | (ey < 0)] = zero
+    counts = np.bincount(keys.ravel(), minlength=zero + 1)[:-1].reshape(size, d * d, d)
+    (sx, ix, px), (sy, iy, py), (sz, iz, pz) = (_unsigned(t) for t in (x, y, z))
+    counts *= (sx * sy * sz)[:, None, None]  # then compare the unsigned scales
+    ny, nz = len(py), len(pz)
+    triples, group = np.unique((ix * ny + iy) * nz + iz, return_inverse=True)
+    verdicts = np.empty(size, dtype=bool)
+    for g, t in enumerate(triples.tolist()):
+        items = group == g
+        left, right = _cross_rows(px[t // (ny * nz)], py[t // nz % ny], pz[t % nz], d)
+        lhs = _exact(np.dot, d, (counts[items],), left)
+        verdicts[items] = (lhs == right[z.expo[items].reshape(-1, d * d)]).all(axis=(1, 2))
+    return verdicts
 
 
 def metaplectic(d, s) -> PhaseTable:
@@ -265,18 +362,27 @@ def metaplectic(d, s) -> PhaseTable:
 
 @lru_cache(maxsize=1024)  # all of SL(2, d) up to d = 7
 def _metaplectic(d, rows) -> PhaseTable:
-    (a, b), (c, e) = rows
-    if (a * e - b * c) % d != 1:
+    return _sections(d, [rows])[0]
+
+
+def _sections(d, s) -> PhaseStack:
+    """U_S for every S in an integer stack s (B, 2, 2), by the closed form
+    above on the whole stack at once, with its scales in `_section_scales`;
+    an S not in SL(2, d) is a WordDecompositionFailure."""
+    s = np.asarray(s) % d
+    a, b, c, e = s.reshape(-1, 4).T[:, :, None, None]  # each (B, 1, 1)
+    outside = ((a * e - b * c) % d != 1).reshape(-1)
+    if outside.any():
+        rows = tuple(map(tuple, s[outside][0].tolist()))
         raise WordDecompositionFailure(f"{rows} is not in SL(2, {d})")
-    half = (d + 1) // 2
-    q = np.arange(d)
-    if b:
-        r = q[:, None]
-        expo = half * inv_mod(b, d) * (a * q * q - 2 * r * q + e * r * r) % d
-        return PhaseTable(d, _gauss_sum_inverse(d) * legendre(2 * b, d), expo)
-    expo = np.full((d, d), -1)
-    expo[a * q % d, q] = half * a * c * q * q % d
-    return PhaseTable(d, CycNumber.from_fraction(conductor_for(d), legendre(a, d)), expo)
+    inv, leg = _residues(d)
+    half, q = (d + 1) // 2, np.arange(d)
+    r = q[:, None]
+    full = half * inv[b] * (a * q * q - 2 * r * q + e * r * r) % d  # b != 0
+    mono = np.where(r == a * q % d, half * a * c * q * q % d, -1)  # b = 0: |a q><q|
+    a, b = a.reshape(-1), b.reshape(-1)
+    which = np.where(b != 0, 2 + (leg[2 * b % d] < 0), leg[a] < 0)
+    return PhaseStack(d, _section_scales(d), which, np.where(b[:, None, None] != 0, full, mono))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +393,8 @@ class ExtCliffordElement:
     """omega^mu T(a) U_S C_alpha for one qudit of odd prime dimension d.
     Every field is kept reduced mod d (S, any integer matrix, as its rows),
     so one element has one form for `==`, hashing and `to_json`; a that is
-    not 2 integers or alpha = 0 mod d is a ValueError."""
+    not 2 integers or alpha = 0 mod d is a ValueError.  Its laws are those
+    of a batch of one in the array form (mu, a, S, alpha) (`_arrays`)."""
 
     mu: int
     a: tuple
@@ -315,19 +422,18 @@ class ExtCliffordElement:
     def identity(cls, d):
         return cls(mu=0, a=(0, 0), S=((1, 0), (0, 1)), alpha=1, d=d)
 
+    def _arrays(self):
+        """(mu, a, S, alpha) as arrays of a batch of one (`_compose`)."""
+        return np.array([self.mu]), np.array([self.a]), np.array([self.S]), np.array([self.alpha])
+
     def galois(self) -> GaloisMap:
         return GaloisMap(self.alpha, self.d)
 
     def matrix(self) -> PhaseTable:
-        """The linear part omega^mu T(a) U_S as a phase table: the monomial
-        omega^mu T(a) moves row q of the cached U_S to row perm[q] and adds
-        mu + expo[q] to its exponents."""
-        d = self.d
-        t, u = weyl_mono(d, 1, self.a), metaplectic(d, self.S)
-        shift = self.mu + np.array(t.expo)[:, None]
-        expo = np.empty_like(u.expo)
-        expo[list(t.perm)] = np.where(u.expo < 0, -1, (u.expo + shift) % d)
-        return PhaseTable(d, u.scale, expo)
+        """The linear part omega^mu T(a) U_S as a phase table:
+        `_linear_parts` on the cached U_S."""
+        mu, a, _, _ = self._arrays()
+        return _linear_parts(self.d, mu, a, metaplectic(self.d, self.S).stack())[0]
 
     def to_json(self):
         return {
@@ -338,24 +444,41 @@ class ExtCliffordElement:
         }
 
 
+def _linear_parts(d, mu, a, u: PhaseStack) -> PhaseStack:
+    """omega^mu[i] T(a[i]) u[i] for a stack u of sections U_S: the monomial
+    T(a) (`weyl_mono`, one per distinct a) moves row q of U_S to row
+    perm[q] and adds mu + expo[q] to its exponents."""
+    codes, index = np.unique(point_codes(np.asarray(a) % d, d), return_inverse=True)
+    monos = [weyl_mono(d, 1, v) for v in code_points(codes, d, 2).tolist()]
+    perm = np.array([t.perm for t in monos])[index]
+    shift = np.asarray(mu)[:, None] + np.array([t.expo for t in monos])[index]
+    expo = np.empty_like(u.expo)
+    expo[np.arange(len(perm))[:, None], perm] = np.where(u.expo < 0, -1,
+                                                         (u.expo + shift[:, :, None]) % d)
+    return PhaseStack(d, u.scales, u.which, expo)
+
+
+def _compose(d, h, g):
+    """The composition law on arrays: h and g are (mu, a, S, alpha) integer
+    arrays of shapes (B,), (B, 2), (B, 2, 2) and (B,), and so is hg, reduced
+    mod d.  With h = (nu, b, R, beta) and g = (mu, a, S, alpha),
+    hg = omega^{nu + beta mu - (1/2)[b, R K_beta a]} T(R K_beta a + b)
+    U_{R K_beta S K_beta^{-1}} C_{beta alpha} (`_k_apply`, `_k_conjugate`)."""
+    nu, b, r, beta = (np.asarray(x) % d for x in h)
+    mu, a, s, alpha = (np.asarray(x) % d for x in g)
+    rka = np.einsum("bij,bj->bi", r, _k_apply(beta, a)) % d
+    return ((nu + beta * mu - (d + 1) // 2 * (b * jvec(rka)).sum(-1)) % d, (rka + b) % d,
+            r @ _k_conjugate(s, beta, d) % d, beta * alpha % d)
+
+
 def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElement:
-    """hg = omega^{nu + beta mu - (1/2)[b, R K_beta a]} T(R K_beta a + b)
-    U_{R K_beta S K_beta^{-1}} C_{beta alpha}.  On phase space an element
-    acts as x -> S K_alpha x + a, the map (S K_alpha, a) of
+    """hg by the law of `_compose`, on a batch of one.  On phase space an
+    element acts as x -> S K_alpha x + a, the map (S K_alpha, a) of
     `label_permutations`, and hg as that of h after that of g."""
     if h.d != g.d:
         raise ValueError("mixed dimensions")
-    d = h.d
-    half = (d + 1) // 2
-    s = np.array(h.S)
-    rkb_a = tuple((s @ _k_apply(h.alpha, g.a) % d).tolist())
-    return ExtCliffordElement(
-        mu=h.mu + h.alpha * g.mu - half * symplectic_form(h.a, rkb_a, d),
-        a=vec_add(rkb_a, h.a, d),
-        S=s @ _k_conjugate(g.S, h.alpha, d),
-        alpha=h.alpha * g.alpha,
-        d=d,
-    )
+    mu, a, s, alpha = (x[0] for x in _compose(h.d, h._arrays(), g._arrays()))
+    return ExtCliffordElement(mu=int(mu), a=tuple(a.tolist()), S=s, alpha=int(alpha), d=h.d)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +625,26 @@ def _weyl_law(d, n, pairs):
                 and (ab == ba).all() and (ab_expo == (ba_expo - form[:, None]) % r).all())
 
 
+_CHUNK = 128  # samples per batched check: bounds its (chunk, d, d, d) key array
+
+
 def verify_clifford_laws(d, n, seed, samples):
     """The Clifford laws at (d, n): {"checks": {law: {"pass": ...}}, "pass"}.
 
     The Weyl composition law (odd d) or commutation law with Hermiticity
     (d = 2) holds on all pairs when d^(4n) <= 6561, else on `samples` pairs
     drawn from random.Random(seed).  For one qudit of odd d <= 7 the same
-    generator draws `samples` pairs each for the multiplicative metaplectic
-    section and the extended-Clifford composition law; C_alpha acts as K_alpha
-    on every A(x) and transposition as K_{-1}.  At (2, 1) the wreath
-    coordinates of the standard generators equal `WREATH_TABLE`.
+    generator then draws `samples` pairs (s1, s2) of SL(2, d), s1 first, for
+    the multiplicative metaplectic section, and after all of them `samples`
+    pairs (g, h) of extended Clifford elements, g first, each drawn as mu,
+    a_0, a_1, S, alpha, for their composition law.  Every sample is drawn
+    whatever the verdicts.  Each law is checked _CHUNK samples at a time, as
+    arrays with no per-sample object: the sections of the drawn S
+    (`_sections`), the linear parts (`_linear_parts`), the Galois images
+    (`PhaseStack.galois`) and the composites (`_compose`), with one
+    `products_equal` call on the chunk's stacks.  C_alpha acts as K_alpha on
+    every A(x) and transposition as K_{-1}.  At (2, 1) the wreath coordinates
+    of the standard generators equal `WREATH_TABLE`.
 
     The section has a closed form for every odd d; the d <= 7 gate is kept
     so that the report at every (d, n) keeps its set of checks.
@@ -534,23 +667,32 @@ def verify_clifford_laws(d, n, seed, samples):
     if d != 2 and n == 1 and d <= 7:
         sl2 = sl2_elements(d)
 
-        def multiplies(s1, s2):
-            return products_equal(metaplectic(d, s1), metaplectic(d, s2),
-                                  metaplectic(d, np.array(s1) @ s2 % d))
+        def sampled(law, draw):
+            # every sample is drawn, whatever the verdicts, so the draws after
+            # them never depend on one
+            return all([law(np.array([draw() for _ in range(min(_CHUNK, samples - k))]))
+                        for k in range(0, samples, _CHUNK)])
 
-        ok = all(multiplies(rng.choice(sl2), rng.choice(sl2)) for _ in range(samples))
-        checks["metaplectic_multiplicative"] = {"pass": ok}
+        def multiplies(pairs):  # (size, 2, 2, 2): s1, s2
+            s1, s2 = pairs[:, 0], pairs[:, 1]
+            return products_equal(_sections(d, s1), _sections(d, s2), _sections(d, s1 @ s2)).all()
 
-        def rand_ext():
-            return ExtCliffordElement(mu=rng.randrange(d), a=(rng.randrange(d), rng.randrange(d)),
-                                      S=rng.choice(sl2), alpha=rng.randrange(1, d), d=d)
+        checks["metaplectic_multiplicative"] = {
+            "pass": sampled(multiplies, lambda: (rng.choice(sl2), rng.choice(sl2)))}
 
-        def composes(g, h):
-            return products_equal(h.matrix(), g.matrix().galois(h.galois()),
-                                  ext_compose(h, g).matrix())
+        def element():  # mu, a_0, a_1, the rows of S, alpha
+            return (rng.randrange(d), rng.randrange(d), rng.randrange(d), *sum(rng.choice(sl2), ()),
+                    rng.randrange(1, d))
+
+        def composes(pairs):  # (size, 2, 8): g, h
+            g, h = ((e[:, 0], e[:, 1:3], e[:, 3:7].reshape(-1, 2, 2), e[:, 7])
+                    for e in (pairs[:, 0], pairs[:, 1]))
+            x, y, z = (_linear_parts(d, mu, a, _sections(d, s))
+                       for mu, a, s, _ in (h, g, _compose(d, h, g)))
+            return products_equal(x, y.galois(h[3]), z).all()
 
         checks["ext_clifford_composition_law"] = {
-            "pass": all(composes(rand_ext(), rand_ext()) for _ in range(samples))}
+            "pass": sampled(composes, lambda: (element(), element()))}
 
         def galois_acts(alpha, x):
             # C_alpha with U = 1 acts on the monomial A(x) alone

@@ -8,8 +8,9 @@ multiplication tensor `mul` and the Galois maps (`_Field.galois`).  Every
 exact integer contraction of the library runs through one guarded kernel,
 `_exact`: int64 where a bound proves it exact, Python ints otherwise.  The
 library's certified paths contract integer tables against `pows`, such as
-the Clifford laws' counts of omega exponents (`clifford.products_equal`)
-and the moment checks' triple-trace counts.  `_Field.contract` and
+the Clifford laws' counts of omega exponents (`clifford.products_equal`:
+one contraction per group of sampled triples whose scales agree up to
+sign) and the moment checks' triple-trace counts.  `_Field.contract` and
 `_Field.galois_map`, which multiply and Galois-map the dense matrices of
 `operators.OpMatrix`, serve the tests' dense oracles and no library path.
 """

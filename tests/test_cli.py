@@ -253,6 +253,7 @@ def _argv_id(argv):
 
 @pytest.mark.parametrize("argv", [
     *(["verify-clifford", "--seed", "7", "--d", str(d), "--n", "1"] for d in (2, 3, 5, 7)),
+    ["verify-clifford", "--seed", "7", "--d", "7", "--n", "1", "--samples", "2000"],
     ["verify-clifford", "--seed", "7", "--d", "2", "--n", "2"],
     *(["sf-sum", "--d", "3", "--n", str(n)] for n in (1, 2)),
     ["sf-sum", "--d", "5", "--n", "1"],
@@ -269,8 +270,9 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
     # became one integer kernel, the d = 2 ones before the Gram became colour
     # codes over a legend, verify-clifford at d = 7 before products of exact
     # matrices ran in int64, facets and report at d = 5 before the facets
-    # were read per basis block, facets at d = 7 and 11 after); the reports
-    # must not move
+    # were read per basis block, facets at d = 7 and 11 after, verify-clifford
+    # with 2000 samples before the sampled laws were checked in batches);
+    # the reports must not move
     replay(capsys, tmp_path, *argv)
 
 

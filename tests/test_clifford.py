@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from stabsym import clifford, cyclotomic, operators
 from stabsym.clifford import (
     WREATH_TABLE,
     ExtCliffordElement,
+    PhaseStack,
     PhaseTable,
     _weyl_law,
     ext_compose,
@@ -686,6 +689,11 @@ def _flipped(t):
     return PhaseTable(t.d, -t.scale, t.expo)
 
 
+def _stacks(triples):
+    """The x, y and z of a list of triples of phase tables as three stacks."""
+    return tuple(PhaseStack.of([t[k] for t in triples]) for k in range(3))
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_products_equal_rejects_a_moved_exponent_and_a_flipped_sign(d):
     rng = random.Random(50 + d)
@@ -700,6 +708,132 @@ def test_products_equal_rejects_a_moved_exponent_and_a_flipped_sign(d):
                 args = triple[:k] + (bad,) + triple[k + 1:]
                 assert not products_equal(*args)
                 assert not dense(args[0]) @ dense(args[1]) == dense(args[2])
+    # in a batch of 64 true triples, one moved exponent or one flipped scale
+    # at any one position makes that triple, and so the batch, false
+    triples += [_ext_triples(_random_ext(d, rng), _random_ext(d, rng))[0] for _ in range(42)]
+    stacks = _stacks(triples)
+    assert products_equal(*stacks).all()
+    for i, triple in enumerate(triples):
+        k, r, q = rng.randrange(3), rng.randrange(d), rng.randrange(d)
+        for bad in (_moved(triple[k], r, q), _flipped(triple[k])):
+            column = [t[k] for t in triples]
+            column[i] = bad
+            verdicts = products_equal(*stacks[:k], PhaseStack.of(column), *stacks[k + 1:])
+            assert not verdicts.all()
+            assert np.flatnonzero(~verdicts).tolist() == [i]
+
+
+def _mixed_batch(d, rng, size):
+    """size triples of phase tables in random order: section and extended
+    Clifford triples, each law with its wrong product beside it."""
+    triples = []
+    while len(triples) < size:
+        rows = _section_triples(d, rng.choice(sl2_elements(d)), rng.choice(sl2_elements(d)))
+        triples += [tuple(metaplectic(d, s) for s in t) for t in rows]
+        triples += _ext_triples(_random_ext(d, rng), _random_ext(d, rng))
+    rng.shuffle(triples)
+    return triples[:size]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_batched_verdicts_are_dense_equality_per_triple(d):
+    triples = _mixed_batch(d, random.Random(90 + d), 64)
+    stacks = _stacks(triples)
+    verdicts = products_equal(*stacks)
+    assert verdicts.shape == (64,) and verdicts.dtype == bool
+    assert verdicts.tolist() == [dense(x) @ dense(y) == dense(z) for x, y, z in triples]
+    assert verdicts.any() and not verdicts.all()
+    signs, groups, _ = zip(*(clifford._unsigned(t) for t in stacks))
+    assert len(set(zip(*groups))) >= 4 and len(set(zip(*signs))) >= 4  # several groups and signs
+
+
+def test_products_equal_refuses_stacks_of_different_lengths():
+    x = metaplectic(5, ((1, 0), (0, 1))).stack()
+    with pytest.raises(ValueError, match="different lengths"):
+        products_equal(x, x, PhaseStack.of([x[0], x[0]]))
+
+
+def _element_arrays(d, rng, size):
+    """(mu, a, S, alpha) arrays of `size` random elements, with mu, a, S
+    and alpha unreduced (S lifted by multiples of d)."""
+    s = np.array([rng.choice(sl2_elements(d)) for _ in range(size)])
+    return (np.array([rng.randrange(-2 * d, 3 * d) for _ in range(size)]),
+            np.array([[rng.randrange(-2 * d, 3 * d) for _ in range(2)] for _ in range(size)]),
+            s + d * np.array([[[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)]
+                              for _ in range(size)]),
+            np.array([rng.randrange(1, d) + d * rng.randrange(-2, 3) for _ in range(size)]))
+
+
+def _element(d, arrays, i):
+    mu, a, s, alpha = (x[i] for x in arrays)
+    return ExtCliffordElement(mu=int(mu), a=tuple(a.tolist()), S=s, alpha=int(alpha), d=d)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_array_laws_are_the_dataclass_laws(d):
+    # each row of the array composition, linear part and Galois image is
+    # ext_compose, matrix() and matrix().galois() of the dataclass elements
+    rng = random.Random(110 + d)
+    g, h = _element_arrays(d, rng, 40), _element_arrays(d, rng, 40)
+    hg = clifford._compose(d, h, g)
+    parts = clifford._linear_parts(d, g[0], g[1], clifford._sections(d, g[2]))
+    images = parts.galois(h[3])
+    for i in range(40):
+        ge, he = _element(d, g, i), _element(d, h, i)
+        want = ext_compose(he, ge)
+        got = (hg[0][i], tuple(hg[1][i].tolist()), tuple(map(tuple, hg[2][i].tolist())), hg[3][i])
+        assert got == (want.mu, want.a, want.S, want.alpha)
+        for table, oracle in ((parts[i], ge.matrix()), (images[i], ge.matrix().galois(he.galois()))):
+            assert table.scale == oracle.scale and np.array_equal(table.expo, oracle.expo)
+            assert dense(table) == dense(oracle)
+
+
+class _RecordingRandom(random.Random):
+    """random.Random that logs each randrange and choice call with its arguments."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        self.log.append(("randrange", args))
+        return super().randrange(*args)
+
+    def choice(self, seq):
+        self.log.append(("choice", seq))
+        return super().choice(seq)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_verify_clifford_draws_the_samples_in_order(monkeypatch, d):
+    # every section pair (s1, s2) first, then every extended pair (g, h), each
+    # element as mu, a_0, a_1, S, alpha: the draws the laws were checked on
+    # one sample at a time, across more than one chunk of samples
+    made = []
+    monkeypatch.setattr(clifford, "random", types.SimpleNamespace(
+        Random=lambda seed: made.append(_RecordingRandom(seed)) or made[-1]))
+    samples = clifford._CHUNK + 44
+    assert verify_clifford_laws(d, 1, 7, samples)["pass"]
+    ref, sl2 = _RecordingRandom(7), sl2_elements(d)
+    for _ in range(samples):
+        ref.choice(sl2), ref.choice(sl2)
+    for _ in range(2 * samples):
+        ref.randrange(d), ref.randrange(d), ref.randrange(d), ref.choice(sl2), ref.randrange(1, d)
+    (rng,) = made
+    assert rng.log == ref.log and rng.getstate() == ref.getstate()
+
+
+def test_verify_clifford_memory_is_bounded_by_its_chunk():
+    # the sampled laws are drawn and checked a fixed chunk of samples at a
+    # time, so the peak does not grow with samples: unchunked, 800 samples
+    # at d = 7 peak at ~16 MB under tracemalloc, chunked at ~3 MB
+    tracemalloc.start()
+    try:
+        report = verify_clifford_laws(7, 1, 7, 800)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and peak < 5 * 2 ** 20
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
