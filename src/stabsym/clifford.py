@@ -291,15 +291,16 @@ class PhaseStack:
 def _cross_rows(x: CycNumber, y: CycNumber, z: CycNumber, d):
     """Row k < d: the power-basis numerators of x y omega^k times z.den, as
     `_exact`'s (tensor, int64 form), and of z omega^k times (x y).den, with
-    a zero row last (index -1, for the entries expo = -1): so a product of
-    tables with scales x and y and a table with scale z compare over one
-    denominator.  Cached per triple of scales, a handful per d, so a check
-    forms no product of numbers."""
+    a zero row last (index -1, for the entries expo = -1), int64 when they
+    fit (`_exact`): so a product of tables with scales x and y and a table
+    with scale z compare over one denominator.  Cached per triple of
+    scales, a handful per d, so a check forms no product of numbers."""
     xy, f = x * y, _field(z.m)
     shifts = f.pows[(np.arange(f.deg) + (z.m // d) * np.arange(d)[:, None]) % z.m]
     left, right = (_exact(np.dot, f.deg, (np.array(c.num, dtype=object) * den, shifts))
                    for c, den in ((xy, z.den), (z, xy.den)))
-    return (left, _int64(left)), np.vstack([right, np.zeros((1, f.deg), dtype=object)])
+    return ((left.astype(object), _int64(left)),
+            np.vstack([right, np.zeros((1, f.deg), dtype=right.dtype)]))
 
 
 def _unsigned(t: PhaseStack):
@@ -606,8 +607,9 @@ def _weyl_law(d, n, pairs):
     vecs = np.array(pairs, dtype=np.int64)
     a, b = vecs[:, 0], vecs[:, 1]
     form = (a * jvec(b)).sum(axis=1) % d
-    points, index = np.unique(np.concatenate([a, b, (a + b) % d]), axis=0, return_inverse=True)
-    monos = [weyl_mono(d, n, v) for v in points.tolist()]
+    codes, index = np.unique(point_codes(np.concatenate([a, b, (a + b) % d]), d),
+                             return_inverse=True)
+    monos = [weyl_mono(d, n, v) for v in code_points(codes, d, 2 * n).tolist()]
     perm, expo = np.array([t.perm for t in monos]), np.array([t.expo for t in monos])
     ia, ib, ic = index.reshape(3, -1)
     rows = np.arange(len(pairs))[:, None]
@@ -623,6 +625,21 @@ def _weyl_law(d, n, pairs):
     half = (d + 1) // 2
     return bool((ab == perm[ic]).all() and (ab_expo == (expo[ic] - half * form[:, None]) % r).all()
                 and (ab == ba).all() and (ab_expo == (ba_expo - form[:, None]) % r).all())
+
+
+def _galois_acts_as_k(mono, d, alphas):
+    """Whether the entrywise Galois map C_alpha takes mono(d, 1, x) to
+    mono(d, 1, K_alpha x) for every point x of Z_d^2 and every alpha in
+    alphas, as one array check over the stacked perms and exponents of the
+    d^2 monomials: `Mono.galois` keeps the perm and multiplies each
+    exponent by alpha, and K_alpha x = (x_X, alpha x_Z)."""
+    points = code_points(np.arange(d * d), d, 2)
+    monos = [mono(d, 1, x) for x in map(tuple, points.tolist())]
+    perm, expo = (np.array([getattr(t, f) for t in monos]) for f in ("perm", "expo"))
+    alpha = np.asarray(alphas)[:, None]
+    image = points[:, 0] * d + alpha * points[:, 1] % d  # the code of K_alpha x
+    return bool((perm[image] == perm).all()
+                and (expo[image] == alpha[..., None] * expo % d).all())
 
 
 _CHUNK = 128  # samples per batched check: bounds its (chunk, d, d, d) key array
@@ -643,8 +660,9 @@ def verify_clifford_laws(d, n, seed, samples):
     (`_sections`), the linear parts (`_linear_parts`), the Galois images
     (`PhaseStack.galois`) and the composites (`_compose`), with one
     `products_equal` call on the chunk's stacks.  C_alpha acts as K_alpha on
-    every A(x) and transposition as K_{-1}.  At (2, 1) the wreath coordinates
-    of the standard generators equal `WREATH_TABLE`.
+    every A(x) and transposition as K_{-1} on every T(a), each one array
+    check over the d^2 points (`_galois_acts_as_k`).  At (2, 1) the wreath
+    coordinates of the standard generators equal `WREATH_TABLE`.
 
     The section has a closed form for every odd d; the d <= 7 gate is kept
     so that the report at every (d, n) keeps its set of checks.
@@ -694,17 +712,11 @@ def verify_clifford_laws(d, n, seed, samples):
         checks["ext_clifford_composition_law"] = {
             "pass": sampled(composes, lambda: (element(), element()))}
 
-        def galois_acts(alpha, x):
-            # C_alpha with U = 1 acts on the monomial A(x) alone
-            image = phase_point_mono(d, 1, x).galois(GaloisMap(alpha, d))
-            return image == phase_point_mono(d, 1, tuple((k_alpha(d, 1, alpha) @ x % d).tolist()))
-
+        # C_alpha with U = 1 acts on the monomial A(x) alone; transposition
+        # is C_{-1}, entrywise complex conjugation, on the T(a)
         checks["galois_action_on_phase_points"] = {
-            "pass": all(galois_acts(alpha, x) for alpha in range(2, d) for x in all_vectors(d, 2))}
-        conj = GaloisMap(d - 1, d)  # entrywise complex conjugation, on a Mono
-        checks["transpose_is_k_minus_one"] = {"pass": all(
-            weyl_mono(d, 1, a).galois(conj) == weyl_mono(d, 1, (a[0], (-a[1]) % d))
-            for a in all_vectors(d, 2))}
+            "pass": _galois_acts_as_k(phase_point_mono, d, range(2, d))}
+        checks["transpose_is_k_minus_one"] = {"pass": _galois_acts_as_k(weyl_mono, d, [d - 1])}
 
     if d == 2 and n == 1:
         rows = wreath_decompose_table()

@@ -6,18 +6,24 @@ reduced modulo the m-th cyclotomic polynomial.  Each field also caches the
 same arithmetic as small integer tensors: the power expansions `pows`, the
 multiplication tensor `mul` and the Galois maps (`_Field.galois`).  Every
 exact integer contraction of the library runs through one guarded kernel,
-`_exact`: int64 where a bound proves it exact, Python ints otherwise.  The
+`_exact`: int64 where a bound proves it exact, Python ints otherwise, and
+its result is an int64 array whenever every entry fits int64 (an object
+array of Python ints only beyond that).  A caller may compare, index and
+reduce such a result with any/all/argmax; every sum, difference or product
+of one goes through `_exact` again, so int64 never wraps silently.  The
 library's certified paths contract integer tables against `pows`, such as
 the Clifford laws' counts of omega exponents (`clifford.products_equal`:
 one contraction per group of sampled triples whose scales agree up to
 sign) and the moment checks' triple-trace counts.  `_Field.contract` and
 `_Field.galois_map`, which multiply and Galois-map the dense matrices of
-`operators.OpMatrix`, serve the tests' dense oracles and no library path.
+`operators.OpMatrix`, serve the tests' dense oracles and no library path;
+their results stay object arrays of Python ints.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,19 +80,24 @@ def _int64(x):
 
 
 def _exact(op, terms, operands, tensor=None):
-    """op(*operands, tensor) as an object array of Python ints, for an op
-    that sums at most `terms` products of one entry of each operand and one
-    of the tensor (op(*operands) and the operands alone when tensor is
-    None).  It runs in int64 when every operand fits int64 and `fits_int64`
-    proves that no sum, partial sums included, reaches 2^63; otherwise the
-    same op runs on Python ints, which never overflow.  This is the
-    library's one overflow policy: every exact integer contraction runs
-    here.  tensor = (object array, its `_int64` form)."""
+    """op(*operands, tensor) exactly, for an op that sums at most `terms`
+    products of one entry of each operand and one of the tensor
+    (op(*operands) and the operands alone when tensor is None).  It runs in
+    int64 when every operand fits int64 and `fits_int64` proves that no sum,
+    partial sums included, reaches 2^63, and then returns the int64 result;
+    otherwise the same op runs on Python ints, which never overflow, and the
+    result is narrowed to int64 when every entry fits, else returned as an
+    object array of Python ints.  This is the library's one overflow
+    policy: every exact integer contraction runs here, and so does every
+    sum, difference or product of its results.  tensor = (object array, its
+    `_int64` form)."""
     fixed = () if tensor is None else (tensor,)
     small = [_int64(x) for x in operands]
     if None in small or not fits_int64(terms, *(b for _, (_, b) in fixed), *(b for _, b in small)):
-        return op(*(np.asarray(x, dtype=object) for x in operands), *(t for t, _ in fixed))
-    return op(*(x for x, _ in small), *(t for _, (t, _) in fixed)).astype(object)
+        out = op(*(np.asarray(x, dtype=object) for x in operands), *(t for t, _ in fixed))
+        narrow = _int64(out)
+        return out if narrow is None else narrow[0]
+    return op(*(x for x, _ in small), *(t for _, (t, _) in fixed))
 
 
 class _Field:
@@ -149,13 +160,14 @@ class _Field:
             pair = np.tensordot(x, y, axes)
             return np.tensordot(pair, mul, axes=([a, pair.ndim - 1], [0, 1]))
 
-        return _exact(op, terms, (x, y), self._mul)
+        return _exact(op, terms, (x, y), self._mul).astype(object)
 
     def galois_map(self, x, t):
         """Power-basis coefficients of zeta -> zeta^t applied to each number
         x[..., :], an array of Python ints, through the same guarded kernel
-        as `contract` (deg products per coefficient)."""
-        return _exact(np.dot, self.deg, (x,), self._galois_tensor(t))
+        as `contract` (deg products per coefficient), as an object array of
+        Python ints."""
+        return _exact(np.dot, self.deg, (x,), self._galois_tensor(t)).astype(object)
 
     def reduce(self, conv):
         """Reduce a convolution (length <= 2*deg - 1) to the power basis."""
@@ -197,9 +209,12 @@ class CycNumber:
     __slots__ = ("m", "num", "den")
 
     def __init__(self, m, num, den=1, _norm=True):
+        # operator.index takes a numpy integer to a Python int, so that no
+        # coefficient wraps in the arithmetic below, and refuses a float
         self.m = m
+        num, den = [operator.index(x) for x in num], operator.index(den)
         if _norm:
-            num, den = _normalize(list(num), den)
+            num, den = _normalize(num, den)
         self.num = tuple(num)
         self.den = den
 

@@ -15,12 +15,18 @@ their block of S2.
 On dir(Q), with C = T[:, picked] - T[:, [0]] the coordinates of a basis of
 differences q_i - q_0 (`_dir_basis`), F_2 is C^T S2 C, HS is C^T C and F_3
 the trilinear form of the rows of D = C^T T, so no array has two axes of
-length |Q|.  The Jordan side tr(M_i M_j M_k) + tr(M_i M_k M_j) is a count of
-triple-trace exponents weighted by C (`_phase_space_slab`), taken one i-slab
-at a time in full power-basis coefficients (it can be irrational: Q[sqrt 5]
-at d = 5), and a scan stops at the first slab holding a failure.  "Equal"
+length |Q|.  The three third-moment checks (`is_complex_3design`,
+`is_real_6design` and the F_3 clause of `check_lin_jor_condition`) share
+one scan over the triples i <= j <= k (`_triple_chunks`): the trilinear
+form of a table's rows (`_trilinear`) and the Jordan side tr(X_i X_j X_k) +
+tr(X_i X_k X_j) of X_i = sum_a W[i, a] B_a, W the basis rows or C^T
+(`_jordan`: a gather of triple-trace exponents), in full power-basis
+coefficients (it can be irrational: Q[sqrt 5] at d = 5).  The scan takes
+the i-slabs in chunks of 1, 1, 2, 4, ... slabs, capped at _TRIPLE_CHUNK
+triples, and a check stops at the first chunk holding a failure.  Every
+integer is computed in `cyclotomic._exact`, int64 when it fits; "equal"
 and "proportional" are integer cross-multiplications over common
-denominators, in `cyclotomic._exact`.
+denominators.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from numbers import Integral
 import numpy as np
 
 from .clifford import real_clifford_closure
-from .cyclotomic import CycNumber, _exact, _field, _int64, conductor_for
+from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
 from .operators import MAX_ENTRIES, rational_part, stabilizer_labels
 from .phase_space import (
@@ -137,21 +143,70 @@ def _pauli_products(n):
 def _triples(d, n, a, b, c):
     """tr(B_a B_b B_c) = values[e] for the basis points a, b, c (index
     arrays in `point_codes` order that broadcast together), as (e,
-    values): values[v] = norm zeta_r^v in power-basis integers over the
-    conductor of d for v < r, and values[r] = 0.  At odd d,
+    values), values = `_triple_values(d, n)`.  At odd d,
     tr(A(a) A(b) A(c)) = omega^(2([a, b] + [b, c] + [c, a])), as
-    [b - a, c - a] is that sum (r = d, norm 1).  At d = 2,
-    tr(T(a) T(b) T(c)) = 2^n i^beta(a, b) [a + b + c = 0] (r = 4, norm 2^n)
-    from `_pauli_products` and tr(T(x) T(y)) = 2^n [x = y]; the point index
-    of a + b is a ^ b."""
+    [b - a, c - a] is that sum.  At d = 2, tr(T(a) T(b) T(c)) =
+    2^n i^beta(a, b) [a + b + c = 0] from `_pauli_products` and
+    tr(T(x) T(y)) = 2^n [x = y]; the point index of a + b is a ^ b."""
     if d == 2:
-        e, r, norm = np.where(c == a ^ b, _pauli_products(n)[a, b], 4), 4, 2 ** n
+        e = np.where(c == a ^ b, _pauli_products(n)[a, b], 4)
     else:
         w = _phase_forms(d, n)
-        e, r, norm = 2 * (w[a, b] + w[b, c] + w[c, a]) % d, d, 1
+        e = 2 * (w[a, b] + w[b, c] + w[c, a]) % d
+    return e, _triple_values(d, n)
+
+
+@lru_cache(maxsize=None)
+def _triple_values(d, n):
+    """The values of tr(B_a B_b B_c) (`_triples`) as a read-only int64
+    array: values[v] = norm zeta_r^v in power-basis integers over the
+    conductor of d for v < r, and values[r] = 0; r = d and norm 1 at odd d,
+    r = 4 and norm 2^n at d = 2."""
+    r, norm = (4, 2 ** n) if d == 2 else (d, 1)
     m = conductor_for(d)
     f = _field(m)
-    return e, np.vstack([norm * f.pows[(m // r) * np.arange(r)], np.zeros((1, f.deg), int)])
+    values = np.vstack([norm * f.pows[(m // r) * np.arange(r)], np.zeros((1, f.deg), int)])
+    values = values.astype(np.int64)
+    values.flags.writeable = False
+    return values
+
+
+@lru_cache(maxsize=None)
+def _jordan_index(d, n):
+    """The gather behind `_jordan`, as a read-only (r, P, P) array over the
+    P = d^(2n) points: with tr(B_a B_b B_c) = norm zeta_r^e(a, b, c)
+    (`_triples`), the count H_v[b, c] = sum_a x[a] [e(a, b, c) = v] of a
+    row x is G(x).ravel()[index[v, b, c]] for the (P, r) table G(x) of
+    `_jordan_counts`.  At odd d, e(a, b, c) = 2[a, b - c] + 2[b, c] mod d,
+    so index[v, b, c] = (b - c) r + (v - 2[b, c] mod d); at d = 2 only
+    a = b + c contributes, with e = beta(b + c, b), so index[v, b, c] =
+    (b ^ c) r + (v - beta(b ^ c, b) mod 4).  A gather over P^2 cells, not a
+    count over P^3."""
+    p = code_points(np.arange(d ** (2 * n)), d, 2 * n)
+    if d == 2:
+        r, u = 4, p[:, None] ^ p
+        u = point_codes(u, 2)
+        e = _pauli_products(n)[u, np.arange(len(p))[:, None]]
+    else:
+        r, u = d, point_codes((p[:, None] - p) % d, d)
+        e = 2 * _phase_forms(d, n) % d
+    index = u * r + (np.arange(r)[:, None, None] - e) % r
+    index.flags.writeable = False
+    return index
+
+
+def _jordan_counts(d, n, x):
+    """The (P, r) table G(x) of `_jordan_index` for one row x over the P
+    points: at odd d, G[u, s] = sum_a x[a] [2[a, u] = s mod d] over the
+    support of x; at d = 2, G[u, 0] = x[u] and 0 elsewhere.  Computed on
+    x's own dtype, within the caller's `_exact` bound."""
+    if d == 2:
+        out = np.zeros((len(x), 4), dtype=x.dtype)
+        out[:, 0] = x
+        return out
+    support = np.flatnonzero(x)
+    hits = (2 * _phase_forms(d, n)[support] % d)[:, :, None] == np.arange(d)
+    return np.tensordot(x[support], hits, 1)
 
 
 _Basis = namedtuple("_Basis", "labels points single")
@@ -160,7 +215,7 @@ _Basis = namedtuple("_Basis", "labels points single")
 @lru_cache(maxsize=None)
 def _basis(d, n, real=False) -> _Basis:
     """The Hermitian basis B_a in closed form: labels, their indices `points`
-    in `point_codes` order and tr B_a = single[a] as Python ints (A(a): 1;
+    in `point_codes` order and tr B_a = single[a] as int64 (A(a): 1;
     T(a): 2^n [a = 0]); tr(B_a B_b) = d^n [a = b], the scalar `dim` of a
     set.  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
     2^(n-1) (2^n + 1) of them, an orthogonal basis of Sym."""
@@ -170,7 +225,7 @@ def _basis(d, n, real=False) -> _Basis:
     points = np.flatnonzero((p[:, :n] * p[:, n:]).sum(axis=1) % 2 == 0) if real \
         else np.arange(len(p))
     single = 2 ** n * (points == 0) if d == 2 else np.ones(len(points), dtype=int)
-    return _Basis(tuple(map(tuple, p[points].tolist())), points, single.astype(object))
+    return _Basis(tuple(map(tuple, p[points].tolist())), points, single.astype(np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -203,13 +258,6 @@ def trace_table(q: OperatorSet):
     table = table.astype(np.int64)
     table.flags.writeable = False
     return table
-
-
-def _compact(x):
-    """x as int64 when every entry fits (`_int64`), else as it is, so that
-    `_exact` converts it cheaply on each call."""
-    small = _int64(x)
-    return x if small is None else small[0]
 
 
 class _Echelon:
@@ -288,8 +336,8 @@ class DesignReport:
 @lru_cache(maxsize=None)
 def _pair_sums(q: OperatorSet):
     """S2 = T T^T, S2[a, b] = sum_q t_a t_b over the trace table, as a
-    read-only array of Python ints; cached, as the 2-design, real-design
-    and Lin ⊂ Wig checks share it."""
+    read-only array, int64 when it fits (`_exact`); cached, as the
+    2-design, real-design and Lin ⊂ Wig checks share it."""
     table = trace_table(q)
     s2 = _exact(lambda x, y: x @ y.T, q.size, (table, table))
     s2.flags.writeable = False
@@ -297,54 +345,104 @@ def _pair_sums(q: OperatorSet):
 
 
 def _times(x, y):
-    """x * y entrywise, with numpy broadcasting, as Python ints."""
+    """x * y entrywise, with numpy broadcasting, int64 when it fits
+    (`_exact`)."""
     return _exact(np.multiply, 1, (np.asarray(x), np.asarray(y)))
 
 
-def _trilinear(rows, i):
-    """sum_t rows[i][t] rows[j][t] rows[k][t] for j, k >= i, as Python ints.
-    (If the rows from i on are all 0, so is the first product.)"""
-    tail = rows[i:]
-    return _exact(lambda x, y, z: (x * y) @ z.T, rows.shape[1], (tail, rows[i], tail))
+_TRIPLE_CHUNK = 2 ** 16  # triples (i, j, k) per chunk of a scan: bounds its arrays
 
 
-def _phase_space_slab(d, n, diffs, i):
-    """tr(M_i M_j M_k) + tr(M_i M_k M_j) for j, k >= i, as power-basis
-    numerators over d^(3n), for M_x = d^-n sum_a diffs[x, a] B_a, diffs
-    int64 or Python ints (differences of trace-table columns;
-    tr(B_a B_b) = d^n [a = b]).
+def _triple_chunks(d, n, rows, w):
+    """The triples i <= j <= k over len(rows) indices, in order (i, then j,
+    then k), as chunks (keys, lhs, jordan): keys[e] = (i, j, k), lhs the
+    trilinear form of the rows (`_trilinear`) and jordan the symmetrized
+    triple trace of X_i = sum_a W[i, a] B_a (`_jordan`, w its points or W).
 
-    With tr(B_a B_b B_c) = norm zeta_r^e(a, b, c) (`_triples`),
-    tr(M_i M_j M_k) is sum_v norm zeta_r^v (tail H_v tail^T)[j, k] over
-    d^(3n), tail = diffs[i:] and H_v[b, c] = sum_a diffs[i, a]
-    [e(a, b, c) = v]: counts over the support of diffs[i] and one integer
-    contraction, no matrix.  Swapping b and c transposes H_v."""
-    tail = diffs[i:]
-    support = np.flatnonzero(diffs[i])
-    points = np.arange(diffs.shape[1])
-    e, values = _triples(d, n, support[:, None, None], points[:, None], points)
-    counts = np.stack([_exact(lambda x, hit: np.tensordot(x, hit, 1), len(support),
-                              (diffs[i, support], e == v)) for v in range(len(values) - 1)])
-    counts = counts + counts.transpose(0, 2, 1)
-    return _exact(lambda x, h, y, w: np.tensordot(x @ h @ y.T, w, ([0], [0])),
-                  len(counts) * len(points) ** 2, (tail, counts, tail, values[:-1]))
+    The i-slabs come in chunks of as many slabs as came before, at least
+    one (1, 1, 2, 4, ...), capped at _TRIPLE_CHUNK triples unless one slab
+    holds more: a check that fails in slab 0 does the work of that slab
+    alone, and a passing one makes O(log r) kernel calls.  Within a chunk
+    each slab i contracts only its tail j, k >= i."""
+    r, i0 = len(rows), 0
+
+    def triples(i):  # in slab i
+        return (r - i) * (r - i + 1) // 2
+
+    while i0 < r:
+        i1, total = i0 + 1, triples(i0)
+        while i1 < min(r, 2 * i0) and total + triples(i1) <= _TRIPLE_CHUNK:
+            total += triples(i1)
+            i1 += 1
+        j, k = np.triu_indices(r - i0)
+        # slab i's pairs j, k >= i are the suffix of the first slab's from j = i
+        slabs = [(i, j[st:] - (i - i0), k[st:] - (i - i0))
+                 for i, st in zip(range(i0, i1), np.searchsorted(j, np.arange(i1 - i0)))]
+        yield _slab_keys(slabs), _trilinear(rows, slabs), _jordan(d, n, w, slabs)
+        i0 = i1
 
 
-def _triple_traces(b: _Basis, d, n, i):
-    """tr(B_i B_j B_k) at [j, k] for j, k >= i of the basis b, as power-basis
-    integers (`_triples`)."""
-    e, values = _triples(d, n, b.points[i], b.points[i:, None], b.points[i:])
-    return values[e]
+def _slab_keys(slabs):
+    """The triples (i, i + jj, i + kk) of the slabs (i, jj, kk), in turn, as
+    an (entries, 3) array."""
+    return np.concatenate([np.stack([np.full(len(jj), i), i + jj, i + kk], 1)
+                           for i, jj, kk in slabs])
 
 
-def _trace_terms(b: _Basis, dim, i):
-    """For j, k >= i: tr_i tr_j tr_k and the cross terms
+def _trilinear(rows, slabs):
+    """sum_t rows[i][t] rows[i + jj][t] rows[i + kk][t] for every slab (i,
+    jj, kk) in turn, int64 when it fits (`_exact`).  (If the rows from i0
+    on are all 0, so is the first product.)"""
+    i0, i1 = slabs[0][0], slabs[-1][0] + 1
+
+    def op(x, tail, same):
+        return np.concatenate([((x[i - i0] * tail[i - i0:]) @ same[i - i0:].T)[jj, kk]
+                               for i, jj, kk in slabs])
+
+    return _exact(op, rows.shape[1], (rows[i0:i1], rows[i0:], rows[i0:]))
+
+
+def _jordan(d, n, w, slabs):
+    """tr(X_i X_j X_k) + tr(X_i X_k X_j), j = i + jj and k = i + kk, for
+    every slab (i, jj, kk) in turn, as power-basis integers (int64 when
+    they fit, `_exact`) for X_x = sum_a W[x, a] B_a: w is either the
+    points of a basis (W its rows of the identity, X_x = B_w[x]) or the
+    integer matrix W over all d^(2n) points.
+
+    For points, each entry is two values of `_triples`.  For a matrix,
+    with tr(B_a B_b B_c) = values[e(a, b, c)], tr(X_i X_j X_k) is
+    sum_v values[v] (tail H_v tail^T)[j, k], tail = W[i:] and H_v[b, c] =
+    sum_a W[i, a] [e(a, b, c) = v] the gather of `_jordan_index`: no
+    matrix, and swapping b and c transposes H_v."""
+    i0, i1 = slabs[0][0], slabs[-1][0] + 1
+    if w.ndim == 1:
+        i, j, k = w[_slab_keys(slabs).T]
+        ijk, values = _triples(d, n, i, j, k)
+        ikj = _triples(d, n, i, k, j)[0]
+        return _exact(lambda v: v[ijk] + v[ikj], 2, (values,))
+    index, values = _jordan_index(d, n), _triple_values(d, n)[:-1]
+
+    def op(x, tail, same, v):
+        out = []
+        for i, jj, kk in slabs:
+            h = _jordan_counts(d, n, x[i - i0]).ravel()[index]
+            a = np.tensordot(tail[i - i0:] @ h @ same[i - i0:].T, v, ([0], [0]))
+            out.append(a[jj, kk] + a[kk, jj])
+        return np.concatenate(out)
+
+    support = 1 if d == 2 else int(np.count_nonzero(w[i0:i1], axis=1).max())
+    return _exact(op, 2 * w.shape[1] ** 2 * support, (w[i0:i1], w[i0:], w[i0:], values))
+
+
+def _trace_terms(b: _Basis, dim, keys):
+    """For each triple (i, j, k) of keys: tr_i tr_j tr_k and the cross terms
     tr_i tr(B_j B_k) + tr_j tr(B_i B_k) + tr_k tr(B_i B_j), with
-    tr(B_a B_b) = dim [a = b]."""
-    t = b.single[i:]
-    pair = dim * np.eye(len(t), dtype=object)
-    cross = b.single[i] * pair + np.outer(t, pair[0]) + np.outer(pair[0], t)
-    return b.single[i] * np.outer(t, t), cross
+    tr(B_a B_b) = dim [a = b], int64 when they fit (`_exact`)."""
+    t = b.single[keys]
+    i, j, k = keys.T
+    pair = dim * np.stack([j == k, i == k, i == j], 1)
+    return (_exact(lambda x, y, z: x * y * z, 1, tuple(t.T)),
+            _exact(lambda x, y: (x * y).sum(axis=1), 3, (t, pair)))
 
 
 def is_complex_2design(q: OperatorSet) -> DesignReport:
@@ -356,15 +454,19 @@ def is_complex_2design(q: OperatorSet) -> DesignReport:
     s2 = _pair_sums(q)
     iu = np.triu_indices(len(b.single))
     # F_2 = s2 / |Q| against (tr_i tr_j + tr(B_i B_j)) / (D(D+1))
-    form = np.outer(b.single, b.single)[iu] + dd * (iu[0] == iu[1]).astype(object)
-    gap = abs(_times(s2[iu], dd * (dd + 1)) - _times(form, q.size))
+    i, j = iu
+    ones = np.ones(len(i), dtype=np.int64)
+    form = _exact(lambda x, y: (x * y).sum(axis=0), 2,
+                  (np.stack([b.single[i], dd * (i == j)]), np.stack([b.single[j], ones])))
+    sides = np.stack([_times(s2[iu], dd * (dd + 1)), _times(form, q.size)])
+    gap = _exact(lambda x: abs(x[0] - x[1]), 2, (sides,))
     e = int(np.argmax(gap))
     if not gap[e]:
         return DesignReport("complex_2design", True)
-    i, j = iu[0][e], iu[1][e]
+    i, j = i[e], j[e]
     return DesignReport("complex_2design", False, witness=(
         b.labels[i], b.labels[j], Fraction(int(s2[i, j]), q.size),
-        Fraction(form[e], dd * (dd + 1))))
+        Fraction(int(form[e]), dd * (dd + 1))))
 
 
 def is_complex_3design(q: OperatorSet) -> DesignReport:
@@ -376,20 +478,16 @@ def is_complex_3design(q: OperatorSet) -> DesignReport:
     """
     b = _basis(q.d, q.n)
     dd = q.dim
-    rows = trace_table(q)
-    for i in range(len(rows)):
-        iu = np.triu_indices(len(rows) - i)
-        t = _triple_traces(b, q.d, q.n, i)
-        # F_3 = lhs / |Q| against (terms + jordan) / (D(D+1)(D+2))
-        c1, c2 = _trace_terms(b, dd, i)
-        diff = _times((t + t.transpose(1, 0, 2))[iu], q.size)
-        diff[:, 0] += _times((c1 + c2)[iu], q.size)
-        diff[:, 0] -= _times(_trilinear(rows, i)[iu], dd * (dd + 1) * (dd + 2))
-        bad = diff.any(axis=1)
+    for keys, lhs, jordan in _triple_chunks(q.d, q.n, trace_table(q), b.points):
+        # F_3 = lhs / |Q| against (terms + jordan) / (D(D+1)(D+2)): the
+        # irrational part of jordan must vanish, and the rational parts agree
+        terms = _exact(lambda x: x.sum(axis=0), 3,
+                       (np.stack([jordan[:, 0], *_trace_terms(b, dd, keys)]),))
+        bad = jordan[:, 1:].any(axis=1) | (
+            _times(terms, q.size) != _times(lhs, dd * (dd + 1) * (dd + 2)))
         if bad.any():
-            e = int(bad.argmax())
-            witness = (b.labels[i], b.labels[i + iu[0][e]], b.labels[i + iu[1][e]])
-            return DesignReport("complex_3design", False, witness=witness)
+            return DesignReport("complex_3design", False,
+                                witness=tuple(b.labels[x] for x in keys[int(bad.argmax())]))
     return DesignReport("complex_3design", True)
 
 
@@ -455,9 +553,10 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
     s2 = _pair_sums(q)[np.ix_(b.points, b.points)]
     iu = np.triu_indices(len(s2))
     # over |Q|; (B_i|B_j) = tr(B_i B_j) = D [i = j] on the real symmetric basis
-    hs = q.dim * (iu[0] == iu[1]).astype(object)
-    equations = zip(hs * q.size, np.outer(b.single, b.single)[iu] * q.size, s2[iu])
-    sol = _solve_linear_positive(equations, 2)
+    i, j = iu
+    equations = np.stack([_times(q.dim * q.size, i == j),
+                          _times(_times(b.single[i], b.single[j]), q.size), s2[iu]], 1)
+    sol = _solve_linear_positive(equations.tolist(), 2)
     if sol is None:
         return DesignReport("real_4design", False,
                             witness=("no consistent positive constants",))
@@ -467,17 +566,17 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
 
 def is_real_6design(q: OperatorSet) -> DesignReport:
     """F_3 = K1 trA trB trC + K2 (three cross terms) + K3 (Tr(ABC)+Tr(ACB)),
-    on the real Paulis (d = 2; Unsupported at odd d)."""
+    on the real Paulis (d = 2; Unsupported at odd d).
+
+    Only the distinct equations are eliminated: the pivots, the particular
+    point and the null vector of `_solve_linear_positive` depend on the row
+    space alone."""
     b = _basis(q.d, q.n, real=True)
-    rows = trace_table(q)[b.points]
-    equations = []
-    for i in range(len(rows)):
-        iu = np.triu_indices(len(rows) - i)
-        c1, c2 = _trace_terms(b, q.dim, i)
-        t = _triple_traces(b, q.d, q.n, i)
-        jordan = rational_part(t + t.transpose(1, 0, 2))[iu]
-        equations += zip(c1[iu] * q.size, c2[iu] * q.size, jordan * q.size,
-                         _trilinear(rows, i)[iu])
+    equations = {}
+    for keys, lhs, jordan in _triple_chunks(q.d, q.n, trace_table(q)[b.points], b.points):
+        rows = np.stack([*(_times(x, q.size) for x in _trace_terms(b, q.dim, keys)),
+                         _times(rational_part(jordan), q.size), lhs], 1)
+        equations.update(dict.fromkeys(map(tuple, rows.tolist())))
     sol = _solve_linear_positive(equations, 3)
     if sol is None:
         return DesignReport("real_6design", False,
@@ -493,7 +592,7 @@ def is_real_6design(q: OperatorSet) -> DesignReport:
 def _dir_basis(q: OperatorSet):
     """(picked, C): the indices i of a basis q_i - q_0 of dir(Q), picked
     greedily in order by one echelon over their trace-table coordinates, and
-    those coordinates C = T[:, picked] - T[:, [0]] (`_compact`, read-only).
+    those coordinates C = T[:, picked] - T[:, [0]] (`_exact`, read-only).
     Every difference is traceless, so its coordinates lie in a hyperplane
     (the A(a) sum to d^n 1; T(0) = 1 for qubits): the pick stops at rank
     d^(2n) - 1."""
@@ -507,7 +606,7 @@ def _dir_basis(q: OperatorSet):
             if ech.rank == ech.ncols - 1:
                 break
     idx = np.asarray(picked, dtype=np.intp)
-    coords = _compact(_exact(lambda t: t[:, idx] - t[:, :1], 2, (table,)))
+    coords = _exact(lambda t: t[:, idx] - t[:, :1], 2, (table,))
     coords.flags.writeable = False
     return tuple(picked), coords
 
@@ -555,7 +654,7 @@ def check_lin_wig_condition(q: OperatorSet):
 
     def values(entry):
         (i, j), f2_v, hs_v = entry
-        return int(i), int(j), Fraction(f2_v, size * dd ** 2), Fraction(int(hs_v[0]), dd)
+        return int(i), int(j), Fraction(int(f2_v), size * dd ** 2), Fraction(int(hs_v[0]), dd)
 
     clauses = {"f2_proportional_on_dir": bad is None}
     # mu_1 = sum_q q / |Q| has coordinates u / |Q|, u the table's row sums
@@ -575,8 +674,8 @@ def check_lin_wig_condition(q: OperatorSet):
 
 def check_lin_jor_condition(q: OperatorSet, wig=None):
     """The Lin ⊂ Wig condition (the report `wig`, computed when not given)
-    plus mu_1 ∝ 1, a full span, and the F_3 clause, whose Jordan side is
-    `_phase_space_slab` of the trace-table differences."""
+    plus mu_1 ∝ 1, a full span, and the F_3 clause, a `_triple_chunks` scan
+    whose Jordan side is that of the trace-table differences C^T."""
     base = check_lin_wig_condition(q) if wig is None else wig
     picked, c = _dir_basis(q)
     size, dd = q.size, q.dim
@@ -594,23 +693,17 @@ def check_lin_jor_condition(q: OperatorSet, wig=None):
 
     idx = np.asarray(picked, dtype=np.intp)
     # D = C^T T: tr((q_i - q_0) q) over d^n for every q in Q
-    diffs = _compact(_exact(lambda x, t: x.T @ t, len(c), (c, table)))
+    diffs = _exact(lambda x, t: x.T @ t, len(c), (c, table))
     m = q.conductor
-    # q_i - q_0 = d^-n sum_a C[a, i] B_a
-
-    def slabs():
-        # F_3 = sum_t D_i D_j D_k / (|Q| d^(3n)) against the Jordan side over
-        # d^(3n); the symmetrized trace is real but may be irrational
-        for a in range(len(idx)):
-            iu = np.triu_indices(len(idx) - a)
-            keys = np.stack([np.full(len(iu[0]), idx[a]), idx[a + iu[0]], idx[a + iu[1]]], 1)
-            yield keys, _trilinear(diffs, a)[iu], _phase_space_slab(q.d, q.n, c.T, a)[iu]
-
-    ref, bad = _proportional_scan(slabs())
+    # q_i - q_0 = d^-n sum_a C[a, i] B_a, so F_3 = sum_t D_i D_j D_k /
+    # (|Q| d^(3n)) against the Jordan side of C^T over d^(3n); the
+    # symmetrized trace is real but may be irrational
+    ref, bad = _proportional_scan((idx[keys], lhs, rhs)
+                                  for keys, lhs, rhs in _triple_chunks(q.d, q.n, diffs, c.T))
 
     def values(entry):
         keys, lhs, rhs = entry
-        return *map(int, keys), Fraction(lhs, size * dd ** 3), CycNumber(m, list(rhs), dd ** 3)
+        return *map(int, keys), Fraction(int(lhs), size * dd ** 3), CycNumber(m, list(rhs), dd ** 3)
 
     clauses["f3_proportional_on_dir"] = bad is None
     const_str = None

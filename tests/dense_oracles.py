@@ -40,7 +40,7 @@ The moment predicates read closed-form bases and labelled trace tables in
 the library (`moments._basis`, `moments.trace_table`); `symmetric_basis` is
 the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
 `jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
-`moments._phase_space_slab`.
+`moments._jordan`.
 
 The single-qudit Clifford laws compare phase tables in the library
 (`clifford.PhaseTable`, `clifford.products_equal`).  `dense_metaplectic` is
@@ -294,7 +294,8 @@ def family_projectors(fam):
 
 def trace_pairs(left, right):
     """All tr(L_x R_y) as (ints, scale): tr(L_x R_y) = ints[x, y] / scale,
-    with ints an object array of Python ints and scale a positive int, in
+    with ints an int64 array when every entry fits (`cyclotomic._exact`),
+    else an object array of Python ints, and scale a positive int, in
     lowest terms.
 
     One contraction of the two coefficient stacks with the field's
@@ -302,7 +303,7 @@ def trace_pairs(left, right):
     coefficient of tr(L_x R_y) sums dim^2 entry products, each expanded
     through the deg^2 coefficient pairs.  It raises if any trace has a
     nonzero component outside the rational line, and keeps only the rational
-    one, so only that is turned into Python ints.
+    one.
     """
     f = _field(left[0].m)
     (lhs, lden), (rhs, rden) = coefficient_stack(left), coefficient_stack(right)
@@ -758,9 +759,9 @@ def coefficient_stack(mats):
 
 def mono_traces(monos, mats):
     """All tr(B_x Q_y) for monomial operators B_x and matrices Q_y, as (out,
-    den): out an object array [x, y, k] of Python ints, power-basis
-    coefficients over den, the matrices' common denominator
-    (`coefficient_stack`).
+    den): out an integer array [x, y, k] (int64 when it fits,
+    `cyclotomic._exact`), power-basis coefficients over den, the matrices'
+    common denominator (`coefficient_stack`).
 
     tr(B Q) = sum_c zeta^expo[c] Q[c, perm[c]]: one entry of Q per column of
     B, so an output coefficient sums dim * deg^2 products with the field's

@@ -982,3 +982,34 @@ def test_unreduced_matrices_give_the_same_answers(data):
 def test_sp_generators_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         sp_generators(3, 2)[0][0, 0] = 2
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("check,name", [("galois_action_on_phase_points", "phase_point_mono"),
+                                        ("transpose_is_k_minus_one", "weyl_mono")])
+def test_one_corrupted_exponent_flips_each_galois_check(monkeypatch, d, check, name):
+    # each check is one array check over the d^2 stacked monomials: one
+    # exponent of one of them moved by 1 fails it, and not the other check
+    other = ({"galois_action_on_phase_points", "transpose_is_k_minus_one"} - {check}).pop()
+    checks = verify_clifford_laws(d, 1, 0, 1)["checks"]
+    assert checks[check]["pass"] and checks[other]["pass"]
+    make, v = getattr(clifford, name), (1, 1)
+    bad = _WEYL_FAULTS["exponent"](make(d, 1, v))
+    monkeypatch.setattr(clifford, name, lambda d_, n_, a: bad if tuple(a) == v else make(d_, n_, a))
+    checks = verify_clifford_laws(d, 1, 0, 1)["checks"]
+    assert not checks[check]["pass"] and checks[other]["pass"]
+
+
+def test_products_equal_compares_int64_rows(monkeypatch):
+    # both cached sides of a triple of scales are int64, and so is every
+    # contraction of a check: the comparison builds no object array
+    results = []
+    exact = clifford._exact
+    monkeypatch.setattr(clifford, "_exact", lambda *args: results.append(exact(*args)) or results[-1])
+    clifford._cross_rows.cache_clear()
+    assert verify_clifford_laws(7, 1, 7, 200)["pass"]
+    assert results and all(r.dtype == np.int64 for r in results)
+    one, _, g_inv, _ = clifford._section_scales(7)
+    (left, (small, _)), right = clifford._cross_rows(g_inv, g_inv, one, 7)
+    assert left.dtype == object and small.dtype == right.dtype == np.int64
+    assert (small == left).all() and not right[-1].any()

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stabsym.cyclotomic import (
@@ -148,3 +149,16 @@ def test_serialization_roundtrip():
     for m in (8, 12, 20):
         x = _random_cyc(m, rng)
         assert CycNumber.from_json(x.to_json()) == x
+
+
+def test_numpy_integer_coefficients_become_python_ints():
+    # an np.int64 coefficient (an entry of an int64 kernel result) would wrap
+    # silently in the products below; the constructor takes it to an int
+    big = np.int64(2 ** 62)
+    x = CycNumber(8, [big, 0, np.int64(1), 0], np.int64(3))
+    assert all(type(c) is int for c in (*x.num, x.den))
+    y = x * x  # (2^62 + i)^2 / 9 = (2^124 - 1 + 2^63 i) / 9
+    assert y.num == (2 ** 124 - 1, 0, 2 ** 63, 0) and y.den == 9
+    assert CycNumber(8, [big, 0, 0, 0], _norm=False) * 4 == CycNumber.from_fraction(8, 2 ** 64)
+    with pytest.raises(TypeError):
+        CycNumber(8, [1.0, 0, 0, 0])

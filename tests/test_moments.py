@@ -604,8 +604,17 @@ def test_triple_traces_match_mono_traces_of_products(d, n, slabs):
     mats = [mono.to_matrix() for mono in monos]
     for i in range(len(monos)) if slabs is None else slabs:
         dense, den = mono_traces([monos[i] @ mono for mono in monos[i:]], mats[i:])
-        closed = moments._triple_traces(b, d, n, i)
-        assert (closed * den == dense).all()
+        e, values = moments._triples(d, n, b.points[i], b.points[i:, None], b.points[i:])
+        assert (values[e] * den == dense).all()
+        # the scan's Jordan side on the basis points: the symmetrized slab
+        closed = moments._jordan(d, n, b.points, _slab(len(monos), i))
+        assert (closed * den == (dense + dense.transpose(1, 0, 2))[np.triu_indices(len(e))]).all()
+
+
+def _slab(r, i):
+    """Slab i alone of a triple scan over r indices (`moments._triple_chunks`):
+    its pairs j, k >= i relative to i, in scan order."""
+    return [(i, *np.triu_indices(r - i))]
 
 
 def _jordan_slabs_agree(q, slabs):
@@ -616,8 +625,8 @@ def _jordan_slabs_agree(q, slabs):
     idx = np.asarray(picked)
     stack, den = coefficient_stack(set_elements(q))
     for i in range(len(idx)) if slabs is None else slabs:
-        dense = jordan_slab(m, stack[idx] - stack[0], i)
-        closed = moments._phase_space_slab(q.d, q.n, coords.T, i)
+        dense = jordan_slab(m, stack[idx] - stack[0], i)[np.triu_indices(len(idx) - i)]
+        closed = moments._jordan(q.d, q.n, coords.T, _slab(len(idx), i))
         assert (closed * den ** 3 == dense * q.dim ** 3).all()
 
 
@@ -713,3 +722,105 @@ def test_no_dense_element_path_is_left():
     assert not hasattr(OperatorSet, "elements") and not hasattr(q, "elements")
     with pytest.raises(TypeError):
         OperatorSet("dense", 2, 1, elements=set_elements(q))
+
+
+# ---------------------------------------------------------------------------
+# The overflow policy and the chunked triple scan
+
+# the sets of the benchmark's `exact-laws` workload, and (3,2)
+_DESIGN_SETS = [("stab", 2, 2), ("stab", 5, 1), ("stab", 7, 1), ("rebit", 2, 2),
+                ("phase-points", 3, 1), ("stab", 3, 2)]
+
+
+def _fresh_sets(monkeypatch):
+    """Uncached set constructors, so that every table of a set is recomputed."""
+    for name in ("stabilizer_operator_set", "rebit_operator_set", "phase_point_operator_set"):
+        monkeypatch.setattr(moments, name, getattr(moments, name).__wrapped__)
+
+
+@pytest.mark.parametrize("which,d,n", _DESIGN_SETS)
+def test_verify_design_is_the_same_on_python_ints(monkeypatch, which, d, n):
+    expected = moments.verify_design(which, d, n)
+    _fresh_sets(monkeypatch)
+    _never_fits(monkeypatch)
+    assert moments.verify_design(which, d, n) == expected
+
+
+@pytest.mark.parametrize("which,d,n", _DESIGN_SETS)
+def test_verify_design_is_the_same_in_one_slab_chunks(monkeypatch, which, d, n):
+    # the chunks of a scan change neither a verdict nor a witness (stab (7,1)
+    # and (3,2) and the phase points fail with one), and they grow as
+    # 1, 1, 2, 4, ... slabs; a set failing in slab 0 scans that slab alone
+    expected = moments.verify_design(which, d, n)
+    chunks = []
+    trilinear = moments._trilinear
+    monkeypatch.setattr(moments, "_trilinear", lambda rows, slabs: chunks.append(
+        [i for i, _, _ in slabs]) or trilinear(rows, slabs))
+    assert moments.verify_design(which, d, n) == expected
+    scans = []  # one per scan: its chunks, each the list of its slabs
+    for c in chunks:
+        if c[0] == 0:
+            scans.append([])
+        scans[-1].append(c)
+    for scan in scans:
+        sizes = [len(c) for c in scan]
+        assert [x for c in scan for x in c] == list(range(sum(sizes)))
+        assert all(size == max(1, sum(sizes[:k])) for k, size in enumerate(sizes[:-1]))
+    if expected["checks"]["lin_subset_jor"]["witness"] is not None:
+        assert scans[-1] == [[0]]
+    slabs = sum(len(c) for scan in scans for c in scan)
+    monkeypatch.setattr(moments, "_TRIPLE_CHUNK", 0)
+    chunks.clear()
+    assert moments.verify_design(which, d, n) == expected
+    assert all(len(c) == 1 for c in chunks) and len(chunks) == slabs
+
+
+def test_moment_checks_take_the_int64_path(monkeypatch):
+    # on the benchmark's sets every exact integer of the moment checks is
+    # proven to fit int64 and computed there: no Python-int branch is taken
+    bounds, dtypes = [], []
+    fits, exact = cyclotomic.fits_int64, moments._exact
+    monkeypatch.setattr(cyclotomic, "fits_int64", lambda *args: bounds.append(fits(*args))
+                        or bounds[-1])
+    monkeypatch.setattr(moments, "_exact", lambda *args: dtypes.append(exact(*args).dtype)
+                        or exact(*args))
+    _fresh_sets(monkeypatch)
+    for which, d, n in _DESIGN_SETS[:-1]:
+        assert moments.verify_design(which, d, n)["all_as_expected"]
+    assert bounds and all(bounds) and set(dtypes) == {np.dtype(np.int64)}
+    assert not hasattr(moments, "_compact")
+
+
+@st.composite
+def patched_tables(draw):
+    """A set and its trace table, scaled by 2^s, with a few entries, rows or
+    columns replaced by one integer each of any size up to 2^40, in int64
+    (as `_huge_entry_set` does).  The sizes come from a drawn seed, so that
+    every bit length is as likely, and with them the sizes at which a bound
+    of `_exact` starts to fail; a row or a column of one value drives its
+    sums towards their bound, and scaling keeps the Lin ⊂ Wig and Lin ⊂ Jor
+    conditions, so that their scans run on to large values."""
+    q = draw(st.sampled_from([stabilizer_operator_set(2, 1), stabilizer_operator_set(3, 1),
+                              rebit_operator_set(2), stabilizer_operator_set(2, 2)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = trace_table(q) * 2 ** rng.randrange(21)
+    for _ in range(rng.randrange(4)):
+        a, j = rng.randrange(rows.shape[0]), rng.randrange(rows.shape[1])
+        cells = rng.choice([(a, j), (a, slice(None)), (slice(None), j)])
+        bits = rng.randrange(41)
+        rows[cells] = rng.randint(-2 ** bits, 2 ** bits)
+    return q, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(patched_tables())
+def test_patched_tables_give_the_same_reports_on_python_ints(case):
+    # all six predicates (the real ones at d = 2) agree between the int64
+    # path, narrowed where a value fits, and the Python ints throughout
+    q, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "trace_table", lambda q: rows)
+        reports = _reports(moments, OperatorSet(name="patched", d=q.d, n=q.n, labels=q.labels))
+        _never_fits(mp)
+        fresh = OperatorSet(name="patched on Python ints", d=q.d, n=q.n, labels=q.labels)
+        assert _reports(moments, fresh) == reports

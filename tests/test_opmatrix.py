@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabsym.cyclotomic import CycNumber, GaloisMap, _field, fits_int64, galois_apply
+from stabsym.cyclotomic import CycNumber, GaloisMap, _exact, _field, fits_int64, galois_apply
 from stabsym.operators import OpMatrix, hs_inner, trace_product
 
 from dense_oracles import is_hermitian
@@ -264,3 +264,24 @@ def test_fits_int64_holds_exactly_below_two_to_the_63():
     assert fits_int64(2, 2 ** 31, 2 ** 31 - 1) and not fits_int64(2, 2 ** 31, 2 ** 31)
     assert fits_int64(1, 2 ** 63 - 1) and not fits_int64(1, 2 ** 63)
     assert not fits_int64(np.int64(2 ** 40), np.int64(2 ** 40))  # no int64 wraparound
+
+
+def test_exact_returns_int64_unless_a_result_is_beyond_int64():
+    dot = lambda x, y: x @ y  # noqa: E731
+    # the proven path computes and returns int64
+    out = _exact(dot, 2, (np.array([[3, 4]]), np.array([5, 6])))
+    assert out.dtype == np.int64 and out.tolist() == [39]
+    # the bound fails (2 * 2^62 = 2^63), the Python ints give 0, which fits
+    out = _exact(dot, 2, (np.array([[2 ** 62, -2 ** 62]]), np.array([1, 1])))
+    assert out.dtype == np.int64 and out.tolist() == [0]
+    # an operand beyond int64, a result within it
+    huge = np.array([[2 ** 70, 1]], dtype=object)
+    out = _exact(lambda x: x - x, 2, (huge,))
+    assert out.dtype == np.int64 and out.tolist() == [[0, 0]]
+    # only a result beyond int64 stays an object array of Python ints
+    out = _exact(dot, 2, (np.array([[2 ** 62, 2 ** 62]]), np.array([1, 1])))
+    assert out.dtype == object and out.tolist() == [2 ** 63] and type(out[0]) is int
+    # the dense kernels keep their object arrays of Python ints
+    f = _field(8)
+    x = np.ones((1, 1, f.deg), dtype=object)
+    assert f.contract(x, x, ([1], [0])).dtype == object and f.galois_map(x, 3).dtype == object
