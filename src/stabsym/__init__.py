@@ -23,7 +23,6 @@ from .operators import (
     gram_closed_form,
     hs_inner,
     stabilizer_states,
-    weyl,
 )
 from .clifford import (
     ExtCliffordElement,

@@ -2,16 +2,16 @@
 metaplectic section for single qudits, Galois-extended Clifford elements with
 their exact composition law, qubit gates as label maps and the rebit states.
 
-A single-qudit section value or extended-Clifford element is a phase table
-(`PhaseTable`): one scale times a d x d table of omega exponents, so the
+Single-qudit section values and extended-Clifford elements are rows of a
+`PhaseStack`: each one scale times a d x d table of omega exponents, so the
 Clifford laws are integer counts of exponent sums (`products_equal`), not
 cyclotomic matrix products.  The laws are written once, over arrays with a
 leading batch axis: the section on a stack of S (`_sections`), the linear
 parts omega^mu T(a) U_S (`_linear_parts`), the Galois maps
 (`PhaseStack.galois`), the composition of elements (mu, a, S, alpha)
 (`_compose`) and the check of a whole stack of triples x y = z
-(`products_equal`, one bincount per batch); `metaplectic`,
-`ExtCliffordElement` and `PhaseTable` are batches of one of them."""
+(`products_equal`, one bincount per batch); `metaplectic` and
+`ExtCliffordElement.matrix` return stacks of one."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .cyclotomic import (
     gauss_sum,
 )
 from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
-from .operators import StateFamily, build_gram, phase_point_mono, weyl_mono
+from .operators import StateFamily, build_gram, phase_point_table, weyl_table
 from .permgroup import PermGroup
 from .phase_space import (
     MAX_POINTS,
@@ -222,34 +222,14 @@ def _section_scales(d):
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseTable:
-    """The d x d matrix with entry (r, q) = scale * omega^expo[r, q], and 0
-    where expo[r, q] = -1 (one qudit, odd d): a value of the metaplectic
-    section or the linear part of an extended Clifford element.  expo is a
-    read-only int64 array with entries in [-1, d); the tables compare by
-    `products_equal`, not by ==.  A table is a `PhaseStack` of one
-    (`stack`), and every array law on it is the stack's."""
-
-    d: int
-    scale: CycNumber
-    expo: np.ndarray
-
-    def __post_init__(self):
-        self.expo.flags.writeable = False
-
-    def stack(self) -> PhaseStack:
-        return PhaseStack.of([self])
-
-    def galois(self, gal: GaloisMap) -> PhaseTable:
-        """The entrywise Galois map C_alpha (`PhaseStack.galois`)."""
-        return self.stack().galois([gal.alpha])[0]
-
-
-@dataclass(frozen=True, eq=False)
 class PhaseStack:
-    """B phase tables of one d: table i is scales[which[i]] * omega^expo[i]
-    (`PhaseTable`).  scales is a short tuple of `CycNumber`s, a handful per
-    d; which, (B,), and expo, (B, d, d), are read-only int64 arrays."""
+    """B phase tables of one d (one qudit, odd d): table i is the d x d
+    matrix with entry (r, q) = scales[which[i]] * omega^expo[i, r, q], and 0
+    where expo[i, r, q] = -1, a value of the metaplectic section or the
+    linear part of an extended Clifford element.  scales is a short tuple of
+    `CycNumber`s, a handful per d; which, (B,), and expo, (B, d, d), are
+    read-only int64 arrays, expo with entries in [-1, d).  Tables compare by
+    `products_equal`, not by ==."""
 
     d: int
     scales: tuple
@@ -259,19 +239,8 @@ class PhaseStack:
     def __post_init__(self):
         self.which.flags.writeable = self.expo.flags.writeable = False
 
-    @classmethod
-    def of(cls, tables) -> PhaseStack:
-        """The stack of a sequence of `PhaseTable`s of one d, with one
-        palette entry per distinct scale."""
-        palette = {}
-        which = [palette.setdefault(t.scale, len(palette)) for t in tables]
-        return cls(tables[0].d, tuple(palette), np.array(which), np.stack([t.expo for t in tables]))
-
     def __len__(self):
         return len(self.which)
-
-    def __getitem__(self, i) -> PhaseTable:
-        return PhaseTable(self.d, self.scales[self.which[i]], self.expo[i])
 
     def galois(self, alpha) -> PhaseStack:
         """Table i under C_alpha[i]: omega -> omega^alpha[i] multiplies its
@@ -316,19 +285,16 @@ def _unsigned(t: PhaseStack):
 
 def products_equal(x, y, z):
     """Whether x y = z in every one of the d^2 entries, zeros included, with
-    no matrix product: one bool for three `PhaseTable`s (a batch of one), or
-    the (B,) bool array of the B triples' verdicts for three `PhaseStack`s of
-    length B.  One bincount over the whole batch, item i's cells offset by
-    i d^3, gives N[i, r, s, k] = #{q : expo_x[i, r, q] + expo_y[i, q, s] = k
-    mod d, neither -1}, so (x y)[i, r, s] = scale_x scale_y sum_k N[i, r, s, k]
-    omega^k.  Each scale is a sign times an unsigned scale (`_unsigned`), the
+    no matrix product: the (B,) bool array of the B triples' verdicts for
+    three `PhaseStack`s of length B.  One bincount over the whole batch,
+    item i's cells offset by i d^3, gives N[i, r, s, k] = #{q : expo_x[i, r,
+    q] + expo_y[i, q, s] = k mod d, neither -1}, so (x y)[i, r, s] = scale_x
+    scale_y sum_k N[i, r, s, k] omega^k.  Each scale is a sign times an unsigned scale (`_unsigned`), the
     product of an item's three signs multiplies its counts, and the items are
     grouped by their triple of unsigned scales (at most 8 for the sections
     and their Galois images); each group is compared with the unsigned
     scale_z times omega^expo_z[i, r, s] in one contraction, each side times the other's
     denominator (`_cross_rows`)."""
-    if isinstance(x, PhaseTable):
-        return bool(products_equal(x.stack(), y.stack(), z.stack())[0])
     d, size = x.d, len(x)
     if not len(y) == len(z) == size:
         raise ValueError("stacks of different lengths")
@@ -352,18 +318,18 @@ def products_equal(x, y, z):
     return verdicts
 
 
-def metaplectic(d, s) -> PhaseTable:
+def metaplectic(d, s) -> PhaseStack:
     """The canonical unitary U_S with U_S T(b) U_S^dagger = T(Sb) exactly,
-    multiplicative in S (n = 1, odd d), as the phase table of the closed
-    form above; S any integer matrix, cached per (d, S mod d)."""
+    multiplicative in S (n = 1, odd d), as a stack of one phase table, the
+    closed form above; S any integer matrix, cached per (d, S mod d)."""
     if d == 2:
         raise OddOnly("the metaplectic section needs odd d")
     return _metaplectic(d, tuple(map(tuple, (np.asarray(s) % d).tolist())))
 
 
 @lru_cache(maxsize=1024)  # all of SL(2, d) up to d = 7
-def _metaplectic(d, rows) -> PhaseTable:
-    return _sections(d, [rows])[0]
+def _metaplectic(d, rows) -> PhaseStack:
+    return _sections(d, [rows])
 
 
 def _sections(d, s) -> PhaseStack:
@@ -430,11 +396,11 @@ class ExtCliffordElement:
     def galois(self) -> GaloisMap:
         return GaloisMap(self.alpha, self.d)
 
-    def matrix(self) -> PhaseTable:
-        """The linear part omega^mu T(a) U_S as a phase table:
+    def matrix(self) -> PhaseStack:
+        """The linear part omega^mu T(a) U_S as a stack of one phase table:
         `_linear_parts` on the cached U_S."""
         mu, a, _, _ = self._arrays()
-        return _linear_parts(self.d, mu, a, metaplectic(self.d, self.S).stack())[0]
+        return _linear_parts(self.d, mu, a, metaplectic(self.d, self.S))
 
     def to_json(self):
         return {
@@ -447,12 +413,10 @@ class ExtCliffordElement:
 
 def _linear_parts(d, mu, a, u: PhaseStack) -> PhaseStack:
     """omega^mu[i] T(a[i]) u[i] for a stack u of sections U_S: the monomial
-    T(a) (`weyl_mono`, one per distinct a) moves row q of U_S to row
-    perm[q] and adds mu + expo[q] to its exponents."""
-    codes, index = np.unique(point_codes(np.asarray(a) % d, d), return_inverse=True)
-    monos = [weyl_mono(d, 1, v) for v in code_points(codes, d, 2).tolist()]
-    perm = np.array([t.perm for t in monos])[index]
-    shift = np.asarray(mu)[:, None] + np.array([t.expo for t in monos])[index]
+    T(a) (`weyl_table`) moves row q of U_S to row perm[q] and adds mu +
+    expo[q] to its exponents."""
+    perm, shift = weyl_table(d, 1, point_codes(np.asarray(a) % d, d))
+    shift += np.asarray(mu)[:, None]
     expo = np.empty_like(u.expo)
     expo[np.arange(len(perm))[:, None], perm] = np.where(u.expo < 0, -1,
                                                          (u.expo + shift[:, :, None]) % d)
@@ -594,10 +558,10 @@ WREATH_TABLE = {
 
 
 def _weyl_law(d, n, pairs):
-    """Whether every pair (a, b) obeys the Weyl law, on the stacked
-    monomials of the distinct vectors: T(a) T(b) has perm P_a[P_b] and
-    exponents X_b + X_a[P_b] mod r (`Mono.__matmul__`, zeta = omega_d and
-    r = d at odd d, zeta = i and r = 4 at d = 2).  Odd d: T(a) T(b) =
+    """Whether every pair (a, b) obeys the Weyl law, on the monomial tables
+    of the distinct vectors (`weyl_table`): T(a) T(b) has perm P_a[P_b] and
+    exponents X_b + X_a[P_b] mod r (zeta = omega_d and r = d at odd d,
+    zeta = i and r = 4 at d = 2).  Odd d: T(a) T(b) =
     zeta^(-half [a, b]) T(a + b) = zeta^(-[a, b]) T(b) T(a), half =
     (d + 1)/2.  d = 2: T(a) T(b) = zeta^(2 [a, b]) T(b) T(a), and every
     T(a) is Hermitian."""
@@ -609,8 +573,7 @@ def _weyl_law(d, n, pairs):
     form = (a * jvec(b)).sum(axis=1) % d
     codes, index = np.unique(point_codes(np.concatenate([a, b, (a + b) % d]), d),
                              return_inverse=True)
-    monos = [weyl_mono(d, n, v) for v in code_points(codes, d, 2 * n).tolist()]
-    perm, expo = np.array([t.perm for t in monos]), np.array([t.expo for t in monos])
+    perm, expo = weyl_table(d, n, codes)
     ia, ib, ic = index.reshape(3, -1)
     rows = np.arange(len(pairs))[:, None]
     pa, pb, xa, xb = perm[ia], perm[ib], expo[ia], expo[ib]
@@ -627,15 +590,15 @@ def _weyl_law(d, n, pairs):
                 and (ab == ba).all() and (ab_expo == (ba_expo - form[:, None]) % r).all())
 
 
-def _galois_acts_as_k(mono, d, alphas):
-    """Whether the entrywise Galois map C_alpha takes mono(d, 1, x) to
-    mono(d, 1, K_alpha x) for every point x of Z_d^2 and every alpha in
-    alphas, as one array check over the stacked perms and exponents of the
-    d^2 monomials: `Mono.galois` keeps the perm and multiplies each
-    exponent by alpha, and K_alpha x = (x_X, alpha x_Z)."""
+def _galois_acts_as_k(table, d, alphas):
+    """Whether the entrywise Galois map C_alpha takes the monomial of x to
+    that of K_alpha x for every point x of Z_d^2 and every alpha in alphas,
+    as one array check over the monomial tables (perm, expo) = table(d, 1,
+    codes) of the d^2 points (`weyl_table`, `phase_point_table`): C_alpha
+    keeps a perm and multiplies each exponent by alpha, and K_alpha x =
+    (x_X, alpha x_Z)."""
     points = code_points(np.arange(d * d), d, 2)
-    monos = [mono(d, 1, x) for x in map(tuple, points.tolist())]
-    perm, expo = (np.array([getattr(t, f) for t in monos]) for f in ("perm", "expo"))
+    perm, expo = table(d, 1, np.arange(d * d))
     alpha = np.asarray(alphas)[:, None]
     image = points[:, 0] * d + alpha * points[:, 1] % d  # the code of K_alpha x
     return bool((perm[image] == perm).all()
@@ -715,8 +678,8 @@ def verify_clifford_laws(d, n, seed, samples):
         # C_alpha with U = 1 acts on the monomial A(x) alone; transposition
         # is C_{-1}, entrywise complex conjugation, on the T(a)
         checks["galois_action_on_phase_points"] = {
-            "pass": _galois_acts_as_k(phase_point_mono, d, range(2, d))}
-        checks["transpose_is_k_minus_one"] = {"pass": _galois_acts_as_k(weyl_mono, d, [d - 1])}
+            "pass": _galois_acts_as_k(phase_point_table, d, range(2, d))}
+        checks["transpose_is_k_minus_one"] = {"pass": _galois_acts_as_k(weyl_table, d, [d - 1])}
 
     if d == 2 and n == 1:
         rows = wreath_decompose_table()

@@ -31,7 +31,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import ConductorTooSmall
+from .errors import ConductorTooSmall, Mismatch
 from .zmod import require_prime
 
 
@@ -52,12 +52,15 @@ def _poly_divmod(num, den):
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int):
-    """Integer coefficients of Phi_m, index = degree."""
+    """Integer coefficients of Phi_m, index = degree: x^m - 1 divided by
+    every Phi_k, k a proper divisor of m, each division exact (else
+    Mismatch)."""
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for k in range(1, m):
         if m % k == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_poly(k))
-            assert rem == [0]
+            if rem != [0]:
+                raise Mismatch(f"Phi_{k} does not divide x^{m} - 1", witness=rem)
     return tuple(poly)
 
 
@@ -324,31 +327,16 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
+        """x^-1 = (prod_{t != 1} sigma_t(x)) / N(x) over the units t mod m,
+        sigma_t: zeta_m -> zeta_m^t, with the norm N(x) = x prod_{t != 1}
+        sigma_t(x) rational (`as_fraction` raises if it is not)."""
         if self.is_zero():
             raise ZeroDivisionError("inverting 0")
-        # extended Euclid in Q[x] against Phi_m
-        phi = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        a = [Fraction(x, self.den) for x in self.num]
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        r0, r1 = phi, a
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-        c = r1[0]
-        if c == 0:
-            raise ZeroDivisionError("not invertible (shares factor with Phi_m)")
-        inv = [t / c for t in t1]
-        deg = _field(self.m).deg
-        inv = inv[:deg] + [Fraction(0)] * (deg - len(inv))
-        den = 1
-        for t in inv:
-            den = den * t.denominator // gcd(den, t.denominator)
-        return CycNumber(self.m, [int(t * den) for t in inv], den)
+        conjugates = CycNumber.one(self.m)
+        for t in range(2, self.m):
+            if gcd(t, self.m) == 1:
+                conjugates = conjugates * self.galois_raw(t)
+        return conjugates * (1 / (self * conjugates).as_fraction())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -392,38 +380,6 @@ class CycNumber:
 
     def __repr__(self):
         return f"Cyc(m={self.m}, {self.num}/{self.den})"
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    dn = len(den)
-    q = [Fraction(0)] * max(1, len(num) - dn + 1)
-    lead = den[-1]
-    for k in range(len(num) - dn, -1, -1):
-        c = num[k + dn - 1] / lead
-        q[k] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[k + i] -= c * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def root_of_unity(m: int, k: int) -> CycNumber:
@@ -489,13 +445,15 @@ def sqrt_d(d: int, m: int | None = None) -> CycNumber:
         s = gauss_sum(d) * iunit(d).inverse()  # Gauss sum equals i*sqrt(d)
     if m != want:
         s = _lift(s, m)
-    assert s * s == CycNumber.from_fraction(s.m, d)
-    assert s.is_real()
-    # one-time numeric sign decision; exactness is certified by the two asserts
+    if s * s != d or not s.is_real():
+        raise Mismatch(f"the candidate sqrt({d}) is not real with square {d}", witness=s)
+    # one-time numeric sign decision; exactness is certified by the checks above
     approx = s.to_complex().real
     if approx < 0:
         s = -s
-    assert abs(abs(s.to_complex().real) - d ** 0.5) < 1e-9
+    if not abs(abs(approx) - d ** 0.5) < 1e-9:
+        raise Mismatch(f"the candidate sqrt({d}) is {approx} in the canonical embedding",
+                       witness=s)
     return s
 
 

@@ -130,7 +130,7 @@ def _phase_forms(d, n):
 def _pauli_products(n):
     """beta(a, b) mod 4 with T(a) T(b) = i^beta T(a + b), for every pair of
     d = 2 points in `point_codes` order, as a read-only int64 array:
-    T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`) and
+    T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_table`) and
     X^(a_X) Z^(b_Z) = (-1)^(a_X.b_Z) Z^(b_Z) X^(a_X)."""
     p = code_points(np.arange(4 ** n), 2, 2 * n)
     x, z, c = p[:, :n], p[:, n:], p[:, None] ^ p  # c[a, b] = a + b
@@ -238,7 +238,7 @@ def trace_table(q: OperatorSet):
     c_L(b)) [b in L_x], with member and c_L from `lagrangian_tables`; at odd
     d, tr(A(a) Pi_x) = [a in rep_x + L_x] (Pi_x = d^-n times the sum of the
     A(a) over its coset, so this is its discrete Wigner function), read from
-    the coset table of `label_cosets`."""
+    the coset table of `label_cosets`.  The array is C-ordered."""
     d, n = q.d, q.n
     if not isinstance(q.labels[0], StabilizerLabel):
         cells = point_codes(np.array(q.labels), d)
@@ -255,7 +255,9 @@ def trace_table(q: OperatorSet):
             table = signed[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
         else:
             table = (coset[li] == np.arange(len(q.labels))[:, None]).T
-    table = table.astype(np.int64)
+    # C order: the stabilizer tables are built transposed, and numpy's int64
+    # matmul, which has no BLAS path, is slower on an F-ordered operand
+    table = np.ascontiguousarray(table, dtype=np.int64)
     table.flags.writeable = False
     return table
 

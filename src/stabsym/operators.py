@@ -1,6 +1,6 @@
 """Exact matrices over cyclotomic fields, the Weyl operators T(a) and
-phase-space point operators A(a) as monomials, and the Gram data of
-stabilizer labels.
+phase-space point operators A(a) as batched monomial tables, and the Gram
+data of stabilizer labels.
 
 No certified path builds or multiplies a dense `OpMatrix`: the tests'
 dense oracles do, and the traced benchmark wraps `OpMatrix.__matmul__` by
@@ -15,12 +15,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import (
-    CycNumber,
-    _field,
-    conductor_for,
-    galois_exponent,
-)
+from .cyclotomic import CycNumber, _field, galois_exponent
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
     StabilizerLabel,
@@ -186,86 +181,35 @@ def hs_inner(a: OpMatrix, b: OpMatrix) -> CycNumber:
 
 # ---------------------------------------------------------------------------
 # Monomial operators: one nonzero root-of-unity entry per column.  T(a) and
-# A(a) are of this shape, which keeps exhaustive law checks cheap.
+# the odd-d A(a) are of this shape, so a batch of them is two integer tables.
 
-@dataclass(frozen=True)
-class Mono:
-    """Matrix with entries M[perm[q], q] = zeta^expo[q], zeta = omega_d (i for d=2)."""
-
-    d: int
-    n: int
-    perm: tuple
-    expo: tuple
-
-    @property
-    def r(self):
-        return 4 if self.d == 2 else self.d
-
-    def __matmul__(self, other):
-        r = self.r
-        perm = tuple(self.perm[p] for p in other.perm)
-        expo = tuple((other.expo[q] + self.expo[other.perm[q]]) % r for q in range(len(self.perm)))
-        return Mono(self.d, self.n, perm, expo)
-
-    def dagger(self):
-        size = len(self.perm)
-        inv = [0] * size
-        for q, p in enumerate(self.perm):
-            inv[p] = q
-        r = self.r
-        expo = tuple((-self.expo[inv[q]]) % r for q in range(size))
-        return Mono(self.d, self.n, tuple(inv), expo)
-
-    def phase_shift(self, k):
-        """Multiply by zeta^k globally."""
-        r = self.r
-        return Mono(self.d, self.n, self.perm, tuple((e + k) % r for e in self.expo))
-
-    def galois(self, gal) -> Mono:
-        """The entrywise Galois map C_alpha (`GaloisMap`, odd d), omega ->
-        omega^alpha: every exponent times alpha, as zeta = omega."""
-        if gal.d != self.d:
-            raise ValueError("Galois map of another d")
-        return Mono(self.d, self.n, self.perm, tuple(gal.alpha * e % self.d for e in self.expo))
-
-    def to_matrix(self) -> OpMatrix:
-        return mono_sum([self], 1)
-
-
-def weyl_mono(d, n, a) -> Mono:
-    """T(a) as a monomial operator; a = (a_X, a_Z) concatenated.  `Mono` is
-    frozen, so one instance per (d, n, a) is cached and shared."""
-    return _weyl_mono(d, n, tuple(map(int, a)))
-
-
-@lru_cache(maxsize=8192)
-def _weyl_mono(d, n, a) -> Mono:
+def weyl_table(d, n, codes):
+    """T(a) for the points a with the (B,) `point_codes` codes, as int64 arrays
+    (perm, expo) of shape (B, d^n): T(a)|q> = zeta^expo[i, q] |perm[i, q]>,
+    basis states in `code_points` order, zeta = omega_d (i at d = 2, expo
+    mod 4).  T(a) |q> = omega^(-half a_X.a_Z + (q + a_X).a_Z) |q + a_X>, half
+    = (d + 1)/2; at d = 2, T(a) = i^(-a_X.a_Z) Z^(a_Z) X^(a_X)."""
     require_prime(d)
-    ax, az = np.array(a[:n]), np.array(a[n:])
-    out = (code_points(np.arange(d ** n), d, n) + ax) % d  # T(a) takes |q> to |q + a_X>
-    dot, ph = int(ax @ az), out @ az
+    a = code_points(codes, d, 2 * n)
+    ax, az = a[:, None, :n], a[:, None, n:]
+    out = (code_points(np.arange(d ** n), d, n) + ax) % d  # (B, d^n, n)
+    dot, ph = (ax * az).sum(-1), (out * az).sum(-1)
     expo = (2 * ph - dot) % 4 if d == 2 else ((d + 1) // 2 * -dot + ph) % d
-    return Mono(d, n, tuple(point_codes(out, d).tolist()), tuple(expo.tolist()))
+    return point_codes(out, d), expo
 
 
-def weyl(d, n, a) -> OpMatrix:
-    """The Weyl-Heisenberg operator T(a) as a dense exact matrix."""
-    return weyl_mono(d, n, a).to_matrix()
-
-
-def mono_sum(monos, scale) -> OpMatrix:
-    """scale * (sum of the monomial operators) as a dense matrix: the power
-    expansion of each entry zeta^expo[q] is added into the coefficient tensor
-    at (perm[q], q)."""
-    monos = list(monos)
-    r, dim, m = monos[0].r, len(monos[0].perm), conductor_for(monos[0].d)
-    f = _field(m)
-    perms = np.array([mono.perm for mono in monos]).ravel()
-    expos = np.array([mono.expo for mono in monos]).ravel()
-    coef = np.zeros((dim, dim, f.deg), dtype=object)
-    np.add.at(coef, (perms, np.tile(np.arange(dim), len(monos))), f.pows[(m // r) * expos])
-    scale = Fraction(scale)
-    return OpMatrix._make(m, coef * scale.numerator, scale.denominator)
+def phase_point_table(d, n, codes):
+    """A(a) = T(a)^dagger A(0) T(a), A(0) the parity |q> -> |-q>, for the
+    points a with the `point_codes` codes, as (perm, expo) in the form of
+    `weyl_table` (odd d; d = 2 is OddOnly, as the qubit A(a) is not
+    monomial): A(a)|q> = omega^(2 (q + a_X).a_Z) |-q - 2 a_X>."""
+    if d == 2:
+        raise OddOnly("qubit A(a) is not monomial")
+    require_prime(d)
+    a = code_points(codes, d, 2 * n)
+    ax, az = a[:, None, :n], a[:, None, n:]
+    q = code_points(np.arange(d ** n), d, n)
+    return point_codes((-q - 2 * ax) % d, d), 2 * ((q + ax) * az).sum(-1) % d
 
 
 def rational_part(out):
@@ -274,19 +218,6 @@ def rational_part(out):
     if np.any(out[..., 1:]):
         raise ValueError("trace has irrational part")
     return out[..., 0]
-
-
-@lru_cache(maxsize=None)
-def phase_point_mono(d, n, a) -> Mono:
-    """A(a) = T(a)^dagger A(0) T(a) as a monomial operator, A(0) the parity
-    |x> -> |-x> (cross-checked against the defining sum in tests)."""
-    if d == 2:
-        raise OddOnly("qubit A(a) is not monomial")
-    dim = d ** n
-    parity = Mono(d, n, tuple(point_codes(-code_points(np.arange(dim), d, n) % d, d).tolist()),
-                  (0,) * dim)
-    t = weyl_mono(d, n, a)
-    return t.dagger() @ parity @ t
 
 
 @lru_cache(maxsize=1024)

@@ -310,7 +310,7 @@ def lagrangian_tables(lags) -> LagrangianTables:
     The sign c_L(b) of b = sum k_i b_i in L (k_i is b at the i-th pivot) is
     defined by prod_{k_i = 1} T(b_i) = (-1)^c_L(b) T(b).  At odd d it is 0,
     as T(a) T(b) = T(a + b) when [a, b] = 0.  At d = 2, T(a) =
-    i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_mono`): X^(x_k) passes
+    i^(-a_X.a_Z) Z^(a_Z) X^(a_X) (`operators.weyl_table`): X^(x_k) passes
     Z^(z_l) with (-1)^(x_k.z_l), and Z^(b_Z) X^(b_X) = i^(b_X.b_Z) T(b), so
     2 c_L(b) = b_X.b_Z - sum_i k_i x_i.z_i + 2 sum_(i<j) k_i k_j x_i.z_j
     mod 4, for the rows b_i = (x_i, z_i) of the basis."""

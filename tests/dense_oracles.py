@@ -42,9 +42,17 @@ the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
 `jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
 `moments._jordan`.
 
+The library writes T(a) and the odd-d A(a) as batched integer tables
+(`operators.weyl_table`, `operators.phase_point_table`).  Their reference
+here is one frozen `Mono` per point, cached: `weyl_mono` and
+`phase_point_mono` build it, `Mono.__matmul__`, `dagger`, `phase_shift` and
+`galois` are its algebra, `mono_sum` expands a sum of monomials to a dense
+matrix and `weyl` is the dense T(a).
+
 The single-qudit Clifford laws compare phase tables in the library
-(`clifford.PhaseTable`, `clifford.products_equal`).  `dense_metaplectic` is
-the dense closed form of U_S, `dense` expands a table to a dense matrix,
+(`clifford.PhaseStack`, `clifford.products_equal`).  `dense_metaplectic` is
+the dense closed form of U_S, `dense` expands one table of a stack to a
+dense matrix, `concat` stacks the tables of several stacks,
 `weyl_law_pairwise` checks the Weyl law one `Mono` product at a time and
 `similitude_multiplier_loop` reads the multiplier pair by pair.
 `hermitian_basis` lists the Hermitian basis as monomials in
@@ -81,7 +89,7 @@ from math import gcd, lcm
 import numpy as np
 import sympy
 
-from stabsym.clifford import k_alpha, similitude_multiplier
+from stabsym.clifford import PhaseStack, k_alpha, similitude_multiplier
 from stabsym.cyclotomic import (
     CycNumber,
     _exact,
@@ -96,16 +104,12 @@ from stabsym.cyclotomic import (
 from stabsym.errors import InconsistentSigns, Mismatch, OddOnly, WordDecompositionFailure
 from stabsym.operators import (
     GramMatrix,
-    Mono,
     OpMatrix,
     build_gram,
     hs_inner,
-    mono_sum,
-    phase_point_mono,
     rational_part,
     stabilizer_states,
     trace_product,
-    weyl_mono,
 )
 from stabsym.permgroup import compose, identity_perm
 from stabsym.phase_space import (
@@ -118,11 +122,109 @@ from stabsym.phase_space import (
     jvec,
     lagrangian_index,
     lagrangian_tables,
+    code_points,
     point_codes,
     symplectic_form,
     vec_add,
 )
-from stabsym.zmod import inv_mod, legendre
+from stabsym.zmod import inv_mod, legendre, require_prime
+
+
+# ---------------------------------------------------------------------------
+# Monomial operators one point at a time: the reference of the library's
+# `weyl_table` and `phase_point_table`
+
+@dataclass(frozen=True)
+class Mono:
+    """Matrix with entries M[perm[q], q] = zeta^expo[q], zeta = omega_d (i for d=2)."""
+
+    d: int
+    n: int
+    perm: tuple
+    expo: tuple
+
+    @property
+    def r(self):
+        return 4 if self.d == 2 else self.d
+
+    def __matmul__(self, other):
+        r = self.r
+        perm = tuple(self.perm[p] for p in other.perm)
+        expo = tuple((other.expo[q] + self.expo[other.perm[q]]) % r for q in range(len(self.perm)))
+        return Mono(self.d, self.n, perm, expo)
+
+    def dagger(self):
+        size = len(self.perm)
+        inv = [0] * size
+        for q, p in enumerate(self.perm):
+            inv[p] = q
+        r = self.r
+        expo = tuple((-self.expo[inv[q]]) % r for q in range(size))
+        return Mono(self.d, self.n, tuple(inv), expo)
+
+    def phase_shift(self, k):
+        """Multiply by zeta^k globally."""
+        r = self.r
+        return Mono(self.d, self.n, self.perm, tuple((e + k) % r for e in self.expo))
+
+    def galois(self, gal):
+        """The entrywise Galois map C_alpha (`GaloisMap`, odd d), omega ->
+        omega^alpha: every exponent times alpha, as zeta = omega."""
+        if gal.d != self.d:
+            raise ValueError("Galois map of another d")
+        return Mono(self.d, self.n, self.perm, tuple(gal.alpha * e % self.d for e in self.expo))
+
+    def to_matrix(self) -> OpMatrix:
+        return mono_sum([self], 1)
+
+
+def weyl_mono(d, n, a) -> Mono:
+    """T(a) as a monomial operator; a = (a_X, a_Z) concatenated.  `Mono` is
+    frozen, so one instance per (d, n, a) is cached and shared."""
+    return _weyl_mono(d, n, tuple(map(int, a)))
+
+
+@lru_cache(maxsize=8192)
+def _weyl_mono(d, n, a) -> Mono:
+    require_prime(d)
+    ax, az = np.array(a[:n]), np.array(a[n:])
+    out = (code_points(np.arange(d ** n), d, n) + ax) % d  # T(a) takes |q> to |q + a_X>
+    dot, ph = int(ax @ az), out @ az
+    expo = (2 * ph - dot) % 4 if d == 2 else ((d + 1) // 2 * -dot + ph) % d
+    return Mono(d, n, tuple(point_codes(out, d).tolist()), tuple(expo.tolist()))
+
+
+@lru_cache(maxsize=None)
+def phase_point_mono(d, n, a) -> Mono:
+    """A(a) = T(a)^dagger A(0) T(a) as a monomial operator, A(0) the parity
+    |x> -> |-x>."""
+    if d == 2:
+        raise OddOnly("qubit A(a) is not monomial")
+    dim = d ** n
+    parity = Mono(d, n, tuple(point_codes(-code_points(np.arange(dim), d, n) % d, d).tolist()),
+                  (0,) * dim)
+    t = weyl_mono(d, n, a)
+    return t.dagger() @ parity @ t
+
+
+def weyl(d, n, a) -> OpMatrix:
+    """The Weyl-Heisenberg operator T(a) as a dense exact matrix."""
+    return weyl_mono(d, n, a).to_matrix()
+
+
+def mono_sum(monos, scale) -> OpMatrix:
+    """scale * (sum of the monomial operators) as a dense matrix: the power
+    expansion of each entry zeta^expo[q] is added into the coefficient tensor
+    at (perm[q], q)."""
+    monos = list(monos)
+    r, dim, m = monos[0].r, len(monos[0].perm), conductor_for(monos[0].d)
+    f = _field(m)
+    perms = np.array([mono.perm for mono in monos]).ravel()
+    expos = np.array([mono.expo for mono in monos]).ravel()
+    coef = np.zeros((dim, dim, f.deg), dtype=object)
+    np.add.at(coef, (perms, np.tile(np.arange(dim), len(monos))), f.pows[(m // r) * expos])
+    scale = Fraction(scale)
+    return OpMatrix._make(m, coef * scale.numerator, scale.denominator)
 
 
 def real_gates(n):
@@ -862,13 +964,23 @@ def dense_metaplectic(d, rows) -> OpMatrix:
     return OpMatrix(m, out)
 
 
-def dense(table) -> OpMatrix:
-    """A `clifford.PhaseTable` as a dense matrix, entry by entry:
-    scale * omega^expo[r, q], and 0 where expo[r, q] = -1."""
-    m, d = table.scale.m, table.d
-    phase = [table.scale * root_of_unity(m, (m // d) * k) for k in range(d)]
+def dense(stack, i=0) -> OpMatrix:
+    """Table i of a `clifford.PhaseStack` as a dense matrix, entry by entry:
+    scale * omega^expo[i, r, q], and 0 where expo[i, r, q] = -1."""
+    scale, d = stack.scales[stack.which[i]], stack.d
+    m = scale.m
+    phase = [scale * root_of_unity(m, (m // d) * k) for k in range(d)]
     phase.append(CycNumber.zero(m))  # index -1
-    return OpMatrix(m, [[phase[k] for k in row] for row in table.expo.tolist()])
+    return OpMatrix(m, [[phase[k] for k in row] for row in stack.expo[i].tolist()])
+
+
+def concat(stacks) -> PhaseStack:
+    """One `clifford.PhaseStack` of the tables of stacks of one d in turn,
+    with one palette entry per distinct scale."""
+    palette = {}
+    which = [palette.setdefault(t.scales[w], len(palette)) for t in stacks for w in t.which.tolist()]
+    return PhaseStack(stacks[0].d, tuple(palette), np.array(which),
+                      np.concatenate([t.expo for t in stacks]))
 
 
 def weyl_law_pairwise(d, n, pairs, mono=weyl_mono):

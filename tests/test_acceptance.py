@@ -24,13 +24,7 @@ from stabsym.moments import (
     rebit_operator_set,
     stabilizer_operator_set,
 )
-from stabsym.operators import (
-    hs_inner,
-    phase_point_mono,
-    stabilizer_states,
-    weyl,
-    weyl_mono,
-)
+from stabsym.operators import hs_inner, stabilizer_states
 from stabsym.permgroup import schreier_sims
 from stabsym.phase_space import (
     Subspace,
@@ -54,7 +48,10 @@ from dense_oracles import (
     bruteforce_gram,
     family_projectors,
     mono_trace_product,
+    phase_point_mono,
     transform_label,
+    weyl,
+    weyl_mono,
 )
 
 

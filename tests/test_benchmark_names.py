@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import stabsym
 from stabsym import clifford, cyclotomic, moments, operators, zmod
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -45,6 +46,13 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     assert not hasattr(clifford, "OpMatrix")
     for name in ("hermitian_basis", "weyl_mono", "phase_point_mono"):
         assert not hasattr(moments, name), name
+    # one array form for the Clifford layer's operators: phase stacks and
+    # the batched monomial tables, no per-point object
+    for name in ("PhaseTable", "weyl_mono", "phase_point_mono"):
+        assert not hasattr(clifford, name), name
+    for name in ("Mono", "mono_sum", "weyl_mono", "phase_point_mono"):
+        assert not hasattr(operators, name), name
+    assert not hasattr(stabsym, "weyl")
     # a Z_d matrix is an integer array, and the certified Sp order is not
     # reread from a cache keyed on matrices
     assert not hasattr(zmod, "ZModMatrix")

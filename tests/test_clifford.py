@@ -15,12 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import stabsym
-from stabsym import clifford, cyclotomic, operators
+from stabsym import clifford, cyclotomic
 from stabsym.clifford import (
     WREATH_TABLE,
     ExtCliffordElement,
     PhaseStack,
-    PhaseTable,
     _weyl_law,
     ext_compose,
     is_symplectic,
@@ -52,24 +51,21 @@ from stabsym.cyclotomic import (
     tau,
 )
 from stabsym.errors import Mismatch, OddOnly, WordDecompositionFailure
-from stabsym.operators import (
-    Mono,
-    OpMatrix,
-    phase_point_mono,
-    stabilizer_states,
-    weyl,
-    weyl_mono,
-)
+from stabsym.operators import OpMatrix, stabilizer_states
 from stabsym.phase_space import (
     all_vectors,
+    code_points,
     enumerate_stabilizer_labels,
     label_permutations,
     symplectic_form,
     vec_add,
 )
 
+import dense_oracles
 from dense_oracles import (
+    Mono,
     Similitude,
+    concat,
     dense,
     dense_metaplectic,
     dense_real_clifford_orbit,
@@ -78,12 +74,15 @@ from dense_oracles import (
     matrix_apply,
     matrix_point_perm,
     phase_point,
+    phase_point_mono,
     qubit_gate,
     real_gates,
     similitude_multiplier_loop,
     stab_projector,
     transform_labels,
+    weyl,
     weyl_law_pairwise,
+    weyl_mono,
 )
 from stabsym.zmod import inv_mod, legendre
 
@@ -251,7 +250,7 @@ def test_metaplectic_galois_closure(d):
             lhs = _section(d, s).entrywise_galois(gal)
             conj = k_alpha(d, 1, alpha) @ s @ k_alpha(d, 1, inv_mod(alpha, d)) % d
             assert lhs == _section(d, conj)
-            assert dense(metaplectic(d, s).galois(gal)) == lhs
+            assert dense(metaplectic(d, s).galois([alpha])) == lhs
 
 
 def _fourier(d):
@@ -383,8 +382,8 @@ def test_metaplectic_cache_keys_on_s_mod_d(d):
         first = metaplectic(d, forms[0])
         assert all(metaplectic(d, s) is first for s in forms)
         assert dense(first) == dense(_metaplectic.__wrapped__(d, rows))  # as if built afresh
-        assert dense(first).dagger() @ dense(first) == OpMatrix.identity(first.scale.m, d)
-        assert not first.expo.flags.writeable
+        assert dense(first).dagger() @ dense(first) == OpMatrix.identity(first.scales[0].m, d)
+        assert len(first) == 1 and not first.expo.flags.writeable
 
 
 def test_ext_matrix_is_phase_times_weyl_times_section():
@@ -633,16 +632,16 @@ def _section_triples(d, s1, s2):
 
 
 def _agrees_on_sections(d, triple):
-    verdict = products_equal(*(metaplectic(d, rows) for rows in triple))
+    (verdict,) = products_equal(*(metaplectic(d, rows) for rows in triple))
     x, y, z = (dense_metaplectic(d, rows) for rows in triple)
     assert verdict == (x @ y == z)
     return verdict
 
 
 def _ext_triples(g, h):
-    """(h, C_beta(g), hg) and (h, C_beta(g), gh) as phase tables, beta =
-    h.alpha: the composition law and a wrong product."""
-    y = g.matrix().galois(h.galois())
+    """(h, C_beta(g), hg) and (h, C_beta(g), gh) as stacks of one phase
+    table, beta = h.alpha: the composition law and a wrong product."""
+    y = g.matrix().galois([h.alpha])
     return [(h.matrix(), y, ext_compose(h, g).matrix()),
             (h.matrix(), y, ext_compose(g, h).matrix())]
 
@@ -651,7 +650,7 @@ def _agrees_on_ext(g, h, triple):
     x, y, z = triple
     dense_y = dense(g.matrix()).entrywise_galois(h.galois())
     assert dense(y) == dense_y
-    verdict = products_equal(x, y, z)
+    (verdict,) = products_equal(x, y, z)
     assert verdict == (dense(x) @ dense_y == dense(z))
     return verdict
 
@@ -679,19 +678,20 @@ def test_products_equal_is_dense_equality_on_sampled_pairs(d):
 
 
 def _moved(t, r, q):
-    """t with expo[r, q] moved by 1 mod d (a zero entry, -1, becomes 1)."""
+    """The stack of one table t with expo[r, q] moved by 1 mod d (a zero
+    entry, -1, becomes 1)."""
     expo = t.expo.copy()
-    expo[r, q] = (expo[r, q] + 1) % t.d
-    return PhaseTable(t.d, t.scale, expo)
+    expo[0, r, q] = (expo[0, r, q] + 1) % t.d
+    return PhaseStack(t.d, t.scales, t.which, expo)
 
 
 def _flipped(t):
-    return PhaseTable(t.d, -t.scale, t.expo)
+    return PhaseStack(t.d, tuple(-c for c in t.scales), t.which, t.expo)
 
 
 def _stacks(triples):
-    """The x, y and z of a list of triples of phase tables as three stacks."""
-    return tuple(PhaseStack.of([t[k] for t in triples]) for k in range(3))
+    """The x, y and z of a list of triples of one-table stacks as three stacks."""
+    return tuple(concat([t[k] for t in triples]) for k in range(3))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -701,12 +701,12 @@ def test_products_equal_rejects_a_moved_exponent_and_a_flipped_sign(d):
         d, rng.choice(sl2_elements(d)), rng.choice(sl2_elements(d)))[0]) for _ in range(11)]
     triples += [_ext_triples(_random_ext(d, rng), _random_ext(d, rng))[0] for _ in range(11)]
     for triple in triples:
-        assert products_equal(*triple)
+        assert products_equal(*triple).all()
         for k in range(3):
             r, q = rng.randrange(d), rng.randrange(d)
             for bad in (_moved(triple[k], r, q), _flipped(triple[k])):
                 args = triple[:k] + (bad,) + triple[k + 1:]
-                assert not products_equal(*args)
+                assert not products_equal(*args).any()
                 assert not dense(args[0]) @ dense(args[1]) == dense(args[2])
     # in a batch of 64 true triples, one moved exponent or one flipped scale
     # at any one position makes that triple, and so the batch, false
@@ -718,13 +718,13 @@ def test_products_equal_rejects_a_moved_exponent_and_a_flipped_sign(d):
         for bad in (_moved(triple[k], r, q), _flipped(triple[k])):
             column = [t[k] for t in triples]
             column[i] = bad
-            verdicts = products_equal(*stacks[:k], PhaseStack.of(column), *stacks[k + 1:])
+            verdicts = products_equal(*stacks[:k], concat(column), *stacks[k + 1:])
             assert not verdicts.all()
             assert np.flatnonzero(~verdicts).tolist() == [i]
 
 
 def _mixed_batch(d, rng, size):
-    """size triples of phase tables in random order: section and extended
+    """size triples of one-table stacks in random order: section and extended
     Clifford triples, each law with its wrong product beside it."""
     triples = []
     while len(triples) < size:
@@ -748,9 +748,9 @@ def test_batched_verdicts_are_dense_equality_per_triple(d):
 
 
 def test_products_equal_refuses_stacks_of_different_lengths():
-    x = metaplectic(5, ((1, 0), (0, 1))).stack()
+    x = metaplectic(5, ((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="different lengths"):
-        products_equal(x, x, PhaseStack.of([x[0], x[0]]))
+        products_equal(x, x, concat([x, x]))
 
 
 def _element_arrays(d, rng, size):
@@ -772,7 +772,8 @@ def _element(d, arrays, i):
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_array_laws_are_the_dataclass_laws(d):
     # each row of the array composition, linear part and Galois image is
-    # ext_compose, matrix() and matrix().galois() of the dataclass elements
+    # ext_compose, matrix() and matrix().galois() of the dataclass elements,
+    # the last two stacks of one
     rng = random.Random(110 + d)
     g, h = _element_arrays(d, rng, 40), _element_arrays(d, rng, 40)
     hg = clifford._compose(d, h, g)
@@ -783,9 +784,10 @@ def test_array_laws_are_the_dataclass_laws(d):
         want = ext_compose(he, ge)
         got = (hg[0][i], tuple(hg[1][i].tolist()), tuple(map(tuple, hg[2][i].tolist())), hg[3][i])
         assert got == (want.mu, want.a, want.S, want.alpha)
-        for table, oracle in ((parts[i], ge.matrix()), (images[i], ge.matrix().galois(he.galois()))):
-            assert table.scale == oracle.scale and np.array_equal(table.expo, oracle.expo)
-            assert dense(table) == dense(oracle)
+        for stack, oracle in ((parts, ge.matrix()), (images, ge.matrix().galois([he.alpha]))):
+            assert stack.scales[stack.which[i]] == oracle.scales[oracle.which[0]]
+            assert np.array_equal(stack.expo[i], oracle.expo[0])
+            assert dense(stack, i) == dense(oracle)
 
 
 class _RecordingRandom(random.Random):
@@ -846,8 +848,8 @@ def test_products_equal_rejects_the_wrong_galois_map(d):
         for beta in range(1, d):
             if beta == h.alpha % d:
                 continue
-            wrong = g.matrix().galois(GaloisMap(beta, d))
-            verdict = products_equal(x, wrong, z)
+            wrong = g.matrix().galois([beta])
+            (verdict,) = products_equal(x, wrong, z)
             assert verdict == (dense(x) @ dense(wrong) == dense(z))
             if dense(wrong) != dense(y):  # the wrong map moves g's matrix
                 assert not verdict
@@ -858,6 +860,15 @@ def test_products_equal_rejects_the_wrong_galois_map(d):
 def _perturbed_weyl(d, n, v, bad):
     t = weyl_mono(d, n, v)
     return lambda d_, n_, a: bad(t) if tuple(a) == v else weyl_mono(d_, n_, a)
+
+
+def _table_of(mono):
+    """A monomial table like `operators.weyl_table`, (perm, expo) for a batch
+    of point codes, read from the per-point `Mono`s mono(d, n, a)."""
+    def table(d, n, codes):
+        monos = [mono(d, n, tuple(a)) for a in code_points(np.asarray(codes), d, 2 * n).tolist()]
+        return np.array([t.perm for t in monos]), np.array([t.expo for t in monos])
+    return table
 
 
 _WEYL_FAULTS = {
@@ -879,7 +890,7 @@ def test_weyl_law_array_check_is_the_pairwise_law(monkeypatch, fault, d, n, samp
     pairs.append((v, (0,) * (2 * n - 1) + (1,)))  # T(v) against a non-commuting T(b)
     assert _weyl_law(d, n, pairs) and weyl_law_pairwise(d, n, pairs)
     bad = _perturbed_weyl(d, n, v, _WEYL_FAULTS[fault])
-    monkeypatch.setattr(clifford, "weyl_mono", bad)
+    monkeypatch.setattr(clifford, "weyl_table", _table_of(bad))
     assert not _weyl_law(d, n, pairs)
     assert not weyl_law_pairwise(d, n, pairs, mono=bad)
 
@@ -895,7 +906,7 @@ def test_weyl_law_array_check_reads_the_commutation_clause(monkeypatch, d):
     fake = {v: m, vec_add(v, w, d): (m @ weyl_mono(d, 1, w)).phase_shift((d + 1) // 2 * s)}
     bad = lambda d_, n_, a: fake.get(tuple(a)) or weyl_mono(d_, n_, a)
     assert _weyl_law(d, 1, [(v, w)])
-    monkeypatch.setattr(clifford, "weyl_mono", bad)
+    monkeypatch.setattr(clifford, "weyl_table", _table_of(bad))
     assert not weyl_law_pairwise(d, 1, [(v, w)], mono=bad)
     assert not _weyl_law(d, 1, [(v, w)])
 
@@ -943,7 +954,6 @@ def test_verify_clifford_builds_without_dense_kernels(monkeypatch, d):
     monkeypatch.setattr(OpMatrix, "__matmul__", dense_kernel)
     monkeypatch.setattr(OpMatrix, "_set", dense_kernel)
     monkeypatch.setattr(cyclotomic._Field, "contract", dense_kernel)
-    monkeypatch.setattr(operators, "mono_sum", dense_kernel)
     clifford._metaplectic.cache_clear()
     expected = json.loads((GOLDENS / f"verify-clifford_d{d}_n1_seed-7.json").read_text())
     report = verify_clifford_laws(d, 1, 7, 100)
@@ -974,7 +984,7 @@ def test_unreduced_matrices_give_the_same_answers(data):
     assert label_permutations(labels, [(lifted, shift)]) == label_permutations(labels, [(m, shift)])
     if n == 1 and is_symplectic(m, d):
         assert products_equal(metaplectic(d, lifted), metaplectic(d, np.eye(2, dtype=np.int64)),
-                              metaplectic(d, m))
+                              metaplectic(d, m)).all()
         e, f = (ExtCliffordElement(mu=1, a=(2, 1), S=s, alpha=2, d=d) for s in (lifted, m))
         assert e == f and hash(e) == hash(f)
 
@@ -988,14 +998,16 @@ def test_sp_generators_are_read_only():
 @pytest.mark.parametrize("check,name", [("galois_action_on_phase_points", "phase_point_mono"),
                                         ("transpose_is_k_minus_one", "weyl_mono")])
 def test_one_corrupted_exponent_flips_each_galois_check(monkeypatch, d, check, name):
-    # each check is one array check over the d^2 stacked monomials: one
-    # exponent of one of them moved by 1 fails it, and not the other check
+    # each check is one array check over the d^2 points' monomial table
+    # (name is its `Mono` reference): one exponent of one of them moved by 1
+    # fails it, and not the other check
     other = ({"galois_action_on_phase_points", "transpose_is_k_minus_one"} - {check}).pop()
     checks = verify_clifford_laws(d, 1, 0, 1)["checks"]
     assert checks[check]["pass"] and checks[other]["pass"]
-    make, v = getattr(clifford, name), (1, 1)
+    make, v = getattr(dense_oracles, name), (1, 1)
     bad = _WEYL_FAULTS["exponent"](make(d, 1, v))
-    monkeypatch.setattr(clifford, name, lambda d_, n_, a: bad if tuple(a) == v else make(d_, n_, a))
+    monkeypatch.setattr(clifford, name.replace("mono", "table"),
+                        _table_of(lambda d_, n_, a: bad if a == v else make(d_, n_, a)))
     checks = verify_clifford_laws(d, 1, 0, 1)["checks"]
     assert not checks[check]["pass"] and checks[other]["pass"]
 

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stabsym
+from stabsym import cyclotomic
 from stabsym.cyclotomic import (
     CycNumber,
     GaloisMap,
@@ -17,7 +23,7 @@ from stabsym.cyclotomic import (
     sqrt_d,
     tau,
 )
-from stabsym.errors import ConductorTooSmall
+from stabsym.errors import ConductorTooSmall, Mismatch
 from stabsym.zmod import legendre
 
 
@@ -61,7 +67,7 @@ def _random_cyc(m, rng):
     return CycNumber(m, num, den)
 
 
-@pytest.mark.parametrize("m", [8, 12, 20])
+@pytest.mark.parametrize("m", [8, 12, 20, 28, 44, 52])  # d = 2, 3, 5, 7, 11, 13
 def test_field_axioms_random(m):
     rng = random.Random(m)
     for _ in range(40):
@@ -76,6 +82,56 @@ def test_field_axioms_random(m):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         CycNumber.zero(12).inverse()
+
+
+def test_inverse_refuses_a_norm_that_is_not_rational(monkeypatch):
+    # with every conjugate replaced by x itself, x^phi(m) is not rational
+    monkeypatch.setattr(CycNumber, "galois_raw", lambda self, t: self)
+    with pytest.raises(ValueError, match="not rational"):
+        omega(5).inverse()
+
+
+@pytest.fixture
+def fresh_sqrt_d():
+    sqrt_d.cache_clear()
+    yield
+    sqrt_d.cache_clear()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_sqrt_d_refuses_a_wrong_gauss_sum(monkeypatch, fresh_sqrt_d, d):
+    # a raise, not an assert, so `python -O` keeps the certificate
+    wrong = gauss_sum(d) + 1
+    monkeypatch.setattr(cyclotomic, "gauss_sum", lambda d_: wrong)
+    with pytest.raises(Mismatch, match=f"sqrt[(]{d}[)]"):
+        sqrt_d(d)
+
+
+def test_sqrt_d_certifies_under_python_O():
+    code = ("from stabsym import cyclotomic\n"
+            "wrong = cyclotomic.gauss_sum(5) + 1\n"
+            "cyclotomic.gauss_sum = lambda d: wrong\n"
+            "try:\n    cyclotomic.sqrt_d(5)\n"
+            "except cyclotomic.Mismatch:\n    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(stabsym.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "refused\n"
+
+
+def test_cyclotomic_poly_refuses_an_inexact_division(monkeypatch):
+    def off_by_one(num, den):
+        q, rem = divmod_(num, den)
+        return q, [rem[0] + 1] + rem[1:]
+
+    divmod_ = cyclotomic._poly_divmod
+    monkeypatch.setattr(cyclotomic, "_poly_divmod", off_by_one)
+    cyclotomic_poly.cache_clear()
+    try:
+        with pytest.raises(Mismatch, match="does not divide"):
+            cyclotomic_poly(6)
+    finally:
+        cyclotomic_poly.cache_clear()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

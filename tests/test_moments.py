@@ -39,7 +39,6 @@ from stabsym.operators import (
     rational_part,
     stabilizer_labels,
     stabilizer_states,
-    weyl,
 )
 
 from dense_oracles import (
@@ -55,6 +54,7 @@ from dense_oracles import (
     mono_traces,
     set_elements,
     trace_pairs,
+    weyl,
 )
 
 
@@ -581,6 +581,21 @@ def test_incidence_table_matches_mono_traces(q):
     assert scale == 1 and table.tolist() == ints.tolist()
 
 
+@pytest.mark.parametrize("q", [
+    *(stabilizer_operator_set(d, n) for d, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
+                                                 (7, 1))),
+    *(rebit_operator_set(n) for n in (1, 2, 3)),
+    *(phase_point_operator_set(d, n) for d, n in ((2, 1), (2, 2), (3, 1), (5, 1), (3, 2))),
+], ids=lambda q: q.name)
+def test_every_trace_table_is_c_ordered_and_read_only(q):
+    # the stabilizer tables are built transposed; numpy's int64 matmul has
+    # no BLAS path and runs slower on an F-ordered operand
+    table = trace_table(q)
+    assert table.dtype == np.int64 and table.flags.c_contiguous and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+
+
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (2, 3)])
 def test_closed_form_basis_matches_dense(d, n):
     m = conductor_for(d)
@@ -678,8 +693,8 @@ def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d,
     def dense(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
-    for name in ("mono_sum", "build_gram"):
-        monkeypatch.setattr(operators, name, dense)
+    monkeypatch.setattr(operators, "build_gram", dense)
+    monkeypatch.setattr(OpMatrix, "_set", dense)  # behind every OpMatrix built
     monkeypatch.setattr(clifford, "build_gram", dense)
     monkeypatch.setattr(cyclotomic._Field, "contract", dense)
     monkeypatch.setattr(OpMatrix, "__matmul__", dense)

@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 from stabsym import cyclotomic, operators
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
 from stabsym.clifford import real_clifford_orbit
-from stabsym.errors import BudgetExceeded, InconsistentSigns
+from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
 from stabsym.operators import (
     GramMatrix,
     OpMatrix,
     build_gram,
     gram_closed_form,
     hs_inner,
-    mono_sum,
-    phase_point_mono,
+    phase_point_table,
     stabilizer_states,
     trace_product,
-    weyl,
-    weyl_mono,
+    weyl_table,
 )
 from stabsym.phase_space import (
     LagrangianSubspace,
@@ -31,6 +29,7 @@ from stabsym.phase_space import (
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     label_from_functional,
+    code_points,
     lagrangian_tables,
     point_codes,
     symplectic_form,
@@ -43,14 +42,18 @@ from dense_oracles import (
     dense_real_clifford_orbit,
     family_projectors,
     is_hermitian,
+    mono_sum,
     mono_trace_product,
     pair_table_loop,
     phase_point,
+    phase_point_mono,
     sign_bits,
     stab_projector,
     stab_projector_qubit,
     stab_projector_wigner,
     trace_pairs,
+    weyl,
+    weyl_mono,
 )
 
 
@@ -181,6 +184,26 @@ def test_phase_point_mono_matches_dense():
         for a in all_vectors(d, 2 * n):
             terms = [t.phase_shift(symplectic_form(a, b, d)) for b, t in weyls.items()]
             assert phase_point_mono(d, n, a).to_matrix() == mono_sum(terms, Fraction(1, d ** n))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_monomial_tables_are_the_mono_reference_row_by_row(d, n):
+    # row i of each batched table is the per-point Mono of the point with
+    # code i, at every point; the codes come in a shuffled order and with
+    # repeats, so a row is read from its code and not from its position
+    codes = np.random.default_rng(d * n).permutation(np.tile(np.arange(d ** (2 * n)), 2))
+    tables = {weyl_mono: weyl_table} if d == 2 else {weyl_mono: weyl_table,
+                                                     phase_point_mono: phase_point_table}
+    for mono, table in tables.items():
+        perm, expo = table(d, n, codes)
+        assert perm.dtype == expo.dtype == np.int64
+        assert perm.shape == expo.shape == (len(codes), d ** n)
+        for i, a in enumerate(code_points(codes, d, 2 * n).tolist()):
+            ref = mono(d, n, tuple(a))
+            assert (tuple(perm[i].tolist()), tuple(expo[i].tolist())) == (ref.perm, ref.expo)
+    if d == 2:
+        with pytest.raises(OddOnly):
+            phase_point_table(d, n, codes)
 
 
 def test_stab_projector_z_eigenprojector():

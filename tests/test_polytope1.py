@@ -137,7 +137,7 @@ def test_facet_report_builds_without_dense_kernels(monkeypatch, d):
     def dense(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
-    monkeypatch.setattr(operators, "mono_sum", dense)
+    monkeypatch.setattr(OpMatrix, "_set", dense)  # behind every OpMatrix built
     monkeypatch.setattr(cyclotomic._Field, "contract", dense)
     monkeypatch.setattr(OpMatrix, "__matmul__", dense)
     monkeypatch.setattr(polytope1, "stabilizer_states", operators.stabilizer_states.__wrapped__)

@@ -47,6 +47,7 @@ from dense_oracles import (
     perm_from_matrix_action,
     qubit_gate,
     real_gates,
+    weyl,
     wreath_recompose,
 )
 
@@ -142,7 +143,7 @@ def test_qubit_cases_build_without_dense_kernels(monkeypatch):
     def dense(*args):
         raise AssertionError("dense kernel called")
 
-    monkeypatch.setattr(operators, "mono_sum", dense)
+    monkeypatch.setattr(operators.OpMatrix, "_set", dense)  # behind every OpMatrix built
     monkeypatch.setattr(operators.OpMatrix, "__matmul__", dense)
     fam = stabilizer_states.__wrapped__(2, 2)
     assert fam.gram.values == stabilizer_states(2, 2).gram.values
@@ -192,17 +193,17 @@ def test_seed_rejection():
 def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
     # the labels and the Gram are all that Theorem 1 reads, at odd d and,
     # with the closed form, at d = 2 too; the patched builder is the one
-    # behind every dense Weyl or phase-point matrix the library can build
+    # behind every dense matrix, the Weyl and phase-point ones included
     def unread(*args):
         raise AssertionError("dense matrix built")
 
-    monkeypatch.setattr(operators, "mono_sum", unread)
+    monkeypatch.setattr(operators.OpMatrix, "_set", unread)
     fam = stabilizer_states.__wrapped__(3, 1)
     for variant in ("wreath", "agsp"):
         seeds = predicted_generators.__wrapped__(3, 1, variant)
         assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
     with pytest.raises(AssertionError, match="dense matrix built"):
-        operators.weyl(3, 1, (1, 0))
+        weyl(3, 1, (1, 0))
     qubits = stabilizer_states.__wrapped__(2, 1)
     seeds = predicted_generators.__wrapped__(2, 1, "extended_clifford")
     assert gram_automorphisms(qubits.gram, seeds=seeds).order() == 48
