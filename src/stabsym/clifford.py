@@ -605,6 +605,16 @@ def _galois_acts_as_k(table, d, alphas):
                 and (expo[image] == alpha[..., None] * expo % d).all())
 
 
+def _phase_points_conjugate_parity(d):
+    """Whether `phase_point_table` gives A(a) = T(a)^dagger A(0) T(a), A(0)
+    the parity q -> -q, at the d^2 points: with T(a)|q> = omega^e(q) |pi(q)>
+    (`weyl_table`), that is omega^(e(q) - e(s)) |s>, s = pi^-1(-pi(q))."""
+    codes = np.arange(d * d)
+    (perm, expo), (pp, pe) = weyl_table(d, 1, codes), phase_point_table(d, 1, codes)
+    s = np.take_along_axis(np.argsort(perm, axis=1), -perm % d, axis=1)
+    return bool((pp == s).all() and (pe == (expo - np.take_along_axis(expo, s, 1)) % d).all())
+
+
 _CHUNK = 128  # samples per batched check: bounds its (chunk, d, d, d) key array
 
 
@@ -622,9 +632,10 @@ def verify_clifford_laws(d, n, seed, samples):
     arrays with no per-sample object: the sections of the drawn S
     (`_sections`), the linear parts (`_linear_parts`), the Galois images
     (`PhaseStack.galois`) and the composites (`_compose`), with one
-    `products_equal` call on the chunk's stacks.  C_alpha acts as K_alpha on
-    every A(x) and transposition as K_{-1} on every T(a), each one array
-    check over the d^2 points (`_galois_acts_as_k`).  At (2, 1) the wreath
+    `products_equal` call on the chunk's stacks.  Every A(x) is
+    T(x)^dagger A(0) T(x) (`_phase_points_conjugate_parity`), C_alpha acts
+    as K_alpha on every A(x), and transposition as K_{-1} on every T(a),
+    each one array check over the d^2 points (`_galois_acts_as_k`).  At (2, 1) the wreath
     coordinates of the standard generators equal `WREATH_TABLE`.
 
     The section has a closed form for every odd d; the d <= 7 gate is kept
@@ -675,10 +686,12 @@ def verify_clifford_laws(d, n, seed, samples):
         checks["ext_clifford_composition_law"] = {
             "pass": sampled(composes, lambda: (element(), element()))}
 
-        # C_alpha with U = 1 acts on the monomial A(x) alone; transposition
-        # is C_{-1}, entrywise complex conjugation, on the T(a)
+        # C_alpha with U = 1 acts on the monomial A(x) alone, once the A(x)
+        # are tied to the T(a); transposition is C_{-1}, entrywise complex
+        # conjugation, on the T(a)
         checks["galois_action_on_phase_points"] = {
-            "pass": _galois_acts_as_k(phase_point_table, d, range(2, d))}
+            "pass": _phase_points_conjugate_parity(d)
+            and _galois_acts_as_k(phase_point_table, d, range(2, d))}
         checks["transpose_is_k_minus_one"] = {"pass": _galois_acts_as_k(weyl_table, d, [d - 1])}
 
     if d == 2 and n == 1:

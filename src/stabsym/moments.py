@@ -51,6 +51,7 @@ from .phase_space import (
     jvec,
     label_cosets,
     lagrangian_count,
+    lagrangian_index,
     lagrangian_tables,
     point_codes,
 )
@@ -247,14 +248,15 @@ def trace_table(q: OperatorSet):
         else:
             table = d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
     else:
-        lags, li, coset = label_cosets(q.labels)
         if d == 2:
+            lags, li, reps, _ = lagrangian_index(q.labels)
             tables = lagrangian_tables(lags)
             signed = tables.member.astype(np.int8) - 2 * tables.signs.astype(np.int8)
-            reps = point_codes(np.array([lab.rep for lab in q.labels]), 2)
+            reps = point_codes(reps, 2)
             table = signed[li].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
         else:
-            table = (coset[li] == np.arange(len(q.labels))[:, None]).T
+            index, coset = label_cosets(q.labels)
+            table = (coset[index.index] == np.arange(len(q.labels))[:, None]).T
     # C order: the stabilizer tables are built transposed, and numpy's int64
     # matmul, which has no BLAS path, is slower on an F-ordered operand
     table = np.ascontiguousarray(table, dtype=np.int64)

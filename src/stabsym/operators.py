@@ -281,8 +281,8 @@ def closed_form_gram(labels) -> GramMatrix:
     """
     labels = tuple(labels)
     d, n = labels[0].d, labels[0].n
-    lags, li = lagrangian_index(labels)
-    keys = character_keys(lags, li, np.array([lab.rep for lab in labels]))
+    lags, li, reps, _ = lagrangian_index(labels)
+    keys = character_keys(lags, li, reps)
     # both sides gathered by rows: comparing C-order arrays, not one with its
     # transpose, is the bulk of the saving at N = 3 900
     agree = keys.take(li, axis=1) == keys.T[li]

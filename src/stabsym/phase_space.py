@@ -20,15 +20,12 @@ from .zmod import require_prime, rref
 MAX_POINTS = 4096  # cap on d^{2n} for enumerations and certified generating sets
 
 
-def symplectic_form(a, b, d: int, n: int | None = None) -> int:
+def symplectic_form(a, b, d: int) -> int:
     """[a, b] = a_X . b_Z - b_X . a_Z in Z_d."""
     if len(a) != len(b) or len(a) % 2:
         raise ValueError("vectors must share an even length")
-    n = len(a) // 2 if n is None else n
-    s = 0
-    for i in range(n):
-        s += a[i] * b[n + i] - b[i] * a[n + i]
-    return s % d
+    n = len(a) // 2
+    return sum(a[i] * b[n + i] - b[i] * a[n + i] for i in range(n)) % d
 
 
 def jvec(b):
@@ -57,11 +54,12 @@ class Subspace:
     @classmethod
     def from_rows(cls, rows, d, ambient=None):
         require_prime(d)
-        if not rows:
+        rows = np.asarray(rows)
+        if not rows.size:
             if ambient is None:
                 raise ValueError("empty row list needs explicit ambient dimension")
             return cls(basis=(), d=d, ambient=ambient)
-        ech, pivots = rref(np.array(rows), d)
+        ech, pivots = rref(rows, d)
         return cls(basis=tuple(map(tuple, ech[pivots < ech.shape[1]].tolist())), d=d,
                    ambient=ech.shape[1])
 
@@ -79,9 +77,8 @@ class Subspace:
         This is the lexicographically smallest vector in the coset.
         """
         d = self.d
-        v = list(x % d for x in v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
+        v = [int(x) % d for x in v]
+        for p, row in zip(self.pivots, self.basis):
             f = v[p]
             if f:
                 v = [(x - f * y) % d for x, y in zip(v, row)]
@@ -112,10 +109,9 @@ class LagrangianSubspace(Subspace):
         n = sub.ambient // 2
         if sub.dim != n:
             raise ValueError(f"dimension {sub.dim} != n = {n}")
-        for u in sub.basis:
-            for v in sub.basis:
-                if symplectic_form(u, v, d):
-                    raise ValueError("form does not vanish on the span")
+        basis = np.array(sub.basis)
+        if (basis @ jvec(basis).T % d).any():
+            raise ValueError("form does not vanish on the span")
         return cls(basis=sub.basis, d=d, ambient=sub.ambient)
 
 
@@ -147,34 +143,30 @@ class StabilizerLabel:
         """g(b) = [rep, b] for b in L."""
         return symplectic_form(self.rep, b, self.d)
 
-    def sort_key(self):
-        return (self.L.basis, self.rep)
+
+LabelIndex = namedtuple("LabelIndex", "lags index reps blocks")
 
 
-def lagrangian_index(labels):
-    """(lags, li): the distinct Lagrangians of the stabilizer `labels` in
-    order of first appearance, and the array of each label's index into
-    them."""
-    lags = tuple(dict.fromkeys(lab.L for lab in labels))
-    where = {L: i for i, L in enumerate(lags)}
-    return lags, np.array([where[lab.L] for lab in labels])
-
-
-def basis_blocks(labels):
-    """Indices of the stabilizer `labels` grouped by Lagrangian (one block
-    per basis), the blocks ordered by the Lagrangians' canonical bases."""
-    blocks = {}
-    for i, lab in enumerate(labels):
-        blocks.setdefault(lab.L, []).append(i)
-    return [blocks[L] for L in sorted(blocks, key=lambda L: L.basis)]
+def lagrangian_index(labels) -> LabelIndex:
+    """The stabilizer `labels` grouped by Lagrangian, the library's one
+    grouping: the distinct Lagrangians lags in order of first appearance
+    (for the library's families, sorted by Lagrangian, that of their bases),
+    the array of each label's index into them, the reps as one integer
+    array, and blocks[l], the indices of the labels of lags[l] (ints)."""
+    where = {}
+    index = [where.setdefault(lab.L, len(where)) for lab in labels]
+    blocks = [[] for _ in where]
+    for x, l in enumerate(index):
+        blocks[l].append(x)
+    return LabelIndex(tuple(where), np.array(index), np.array([lab.rep for lab in labels]), blocks)
 
 
 def wreath_decompose(perm, blocks):
     """The wreath coordinates (sigma, inners) of a permutation of indices
-    grouped into equal `blocks` (at n = 1 the `basis_blocks`): sigma[b] is
-    the block that block b is mapped onto, and inners[b][k] the position
-    there of the image of position k of block b.  A permutation that
-    scatters a block raises NotBasisPreserving."""
+    grouped into equal `blocks` (at n = 1 those of `lagrangian_index`):
+    sigma[b] is the block that block b is mapped onto, and inners[b][k] the
+    position there of the image of position k of block b.  A permutation
+    that scatters a block raises NotBasisPreserving."""
     where = {v: (b, k) for b, block in enumerate(blocks) for k, v in enumerate(block)}
     sigma, inners = [], []
     for b, block in enumerate(blocks):
@@ -196,62 +188,57 @@ def wreath_compose(sigma, inners, blocks):
     return tuple(perm)
 
 
-def enumerate_subspaces(d, ambient, k):
-    """All k-dimensional subspaces of Z_d^ambient as canonical RREF bases."""
-    out = []
+def _echelon_blocks(d, ambient, k):
+    """The canonical RREF bases of the k-dimensional subspaces of
+    Z_d^ambient, one lexicographically sorted array (count, k, ambient) per
+    pivot pattern, the free entries from `code_points`."""
     for pivots in itertools.combinations(range(ambient), k):
-        free_positions = []
-        for r, p in enumerate(pivots):
-            for c in range(p + 1, ambient):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        for values in itertools.product(range(d), repeat=len(free_positions)):
-            rows = [[0] * ambient for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            out.append(tuple(tuple(row) for row in rows))
-    return out
+        free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, ambient)
+                if c not in pivots]
+        block = np.zeros((d ** len(free), k, ambient), dtype=np.min_scalar_type(d - 1))
+        block[:, range(k), pivots] = 1
+        rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        block[:, rows, cols] = code_points(np.arange(len(block)), d, len(free))
+        yield block
+
+
+def enumerate_subspaces(d, ambient, k):
+    """All k-dimensional subspaces of Z_d^ambient as canonical RREF bases,
+    one integer array (count, k, ambient)."""
+    return np.concatenate(list(_echelon_blocks(d, ambient, k)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_lagrangians(d, n):
-    """All Lagrangian subspaces of Z_d^{2n}, sorted by canonical basis."""
+    """All Lagrangian subspaces of Z_d^{2n}, sorted by canonical basis: the
+    echelon bases B of each pivot pattern with B J B^T = 0 mod d, one
+    batched product per pattern."""
     require_prime(d)
     if d ** (2 * n) > MAX_POINTS:
         raise BudgetExceeded(f"d^(2n) = {d ** (2 * n)} exceeds cap {MAX_POINTS}")
+    form = np.min_scalar_type(-2 * n * (d - 1) ** 2)  # holds every [u, v] before mod d
+    kept = []
+    for block in _echelon_blocks(d, 2 * n, n):
+        b = block.astype(form)
+        kept.append(block[~(b @ jvec(b).swapaxes(1, 2) % d).any(axis=(1, 2))])
+    bases = np.concatenate(kept).reshape(-1, 2 * n * n)
+    bases = bases[np.lexsort(bases.T[::-1])].reshape(-1, n, 2 * n)
     # the rows are canonical already, so they are not row-reduced again
-    out = [LagrangianSubspace(basis=rows, d=d, ambient=2 * n)
-           for rows in enumerate_subspaces(d, 2 * n, n)
-           if all(symplectic_form(u, v, d) == 0 for u in rows for v in rows)]
-    out.sort(key=lambda L: L.basis)
-    return tuple(out)
-
-
-def coset_reps(L: Subspace):
-    """Canonical representatives of all cosets of L: free coordinates range."""
-    d = L.d
-    pivots = set(L.pivots)
-    free = [i for i in range(L.ambient) if i not in pivots]
-    reps = []
-    for values in itertools.product(range(d), repeat=len(free)):
-        v = [0] * L.ambient
-        for i, val in zip(free, values):
-            v[i] = val
-        reps.append(tuple(v))
-    return reps
+    return tuple(LagrangianSubspace(basis=tuple(map(tuple, rows)), d=d, ambient=2 * n)
+                 for rows in bases.tolist())
 
 
 @lru_cache(maxsize=None)
 def enumerate_stabilizer_labels(d, n):
-    """All (Lagrangian, coset) stabilizer labels, deterministically sorted."""
-    out = []
-    for L in enumerate_lagrangians(d, n):
-        for rep in coset_reps(L):
-            out.append(StabilizerLabel.make(L, rep))
-    out.sort(key=StabilizerLabel.sort_key)
-    return tuple(out)
+    """All (Lagrangian, coset) stabilizer labels, sorted by (basis, rep):
+    the d^n canonical reps of each Lagrangian are 0 at its pivots and take
+    the free coordinates from `code_points`, already in order."""
+    lags = enumerate_lagrangians(d, n)
+    free = np.array([sorted(set(range(2 * n)) - set(L.pivots)) for L in lags])
+    reps = np.zeros((len(lags), d ** n, 2 * n), dtype=np.min_scalar_type(d - 1))
+    np.put_along_axis(reps, free[:, None], code_points(np.arange(d ** n), d, n), axis=2)
+    return tuple(StabilizerLabel(L, tuple(rep)) for L, block in zip(lags, reps.tolist())
+                 for rep in block)
 
 
 def lagrangian_count(d, n):
@@ -339,19 +326,18 @@ def lagrangian_tables(lags) -> LagrangianTables:
 
 
 def label_cosets(labels):
-    """(lags, li, coset) of stabilizer `labels` of one (d, n): the
-    Lagrangians and each label's index into them (`lagrangian_index`), and
-    coset[l, x], the index of the label (L_l, x + L_l) for the point x
-    (by its `point_codes` code), -1 if it is not given."""
+    """(index, coset) of stabilizer `labels` of one (d, n): their
+    `lagrangian_index`, and coset[l, x], the index of the label
+    (L_l, x + L_l) for the point x (by its `point_codes` code), -1 if it is
+    not given."""
     d, n = labels[0].d, labels[0].n
-    lags, li = lagrangian_index(labels)
+    lags, li, reps, _ = index = lagrangian_index(labels)
     small = np.min_scalar_type(-2 * d)  # signed, holds every rep + point <= 2(d - 1)
-    reps = np.array([lab.rep for lab in labels], dtype=small)
     points = lagrangian_tables(lags).points.astype(small)
     coset = np.full((len(lags), d ** (2 * n)), -1, dtype=np.int64)
-    coset[li[:, None], point_codes((reps[:, None] + points[li]) % d, d)] = (
+    coset[li[:, None], point_codes((reps.astype(small)[:, None] + points[li]) % d, d)] = (
         np.arange(len(labels))[:, None])
-    return lags, li, coset
+    return index, coset
 
 
 def label_permutations(labels, maps):
@@ -377,11 +363,10 @@ def label_permutations(labels, maps):
     an image coset has no label, or when the images are not a bijection of
     the labels."""
     d, n = labels[0].d, labels[0].n
-    lags, which, coset = label_cosets(labels)
+    (lags, which, reps, _), coset = label_cosets(labels)
     tables = lagrangian_tables(lags)
     keys = {key.tobytes(): l for l, key in enumerate(np.packbits(tables.member, axis=1))}
     basis_codes = point_codes(tables.basis, d)
-    reps = np.array([lab.rep for lab in labels])
     rows = np.arange(len(lags))[:, None]
     perms = []
     for k, (matrix, a, *eta) in enumerate(maps):

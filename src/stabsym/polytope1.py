@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Mismatch, OddOnly
 from .operators import stabilizer_labels, stabilizer_states
-from .phase_space import basis_blocks, label_cosets, lagrangian_index
+from .phase_space import label_cosets, lagrangian_index
 
 
 def direct_sum_check(d):
@@ -39,8 +39,7 @@ def direct_sum_check(d):
     gram = stabilizer_states(d, 1).gram
     if gram.legend != (0, Fraction(1, d), 1):
         raise Mismatch(f"overlap values {gram.legend} are not (0, 1/d, 1)", witness=gram.legend)
-    blocks = basis_blocks(gram.labels)
-    line = lagrangian_index(gram.labels)[1]
+    _, line, _, blocks = lagrangian_index(gram.labels)
     expected = (line[:, None] != line).astype(gram.codes.dtype)
     np.fill_diagonal(expected, 2)
     bad = np.argwhere(gram.codes != expected)
@@ -67,9 +66,9 @@ def polytope_membership(w, d):
     tr(X_g A) = s + sum_i (t_(g_i) - s), one term per basis block, so the
     least facet value takes each block's least term.  Returns (inside,
     characters): characters is None if A lies inside, else the vertex
-    indices g of the first violated facet in
-    `itertools.product(*basis_blocks)` order.  A w of the wrong length, with
-    an entry that is not rational, or of trace other than 1 raises
+    indices g of the first violated facet in `itertools.product(*blocks)`
+    order, for the blocks of `lagrangian_index`.  A w of the wrong length,
+    with an entry that is not rational, or of trace other than 1 raises
     ValueError."""
     if d == 2:
         raise OddOnly("direct-sum geometry is stated for odd d")
@@ -84,12 +83,11 @@ def polytope_membership(w, d):
     den = math.lcm(*(v.denominator for v in w))
     ints = np.array([int(v * den) for v in w], dtype=object)
     labels = stabilizer_labels(d, 1)
-    coset = label_cosets(labels)[2]  # coset[l, x]: the label y with x in rep_y + L_l
+    index, coset = label_cosets(labels)  # coset[l, x]: the label y with x in rep_y + L_l
     sums = np.zeros(len(labels), dtype=object)  # den * d * t_y
     np.add.at(sums, coset, np.broadcast_to(ints, coset.shape))
-    blocks = basis_blocks(labels)
     # den * d * tr(X_g A) = den + sum_i terms[i][g_i], as s = 1/d
-    terms = [[sums[y] - den for y in block] for block in blocks]
+    terms = [[sums[y] - den for y in block] for block in index.blocks]
     # rest[i]: the least sum of the terms of blocks i, i + 1, ...
     rest = list(itertools.accumulate(map(min, reversed(terms)), initial=0))[::-1]
     if den + rest[0] >= 0:
@@ -97,7 +95,7 @@ def polytope_membership(w, d):
     # block by block, the first vertex that still leaves the sum negative
     # when every later block takes its least term
     characters, acc = [], den
-    for block, row, later in zip(blocks, terms, rest[1:]):
+    for block, row, later in zip(index.blocks, terms, rest[1:]):
         k = next(k for k, t in enumerate(row) if acc + t + later < 0)
         characters.append(block[k])
         acc += row[k]
@@ -124,7 +122,7 @@ def facet_report(d):
     are distinct."""
     direct_sum = direct_sum_check(d)
     gram = stabilizer_states(d, 1).gram
-    blocks = basis_blocks(gram.labels)
+    blocks = lagrangian_index(gram.labels).blocks
     per_block = []
     for block in blocks:
         rows = [[gram.legend[c] for c in row] for row in gram.codes[np.ix_(block, block)].tolist()]

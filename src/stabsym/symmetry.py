@@ -28,11 +28,11 @@ from .operators import GramMatrix, character_keys, stabilizer_states
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
     all_vectors,
-    basis_blocks,
     code_points,
     enumerate_lagrangians,
     jvec,
     label_permutations,
+    lagrangian_index,
     lagrangian_tables,
     wreath_compose,
     wreath_decompose,
@@ -369,7 +369,7 @@ def predicted_generators(d, n, variant) -> tuple:
     if variant == "wreath":
         if n != 1:
             raise Unsupported("the wreath case is n = 1")
-        return _wreath_generators(basis_blocks(fam.labels))
+        return _wreath_generators(lagrangian_index(fam.labels).blocks)
     if variant == "extended_clifford":
         if d != 2:
             raise Unsupported("the extended Clifford case is d = 2")
@@ -481,7 +481,7 @@ def verify_theorem1(d, n, variant, time_budget=None):
     report["predicted_in_computed"] = not missing_fwd
     report["computed_in_predicted"] = not missing_bwd
     if n == 1 and labels is not None:
-        blocks = basis_blocks(labels)
+        blocks = lagrangian_index(labels).blocks
         try:
             for g in computed.generators:
                 wreath_decompose(g, blocks)

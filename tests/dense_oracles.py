@@ -116,7 +116,6 @@ from stabsym.phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
     Subspace,
-    basis_blocks,
     all_vectors,
     enumerate_lagrangians,
     jvec,
@@ -451,7 +450,7 @@ def dense_line_sums_vanish(d):
     verts = shifted_vertices(d)
     zero = OpMatrix.zero(verts[0].matrix.m, d)
     return all(sum((verts[i].matrix for i in block), zero) == zero
-               for block in basis_blocks(stabilizer_states(d, 1).labels))
+               for block in lagrangian_index(stabilizer_states(d, 1).labels).blocks)
 
 
 @dataclass(frozen=True)
@@ -465,11 +464,11 @@ class FacetOperator:
 @lru_cache(maxsize=None)
 def dense_facet_family(d):
     """All d^(d+1) facet operators of the single-qudit stabilizer polytope,
-    in `itertools.product(*basis_blocks)` order."""
+    in `itertools.product(*blocks)` order, the blocks of `lagrangian_index`."""
     verts = shifted_vertices(d)
     base = OpMatrix.identity(verts[0].matrix.m, d).scale(Fraction(1, d))
     facets = []
-    for choice in itertools.product(*basis_blocks(stabilizer_states(d, 1).labels)):
+    for choice in itertools.product(*lagrangian_index(stabilizer_states(d, 1).labels).blocks):
         acc = base
         for i in choice:
             acc = acc + verts[i].matrix
@@ -587,7 +586,7 @@ def transform_labels(labels, matrix, a, eta=None):
     `sign_bits` and t_L by `functional_label_by_search`, one Lagrangian at a
     time."""
     d = labels[0].d
-    lags, which = lagrangian_index(labels)
+    lags, which, _, _ = lagrangian_index(labels)
     mapped = np.array([L.basis for L in lags]) @ np.asarray(matrix).T % d
     images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
     shifts = np.zeros((len(lags), 2 * labels[0].n), dtype=np.int64)

@@ -29,9 +29,9 @@ from stabsym.permgroup import schreier_sims
 from stabsym.phase_space import (
     Subspace,
     all_vectors,
-    basis_blocks,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
+    lagrangian_index,
     symplectic_form,
     vec_add,
     wreath_decompose,
@@ -150,7 +150,7 @@ def test_criterion_4_theorem1_case1_wreath():
         fam = stabilizer_states(d, 1)
         group = gram_automorphisms(fam.gram)
         assert group.order() == math.factorial(d) ** (d + 1) * math.factorial(d + 1)
-        blocks = basis_blocks(fam.labels)
+        blocks = lagrangian_index(fam.labels).blocks
         for g in group.generators:
             wreath_decompose(g, blocks)  # raises if g scatters a basis block
         assert verify_theorem1(d, 1, "wreath")["match"]

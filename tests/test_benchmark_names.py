@@ -1,5 +1,5 @@
-"""The names the traced benchmark wraps, and the imports the dense-free
-library paths must not regain.
+"""The names the traced benchmark wraps, the names the README exports, and
+the imports the dense-free library paths must not regain.
 
 `perfbench/spans.py` replaces stabsym entry points by name from outside the
 package, so a rename or move in `src/` crashes the traced run instead of
@@ -8,12 +8,15 @@ failing a test.  The spans module is read here, not edited."""
 import importlib
 import importlib.util
 import inspect
+import re
+import types
 from pathlib import Path
 
 import stabsym
-from stabsym import clifford, cyclotomic, moments, operators, zmod
+from stabsym import clifford, cyclotomic, moments, operators, phase_space, zmod
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -53,6 +56,10 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     for name in ("Mono", "mono_sum", "weyl_mono", "phase_point_mono"):
         assert not hasattr(operators, name), name
     assert not hasattr(stabsym, "weyl")
+    # labels are grouped by Lagrangian in `lagrangian_index` alone, and their
+    # cosets are listed by `enumerate_stabilizer_labels` alone
+    for name in ("coset_reps", "basis_blocks"):
+        assert not hasattr(phase_space, name), name
     # a Z_d matrix is an integer array, and the certified Sp order is not
     # reread from a cache keyed on matrices
     assert not hasattr(zmod, "ZModMatrix")
@@ -67,3 +74,23 @@ def test_moments_read_one_trace_table_by_set():
     for name in ("_table", "_incidence"):
         assert not hasattr(moments, name), name
     assert "pair" not in moments._Basis._fields
+
+
+def test_the_readme_exports_are_the_package_names():
+    # the "Public API" paragraph lists what `import stabsym` exports: every
+    # backticked name there resolves on stabsym, and every public name of
+    # the package is listed, so a removed export cannot stay in the README
+    text = (ROOT / "README.md").read_text()
+    paragraph = text.split("## Public API\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {m[1] for m in re.finditer(r"`([A-Za-z_][\w.]*)(?:\(.*?\))?`", paragraph)}
+    unresolved = []
+    for name in listed:
+        owner = stabsym
+        for part in name.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.append(name)
+    assert not unresolved
+    exported = {name for name, value in vars(stabsym).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == listed

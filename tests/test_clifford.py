@@ -57,6 +57,7 @@ from stabsym.phase_space import (
     code_points,
     enumerate_stabilizer_labels,
     label_permutations,
+    point_codes,
     symplectic_form,
     vec_add,
 )
@@ -1000,7 +1001,8 @@ def test_sp_generators_are_read_only():
 def test_one_corrupted_exponent_flips_each_galois_check(monkeypatch, d, check, name):
     # each check is one array check over the d^2 points' monomial table
     # (name is its `Mono` reference): one exponent of one of them moved by 1
-    # fails it, and not the other check
+    # fails it.  A wrong A(x) leaves the T(a) check alone; the A(x) are
+    # checked as T(x)^dagger A(0) T(x), so a wrong T(a) fails both
     other = ({"galois_action_on_phase_points", "transpose_is_k_minus_one"} - {check}).pop()
     checks = verify_clifford_laws(d, 1, 0, 1)["checks"]
     assert checks[check]["pass"] and checks[other]["pass"]
@@ -1009,7 +1011,26 @@ def test_one_corrupted_exponent_flips_each_galois_check(monkeypatch, d, check, n
     monkeypatch.setattr(clifford, name.replace("mono", "table"),
                         _table_of(lambda d_, n_, a: bad if a == v else make(d_, n_, a)))
     checks = verify_clifford_laws(d, 1, 0, 1)["checks"]
-    assert not checks[check]["pass"] and checks[other]["pass"]
+    assert not checks[check]["pass"]
+    assert checks[other]["pass"] == (name == "phase_point_mono")
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_a_wrong_phase_point_family_fails_the_galois_check(monkeypatch, d):
+    # A(a)|q> = omega^(2 (q - a_X).a_Z) |-q - 2 a_X> is monomial with
+    # exponents linear in a_Z, so C_alpha maps it as K_alpha does; it is not
+    # T(a)^dagger A(0) T(a), and the check ties the A(a) to the T(a)
+    def faulty(d_, n_, codes):
+        a = code_points(codes, d_, 2 * n_)
+        ax, az = a[:, None, :n_], a[:, None, n_:]
+        q = code_points(np.arange(d_ ** n_), d_, n_)
+        return point_codes((-q - 2 * ax) % d_, d_), 2 * ((q - ax) * az).sum(-1) % d_
+
+    assert clifford._galois_acts_as_k(faulty, d, range(2, d))
+    monkeypatch.setattr(clifford, "phase_point_table", faulty)
+    report = verify_clifford_laws(d, 1, 0, 1)
+    assert not report["checks"]["galois_action_on_phase_points"]["pass"]
+    assert report["checks"]["transpose_is_k_minus_one"]["pass"] and not report["pass"]
 
 
 def test_products_equal_compares_int64_rows(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -13,12 +14,13 @@ from stabsym.phase_space import (
     StabilizerLabel,
     Subspace,
     all_vectors,
-    coset_reps,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     enumerate_subspaces,
     label_from_functional,
     label_permutations,
+    lagrangian_count,
+    lagrangian_index,
     symplectic_form,
     vec_add,
 )
@@ -107,10 +109,11 @@ def _coset_points(L, rep):
 
 def test_cosets_partition_phase_space():
     d, n = 3, 2
-    for L in enumerate_lagrangians(d, n)[:5]:
+    labels = enumerate_stabilizer_labels(d, n)
+    for block in lagrangian_index(labels).blocks[:5]:
         seen = set()
-        for rep in coset_reps(L):
-            pts = set(_coset_points(L, rep))
+        for x in block:
+            pts = set(_coset_points(labels[x].L, labels[x].rep))
             assert not (pts & seen)
             seen |= pts
         assert len(seen) == d ** (2 * n)
@@ -130,7 +133,61 @@ def test_budget_exceeded():
 
 def test_subspace_enumeration_count_gaussian():
     # number of 2-dim subspaces of Z_3^4 is the Gaussian binomial [4 2]_3 = 130
-    assert len(enumerate_subspaces(3, 4, 2)) == 130
+    subspaces = enumerate_subspaces(3, 4, 2)
+    assert subspaces.shape == (130, 2, 4)
+    assert len({basis.tobytes() for basis in subspaces}) == 130
+
+
+_SIZES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2),
+          pytest.param(3, 3, marks=pytest.mark.slow), pytest.param(2, 4, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("d,n", _SIZES)
+def test_enumerated_lagrangians_are_canonical_isotropic_and_sorted(d, n):
+    lags = enumerate_lagrangians(d, n)
+    assert len(lags) == lagrangian_count(d, n)
+    bases = [L.basis for L in lags]
+    assert bases == sorted(set(bases))  # distinct and sorted
+    for L in lags:
+        assert Subspace.from_rows(L.basis, d).basis == L.basis
+        assert not any(symplectic_form(u, v, d) for u in L.basis for v in L.basis)
+        assert all(type(x) is int for row in L.basis for x in row)
+
+
+@pytest.mark.parametrize("d,n", _SIZES)
+def test_enumerated_labels_are_canonical_and_sorted(d, n):
+    labels = enumerate_stabilizer_labels(d, n)
+    index = lagrangian_index(labels)
+    assert index.lags == enumerate_lagrangians(d, n)
+    assert all(len(block) == d ** n for block in index.blocks)
+    keys = [(lab.L.basis, lab.rep) for lab in labels]
+    assert keys == sorted(set(keys))
+    for lab in labels:
+        assert lab.L.reduce(lab.rep) == lab.rep
+        assert all(type(x) is int for x in lab.rep)
+
+
+def test_constructors_take_integer_arrays():
+    # a Z_d matrix is an integer array: it gives the subspace, Lagrangian
+    # and label that the same rows or rep as tuples give, holding ints
+    rows = [(1, 0, 2, 1), (0, 1, 1, 0)]
+    for cls in (Subspace, LagrangianSubspace):
+        for array in (np.array(rows), np.array(rows, dtype=np.uint8)):
+            sub = cls.from_rows(array, 3)
+            assert sub == cls.from_rows(rows, 3) and repr(sub) == repr(cls.from_rows(rows, 3))
+            assert all(type(x) is int for row in sub.basis for x in row)
+    assert Subspace.from_rows(np.zeros((0, 4), dtype=int), 3, ambient=4) == \
+        Subspace.from_rows([], 3, ambient=4)
+    L = LagrangianSubspace.from_rows(rows, 3)
+    for rep in (np.array([4, 5, 0, 7]), np.array([4, 5, 0, 7], dtype=np.uint8)):
+        lab = StabilizerLabel.make(L, rep)
+        assert lab == StabilizerLabel.make(L, (4, 5, 0, 7))
+        assert repr(lab) == repr(StabilizerLabel.make(L, [4, 5, 0, 7]))
+        assert all(type(x) is int for x in lab.rep)
+        assert json.loads(json.dumps(list(lab.rep))) == list(lab.rep)
+    line = LagrangianSubspace.from_rows([(1, 2)], 3)
+    assert repr(StabilizerLabel.make(line, np.array([4, 5]))) == \
+        repr(StabilizerLabel.make(line, (4, 5)))
 
 
 def test_canonical_rep_is_lex_smallest():

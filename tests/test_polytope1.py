@@ -16,7 +16,7 @@ from stabsym.polytope1 import (
     polytope_membership,
     wigner_negative_state,
 )
-from stabsym.phase_space import basis_blocks
+from stabsym.phase_space import lagrangian_index
 
 from dense_oracles import (
     dense_facet_family,
@@ -115,7 +115,7 @@ def test_facet_report_beyond_the_former_cap(d):
     assert report["supporting"] and report["pass"]
     assert report["wigner_negative_state_inside"] is False
     characters = report["violated_facet_characters"]
-    blocks = basis_blocks(stabilizer_states(d, 1).labels)
+    blocks = lagrangian_index(stabilizer_states(d, 1).labels).blocks
     assert [next(b for b, block in enumerate(blocks) if g in block) for g in characters] \
         == list(range(d + 1))
     assert _violated_facet_value(d, characters) < 0
@@ -161,7 +161,7 @@ def test_self_duality_of_simplex_blocks():
     # the self-dual inequality tr(pi_g X) >= -1/d with equality off-diagonal
     d = 3
     verts = shifted_vertices(d)
-    blocks = basis_blocks(stabilizer_states(d, 1).labels)
+    blocks = lagrangian_index(stabilizer_states(d, 1).labels).blocks
     for block in blocks:
         for i in block:
             for j in block:

@@ -18,9 +18,9 @@ from stabsym.permgroup import PermGroup, compose, schreier_sims
 from stabsym.phase_space import (
     StabilizerLabel,
     all_vectors,
-    basis_blocks,
     enumerate_lagrangians,
     label_permutations,
+    lagrangian_index,
     vec_add,
     wreath_compose,
     wreath_decompose,
@@ -93,7 +93,7 @@ def test_generators_preserve_gram():
 def test_basis_partition_preserved_n1():
     fam = stabilizer_states(3, 1)
     group = gram_automorphisms(fam.gram)
-    blocks = basis_blocks(fam.labels)
+    blocks = lagrangian_index(fam.labels).blocks
     for g in group.generators:
         wreath_decompose(g, blocks)  # raises if g scatters a basis block
 
@@ -182,7 +182,7 @@ def test_rebit_gram_is_cached():
 
 def test_seed_rejection():
     fam = stabilizer_states(2, 1)
-    blocks = basis_blocks(fam.labels)
+    blocks = lagrangian_index(fam.labels).blocks
     bad = list(range(6))  # swap one state across bases: breaks the Gram
     a, b = blocks[0][0], blocks[1][0]
     bad[a], bad[b] = bad[b], bad[a]
@@ -562,7 +562,7 @@ def test_the_fallback_chain_runs_under_the_budget(monkeypatch, capsys):
 def test_wreath_decompose_identity_and_roundtrip():
     d = 5
     fam = stabilizer_states(d, 1)
-    blocks = basis_blocks(fam.labels)
+    blocks = lagrangian_index(fam.labels).blocks
     ident = tuple(range(fam.size))
     sigma, inners = wreath_decompose(ident, blocks)
     assert sigma == tuple(range(d + 1))
@@ -580,7 +580,7 @@ def test_wreath_decompose_identity_and_roundtrip():
 def test_wreath_coordinates_of_computed_generators_recompose(d):
     # every generator the search returns for `autgroup --d d --n 1`, the
     # seeds and any it found, decomposes and recomposes to itself
-    blocks = basis_blocks(stabilizer_states(d, 1).labels)
+    blocks = lagrangian_index(stabilizer_states(d, 1).labels).blocks
     gens = gram_automorphisms(stabilizer_states(d, 1).gram,
                               seeds=predicted_generators(d, 1, "wreath")).generators
     for g in gens:
@@ -593,7 +593,7 @@ def test_wreath_decompose_rejects_scattering():
     d = 3
     fam = stabilizer_states(d, 1)
     bad = list(range(fam.size))
-    blocks = basis_blocks(fam.labels)
+    blocks = lagrangian_index(fam.labels).blocks
     bad[blocks[0][0]], bad[blocks[1][0]] = bad[blocks[1][0]], bad[blocks[0][0]]
     with pytest.raises(NotBasisPreserving, match="block 0 is scattered"):
         wreath_decompose(tuple(bad), blocks)
