@@ -18,6 +18,7 @@ from .phase_space import (
 )
 from .operators import (
     GramMatrix,
+    OperatorSet,
     OpMatrix,
     build_gram,
     gram_closed_form,
@@ -34,7 +35,6 @@ from .clifford import (
     wreath_decompose_table,
 )
 from .moments import (
-    OperatorSet,
     check_lin_jor_condition,
     check_lin_wig_condition,
     is_complex_2design,

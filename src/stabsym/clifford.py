@@ -34,7 +34,7 @@ from .cyclotomic import (
     gauss_sum,
 )
 from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
-from .operators import StateFamily, build_gram, phase_point_table, weyl_table
+from .operators import OperatorSet, phase_point_table, weyl_table
 from .permgroup import PermGroup
 from .phase_space import (
     MAX_POINTS,
@@ -504,10 +504,9 @@ def real_clifford_closure(n):
 
 
 @lru_cache(maxsize=None)
-def real_clifford_orbit(n) -> StateFamily:
-    """The rebit states of `real_clifford_closure` with their Gram."""
-    labels, _ = real_clifford_closure(n)
-    return StateFamily(d=2, n=n, labels=labels, gram=build_gram(labels))
+def real_clifford_orbit(n) -> OperatorSet:
+    """The rebit states of `real_clifford_closure` as a set, with no Gram."""
+    return OperatorSet(f"rebit({n})", 2, n, real_clifford_closure(n)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from numbers import Integral
 
 import numpy as np
 
-from .clifford import real_clifford_closure
+from .clifford import real_clifford_orbit
 from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
-from .operators import MAX_ENTRIES, rational_part, stabilizer_labels
+from .operators import MAX_ENTRIES, OperatorSet, rational_part, stabilizer_set
 from .phase_space import (
     StabilizerLabel,
     all_vectors,
@@ -55,29 +54,6 @@ from .phase_space import (
     lagrangian_tables,
     point_codes,
 )
-
-
-class OperatorSet:
-    """A finite set of Hermitian trace-1 operators with uniform weights,
-    given by its labels, one per element: a `StabilizerLabel` of (d, n) for
-    a stabilizer state, or a point a, 2n residues mod d, for A(a); anything
-    else raises ValueError.  Equal and hashed by identity, so the functions
-    cached on a set never hash its labels; the constructors below are
-    cached, one set each."""
-
-    def __init__(self, name, d, n, labels):
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("an operator set needs at least one label")
-        stab = isinstance(labels[0], StabilizerLabel)
-        kind = "stabilizer label" if stab else "point of 2n residues mod d"
-        for x in labels:
-            if isinstance(x, StabilizerLabel) != stab or not (
-                    (x.d, x.n) == (d, n) if stab else len(x) == 2 * n
-                    and all(isinstance(v, Integral) and 0 <= v < d for v in x)):
-                raise ValueError(f"{x!r} is not a {kind} at (d, n) = ({d}, {n})")
-        self.name, self.d, self.n, self.labels = name, d, n, labels
-        self.dim, self.conductor, self.size = d ** n, conductor_for(d), len(labels)
 
 
 def check_table_budget(d, n, size):
@@ -92,19 +68,18 @@ def check_table_budget(d, n, size):
                              f"gathers {entries} entries, over the budget of {MAX_ENTRIES}")
 
 
-@lru_cache(maxsize=None)
 def stabilizer_operator_set(d, n) -> OperatorSet:
-    """The stabilizer states of (d, n) as labels, in `stabilizer_states`
-    order, refused by their count d^n prod_k (d^k + 1) before any is listed."""
+    """`operators.stabilizer_set(d, n)`, refused by its count
+    d^n prod_k (d^k + 1) before any label is listed."""
     check_table_budget(d, n, d ** n * lagrangian_count(d, n))
-    return OperatorSet(name=f"stabilizer({d},{n})", d=d, n=n, labels=stabilizer_labels(d, n))
+    return stabilizer_set(d, n)
 
 
-@lru_cache(maxsize=None)
 def rebit_operator_set(n) -> OperatorSet:
-    labels, _ = real_clifford_closure(n)
-    check_table_budget(2, n, len(labels))
-    return OperatorSet(name=f"rebit({n})", d=2, n=n, labels=labels)
+    """`clifford.real_clifford_orbit(n)` under the table budget."""
+    q = real_clifford_orbit(n)
+    check_table_budget(2, n, q.size)
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -551,8 +526,8 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
     constants, on the real Paulis (d = 2; Unsupported at odd d).
 
     Solving both constants exactly doubles as the consistency proof and pins
-    the ratio between the two invariants instead of assuming it.
-    """
+    the ratio between the two invariants instead of assuming it.  Only the
+    distinct equations are eliminated, as in `is_real_6design`."""
     b = _basis(q.d, q.n, real=True)
     s2 = _pair_sums(q)[np.ix_(b.points, b.points)]
     iu = np.triu_indices(len(s2))
@@ -560,7 +535,7 @@ def is_real_4design(q: OperatorSet) -> DesignReport:
     i, j = iu
     equations = np.stack([_times(q.dim * q.size, i == j),
                           _times(_times(b.single[i], b.single[j]), q.size), s2[iu]], 1)
-    sol = _solve_linear_positive(equations.tolist(), 2)
+    sol = _solve_linear_positive(dict.fromkeys(map(tuple, equations.tolist())), 2)
     if sol is None:
         return DesignReport("real_4design", False,
                             witness=("no consistent positive constants",))

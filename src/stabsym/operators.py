@@ -1,6 +1,6 @@
 """Exact matrices over cyclotomic fields, the Weyl operators T(a) and
-phase-space point operators A(a) as batched monomial tables, and the Gram
-data of stabilizer labels.
+phase-space point operators A(a) as batched monomial tables, the Gram data
+of stabilizer labels, and `OperatorSet`, the one type of a set of states.
 
 No certified path builds or multiplies a dense `OpMatrix`: the tests'
 dense oracles do, and the traced benchmark wraps `OpMatrix.__matmul__` by
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
+from numbers import Integral
 
 import numpy as np
 
-from .cyclotomic import CycNumber, _field, galois_exponent
+from .cyclotomic import CycNumber, _field, conductor_for, galois_exponent
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
     StabilizerLabel,
@@ -373,36 +374,54 @@ def build_gram(states) -> GramMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Cached state families
+# Operator sets: the one set type, and the cached stabilizer family
 
-@dataclass(frozen=True)
-class StateFamily:
-    """A finite family of stabilizer states: labels and Gram data."""
+class OperatorSet:
+    """A finite set of Hermitian trace-1 operators with uniform weights,
+    given by its labels, one per element: a `StabilizerLabel` of (d, n) for
+    a stabilizer state, or a point a, 2n residues mod d, for A(a); anything
+    else raises ValueError.  Equal and hashed by identity, so the functions
+    cached on a set never hash its labels; the family constructors are
+    cached, one set each, shared by the Gram and the moment readers."""
 
-    d: int
-    n: int
-    labels: tuple
-    gram: GramMatrix
+    def __init__(self, name, d, n, labels):
+        labels = tuple(labels)
+        if not labels:
+            raise ValueError("an operator set needs at least one label")
+        stab = isinstance(labels[0], StabilizerLabel)
+        kind = "stabilizer label" if stab else "point of 2n residues mod d"
+        for x in labels:
+            if isinstance(x, StabilizerLabel) != stab or not (
+                    (x.d, x.n) == (d, n) if stab else len(x) == 2 * n
+                    and all(isinstance(v, Integral) and 0 <= v < d for v in x)):
+                raise ValueError(f"{x!r} is not a {kind} at (d, n) = ({d}, {n})")
+        self.name, self.d, self.n, self.labels = name, d, n, labels
+        self.dim, self.conductor, self.size = d ** n, conductor_for(d), len(labels)
 
-    @property
-    def size(self):
-        return len(self.labels)
+    @cached_property
+    def gram(self) -> GramMatrix:
+        """The set's Gram, by `build_gram` on first read (ValueError for
+        phase points)."""
+        return build_gram(self.labels)
 
 
 @lru_cache(maxsize=None)
-def stabilizer_labels(d, n) -> tuple:
-    """The labels of `stabilizer_states`, with no Gram: sorted, and at d = 2
-    by Lagrangian, then by the signs (-1)^[rep, b_i] of its basis stabilizers."""
+def stabilizer_set(d, n) -> OperatorSet:
+    """The stabilizer states of (d, n) as a set, with no Gram: the labels
+    sorted, and at d = 2 by Lagrangian, then by the signs (-1)^f_i of its
+    basis stabilizers b_i, +1 first: f_i = rep . J b_i mod 2 for every label
+    in one batched product, ordered by one lexsort (last key first)."""
     require_prime(d)
     labels = enumerate_stabilizer_labels(d, n)
     if d == 2:
-        labels = tuple(sorted(labels, key=lambda x: (x.L.basis,
-                                                     [-x.functional(b) for b in x.L.basis])))
-    return labels
+        lags, li, reps, _ = lagrangian_index(labels)
+        f = np.einsum("xa,xia->xi", reps, jvec(lagrangian_tables(lags).basis)[li]) % 2
+        labels = tuple(map(labels.__getitem__, np.lexsort((*-f.T[::-1], li)).tolist()))
+    return OperatorSet(f"stabilizer({d},{n})", d, n, labels)
 
 
-@lru_cache(maxsize=None)
-def stabilizer_states(d, n) -> StateFamily:
-    """The full stabilizer-state family for (d, n) and its Gram."""
-    labels = stabilizer_labels(d, n)
-    return StateFamily(d=d, n=n, labels=labels, gram=build_gram(labels))
+def stabilizer_states(d, n) -> OperatorSet:
+    """`stabilizer_set(d, n)` with its Gram built."""
+    states = stabilizer_set(d, n)
+    states.gram  # built on this first read, and kept on the set
+    return states

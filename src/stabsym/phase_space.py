@@ -51,6 +51,13 @@ class Subspace:
     d: int
     ambient: int
 
+    def __post_init__(self):
+        # hashed once: every label and every cache keyed by Lagrangians hashes it
+        object.__setattr__(self, "_hash", hash((self.basis, self.d, self.ambient)))
+
+    def __hash__(self):
+        return self._hash
+
     @classmethod
     def from_rows(cls, rows, d, ambient=None):
         require_prime(d)

@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import Mismatch, OddOnly
-from .operators import stabilizer_labels, stabilizer_states
+from .operators import stabilizer_set, stabilizer_states
 from .phase_space import label_cosets, lagrangian_index
 
 
@@ -82,7 +82,7 @@ def polytope_membership(w, d):
         raise ValueError(f"trace {sum(w) / d} is not 1")
     den = math.lcm(*(v.denominator for v in w))
     ints = np.array([int(v * den) for v in w], dtype=object)
-    labels = stabilizer_labels(d, 1)
+    labels = stabilizer_set(d, 1).labels
     index, coset = label_cosets(labels)  # coset[l, x]: the label y with x in rep_y + L_l
     sums = np.zeros(len(labels), dtype=object)  # den * d * t_y
     np.add.at(sums, coset, np.broadcast_to(ints, coset.shape))

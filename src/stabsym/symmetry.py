@@ -24,7 +24,7 @@ from .clifford import (
     transpose_action,
 )
 from .errors import Mismatch, NotBasisPreserving, OddOnly, SearchTimeout, Unsupported
-from .operators import GramMatrix, character_keys, stabilizer_states
+from .operators import GramMatrix, character_keys, stabilizer_set, stabilizer_states
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
     all_vectors,
@@ -365,7 +365,7 @@ def predicted_generators(d, n, variant) -> tuple:
         if d != 2:
             raise Unsupported("the rebit states are d = 2")
         return real_clifford_closure(n)[1]
-    fam = stabilizer_states(d, n)
+    fam = stabilizer_set(d, n)
     if variant == "wreath":
         if n != 1:
             raise Unsupported("the wreath case is n = 1")

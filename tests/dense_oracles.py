@@ -389,7 +389,7 @@ def dense_sf_machinery(d, n, b, family=None):
 
 
 def family_projectors(fam):
-    """The exact projectors of a `StateFamily`'s labels (`stab_projector`)."""
+    """The exact projectors of an `OperatorSet`'s stabilizer labels (`stab_projector`)."""
     return tuple(map(stab_projector, fam.labels))
 
 

@@ -60,6 +60,13 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     # cosets are listed by `enumerate_stabilizer_labels` alone
     for name in ("coset_reps", "basis_blocks"):
         assert not hasattr(phase_space, name), name
+    # one set type: a family is one `OperatorSet`, its Gram an attribute,
+    # and its labels are listed by `stabilizer_set` alone
+    for module in (operators, moments, clifford, stabsym):
+        assert not hasattr(module, "StateFamily"), module
+    assert not hasattr(operators, "stabilizer_labels")
+    assert moments.OperatorSet is operators.OperatorSet
+    assert stabsym.OperatorSet is operators.OperatorSet
     # a Z_d matrix is an integer array, and the certified Sp order is not
     # reread from a cache keyed on matrices
     assert not hasattr(zmod, "ZModMatrix")

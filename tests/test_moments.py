@@ -37,7 +37,7 @@ from stabsym.operators import (
     OpMatrix,
     hs_inner,
     rational_part,
-    stabilizer_labels,
+    stabilizer_set,
     stabilizer_states,
 )
 
@@ -156,13 +156,13 @@ def test_operator_set_refuses_empty_labels():
 def test_operator_set_refuses_labels_of_another_d_n():
     # the (3,1) labels would be read as a wrong (5,1) table
     with pytest.raises(ValueError, match=r"not a stabilizer label at \(d, n\) = \(5, 1\)"):
-        OperatorSet("x", 5, 1, labels=stabilizer_labels(3, 1))
+        OperatorSet("x", 5, 1, labels=stabilizer_set(3, 1).labels)
     with pytest.raises(ValueError, match="not a stabilizer label"):
-        OperatorSet("x", 3, 2, labels=stabilizer_labels(3, 1))
+        OperatorSet("x", 3, 2, labels=stabilizer_set(3, 1).labels)
 
 
 @pytest.mark.parametrize("point", [(0, 3), (0, -1), (0,), (0, 1, 2), (0.0, 1),
-                                   stabilizer_labels(3, 1)[0]])
+                                   stabilizer_set(3, 1).labels[0]])
 def test_operator_set_refuses_points_that_are_not_2n_residues(point):
     with pytest.raises(ValueError, match="not a point of 2n residues mod d"):
         OperatorSet("x", 3, 1, labels=[(0, 0), point])
@@ -546,7 +546,7 @@ def test_verify_design_checks_lin_wig_once(monkeypatch):
 def test_verify_design_computes_one_pair_sum_table_per_set(monkeypatch):
     # the real predicates read a block of the set's one S2, so a fresh rebit
     # set computes it once for its four S2 readers
-    monkeypatch.setattr(moments, "rebit_operator_set", moments.rebit_operator_set.__wrapped__)
+    _fresh_sets(monkeypatch)
     before = _pair_sums.cache_info().misses
     assert moments.verify_design("rebit", 2, 2)["all_as_expected"]
     assert _pair_sums.cache_info().misses - before == 1
@@ -693,14 +693,12 @@ def test_odd_d_verify_design_builds_without_dense_kernels(monkeypatch, which, d,
     def dense(*args, **kwargs):
         raise AssertionError("dense kernel called")
 
-    monkeypatch.setattr(operators, "build_gram", dense)
+    monkeypatch.setattr(operators, "build_gram", dense)  # behind every set's Gram
     monkeypatch.setattr(OpMatrix, "_set", dense)  # behind every OpMatrix built
-    monkeypatch.setattr(clifford, "build_gram", dense)
     monkeypatch.setattr(cyclotomic._Field, "contract", dense)
     monkeypatch.setattr(OpMatrix, "__matmul__", dense)
     monkeypatch.setattr(OpMatrix, "__add__", dense)
-    for name in ("stabilizer_operator_set", "rebit_operator_set", "phase_point_operator_set"):
-        monkeypatch.setattr(moments, name, getattr(moments, name).__wrapped__)
+    _fresh_sets(monkeypatch)
     for table in (moments._basis, moments._phase_forms, moments._pauli_products):
         table.cache_clear()
     expected = json.loads((GOLDENS / golden).read_text())
@@ -720,8 +718,7 @@ def test_moment_checks_build_no_n_by_n_array(monkeypatch):
         return out
 
     monkeypatch.setattr(moments, "_exact", recorded)
-    monkeypatch.setattr(moments, "stabilizer_operator_set",
-                        moments.stabilizer_operator_set.__wrapped__)
+    _fresh_sets(monkeypatch)
     report = moments.verify_design("stab", 3, 2)
     assert report["all_as_expected"]
     assert shapes and all(sum(x >= 360 for x in shape) < 2 for shape in shapes)
@@ -748,9 +745,12 @@ _DESIGN_SETS = [("stab", 2, 2), ("stab", 5, 1), ("stab", 7, 1), ("rebit", 2, 2),
 
 
 def _fresh_sets(monkeypatch):
-    """Uncached set constructors, so that every table of a set is recomputed."""
-    for name in ("stabilizer_operator_set", "rebit_operator_set", "phase_point_operator_set"):
-        monkeypatch.setattr(moments, name, getattr(moments, name).__wrapped__)
+    """Uncached sets behind the set constructors, so that every table of a
+    set is recomputed."""
+    monkeypatch.setattr(moments, "stabilizer_set", operators.stabilizer_set.__wrapped__)
+    monkeypatch.setattr(moments, "real_clifford_orbit", clifford.real_clifford_orbit.__wrapped__)
+    monkeypatch.setattr(moments, "phase_point_operator_set",
+                        moments.phase_point_operator_set.__wrapped__)
 
 
 @pytest.mark.parametrize("which,d,n", _DESIGN_SETS)

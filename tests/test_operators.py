@@ -1,13 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabsym import cyclotomic, operators
+from stabsym import cyclotomic, moments, operators, symmetry
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
 from stabsym.clifford import real_clifford_orbit
 from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
@@ -18,6 +19,7 @@ from stabsym.operators import (
     gram_closed_form,
     hs_inner,
     phase_point_table,
+    stabilizer_set,
     stabilizer_states,
     trace_product,
     weyl_table,
@@ -35,6 +37,7 @@ from stabsym.phase_space import (
     symplectic_form,
     vec_add,
 )
+from stabsym.moments import rebit_operator_set, stabilizer_operator_set
 from stabsym.symmetry import rebit_gram
 
 from dense_oracles import (
@@ -549,6 +552,54 @@ def test_build_gram_takes_labels_under_the_entry_cap(monkeypatch):
     monkeypatch.setattr(operators, "MAX_ENTRIES", 35)
     with pytest.raises(BudgetExceeded, match=r"6\^2 Gram entries exceed budget"):
         build_gram(fam.labels)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)])
+def test_each_stabilizer_family_is_one_set(d, n):
+    # the Theorem 1 search and the moment checks read one cached object
+    assert stabilizer_states(d, n) is stabilizer_operator_set(d, n) is stabilizer_set(d, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_rebit_family_is_one_set(n):
+    assert real_clifford_orbit(n) is rebit_operator_set(n)
+    assert rebit_gram(n) is real_clifford_orbit(n).gram
+
+
+def test_a_set_builds_its_gram_on_first_read_only(monkeypatch):
+    # fresh caches behind the constructors, and every Gram build counted
+    built = []
+
+    def counted(labels):
+        built.append(len(labels))
+        return build_gram(labels)
+
+    monkeypatch.setattr(operators, "build_gram", counted)
+    stab = lru_cache(operators.stabilizer_set.__wrapped__)
+    rebits = lru_cache(real_clifford_orbit.__wrapped__)
+    for module in (operators, moments):
+        monkeypatch.setattr(module, "stabilizer_set", stab)
+    for module in (moments, symmetry):
+        monkeypatch.setattr(module, "real_clifford_orbit", rebits)
+    sets = [stabilizer_operator_set(3, 1), stabilizer_operator_set(2, 2), rebit_operator_set(2)]
+    assert built == []  # the moment checks' sets carry no Gram
+    assert stabilizer_states(3, 1) is sets[0] and built == [12]
+    assert stabilizer_states(2, 2) is sets[1] and built == [12, 60]
+    assert rebit_gram(2) is sets[2].gram and built == [12, 60, 24]
+    grams = [stabilizer_states(3, 1).gram, stabilizer_states(2, 2).gram, rebit_gram(2)]
+    assert [q.gram for q in sets] == grams and built == [12, 60, 24]
+
+
+def _sign_order_reference(labels):
+    """The d = 2 order of `stabilizer_set` by one Python key per label: the
+    Lagrangian's basis, then the negated functionals [rep, b_i] on it."""
+    return tuple(sorted(labels, key=lambda x: (x.L.basis, [-x.functional(b) for b in x.L.basis])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_qubit_states_are_ordered_by_their_basis_signs(n):
+    expected = _sign_order_reference(enumerate_stabilizer_labels(2, n))
+    assert stabilizer_set(2, n).labels == expected
 
 
 def test_gram_csv_format():

@@ -408,4 +408,24 @@ def test_from_rows_keeps_the_canonical_basis(d, n):
     # second row reduction; reducing them must give them back
     for L in enumerate_lagrangians(d, n):
         assert Subspace.from_rows(L.basis, d).basis == L.basis
-        assert LagrangianSubspace.from_rows(L.basis, d) == L
+        # equal, so hashed alike (each Lagrangian hashes once, when built)
+        # and the same dict key, also from rows that need reducing
+        for rows in (L.basis, (np.array(L.basis[::-1]) * (d - 1)) % d):
+            M = LagrangianSubspace.from_rows(rows, d)
+            assert M == L and hash(M) == hash(L) and {L: 0}[M] == 0
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+def test_lagrangian_index_matches_a_grouping_by_basis(d, n):
+    # keyed by basis tuples, not by Lagrangian objects and their hash; on
+    # the labels in order and on a shuffled half
+    labels = enumerate_stabilizer_labels(d, n)
+    for labs in (labels, random.Random(n).sample(labels, len(labels) // 2)):
+        index = lagrangian_index(labs)
+        keys = list(dict.fromkeys(lab.L.basis for lab in labs))
+        where = {key: k for k, key in enumerate(keys)}
+        assert [L.basis for L in index.lags] == keys
+        assert index.index.tolist() == [where[lab.L.basis] for lab in labs]
+        assert index.reps.tolist() == [list(lab.rep) for lab in labs]
+        assert index.blocks == [[x for x, lab in enumerate(labs) if where[lab.L.basis] == k]
+                                for k in range(len(keys))]

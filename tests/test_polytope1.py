@@ -9,7 +9,7 @@ import pytest
 from stabsym import cyclotomic, operators, polytope1
 from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import BudgetExceeded, Mismatch
-from stabsym.operators import OpMatrix, hs_inner, stabilizer_states, trace_product
+from stabsym.operators import OperatorSet, OpMatrix, hs_inner, stabilizer_states, trace_product
 from stabsym.polytope1 import (
     direct_sum_check,
     facet_report,
@@ -75,7 +75,8 @@ def test_direct_sum_check_witness_is_first_failing_pair(monkeypatch):
     bad = fam.gram.codes.copy()
     bad[7, 2] += 1
     bad[2, 9] += 1
-    corrupted = dataclasses.replace(fam, gram=dataclasses.replace(fam.gram, codes=bad))
+    corrupted = OperatorSet(fam.name, fam.d, fam.n, fam.labels)
+    corrupted.gram = dataclasses.replace(fam.gram, codes=bad)
     monkeypatch.setattr(polytope1, "stabilizer_states", lambda d, n: corrupted)
     with pytest.raises(Mismatch, match=r"overlap table violated at \(2, 9\)") as exc:
         direct_sum_check(3)
@@ -140,7 +141,8 @@ def test_facet_report_builds_without_dense_kernels(monkeypatch, d):
     monkeypatch.setattr(OpMatrix, "_set", dense)  # behind every OpMatrix built
     monkeypatch.setattr(cyclotomic._Field, "contract", dense)
     monkeypatch.setattr(OpMatrix, "__matmul__", dense)
-    monkeypatch.setattr(polytope1, "stabilizer_states", operators.stabilizer_states.__wrapped__)
+    # a fresh set, whose Gram is built when the report reads it
+    monkeypatch.setattr(polytope1, "stabilizer_states", operators.stabilizer_set.__wrapped__)
     expected = json.loads((GOLDENS / f"facets_d{d}_n1.json").read_text())
     assert {"command": "facets", "d": d, "n": 1, **facet_report(d)} == expected
 

@@ -13,7 +13,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from stabsym import operators, symmetry
 from stabsym.clifford import qubit_gate_action, real_clifford_orbit, transpose_action
 from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
-from stabsym.operators import GramMatrix, stabilizer_states
+from stabsym.operators import GramMatrix, stabilizer_set, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
 from stabsym.phase_space import (
     StabilizerLabel,
@@ -145,7 +145,7 @@ def test_qubit_cases_build_without_dense_kernels(monkeypatch):
 
     monkeypatch.setattr(operators.OpMatrix, "_set", dense)  # behind every OpMatrix built
     monkeypatch.setattr(operators.OpMatrix, "__matmul__", dense)
-    fam = stabilizer_states.__wrapped__(2, 2)
+    fam = stabilizer_set.__wrapped__(2, 2)
     assert fam.gram.values == stabilizer_states(2, 2).gram.values
     assert real_clifford_orbit.__wrapped__(2).gram.values == rebit_gram(2).values
     for variant in ("extended_clifford", "real_clifford"):
@@ -198,13 +198,13 @@ def test_theorem1_at_odd_d_reads_no_projectors(monkeypatch):
         raise AssertionError("dense matrix built")
 
     monkeypatch.setattr(operators.OpMatrix, "_set", unread)
-    fam = stabilizer_states.__wrapped__(3, 1)
+    fam = stabilizer_set.__wrapped__(3, 1)
     for variant in ("wreath", "agsp"):
         seeds = predicted_generators.__wrapped__(3, 1, variant)
         assert gram_automorphisms(fam.gram, seeds=seeds).order() == 31104
     with pytest.raises(AssertionError, match="dense matrix built"):
         weyl(3, 1, (1, 0))
-    qubits = stabilizer_states.__wrapped__(2, 1)
+    qubits = stabilizer_set.__wrapped__(2, 1)
     seeds = predicted_generators.__wrapped__(2, 1, "extended_clifford")
     assert gram_automorphisms(qubits.gram, seeds=seeds).order() == 48
 
