@@ -39,13 +39,14 @@ from .permgroup import PermGroup
 from .phase_space import (
     MAX_POINTS,
     LagrangianSubspace,
-    StabilizerLabel,
     all_vectors,
     code_points,
     enumerate_stabilizer_labels,
     jvec,
     label_from_functional,
     label_permutations,
+    lagrangian_index,
+    lagrangian_tables,
     point_codes,
     wreath_decompose,
 )
@@ -482,18 +483,17 @@ def transpose_action(n):
 
 @lru_cache(maxsize=None)
 def real_clifford_closure(n):
-    """(labels, generators) of the rebit states, with no Gram: the labels in
-    breadth-first order from |0...0>, each gate Z_i, H_i, CZ_ij permuting them."""
-    if n > 3:
-        raise BudgetExceeded("rebit orbit supported for n <= 3")
-    labels = enumerate_stabilizer_labels(2, n)
+    """(labels, generators) of the rebit states, with no Gram: the qubit labels
+    on real Lagrangians (x.z even on each basis row (x, z), hence on the span),
+    breadth-first from the first, |0...0>, each gate Z_i, H_i, CZ_ij permuting them."""
+    lags, which, _, _ = lagrangian_index(labels := enumerate_stabilizer_labels(2, n))
+    basis = lagrangian_tables(lags).basis
+    real = ~((basis[..., :n] * basis[..., n:]).sum(-1) % 2).any(-1)
+    labels = [lab for lab, keep in zip(labels, real[which].tolist()) if keep]
     gates = [(g, i) for i in range(n) for g in ("Z", "H")]
     gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]
     perms = label_permutations(labels, [qubit_gate_action(n, *g) for g in gates])
-    z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:].tolist(), 2)
-    start = labels.index(StabilizerLabel.make(z_basis, (0,) * (2 * n)))
-    seen = {start: 0}
-    queue = [start]
+    seen, queue = {0: 0}, [0]
     for p in queue:
         for perm in perms:
             if perm[p] not in seen:

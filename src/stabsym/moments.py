@@ -35,7 +35,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -76,10 +76,10 @@ def stabilizer_operator_set(d, n) -> OperatorSet:
 
 
 def rebit_operator_set(n) -> OperatorSet:
-    """`clifford.real_clifford_orbit(n)` under the table budget."""
-    q = real_clifford_orbit(n)
-    check_table_budget(2, n, q.size)
-    return q
+    """`clifford.real_clifford_orbit(n)`, refused by its count
+    2^n prod_k (2^(k-1) + 1) before any label is listed."""
+    check_table_budget(2, n, 2 ** n * prod(2 ** (k - 1) + 1 for k in range(1, n + 1)))
+    return real_clifford_orbit(n)
 
 
 @lru_cache(maxsize=None)

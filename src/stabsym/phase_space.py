@@ -312,7 +312,7 @@ def lagrangian_tables(lags) -> LagrangianTables:
     if any((L.d, L.ambient) != (d, 2 * n) for L in lags):
         raise ValueError("mismatched ambient spaces")
     basis = np.array([L.basis for L in lags])
-    pivots = np.array([L.pivots for L in lags])
+    pivots = (basis != 0).argmax(-1)
     k = code_points(np.arange(d ** n), d, n)  # row p: the coefficients of point p
     points = k @ basis % d
     codes = point_codes(points, d)

@@ -161,8 +161,8 @@ class AutomorphismSearch:
             # big-endian bytes sort in numeric order: by cell id, then colors
             sig = np.empty((rows.size, 4 + colors.shape[1] * colors.itemsize), dtype=np.uint8)
             sig[:, :4] = labels[rows].astype(">u4").view(np.uint8).reshape(rows.size, 4)
-            sig[:, 4:] = colors.astype(colors.dtype.newbyteorder(">")).view(np.uint8).reshape(
-                rows.size, -1)
+            sig[:, 4:] = np.ascontiguousarray(colors, colors.dtype.newbyteorder(">")).view(
+                np.uint8).reshape(rows.size, -1)
             keys = sig.view(np.dtype((np.void, sig.shape[1]))).ravel()
             uniq, first, inverse, frag_sizes = np.unique(
                 keys, return_index=True, return_inverse=True, return_counts=True)

@@ -10,7 +10,10 @@ and `matrix_point_perm` maps phase-space points one tuple at a time
 oracles here act on the exact projector matrices instead: a permutation is
 read off by conjugating every projector, and the rebit states are the
 breadth-first closure of |0...0><0...0| under the dense real Clifford
-gates (`qubit_gate`).  The
+gates (`qubit_gate`).  `real_clifford_closure_reference` is the label
+closure the library once ran instead of its real-Lagrangian test: every
+qubit label permuted by the real gates, walked breadth-first from
+|0...0>.  The
 S_f sum rule is checked on Weyl coefficients (`symmetry.sf_checks`) and the
 Galois action on A(x) as a monomial map; `dense_sf_machinery` and
 `ext_apply` take the same steps with sums and products of dense matrices.
@@ -89,7 +92,7 @@ from math import gcd, lcm
 import numpy as np
 import sympy
 
-from stabsym.clifford import PhaseStack, k_alpha, similitude_multiplier
+from stabsym.clifford import PhaseStack, k_alpha, qubit_gate_action, similitude_multiplier
 from stabsym.cyclotomic import (
     CycNumber,
     _exact,
@@ -118,7 +121,9 @@ from stabsym.phase_space import (
     Subspace,
     all_vectors,
     enumerate_lagrangians,
+    enumerate_stabilizer_labels,
     jvec,
+    label_permutations,
     lagrangian_index,
     lagrangian_tables,
     code_points,
@@ -279,6 +284,25 @@ def dense_real_clifford_orbit(n):
                 seen[q] = None
                 queue.append(q)
     return tuple(seen)
+
+
+def real_clifford_closure_reference(n):
+    """(labels, generators) of the orbit of |0...0> under `real_gates`,
+    found among all qubit labels: each gate permutes every label, and the
+    orbit is walked breadth-first through those permutations."""
+    labels = enumerate_stabilizer_labels(2, n)
+    perms = label_permutations(labels, [qubit_gate_action(n, *g) for g in real_gates(n)])
+    z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:].tolist(), 2)
+    start = labels.index(StabilizerLabel.make(z_basis, (0,) * (2 * n)))
+    seen = {start: 0}
+    queue = [start]
+    for p in queue:
+        for perm in perms:
+            if perm[p] not in seen:
+                seen[perm[p]] = len(seen)
+                queue.append(perm[p])
+    gens = tuple(tuple(seen[perm[p]] for p in seen) for perm in perms)
+    return tuple(labels[p] for p in seen), gens
 
 
 def _bit(q, i, n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stabsym import operators, phase_space
+from stabsym import clifford, operators, phase_space
 from stabsym.cli import build_parser, golden_name, main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -160,6 +160,21 @@ def test_qubit_n4_is_refused_before_enumeration(capsys, monkeypatch):
                                        " budget of 100000000\n")
 
 
+def test_rebit_n5_is_refused_before_enumeration(capsys, monkeypatch):
+    # no cap on n: the n = 5 rebits are counted in closed form,
+    # 2^n prod_k (2^(k-1) + 1) = 146 880 states, and refused by the table
+    # budget before a Lagrangian or a label is listed
+    def enumerate_(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(clifford, "enumerate_stabilizer_labels", enumerate_)
+    monkeypatch.setattr(phase_space, "enumerate_lagrangians", enumerate_)
+    assert main(["verify-design", "--d", "2", "--n", "5", "--set", "rebit"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: the trace table of 146880 operators at"
+                                       " (d, n) = (2, 5) gathers 19251855360 entries, over the"
+                                       " budget of 100000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     *(["autgroup", "--d", "5", "--n", "1", "--budget-seconds", v] for v in ("nan", "inf", "-1")),
     *([cmd, "--d", "3", "--n", n] for cmd in ("enumerate", "verify-design", "autgroup")
@@ -288,6 +303,17 @@ def test_qubit_n3_goldens_replay(capsys, tmp_path, argv):
     # Gram became the closed form on labels, and the three-qubit and
     # three-rebit design reports before the d = 2 trace tables were read
     # from labels
+    replay(capsys, tmp_path, *argv)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [["autgroup", "--d", "2", "--n", "4", "--set", "rebit"],
+                                  ["verify-design", "--d", "2", "--n", "4", "--set", "rebit"]],
+                         ids=_argv_id)
+def test_rebit_n4_goldens_replay(capsys, tmp_path, argv):
+    # opt-in (`-m slow`): the 4 320 four-rebit states, recorded when the
+    # rebits became the qubit labels on real Lagrangians; the certified order
+    # is the real Clifford group's 89 181 388 800
     replay(capsys, tmp_path, *argv)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from stabsym.clifford import (
     primitive_root,
     products_equal,
     qubit_gate_action,
+    real_clifford_closure,
     real_clifford_orbit,
     similitude_multiplier,
     sl2_elements,
@@ -51,8 +53,11 @@ from stabsym.cyclotomic import (
     tau,
 )
 from stabsym.errors import Mismatch, OddOnly, WordDecompositionFailure
-from stabsym.operators import OpMatrix, stabilizer_states
+from stabsym.moments import trace_table
+from stabsym.operators import OpMatrix, stabilizer_set, stabilizer_states
 from stabsym.phase_space import (
+    LagrangianSubspace,
+    StabilizerLabel,
     all_vectors,
     code_points,
     enumerate_stabilizer_labels,
@@ -77,6 +82,7 @@ from dense_oracles import (
     phase_point,
     phase_point_mono,
     qubit_gate,
+    real_clifford_closure_reference,
     real_gates,
     similitude_multiplier_loop,
     stab_projector,
@@ -576,6 +582,54 @@ def test_real_orbit_is_the_dense_breadth_first_orbit(n):
     orbit = real_clifford_orbit(n)
     assert orbit.size == (4, 24, 240)[n - 1]
     assert family_projectors(orbit) == dense_real_clifford_orbit(n)
+
+
+def rebit_count(n):
+    """2^n prod_(k=1..n) (2^(k-1) + 1), the number of n-rebit stabilizer states."""
+    return 2 ** n * math.prod(2 ** (k - 1) + 1 for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_closure_equals_the_closure_over_all_qubit_labels(n):
+    # the real-Lagrangian test keeps the labels and generators of the orbit
+    # walked through every qubit label
+    assert real_clifford_closure(n) == real_clifford_closure_reference(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_rebit_count_and_first_label(n):
+    # 4, 24, 240 and 4 320 rebits; the walk starts at |0...0>, the Z
+    # Lagrangian with rep 0
+    labels, gens = real_clifford_closure(n)
+    assert len(labels) == len(set(labels)) == rebit_count(n)
+    assert all(sorted(g) == list(range(len(labels))) for g in gens)
+    z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:], 2)
+    assert labels[0] == StabilizerLabel(z_basis, (0,) * (2 * n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rebits_are_the_labels_with_no_trace_on_odd_y_paulis(n):
+    # both ways: T(b) with odd b_X.b_Z is imaginary, so a real state has no
+    # trace on it, and a state whose Lagrangian holds such a b has trace +-1
+    fam = stabilizer_set(2, n)
+    points = code_points(np.arange(4 ** n), 2, 2 * n)
+    odd = (points[:, :n] * points[:, n:]).sum(-1) % 2 == 1
+    silent = {lab for lab, zero in zip(fam.labels, ~trace_table(fam)[odd].any(0)) if zero}
+    rebits = set(real_clifford_closure(n)[0])
+    assert silent == rebits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_only_the_rebit_labels_are_permuted(monkeypatch, n):
+    sizes = []
+
+    def recording(labels, maps):
+        sizes.append(len(labels))
+        return label_permutations(labels, maps)
+
+    monkeypatch.setattr(clifford, "label_permutations", recording)
+    clifford.real_clifford_closure.__wrapped__(n)
+    assert sizes == [rebit_count(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -21,6 +21,7 @@ from stabsym.phase_space import (
     label_permutations,
     lagrangian_count,
     lagrangian_index,
+    lagrangian_tables,
     symplectic_form,
     vec_add,
 )
@@ -429,3 +430,11 @@ def test_lagrangian_index_matches_a_grouping_by_basis(d, n):
         assert index.reps.tolist() == [list(lab.rep) for lab in labs]
         assert index.blocks == [[x for x, lab in enumerate(labs) if where[lab.L.basis] == k]
                                 for k in range(len(keys))]
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2), (5, 2)])
+def test_lagrangian_tables_pivots_are_the_property(d, n):
+    # read from the basis array: the first nonzero column of each row, not
+    # its largest entry, which at odd d can be a 2 past the pivot's 1
+    lags = enumerate_lagrangians(d, n)
+    assert lagrangian_tables(lags).pivots.tolist() == [list(L.pivots) for L in lags]

@@ -310,6 +310,28 @@ def test_search_order_matches_brute_force(colors):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(color_matrices())
+def test_search_order_is_unchanged_by_wide_codes(colors):
+    # uint16 codes, as `GramMatrix.from_keys` stores more than 256 colours
+    gram = gram_of(colors)
+    wide = GramMatrix(gram.labels, gram.codes.astype(np.uint16), gram.legend)
+    assert gram_automorphisms(wide).order() == gram_automorphisms(gram).order()
+
+
+def test_wide_colours_cycle_beside_a_rigid_block():
+    # a 40-cycle beside 300 vertices each with its own diagonal colour: 303
+    # colours, so uint16 codes, and the dihedral group of order 80
+    m = np.full((340, 340), 2)
+    i = np.arange(40)
+    m[i, i] = 0
+    m[i, (i + 1) % 40] = m[(i + 1) % 40, i] = 1
+    m[range(40, 340), range(40, 340)] = np.arange(3, 303)
+    gram = gram_of(m)
+    assert gram.codes.dtype == np.uint16
+    assert gram_automorphisms(gram).order() == 80
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(color_matrices(), st.data())
 def test_refine_is_coarsest_equitable(colors, data):
     n = len(colors)
