@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from numbers import Integral
 
 import numpy as np
@@ -34,7 +35,7 @@ from .cyclotomic import (
     gauss_sum,
 )
 from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
-from .operators import OperatorSet, phase_point_table, weyl_table
+from .operators import MAX_ENTRIES, OperatorSet, phase_point_table, weyl_table
 from .permgroup import PermGroup
 from .phase_space import (
     MAX_POINTS,
@@ -481,14 +482,20 @@ def transpose_action(n):
             lambda b: (b[..., :n] * b[..., n:]).sum(-1) % 2)
 
 
+def rebit_count(n):
+    """2^n prod_k (2^(k-1) + 1), the number of n-rebit stabilizer states."""
+    return 2 ** n * prod(2 ** (k - 1) + 1 for k in range(1, n + 1))
+
+
 @lru_cache(maxsize=None)
 def real_clifford_closure(n):
-    """(labels, generators) of the rebit states, with no Gram: the qubit labels
-    on real Lagrangians (x.z even on each basis row (x, z), hence on the span),
-    breadth-first from the first, |0...0>, each gate Z_i, H_i, CZ_ij permuting them."""
+    """(labels, generators) of the rebit states, no Gram: the qubit labels on real
+    Lagrangians (transposition fixes each basis row, hence the span), breadth-first from
+    |0...0>, under Z_i, H_i, CZ_ij; refused before listing if the Gram passes MAX_ENTRIES."""
+    if (size := rebit_count(n)) ** 2 > MAX_ENTRIES:
+        raise BudgetExceeded(f"{size}^2 rebit Gram entries exceed the budget of {MAX_ENTRIES}")
     lags, which, _, _ = lagrangian_index(labels := enumerate_stabilizer_labels(2, n))
-    basis = lagrangian_tables(lags).basis
-    real = ~((basis[..., :n] * basis[..., n:]).sum(-1) % 2).any(-1)
+    real = ~transpose_action(n)[2](lagrangian_tables(lags).basis).any(-1)
     labels = [lab for lab, keep in zip(labels, real[which].tolist()) if keep]
     gates = [(g, i) for i in range(n) for g in ("Z", "H")]
     gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]

@@ -35,11 +35,11 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
-from .clifford import real_clifford_orbit
+from .clifford import real_clifford_orbit, rebit_count
 from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
 from .operators import MAX_ENTRIES, OperatorSet, rational_part, stabilizer_set
@@ -77,8 +77,8 @@ def stabilizer_operator_set(d, n) -> OperatorSet:
 
 def rebit_operator_set(n) -> OperatorSet:
     """`clifford.real_clifford_orbit(n)`, refused by its count
-    2^n prod_k (2^(k-1) + 1) before any label is listed."""
-    check_table_budget(2, n, 2 ** n * prod(2 ** (k - 1) + 1 for k in range(1, n + 1)))
+    `clifford.rebit_count(n)` before any label is listed."""
+    check_table_budget(2, n, rebit_count(n))
     return real_clifford_orbit(n)
 
 

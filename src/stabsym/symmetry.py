@@ -445,16 +445,10 @@ def verify_theorem1(d, n, variant, time_budget=None):
     that the search also matched does not pass.
     """
     gens = predicted_generators(d, n, variant)
-    if variant == "real_clifford":
-        gram = rebit_gram(n)
-        labels = None
-    else:
-        fam = stabilizer_states(d, n)
-        gram = fam.gram
-        labels = fam.labels
+    fam = real_clifford_orbit(n) if variant == "real_clifford" else stabilizer_states(d, n)
     budget = default_time_budget() if time_budget is None else budget_seconds(time_budget)
     deadline = time.monotonic() + budget
-    computed = gram_automorphisms(gram, time_budget=budget, seeds=gens)
+    computed = gram_automorphisms(fam.gram, time_budget=budget, seeds=gens)
     found = computed.generators[len(gens):]
     if found:
         try:
@@ -480,19 +474,16 @@ def verify_theorem1(d, n, variant, time_budget=None):
     report["orders_match"] = computed.order() == predicted_order
     report["predicted_in_computed"] = not missing_fwd
     report["computed_in_predicted"] = not missing_bwd
-    if n == 1 and labels is not None:
-        blocks = lagrangian_index(labels).blocks
+    if n == 1 and variant != "real_clifford":
+        blocks = lagrangian_index(fam.labels).blocks
         try:
             for g in computed.generators:
                 wreath_decompose(g, blocks)
             report["basis_partition_preserved"] = True
         except NotBasisPreserving:
             report["basis_partition_preserved"] = False
-    report["match"] = (
-        report["orders_match"]
-        and report["predicted_in_computed"]
-        and report["computed_in_predicted"]
-    )
+    report["match"] = (report["orders_match"] and report["predicted_in_computed"]
+                       and report["computed_in_predicted"])
     if not report["match"]:
         witness = (missing_fwd or missing_bwd or [None])[0]
         raise Mismatch(

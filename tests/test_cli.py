@@ -175,6 +175,21 @@ def test_rebit_n5_is_refused_before_enumeration(capsys, monkeypatch):
                                        " budget of 100000000\n")
 
 
+@pytest.mark.parametrize("cmd", ["autgroup", "gram"])
+def test_rebit_n5_gram_is_refused_before_enumeration(capsys, monkeypatch, cmd):
+    # the Theorem 1 search and the Gram both read the rebit closure, which
+    # refuses the 146 880^2 Gram entries of n = 5 by the closed count
+    def enumerate_(*args):
+        raise AssertionError("enumerated")
+
+    for module in (clifford, operators):
+        monkeypatch.setattr(module, "enumerate_stabilizer_labels", enumerate_)
+    monkeypatch.setattr(phase_space, "enumerate_lagrangians", enumerate_)
+    assert main([cmd, "--d", "2", "--n", "5", "--set", "rebit"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: 146880^2 rebit Gram entries exceed the"
+                                       " budget of 100000000\n")
+
+
 @pytest.mark.parametrize("argv", [
     *(["autgroup", "--d", "5", "--n", "1", "--budget-seconds", v] for v in ("nan", "inf", "-1")),
     *([cmd, "--d", "3", "--n", n] for cmd in ("enumerate", "verify-design", "autgroup")

@@ -52,9 +52,9 @@ from stabsym.cyclotomic import (
     root_of_unity,
     tau,
 )
-from stabsym.errors import Mismatch, OddOnly, WordDecompositionFailure
+from stabsym.errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
 from stabsym.moments import trace_table
-from stabsym.operators import OpMatrix, stabilizer_set, stabilizer_states
+from stabsym.operators import MAX_ENTRIES, OpMatrix, stabilizer_set, stabilizer_states
 from stabsym.phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
@@ -601,10 +601,24 @@ def test_rebit_count_and_first_label(n):
     # 4, 24, 240 and 4 320 rebits; the walk starts at |0...0>, the Z
     # Lagrangian with rep 0
     labels, gens = real_clifford_closure(n)
-    assert len(labels) == len(set(labels)) == rebit_count(n)
+    assert len(labels) == len(set(labels)) == rebit_count(n) == clifford.rebit_count(n)
     assert all(sorted(g) == list(range(len(labels))) for g in gens)
     z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:], 2)
     assert labels[0] == StabilizerLabel(z_basis, (0,) * (2 * n))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_rebit_closure_is_refused_by_its_count_before_listing(monkeypatch, n):
+    # 146 880 rebits at n = 5: their Gram would pass MAX_ENTRIES, so no
+    # label is listed; n = 4 (4 320^2 entries) runs, in the slow tier
+    def enumerate_(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(clifford, "enumerate_stabilizer_labels", enumerate_)
+    assert clifford.rebit_count(n) == rebit_count(n)
+    assert rebit_count(4) ** 2 <= MAX_ENTRIES < rebit_count(n) ** 2
+    with pytest.raises(BudgetExceeded):
+        real_clifford_closure(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
