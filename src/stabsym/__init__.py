@@ -5,7 +5,7 @@ floating point enters any verified value.
 """
 
 from .zmod import legendre, rref
-from .cyclotomic import CycNumber, GaloisMap, galois_apply, root_of_unity, sqrt_d
+from .cyclotomic import CycNumber, GaloisMap, galois_apply, root_of_unity
 from .phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
@@ -21,17 +21,13 @@ from .operators import (
     OperatorSet,
     OpMatrix,
     build_gram,
-    gram_closed_form,
-    hs_inner,
     stabilizer_states,
 )
 from .clifford import (
     ExtCliffordElement,
-    ext_compose,
     metaplectic,
     real_clifford_orbit,
     sp_generators,
-    sp_order,
     wreath_decompose_table,
 )
 from .moments import (
@@ -47,7 +43,6 @@ from .symmetry import (
     gram_automorphisms,
     predicted_generators,
     predicted_group,
-    verify_Sf_machinery,
     verify_theorem1,
 )
 from .polytope1 import direct_sum_check, polytope_membership

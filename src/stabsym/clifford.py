@@ -35,9 +35,10 @@ from .cyclotomic import (
     gauss_sum,
 )
 from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
-from .operators import MAX_ENTRIES, OperatorSet, phase_point_table, weyl_table
+from .operators import OperatorSet, phase_point_table, weyl_table
 from .permgroup import PermGroup
 from .phase_space import (
+    MAX_ENTRIES,
     MAX_POINTS,
     LagrangianSubspace,
     all_vectors,
@@ -170,13 +171,6 @@ def nonzero_point_perms(gens, d, n):
     points = _nonzero_points(d, n)
     return [tuple((point_codes(points @ np.asarray(g).T % d, d) - 1).tolist())
             for g in gens]
-
-
-def sp_order(d, n) -> int:
-    """|Sp(2n, d)|, certified: `sp_generators` raises unless a chain of its
-    generators on the nonzero vectors reaches `sp_order_formula`."""
-    sp_generators(d, n)
-    return sp_order_formula(d, n)
 
 
 def primitive_root(d):
@@ -436,16 +430,6 @@ def _compose(d, h, g):
     rka = np.einsum("bij,bj->bi", r, _k_apply(beta, a)) % d
     return ((nu + beta * mu - (d + 1) // 2 * (b * jvec(rka)).sum(-1)) % d, (rka + b) % d,
             r @ _k_conjugate(s, beta, d) % d, beta * alpha % d)
-
-
-def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElement:
-    """hg by the law of `_compose`, on a batch of one.  On phase space an
-    element acts as x -> S K_alpha x + a, the map (S K_alpha, a) of
-    `label_permutations`, and hg as that of h after that of g."""
-    if h.d != g.d:
-        raise ValueError("mixed dimensions")
-    mu, a, s, alpha = (x[0] for x in _compose(h.d, h._arrays(), g._arrays()))
-    return ExtCliffordElement(mu=int(mu), a=tuple(a.tolist()), S=s, alpha=int(alpha), d=h.d)
 
 
 # ---------------------------------------------------------------------------

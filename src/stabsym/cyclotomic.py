@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q[zeta_m], Galois maps, Gauss-sum roots.
+"""Exact arithmetic in cyclotomic fields Q[zeta_m], Galois maps, Gauss sums.
 
 Numbers are stored as integer coefficient vectors over the power basis
 {zeta_m^k : k < phi(m)} together with a single positive denominator, fully
@@ -17,12 +17,12 @@ one contraction per group of sampled triples whose scales agree up to
 sign) and the moment checks' triple-trace counts.  `_Field.contract` and
 `_Field.galois_map`, which multiply and Galois-map the dense matrices of
 `operators.OpMatrix`, serve the tests' dense oracles and no library path;
-their results stay object arrays of Python ints.
+their results stay object arrays of Python ints.  No element is ever
+embedded in the complex numbers: the module holds no float arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +31,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import ConductorTooSmall, Mismatch
+from .errors import Mismatch
 from .zmod import require_prime
 
 
@@ -252,23 +252,8 @@ class CycNumber:
     def coeffs(self):
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.m)
-        acc = 0j
-        for k in reversed(range(len(self.num))):
-            acc = acc * z + self.num[k]
-        return acc / self.den
-
     def to_json(self):
         return {"m": self.m, "coeffs": [[c.numerator, c.denominator] for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        fracs = [Fraction(p, q) for p, q in obj["coeffs"]]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls(obj["m"], [int(f * den) for f in fracs], den)
 
     # -- arithmetic ------------------------------------------------------
     def _coerce(self, other):
@@ -364,9 +349,6 @@ class CycNumber:
     def conj(self) -> "CycNumber":
         return self.galois_raw(self.m - 1)
 
-    def is_real(self):
-        return self.conj() == self
-
     # -- comparisons -------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,20 +384,6 @@ def omega(d: int) -> CycNumber:
 
 
 @lru_cache(maxsize=None)
-def tau(d: int) -> CycNumber:
-    """tau = omega^((d+1)/2) for odd d; tau = i for d = 2."""
-    if d == 2:
-        return iunit(2)
-    return omega(d) ** ((d + 1) // 2)
-
-
-@lru_cache(maxsize=None)
-def iunit(d: int) -> CycNumber:
-    m = conductor_for(d)
-    return root_of_unity(m, m // 4)
-
-
-@lru_cache(maxsize=None)
 def gauss_sum(d: int) -> CycNumber:
     """Quadratic Gauss sum sum_q omega_d^(q^2) for odd prime d."""
     if d == 2:
@@ -425,44 +393,6 @@ def gauss_sum(d: int) -> CycNumber:
     for q in range(d):
         acc = acc + root_of_unity(w.m, (w.m // d) * ((q * q) % d))
     return acc
-
-
-@lru_cache(maxsize=None)
-def sqrt_d(d: int, m: int | None = None) -> CycNumber:
-    """Exact sqrt(d), real and positive in the canonical embedding."""
-    require_prime(d)
-    want = conductor_for(d)
-    if m is None:
-        m = want
-    if m % want:
-        raise ConductorTooSmall(f"conductor {m} lacks sqrt({d}); need multiple of {want}")
-    if d == 2:
-        z = root_of_unity(8, 1)
-        s = z + z.conj()  # 2 cos(pi/4)
-    elif d % 4 == 1:
-        s = gauss_sum(d)
-    else:
-        s = gauss_sum(d) * iunit(d).inverse()  # Gauss sum equals i*sqrt(d)
-    if m != want:
-        s = _lift(s, m)
-    if s * s != d or not s.is_real():
-        raise Mismatch(f"the candidate sqrt({d}) is not real with square {d}", witness=s)
-    # one-time numeric sign decision; exactness is certified by the checks above
-    approx = s.to_complex().real
-    if approx < 0:
-        s = -s
-    if not abs(abs(approx) - d ** 0.5) < 1e-9:
-        raise Mismatch(f"the candidate sqrt({d}) is {approx} in the canonical embedding",
-                       witness=s)
-    return s
-
-
-def _lift(x: CycNumber, m: int) -> CycNumber:
-    """Embed x from conductor x.m into a multiple conductor m."""
-    if m % x.m:
-        raise ValueError("target conductor must be a multiple")
-    powers = _field(m).pows[(np.arange(len(x.num)) * (m // x.m)) % m]
-    return CycNumber(m, list(np.array(x.num, dtype=object).dot(powers)), x.den)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class BudgetExceeded(StabsymError):
     """An enumeration or search would exceed the configured size/time cap."""
 
 
-class ConductorTooSmall(StabsymError):
-    """The cyclotomic field does not contain the requested element."""
-
-
 class Unsupported(StabsymError):
     """The arguments name a case the library does not implement (the CLI's
     usage error)."""
@@ -20,10 +16,6 @@ class Unsupported(StabsymError):
 
 class OddOnly(Unsupported):
     """Operation is defined only for odd prime d."""
-
-
-class InconsistentSigns(StabsymError):
-    """Qubit sign data does not describe a valid stabilizer group."""
 
 
 class WordDecompositionFailure(StabsymError):

@@ -39,11 +39,12 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .clifford import real_clifford_orbit, rebit_count
+from .clifford import real_clifford_orbit, rebit_count, transpose_action
 from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
-from .operators import MAX_ENTRIES, OperatorSet, rational_part, stabilizer_set
+from .operators import OperatorSet, rational_part, stabilizer_set
 from .phase_space import (
+    MAX_ENTRIES,
     StabilizerLabel,
     all_vectors,
     code_points,
@@ -193,13 +194,13 @@ def _basis(d, n, real=False) -> _Basis:
     """The Hermitian basis B_a in closed form: labels, their indices `points`
     in `point_codes` order and tr B_a = single[a] as int64 (A(a): 1;
     T(a): 2^n [a = 0]); tr(B_a B_b) = d^n [a = b], the scalar `dim` of a
-    set.  With `real` (d = 2 only) the real Paulis, a_X.a_Z even:
-    2^(n-1) (2^n + 1) of them, an orthogonal basis of Sym."""
+    set.  With `real` (d = 2 only) the real Paulis, those with transpose
+    sign 0 (`clifford.transpose_action`, a_X.a_Z even): 2^(n-1) (2^n + 1)
+    of them, an orthogonal basis of Sym."""
     if real and d != 2:
         raise Unsupported("the real basis is defined at d = 2")
     p = code_points(np.arange(d ** (2 * n)), d, 2 * n)
-    points = np.flatnonzero((p[:, :n] * p[:, n:]).sum(axis=1) % 2 == 0) if real \
-        else np.arange(len(p))
+    points = np.flatnonzero(transpose_action(n)[2](p) == 0) if real else np.arange(len(p))
     single = 2 ** n * (points == 0) if d == 2 else np.ones(len(points), dtype=int)
     return _Basis(tuple(map(tuple, p[points].tolist())), points, single.astype(np.int64))
 

@@ -1,10 +1,12 @@
-"""Exact matrices over cyclotomic fields, the Weyl operators T(a) and
-phase-space point operators A(a) as batched monomial tables, the Gram data
-of stabilizer labels, and `OperatorSet`, the one type of a set of states.
+"""The Weyl operators T(a) and phase-space point operators A(a) as batched
+monomial tables, the Gram data of stabilizer labels, `OperatorSet`, the one
+type of a set of states, and the dense matrix `OpMatrix`.
 
 No certified path builds or multiplies a dense `OpMatrix`: the tests'
-dense oracles do, and the traced benchmark wraps `OpMatrix.__matmul__` by
-name, which is why the class stays in the library."""
+dense oracles do (their traces and inner products are in
+`tests/dense_oracles.py`), and the traced benchmark wraps
+`OpMatrix.__matmul__` by name, which is why the class stays in the
+library."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import numpy as np
 from .cyclotomic import CycNumber, _field, conductor_for, galois_exponent
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
+    MAX_ENTRIES,
     StabilizerLabel,
     code_points,
     enumerate_stabilizer_labels,
@@ -38,7 +41,7 @@ class OpMatrix:
     denominator den, in lowest terms (gcd of den and every coefficient is 1),
     so equal matrices have equal storage.  The array is read-only.
 
-    Every product (`@`, `trace_product`, `scale` by a CycNumber) is one
+    Every product (`@`, `scale` by a CycNumber) is one
     `_Field.contract` with the field's multiplication tensor, and every
     Galois map (`conj`, `dagger`, `entrywise_galois`) one
     `_Field.galois_map`: both compute in int64 when a bound proves the
@@ -83,10 +86,6 @@ class OpMatrix:
     @classmethod
     def zero(cls, m, dim):
         return cls._make(m, np.zeros((dim, dim, _field(m).deg), dtype=object), 1)
-
-    @classmethod
-    def from_rational(cls, m, rows):
-        return cls(m, [[CycNumber.from_fraction(m, x) for x in r] for r in rows])
 
     @property
     def dim(self):
@@ -166,18 +165,6 @@ class OpMatrix:
             "dim": self.dim,
             "entries": [[x.to_json()["coeffs"] for x in r] for r in self.rows],
         }
-
-
-def trace_product(a: OpMatrix, b: OpMatrix) -> CycNumber:
-    """tr(A B) = sum_{i,j} A[i,j] B[j,i], without forming A B."""
-    a._check(b)
-    out = _field(a.m).contract(a.coef, b.coef, ([0, 1], [1, 0]))
-    return CycNumber(a.m, list(out), a.den * b.den)
-
-
-def hs_inner(a: OpMatrix, b: OpMatrix) -> CycNumber:
-    """Hilbert-Schmidt inner product (A|B) = tr A† B."""
-    return trace_product(a.dagger(), b)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +279,6 @@ def closed_form_gram(labels) -> GramMatrix:
     return GramMatrix.from_keys(labels, codes, legend.__getitem__)
 
 
-def gram_closed_form(x: StabilizerLabel, y: StabilizerLabel) -> Fraction:
-    """tr(Pi_x Pi_y) = d^(dim(L∩M) - n) * [chi_x and chi_y agree on L∩M]:
-    `closed_form_gram` of the pair."""
-    return closed_form_gram((x, y)).values[0][1]
-
-
 _TABLE_SPAN = 16  # widest key span `GramMatrix.from_keys` ranks through a table
 
 
@@ -355,9 +336,6 @@ class GramMatrix:
     def to_csv(self):
         names = [f"{v.numerator}/{v.denominator}" for v in self.legend]
         return "".join(",".join(map(names.__getitem__, row)) + "\n" for row in self.codes.tolist())
-
-
-MAX_ENTRIES = 100_000_000  # cap on the entries of a Gram and of a gathered trace table
 
 
 def build_gram(states) -> GramMatrix:

@@ -18,6 +18,7 @@ from .errors import BudgetExceeded, NotBasisPreserving
 from .zmod import require_prime, rref
 
 MAX_POINTS = 4096  # cap on d^{2n} for enumerations and certified generating sets
+MAX_ENTRIES = 100_000_000  # cap on the entries of one array: a candidate block, a Gram, a table
 
 
 def symplectic_form(a, b, d: int) -> int:
@@ -33,10 +34,6 @@ def jvec(b):
     [a, b] = a . J b mod d."""
     n = b.shape[-1] // 2
     return np.concatenate([b[..., n:], -b[..., :n]], axis=-1)
-
-
-def vec_add(a, b, d):
-    return tuple((x + y) % d for x, y in zip(a, b))
 
 
 def all_vectors(d, length):
@@ -158,14 +155,16 @@ def lagrangian_index(labels) -> LabelIndex:
     """The stabilizer `labels` grouped by Lagrangian, the library's one
     grouping: the distinct Lagrangians lags in order of first appearance
     (for the library's families, sorted by Lagrangian, that of their bases),
-    the array of each label's index into them, the reps as one integer
-    array, and blocks[l], the indices of the labels of lags[l] (ints)."""
+    the array of each label's index into them, the reps as one int64 array
+    read flat, and blocks[l], the indices of the labels of lags[l] (ints)."""
     where = {}
     index = [where.setdefault(lab.L, len(where)) for lab in labels]
     blocks = [[] for _ in where]
     for x, l in enumerate(index):
         blocks[l].append(x)
-    return LabelIndex(tuple(where), np.array(index), np.array([lab.rep for lab in labels]), blocks)
+    reps = np.fromiter(itertools.chain.from_iterable(lab.rep for lab in labels), dtype=np.int64,
+                       count=len(labels) * 2 * labels[0].n)
+    return LabelIndex(tuple(where), np.array(index), reps.reshape(len(labels), -1), blocks)
 
 
 def wreath_decompose(perm, blocks):
@@ -209,20 +208,19 @@ def _echelon_blocks(d, ambient, k):
         yield block
 
 
-def enumerate_subspaces(d, ambient, k):
-    """All k-dimensional subspaces of Z_d^ambient as canonical RREF bases,
-    one integer array (count, k, ambient)."""
-    return np.concatenate(list(_echelon_blocks(d, ambient, k)))
-
-
 @lru_cache(maxsize=None)
 def enumerate_lagrangians(d, n):
     """All Lagrangian subspaces of Z_d^{2n}, sorted by canonical basis: the
     echelon bases B of each pivot pattern with B J B^T = 0 mod d, one
-    batched product per pattern."""
+    batched product per pattern.  Refused (BudgetExceeded) before any block
+    is built if the largest, that of the pivots 0..n-1 with n^2 free
+    entries, would pass MAX_ENTRIES entries."""
     require_prime(d)
     if d ** (2 * n) > MAX_POINTS:
         raise BudgetExceeded(f"d^(2n) = {d ** (2 * n)} exceeds cap {MAX_POINTS}")
+    if (entries := d ** (n * n) * n * 2 * n) > MAX_ENTRIES:
+        raise BudgetExceeded(f"a pivot pattern of the Lagrangians at (d, n) = ({d}, {n}) holds "
+                             f"{entries} candidate entries, over the budget of {MAX_ENTRIES}")
     form = np.min_scalar_type(-2 * n * (d - 1) ** 2)  # holds every [u, v] before mod d
     kept = []
     for block in _echelon_blocks(d, 2 * n, n):

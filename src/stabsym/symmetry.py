@@ -562,24 +562,6 @@ def _sf_families(d, n, bs):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def verify_Sf_machinery(d, n, b):
-    """Build S_{[b,.]}, check pairwise non-orthogonality and the sum rule
-    sum Pi = C (1 + A(b)) with C independent of b (`sf_checks`)."""
-    b = tuple(x % d for x in b)
-    nonorth, trace, holds = _sf_families(d, n, [b])
-    nonorth, holds = bool(nonorth[0]), bool(holds[0])
-    return {
-        "d": d,
-        "n": n,
-        "b": list(b),
-        "set_size": len(enumerate_lagrangians(d, n)),
-        "pairwise_nonorthogonal": nonorth,
-        "sum_rule": holds,
-        "C": str(Fraction(int(trace[0]), d ** n + 1)) if holds else None,
-        "pass": nonorth and holds,
-    }
-
-
 def verify_sf_sum(d, n, seed, samples):
     """The S_f sum rule with one constant C for every b: {"tested_b", "C",
     "pass"}.  Every b is tested when d^(2n) <= 81, else `samples` points

@@ -81,8 +81,13 @@ set's elements from its labels.  `coefficient_stack` puts matrices over one
 denominator, `mono_traces` gathers every tr(B_x Q_y) of monomial B_x against
 dense Q_y, and `lowest_terms` reduces a table.  `moment_form` is F_k summed
 element by element.
+
+The helpers that only tests call are here, not in the library: the dense
+traces, the float embedding `to_complex`, which only `sqrt_d` reads for
+its sign, and one-element forms such as `ext_compose` and `vec_add`.
 """
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,33 +97,19 @@ from math import gcd, lcm
 import numpy as np
 import sympy
 
-from stabsym.clifford import PhaseStack, k_alpha, qubit_gate_action, similitude_multiplier
-from stabsym.cyclotomic import (
-    CycNumber,
-    _exact,
-    _field,
-    _int64,
-    conductor_for,
-    gauss_sum,
-    iunit,
-    root_of_unity,
-    sqrt_d,
-)
-from stabsym.errors import InconsistentSigns, Mismatch, OddOnly, WordDecompositionFailure
-from stabsym.operators import (
-    GramMatrix,
-    OpMatrix,
-    build_gram,
-    hs_inner,
-    rational_part,
-    stabilizer_states,
-    trace_product,
-)
+from stabsym import cyclotomic
+from stabsym.clifford import (ExtCliffordElement, PhaseStack, _compose, k_alpha, qubit_gate_action,
+                              similitude_multiplier)
+from stabsym.cyclotomic import (CycNumber, _exact, _field, _int64, conductor_for, gauss_sum, omega,
+                                root_of_unity)
+from stabsym.errors import Mismatch, OddOnly, StabsymError, WordDecompositionFailure
+from stabsym.operators import GramMatrix, OpMatrix, build_gram, rational_part, stabilizer_states
 from stabsym.permgroup import compose, identity_perm
 from stabsym.phase_space import (
     LagrangianSubspace,
     StabilizerLabel,
     Subspace,
+    _echelon_blocks,
     all_vectors,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
@@ -129,9 +120,128 @@ from stabsym.phase_space import (
     code_points,
     point_codes,
     symplectic_form,
-    vec_add,
 )
 from stabsym.zmod import inv_mod, legendre, require_prime
+
+
+# ---------------------------------------------------------------------------
+# Helpers that no library path calls: the traces of dense matrices, the
+# float embedding of a field element and the sqrt(d) whose sign it picks,
+# and one-element forms of the library's batched laws
+
+class InconsistentSigns(StabsymError):
+    """Qubit sign data does not describe a valid stabilizer group."""
+
+
+class ConductorTooSmall(StabsymError):
+    """The cyclotomic field does not contain the requested element."""
+
+
+def from_rational(m, rows) -> OpMatrix:
+    """The `OpMatrix` over Q[zeta_m] with the rational entries rows."""
+    return OpMatrix(m, [[CycNumber.from_fraction(m, x) for x in r] for r in rows])
+
+
+def trace_product(a: OpMatrix, b: OpMatrix) -> CycNumber:
+    """tr(A B) = sum_{i,j} A[i,j] B[j,i], without forming A B."""
+    a._check(b)
+    out = _field(a.m).contract(a.coef, b.coef, ([0, 1], [1, 0]))
+    return CycNumber(a.m, list(out), a.den * b.den)
+
+
+def hs_inner(a: OpMatrix, b: OpMatrix) -> CycNumber:
+    """Hilbert-Schmidt inner product (A|B) = tr A† B."""
+    return trace_product(a.dagger(), b)
+
+
+def cyc_from_json(obj) -> CycNumber:
+    """The `CycNumber` of its `to_json` form."""
+    fracs = [Fraction(p, q) for p, q in obj["coeffs"]]
+    den = lcm(*(f.denominator for f in fracs))
+    return CycNumber(obj["m"], [int(f * den) for f in fracs], den)
+
+
+def to_complex(x: CycNumber) -> complex:
+    """x in the canonical embedding zeta_m -> exp(2 pi i / m), in floats."""
+    z = cmath.exp(2j * cmath.pi / x.m)
+    return sum(c * z ** k for k, c in enumerate(x.num)) / x.den
+
+
+def is_real(x: CycNumber) -> bool:
+    return x.conj() == x
+
+
+@lru_cache(maxsize=None)
+def iunit(d: int) -> CycNumber:
+    m = conductor_for(d)
+    return root_of_unity(m, m // 4)
+
+
+@lru_cache(maxsize=None)
+def tau(d: int) -> CycNumber:
+    """tau = omega^((d+1)/2) for odd d; tau = i for d = 2."""
+    if d == 2:
+        return iunit(2)
+    return omega(d) ** ((d + 1) // 2)
+
+
+def _lift(x: CycNumber, m: int) -> CycNumber:
+    """Embed x from conductor x.m into a multiple conductor m."""
+    if m % x.m:
+        raise ValueError("target conductor must be a multiple")
+    powers = _field(m).pows[(np.arange(len(x.num)) * (m // x.m)) % m]
+    return CycNumber(m, list(np.array(x.num, dtype=object).dot(powers)), x.den)
+
+
+@lru_cache(maxsize=None)
+def sqrt_d(d: int, m: int | None = None) -> CycNumber:
+    """Exact sqrt(d), real and positive in the canonical embedding: the Gauss
+    sum (`cyclotomic.gauss_sum`, which a test may replace), over i at d = 3 mod 4."""
+    require_prime(d)
+    want = conductor_for(d)
+    if m is None:
+        m = want
+    if m % want:
+        raise ConductorTooSmall(f"conductor {m} lacks sqrt({d}); need multiple of {want}")
+    if d == 2:
+        z = root_of_unity(8, 1)
+        s = z + z.conj()  # 2 cos(pi/4)
+    elif d % 4 == 1:
+        s = cyclotomic.gauss_sum(d)
+    else:
+        s = cyclotomic.gauss_sum(d) * iunit(d).inverse()  # Gauss sum equals i*sqrt(d)
+    if m != want:
+        s = _lift(s, m)
+    if s * s != d or not is_real(s):
+        raise Mismatch(f"the candidate sqrt({d}) is not real with square {d}", witness=s)
+    # one-time numeric sign decision; exactness is certified by the checks above
+    approx = to_complex(s).real
+    if approx < 0:
+        s = -s
+    if not abs(abs(approx) - d ** 0.5) < 1e-9:
+        raise Mismatch(f"the candidate sqrt({d}) is {approx} in the canonical embedding",
+                       witness=s)
+    return s
+
+
+def vec_add(a, b, d):
+    return tuple((x + y) % d for x, y in zip(a, b))
+
+
+def enumerate_subspaces(d, ambient, k):
+    """All k-dimensional subspaces of Z_d^ambient as canonical RREF bases,
+    one integer array (count, k, ambient)."""
+    return np.concatenate(list(_echelon_blocks(d, ambient, k)))
+
+
+def ext_compose(h: ExtCliffordElement, g: ExtCliffordElement) -> ExtCliffordElement:
+    """hg by the law of `clifford._compose`, on a batch of one.  On phase
+    space an element acts as x -> S K_alpha x + a, the map (S K_alpha, a) of
+    `label_permutations`, and hg as that of h after that of g."""
+    if h.d != g.d:
+        raise ValueError("mixed dimensions")
+    mu, a, s, alpha = (x[0] for x in _compose(h.d, h._arrays(), g._arrays()))
+    return ExtCliffordElement(mu=int(mu), a=tuple(a.tolist()), S=s, alpha=int(alpha), d=h.d)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +381,8 @@ def dense_real_clifford_orbit(n):
     """The projectors of the breadth-first closure of |0...0><0...0| under
     the dense `real_gates`, in the order they are found."""
     dim = 2 ** n
-    start = OpMatrix.from_rational(conductor_for(2),
-                                   [[int(i == j == 0) for j in range(dim)] for i in range(dim)])
+    start = from_rational(conductor_for(2),
+                          [[int(i == j == 0) for j in range(dim)] for i in range(dim)])
     gates = [qubit_gate(n, *g) for g in real_gates(n)]
     seen = {start: None}
     queue = [start]
@@ -383,7 +493,8 @@ def ext_apply(e, m: OpMatrix) -> OpMatrix:
 
 
 def dense_sf_machinery(d, n, b, family=None):
-    """`symmetry.verify_Sf_machinery` from dense matrices: for the labels of
+    """(pairwise non-orthogonal, sum rule, C or None) of one b from dense
+    matrices, the oracle of `symmetry._sf_families`: for the labels of
     `family` (default: (L, b) for every Lagrangian L), the Gram of the
     labels, the sum of their projectors and C (1 + A(b)) with C from the
     trace."""
@@ -400,16 +511,7 @@ def dense_sf_machinery(d, n, b, family=None):
     c = acc.trace().as_fraction() / (dim + 1)
     expected = (OpMatrix.identity(acc.m, dim) + phase_point(d, n, b)).scale(c)
     sum_ok = c > 0 and acc == expected
-    return {
-        "d": d,
-        "n": n,
-        "b": list(b),
-        "set_size": len(family),
-        "pairwise_nonorthogonal": nonorth,
-        "sum_rule": sum_ok,
-        "C": str(c) if sum_ok else None,
-        "pass": nonorth and sum_ok,
-    }
+    return nonorth, sum_ok, str(c) if sum_ok else None
 
 
 def family_projectors(fam):
@@ -820,8 +922,8 @@ def assert_schreier_trees(group):
 def symmetric_basis(m, dim):
     """Rational basis of Sym: E_ii and E_ij + E_ji."""
     pairs = [(i, i) for i in range(dim)] + list(itertools.combinations(range(dim), 2))
-    return tuple(OpMatrix.from_rational(m, [[int((r, c) in ((i, j), (j, i))) for c in range(dim)]
-                                            for r in range(dim)]) for i, j in pairs)
+    return tuple(from_rational(m, [[int((r, c) in ((i, j), (j, i))) for c in range(dim)]
+                                   for r in range(dim)]) for i, j in pairs)
 
 
 def jordan_slab(m, stack, i):

@@ -26,15 +26,15 @@ from stabsym.moments import (
     span_dimension,
     trace_table,
 )
-from stabsym.operators import hs_inner, trace_product
-
 from dense_oracles import (
     hermitian_basis,
+    hs_inner,
     mono_trace,
     mono_trace_product,
     set_elements,
     symmetric_basis,
     trace_pairs,
+    trace_product,
 )
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from stabsym.clifford import WREATH_TABLE, k_alpha, real_clifford_orbit, verify_clifford_laws
-from stabsym.cyclotomic import CycNumber, conductor_for, omega, tau
+from stabsym.cyclotomic import CycNumber, conductor_for, omega
 from stabsym.moments import (
     check_lin_jor_condition,
     check_lin_wig_condition,
@@ -24,7 +24,7 @@ from stabsym.moments import (
     rebit_operator_set,
     stabilizer_operator_set,
 )
-from stabsym.operators import hs_inner, stabilizer_states
+from stabsym.operators import stabilizer_states
 from stabsym.permgroup import schreier_sims
 from stabsym.phase_space import (
     Subspace,
@@ -33,7 +33,6 @@ from stabsym.phase_space import (
     enumerate_stabilizer_labels,
     lagrangian_index,
     symplectic_form,
-    vec_add,
     wreath_decompose,
 )
 from stabsym.polytope1 import facet_report
@@ -47,9 +46,12 @@ from stabsym.symmetry import (
 from dense_oracles import (
     bruteforce_gram,
     family_projectors,
+    hs_inner,
     mono_trace_product,
     phase_point_mono,
+    tau,
     transform_label,
+    vec_add,
     weyl,
     weyl_mono,
 )

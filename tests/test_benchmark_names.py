@@ -71,6 +71,18 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     # reread from a cache keyed on matrices
     assert not hasattr(zmod, "ZModMatrix")
     assert not hasattr(clifford, "_order_on_nonzero")
+    # the helpers only tests call live in `tests/dense_oracles.py`: `src/`
+    # defines none of them and holds no float embedding of a field element
+    sources = [path.read_text() for path in (ROOT / "src" / "stabsym").glob("*.py")]
+    defined = {m[1] for text in sources for m in re.finditer(r"^\s*(?:def|class) (\w+)", text, re.M)}
+    assert not defined & set("trace_product hs_inner from_rational gram_closed_form from_json vec_add"
+                             " enumerate_subspaces InconsistentSigns ConductorTooSmall ext_compose"
+                             " sp_order sqrt_d _lift to_complex is_real iunit tau"
+                             " verify_Sf_machinery".split())
+    for name in "hs_inner gram_closed_form ext_compose sp_order sqrt_d verify_Sf_machinery".split():
+        assert not hasattr(stabsym, name), name
+    assert not any(re.search(r"^\s*(?:import|from) cmath\b", text, re.M) for text in sources)
+    assert not hasattr(cyclotomic.CycNumber, "to_complex")
 
 
 def test_moments_read_one_trace_table_by_set():

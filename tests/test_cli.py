@@ -175,6 +175,20 @@ def test_rebit_n5_is_refused_before_enumeration(capsys, monkeypatch):
                                        " budget of 100000000\n")
 
 
+@pytest.mark.parametrize("cmd", ["autgroup", "gram", "enumerate"])
+def test_qubit_n5_is_refused_before_a_candidate_block(capsys, monkeypatch, cmd):
+    # the first pivot pattern of the (2,5) Lagrangians has 2^25 candidate
+    # bases, 1 677 721 600 entries: refused by that count before any block
+    def blocks(*args):
+        raise AssertionError("a candidate block was built")
+
+    monkeypatch.setattr(phase_space, "_echelon_blocks", blocks)
+    assert main([cmd, "--d", "2", "--n", "5"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: a pivot pattern of the Lagrangians at"
+                                       " (d, n) = (2, 5) holds 1677721600 candidate entries,"
+                                       " over the budget of 100000000\n")
+
+
 @pytest.mark.parametrize("cmd", ["autgroup", "gram"])
 def test_rebit_n5_gram_is_refused_before_enumeration(capsys, monkeypatch, cmd):
     # the Theorem 1 search and the Gram both read the rebit closure, which

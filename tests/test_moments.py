@@ -35,7 +35,6 @@ from stabsym.moments import (
 )
 from stabsym.operators import (
     OpMatrix,
-    hs_inner,
     rational_part,
     stabilizer_set,
     stabilizer_states,
@@ -48,6 +47,7 @@ from dense_oracles import (
     family_projectors,
     first_moment,
     hermitian_basis,
+    hs_inner,
     jordan_slab,
     lowest_terms,
     moment_form,
@@ -434,6 +434,13 @@ def test_symmetric_basis_spans():
         assert scale == 1 and (ints == np.diag(np.full(len(mats), dim, dtype=object))).all()
         for a in set(range(4 ** n)) - set(b.points.tolist()):
             assert not weyl(2, n, full.labels[a]).coef[..., 0].any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_basis_is_the_points_of_transpose_sign_0(n):
+    # one realness rule, read by the real basis and by the rebit Lagrangians
+    sign = clifford.transpose_action(n)[2](np.array(moments._basis(2, n).labels))
+    assert moments._basis(2, n, real=True).points.tolist() == np.flatnonzero(sign == 0).tolist()
 
 
 @pytest.mark.parametrize("check", ["is_real_4design", "is_real_6design"])

@@ -9,19 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsym import cyclotomic, moments, operators, symmetry
-from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity, tau
+from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity
 from stabsym.clifford import real_clifford_orbit
-from stabsym.errors import BudgetExceeded, InconsistentSigns, OddOnly
+from stabsym.errors import BudgetExceeded, OddOnly
 from stabsym.operators import (
     GramMatrix,
     OpMatrix,
     build_gram,
-    gram_closed_form,
-    hs_inner,
+    closed_form_gram,
     phase_point_table,
     stabilizer_set,
     stabilizer_states,
-    trace_product,
     weyl_table,
 )
 from stabsym.phase_space import (
@@ -35,15 +33,17 @@ from stabsym.phase_space import (
     lagrangian_tables,
     point_codes,
     symplectic_form,
-    vec_add,
 )
 from stabsym.moments import rebit_operator_set, stabilizer_operator_set
 from stabsym.symmetry import rebit_gram
 
 from dense_oracles import (
+    InconsistentSigns,
     bruteforce_gram,
     dense_real_clifford_orbit,
     family_projectors,
+    from_rational,
+    hs_inner,
     is_hermitian,
     mono_sum,
     mono_trace_product,
@@ -54,7 +54,10 @@ from dense_oracles import (
     stab_projector,
     stab_projector_qubit,
     stab_projector_wigner,
+    tau,
     trace_pairs,
+    trace_product,
+    vec_add,
     weyl,
     weyl_mono,
 )
@@ -320,14 +323,19 @@ def test_hs_inner_cross_basis_d5():
     assert v == CycNumber.from_fraction(conductor_for(5), Fraction(1, 5))
 
 
+def _pair_value(x, y):
+    """tr(Pi_x Pi_y) by `closed_form_gram` on the pair."""
+    return closed_form_gram((x, y)).values[0][1]
+
+
 def test_gram_closed_form_basics():
     labels = enumerate_stabilizer_labels(3, 1)
     for lab in labels:
-        assert gram_closed_form(lab, lab) == 1
+        assert _pair_value(lab, lab) == 1
     same_l = [l for l in labels if l.L == labels[0].L]
-    assert gram_closed_form(same_l[0], same_l[1]) == 0
+    assert _pair_value(same_l[0], same_l[1]) == 0
     with pytest.raises(ValueError):
-        gram_closed_form(labels[0], enumerate_stabilizer_labels(5, 1)[0])
+        _pair_value(labels[0], enumerate_stabilizer_labels(5, 1)[0])
 
 
 def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
@@ -336,7 +344,7 @@ def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
     for i, x in enumerate(fam.labels):
         for j, y in enumerate(fam.labels):
             brute = hs_inner(projs[i], projs[j]).as_fraction()
-            assert gram_closed_form(x, y) == brute
+            assert _pair_value(x, y) == brute
 
 
 def _gram_entry_loop(labels):
@@ -398,7 +406,7 @@ def label_pairs(draw):
 def test_gram_closed_form_equals_the_hilbert_schmidt_inner(pair):
     x, y = pair
     brute = hs_inner(stab_projector(x), stab_projector(y)).as_fraction()
-    assert gram_closed_form(x, y) == brute
+    assert _pair_value(x, y) == brute
     if x.L == y.L:
         assert brute == (1 if x == y else 0)
 
@@ -521,7 +529,7 @@ def test_gram_bruteforce_beyond_int64_is_exact(monkeypatch):
     # fit int64, but each expands through the 4 * 4 coefficient pairs of the
     # multiplication tensor mod Phi_12 (entries +-1): 4 * 16 * 2^58 >= 2^63,
     # so the traces are summed on the Python ints
-    p = OpMatrix.from_rational(12, [[1, 0], [0, Fraction(1, 2 ** 29)]])
+    p = from_rational(12, [[1, 0], [0, Fraction(1, 2 ** 29)]])
     ints, scale = trace_pairs([p], [p])
     assert (ints.tolist(), scale) == ([[2 ** 58 + 1]], 2 ** 58)
     assert Fraction(ints[0, 0], scale) == trace_product(p, p).as_fraction()

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsym.cyclotomic import CycNumber, GaloisMap, _exact, _field, fits_int64, galois_apply
-from stabsym.operators import OpMatrix, hs_inner, trace_product
+from stabsym.operators import OpMatrix
 
-from dense_oracles import is_hermitian
+from dense_oracles import hs_inner, is_hermitian, trace_product
 
 CONDUCTORS = (8, 12, 20)
 

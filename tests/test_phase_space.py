@@ -16,22 +16,22 @@ from stabsym.phase_space import (
     all_vectors,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
-    enumerate_subspaces,
     label_from_functional,
     label_permutations,
     lagrangian_count,
     lagrangian_index,
     lagrangian_tables,
     symplectic_form,
-    vec_add,
 )
 
 from dense_oracles import (
+    enumerate_subspaces,
     functional_label_by_search,
     matrix_apply,
     real_gates,
     transform_label,
     transform_labels,
+    vec_add,
 )
 
 
@@ -416,10 +416,11 @@ def test_from_rows_keeps_the_canonical_basis(d, n):
             assert M == L and hash(M) == hash(L) and {L: 0}[M] == 0
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_lagrangian_index_matches_a_grouping_by_basis(d, n):
     # keyed by basis tuples, not by Lagrangian objects and their hash; on
-    # the labels in order and on a shuffled half
+    # the labels in order and on a shuffled half; the reps read flat are
+    # the nested read, dtype included
     labels = enumerate_stabilizer_labels(d, n)
     for labs in (labels, random.Random(n).sample(labels, len(labels) // 2)):
         index = lagrangian_index(labs)
@@ -427,7 +428,8 @@ def test_lagrangian_index_matches_a_grouping_by_basis(d, n):
         where = {key: k for k, key in enumerate(keys)}
         assert [L.basis for L in index.lags] == keys
         assert index.index.tolist() == [where[lab.L.basis] for lab in labs]
-        assert index.reps.tolist() == [list(lab.rep) for lab in labs]
+        nested = np.array([lab.rep for lab in labs])
+        assert index.reps.dtype == nested.dtype and np.array_equal(index.reps, nested)
         assert index.blocks == [[x for x, lab in enumerate(labs) if where[lab.L.basis] == k]
                                 for k in range(len(keys))]
 

@@ -9,7 +9,7 @@ import pytest
 from stabsym import cyclotomic, operators, polytope1
 from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import BudgetExceeded, Mismatch
-from stabsym.operators import OperatorSet, OpMatrix, hs_inner, stabilizer_states, trace_product
+from stabsym.operators import OperatorSet, OpMatrix, stabilizer_states
 from stabsym.polytope1 import (
     direct_sum_check,
     facet_report,
@@ -27,10 +27,12 @@ from dense_oracles import (
     dense_wigner,
     family_projectors,
     hermitian_basis,
+    hs_inner,
     is_hermitian,
     phase_point,
     shifted_vertices,
     stab_projector,
+    trace_product,
     wigner_negative_matrix,
 )
 

@@ -21,7 +21,6 @@ from stabsym.phase_space import (
     enumerate_lagrangians,
     label_permutations,
     lagrangian_index,
-    vec_add,
     wreath_compose,
     wreath_decompose,
 )
@@ -33,7 +32,6 @@ from stabsym.symmetry import (
     predicted_order_formula,
     rebit_gram,
     sf_checks,
-    verify_Sf_machinery,
     verify_theorem1,
 )
 
@@ -47,6 +45,7 @@ from dense_oracles import (
     perm_from_matrix_action,
     qubit_gate,
     real_gates,
+    vec_add,
     weyl,
     wreath_recompose,
 )
@@ -646,18 +645,21 @@ def test_computed_symmetries_fix_uniform_sum():
         assert permuted == total
 
 
+def _sf_verdicts(d, n, bs):
+    """(non-orthogonal, sum rule, C) of the family of each b, by `_sf_families`."""
+    nonorth, trace, holds = symmetry._sf_families(d, n, bs)
+    return [(x, h, str(Fraction(t, d ** n + 1)) if h else None)
+            for x, t, h in zip(nonorth.tolist(), trace.tolist(), holds.tolist())]
+
+
 def test_sf_machinery_d3_n1_all_b():
-    for b in all_vectors(3, 2):
-        report = verify_Sf_machinery(3, 1, b)
-        assert report["pass"] and report["C"] == "1"
+    assert _sf_verdicts(3, 1, list(all_vectors(3, 2))) == [(True, True, "1")] * 9
 
 
 def test_sf_machinery_d3_n2_sampled():
     rng = random.Random(33)
-    for _ in range(6):
-        b = tuple(rng.randrange(3) for _ in range(4))
-        report = verify_Sf_machinery(3, 2, b)
-        assert report["pass"] and report["C"] == "4"
+    bs = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(6)]
+    assert _sf_verdicts(3, 2, bs) == [(True, True, "4")] * 6
 
 
 @pytest.mark.parametrize("d,n,samples", [(3, 1, None), (5, 1, None), (3, 2, 12)])
@@ -665,8 +667,8 @@ def test_sf_weyl_basis_equals_the_dense_projector_sum(d, n, samples):
     bs = list(all_vectors(d, 2 * n))
     if samples is not None:
         bs = random.Random(5).sample(bs, samples)
-    for b in bs:
-        assert verify_Sf_machinery(d, n, b) == dense_sf_machinery(d, n, b)
+    for b, verdict in zip(bs, _sf_verdicts(d, n, bs)):
+        assert verdict == dense_sf_machinery(d, n, b)
 
 
 def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
@@ -693,6 +695,6 @@ def test_sf_checks_reject_a_mutated_family(d, n):
     moved = [StabilizerLabel.make(family[0].L, vec_add(b, off, d)), *family[1:]]
     assert _sf_flags(b, family) == (True, True)
     for mutant in (family[1:], moved):  # one Lagrangian dropped; one label in another coset
-        dense = dense_sf_machinery(d, n, b, mutant)
-        assert _sf_flags(b, mutant) == (dense["pairwise_nonorthogonal"], dense["sum_rule"])
-        assert dense["sum_rule"] is False
+        nonorth, holds, _ = dense_sf_machinery(d, n, b, mutant)
+        assert _sf_flags(b, mutant) == (nonorth, holds)
+        assert holds is False
