@@ -6,16 +6,7 @@ floating point enters any verified value.
 
 from .zmod import legendre, rref
 from .cyclotomic import CycNumber, GaloisMap, galois_apply, root_of_unity
-from .phase_space import (
-    LagrangianSubspace,
-    StabilizerLabel,
-    Subspace,
-    enumerate_lagrangians,
-    enumerate_stabilizer_labels,
-    label_from_functional,
-    symplectic_form,
-    wreath_decompose,
-)
+from .phase_space import enumerate_lagrangians, enumerate_stabilizer_labels, wreath_decompose
 from .operators import (
     GramMatrix,
     OperatorSet,

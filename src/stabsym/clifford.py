@@ -40,15 +40,12 @@ from .permgroup import PermGroup
 from .phase_space import (
     MAX_ENTRIES,
     MAX_POINTS,
-    LagrangianSubspace,
+    Lagrangians,
     all_vectors,
     code_points,
     enumerate_stabilizer_labels,
     jvec,
-    label_from_functional,
     label_permutations,
-    lagrangian_index,
-    lagrangian_tables,
     point_codes,
     wreath_decompose,
 )
@@ -473,17 +470,20 @@ def rebit_count(n):
 
 @lru_cache(maxsize=None)
 def real_clifford_closure(n):
-    """(labels, generators) of the rebit states, no Gram: the qubit labels on real
-    Lagrangians (transposition fixes each basis row, hence the span), breadth-first from
-    |0...0>, under Z_i, H_i, CZ_ij; refused before listing if the Gram passes MAX_ENTRIES."""
+    """((lags, index, reps), generators) of the rebit states, no Gram: the qubit labels
+    on real Lagrangians (transposition fixes each basis row, hence the span), the real
+    sublist lags of `enumerate_lagrangians(2, n)`, breadth-first from |0...0>, under Z_i,
+    H_i, CZ_ij; refused before listing if the Gram passes MAX_ENTRIES."""
     if (size := rebit_count(n)) ** 2 > MAX_ENTRIES:
         raise BudgetExceeded(f"{size}^2 rebit Gram entries exceed the budget of {MAX_ENTRIES}")
-    lags, which, _, _ = lagrangian_index(labels := enumerate_stabilizer_labels(2, n))
-    real = ~transpose_action(n)[2](lagrangian_tables(lags).basis).any(-1)
-    labels = [lab for lab, keep in zip(labels, real[which].tolist()) if keep]
+    full, index, reps = enumerate_stabilizer_labels(2, n)
+    real = ~transpose_action(n)[2](full.basis).any(-1)
+    lags = Lagrangians(2, n, full.basis[real])
+    keep = real[index]
+    index, reps = (np.cumsum(real) - 1)[index[keep]], reps[keep]
     gates = [(g, i) for i in range(n) for g in ("Z", "H")]
     gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]
-    perms = label_permutations(labels, [qubit_gate_action(n, *g) for g in gates])
+    perms = label_permutations(lags, index, reps, [qubit_gate_action(n, *g) for g in gates])
     seen, queue = {0: 0}, [0]
     for p in queue:
         for perm in perms:
@@ -491,13 +491,15 @@ def real_clifford_closure(n):
                 seen[perm[p]] = len(seen)
                 queue.append(perm[p])
     gens = tuple(tuple(seen[perm[p]] for p in seen) for perm in perms)
-    return tuple(labels[p] for p in seen), gens
+    order = list(seen)
+    return (lags, index[order], reps[order]), gens
 
 
 @lru_cache(maxsize=None)
 def real_clifford_orbit(n) -> OperatorSet:
     """The rebit states of `real_clifford_closure` as a set, with no Gram."""
-    return OperatorSet(f"rebit({n})", 2, n, real_clifford_closure(n)[0])
+    lags, index, reps = real_clifford_closure(n)[0]
+    return OperatorSet(f"rebit({n})", 2, n, lags=lags, index=index, reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +514,16 @@ def wreath_decompose_table():
     Each row reports the basis permutation sigma and, per source basis B, the
     within-basis map applied as B leaves: 'e' (identity) or 't' (transposition),
     read off the labels of X+, X-, Y+, Y-, Z+, Z-, one block of two per basis
-    (`phase_space.wreath_decompose`).
+    (`phase_space.wreath_decompose`): the enumerated labels of each basis, rep 0
+    (the + state, [rep, b] = 0 on its basis row b) first.
     """
     bases = tuple(_XYZ_VECTORS)
-    labels = [label_from_functional(LagrangianSubspace.from_rows([_XYZ_VECTORS[basis]], 2), (k,))
-              for basis in bases for k in (0, 1)]
+    lags, index, reps = enumerate_stabilizer_labels(2, 1)
+    vectors = lags.basis[:, 0].tolist()
+    order = np.concatenate([np.flatnonzero(index == vectors.index(list(v)))
+                            for v in _XYZ_VECTORS.values()])
     names = ("Y", "Z", "H", "S")
-    perms = label_permutations(labels, [transpose_action(1)]
+    perms = label_permutations(lags, index[order], reps[order], [transpose_action(1)]
                                + [qubit_gate_action(1, name) for name in names])
 
     def coordinates(perm):

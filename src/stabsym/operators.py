@@ -1,6 +1,7 @@
 """The Weyl operators T(a) and phase-space point operators A(a) as batched
 monomial tables, the Gram data of stabilizer labels, `OperatorSet`, the one
-type of a set of states, and the dense matrix `OpMatrix`.
+type of a set of states, its elements given by integer arrays, and the dense
+matrix `OpMatrix`.
 
 No certified path builds or multiplies a dense `OpMatrix`: the tests'
 dense oracles do (their traces and inner products are in
@@ -22,11 +23,10 @@ from .cyclotomic import CycNumber, _field, conductor_for, galois_exponent
 from .errors import BudgetExceeded, OddOnly
 from .phase_space import (
     MAX_ENTRIES,
-    StabilizerLabel,
+    Lagrangians,
     code_points,
     enumerate_stabilizer_labels,
     jvec,
-    lagrangian_index,
     lagrangian_tables,
     point_codes,
 )
@@ -210,7 +210,7 @@ def rational_part(out):
 
 @lru_cache(maxsize=1024)
 def _pair_table(lags):
-    """For Lagrangians lags of one (d, n) (else ValueError), per pair
+    """For the `phase_space.Lagrangians` lags, per pair
     (L_i, L_j): dim(L_i ∩ L_j) as dims[i, j], J b_t = (b_Z, -b_X) for a basis
     b_t of L_i ∩ L_j (one for both orders) as jb[i, j, t], padded with zero
     rows to n, so that [a, b_t] = a . J b_t, and c_(L_i)(b_t) as signs[i, j, t]
@@ -221,7 +221,7 @@ def _pair_table(lags):
     of every pair i <= j are one batched `zmod.null_space`, written to both
     orders, and the signs of each order read at its own first Lagrangian."""
     tables = lagrangian_tables(lags)
-    d, n = lags[0].d, lags[0].ambient // 2
+    d, n = lags.d, lags.n
     # a pairing sums 2n products of residues below d, exactly in this dtype
     basis = tables.basis.astype(np.min_scalar_type(-2 * n * (d - 1) ** 2))
     i, j = np.triu_indices(len(lags))
@@ -248,7 +248,7 @@ def character_keys(lags, li, reps):
     keys[y, L_x], as each chi is a character.  Each form sums 2n products of
     residues below d and a sign bit, exactly in the smallest unsigned dtype
     that holds 2n (d - 1)^2 + 1."""
-    d, n = lags[0].d, lags[0].ambient // 2
+    d, n = lags.d, lags.n
     _, jb, signs = _pair_table(lags)
     acc = np.min_scalar_type(2 * n * (d - 1) ** 2 + 1)
     forms = (np.einsum("...xa,xjta->...xjt", reps.astype(jb.dtype), jb[li], dtype=acc)
@@ -257,9 +257,11 @@ def character_keys(lags, li, reps):
     return (forms * d ** np.arange(n, dtype=key)).sum(axis=-1, dtype=key)
 
 
-def closed_form_gram(labels) -> GramMatrix:
-    """The Gram of stabilizer labels: tr(Pi_x Pi_y) = d^(dim(L∩M) - n) if
-    the characters chi_x and chi_y (`StabilizerLabel`) agree on L∩M, else 0.
+def closed_form_gram(lags, index, reps) -> GramMatrix:
+    """The Gram of the stabilizer labels (lags[index[x]], reps[x]) of the
+    `phase_space.Lagrangians` lags: tr(Pi_x Pi_y) = d^(dim(L∩M) - n) if the
+    characters chi_x and chi_y agree on L∩M, else 0, with chi = [rep, .] +
+    c_L on L (`phase_space.lagrangian_tables`).
 
     The intersections depend only on the pair of Lagrangians (`_pair_table`),
     and the characters on them are one integer per label and Lagrangian
@@ -267,16 +269,15 @@ def closed_form_gram(labels) -> GramMatrix:
     is code 0 (value 0) or 1 + dim(L_x ∩ L_y); the n + 2 values increase
     with it.
     """
-    labels = tuple(labels)
-    d, n = labels[0].d, labels[0].n
-    lags, li, reps, _ = lagrangian_index(labels)
-    keys = character_keys(lags, li, reps)
+    d, n = lags.d, lags.n
+    keys = character_keys(lags, index, reps)
     # both sides gathered by rows: comparing C-order arrays, not one with its
     # transpose, is the bulk of the saving at N = 3 900
-    agree = keys.take(li, axis=1) == keys.T[li]
-    codes = np.where(agree, _pair_table(lags)[0][li].take(li, axis=1) + np.uint8(1), np.uint8(0))
+    agree = keys.take(index, axis=1) == keys.T[index]
+    codes = np.where(agree, _pair_table(lags)[0][index].take(index, axis=1) + np.uint8(1),
+                     np.uint8(0))
     legend = (Fraction(0), *(Fraction(d) ** (k - n) for k in range(n + 1)))
-    return GramMatrix.from_keys(labels, codes, legend.__getitem__)
+    return GramMatrix.from_keys(codes, legend.__getitem__)
 
 
 _TABLE_SPAN = 16  # widest key span `GramMatrix.from_keys` ranks through a table
@@ -289,12 +290,11 @@ class GramMatrix:
     the distinct values that occur, so every code is used; codes is a
     read-only array in the smallest unsigned dtype that holds them."""
 
-    labels: tuple
     codes: np.ndarray
     legend: tuple  # of Fraction, strictly increasing
 
     @classmethod
-    def from_keys(cls, labels, keys, value):
+    def from_keys(cls, keys, value):
         """The Gram with entries value(keys[i, j]), for an integer matrix
         keys (numpy integers or Python ints) and a map value that strictly
         increases with the key: each entry's code is the rank of its key
@@ -318,11 +318,11 @@ class GramMatrix:
             distinct = np.unique(keys).tolist()
             codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
         codes.flags.writeable = False
-        return cls(tuple(labels), codes, tuple(map(value, distinct)))
+        return cls(codes, tuple(map(value, distinct)))
 
     @property
     def size(self):
-        return len(self.labels)
+        return len(self.codes)
 
     @property
     def values(self):
@@ -338,64 +338,113 @@ class GramMatrix:
         return "".join(",".join(map(names.__getitem__, row)) + "\n" for row in self.codes.tolist())
 
 
-def build_gram(states) -> GramMatrix:
-    """The Gram of a family of stabilizer labels, by the closed form
-    (`closed_form_gram`); a family of more than MAX_ENTRIES entries is
-    refused (BudgetExceeded)."""
-    states = tuple(states)
-    size = len(states)
-    if size * size > MAX_ENTRIES:
-        raise BudgetExceeded(f"{size}^2 Gram entries exceed budget")
-    if not states or not isinstance(states[0], StabilizerLabel):
-        raise ValueError("the Gram is built from stabilizer labels")
-    return closed_form_gram(states)
+def build_gram(q) -> GramMatrix:
+    """The Gram of an `OperatorSet` of stabilizer states, by the closed form
+    (`closed_form_gram`); a set of more than MAX_ENTRIES entries is refused
+    (BudgetExceeded)."""
+    if not isinstance(q, OperatorSet) or q.lags is None:
+        raise ValueError("the Gram is built from a set of stabilizer states")
+    if q.size * q.size > MAX_ENTRIES:
+        raise BudgetExceeded(f"{q.size}^2 Gram entries exceed budget")
+    return closed_form_gram(q.lags, q.index, q.reps)
 
 
 # ---------------------------------------------------------------------------
 # Operator sets: the one set type, and the cached stabilizer family
 
+def _residue_rows(rows, d, n, what):
+    """rows, one per element, as a read-only int64 array (size, 2n); the
+    first element that is not 2n integers in 0..d-1 raises ValueError,
+    named by its index.  An array of residues is taken as it is; the
+    elements are read one by one only to name a bad one."""
+    try:
+        array = np.asarray(rows)
+        ok = (array.ndim == 2 and array.shape[1] == 2 * n and array.dtype.kind in "iu"
+              and not ((array < 0) | (array >= d)).any())
+    except ValueError:  # ragged rows
+        ok = False
+    if not ok:
+        for x, row in enumerate(rows):
+            if np.ndim(row) != 1 or len(row) != 2 * n or not all(
+                    isinstance(v, Integral) and 0 <= v < d for v in row):
+                raise ValueError(f"element {x}, {row!r}, is not a {what} of 2n residues mod d "
+                                 f"at (d, n) = ({d}, {n})")
+    array = np.array(rows, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
 class OperatorSet:
     """A finite set of Hermitian trace-1 operators with uniform weights,
-    given by its labels, one per element: a `StabilizerLabel` of (d, n) for
-    a stabilizer state, or a point a, 2n residues mod d, for A(a); anything
-    else raises ValueError.  Equal and hashed by identity, so the functions
-    cached on a set never hash its labels; the family constructors are
-    cached, one set each, shared by the Gram and the moment readers."""
+    given by integer arrays, one row per element.  A stabilizer state x is
+    the label (lags[index[x]], reps[x]) of the `phase_space.Lagrangians`
+    lags of (d, n): the Lagrangian's index and the canonical representative
+    of the coset, 2n residues mod d that are 0 at the Lagrangian's pivots.
+    With `points` alone, element x is the phase point A(points[x]), 2n
+    residues mod d.  Anything else raises ValueError, naming the first bad
+    element where there is one; the arrays are kept as read-only int64
+    copies.  Equal and hashed by identity, so the functions cached on a set
+    never hash its arrays; the family constructors are cached, one set
+    each, shared by the Gram and the moment readers."""
 
-    def __init__(self, name, d, n, labels):
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("an operator set needs at least one label")
-        stab = isinstance(labels[0], StabilizerLabel)
-        kind = "stabilizer label" if stab else "point of 2n residues mod d"
-        for x in labels:
-            if isinstance(x, StabilizerLabel) != stab or not (
-                    (x.d, x.n) == (d, n) if stab else len(x) == 2 * n
-                    and all(isinstance(v, Integral) and 0 <= v < d for v in x)):
-                raise ValueError(f"{x!r} is not a {kind} at (d, n) = ({d}, {n})")
-        self.name, self.d, self.n, self.labels = name, d, n, labels
-        self.dim, self.conductor, self.size = d ** n, conductor_for(d), len(labels)
+    def __init__(self, name, d, n, *, lags=None, index=None, reps=None, points=None):
+        stab = lags is not None
+        if (index is None, reps is None, points is None) != (not stab, not stab, stab):
+            raise ValueError("an operator set is given by lags, index and reps, or by points")
+        rows = reps if stab else points
+        if not len(rows):
+            raise ValueError("an operator set needs at least one element")
+        rows = _residue_rows(rows, d, n, "rep" if stab else "point")
+        if stab:
+            if not isinstance(lags, Lagrangians) or (lags.d, lags.n) != (d, n):
+                raise ValueError(f"the Lagrangians are not a list of (d, n) = ({d}, {n})")
+            index = np.array(index, dtype=np.int64)
+            if index.shape != rows.shape[:1]:
+                raise ValueError(f"{index.shape} indices for {len(rows)} reps")
+            outside = (index < 0) | (index >= len(lags))
+            pivots = (lags.basis != 0).argmax(-1)[np.where(outside, 0, index)]
+            for bad, why in ((outside, f"its Lagrangian is not one of the {len(lags)}"),
+                             (np.take_along_axis(rows, pivots, 1).any(1),
+                              "its rep is not 0 at the pivots of its Lagrangian")):
+                if bad.any():
+                    x = int(bad.argmax())
+                    raise ValueError(f"element {x}, ({index[x]}, {rows[x].tolist()}): {why}")
+            index.flags.writeable = False
+        self.name, self.d, self.n = name, d, n
+        self.lags, self.index = lags, index
+        self.reps, self.points = (rows, None) if stab else (None, rows)
+        self.dim, self.conductor, self.size = d ** n, conductor_for(d), len(rows)
 
     @cached_property
     def gram(self) -> GramMatrix:
         """The set's Gram, by `build_gram` on first read (ValueError for
         phase points)."""
-        return build_gram(self.labels)
+        return build_gram(self)
+
+    @cached_property
+    def blocks(self):
+        """blocks[l], the elements of the Lagrangian lags[l] in order, as
+        lists of ints (stabilizer states only)."""
+        blocks = [[] for _ in range(len(self.lags))]
+        for x, l in enumerate(self.index.tolist()):
+            blocks[l].append(x)
+        return blocks
 
 
 @lru_cache(maxsize=None)
 def stabilizer_set(d, n) -> OperatorSet:
-    """The stabilizer states of (d, n) as a set, with no Gram: the labels
-    sorted, and at d = 2 by Lagrangian, then by the signs (-1)^f_i of its
-    basis stabilizers b_i, +1 first: f_i = rep . J b_i mod 2 for every label
-    in one batched product, ordered by one lexsort (last key first)."""
+    """The stabilizer states of (d, n) as a set, with no Gram: the labels of
+    `enumerate_stabilizer_labels`, sorted, and at d = 2 by Lagrangian, then
+    by the signs (-1)^f_i of its basis stabilizers b_i, +1 first: f_i = rep
+    . J b_i mod 2 for every label in one batched product, ordered by one
+    lexsort (last key first)."""
     require_prime(d)
-    labels = enumerate_stabilizer_labels(d, n)
+    lags, index, reps = enumerate_stabilizer_labels(d, n)
     if d == 2:
-        lags, li, reps, _ = lagrangian_index(labels)
-        f = np.einsum("xa,xia->xi", reps, jvec(lagrangian_tables(lags).basis)[li]) % 2
-        labels = tuple(map(labels.__getitem__, np.lexsort((*-f.T[::-1], li)).tolist()))
-    return OperatorSet(f"stabilizer({d},{n})", d, n, labels)
+        f = np.einsum("xa,xia->xi", reps, jvec(lags.basis)[index]) % 2
+        order = np.lexsort((*-f.T[::-1], index))
+        index, reps = index[order], reps[order]
+    return OperatorSet(f"stabilizer({d},{n})", d, n, lags=lags, index=index, reps=reps)
 
 
 def stabilizer_states(d, n) -> OperatorSet:

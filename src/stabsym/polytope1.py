@@ -7,7 +7,7 @@ no function here lists the facets.
 No function here builds a matrix: the overlaps are the closed-form Gram's
 codes, and an operator is given by its discrete Wigner function (Gross,
 J. Math. Phys. 47, 122107 (2006)), summed over each coset through the coset
-table of the labels (`phase_space.label_cosets`)."""
+table of the set's labels (`phase_space.label_cosets`)."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Mismatch, OddOnly
 from .operators import stabilizer_set, stabilizer_states
-from .phase_space import label_cosets, lagrangian_index
+from .phase_space import label_cosets
 
 
 def direct_sum_check(d):
@@ -36,10 +36,10 @@ def direct_sum_check(d):
     lines, and d tr(pi_x pi_y) is -1, 0 or d - 1 by code."""
     if d == 2:
         raise OddOnly("direct-sum geometry is stated for odd d")
-    gram = stabilizer_states(d, 1).gram
+    states = stabilizer_states(d, 1)
+    gram, line, blocks = states.gram, states.index, states.blocks
     if gram.legend != (0, Fraction(1, d), 1):
         raise Mismatch(f"overlap values {gram.legend} are not (0, 1/d, 1)", witness=gram.legend)
-    _, line, _, blocks = lagrangian_index(gram.labels)
     expected = (line[:, None] != line).astype(gram.codes.dtype)
     np.fill_diagonal(expected, 2)
     bad = np.argwhere(gram.codes != expected)
@@ -67,7 +67,7 @@ def polytope_membership(w, d):
     least facet value takes each block's least term.  Returns (inside,
     characters): characters is None if A lies inside, else the vertex
     indices g of the first violated facet in `itertools.product(*blocks)`
-    order, for the blocks of `lagrangian_index`.  A w of the wrong length,
+    order, for the blocks of `stabilizer_set(d, 1)`.  A w of the wrong length,
     with an entry that is not rational, or of trace other than 1 raises
     ValueError."""
     if d == 2:
@@ -82,12 +82,13 @@ def polytope_membership(w, d):
         raise ValueError(f"trace {sum(w) / d} is not 1")
     den = math.lcm(*(v.denominator for v in w))
     ints = np.array([int(v * den) for v in w], dtype=object)
-    labels = stabilizer_set(d, 1).labels
-    index, coset = label_cosets(labels)  # coset[l, x]: the label y with x in rep_y + L_l
-    sums = np.zeros(len(labels), dtype=object)  # den * d * t_y
+    states = stabilizer_set(d, 1)
+    # coset[l, x]: the label y with x in rep_y + L_l
+    coset = label_cosets(states.lags, states.index, states.reps)
+    sums = np.zeros(states.size, dtype=object)  # den * d * t_y
     np.add.at(sums, coset, np.broadcast_to(ints, coset.shape))
     # den * d * tr(X_g A) = den + sum_i terms[i][g_i], as s = 1/d
-    terms = [[sums[y] - den for y in block] for block in index.blocks]
+    terms = [[sums[y] - den for y in block] for block in states.blocks]
     # rest[i]: the least sum of the terms of blocks i, i + 1, ...
     rest = list(itertools.accumulate(map(min, reversed(terms)), initial=0))[::-1]
     if den + rest[0] >= 0:
@@ -95,7 +96,7 @@ def polytope_membership(w, d):
     # block by block, the first vertex that still leaves the sum negative
     # when every later block takes its least term
     characters, acc = [], den
-    for block, row, later in zip(index.blocks, terms, rest[1:]):
+    for block, row, later in zip(states.blocks, terms, rest[1:]):
         k = next(k for k, t in enumerate(row) if acc + t + later < 0)
         characters.append(block[k])
         acc += row[k]
@@ -121,8 +122,8 @@ def facet_report(d):
     row per block.  Two facets take different rows in some block, so they
     are distinct."""
     direct_sum = direct_sum_check(d)
-    gram = stabilizer_states(d, 1).gram
-    blocks = lagrangian_index(gram.labels).blocks
+    states = stabilizer_states(d, 1)
+    gram, blocks = states.gram, states.blocks
     per_block = []
     for block in blocks:
         rows = [[gram.legend[c] for c in row] for row in gram.codes[np.ix_(block, block)].tolist()]

@@ -23,7 +23,8 @@ from .clifford import (
     sp_order_formula,
     transpose_action,
 )
-from .errors import Mismatch, NotBasisPreserving, OddOnly, SearchTimeout, Unsupported
+from .errors import (BudgetExceeded, Mismatch, NotBasisPreserving, OddOnly, SearchTimeout,
+                     Unsupported)
 from .operators import GramMatrix, character_keys, stabilizer_set, stabilizer_states
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
@@ -32,7 +33,6 @@ from .phase_space import (
     enumerate_lagrangians,
     jvec,
     label_permutations,
-    lagrangian_index,
     lagrangian_tables,
     wreath_compose,
     wreath_decompose,
@@ -220,7 +220,14 @@ class AutomorphismSearch:
         self.first_leaf = None
         self.path_invariants = {}
         self.chain = None
-        self._dfs(np.zeros(self.n, dtype=np.int64), None, 0, True)
+        try:
+            self._dfs(np.zeros(self.n, dtype=np.int64), None, 0, True)
+        except RecursionError:
+            # the first path is the deepest (a node off it stops at its depth),
+            # so its base holds the depth reached
+            raise BudgetExceeded(
+                f"automorphism search too deep for the interpreter's recursion limit: "
+                f"{self.nodes} nodes visited, depth {len(self.base_seq)} reached") from None
         if self.chain is None:  # a discrete root: the base is empty
             self._grow_chain(0)
         chain = self.chain
@@ -369,14 +376,14 @@ def predicted_generators(d, n, variant) -> tuple:
     if variant == "wreath":
         if n != 1:
             raise Unsupported("the wreath case is n = 1")
-        return _wreath_generators(lagrangian_index(fam.labels).blocks)
+        return _wreath_generators(fam.blocks)
     if variant == "extended_clifford":
         if d != 2:
             raise Unsupported("the extended Clifford case is d = 2")
         gates = [(g, i) for i in range(n) for g in ("H", "S")]
         gates += [("CZ", i, j) for i in range(n) for j in range(i + 1, n)]
         actions = [qubit_gate_action(n, *g) for g in gates] + [transpose_action(n)]
-        return tuple(label_permutations(fam.labels, actions))
+        return tuple(label_permutations(fam.lags, fam.index, fam.reps, actions))
     if variant == "agsp":
         if d == 2:
             raise OddOnly("the AGSp label action requires odd d")
@@ -385,7 +392,7 @@ def predicted_generators(d, n, variant) -> tuple:
         maps = [(s, zero) for s in sp_generators(d, n)]
         maps.append((k_alpha(d, n, primitive_root(d)), zero))
         maps += [(eye, tuple(1 if i == k else 0 for i in range(2 * n))) for k in range(2 * n)]
-        return tuple(label_permutations(fam.labels, maps))
+        return tuple(label_permutations(fam.lags, fam.index, fam.reps, maps))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -475,10 +482,9 @@ def verify_theorem1(d, n, variant, time_budget=None):
     report["predicted_in_computed"] = not missing_fwd
     report["computed_in_predicted"] = not missing_bwd
     if n == 1 and variant != "real_clifford":
-        blocks = lagrangian_index(fam.labels).blocks
         try:
             for g in computed.generators:
-                wreath_decompose(g, blocks)
+                wreath_decompose(g, fam.blocks)
             report["basis_partition_preserved"] = True
         except NotBasisPreserving:
             report["basis_partition_preserved"] = False
@@ -518,7 +524,7 @@ def sf_checks(lags, reps, bs):
     form on each family (`character_keys`): every two characters agree on
     the intersection of their Lagrangians.
     """
-    d, n = lags[0].d, lags[0].ambient // 2
+    d, n = lags.d, lags.n
     dim, size = d ** n, d ** (2 * n)
 
     def pairing(a, v):  # [a, v] mod d

@@ -1,90 +1,44 @@
-"""Dense-matrix reference versions of the library's label and monomial
-kernels.
+"""Reference versions of the library's kernels: dense matrices, label
+objects and one-element loops, each the oracle of a batched library path.
 
-The library acts on d = 2 stabilizer states as labels: the Gram is the
-closed form, and gates and transposition permute the labels through
-integer index tables (`phase_space.label_permutations`).  `transform_labels`
-builds every image label as an object, `transform_label` one label alone,
-and `matrix_point_perm` maps phase-space points one tuple at a time
-(`matrix_apply`), the oracle of `clifford.nonzero_point_perms`.  The
-oracles here act on the exact projector matrices instead: a permutation is
-read off by conjugating every projector, and the rebit states are the
-breadth-first closure of |0...0><0...0| under the dense real Clifford
-gates (`qubit_gate`).  `real_clifford_closure_reference` is the label
-closure the library once ran instead of its real-Lagrangian test: every
-qubit label permuted by the real gates, walked breadth-first from
-|0...0>.  The
-S_f sum rule is checked on Weyl coefficients (`symmetry.sf_checks`) and the
-Galois action on A(x) as a monomial map; `dense_sf_machinery` and
-`ext_apply` take the same steps with sums and products of dense matrices.
-
-The n = 1 facet verdict and polytope membership are sums and minima over
-basis blocks in the library (`polytope1`), its shifted overlap table is read
-from the closed-form Gram's codes, and membership takes an operator's
-Wigner function; `shifted_vertices` are the dense pi = Pi - (1/d) 1,
-`dense_overlap_table` their pairwise traces, `dense_line_sums_vanish` sums
-them per line, `dense_facet_family` lists all d^(d+1) facet operators as
-dense matrices and `dense_membership` and `dense_incidence_counts` take one
-`hs_inner` per facet; `dense_wigner` reads a dense matrix's Wigner function
-and `wigner_negative_matrix` is the dense form of the library's
-Wigner-negative state.  `family_projectors` builds a family's dense
-projectors, `trace_pairs` is every pairwise trace of two lists of dense
-matrices in one contraction, and `bruteforce_gram` the Gram of dense
-projectors by those traces.  The rest are
-one-element or single-operator forms of the library's batched kernels:
-`transform_label`, `sign_bits` (c_L one point at a time, the oracle of
-`phase_space.lagrangian_tables`), `functional_label_by_search` (a search
-of all d^(2n) points per label), `mono_trace`, `mono_trace_product`,
-`stab_projector_wigner`, `wreath_recompose`, `Similitude`,
-`is_hermitian` and `is_identity`.  `first_moment` is the dense sum behind
-the mu_1 ∝ 1 clause, which the library reads from trace-table row sums.
-
-The moment predicates read closed-form bases and labelled trace tables in
-the library (`moments._basis`, `moments.trace_table`); `symmetric_basis` is
-the rational basis E_ii, E_ij + E_ji of the real symmetric matrices and
-`jordan_slab` the symmetrized triple traces of dense matrices, the oracle of
-`moments._jordan`.
-
-The library writes T(a) and the odd-d A(a) as batched integer tables
-(`operators.weyl_table`, `operators.phase_point_table`).  Their reference
-here is one frozen `Mono` per point, cached: `weyl_mono` and
-`phase_point_mono` build it, `Mono.__matmul__`, `dagger`, `phase_shift` and
-`galois` are its algebra, `mono_sum` expands a sum of monomials to a dense
-matrix and `weyl` is the dense T(a).
-
-The single-qudit Clifford laws compare phase tables in the library
-(`clifford.PhaseStack`, `clifford.products_equal`).  `dense_metaplectic` is
-the dense closed form of U_S, `dense` expands one table of a stack to a
-dense matrix, `concat` stacks the tables of several stacks,
-`weyl_law_pairwise` checks the Weyl law one `Mono` product at a time and
-`similitude_multiplier_loop` reads the multiplier pair by pair.
-`hermitian_basis` lists the Hermitian basis as monomials in
-`phase_space.point_codes` order.
-
-The library's one Z_d elimination is the batched `zmod.rref`;
-`rref_rows` and `null_space_rows` are the per-matrix elimination on lists
-of ints, and `pair_table_loop` builds the Lagrangian pair table with one
-`null_space_rows` per pair, the oracle of `operators._pair_table`.  The
-library inverts no Z_d matrix; the oracles' pre-images take sympy's
-`Matrix.inv_mod` (`inverse_mod`).
-
-A stabilizer chain keeps a Schreier tree per level and builds coset
-representatives on demand (`permgroup.PermGroup`); `tree_representative`
-multiplies the generators along a tree path from scratch, and
-`assert_schreier_trees` checks every edge and every representative of a
-chain against it.
-
-The library builds no dense element of a set: an `OperatorSet` is its
-labels.  The dense side is here.  `stab_projector` and `phase_point` are the
-exact projector Pi_x and point operator A(a), and `set_elements` gives a
-set's elements from its labels.  `coefficient_stack` puts matrices over one
-denominator, `mono_traces` gathers every tr(B_x Q_y) of monomial B_x against
-dense Q_y, and `lowest_terms` reduces a table.  `moment_form` is F_k summed
-element by element.
-
-The helpers that only tests call are here, not in the library: the dense
-traces, the float embedding `to_complex`, which only `sqrt_d` reads for
-its sign, and one-element forms such as `ext_compose` and `vec_add`.
+- Labels.  The library holds a family as integer arrays (the bases of its
+  `phase_space.Lagrangians`, each label's Lagrangian index and rep).  The
+  objects those arrays replaced are here, read one label at a time:
+  `Subspace`, `LagrangianSubspace`, `StabilizerLabel`,
+  `label_from_functional` and `symplectic_form`.  `lagrangian_objects`,
+  `label_objects`, `enumerated_labels` and `set_labels` read library arrays
+  as objects, `label_set` builds a set from objects, `subset` a set of some
+  elements of another.  `transform_label(s)`, `sign_bits` and
+  `functional_label_by_search` map labels one at a time (the oracles of
+  `phase_space.label_permutations` and `lagrangian_tables`), and
+  `real_clifford_closure_reference` walks the real gates over every qubit
+  label.
+- Dense elements.  `stab_projector`, `stab_projector_wigner`,
+  `stab_projector_qubit` and `phase_point` are the exact Pi_x and A(a);
+  `set_elements` and `family_projectors` give a set's; `trace_pairs`,
+  `bruteforce_gram`, `moment_form`, `first_moment`, `mono_traces`,
+  `coefficient_stack` and `lowest_terms` read them as the library's
+  closed forms do; `qubit_gate`, `dense_real_clifford_orbit`,
+  `dense_sf_machinery` and `ext_apply` act on them.
+- n = 1 geometry.  `shifted_vertices`, `dense_overlap_table`,
+  `dense_line_sums_vanish`, `dense_facet_family`, `dense_membership`,
+  `dense_incidence_counts`, `dense_wigner` and `wigner_negative_matrix`
+  are the dense forms of `polytope1`'s sums and minima over basis blocks.
+- Monomials and phase tables.  One frozen `Mono` per point (`weyl_mono`,
+  `phase_point_mono`, `mono_sum`, `weyl`, `hermitian_basis`) is the
+  reference of `operators.weyl_table` and `phase_point_table`;
+  `dense_metaplectic`, `dense`, `concat`, `weyl_law_pairwise` and
+  `similitude_multiplier_loop` that of `clifford.PhaseStack` and
+  `products_equal`; `symmetric_basis` and `jordan_slab` that of
+  `moments._jordan`.
+- Eliminations and chains.  `rref_rows`, `null_space_rows` and
+  `pair_table_loop` eliminate one matrix at a time (`zmod.rref`,
+  `operators._pair_table`); `inverse_mod` takes sympy's `inv_mod`;
+  `tree_representative` and `assert_schreier_trees` check a
+  `permgroup.PermGroup` chain edge by edge.
+- Helpers no library path calls: the dense traces (`trace_product`,
+  `hs_inner`), the float embedding `to_complex`, which only `sqrt_d` reads
+  for its sign, and one-element forms such as `ext_compose` and `vec_add`.
 """
 
 import cmath
@@ -103,25 +57,202 @@ from stabsym.clifford import (ExtCliffordElement, PhaseStack, _compose, k_alpha,
 from stabsym.cyclotomic import (CycNumber, _exact, _field, _int64, conductor_for, gauss_sum, omega,
                                 root_of_unity)
 from stabsym.errors import Mismatch, OddOnly, StabsymError, WordDecompositionFailure
-from stabsym.operators import GramMatrix, OpMatrix, build_gram, rational_part, stabilizer_states
+from stabsym.operators import GramMatrix, OperatorSet, OpMatrix, rational_part, stabilizer_states
 from stabsym.permgroup import compose, identity_perm
 from stabsym.phase_space import (
-    LagrangianSubspace,
-    StabilizerLabel,
-    Subspace,
     _echelon_blocks,
     all_vectors,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
     jvec,
     label_permutations,
-    lagrangian_index,
     lagrangian_tables,
     code_points,
     point_codes,
-    symplectic_form,
 )
-from stabsym.zmod import inv_mod, legendre, require_prime
+from stabsym.zmod import inv_mod, legendre, require_prime, rref
+
+
+# ---------------------------------------------------------------------------
+# Label objects: one label at a time, the reference of the library's arrays
+
+def symplectic_form(a, b, d: int) -> int:
+    """[a, b] = a_X . b_Z - b_X . a_Z in Z_d."""
+    if len(a) != len(b) or len(a) % 2:
+        raise ValueError("vectors must share an even length")
+    n = len(a) // 2
+    return sum(a[i] * b[n + i] - b[i] * a[n + i] for i in range(n)) % d
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Row span of a canonical RREF basis over Z_d."""
+
+    basis: tuple
+    d: int
+    ambient: int
+
+    @classmethod
+    def from_rows(cls, rows, d, ambient=None):
+        require_prime(d)
+        rows = np.asarray(rows)
+        if not rows.size:
+            if ambient is None:
+                raise ValueError("empty row list needs explicit ambient dimension")
+            return cls(basis=(), d=d, ambient=ambient)
+        ech, pivots = rref(rows, d)
+        return cls(basis=tuple(map(tuple, ech[pivots < ech.shape[1]].tolist())), d=d,
+                   ambient=ech.shape[1])
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @property
+    def pivots(self):
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+
+    def reduce(self, v):
+        """Canonical coset representative of v + self: zero at all pivots.
+
+        This is the lexicographically smallest vector in the coset.
+        """
+        d = self.d
+        v = [int(x) % d for x in v]
+        for p, row in zip(self.pivots, self.basis):
+            f = v[p]
+            if f:
+                v = [(x - f * y) % d for x, y in zip(v, row)]
+        return tuple(v)
+
+    def contains(self, v) -> bool:
+        return all(x == 0 for x in self.reduce(v))
+
+    def points(self):
+        """All d^dim vectors of the subspace."""
+        d = self.d
+        out = []
+        for coeffs in itertools.product(range(d), repeat=self.dim):
+            v = [0] * self.ambient
+            for c, row in zip(coeffs, self.basis):
+                if c:
+                    v = [(x + c * y) % d for x, y in zip(v, row)]
+            out.append(tuple(v))
+        return out
+
+
+class LagrangianSubspace(Subspace):
+    """A maximal isotropic subspace: dimension n with vanishing form."""
+
+    @classmethod
+    def from_rows(cls, rows, d, ambient=None):
+        sub = Subspace.from_rows(rows, d, ambient=ambient)
+        n = sub.ambient // 2
+        if sub.dim != n:
+            raise ValueError(f"dimension {sub.dim} != n = {n}")
+        basis = np.array(sub.basis)
+        if (basis @ jvec(basis).T % d).any():
+            raise ValueError("form does not vanish on the span")
+        return cls(basis=sub.basis, d=d, ambient=sub.ambient)
+
+
+@dataclass(frozen=True)
+class StabilizerLabel:
+    """A Lagrangian L plus the canonical coset representative of L + a.
+
+    The representative encodes the functional g(b) = [a, b] on L.  The state
+    is d^-n sum_{b in L} omega^chi(b) T(b), chi = g + c_L, with c_L the
+    signs of `lagrangian_tables`.
+    """
+
+    L: LagrangianSubspace
+    rep: tuple
+
+    @classmethod
+    def make(cls, L, rep):
+        return cls(L=L, rep=L.reduce(rep))
+
+    @property
+    def d(self):
+        return self.L.d
+
+    @property
+    def n(self):
+        return self.L.ambient // 2
+
+    def functional(self, b) -> int:
+        """g(b) = [rep, b] for b in L."""
+        return symplectic_form(self.rep, b, self.d)
+
+
+def label_from_functional(L: LagrangianSubspace, values) -> StabilizerLabel:
+    """Label whose representative a satisfies [a, b_i] = values[i] on the
+    basis of L: a = J f, f the values at the pivots, as [J f, b] = f . b and
+    the echelon row b_i is 1 at its own pivot and 0 at the others."""
+    if len(values) != L.dim:
+        raise ValueError("one value per basis row required")
+    f = np.zeros(L.ambient, dtype=np.int64)
+    f[list(L.pivots)] = values
+    return StabilizerLabel.make(L, tuple(jvec(f).tolist()))
+
+
+def brute_force_lagrangians(d, n):
+    """The canonical bases of the Lagrangians of Z_d^{2n}: every isotropic
+    n-tuple of nonzero vectors, spanned and reduced, its n-dimensional spans
+    kept once."""
+    seen = set()
+    for combo in itertools.combinations(list(all_vectors(d, 2 * n))[1:], n):
+        if not any(symplectic_form(u, v, d) for u in combo for v in combo):
+            sub = Subspace.from_rows(list(combo), d)
+            if sub.dim == n:
+                seen.add(sub.basis)
+    return seen
+
+
+def lagrangian_objects(lags):
+    """The `phase_space.Lagrangians` lags as `LagrangianSubspace` objects, in
+    order, their canonical rows taken as they are."""
+    return tuple(LagrangianSubspace(basis=tuple(map(tuple, rows)), d=lags.d, ambient=2 * lags.n)
+                 for rows in lags.basis.tolist())
+
+
+def label_objects(lags, index, reps):
+    """The labels (lags[index[x]], reps[x]) as `StabilizerLabel` objects."""
+    objects = lagrangian_objects(lags)
+    return tuple(StabilizerLabel(objects[l], tuple(rep))
+                 for l, rep in zip(np.asarray(index).tolist(), np.asarray(reps).tolist()))
+
+
+def enumerated_labels(d, n):
+    """`enumerate_stabilizer_labels(d, n)` as `StabilizerLabel` objects."""
+    return label_objects(*enumerate_stabilizer_labels(d, n))
+
+
+def set_labels(q):
+    """The elements of an `OperatorSet` as `StabilizerLabel` objects (a set
+    of stabilizer states), or as tuples (a set of phase points)."""
+    if q.lags is None:
+        return tuple(map(tuple, q.points.tolist()))
+    return label_objects(q.lags, q.index, q.reps)
+
+
+def label_set(labels, name="labels"):
+    """The `OperatorSet` of `StabilizerLabel` objects of one (d, n), its
+    Lagrangians all of them (`enumerate_lagrangians`)."""
+    d, n = labels[0].d, labels[0].n
+    lags = enumerate_lagrangians(d, n)
+    where = {tuple(map(tuple, rows)): l for l, rows in enumerate(lags.basis.tolist())}
+    return OperatorSet(name, d, n, lags=lags, index=[where[lab.L.basis] for lab in labels],
+                       reps=[lab.rep for lab in labels])
+
+
+def subset(q, picked=slice(None), name=None):
+    """A new `OperatorSet` of the elements `picked` (an index or slice of
+    the arrays) of q, named `name`, by default q's."""
+    name = q.name if name is None else name
+    if q.lags is None:
+        return OperatorSet(name, q.d, q.n, points=q.points[picked])
+    return OperatorSet(name, q.d, q.n, lags=q.lags, index=q.index[picked], reps=q.reps[picked])
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +262,6 @@ from stabsym.zmod import inv_mod, legendre, require_prime
 
 class InconsistentSigns(StabsymError):
     """Qubit sign data does not describe a valid stabilizer group."""
-
-
-class ConductorTooSmall(StabsymError):
-    """The cyclotomic field does not contain the requested element."""
 
 
 def from_rational(m, rows) -> OpMatrix:
@@ -185,24 +312,11 @@ def tau(d: int) -> CycNumber:
     return omega(d) ** ((d + 1) // 2)
 
 
-def _lift(x: CycNumber, m: int) -> CycNumber:
-    """Embed x from conductor x.m into a multiple conductor m."""
-    if m % x.m:
-        raise ValueError("target conductor must be a multiple")
-    powers = _field(m).pows[(np.arange(len(x.num)) * (m // x.m)) % m]
-    return CycNumber(m, list(np.array(x.num, dtype=object).dot(powers)), x.den)
-
-
 @lru_cache(maxsize=None)
-def sqrt_d(d: int, m: int | None = None) -> CycNumber:
+def sqrt_d(d: int) -> CycNumber:
     """Exact sqrt(d), real and positive in the canonical embedding: the Gauss
     sum (`cyclotomic.gauss_sum`, which a test may replace), over i at d = 3 mod 4."""
     require_prime(d)
-    want = conductor_for(d)
-    if m is None:
-        m = want
-    if m % want:
-        raise ConductorTooSmall(f"conductor {m} lacks sqrt({d}); need multiple of {want}")
     if d == 2:
         z = root_of_unity(8, 1)
         s = z + z.conj()  # 2 cos(pi/4)
@@ -210,8 +324,6 @@ def sqrt_d(d: int, m: int | None = None) -> CycNumber:
         s = cyclotomic.gauss_sum(d)
     else:
         s = cyclotomic.gauss_sum(d) * iunit(d).inverse()  # Gauss sum equals i*sqrt(d)
-    if m != want:
-        s = _lift(s, m)
     if s * s != d or not is_real(s):
         raise Mismatch(f"the candidate sqrt({d}) is not real with square {d}", witness=s)
     # one-time numeric sign decision; exactness is certified by the checks above
@@ -400,8 +512,10 @@ def real_clifford_closure_reference(n):
     """(labels, generators) of the orbit of |0...0> under `real_gates`,
     found among all qubit labels: each gate permutes every label, and the
     orbit is walked breadth-first through those permutations."""
-    labels = enumerate_stabilizer_labels(2, n)
-    perms = label_permutations(labels, [qubit_gate_action(n, *g) for g in real_gates(n)])
+    lags, index, reps = enumerate_stabilizer_labels(2, n)
+    labels = label_objects(lags, index, reps)
+    perms = label_permutations(lags, index, reps,
+                               [qubit_gate_action(n, *g) for g in real_gates(n)])
     z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:].tolist(), 2)
     start = labels.index(StabilizerLabel.make(z_basis, (0,) * (2 * n)))
     seen = {start: 0}
@@ -502,8 +616,9 @@ def dense_sf_machinery(d, n, b, family=None):
         raise OddOnly("S_f machinery requires odd d")
     b = tuple(x % d for x in b)
     if family is None:
-        family = [StabilizerLabel.make(L, b) for L in enumerate_lagrangians(d, n)]
-    nonorth = build_gram(family).legend[0] > 0  # the legend is sorted
+        family = [StabilizerLabel.make(L, b)
+                  for L in lagrangian_objects(enumerate_lagrangians(d, n))]
+    nonorth = label_set(family).gram.legend[0] > 0  # the legend is sorted
     dim = d ** n
     acc = OpMatrix.zero(stab_projector(family[0]).m, dim)
     for lab in family:
@@ -516,7 +631,7 @@ def dense_sf_machinery(d, n, b, family=None):
 
 def family_projectors(fam):
     """The exact projectors of an `OperatorSet`'s stabilizer labels (`stab_projector`)."""
-    return tuple(map(stab_projector, fam.labels))
+    return tuple(map(stab_projector, set_labels(fam)))
 
 
 def trace_pairs(left, right):
@@ -542,11 +657,11 @@ def trace_pairs(left, right):
     return lowest_terms(ints, lden * rden)
 
 
-def bruteforce_gram(states, projectors):
-    """The Gram of `states` with the given exact projectors: their pairwise
+def bruteforce_gram(projectors):
+    """The Gram of a family with the given exact projectors: their pairwise
     traces (`trace_pairs`), ranked into codes over a legend."""
     ints, scale = trace_pairs(projectors, projectors)
-    return GramMatrix.from_keys(states, ints, lambda v: Fraction(v, scale))
+    return GramMatrix.from_keys(ints, lambda v: Fraction(v, scale))
 
 
 @dataclass(frozen=True)
@@ -561,7 +676,7 @@ def shifted_vertices(d):
     fam = stabilizer_states(d, 1)
     eye = OpMatrix.identity(conductor_for(d), d)
     return [ShiftedVertex(label=lab, matrix=p - eye.scale(Fraction(1, d)))
-            for lab, p in zip(fam.labels, family_projectors(fam))]
+            for lab, p in zip(set_labels(fam), family_projectors(fam))]
 
 
 def dense_overlap_table(d):
@@ -576,7 +691,7 @@ def dense_line_sums_vanish(d):
     verts = shifted_vertices(d)
     zero = OpMatrix.zero(verts[0].matrix.m, d)
     return all(sum((verts[i].matrix for i in block), zero) == zero
-               for block in lagrangian_index(stabilizer_states(d, 1).labels).blocks)
+               for block in stabilizer_states(d, 1).blocks)
 
 
 @dataclass(frozen=True)
@@ -590,11 +705,11 @@ class FacetOperator:
 @lru_cache(maxsize=None)
 def dense_facet_family(d):
     """All d^(d+1) facet operators of the single-qudit stabilizer polytope,
-    in `itertools.product(*blocks)` order, the blocks of `lagrangian_index`."""
+    in `itertools.product(*blocks)` order, the blocks of `stabilizer_states(d, 1)`."""
     verts = shifted_vertices(d)
     base = OpMatrix.identity(verts[0].matrix.m, d).scale(Fraction(1, d))
     facets = []
-    for choice in itertools.product(*lagrangian_index(stabilizer_states(d, 1).labels).blocks):
+    for choice in itertools.product(*stabilizer_states(d, 1).blocks):
         acc = base
         for i in choice:
             acc = acc + verts[i].matrix
@@ -712,7 +827,9 @@ def transform_labels(labels, matrix, a, eta=None):
     `sign_bits` and t_L by `functional_label_by_search`, one Lagrangian at a
     time."""
     d = labels[0].d
-    lags, which, _, _ = lagrangian_index(labels)
+    where = {}
+    which = [where.setdefault(lab.L, len(where)) for lab in labels]
+    lags = list(where)
     mapped = np.array([L.basis for L in lags]) @ np.asarray(matrix).T % d
     images = [LagrangianSubspace.from_rows(rows, d) for rows in mapped.tolist()]
     shifts = np.zeros((len(lags), 2 * labels[0].n), dtype=np.int64)
@@ -774,7 +891,7 @@ def pair_table_loop(lags):
     Lagrangians (i <= j), each result written to both orders: (dims, jb,
     signs) in the same dtypes."""
     tables = lagrangian_tables(lags)
-    d, n = lags[0].d, lags[0].ambient // 2
+    d, n = lags.d, lags.n
     dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
     jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
     codes = np.zeros((len(lags),) * 2 + (n,), dtype=np.min_scalar_type(d ** (2 * n) - 1))
@@ -969,11 +1086,11 @@ def _phase_point(d, n, a) -> OpMatrix:
 
 @lru_cache(maxsize=None)
 def set_elements(q):
-    """The dense elements of an `OperatorSet`, built from its labels: the
+    """The dense elements of an `OperatorSet`, built from its arrays: the
     projector of each stabilizer label, the A(a) of each point."""
-    if isinstance(q.labels[0], StabilizerLabel):
-        return tuple(map(stab_projector, q.labels))
-    return tuple(phase_point(q.d, q.n, a) for a in q.labels)
+    if q.lags is not None:
+        return tuple(map(stab_projector, set_labels(q)))
+    return tuple(phase_point(q.d, q.n, a) for a in set_labels(q))
 
 
 def coefficient_stack(mats):

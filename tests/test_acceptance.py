@@ -4,7 +4,6 @@ Every tolerance is exact (zero tolerance); runtime caps are enforced by the
 stated budgets of the underlying searches.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -27,12 +26,9 @@ from stabsym.moments import (
 from stabsym.operators import stabilizer_states
 from stabsym.permgroup import schreier_sims
 from stabsym.phase_space import (
-    Subspace,
     all_vectors,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
-    lagrangian_index,
-    symplectic_form,
     wreath_decompose,
 )
 from stabsym.polytope1 import facet_report
@@ -44,11 +40,14 @@ from stabsym.symmetry import (
 )
 
 from dense_oracles import (
+    brute_force_lagrangians,
     bruteforce_gram,
     family_projectors,
     hs_inner,
     mono_trace_product,
     phase_point_mono,
+    set_labels,
+    symplectic_form,
     tau,
     transform_label,
     vec_add,
@@ -62,28 +61,15 @@ def report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def _bruteforce_lagrangian_count(d, n):
-    seen = set()
-    vectors = [v for v in all_vectors(d, 2 * n) if any(v)]
-    for combo in itertools.combinations(vectors, n):
-        sub = Subspace.from_rows(list(combo), d)
-        if sub.dim != n:
-            continue
-        if any(symplectic_form(u, v, d) for u in combo for v in combo):
-            continue
-        seen.add(sub.basis)
-    return len(seen)
-
-
 def test_criterion_1_enumeration_counts():
     t0 = time.monotonic()
     expected = {(2, 1): (3, 6), (3, 1): (4, 12), (5, 1): (6, 30),
                 (2, 2): (15, 60), (3, 2): (40, 360)}
     for (d, n), (nlag, nstates) in expected.items():
         lags = enumerate_lagrangians(d, n)
-        labels = enumerate_stabilizer_labels(d, n)
-        assert len(lags) == nlag == _bruteforce_lagrangian_count(d, n)
-        assert len(labels) == nstates
+        _, index, reps = enumerate_stabilizer_labels(d, n)
+        assert len(lags) == nlag == len(brute_force_lagrangians(d, n))
+        assert len(index) == len(reps) == nstates
     elapsed = time.monotonic() - t0
     report(1, elapsed < 10, f"counts match brute force in {elapsed:.1f}s")
 
@@ -137,7 +123,7 @@ def test_criterion_2_operator_identities():
 def test_criterion_3_gram_formula_all_pairs_32():
     t0 = time.monotonic()
     fam = stabilizer_states(3, 2)
-    brute = bruteforce_gram(fam.labels, family_projectors(fam))
+    brute = bruteforce_gram(family_projectors(fam))
     assert brute.size == fam.size == 360
     assert brute.values == fam.gram.values
     elapsed = time.monotonic() - t0
@@ -152,9 +138,8 @@ def test_criterion_4_theorem1_case1_wreath():
         fam = stabilizer_states(d, 1)
         group = gram_automorphisms(fam.gram)
         assert group.order() == math.factorial(d) ** (d + 1) * math.factorial(d + 1)
-        blocks = lagrangian_index(fam.labels).blocks
         for g in group.generators:
-            wreath_decompose(g, blocks)  # raises if g scatters a basis block
+            wreath_decompose(g, fam.blocks)  # raises if g scatters a basis block
         assert verify_theorem1(d, 1, "wreath")["match"]
     elapsed = time.monotonic() - t0
     report(4, elapsed < 300, f"wreath orders 48/31104/(5!)^6*6! certified in {elapsed:.1f}s")
@@ -173,21 +158,22 @@ def test_criterion_6_theorem1_case3_agsp_32():
     t0 = time.monotonic()
     d, n = 3, 2
     fam = stabilizer_states(d, n)
-    index = {lab: i for i, lab in enumerate(fam.labels)}
+    labels = set_labels(fam)
+    index = {lab: i for i, lab in enumerate(labels)}
     from stabsym.clifford import sp_generators
 
     zero = (0,) * (2 * n)
     eye = np.eye(2 * n, dtype=np.int64)
     sp_perms = [
-        tuple(index[transform_label(lab, s, zero)] for lab in fam.labels)
+        tuple(index[transform_label(lab, s, zero)] for lab in labels)
         for s in sp_generators(d, n)
     ]
     translation_perms = [
         tuple(index[transform_label(lab, eye, tuple(1 if i == k else 0 for i in range(2 * n)))]
-              for lab in fam.labels)
+              for lab in labels)
         for k in range(2 * n)
     ]
-    k2_perm = tuple(index[transform_label(lab, k_alpha(d, n, 2), zero)] for lab in fam.labels)
+    k2_perm = tuple(index[transform_label(lab, k_alpha(d, n, 2), zero)] for lab in labels)
     # the library maps each Lagrangian once per generator; same permutations
     assert predicted_group(d, n, "agsp").generators == [*sp_perms, k2_perm, *translation_perms]
     # each factor certified independently by the engine

@@ -8,9 +8,14 @@ failing a test.  The spans module is read here, not edited."""
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import stabsym
 from stabsym import clifford, cyclotomic, moments, operators, phase_space, zmod
@@ -56,7 +61,7 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     for name in ("Mono", "mono_sum", "weyl_mono", "phase_point_mono"):
         assert not hasattr(operators, name), name
     assert not hasattr(stabsym, "weyl")
-    # labels are grouped by Lagrangian in `lagrangian_index` alone, and their
+    # labels are grouped by Lagrangian in `OperatorSet.blocks` alone, and their
     # cosets are listed by `enumerate_stabilizer_labels` alone
     for name in ("coset_reps", "basis_blocks"):
         assert not hasattr(phase_space, name), name
@@ -81,6 +86,14 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
                              " verify_Sf_machinery".split())
     for name in "hs_inner gram_closed_form ext_compose sp_order sqrt_d verify_Sf_machinery".split():
         assert not hasattr(stabsym, name), name
+    # a family is arrays from enumeration to every reader: the label objects
+    # and the grouping that turned them back into arrays live in the tests
+    objects = set("Subspace LagrangianSubspace StabilizerLabel LabelIndex lagrangian_index"
+                  " label_from_functional symplectic_form".split())
+    assert not objects & defined and not objects & (set(vars(stabsym)) | set(vars(phase_space)))
+    # the benchmark's set-up reads both enumerations by name
+    assert callable(phase_space.enumerate_lagrangians)
+    assert callable(phase_space.enumerate_stabilizer_labels)
     assert not any(re.search(r"^\s*(?:import|from) cmath\b", text, re.M) for text in sources)
     assert not hasattr(cyclotomic.CycNumber, "to_complex")
 
@@ -113,3 +126,17 @@ def test_the_readme_exports_are_the_package_names():
     exported = {name for name, value in vars(stabsym).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == listed
+
+
+@pytest.mark.parametrize("run", ["theorem1", "exact-laws", "selftest"])
+def test_the_benchmark_worker_and_selftest_run_clean(run):
+    # both call the library by name from the repository root, as the
+    # benchmark does, so a change there fails here rather than in a run
+    argv = (["perfbench/selftest.py"] if run == "selftest" else
+            ["perfbench/worker.py", "--workload", run, "--seed", "1", "--mode", "run", "--t0", "0"])
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    if run != "selftest":
+        result = json.loads(proc.stdout)
+        assert result["attempted"] > 0 and result["failed"] == 0
+        assert result["wrong"] == result["raised"] == []

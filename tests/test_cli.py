@@ -121,6 +121,21 @@ def test_usage_error_exit_code(capsys):
     assert main(["enumerate", "--d", "4", "--n", "1"]) == 2
 
 
+@pytest.mark.parametrize("limit,d", [(100, 11), (None, 37)])
+def test_a_search_too_deep_for_the_interpreter_exits_3(limit, d):
+    # the search recurses once per base point (120 at d = 11, 1 406 at
+    # d = 37), here under a limit set after the imports or the default one:
+    # an overflow is one line naming the nodes and the depth, and exit 3
+    code = ("import sys\nfrom stabsym.cli import main\n"
+            + (f"sys.setrecursionlimit({limit})\n" if limit else "")
+            + f"sys.exit(main(['autgroup', '--d', '{d}', '--n', '1']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: automorphism search too deep")
+    assert "nodes visited, depth" in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
 def test_budget_exit_code(capsys):
     code = main(["enumerate", "--d", "5", "--n", "3"])
     assert code == 3

@@ -54,20 +54,20 @@ from stabsym.moments import trace_table
 from stabsym.operators import OpMatrix, stabilizer_set, stabilizer_states
 from stabsym.phase_space import (
     MAX_ENTRIES,
-    LagrangianSubspace,
-    StabilizerLabel,
     all_vectors,
     code_points,
+    enumerate_lagrangians,
     enumerate_stabilizer_labels,
     label_permutations,
     point_codes,
-    symplectic_form,
 )
 
 import dense_oracles
 from dense_oracles import (
+    LagrangianSubspace,
     Mono,
     Similitude,
+    StabilizerLabel,
     concat,
     dense,
     dense_metaplectic,
@@ -76,6 +76,7 @@ from dense_oracles import (
     ext_compose,
     family_projectors,
     from_rational,
+    label_objects,
     matrix_apply,
     matrix_point_perm,
     phase_point,
@@ -83,8 +84,10 @@ from dense_oracles import (
     qubit_gate,
     real_clifford_closure_reference,
     real_gates,
+    set_labels,
     similitude_multiplier_loop,
     stab_projector,
+    symplectic_form,
     tau,
     transform_labels,
     vec_add,
@@ -545,24 +548,24 @@ def test_real_orbit_closure():
             g = qubit_gate(n, *gate)
             for p in projs:
                 assert g @ p @ g.dagger() in members
-            assert set(transform_labels(orbit.labels, *qubit_gate_action(n, *gate))) == set(
-                orbit.labels)
+            labels = set_labels(orbit)
+            assert set(transform_labels(labels, *qubit_gate_action(n, *gate))) == set(labels)
 
 
 def test_real_orbit_n2_matches_rational_filter():
     # independent enumeration: qubit stabilizer projectors with all-rational entries
     orbit = real_clifford_orbit(2)
     rational = []
-    for lab in stabilizer_states(2, 2).labels:
+    for lab in set_labels(stabilizer_states(2, 2)):
         p = stab_projector(lab)
         if all(x.is_rational() for row in p.rows for x in row):
             rational.append(p)
     assert orbit.size == len(rational)
     assert set(family_projectors(orbit)) == set(rational)
     # the real states are those whose Lagrangian holds no odd number of Y factors
-    real = {lab for lab in stabilizer_states(2, 2).labels
+    real = {lab for lab in set_labels(stabilizer_states(2, 2))
             if all(sum(b[k] * b[2 + k] for k in range(2)) % 2 == 0 for b in lab.L.points())}
-    assert set(orbit.labels) == real
+    assert set(set_labels(orbit)) == real
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -582,14 +585,19 @@ def rebit_count(n):
 def test_real_closure_equals_the_closure_over_all_qubit_labels(n):
     # the real-Lagrangian test keeps the labels and generators of the orbit
     # walked through every qubit label
-    assert real_clifford_closure(n) == real_clifford_closure_reference(n)
+    family, gens = real_clifford_closure(n)
+    assert (label_objects(*family), gens) == real_clifford_closure_reference(n)
+    # its Lagrangians are the real ones, transposition fixing each basis row
+    real = ~transpose_action(n)[2](enumerate_lagrangians(2, n).basis).any(-1)
+    assert np.array_equal(family[0].basis, enumerate_lagrangians(2, n).basis[real])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_rebit_count_and_first_label(n):
     # 4, 24, 240 and 4 320 rebits; the walk starts at |0...0>, the Z
     # Lagrangian with rep 0
-    labels, gens = real_clifford_closure(n)
+    family, gens = real_clifford_closure(n)
+    labels = label_objects(*family)
     assert len(labels) == len(set(labels)) == rebit_count(n) == clifford.rebit_count(n)
     assert all(sorted(g) == list(range(len(labels))) for g in gens)
     z_basis = LagrangianSubspace.from_rows(np.eye(2 * n, dtype=np.int64)[n:], 2)
@@ -617,8 +625,8 @@ def test_rebits_are_the_labels_with_no_trace_on_odd_y_paulis(n):
     fam = stabilizer_set(2, n)
     points = code_points(np.arange(4 ** n), 2, 2 * n)
     odd = (points[:, :n] * points[:, n:]).sum(-1) % 2 == 1
-    silent = {lab for lab, zero in zip(fam.labels, ~trace_table(fam)[odd].any(0)) if zero}
-    rebits = set(real_clifford_closure(n)[0])
+    silent = {lab for lab, zero in zip(set_labels(fam), ~trace_table(fam)[odd].any(0)) if zero}
+    rebits = set(label_objects(*real_clifford_closure(n)[0]))
     assert silent == rebits
 
 
@@ -626,9 +634,9 @@ def test_rebits_are_the_labels_with_no_trace_on_odd_y_paulis(n):
 def test_only_the_rebit_labels_are_permuted(monkeypatch, n):
     sizes = []
 
-    def recording(labels, maps):
-        sizes.append(len(labels))
-        return label_permutations(labels, maps)
+    def recording(lags, index, reps, maps):
+        sizes.append(len(index))
+        return label_permutations(lags, index, reps, maps)
 
     monkeypatch.setattr(clifford, "label_permutations", recording)
     clifford.real_clifford_closure.__wrapped__(n)
@@ -1039,7 +1047,8 @@ def test_unreduced_matrices_give_the_same_answers(data):
     assert similitude_multiplier(lifted, d) == similitude_multiplier(m, d)
     assert nonzero_point_perms([lifted], d, n) == nonzero_point_perms([m], d, n)
     labels, shift = enumerate_stabilizer_labels(d, n), tuple(range(1, 2 * n + 1))
-    assert label_permutations(labels, [(lifted, shift)]) == label_permutations(labels, [(m, shift)])
+    assert (label_permutations(*labels, [(lifted, shift)])
+            == label_permutations(*labels, [(m, shift)]))
     if n == 1 and is_symplectic(m, d):
         assert products_equal(metaplectic(d, lifted), metaplectic(d, np.eye(2, dtype=np.int64)),
                               metaplectic(d, m)).all()

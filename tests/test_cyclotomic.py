@@ -23,7 +23,7 @@ from stabsym.cyclotomic import (
 from stabsym.errors import Mismatch
 from stabsym.zmod import legendre
 
-from dense_oracles import ConductorTooSmall, cyc_from_json, is_real, iunit, sqrt_d, tau, to_complex
+from dense_oracles import cyc_from_json, is_real, iunit, sqrt_d, tau, to_complex
 
 
 def test_cyclotomic_polys():
@@ -147,11 +147,6 @@ def test_gauss_sum_values():
     assert gauss_sum(5) == sqrt_d(5)
     # d = 3 = 3 mod 4: the Gauss sum is i*sqrt(3)
     assert gauss_sum(3) == iunit(3) * sqrt_d(3)
-
-
-def test_conductor_too_small():
-    with pytest.raises(ConductorTooSmall):
-        sqrt_d(5, m=8)
 
 
 def test_galois_identity_and_conjugation():

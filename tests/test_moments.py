@@ -53,6 +53,8 @@ from dense_oracles import (
     moment_form,
     mono_traces,
     set_elements,
+    set_labels,
+    subset,
     trace_pairs,
     weyl,
 )
@@ -143,29 +145,71 @@ def test_perturbed_set_fails_real_design():
     # negative control: the rebits with one state dropped are no real design
     for n in (1, 2):
         q = rebit_operator_set(n)
-        perturbed = OperatorSet(name="perturbed", d=2, n=n, labels=q.labels[1:])
+        perturbed = subset(q, slice(1, None), "perturbed")
         assert not is_real_4design(perturbed).passed
         assert not is_real_6design(perturbed).passed
 
 
 def test_operator_set_refuses_empty_labels():
-    with pytest.raises(ValueError, match="at least one label"):
-        OperatorSet("empty", 3, 1, labels=())
+    with pytest.raises(ValueError, match="at least one element"):
+        OperatorSet("empty", 3, 1, points=())
+    q = stabilizer_set(3, 1)
+    with pytest.raises(ValueError, match="at least one element"):
+        OperatorSet("empty", 3, 1, lags=q.lags, index=q.index[:0], reps=q.reps[:0])
 
 
 def test_operator_set_refuses_labels_of_another_d_n():
-    # the (3,1) labels would be read as a wrong (5,1) table
-    with pytest.raises(ValueError, match=r"not a stabilizer label at \(d, n\) = \(5, 1\)"):
-        OperatorSet("x", 5, 1, labels=stabilizer_set(3, 1).labels)
-    with pytest.raises(ValueError, match="not a stabilizer label"):
-        OperatorSet("x", 3, 2, labels=stabilizer_set(3, 1).labels)
+    # the (3,1) arrays would be read as a wrong (5,1) table
+    q = stabilizer_set(3, 1)
+    with pytest.raises(ValueError, match=r"not a list of \(d, n\) = \(5, 1\)"):
+        OperatorSet("x", 5, 1, lags=q.lags, index=q.index, reps=q.reps)
+    with pytest.raises(ValueError, match="element 0, .* is not a rep of 2n residues"):
+        OperatorSet("x", 3, 2, lags=q.lags, index=q.index, reps=q.reps)
+    # and one form per set: arrays of labels, or points
+    for form in (dict(lags=q.lags, reps=q.reps), dict(lags=q.lags, index=q.index, reps=q.reps,
+                                                     points=q.reps)):
+        with pytest.raises(ValueError, match="by lags, index and reps, or by points"):
+            OperatorSet("x", 3, 1, **form)
 
 
 @pytest.mark.parametrize("point", [(0, 3), (0, -1), (0,), (0, 1, 2), (0.0, 1),
-                                   stabilizer_set(3, 1).labels[0]])
+                                   (Fraction(1), 0)])
 def test_operator_set_refuses_points_that_are_not_2n_residues(point):
-    with pytest.raises(ValueError, match="not a point of 2n residues mod d"):
-        OperatorSet("x", 3, 1, labels=[(0, 0), point])
+    with pytest.raises(ValueError, match="element 1, .* is not a point of 2n residues mod d"):
+        OperatorSet("x", 3, 1, points=[(0, 0), point])
+
+
+# one bad entry each in the (3,1) set's arrays: element 4 lies on Lagrangian
+# 1 (pivot 0), and Lagrangian 0 is spanned by (0, 1), so its reps are 0 at 1
+_BAD_ARRAYS = {
+    "residue": ("reps", 4, (0, 3), r"^element 4, .* not a rep of 2n residues mod d"),
+    "pivot": ("reps", 2, (1, 1), r"^element 2, \(0, \[1, 1\]\): its rep is not 0 at the pivots"),
+    "index": ("index", 5, 4, r"^element 5, \(4, .*\): its Lagrangian is not one of the 4"),
+    "negative index": ("index", 5, -1, r"^element 5, \(-1, .*\): its Lagrangian is not one"),
+    "shape": ("index", slice(1, None), None, r"^\(11,\) indices for 12 reps"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_ARRAYS)
+def test_operator_set_refuses_a_bad_array_entry(case):
+    key, at, value, message = _BAD_ARRAYS[case]
+    q = stabilizer_set(3, 1)
+    arrays = dict(lags=q.lags, index=q.index.copy(), reps=q.reps.copy())
+    if value is None:
+        arrays[key] = arrays[key][at]
+    else:
+        arrays[key][at] = value
+    with pytest.raises(ValueError, match=message):
+        OperatorSet("x", 3, 1, **arrays)
+
+
+def test_operator_set_keeps_read_only_int64_copies():
+    q = stabilizer_set(3, 1)
+    reps = q.reps.copy()
+    copy = OperatorSet("x", 3, 1, lags=q.lags, index=q.index, reps=reps)
+    reps[:] = 0
+    assert np.array_equal(copy.reps, q.reps) and copy.reps.dtype == copy.index.dtype == np.int64
+    assert not copy.reps.flags.writeable and not copy.index.flags.writeable
 
 
 def test_fk_symmetry_under_argument_permutations():
@@ -324,7 +368,7 @@ def _huge_entry_set(monkeypatch, entry):
     # table has one huge entry, in int64 when it fits, read by the library
     # and the oracle alike
     q0 = stabilizer_operator_set(2, 1)
-    q = OperatorSet(name="huge-entry", d=2, n=1, labels=q0.labels)
+    q = subset(q0, name="huge-entry")
     rows = trace_table(q0).astype(object)
     rows[1, 2] = entry  # the trace tr(T(1) q_2), on a real Pauli row
     if entry < 2 ** 63:
@@ -355,7 +399,7 @@ def test_huge_table_entry_is_computed_exactly(monkeypatch, entry):
     assert {name: reports[name] for name in PREDICATES} == {
         name: _outcome(getattr(moments_reference, name), q) for name in PREDICATES}
     _never_fits(monkeypatch)
-    fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, labels=q.labels)
+    fresh = subset(q, name="huge-entry on Python ints")
     assert _pair_sums(fresh).tolist() == s2.tolist()
     fresh_picked, fresh_coords = _dir_basis(fresh)
     assert (fresh_picked, fresh_coords.tolist()) == (picked, coords.tolist())
@@ -383,7 +427,7 @@ def test_huge_gram_entries_are_computed_exactly(monkeypatch, entry, check):
     report = getattr(moments, check)(q)
     assert report == getattr(moments_reference, check)(q)
     _never_fits(monkeypatch)
-    fresh = OperatorSet(name="huge-entry on Python ints", d=2, n=1, labels=q.labels)
+    fresh = subset(q, name="huge-entry on Python ints")
     assert getattr(moments, check)(fresh) == report
 
 
@@ -480,7 +524,7 @@ def stabilizer_subsets(draw):
     full = stabilizer_operator_set(d, n)
     if draw(st.booleans()):
         bases = {}
-        for i, label in enumerate(stabilizer_states(d, n).labels):
+        for i, label in enumerate(set_labels(stabilizer_states(d, n))):
             bases.setdefault(label.L, []).append(i)
         bases = list(bases.values())
         chosen = draw(st.lists(st.sampled_from(range(len(bases))), min_size=1, unique=True))
@@ -488,7 +532,7 @@ def stabilizer_subsets(draw):
     else:
         picked = draw(st.lists(st.integers(0, full.size - 1), min_size=2,
                                max_size=min(full.size, 24), unique=True))
-    return OperatorSet(name=f"subset({d},{n})", d=d, n=n, labels=[full.labels[i] for i in picked])
+    return subset(full, picked, f"subset({d},{n})")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -512,7 +556,7 @@ def test_table_kernels_match_reference_on_full_sets(q):
 def _brute_force_grams():
     """The Grams of the (2,2) stabilizer states and the n = 2 rebits from the
     traces of their projectors, as (codes, dtype, legend)."""
-    grams = [bruteforce_gram(p, p)
+    grams = [bruteforce_gram(p)
              for p in map(family_projectors, (stabilizer_states(2, 2), real_clifford_orbit(2)))]
     return [(g.codes.tolist(), g.codes.dtype, g.legend) for g in grams]
 
@@ -532,8 +576,7 @@ def test_python_int_path_gives_identical_reports(monkeypatch):
     # fresh sets and bases, so that the trace tables are recomputed too
     for table in (moments._basis, moments._phase_forms, moments._pauli_products):
         table.cache_clear()
-    fresh = [OperatorSet(name=f"{q.name} on Python ints", d=q.d, n=q.n, labels=q.labels)
-             for q in sets]
+    fresh = [subset(q, name=f"{q.name} on Python ints") for q in sets]
     assert [_reports(moments, q) for q in fresh] == expected
     assert _brute_force_grams() == grams
     assert calls  # every guarded op took the Python-int branch
@@ -666,14 +709,14 @@ def test_phase_space_slab_matches_dense_on_a_random_subset():
     for d, n in ((5, 1), (2, 2)):
         full = stabilizer_operator_set(d, n)
         picked = random.Random(5).sample(range(full.size), 12)
-        q = OperatorSet(name=f"subset({d},{n})", d=d, n=n, labels=[full.labels[i] for i in picked])
+        q = subset(full, picked, f"subset({d},{n})")
         _jordan_slabs_agree(q, None)
 
 
 def test_mu1_clause_matches_dense_first_moment():
     full = stabilizer_operator_set(3, 1)
-    sets = [*_span_sets(), OperatorSet(name="three states", d=3, n=1, labels=full.labels[:3]),
-            OperatorSet(name="two states", d=3, n=1, labels=full.labels[3:5])]
+    sets = [*_span_sets(), subset(full, slice(3), "three states"),
+            subset(full, slice(3, 5), "two states")]
     for q in sets:
         mu = first_moment(q)
         dense = mu == OpMatrix.identity(q.conductor, q.dim).scale(Fraction(1, q.dim))
@@ -842,7 +885,7 @@ def test_patched_tables_give_the_same_reports_on_python_ints(case):
     q, rows = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "trace_table", lambda q: rows)
-        reports = _reports(moments, OperatorSet(name="patched", d=q.d, n=q.n, labels=q.labels))
+        reports = _reports(moments, subset(q, name="patched"))
         _never_fits(mp)
-        fresh = OperatorSet(name="patched on Python ints", d=q.d, n=q.n, labels=q.labels)
+        fresh = subset(q, name="patched on Python ints")
         assert _reports(moments, fresh) == reports

@@ -14,6 +14,7 @@ from stabsym.clifford import real_clifford_orbit
 from stabsym.errors import BudgetExceeded, OddOnly
 from stabsym.operators import (
     GramMatrix,
+    OperatorSet,
     OpMatrix,
     build_gram,
     closed_form_gram,
@@ -23,30 +24,31 @@ from stabsym.operators import (
     weyl_table,
 )
 from stabsym.phase_space import (
-    LagrangianSubspace,
-    StabilizerLabel,
     all_vectors,
     enumerate_lagrangians,
-    enumerate_stabilizer_labels,
-    label_from_functional,
     code_points,
     lagrangian_tables,
     point_codes,
-    symplectic_form,
 )
 from stabsym.moments import rebit_operator_set, stabilizer_operator_set
 from stabsym.symmetry import rebit_gram
 
 from dense_oracles import (
     InconsistentSigns,
+    LagrangianSubspace,
+    StabilizerLabel,
     bruteforce_gram,
     dense_real_clifford_orbit,
+    enumerated_labels,
     family_projectors,
     from_rational,
     hs_inner,
     is_hermitian,
     mono_sum,
     mono_trace_product,
+    label_from_functional,
+    label_set,
+    lagrangian_objects,
     pair_table_loop,
     phase_point,
     phase_point_mono,
@@ -54,6 +56,8 @@ from dense_oracles import (
     stab_projector,
     stab_projector_qubit,
     stab_projector_wigner,
+    set_labels,
+    symplectic_form,
     tau,
     trace_pairs,
     trace_product,
@@ -216,7 +220,7 @@ def test_stab_projector_z_eigenprojector():
     # L = span{(0,1)} stabilized by Z; g = 0 picks out |0><0|
     d = 3
     L = LagrangianSubspace.from_rows([(0, 1)], d)
-    lab_labels = [l for l in enumerate_stabilizer_labels(d, 1) if l.L == L]
+    lab_labels = [l for l in enumerated_labels(d, 1) if l.L == L]
     zero_lab = [l for l in lab_labels if all(l.functional(b) == 0 for b in L.points())][0]
     pi = stab_projector(zero_lab)
     m = conductor_for(d)
@@ -236,12 +240,12 @@ def test_stab_projector_properties_d3_n1():
 
 
 def test_projector_forms_agree_d3_n1_exhaustive():
-    for lab in enumerate_stabilizer_labels(3, 1):
+    for lab in enumerated_labels(3, 1):
         assert stab_projector(lab) == stab_projector_wigner(lab)
 
 
 def test_projector_forms_agree_d3_n2_all():
-    for lab in enumerate_stabilizer_labels(3, 2):
+    for lab in enumerated_labels(3, 2):
         assert stab_projector(lab) == stab_projector_wigner(lab)
 
 
@@ -253,7 +257,7 @@ def test_sign_bits_are_the_phases_of_basis_products(d, n):
     # holds the per-point oracle's signs on L and is 0 off L
     lags = enumerate_lagrangians(d, n)
     tables = lagrangian_tables(lags)
-    for l, L in enumerate(lags):
+    for l, L in enumerate(lagrangian_objects(lags)):
         assert tables.points[l].tolist() == [list(b) for b in L.points()]
         assert tables.codes[l].tolist() == point_codes(tables.points[l], d).tolist()
         assert np.flatnonzero(tables.member[l]).tolist() == sorted(tables.codes[l].tolist())
@@ -273,7 +277,7 @@ def test_stab_projector_covers_qubits():
     # the label (L, rep) with [rep, b_i] = 1 where the sign of b_i is -1 is
     # the qubit state with those basis stabilizer signs
     for n in (1, 2):
-        for L in enumerate_lagrangians(2, n):
+        for L in lagrangian_objects(enumerate_lagrangians(2, n)):
             for signs in itertools.product((1, -1), repeat=n):
                 label = label_from_functional(L, [(1 - s) // 2 for s in signs])
                 assert stab_projector(label) == stab_projector_qubit(L, signs)
@@ -289,7 +293,7 @@ def test_qubit_projector_z_state():
 
 def test_qubit_state_counts_and_validity():
     for n, count in ((1, 6), (2, 60)):
-        states = stabilizer_states(2, n).labels
+        states = set_labels(stabilizer_states(2, n))
         assert len(states) == count
         projs = [stab_projector(s) for s in states]
         assert len(set(projs)) == count
@@ -316,8 +320,9 @@ def test_hs_inner_identity():
 def test_hs_inner_cross_basis_d5():
     fam = stabilizer_states(5, 1)
     # states from different Lagrangians overlap in 1/5
-    x = next(i for i, l in enumerate(fam.labels))
-    y = next(i for i, l in enumerate(fam.labels) if l.L != fam.labels[x].L)
+    labels = set_labels(fam)
+    x = 0
+    y = next(i for i, l in enumerate(labels) if l.L != labels[x].L)
     projs = family_projectors(fam)
     v = hs_inner(projs[x], projs[y])
     assert v == CycNumber.from_fraction(conductor_for(5), Fraction(1, 5))
@@ -325,24 +330,26 @@ def test_hs_inner_cross_basis_d5():
 
 def _pair_value(x, y):
     """tr(Pi_x Pi_y) by `closed_form_gram` on the pair."""
-    return closed_form_gram((x, y)).values[0][1]
+    q = label_set((x, y))
+    return closed_form_gram(q.lags, q.index, q.reps).values[0][1]
 
 
 def test_gram_closed_form_basics():
-    labels = enumerate_stabilizer_labels(3, 1)
+    labels = enumerated_labels(3, 1)
     for lab in labels:
         assert _pair_value(lab, lab) == 1
     same_l = [l for l in labels if l.L == labels[0].L]
     assert _pair_value(same_l[0], same_l[1]) == 0
-    with pytest.raises(ValueError):
-        _pair_value(labels[0], enumerate_stabilizer_labels(5, 1)[0])
+    # labels of another (d, n) make no set, so no Gram
+    with pytest.raises(ValueError, match=r"not a list of \(d, n\) = \(3, 1\)"):
+        OperatorSet("x", 3, 1, lags=enumerate_lagrangians(5, 1), index=[0], reps=[[0, 0]])
 
 
 def test_gram_closed_form_vs_bruteforce_d3_n1_all_pairs():
     fam = stabilizer_states(3, 1)
     projs = family_projectors(fam)
-    for i, x in enumerate(fam.labels):
-        for j, y in enumerate(fam.labels):
+    for i, x in enumerate(set_labels(fam)):
+        for j, y in enumerate(set_labels(fam)):
             brute = hs_inner(projs[i], projs[j]).as_fraction()
             assert _pair_value(x, y) == brute
 
@@ -372,8 +379,8 @@ def _gram_entry_loop(labels):
 def test_closed_form_gram_equals_the_entry_loop(d):
     # a form [rep, b] of a canonical label sums n products below d^2; at
     # d = 17 one reaches 16 * 16 = 256, beyond uint8
-    labels = enumerate_stabilizer_labels(d, 1)
-    assert build_gram(labels).values == _gram_entry_loop(labels)
+    q = stabilizer_set(d, 1)
+    assert build_gram(q).values == _gram_entry_loop(set_labels(q))
 
 
 @pytest.mark.parametrize("d,n", [
@@ -393,7 +400,7 @@ def test_pair_table_equals_the_per_pair_loop(d, n):
 @st.composite
 def label_pairs(draw):
     d, n = draw(st.sampled_from([(5, 1), (3, 2), (2, 2), (2, 3)]))
-    lags = enumerate_lagrangians(d, n)
+    lags = lagrangian_objects(enumerate_lagrangians(d, n))
     first = draw(st.sampled_from(lags))
     # one pair in three shares its Lagrangian, where distinct labels are orthogonal
     second = first if draw(st.integers(0, 2)) == 0 else draw(st.sampled_from(lags))
@@ -430,7 +437,7 @@ def test_gram_bruteforce_tensor_matches_closed_form_sample():
     # (2,3) is the `slow` golden replay of `gram --d 2 --n 3`
     for d, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)):
         fam = stabilizer_states(d, n)
-        brute = bruteforce_gram(fam.labels, family_projectors(fam))
+        brute = bruteforce_gram(family_projectors(fam))
         assert brute.values == fam.gram.values
         # equal values over sorted legends of the values that occur: equal codes
         assert brute.legend == fam.gram.legend
@@ -438,27 +445,27 @@ def test_gram_bruteforce_tensor_matches_closed_form_sample():
     # the brute force itself against the Hilbert-Schmidt loop, for qubits and rebits
     for projs in map(family_projectors, (stabilizer_states(2, 2), real_clifford_orbit(1))):
         loop = tuple(tuple(hs_inner(a, b).as_fraction() for b in projs) for a in projs)
-        assert bruteforce_gram(projs, projs).values == loop
+        assert bruteforce_gram(projs).values == loop
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rebit_closed_form_gram_equals_brute_force(n):
     # the dense breadth-first orbit: the same states in the same order
     dense = dense_real_clifford_orbit(n)
-    brute = bruteforce_gram(dense, dense)
+    brute = bruteforce_gram(dense)
     gram = rebit_gram(n)
     assert brute.values == gram.values
     assert brute.legend == gram.legend and np.array_equal(brute.codes, gram.codes)
 
 
 def _gram_families():
-    lags = enumerate_lagrangians(3, 2)
+    lags = lagrangian_objects(enumerate_lagrangians(3, 2))
     return {
         **{f"stab{d}{n}": stabilizer_states(d, n).gram
            for d, n in ((3, 1), (3, 2), (5, 1), (2, 1), (2, 2))},
         "rebit2": rebit_gram(2),
         # an S_f family: its states are pairwise non-orthogonal, so no 0
-        "sf32": build_gram([StabilizerLabel.make(L, (1, 0, 2, 0)) for L in lags]),
+        "sf32": build_gram(label_set([StabilizerLabel.make(L, (1, 0, 2, 0)) for L in lags])),
     }
 
 
@@ -502,7 +509,7 @@ def test_from_keys_ranks_like_the_sorted_set(dtype, low, span, size, data):
         values = st.integers(low - span, low + span - 1)
     keys = np.array(data.draw(st.lists(values, min_size=size * size, max_size=size * size)),
                     dtype=dtype).reshape(size, size)
-    gram = GramMatrix.from_keys(range(size), keys, Fraction)
+    gram = GramMatrix.from_keys(keys, Fraction)
     codes, distinct = rank_by_sorted_set(keys)
     assert gram.codes.dtype == codes.dtype and gram.codes.tolist() == codes.tolist()
     assert gram.legend == tuple(map(Fraction, distinct))
@@ -543,7 +550,7 @@ def test_shifted_vertices_sum_to_zero_per_functional():
     d, n = 3, 1
     fam = stabilizer_states(d, n)
     by_l = {}
-    for lab, pi in zip(fam.labels, family_projectors(fam)):
+    for lab, pi in zip(set_labels(fam), family_projectors(fam)):
         by_l.setdefault(lab.L, []).append(pi)
     third = Fraction(1, 3)
     for group in by_l.values():
@@ -555,11 +562,12 @@ def test_shifted_vertices_sum_to_zero_per_functional():
 
 def test_build_gram_takes_labels_under_the_entry_cap(monkeypatch):
     fam = stabilizer_states(2, 1)
-    with pytest.raises(ValueError, match="stabilizer labels"):
-        build_gram(family_projectors(fam))
+    for other in (family_projectors(fam), moments.phase_point_operator_set(3, 1)):
+        with pytest.raises(ValueError, match="set of stabilizer states"):
+            build_gram(other)
     monkeypatch.setattr(operators, "MAX_ENTRIES", 35)
     with pytest.raises(BudgetExceeded, match=r"6\^2 Gram entries exceed budget"):
-        build_gram(fam.labels)
+        build_gram(fam)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)])
@@ -578,9 +586,9 @@ def test_a_set_builds_its_gram_on_first_read_only(monkeypatch):
     # fresh caches behind the constructors, and every Gram build counted
     built = []
 
-    def counted(labels):
-        built.append(len(labels))
-        return build_gram(labels)
+    def counted(q):
+        built.append(q.size)
+        return build_gram(q)
 
     monkeypatch.setattr(operators, "build_gram", counted)
     stab = lru_cache(operators.stabilizer_set.__wrapped__)
@@ -606,8 +614,8 @@ def _sign_order_reference(labels):
 
 @pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_qubit_states_are_ordered_by_their_basis_signs(n):
-    expected = _sign_order_reference(enumerate_stabilizer_labels(2, n))
-    assert stabilizer_set(2, n).labels == expected
+    expected = _sign_order_reference(enumerated_labels(2, n))
+    assert set_labels(stabilizer_set(2, n)) == expected
 
 
 def test_gram_csv_format():

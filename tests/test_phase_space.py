@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 import time
@@ -9,30 +8,37 @@ from hypothesis import given, settings, strategies as st
 
 from stabsym.clifford import qubit_gate_action
 from stabsym.errors import BudgetExceeded
+from stabsym.operators import stabilizer_set
 from stabsym.phase_space import (
-    LagrangianSubspace,
-    StabilizerLabel,
-    Subspace,
     all_vectors,
     enumerate_lagrangians,
     enumerate_stabilizer_labels,
-    label_from_functional,
     label_permutations,
     lagrangian_count,
-    lagrangian_index,
     lagrangian_tables,
-    symplectic_form,
 )
 
 from dense_oracles import (
+    LagrangianSubspace,
+    StabilizerLabel,
+    Subspace,
+    brute_force_lagrangians,
     enumerate_subspaces,
+    enumerated_labels,
     functional_label_by_search,
+    label_from_functional,
+    label_objects,
+    lagrangian_objects,
     matrix_apply,
     real_gates,
+    set_labels,
+    subset,
+    symplectic_form,
     transform_label,
     transform_labels,
     vec_add,
 )
+
 
 
 def test_symplectic_canonical_pair():
@@ -55,20 +61,6 @@ def test_symplectic_matches_componentwise_oracle():
         assert symplectic_form(a, b, d) == oracle
 
 
-def _brute_force_lagrangians(d, n):
-    """Oracle: span all n-tuples of vectors, keep isotropic n-dim spans, dedupe."""
-    seen = set()
-    vectors = list(all_vectors(d, 2 * n))
-    for combo in itertools.combinations(vectors[1:], n):
-        sub = Subspace.from_rows(list(combo), d)
-        if sub.dim != n:
-            continue
-        if any(symplectic_form(u, v, d) for u in combo for v in combo):
-            continue
-        seen.add(sub.basis)
-    return seen
-
-
 @pytest.mark.parametrize("d,n,count", [(2, 1, 3), (3, 1, 4), (5, 1, 6), (2, 2, 15), (3, 2, 40)])
 def test_lagrangian_counts_vs_bruteforce(d, n, count):
     lags = enumerate_lagrangians(d, n)
@@ -77,19 +69,18 @@ def test_lagrangian_counts_vs_bruteforce(d, n, count):
     for k in range(1, n + 1):
         expected *= d ** k + 1
     assert len(lags) == expected
-    assert {L.basis for L in lags} == _brute_force_lagrangians(d, n)
+    assert {L.basis for L in lagrangian_objects(lags)} == brute_force_lagrangians(d, n)
 
 
 def test_lagrangians_sorted_and_unique():
-    lags = enumerate_lagrangians(3, 2)
-    bases = [L.basis for L in lags]
+    bases = [L.basis for L in lagrangian_objects(enumerate_lagrangians(3, 2))]
     assert bases == sorted(bases)
     assert len(set(bases)) == len(bases)
 
 
 def test_lagrangians_maximal():
     d, n = 3, 2
-    for L in enumerate_lagrangians(d, n):
+    for L in lagrangian_objects(enumerate_lagrangians(d, n)):
         pts = set(L.points())
         for v in all_vectors(d, 2 * n):
             if v in pts:
@@ -99,9 +90,10 @@ def test_lagrangians_maximal():
 
 @pytest.mark.parametrize("d,n,count", [(2, 1, 6), (3, 1, 12), (5, 1, 30), (2, 2, 60), (3, 2, 360)])
 def test_stabilizer_label_counts(d, n, count):
-    labels = enumerate_stabilizer_labels(d, n)
-    assert len(labels) == count
-    assert len(labels) == d ** n * len(enumerate_lagrangians(d, n))
+    lags, index, reps = enumerate_stabilizer_labels(d, n)
+    assert len(index) == len(reps) == count
+    assert len(index) == d ** n * len(lags)
+    assert lags is enumerate_lagrangians(d, n)
 
 
 def _coset_points(L, rep):
@@ -110,8 +102,8 @@ def _coset_points(L, rep):
 
 def test_cosets_partition_phase_space():
     d, n = 3, 2
-    labels = enumerate_stabilizer_labels(d, n)
-    for block in lagrangian_index(labels).blocks[:5]:
+    labels = enumerated_labels(d, n)
+    for block in stabilizer_set(d, n).blocks[:5]:
         seen = set()
         for x in block:
             pts = set(_coset_points(labels[x].L, labels[x].rep))
@@ -147,9 +139,10 @@ _SIZES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2),
 def test_enumerated_lagrangians_are_canonical_isotropic_and_sorted(d, n):
     lags = enumerate_lagrangians(d, n)
     assert len(lags) == lagrangian_count(d, n)
-    bases = [L.basis for L in lags]
+    assert lags.basis.dtype == np.int64 and not lags.basis.flags.writeable
+    bases = [L.basis for L in lagrangian_objects(lags)]
     assert bases == sorted(set(bases))  # distinct and sorted
-    for L in lags:
+    for L in lagrangian_objects(lags):
         assert Subspace.from_rows(L.basis, d).basis == L.basis
         assert not any(symplectic_form(u, v, d) for u in L.basis for v in L.basis)
         assert all(type(x) is int for row in L.basis for x in row)
@@ -157,10 +150,11 @@ def test_enumerated_lagrangians_are_canonical_isotropic_and_sorted(d, n):
 
 @pytest.mark.parametrize("d,n", _SIZES)
 def test_enumerated_labels_are_canonical_and_sorted(d, n):
-    labels = enumerate_stabilizer_labels(d, n)
-    index = lagrangian_index(labels)
-    assert index.lags == enumerate_lagrangians(d, n)
-    assert all(len(block) == d ** n for block in index.blocks)
+    lags, index, reps = enumerate_stabilizer_labels(d, n)
+    assert lags is enumerate_lagrangians(d, n)
+    assert not index.flags.writeable and not reps.flags.writeable
+    assert np.bincount(index).tolist() == [d ** n] * len(lags)
+    labels = label_objects(lags, index, reps)
     keys = [(lab.L.basis, lab.rep) for lab in labels]
     assert keys == sorted(set(keys))
     for lab in labels:
@@ -194,14 +188,14 @@ def test_constructors_take_integer_arrays():
 def test_canonical_rep_is_lex_smallest():
     d, n = 3, 2
     rng = random.Random(8)
-    for L in enumerate_lagrangians(d, n)[:10]:
+    for L in lagrangian_objects(enumerate_lagrangians(d, n))[:10]:
         v = tuple(rng.randrange(d) for _ in range(4))
         assert StabilizerLabel.make(L, v).rep == min(_coset_points(L, v))
 
 
 def test_label_from_functional_zero():
     d = 3
-    L = enumerate_lagrangians(d, 1)[0]
+    L = lagrangian_objects(enumerate_lagrangians(d, 1))[0]
     lab = label_from_functional(L, [0])
     assert lab.rep == L.reduce((0, 0))
     assert L.contains(lab.rep) or lab.rep == (0, 0)
@@ -217,7 +211,7 @@ def test_label_from_functional_simple():
 def test_label_from_functional_roundtrip():
     d, n = 3, 2
     rng = random.Random(14)
-    lags = enumerate_lagrangians(d, n)
+    lags = lagrangian_objects(enumerate_lagrangians(d, n))
     for _ in range(100):
         L = rng.choice(lags)
         values = [rng.randrange(d) for _ in range(n)]
@@ -231,7 +225,7 @@ def test_label_from_functional_roundtrip():
 @given(data=st.data())
 def test_label_from_functional_matches_the_solver(d, n, data):
     # a = J f with f the values at the pivots, against a search of all points
-    lags = enumerate_lagrangians(d, n)
+    lags = lagrangian_objects(enumerate_lagrangians(d, n))
     values = data.draw(st.lists(st.integers(-d, 2 * d - 1), min_size=n * len(lags),
                                 max_size=n * len(lags)))
     for k, L in enumerate(lags):
@@ -246,7 +240,7 @@ def test_transform_label_bijection_and_lagrangian_images():
     a = (1, 2, 0, 1)
     images = {vec_add(matrix_apply(R, x, d), a, d) for x in all_vectors(d, 4)}
     assert len(images) == d ** 4
-    labels = enumerate_stabilizer_labels(d, n)
+    labels = enumerated_labels(d, n)
     mapped = {transform_label(lab, R, a) for lab in labels}
     assert len(mapped) == len(labels)
     for lab in list(labels)[:20]:
@@ -268,7 +262,7 @@ def test_similitude_action_bijective_and_coset_preserving_32():
 
     images = {apply(x) for x in all_vectors(d, 2 * n)}
     assert len(images) == d ** (2 * n)
-    for lab in enumerate_stabilizer_labels(d, n):
+    for lab in enumerated_labels(d, n):
         out = transform_label(lab, matrix, a)
         assert set(_coset_points(out.L, out.rep)) == {
             apply(x) for x in _coset_points(lab.L, lab.rep)}
@@ -280,7 +274,7 @@ def test_transform_labels_maps_like_transform_label():
     from stabsym.clifford import k_alpha, sp_generators
 
     for d, n in ((3, 1), (5, 1), (3, 2)):
-        labels = enumerate_stabilizer_labels(d, n)
+        labels = enumerated_labels(d, n)
         shift = tuple(range(1, 2 * n + 1))
         for r in (*sp_generators(d, n), k_alpha(d, n, 2)):
             assert transform_labels(labels, r, shift) == [
@@ -294,11 +288,11 @@ def test_label_permutations_match_transform_label(d, n):
     # transform_label builds one by one
     from stabsym.clifford import k_alpha, sp_generators
 
-    labels = enumerate_stabilizer_labels(d, n)
+    labels = enumerated_labels(d, n)
     index = {lab: k for k, lab in enumerate(labels)}
     shift = tuple(range(1, 2 * n + 1))
     maps = [(r, shift) for r in (*sp_generators(d, n), k_alpha(d, n, 2))]
-    assert label_permutations(labels, maps) == [
+    assert label_permutations(*enumerate_stabilizer_labels(d, n), maps) == [
         tuple(index[transform_label(lab, r, shift)] for lab in labels) for r, _ in maps]
 
 
@@ -307,29 +301,29 @@ def test_label_permutations_match_transform_labels_on_qubit_gates(n):
     # every qubit gate and transposition, signs t_L included
     from stabsym.clifford import qubit_gate_action, transpose_action
 
-    labels = enumerate_stabilizer_labels(2, n)
+    labels = enumerated_labels(2, n)
     index = {lab: k for k, lab in enumerate(labels)}
     gates = [(g, i) for i in range(n) for g in ("H", "S", "Y", "Z")]
     gates += [("CZ", i, j) for i in range(n) for j in range(n) if i != j]
     maps = [qubit_gate_action(n, *g) for g in gates] + [transpose_action(n)]
-    assert label_permutations(labels, maps) == [
+    assert label_permutations(*enumerate_stabilizer_labels(2, n), maps) == [
         tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
 
 
 @pytest.mark.slow
 def test_label_permutations_match_transform_labels_at_four_qubits():
     # opt-in (`-m slow`): Z_0, H_0 and CZ_01 on the 36 720 labels at (2,4)
-    labels = enumerate_stabilizer_labels(2, 4)
+    labels = enumerated_labels(2, 4)
     index = {lab: k for k, lab in enumerate(labels)}
     maps = [qubit_gate_action(4, *g) for g in (("Z", 0), ("H", 0), ("CZ", 0, 1))]
-    assert label_permutations(labels, maps) == [
+    assert label_permutations(*enumerate_stabilizer_labels(2, 4), maps) == [
         tuple(index[lab] for lab in transform_labels(labels, *m)) for m in maps]
 
 
 def _bad_map_error(labels, matrix, shift=(0, 0, 0, 0)):
     eye = np.eye(4, dtype=np.int64)
     with pytest.raises(ValueError) as info:
-        label_permutations(labels, [(eye, (0, 0, 0, 0)), (matrix, shift)])
+        label_permutations(*labels, [(eye, (0, 0, 0, 0)), (matrix, shift)])
     assert str(info.value).startswith("map 1: ")
     return str(info.value)
 
@@ -345,14 +339,16 @@ def test_label_permutations_refuse_a_singular_or_non_similitude_map():
 def test_label_permutations_refuse_images_outside_the_labels():
     from stabsym.clifford import sp_generators
 
-    labels = enumerate_stabilizer_labels(3, 2)
-    dropped = [lab for lab in labels if lab.L != labels[0].L]  # one Lagrangian's block
+    lags, index, reps = enumerate_stabilizer_labels(3, 2)
+    kept = index != index[0]  # all but one Lagrangian's block
     with pytest.raises(ValueError, match="^map 0: .*not exactly one labelled Lagrangian"):
-        label_permutations(dropped, [(r, (0, 0, 0, 0)) for r in sp_generators(3, 2)])
+        label_permutations(lags, index[kept], reps[kept],
+                           [(r, (0, 0, 0, 0)) for r in sp_generators(3, 2)])
     eye = np.eye(4, dtype=np.int64)
-    assert "coset has no label" in _bad_map_error(labels[1:], eye, (1, 0, 0, 0))
+    assert "coset has no label" in _bad_map_error((lags, index[1:], reps[1:]), eye, (1, 0, 0, 0))
     with pytest.raises(ValueError, match="^map 0: .*not a bijection"):  # a label given twice
-        label_permutations(labels + labels[:1], [(eye, (0, 0, 0, 0))])
+        label_permutations(lags, np.r_[index, index[:1]], np.r_[reps, reps[:1]],
+                           [(eye, (0, 0, 0, 0))])
 
 
 def test_label_permutations_on_the_rebit_labels_give_the_closure_generators():
@@ -361,7 +357,8 @@ def test_label_permutations_on_the_rebit_labels_give_the_closure_generators():
     from stabsym.clifford import real_clifford_closure
 
     labels, gens = real_clifford_closure(2)
-    assert label_permutations(labels, [qubit_gate_action(2, *g) for g in real_gates(2)]) == list(gens)
+    maps = [qubit_gate_action(2, *g) for g in real_gates(2)]
+    assert label_permutations(*labels, maps) == list(gens)
 
 
 def test_label_permutations_refuse_the_s_gate_on_the_rebit_labels():
@@ -370,7 +367,7 @@ def test_label_permutations_refuse_the_s_gate_on_the_rebit_labels():
 
     labels, _ = real_clifford_closure(2)
     with pytest.raises(ValueError, match="^map 1: .*not exactly one labelled Lagrangian"):
-        label_permutations(labels, [qubit_gate_action(2, "Z", 0), qubit_gate_action(2, "S", 0)])
+        label_permutations(*labels, [qubit_gate_action(2, "Z", 0), qubit_gate_action(2, "S", 0)])
 
 
 def test_label_permutations_refuse_singular_or_non_similitude_maps_with_eta():
@@ -384,18 +381,18 @@ def test_label_permutations_refuse_singular_or_non_similitude_maps_with_eta():
     assert similitude_multiplier(shear, 2) is None
     for m in (singular, shear):
         with pytest.raises(ValueError, match="^map 1: .*not exactly one labelled Lagrangian"):
-            label_permutations(labels, [(eye, zero, eta), (m, zero, eta)])
+            label_permutations(*labels, [(eye, zero, eta), (m, zero, eta)])
 
 
 @pytest.mark.slow
 def test_real_clifford_gate_permutations_match_transform_label_at_four_qubits():
     # opt-in (`-m slow`): the 14 gates Z_i, H_i, CZ_ij on the 36 720 labels at
     # (2,4), each checked on 64 seeded labels against the per-label oracle
-    labels = enumerate_stabilizer_labels(2, 4)
+    labels = enumerated_labels(2, 4)
     index = {lab: k for k, lab in enumerate(labels)}
     maps = [qubit_gate_action(4, *g) for g in real_gates(4)]
     start = time.perf_counter()
-    perms = label_permutations(labels, maps)
+    perms = label_permutations(*enumerate_stabilizer_labels(2, 4), maps)
     assert time.perf_counter() - start < 10
     rng = random.Random(29)
     for perm, m in zip(perms, maps):
@@ -407,10 +404,10 @@ def test_real_clifford_gate_permutations_match_transform_label_at_four_qubits():
 def test_from_rows_keeps_the_canonical_basis(d, n):
     # enumerate_lagrangians takes its canonical rows as they are, with no
     # second row reduction; reducing them must give them back
-    for L in enumerate_lagrangians(d, n):
+    for L in lagrangian_objects(enumerate_lagrangians(d, n)):
         assert Subspace.from_rows(L.basis, d).basis == L.basis
-        # equal, so hashed alike (each Lagrangian hashes once, when built)
-        # and the same dict key, also from rows that need reducing
+        # equal, so hashed alike and the same dict key, also from rows that
+        # need reducing
         for rows in (L.basis, (np.array(L.basis[::-1]) * (d - 1)) % d):
             M = LagrangianSubspace.from_rows(rows, d)
             assert M == L and hash(M) == hash(L) and {L: 0}[M] == 0
@@ -418,20 +415,42 @@ def test_from_rows_keeps_the_canonical_basis(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
 def test_lagrangian_index_matches_a_grouping_by_basis(d, n):
-    # keyed by basis tuples, not by Lagrangian objects and their hash; on
-    # the labels in order and on a shuffled half; the reps read flat are
-    # the nested read, dtype included
-    labels = enumerate_stabilizer_labels(d, n)
-    for labs in (labels, random.Random(n).sample(labels, len(labels) // 2)):
-        index = lagrangian_index(labs)
-        keys = list(dict.fromkeys(lab.L.basis for lab in labs))
-        where = {key: k for k, key in enumerate(keys)}
-        assert [L.basis for L in index.lags] == keys
-        assert index.index.tolist() == [where[lab.L.basis] for lab in labs]
-        nested = np.array([lab.rep for lab in labs])
-        assert index.reps.dtype == nested.dtype and np.array_equal(index.reps, nested)
-        assert index.blocks == [[x for x, lab in enumerate(labs) if where[lab.L.basis] == k]
-                                for k in range(len(keys))]
+    # a set's Lagrangian index and blocks are a grouping of its label
+    # objects by basis tuple, on the set in order and on a shuffled half;
+    # the reps are the objects' reps, as int64
+    q = stabilizer_set(d, n)
+    where = {L.basis: k for k, L in enumerate(lagrangian_objects(q.lags))}
+    halves = random.Random(n).sample(range(q.size), q.size // 2)
+    for part in (q, subset(q, halves)):
+        labels = set_labels(part)
+        assert part.index.tolist() == [where[lab.L.basis] for lab in labels]
+        assert part.reps.dtype == np.int64
+        assert part.reps.tolist() == [list(lab.rep) for lab in labels]
+        assert part.blocks == [[x for x, lab in enumerate(labels) if where[lab.L.basis] == k]
+                               for k in range(len(where))]
+
+
+def _canonical_labels(d, n):
+    """The stabilizer labels of (d, n) from objects alone: the brute-force
+    Lagrangians, each with the reduced reps of every point, sorted by
+    (basis, rep)."""
+    lags = [LagrangianSubspace(basis, d, 2 * n) for basis in sorted(brute_force_lagrangians(d, n))]
+    return sorted({StabilizerLabel.make(L, v) for L in lags for v in all_vectors(d, 2 * n)},
+                  key=lambda lab: (lab.L.basis, lab.rep))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+def test_family_arrays_equal_the_label_objects(d, n):
+    # the enumeration's arrays, in order, against the labels built one
+    # object at a time (the rebits': `test_real_closure_equals_...`)
+    lags, index, reps = enumerate_stabilizer_labels(d, n)
+    labels = _canonical_labels(d, n)
+    assert lags.basis.tolist() == [list(map(list, L.basis))
+                                   for L in dict.fromkeys(lab.L for lab in labels)]
+    assert [(lags.basis[l].tolist(), rep) for l, rep in zip(index.tolist(), reps.tolist())] == [
+        (list(map(list, lab.L.basis)), list(lab.rep)) for lab in labels]
+    if d > 2:  # at d = 2 the set's order is `test_qubit_states_are_ordered_by_...`
+        assert set_labels(stabilizer_set(d, n)) == tuple(labels)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2), (5, 2)])
@@ -439,4 +458,5 @@ def test_lagrangian_tables_pivots_are_the_property(d, n):
     # read from the basis array: the first nonzero column of each row, not
     # its largest entry, which at odd d can be a 2 past the pivot's 1
     lags = enumerate_lagrangians(d, n)
-    assert lagrangian_tables(lags).pivots.tolist() == [list(L.pivots) for L in lags]
+    assert lagrangian_tables(lags).pivots.tolist() == [list(L.pivots)
+                                                       for L in lagrangian_objects(lags)]

@@ -9,14 +9,13 @@ import pytest
 from stabsym import cyclotomic, operators, polytope1
 from stabsym.cyclotomic import CycNumber, conductor_for
 from stabsym.errors import BudgetExceeded, Mismatch
-from stabsym.operators import OperatorSet, OpMatrix, stabilizer_states
+from stabsym.operators import OpMatrix, stabilizer_states
 from stabsym.polytope1 import (
     direct_sum_check,
     facet_report,
     polytope_membership,
     wigner_negative_state,
 )
-from stabsym.phase_space import lagrangian_index
 
 from dense_oracles import (
     dense_facet_family,
@@ -30,8 +29,10 @@ from dense_oracles import (
     hs_inner,
     is_hermitian,
     phase_point,
+    set_labels,
     shifted_vertices,
     stab_projector,
+    subset,
     trace_product,
     wigner_negative_matrix,
 )
@@ -77,7 +78,7 @@ def test_direct_sum_check_witness_is_first_failing_pair(monkeypatch):
     bad = fam.gram.codes.copy()
     bad[7, 2] += 1
     bad[2, 9] += 1
-    corrupted = OperatorSet(fam.name, fam.d, fam.n, fam.labels)
+    corrupted = subset(fam)
     corrupted.gram = dataclasses.replace(fam.gram, codes=bad)
     monkeypatch.setattr(polytope1, "stabilizer_states", lambda d, n: corrupted)
     with pytest.raises(Mismatch, match=r"overlap table violated at \(2, 9\)") as exc:
@@ -104,7 +105,7 @@ def test_facets_budget():
 def _violated_facet_value(d, characters):
     # tr(X_g rho) = sum_i tr(Pi_(g_i) rho) - 1 for X_g = sum_i Pi_(g_i) - 1,
     # from the d + 1 chosen dense projectors and the dense rho
-    labels = stabilizer_states(d, 1).labels
+    labels = set_labels(stabilizer_states(d, 1))
     rho = wigner_negative_matrix(d)
     return sum(trace_product(stab_projector(labels[g]), rho).as_fraction()
                for g in characters) - 1
@@ -118,7 +119,7 @@ def test_facet_report_beyond_the_former_cap(d):
     assert report["supporting"] and report["pass"]
     assert report["wigner_negative_state_inside"] is False
     characters = report["violated_facet_characters"]
-    blocks = lagrangian_index(stabilizer_states(d, 1).labels).blocks
+    blocks = stabilizer_states(d, 1).blocks
     assert [next(b for b, block in enumerate(blocks) if g in block) for g in characters] \
         == list(range(d + 1))
     assert _violated_facet_value(d, characters) < 0
@@ -165,7 +166,7 @@ def test_self_duality_of_simplex_blocks():
     # the self-dual inequality tr(pi_g X) >= -1/d with equality off-diagonal
     d = 3
     verts = shifted_vertices(d)
-    blocks = lagrangian_index(stabilizer_states(d, 1).labels).blocks
+    blocks = stabilizer_states(d, 1).blocks
     for block in blocks:
         for i in block:
             for j in block:

@@ -16,11 +16,10 @@ from stabsym.errors import Mismatch, NotBasisPreserving, SearchTimeout
 from stabsym.operators import GramMatrix, stabilizer_set, stabilizer_states
 from stabsym.permgroup import PermGroup, compose, schreier_sims
 from stabsym.phase_space import (
-    StabilizerLabel,
+    Lagrangians,
     all_vectors,
     enumerate_lagrangians,
     label_permutations,
-    lagrangian_index,
     wreath_compose,
     wreath_decompose,
 )
@@ -36,12 +35,14 @@ from stabsym.symmetry import (
 )
 
 from dense_oracles import (
+    StabilizerLabel,
     assert_schreier_trees,
     conjugation,
     dense_real_clifford_orbit,
     dense_sf_machinery,
     extended_clifford_perms,
     family_projectors,
+    lagrangian_objects,
     perm_from_matrix_action,
     qubit_gate,
     real_gates,
@@ -92,7 +93,7 @@ def test_generators_preserve_gram():
 def test_basis_partition_preserved_n1():
     fam = stabilizer_states(3, 1)
     group = gram_automorphisms(fam.gram)
-    blocks = lagrangian_index(fam.labels).blocks
+    blocks = fam.blocks
     for g in group.generators:
         wreath_decompose(g, blocks)  # raises if g scatters a basis block
 
@@ -117,10 +118,10 @@ def test_transpose_adds_factor_two_at_22():
     fam = stabilizer_states(2, 2)
     actions = [qubit_gate_action(2, g, i) for i in range(2) for g in ("H", "S")]
     actions.append(qubit_gate_action(2, "CZ", 0, 1))
-    gens = label_permutations(fam.labels, actions)
+    gens = label_permutations(fam.lags, fam.index, fam.reps, actions)
     unitary_part = schreier_sims(gens, degree=fam.size)
     assert unitary_part.order() == 11520
-    transpose_perm = label_permutations(fam.labels, [transpose_action(2)])[0]
+    transpose_perm = label_permutations(fam.lags, fam.index, fam.reps, [transpose_action(2)])[0]
     assert not unitary_part.contains(transpose_perm)
 
 
@@ -181,7 +182,7 @@ def test_rebit_gram_is_cached():
 
 def test_seed_rejection():
     fam = stabilizer_states(2, 1)
-    blocks = lagrangian_index(fam.labels).blocks
+    blocks = fam.blocks
     bad = list(range(6))  # swap one state across bases: breaks the Gram
     a, b = blocks[0][0], blocks[1][0]
     bad[a], bad[b] = bad[b], bad[a]
@@ -255,7 +256,7 @@ def brute_force_order(colors):
 
 
 def gram_of(colors):
-    return GramMatrix.from_keys(range(len(colors)), np.array(colors), Fraction)
+    return GramMatrix.from_keys(np.array(colors), Fraction)
 
 
 @st.composite
@@ -313,7 +314,7 @@ def test_search_order_matches_brute_force(colors):
 def test_search_order_is_unchanged_by_wide_codes(colors):
     # uint16 codes, as `GramMatrix.from_keys` stores more than 256 colours
     gram = gram_of(colors)
-    wide = GramMatrix(gram.labels, gram.codes.astype(np.uint16), gram.legend)
+    wide = GramMatrix(gram.codes.astype(np.uint16), gram.legend)
     assert gram_automorphisms(wide).order() == gram_automorphisms(gram).order()
 
 
@@ -583,7 +584,7 @@ def test_the_fallback_chain_runs_under_the_budget(monkeypatch, capsys):
 def test_wreath_decompose_identity_and_roundtrip():
     d = 5
     fam = stabilizer_states(d, 1)
-    blocks = lagrangian_index(fam.labels).blocks
+    blocks = fam.blocks
     ident = tuple(range(fam.size))
     sigma, inners = wreath_decompose(ident, blocks)
     assert sigma == tuple(range(d + 1))
@@ -601,7 +602,7 @@ def test_wreath_decompose_identity_and_roundtrip():
 def test_wreath_coordinates_of_computed_generators_recompose(d):
     # every generator the search returns for `autgroup --d d --n 1`, the
     # seeds and any it found, decomposes and recomposes to itself
-    blocks = lagrangian_index(stabilizer_states(d, 1).labels).blocks
+    blocks = stabilizer_states(d, 1).blocks
     gens = gram_automorphisms(stabilizer_states(d, 1).gram,
                               seeds=predicted_generators(d, 1, "wreath")).generators
     for g in gens:
@@ -614,7 +615,7 @@ def test_wreath_decompose_rejects_scattering():
     d = 3
     fam = stabilizer_states(d, 1)
     bad = list(range(fam.size))
-    blocks = lagrangian_index(fam.labels).blocks
+    blocks = fam.blocks
     bad[blocks[0][0]], bad[blocks[1][0]] = bad[blocks[1][0]], bad[blocks[0][0]]
     with pytest.raises(NotBasisPreserving, match="block 0 is scattered"):
         wreath_decompose(tuple(bad), blocks)
@@ -681,16 +682,18 @@ def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
 
 
 def _sf_flags(b, family):
-    """(pairwise non-orthogonal, sum rule) of sf_checks on the labels."""
-    nonorth, _, holds = sf_checks(tuple(lab.L for lab in family),
-                                  np.array([[lab.rep for lab in family]]), np.array([b]))
+    """(pairwise non-orthogonal, sum rule) of sf_checks on the labels, one
+    per Lagrangian."""
+    d, n = family[0].d, family[0].n
+    lags = Lagrangians(d, n, np.array([lab.L.basis for lab in family]))
+    nonorth, _, holds = sf_checks(lags, np.array([[lab.rep for lab in family]]), np.array([b]))
     return bool(nonorth[0]), bool(holds[0])
 
 
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
 def test_sf_checks_reject_a_mutated_family(d, n):
     b = (1,) * (2 * n)
-    family = [StabilizerLabel.make(L, b) for L in enumerate_lagrangians(d, n)]
+    family = [StabilizerLabel.make(L, b) for L in lagrangian_objects(enumerate_lagrangians(d, n))]
     off = next(v for v in all_vectors(d, 2 * n) if any(family[0].L.reduce(v)))
     moved = [StabilizerLabel.make(family[0].L, vec_add(b, off, d)), *family[1:]]
     assert _sf_flags(b, family) == (True, True)
