@@ -398,9 +398,11 @@ class OperatorSet:
         if stab:
             if not isinstance(lags, Lagrangians) or (lags.d, lags.n) != (d, n):
                 raise ValueError(f"the Lagrangians are not a list of (d, n) = ({d}, {n})")
-            index = np.array(index, dtype=np.int64)
-            if index.shape != rows.shape[:1]:
-                raise ValueError(f"{index.shape} indices for {len(rows)} reps")
+            index = np.asarray(index)
+            if index.shape != rows.shape[:1] or index.dtype.kind not in "iu":
+                raise ValueError(f"{len(rows)} reps need {len(rows)} integer indices, "
+                                 f"not {index.shape} of {index.dtype}")
+            index = index.astype(np.int64)
             outside = (index < 0) | (index >= len(lags))
             pivots = (lags.basis != 0).argmax(-1)[np.where(outside, 0, index)]
             for bad, why in ((outside, f"its Lagrangian is not one of the {len(lags)}"),

@@ -179,26 +179,33 @@ def test_operator_set_refuses_points_that_are_not_2n_residues(point):
         OperatorSet("x", 3, 1, points=[(0, 0), point])
 
 
-# one bad entry each in the (3,1) set's arrays: element 4 lies on Lagrangian
-# 1 (pivot 0), and Lagrangian 0 is spanned by (0, 1), so its reps are 0 at 1
+def _put(at, value):
+    """A copy of an array with entry `at` set to `value`."""
+    def put(array):
+        array = array.copy()
+        array[at] = value
+        return array
+    return put
+
+
+# one bad array each for the (3,1) set: element 4 lies on Lagrangian 1
+# (pivot 0), and Lagrangian 0 is spanned by (0, 1), so its reps are 0 at 1
 _BAD_ARRAYS = {
-    "residue": ("reps", 4, (0, 3), r"^element 4, .* not a rep of 2n residues mod d"),
-    "pivot": ("reps", 2, (1, 1), r"^element 2, \(0, \[1, 1\]\): its rep is not 0 at the pivots"),
-    "index": ("index", 5, 4, r"^element 5, \(4, .*\): its Lagrangian is not one of the 4"),
-    "negative index": ("index", 5, -1, r"^element 5, \(-1, .*\): its Lagrangian is not one"),
-    "shape": ("index", slice(1, None), None, r"^\(11,\) indices for 12 reps"),
+    "residue": ("reps", _put(4, (0, 3)), r"^element 4, .* not a rep of 2n residues mod d"),
+    "pivot": ("reps", _put(2, (1, 1)), r"^element 2, \(0, \[1, 1\]\): its rep is not 0 at the"),
+    "index": ("index", _put(5, 4), r"^element 5, \(4, .*\): its Lagrangian is not one of the 4"),
+    "negative index": ("index", _put(5, -1), r"^element 5, \(-1, .*\): its Lagrangian is not"),
+    "shape": ("index", lambda a: a[1:], r"^12 reps need 12 integer indices, not \(11,\)"),
+    "dtype": ("index", lambda a: a + 0.5, r"not \(12,\) of float64"),  # none read by truncation
 }
 
 
 @pytest.mark.parametrize("case", _BAD_ARRAYS)
 def test_operator_set_refuses_a_bad_array_entry(case):
-    key, at, value, message = _BAD_ARRAYS[case]
+    key, change, message = _BAD_ARRAYS[case]
     q = stabilizer_set(3, 1)
-    arrays = dict(lags=q.lags, index=q.index.copy(), reps=q.reps.copy())
-    if value is None:
-        arrays[key] = arrays[key][at]
-    else:
-        arrays[key][at] = value
+    arrays = dict(lags=q.lags, index=q.index, reps=q.reps)
+    arrays[key] = change(arrays[key])
     with pytest.raises(ValueError, match=message):
         OperatorSet("x", 3, 1, **arrays)
 
