@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .clifford import verify_clifford_laws
 from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsupported
@@ -160,7 +161,11 @@ def positive_int(text):
     return value
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: `main`,
+    `golden_name` and every other caller parse with the same one, as an
+    argparse parser keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="stabsym",
         description="Exact verification suite for stabilizer polytope symmetries.",

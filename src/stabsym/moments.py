@@ -366,13 +366,18 @@ def _slab_keys(slabs):
 
 def _trilinear(rows, slabs):
     """sum_t rows[i][t] rows[i + jj][t] rows[i + kk][t] for every slab (i,
-    jj, kk) in turn, int64 when it fits (`_exact`).  (If the rows from i0
-    on are all 0, so is the first product.)"""
+    jj, kk) in turn, int64 when it fits (`_exact`).  A slab's (jj, kk) are
+    every pair jj <= kk of its tail in row-major order (`_triple_chunks`),
+    so each row jj of x_i * tail meets only the tail from jj on.  (If the
+    rows from i0 on are all 0, so is the first product.)"""
     i0, i1 = slabs[0][0], slabs[-1][0] + 1
 
     def op(x, tail, same):
-        return np.concatenate([((x[i - i0] * tail[i - i0:]) @ same[i - i0:].T)[jj, kk]
-                               for i, jj, kk in slabs])
+        out = []
+        for i, _, _ in slabs:
+            prod = x[i - i0] * tail[i - i0:]
+            out.extend(p @ same[i - i0 + jj:].T for jj, p in enumerate(prod))
+        return np.concatenate(out)
 
     return _exact(op, rows.shape[1], (rows[i0:i1], rows[i0:], rows[i0:]))
 

@@ -208,6 +208,22 @@ def rational_part(out):
     return out[..., 0]
 
 
+BLOCK_BYTES = 1 << 20  # the working set of one block of `_pair_table` or `sf_checks`
+
+
+def pair_blocks(count, pair_bytes):
+    """Consecutive blocks (i0, i1) of the rows of a table of pairs (i, j)
+    over count indices, a block holding the pairs (i, j) of its rows i and
+    every j >= i0 (the pairs j >= i, and the few i0 <= j < i within the
+    block): as many rows as keep their pairs, at pair_bytes each, within
+    BLOCK_BYTES, and at least one."""
+    i0 = 0
+    while i0 < count:
+        i1 = min(count, i0 + max(1, BLOCK_BYTES // ((count - i0) * pair_bytes)))
+        yield i0, i1
+        i0 = i1
+
+
 @lru_cache(maxsize=1024)
 def _pair_table(lags):
     """For the `phase_space.Lagrangians` lags, per pair
@@ -218,23 +234,35 @@ def _pair_table(lags):
     the table is cached.  L_j is its own symplectic complement, so
     k . basis(L_i) lies in L_j iff pairing[i, j] k = 0,
     pairing[i, j, s, r] = [b_r(L_i), b_s(L_j)]: the kernels of the pairings
-    of every pair i <= j are one batched `zmod.null_space`, written to both
-    orders, and the signs of each order read at its own first Lagrangian."""
+    are one batched `zmod.null_space` per block of consecutive first
+    Lagrangians i (`pair_blocks`), the pairs (i, j >= i0) of the block, each
+    written to both orders, with the signs of each order read at its own
+    first Lagrangian."""
     tables = lagrangian_tables(lags)
-    d, n = lags.d, lags.n
+    d, n, count = lags.d, lags.n, len(lags)
     # a pairing sums 2n products of residues below d, exactly in this dtype
     basis = tables.basis.astype(np.min_scalar_type(-2 * n * (d - 1) ** 2))
-    i, j = np.triu_indices(len(lags))
-    left = basis[i]
-    kernel = null_space(jvec(basis)[j] @ left.swapaxes(1, 2), d)
-    b = kernel @ left % d  # zero rows stay zero
-    dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
-    jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
-    codes = np.zeros((len(lags),) * 2 + (n,), dtype=np.min_scalar_type(d ** (2 * n) - 1))
-    dims[i, j] = dims[j, i] = kernel.any(-1).sum(-1)
-    jb[i, j] = jb[j, i] = jvec(b) % d
-    codes[i, j] = codes[j, i] = point_codes(b, d)
-    signs = tables.signs[np.arange(len(lags))[:, None, None], codes]
+    jbasis = jvec(basis)
+    dims = np.zeros((count,) * 2, dtype=np.uint8)
+    jb = np.zeros((count,) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
+    signs = np.zeros((count,) * 2 + (n,), dtype=tables.signs.dtype)
+    # a pair's transients, measured by tracemalloc at (3,3) and (2,4): ~10
+    # bytes per entry of its n x n pairing and n x 2n intersection basis
+    for i0, i1 in pair_blocks(count, 10 * n * (2 * n + 1) * basis.itemsize):
+        left = basis[i0:i1, None]
+        kernel = null_space(jbasis[i0:] @ left.swapaxes(-1, -2), d)  # (rows, j >= i0, n, n)
+        b = kernel @ left % d  # zero rows stay zero
+        # within the block, (i, j) with j < i takes the basis of (j, i)
+        below = np.tril_indices(i1 - i0, -1)
+        b[below] = b[below[::-1]]
+        codes = point_codes(b, d)
+        dims[i0:i1, i0:] = kernel.any(-1).sum(-1)
+        jb[i0:i1, i0:] = jvec(b) % d
+        signs[i0:i1, i0:] = tables.signs[np.arange(i0, i1)[:, None, None], codes]
+        # the block's columns i0:i1 hold every order (j, i) with j >= i0
+        dims[i0:, i0:i1] = dims[i0:i1, i0:].T
+        jb[i0:, i0:i1] = jb[i0:i1, i0:].swapaxes(0, 1)
+        signs[i0:, i0:i1] = tables.signs[np.arange(i0, count)[None, :, None], codes].swapaxes(0, 1)
     dims.flags.writeable = jb.flags.writeable = signs.flags.writeable = False
     return dims, jb, signs
 

@@ -134,16 +134,21 @@ class PermGroup:
             identity_run = 0 if grp._add_residue(acc) else identity_run + 1
         return grp
 
-    def adjoin(self, g):
+    def adjoin(self, g, deadline=None):
         """Add g to the generators and its residue to the strong generators.
 
         Orbits close under the residue, but no Schreier generator is formed:
         the chain stays a chain of a subgroup of <generators> (as from
         `random_chain`), complete only once a caller certifies its order.
+        With `deadline`, a `time.monotonic()` value, the clock is checked
+        first and a reached deadline raises `SearchTimeout`, carrying the
+        chain as it was, as in `add_generator`.
         """
         g = tuple(g)
         if len(g) != self.degree:
             raise ValueError("degree mismatch")
+        if deadline is not None and time.monotonic() >= deadline:
+            raise SearchTimeout("stabilizer chain deadline reached", partial=self)
         self.generators.append(g)
         self._add_residue(g)
 

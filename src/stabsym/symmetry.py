@@ -25,7 +25,8 @@ from .clifford import (
 )
 from .errors import (BudgetExceeded, Mismatch, NotBasisPreserving, OddOnly, SearchTimeout,
                      Unsupported)
-from .operators import GramMatrix, character_keys, stabilizer_set, stabilizer_states
+from . import operators
+from .operators import GramMatrix, stabilizer_set, stabilizer_states
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
     all_vectors,
@@ -242,16 +243,17 @@ class AutomorphismSearch:
 
     def _grow_chain(self, depth, gamma=None):
         """Build the seeds' random chain on the search base if there is no
-        chain yet, under the search deadline, then adjoin `gamma` to it."""
-        if self.chain is None:
-            # created only once the first path (and hence the base) is complete
-            try:
+        chain yet, then adjoin `gamma` to it, both under the search
+        deadline."""
+        try:
+            if self.chain is None:
+                # created only once the first path (and hence the base) is complete
                 self.chain = PermGroup.random_chain(self.seeds, self.base_seq, self.n,
                                                     deadline=self.deadline)
-            except SearchTimeout as exc:
-                raise self._timeout(depth, exc.partial) from exc
-        if gamma is not None:
-            self.chain.adjoin(gamma)
+            if gamma is not None:
+                self.chain.adjoin(gamma, deadline=self.deadline)
+        except SearchTimeout as exc:
+            raise self._timeout(depth, exc.partial) from exc
 
     def _dfs(self, labels, splitter, depth, on_path):
         self.nodes += 1
@@ -520,46 +522,68 @@ def sf_checks(lags, reps, bs):
     right.  For prime d, sum_k h_k omega^k = 0 iff h is
     constant in k.  So t is rational iff hist[0, 1:] is constant, and the
     rule holds iff (d^n + 1) hist[v] - t (d^n [v = 0] e_0 + e_[b,v]) is
-    constant in k for every v, in integers.  Non-orthogonality is the closed
-    form on each family (`character_keys`): every two characters agree on
-    the intersection of their Lagrangians.
+    constant in k for every v, in integers, checked in place on hist.
+
+    Non-orthogonality is read pair by pair (x < j) from `_pair_table`, one
+    block of rows x at a time (`operators.pair_blocks`): both orders share
+    one basis b_t of L_x ∩ L_j, so the characters [rep, .] of x and j (the
+    sign c_L is 0 at odd d) agree there iff [rep_x, b_t] = [rep_j, b_t]
+    mod d for every t.
     """
     d, n = lags.d, lags.n
-    dim, size = d ** n, d ** (2 * n)
-
-    def pairing(a, v):  # [a, v] mod d
-        return np.einsum("...a,...a", a, jvec(v)) % d
-
+    dim, size, count = d ** n, d ** (2 * n), len(lags)
     tables = lagrangian_tables(lags)
-    points, where = tables.points, tables.codes  # (lags, d^n, 2n), (lags, d^n)
-    chi = pairing(reps[:, :, None], points)  # (B, lags, d^n)
-    at = (np.arange(len(bs))[:, None, None] * size + where) * d + chi
+    # a pairing sums 2n products of residues below d, exactly in this dtype
+    small = np.min_scalar_type(-2 * n * (d - 1) ** 2)
+    reps, bs = reps.astype(small), bs.astype(small)
+    chi = (jvec(tables.points.astype(small)) @ reps[..., None])[..., 0]  # (B, lags, d^n)
+    at = np.multiply(tables.codes, d, dtype=np.intp) + chi % d
+    at += np.arange(0, len(bs) * size * d, size * d)[:, None, None]
     hist = np.bincount(at.ravel(), minlength=len(bs) * size * d).reshape(len(bs), size, d)
+    del chi, at
     zero = hist[:, 0]  # tr T(v) = d^n [v = 0]: the trace is sum_k zero[k] omega^k
     trace = zero[:, 0] - zero[:, 1]
-    expected = np.zeros_like(hist)
-    vectors = code_points(np.arange(size), d, 2 * n)
-    np.put_along_axis(expected, pairing(bs[:, None], vectors)[..., None], 1, axis=2)
-    expected[:, 0, 0] += dim
-    diff = (dim + 1) * hist - trace[:, None, None] * expected
-    holds = ((zero[:, 1:] == zero[:, 1:2]).all(1) & (trace > 0)
-             & (diff == diff[..., :1]).all(axis=(1, 2)))
-    keys = character_keys(lags, np.arange(len(lags)), reps)  # (B, lags, lags)
-    nonorth = (keys == keys.transpose(0, 2, 1)).all(axis=(1, 2))
+    holds = (zero[:, 1:] == zero[:, 1:2]).all(1) & (trace > 0)
+    hist *= dim + 1
+    at_b = (jvec(code_points(np.arange(size), d, 2 * n).astype(small)) @ bs.T % d).T  # [b, v]
+    hist.reshape(len(bs), -1)[np.arange(len(bs))[:, None], np.arange(0, size * d, d) + at_b] -= (
+        trace[:, None])
+    hist[:, 0, 0] -= dim * trace
+    holds &= (hist == hist[..., :1]).all(axis=(1, 2))
+    del zero, hist
+
+    jb = operators._pair_table(lags)[1]
+    acc = np.min_scalar_type(2 * n * (d - 1) ** 2)
+    reps = reps.astype(acc).transpose(1, 2, 0)  # (lags, 2n, B)
+
+    def values(rows, cols):  # [rep_x, b_t] mod d, (x in rows, j in cols, t, B)
+        pair = jb[rows, cols].astype(acc, copy=False)
+        out = (pair.reshape(len(pair), -1, 2 * n) @ reps[rows]).reshape(*pair.shape[:3], -1)
+        out %= d
+        return out
+
+    nonorth = np.ones(len(bs), dtype=bool)
+    # per pair (x, j) and b: the n values of each order; their unsigned
+    # difference wraps to 0 only where they are equal, as both are below d
+    for x0, x1 in operators.pair_blocks(count, len(bs) * n * 2 * acc.itemsize):
+        rows, cols = slice(x0, x1), slice(x0, None)
+        differ = values(rows, cols)
+        differ -= values(cols, rows).swapaxes(0, 1)
+        nonorth &= ~differ.any(axis=(0, 1, 2))
     return nonorth, trace, holds
-
-
-_SF_CHUNK = 1 << 22  # histogram and key entries per `sf_checks` call
 
 
 def _sf_families(d, n, bs):
     """`sf_checks` of the families {(L, b): L Lagrangian} of every b in bs,
-    a few b at a time."""
+    as many b at a time as `operators.BLOCK_BYTES` holds of their
+    characters and histograms."""
     if d == 2:
         raise OddOnly("S_f machinery requires odd d")
     lags = enumerate_lagrangians(d, n)
     bs = np.array(bs, dtype=np.int64).reshape(-1, 2 * n) % d
-    step = max(1, _SF_CHUNK // (d ** (2 * n + 1) + len(lags) ** 2))
+    # per b: a character and its intp histogram index at each point of each
+    # Lagrangian, and the int64 histogram with its comparison
+    step = max(1, operators.BLOCK_BYTES // (10 * len(lags) * d ** n + 9 * d ** (2 * n + 1)))
     parts = []
     for chunk in (bs[i:i + step] for i in range(0, len(bs), step)):
         # b itself represents (L, b): [rep, v] = [b, v] for v in L

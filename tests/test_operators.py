@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +399,35 @@ def test_pair_table_equals_the_per_pair_loop(d, n):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert (got == want).all()
         assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (5, 2)])
+def test_pair_table_in_one_row_blocks_equals_the_per_pair_loop(monkeypatch, d, n):
+    # a budget below one pair's bytes makes every block one first
+    # Lagrangian: each block's pairs written to both orders, no pair left
+    # out or taken from the wrong order's elimination
+    monkeypatch.setattr(operators, "BLOCK_BYTES", 1)
+    lags = enumerate_lagrangians(d, n)
+    assert len(list(operators.pair_blocks(len(lags), 1))) == len(lags)
+    for got, want in zip(operators._pair_table.__wrapped__(lags), pair_table_loop(lags)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+        assert not got.flags.writeable
+
+
+@pytest.mark.slow
+def test_pair_table_d2_n4_peak_rss_is_under_350_mb():
+    # opt-in (`-m slow`): the (2,4) table of 2 295 Lagrangians holds ~195 MB
+    # of output and is built one block of first Lagrangians at a time (~222
+    # MB peak; ~690 MB as one batched elimination over all 2.6 M pairs)
+    code = ("import resource\n"
+            "from stabsym import operators, phase_space\n"
+            "operators._pair_table(phase_space.enumerate_lagrangians(2, 4))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert int(out.stdout) / 1024 < 350  # ru_maxrss is in KiB on Linux
 
 
 @st.composite

@@ -107,6 +107,17 @@ def test_past_deadline_raises_with_partial_chain():
     assert PermGroup.from_generators(gens, deadline=time.monotonic() + 600).order() == 40320
 
 
+def test_adjoin_past_its_deadline_raises_with_the_chain_unchanged():
+    group = PermGroup.from_generators([cycle(8, (0, 1))])
+    with pytest.raises(SearchTimeout) as info:
+        group.adjoin(cycle(8, tuple(range(8))), deadline=time.monotonic() - 1)
+    assert info.value.partial is group
+    assert group.generators == [cycle(8, (0, 1))] and group.order() == 2
+    assert f"partial order {group.order()}" in str(info.value)
+    group.adjoin(cycle(8, tuple(range(8))), deadline=time.monotonic() + 600)
+    assert len(group.generators) == 2 and group.order() > 2
+
+
 # ---------------------------------------------------------------------------
 # Oracles: sympy's Schreier-Sims and the group axioms
 

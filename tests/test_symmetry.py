@@ -245,6 +245,25 @@ def test_seed_chain_timeout_reports_progress(monkeypatch):
     assert f"partial order {exc.partial.order()}" in str(exc)
 
 
+def test_adjoin_timeout_reports_progress(monkeypatch):
+    # an automorphism the search finds is adjoined under the search
+    # deadline: with the chain built and its clock then past every deadline,
+    # the first adjoin raises and the search reports how far it got
+    import stabsym.permgroup
+
+    build = PermGroup.random_chain.__func__
+    monkeypatch.setattr(PermGroup, "random_chain", classmethod(
+        lambda cls, gens, base, degree, deadline=None: build(cls, gens, base, degree)))
+    monkeypatch.setattr(stabsym.permgroup, "time", SimpleNamespace(monotonic=lambda: math.inf))
+    with pytest.raises(SearchTimeout) as info:
+        gram_automorphisms(stabilizer_states(3, 1).gram, time_budget=600)
+    exc = info.value
+    assert str(exc).startswith("automorphism search budget of 600 s exhausted")
+    assert exc.nodes > exc.depth >= 1
+    assert exc.partial is not None and exc.partial.generators == []
+    assert f"partial order {exc.partial.order()}" in str(exc)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles for refinement and search
 
@@ -675,7 +694,7 @@ def test_sf_weyl_basis_equals_the_dense_projector_sum(d, n, samples):
 def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
     bs = list(all_vectors(3, 4))
     whole = symmetry._sf_families(3, 2, bs)
-    monkeypatch.setattr(symmetry, "_SF_CHUNK", 1)  # one b per sf_checks call
+    monkeypatch.setattr(operators, "BLOCK_BYTES", 1)  # one b per sf_checks call
     chunked = symmetry._sf_families(3, 2, bs)
     for x, y in zip(whole, chunked):
         assert x.tolist() == y.tolist()
@@ -701,3 +720,28 @@ def test_sf_checks_reject_a_mutated_family(d, n):
         nonorth, holds, _ = dense_sf_machinery(d, n, b, mutant)
         assert _sf_flags(b, mutant) == (nonorth, holds)
         assert holds is False
+
+
+def test_sf_checks_flag_only_the_family_changed_on_one_pair(monkeypatch):
+    # three families in one batch over (3,2) Lagrangians of which only L_a
+    # and L_b meet (in a line): the middle family's label on L_a moves to a
+    # coset whose character differs on that line, so its one pair (a, b)
+    # disagrees, and only its verdict turns, in row blocks of one Lagrangian
+    monkeypatch.setattr(operators, "BLOCK_BYTES", 1)
+    d, n = 3, 2
+    every = enumerate_lagrangians(d, n)
+    dims, jb, _ = operators._pair_table(every)
+    a, b = 0, int(np.flatnonzero(dims[0] == 1)[0])
+    pick = [a, b, *np.flatnonzero((dims[a] == 0) & (dims[b] == 0))[:3].tolist()]
+    lags = Lagrangians(d, n, every.basis[pick])
+    off = np.zeros(2 * n, dtype=np.int64)
+    off[np.flatnonzero(jb[a, b, 0])[0]] = 1  # [off, v] != 0 on the line v of L_a ∩ L_b
+    bs = np.array([[1, 0, 2, 1], [0, 1, 1, 2], [2, 2, 0, 1]])
+    reps = np.repeat(bs[:, None], len(pick), axis=1)
+    reps[1, 0] = (reps[1, 0] + off) % d
+    nonorth, _, holds = sf_checks(lags, reps, bs)
+    assert nonorth.tolist() == [True, False, True]
+    for k in range(len(bs)):
+        family = [StabilizerLabel.make(L, tuple(rep)) for L, rep in
+                  zip(lagrangian_objects(lags), reps[k].tolist())]
+        assert dense_sf_machinery(d, n, bs[k], family)[:2] == (nonorth[k], holds[k])
