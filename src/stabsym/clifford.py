@@ -3,9 +3,10 @@ metaplectic section for single qudits, Galois-extended Clifford elements with
 their exact composition law, qubit gates as label maps and the rebit states.
 
 Single-qudit section values and extended-Clifford elements are rows of a
-`PhaseStack`: each one scale times a d x d table of omega exponents, so the
-Clifford laws are integer counts of exponent sums (`products_equal`), not
-cyclotomic matrix products.  The laws are written once, over arrays with a
+`PhaseStack`: each a sign times g_d^0 or g_d^-1 (g_d the Gauss sum) times a
+d x d table of omega exponents, so the Clifford laws are integer counts of
+exponent sums against integer rows (`products_equal`), with no cyclotomic
+number and no matrix product.  The laws are written once, over arrays with a
 leading batch axis: the section on a stack of S (`_sections`), the linear
 parts omega^mu T(a) U_S (`_linear_parts`), the Galois maps
 (`PhaseStack.galois`), the composition of elements (mu, a, S, alpha)
@@ -24,16 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .cyclotomic import (
-    CycNumber,
-    GaloisMap,
-    _exact,
-    _field,
-    _int64,
-    conductor_for,
-    galois_apply,
-    gauss_sum,
-)
+from .cyclotomic import GaloisMap
 from .errors import BudgetExceeded, Mismatch, OddOnly, WordDecompositionFailure
 from .operators import OperatorSet, phase_point_table, weyl_table
 from .permgroup import PermGroup
@@ -205,75 +197,49 @@ def sl2_elements(d):
                  if (a * e - b * c) % d == 1)
 
 
-@lru_cache(maxsize=None)
-def _section_scales(d):
-    """The scales L(a) and L(2b) g_d^-1 of U_S as the palette (1, -1,
-    g_d^-1, -g_d^-1), indexed by 2 [b != 0] + [L = -1]; g_d^-1 is one
-    extended Euclid over the field, computed once per d."""
-    one, g_inv = CycNumber.from_fraction(conductor_for(d), 1), gauss_sum(d).inverse()
-    return one, -one, g_inv, -g_inv
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseStack:
-    """B phase tables of one d (one qudit, odd d): table i is the d x d
-    matrix with entry (r, q) = scales[which[i]] * omega^expo[i, r, q], and 0
-    where expo[i, r, q] = -1, a value of the metaplectic section or the
-    linear part of an extended Clifford element.  scales is a short tuple of
-    `CycNumber`s, a handful per d; which, (B,), and expo, (B, d, d), are
-    read-only int64 arrays, expo with entries in [-1, d).  Tables compare by
-    `products_equal`, not by ==."""
+    """B phase tables of one d (one qudit, odd d), values of the metaplectic
+    section or linear parts of extended Clifford elements: table i has entry
+    (r, q) = sign[i] g_d^-gauss[i] omega^expo[i, r, q], 0 where expo[i, r, q]
+    = -1, with the Gauss sum g_d = sum_q omega^(q^2).  sign (+-1), gauss (0 or
+    1), both (B,), and expo, (B, d, d) in [-1, d), are read-only int64 arrays.
+    Tables compare by `products_equal`, not by ==."""
 
     d: int
-    scales: tuple
-    which: np.ndarray
+    sign: np.ndarray
+    gauss: np.ndarray
     expo: np.ndarray
 
     def __post_init__(self):
-        self.which.flags.writeable = self.expo.flags.writeable = False
+        self.sign.flags.writeable = self.gauss.flags.writeable = self.expo.flags.writeable = False
 
     def __len__(self):
-        return len(self.which)
+        return len(self.sign)
 
     def galois(self, alpha) -> PhaseStack:
-        """Table i under C_alpha[i]: omega -> omega^alpha[i] multiplies its
-        exponents by alpha[i], and `galois_apply` maps the scale, once per
-        distinct pair (alpha, scale)."""
-        d, size = self.d, len(self.scales)
-        alpha = np.asarray(alpha) % d
-        pairs, which = np.unique(alpha * size + self.which, return_inverse=True)
-        palette = {}
-        image = [palette.setdefault(galois_apply(GaloisMap(p // size, d), self.scales[p % size]),
-                                    len(palette)) for p in pairs.tolist()]
+        """Table i under C_alpha[i], omega -> omega^alpha[i]: exponents times
+        alpha[i], sign times L(alpha[i])^gauss[i] as C_alpha(g_d) = L(alpha)
+        g_d; an alpha = 0 mod d is a ValueError."""
+        d, alpha = self.d, np.asarray(alpha) % self.d
+        if not alpha.all():
+            raise ValueError(f"alpha must be a unit mod {d}, not {alpha.tolist()}")
         expo = np.where(self.expo < 0, -1, self.expo * alpha[:, None, None] % d)
-        return PhaseStack(d, tuple(palette), np.array(image)[which], expo)
+        return PhaseStack(d, self.sign * _residues(d)[1][alpha] ** self.gauss, self.gauss, expo)
 
 
-@lru_cache(maxsize=1024)
-def _cross_rows(x: CycNumber, y: CycNumber, z: CycNumber, d):
-    """Row k < d: the power-basis numerators of x y omega^k times z.den, as
-    `_exact`'s (tensor, int64 form), and of z omega^k times (x y).den, with
-    a zero row last (index -1, for the entries expo = -1), int64 when they
-    fit (`_exact`): so a product of tables with scales x and y and a table
-    with scale z compare over one denominator.  Cached per triple of
-    scales, a handful per d, so a check forms no product of numbers."""
-    xy, f = x * y, _field(z.m)
-    shifts = f.pows[(np.arange(f.deg) + (z.m // d) * np.arange(d)[:, None]) % z.m]
-    left, right = (_exact(np.dot, f.deg, (np.array(c.num, dtype=object) * den, shifts))
-                   for c, den in ((xy, z.den), (z, xy.den)))
-    return ((left.astype(object), _int64(left)),
-            np.vstack([right, np.zeros((1, f.deg), dtype=right.dtype)]))
-
-
-def _unsigned(t: PhaseStack):
-    """The scales of a stack as sign * unsigned scale, the unsigned one with
-    a positive first nonzero coefficient: (the tables' signs, their indices
-    into the distinct unsigned scales, those scales)."""
-    palette, index, signs = {}, [], []
-    for c in t.scales:
-        signs.append(-1 if next((v for v in c.num if v), 0) < 0 else 1)
-        index.append(palette.setdefault(c if signs[-1] > 0 else -c, len(palette)))
-    return np.array(signs)[t.which], np.array(index)[t.which], tuple(palette)
+@lru_cache(maxsize=None)
+def _gauss_rows(d):
+    """R[m, e] = (c_k) with d g_d^m omega^e = sum_{k < d} c_k omega^k, read-only
+    (4, d + 1, d) int64, m = 0, 1, 2, -1 (index 3) and a zero row e = -1 last:
+    g_d omega^e = sum_q omega^(q^2 + e), and g_d^2 = L(-1) d, so d g_d^-1 = L(-1) g_d."""
+    e, k = np.arange(d + 1)[:, None], np.arange(d)
+    one = (k == e).astype(np.int64)  # omega^e, 0 at e = d
+    gauss = np.where(e < d, np.bincount(k * k % d, minlength=d)[(k - e) % d], 0)
+    sign = _residues(d)[1][-1]  # L(-1)
+    rows = np.stack([d * one, d * gauss, sign * d * d * one, sign * gauss])
+    rows.flags.writeable = False
+    return rows
 
 
 def products_equal(x, y, z):
@@ -281,13 +247,12 @@ def products_equal(x, y, z):
     no matrix product: the (B,) bool array of the B triples' verdicts for
     three `PhaseStack`s of length B.  One bincount over the whole batch,
     item i's cells offset by i d^3, gives N[i, r, s, k] = #{q : expo_x[i, r,
-    q] + expo_y[i, q, s] = k mod d, neither -1}, so (x y)[i, r, s] = scale_x
-    scale_y sum_k N[i, r, s, k] omega^k.  Each scale is a sign times an unsigned scale (`_unsigned`), the
-    product of an item's three signs multiplies its counts, and the items are
-    grouped by their triple of unsigned scales (at most 8 for the sections
-    and their Galois images); each group is compared with the unsigned
-    scale_z times omega^expo_z[i, r, s] in one contraction, each side times the other's
-    denominator (`_cross_rows`)."""
+    q] + expo_y[i, q, s] = k mod d, neither -1}.  Times d g_d^(gauss_x +
+    gauss_y), entry (r, s) holds iff d sign_x sign_y sum_k N[k] omega^k =
+    sign_z R[m, expo_z] . omega, m = gauss_x + gauss_y - gauss_z
+    (`_gauss_rows`); as 1 + omega + ... + omega^(d-1) = 0 is the only
+    relation of those powers (d prime), iff the two integer rows differ by a
+    constant.  Counts are at most d and R at most d^2: int64 is exact."""
     d, size = x.d, len(x)
     if not len(y) == len(z) == size:
         raise ValueError("stacks of different lengths")
@@ -297,18 +262,11 @@ def products_equal(x, y, z):
     keys += np.arange(size * d * d).reshape(size, d, 1, d) * d  # the cell (i, r, s)
     zero = size * d ** 3
     keys[(ex < 0) | (ey < 0)] = zero
-    counts = np.bincount(keys.ravel(), minlength=zero + 1)[:-1].reshape(size, d * d, d)
-    (sx, ix, px), (sy, iy, py), (sz, iz, pz) = (_unsigned(t) for t in (x, y, z))
-    counts *= (sx * sy * sz)[:, None, None]  # then compare the unsigned scales
-    ny, nz = len(py), len(pz)
-    triples, group = np.unique((ix * ny + iy) * nz + iz, return_inverse=True)
-    verdicts = np.empty(size, dtype=bool)
-    for g, t in enumerate(triples.tolist()):
-        items = group == g
-        left, right = _cross_rows(px[t // (ny * nz)], py[t // nz % ny], pz[t % nz], d)
-        lhs = _exact(np.dot, d, (counts[items],), left)
-        verdicts[items] = (lhs == right[z.expo[items].reshape(-1, d * d)]).all(axis=(1, 2))
-    return verdicts
+    diff = np.bincount(keys.ravel(), minlength=zero + 1)[:-1].reshape(size, d * d, d)
+    diff *= (d * x.sign * y.sign)[:, None, None]
+    m = x.gauss + y.gauss - z.gauss
+    diff -= z.sign[:, None, None] * _gauss_rows(d)[m[:, None], z.expo.reshape(size, d * d)]
+    return (diff == diff[:, :, :1]).all(axis=(1, 2))
 
 
 def metaplectic(d, s) -> PhaseStack:
@@ -317,7 +275,10 @@ def metaplectic(d, s) -> PhaseStack:
     closed form above; S any integer matrix, cached per (d, S mod d)."""
     if d == 2:
         raise OddOnly("the metaplectic section needs odd d")
-    return _metaplectic(d, tuple(map(tuple, (np.asarray(s) % d).tolist())))
+    s = np.asarray(s)
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"S must be an integer matrix, not an array of {s.dtype}")
+    return _metaplectic(d, tuple(map(tuple, (s % d).tolist())))
 
 
 @lru_cache(maxsize=1024)  # all of SL(2, d) up to d = 7
@@ -327,8 +288,9 @@ def _metaplectic(d, rows) -> PhaseStack:
 
 def _sections(d, s) -> PhaseStack:
     """U_S for every S in an integer stack s (B, 2, 2), by the closed form
-    above on the whole stack at once, with its scales in `_section_scales`;
-    an S not in SL(2, d) is a WordDecompositionFailure."""
+    above on the whole stack at once: sign L(2b) and gauss 1 where b != 0,
+    sign L(a) and gauss 0 where b = 0.  An S not in SL(2, d) is a
+    WordDecompositionFailure."""
     s = np.asarray(s) % d
     a, b, c, e = s.reshape(-1, 4).T[:, :, None, None]  # each (B, 1, 1)
     outside = ((a * e - b * c) % d != 1).reshape(-1)
@@ -341,8 +303,8 @@ def _sections(d, s) -> PhaseStack:
     full = half * inv[b] * (a * q * q - 2 * r * q + e * r * r) % d  # b != 0
     mono = np.where(r == a * q % d, half * a * c * q * q % d, -1)  # b = 0: |a q><q|
     a, b = a.reshape(-1), b.reshape(-1)
-    which = np.where(b != 0, 2 + (leg[2 * b % d] < 0), leg[a] < 0)
-    return PhaseStack(d, _section_scales(d), which, np.where(b[:, None, None] != 0, full, mono))
+    return PhaseStack(d, np.where(b != 0, leg[2 * b % d], leg[a]), (b != 0).astype(np.int64),
+                      np.where(b[:, None, None] != 0, full, mono))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +314,9 @@ def _sections(d, s) -> PhaseStack:
 class ExtCliffordElement:
     """omega^mu T(a) U_S C_alpha for one qudit of odd prime dimension d.
     Every field is kept reduced mod d (S, any integer matrix, as its rows),
-    so one element has one form for `==`, hashing and `to_json`; a that is
-    not 2 integers or alpha = 0 mod d is a ValueError.  Its laws are those
+    so one element has one form for `==`, hashing and `to_json`; a mu or
+    alpha that is not an integer, an a that is not 2 integers or alpha = 0
+    mod d is a ValueError.  Its laws are those
     of a batch of one in the array form (mu, a, S, alpha) (`_arrays`)."""
 
     mu: int
@@ -364,13 +327,16 @@ class ExtCliffordElement:
 
     def __post_init__(self):
         d = self.d
-        s = np.asarray(self.S) % d
-        if s.shape != (2, 2):
-            raise ValueError("matrix-level extended Clifford layer is single-qudit")
+        s = np.asarray(self.S)
+        if s.shape != (2, 2) or s.dtype.kind not in "iu":
+            raise ValueError(f"S must be a 2 x 2 integer matrix (one qudit), not {self.S!r}")
+        s = s % d
         if not is_symplectic(s, d):  # ValueError for a composite d
             raise ValueError("S must be symplectic")
         if len(self.a) != 2 or not all(isinstance(x, Integral) for x in self.a):
             raise ValueError(f"a must be 2 residues mod {d}, not {self.a!r}")
+        if not isinstance(self.mu, Integral) or not isinstance(self.alpha, Integral):
+            raise ValueError(f"mu and alpha must be integers, not {self.mu!r}, {self.alpha!r}")
         if self.alpha % d == 0:
             raise ValueError(f"alpha must be a unit mod {d}, not {self.alpha!r}")
         object.__setattr__(self, "mu", int(self.mu) % d)
@@ -413,7 +379,7 @@ def _linear_parts(d, mu, a, u: PhaseStack) -> PhaseStack:
     expo = np.empty_like(u.expo)
     expo[np.arange(len(perm))[:, None], perm] = np.where(u.expo < 0, -1,
                                                          (u.expo + shift[:, :, None]) % d)
-    return PhaseStack(d, u.scales, u.which, expo)
+    return PhaseStack(d, u.sign, u.gauss, expo)
 
 
 def _compose(d, h, g):

@@ -11,14 +11,13 @@ its result is an int64 array whenever every entry fits int64 (an object
 array of Python ints only beyond that).  A caller may compare, index and
 reduce such a result with any/all/argmax; every sum, difference or product
 of one goes through `_exact` again, so int64 never wraps silently.  The
-library's certified paths contract integer tables against `pows`, such as
-the Clifford laws' counts of omega exponents (`clifford.products_equal`:
-one contraction per group of sampled triples whose scales agree up to
-sign) and the moment checks' triple-trace counts.  `_Field.contract` and
-`_Field.galois_map`, which multiply and Galois-map the dense matrices of
-`operators.OpMatrix`, serve the tests' dense oracles and no library path;
-their results stay object arrays of Python ints.  No element is ever
-embedded in the complex numbers: the module holds no float arithmetic.
+moment checks contract their triple-trace counts against `pows`; the
+Clifford laws (`clifford.products_equal`) compare counts bounded by d^2 and
+use no number of this module.  `_Field.contract` and `_Field.galois_map`,
+which multiply and Galois-map the dense matrices of `operators.OpMatrix`,
+serve the tests' dense oracles and no library path; their results stay
+object arrays of Python ints.  No element is ever embedded in the complex
+numbers: the module holds no float arithmetic.
 """
 
 from __future__ import annotations

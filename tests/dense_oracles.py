@@ -1208,8 +1208,10 @@ def dense_metaplectic(d, rows) -> OpMatrix:
 
 def dense(stack, i=0) -> OpMatrix:
     """Table i of a `clifford.PhaseStack` as a dense matrix, entry by entry:
-    scale * omega^expo[i, r, q], and 0 where expo[i, r, q] = -1."""
-    scale, d = stack.scales[stack.which[i]], stack.d
+    sign * g_d^-gauss * omega^expo[i, r, q] with the Gauss sum g_d of
+    `gauss_sum`, and 0 where expo[i, r, q] = -1."""
+    d = stack.d
+    scale = gauss_sum(d).inverse() ** int(stack.gauss[i]) * int(stack.sign[i])
     m = scale.m
     phase = [scale * root_of_unity(m, (m // d) * k) for k in range(d)]
     phase.append(CycNumber.zero(m))  # index -1
@@ -1217,12 +1219,9 @@ def dense(stack, i=0) -> OpMatrix:
 
 
 def concat(stacks) -> PhaseStack:
-    """One `clifford.PhaseStack` of the tables of stacks of one d in turn,
-    with one palette entry per distinct scale."""
-    palette = {}
-    which = [palette.setdefault(t.scales[w], len(palette)) for t in stacks for w in t.which.tolist()]
-    return PhaseStack(stacks[0].d, tuple(palette), np.array(which),
-                      np.concatenate([t.expo for t in stacks]))
+    """One `clifford.PhaseStack` of the tables of stacks of one d in turn."""
+    return PhaseStack(stacks[0].d, *(np.concatenate([getattr(t, name) for t in stacks])
+                                     for name in ("sign", "gauss", "expo")))
 
 
 def weyl_law_pairwise(d, n, pairs, mono=weyl_mono):

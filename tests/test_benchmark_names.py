@@ -58,6 +58,12 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
     # the batched monomial tables, no per-point object
     for name in ("PhaseTable", "weyl_mono", "phase_point_mono"):
         assert not hasattr(clifford, name), name
+    # a table's scale is a sign and a Gauss-sum power, and the laws compare
+    # integer rows: no cyclotomic number, kernel or cached scale product
+    for name in ("CycNumber", "_exact", "_cross_rows", "_unsigned", "_section_scales"):
+        assert not hasattr(clifford, name), name
+    assert {name for name, value in vars(clifford).items()
+            if getattr(value, "__module__", None) == cyclotomic.__name__} == {"GaloisMap"}
     for name in ("Mono", "mono_sum", "weyl_mono", "phase_point_mono"):
         assert not hasattr(operators, name), name
     assert not hasattr(stabsym, "weyl")

@@ -381,8 +381,13 @@ def test_metaplectic_cache_keys_on_s_mod_d(d):
         first = metaplectic(d, forms[0])
         assert all(metaplectic(d, s) is first for s in forms)
         assert dense(first) == dense(_metaplectic.__wrapped__(d, rows))  # as if built afresh
-        assert dense(first).dagger() @ dense(first) == OpMatrix.identity(first.scales[0].m, d)
-        assert len(first) == 1 and not first.expo.flags.writeable
+        assert dense(first).dagger() @ dense(first) == OpMatrix.identity(conductor_for(d), d)
+        (a, b), _ = rows
+        assert (first.sign.tolist(), first.gauss.tolist()) == (
+            [legendre(2 * b if b else a, d)], [int(b != 0)])
+        assert len(first) == 1
+        assert not (first.sign.flags.writeable or first.gauss.flags.writeable
+                    or first.expo.flags.writeable)
 
 
 def test_ext_matrix_is_phase_times_weyl_times_section():
@@ -748,11 +753,11 @@ def _moved(t, r, q):
     entry, -1, becomes 1)."""
     expo = t.expo.copy()
     expo[0, r, q] = (expo[0, r, q] + 1) % t.d
-    return PhaseStack(t.d, t.scales, t.which, expo)
+    return PhaseStack(t.d, t.sign, t.gauss, expo)
 
 
 def _flipped(t):
-    return PhaseStack(t.d, tuple(-c for c in t.scales), t.which, t.expo)
+    return PhaseStack(t.d, -t.sign, t.gauss, t.expo)
 
 
 def _stacks(triples):
@@ -809,8 +814,10 @@ def test_batched_verdicts_are_dense_equality_per_triple(d):
     assert verdicts.shape == (64,) and verdicts.dtype == bool
     assert verdicts.tolist() == [dense(x) @ dense(y) == dense(z) for x, y, z in triples]
     assert verdicts.any() and not verdicts.all()
-    signs, groups, _ = zip(*(clifford._unsigned(t) for t in stacks))
-    assert len(set(zip(*groups))) >= 4 and len(set(zip(*signs))) >= 4  # several groups and signs
+    # the batch mixes several triples of Gauss-sum powers and of signs
+    gauss, signs = (set(zip(*(getattr(t, name).tolist() for t in stacks)))
+                    for name in ("gauss", "sign"))
+    assert len(gauss) >= 4 and len(signs) >= 4
 
 
 def test_products_equal_refuses_stacks_of_different_lengths():
@@ -851,7 +858,7 @@ def test_array_laws_are_the_dataclass_laws(d):
         got = (hg[0][i], tuple(hg[1][i].tolist()), tuple(map(tuple, hg[2][i].tolist())), hg[3][i])
         assert got == (want.mu, want.a, want.S, want.alpha)
         for stack, oracle in ((parts, ge.matrix()), (images, ge.matrix().galois([he.alpha]))):
-            assert stack.scales[stack.which[i]] == oracle.scales[oracle.which[0]]
+            assert (stack.sign[i], stack.gauss[i]) == (oracle.sign[0], oracle.gauss[0])
             assert np.array_equal(stack.expo[i], oracle.expo[0])
             assert dense(stack, i) == dense(oracle)
 
@@ -1099,16 +1106,115 @@ def test_a_wrong_phase_point_family_fails_the_galois_check(monkeypatch, d):
     assert report["checks"]["transpose_is_k_minus_one"]["pass"] and not report["pass"]
 
 
-def test_products_equal_compares_int64_rows(monkeypatch):
-    # both cached sides of a triple of scales are int64, and so is every
-    # contraction of a check: the comparison builds no object array
-    results = []
-    exact = clifford._exact
-    monkeypatch.setattr(clifford, "_exact", lambda *args: results.append(exact(*args)) or results[-1])
-    clifford._cross_rows.cache_clear()
+def test_verify_clifford_builds_no_cycnumber(monkeypatch):
+    # the Clifford laws are integer counts against integer rows: no cyclotomic
+    # number is built, not even a section's scale
+    made = []
+    init = CycNumber.__init__
+    monkeypatch.setattr(CycNumber, "__init__",
+                        lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs))
+    assert CycNumber(4, (1, 0)) is not None and made == [1]  # the counter counts
+    made.clear()
+    clifford._metaplectic.cache_clear()
+    clifford._gauss_rows.cache_clear()
     assert verify_clifford_laws(7, 1, 7, 200)["pass"]
-    assert results and all(r.dtype == np.int64 for r in results)
-    one, _, g_inv, _ = clifford._section_scales(7)
-    (left, (small, _)), right = clifford._cross_rows(g_inv, g_inv, one, 7)
-    assert left.dtype == object and small.dtype == right.dtype == np.int64
-    assert (small == left).all() and not right[-1].any()
+    assert made == []
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_gauss_rows_are_d_times_a_gauss_sum_power_times_omega(d):
+    # row (m, e) of the table is d g_d^m omega^e in the powers of omega, for
+    # every m, the row m = -1 included (no true triple reaches it), and the
+    # row e = -1 is zero
+    rows = clifford._gauss_rows(d)
+    assert rows.shape == (4, d + 1, d) and rows.dtype == np.int64 and not rows.flags.writeable
+    assert not rows[:, -1].any()
+    g, m = gauss_sum(d), conductor_for(d)
+    powers = {0: CycNumber.one(m), 1: g, 2: g * g, -1: g.inverse()}
+    w = [root_of_unity(m, (m // d) * k) for k in range(d)]
+    for power, value in powers.items():
+        for e in range(d):
+            expanded = sum((int(c) * wk for c, wk in zip(rows[power, e], w)), CycNumber.zero(m))
+            assert expanded == value * w[e] * d, (power, e)
+
+
+@st.composite
+def _table(draw, d):
+    """The exponents of one d x d phase table: uniform in [-1, d), full and
+    quadratic, omega^(A q^2 + B r q + C r^2 + D), monomial, omega^(A q^2 +
+    D) |a q><q|, or zero."""
+    r, q = np.arange(d)[:, None], np.arange(d)
+    kind = draw(st.sampled_from(("uniform", "quadratic", "monomial", "zero")))
+    if kind == "uniform":
+        return np.array(draw(st.lists(st.integers(-1, d - 1), min_size=d * d,
+                                      max_size=d * d))).reshape(d, d)
+    c = draw(st.lists(st.integers(0, d - 1), min_size=4, max_size=4))
+    if kind == "quadratic":
+        return (c[0] * q * q + c[1] * r * q + c[2] * r * r + c[3]) % d
+    if kind == "monomial":
+        return np.where(r == draw(st.integers(1, d - 1)) * q % d, (c[0] * q * q + c[3]) % d, -1)
+    return np.full((d, d), -1)
+
+
+def _one(d, sign, gauss, expo):
+    return PhaseStack(d, np.array([sign]), np.array([gauss]), np.array([expo]))
+
+
+def _solved(d, product, sign, gauss):
+    """The exponents of the table sign g_d^-gauss omega^e equal to the dense
+    matrix product entry by entry, or None if one entry is no such value."""
+    m = conductor_for(d)
+    scale = gauss_sum(d).inverse() ** gauss * sign
+    values = {scale * root_of_unity(m, (m // d) * e): e for e in range(d)}
+    values[CycNumber.zero(m)] = -1
+    expo = [[values.get(x) for x in row] for row in product.rows]
+    return None if None in sum(expo, []) else np.array(expo)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_products_equal_is_dense_equality_on_random_tables(data):
+    # one batch with a triple for each of the 8 (gauss_x, gauss_y, gauss_z),
+    # m = -1 included; z equals x y where some table sign_z g_d^-gauss_z
+    # omega^e does (unless one entry is then moved), else it is drawn
+    d = data.draw(st.sampled_from([3, 5]))
+    triples = []
+    for gauss in itertools.product((0, 1), repeat=3):
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+        x, y = (_one(d, signs[k], gauss[k], data.draw(_table(d))) for k in range(2))
+        product = dense(x) @ dense(y)
+        z = _solved(d, product, signs[2], gauss[2])
+        if z is None:
+            z = data.draw(_table(d))
+        elif data.draw(st.booleans()):
+            r, q = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+            z[r, q] = (z[r, q] + 1) % d
+        triples.append((x, y, _one(d, signs[2], gauss[2], z)))
+    verdicts = products_equal(*_stacks(triples))
+    assert verdicts.tolist() == [dense(x) @ dense(y) == dense(z) for x, y, z in triples]
+
+
+def test_galois_refuses_a_non_unit_alpha():
+    # C_alpha is a field map for alpha a unit mod d only: alpha = 0 mod d is
+    # refused, not given the Legendre symbol 0 as its sign
+    u = concat([metaplectic(5, ((0, 4), (1, 0))), metaplectic(5, ((2, 0), (0, 3)))])
+    for alpha in ([0, 1], [1, 5], [10, -5]):
+        with pytest.raises(ValueError, match="alpha must be a unit mod 5"):
+            u.galois(alpha)
+    # L(2) = L(3) = -1 flips the sign of the first table (gauss 1), not the second (gauss 0)
+    assert u.galois([2, 3]).sign.tolist() == [-u.sign[0], u.sign[1]]
+
+
+@pytest.mark.parametrize("field,value", [("mu", 1.5), ("alpha", 2.7), ("alpha", 2.0)])
+def test_ext_element_refuses_a_non_integer_mu_or_alpha(field, value):
+    fields = {"mu": 1, "a": (0, 1), "S": ((1, 0), (0, 1)), "alpha": 2, "d": 5, field: value}
+    with pytest.raises(ValueError, match="mu and alpha must be integers"):
+        ExtCliffordElement(**fields)
+
+
+@pytest.mark.parametrize("s", [((2.0, 0), (0, 3.0)), np.array([[2.5, 0], [0, 3]])])
+def test_metaplectic_and_ext_element_refuse_a_non_integer_s(s):
+    with pytest.raises(ValueError, match="S must be"):
+        metaplectic(5, s)
+    with pytest.raises(ValueError, match="S must be"):
+        ExtCliffordElement(mu=0, a=(0, 0), S=s, alpha=1, d=5)
