@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 from .clifford import verify_clifford_laws
 from .errors import BudgetExceeded, Mismatch, SearchTimeout, StabsymError, Unsupported
@@ -50,23 +50,27 @@ def golden_name(args) -> str:
     return "_".join(parts) + ".json"
 
 
-def _emit(report, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+def _dumps(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+def _write(text, args) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report, args) -> None:
+    _write(_dumps(report), args)
     if args.golden:
-        os.makedirs(args.golden, exist_ok=True)
-        path = os.path.join(args.golden, golden_name(args))
-        if os.path.exists(path):
-            with open(path) as fh:
-                if fh.read() != text:
-                    raise Mismatch(f"golden file {path} differs")
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+        text = _dumps({k: v for k, v in report.items() if k != "elapsed_seconds"})  # no clock
+        path = Path(args.golden, golden_name(args))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if not path.exists():
+            path.write_text(text)
+        elif path.read_text() != text:
+            raise Mismatch(f"golden file {path} differs")
 
 
 def _verdict(report, key="pass"):
@@ -80,9 +84,11 @@ def cmd_enumerate(args):
 
 
 def cmd_gram(args):
+    if args.format == "csv" and args.golden:
+        raise Unsupported("--golden records JSON reports, not --format csv")
     gram = family_gram(args.set, args.d, args.n)
     if args.format == "csv":
-        sys.stdout.write(gram.to_csv())
+        _write(gram.to_csv(), args)
         return None, 0
     multiset = {f"{v.numerator}/{v.denominator}": c for v, c in sorted(gram.value_multiset().items())}
     report = {

@@ -508,39 +508,32 @@ def verify_theorem1(d, n, variant, time_budget=None):
 # ---------------------------------------------------------------------------
 # The S_f sum rule
 
-def sf_checks(lags, reps, bs):
-    """The S_f checks of the families given by reps (B, lags, 2n), the
-    family of bs[k] (B, 2n) being the label (lags[l], reps[k, l]) of every
-    Lagrangian l, as arrays over k: (pairwise non-orthogonal, the trace
-    t = tr sum_l Pi, sum_l Pi = C (1 + A(b)) with C = t / (d^n + 1)).
+def sf_checks(lags, bs):
+    """The S_f sum rule for the families {(L, b): L in lags} of the bs
+    (B, 2n), as arrays over b: (the trace t = tr sum_L Pi_(L,b), whether
+    sum_L Pi_(L,b) = C (1 + A(b)) with C = t / (d^n + 1)).  Every coset
+    b + L holds b, so no two states of a family are orthogonal.
 
-    As Weyl sums, Pi_(L,rep) = d^-n sum_{v in L} omega^[rep,v] T(v) (odd d)
+    As Weyl sums, Pi_(L,b) = d^-n sum_{v in L} omega^[b,v] T(v) (odd d)
     and A(b) = d^-n sum_v omega^[b,v] T(v).  The T(v) are a basis, so the
     rule holds iff it holds in every coefficient: d^n times that of T(v) is
-    sum_k hist[v, k] omega^k on the left, hist[v, k] the number of l with v
-    in L_l and [rep_l, v] = k, and C (d^n [v = 0] + omega^[b,v]) on the
-    right.  For prime d, sum_k h_k omega^k = 0 iff h is
-    constant in k.  So t is rational iff hist[0, 1:] is constant, and the
-    rule holds iff (d^n + 1) hist[v] - t (d^n [v = 0] e_0 + e_[b,v]) is
-    constant in k for every v, in integers, checked in place on hist.
-
-    Non-orthogonality is read pair by pair (x < j) from `_pair_table`, one
-    block of rows x at a time (`operators.pair_blocks`): both orders share
-    one basis b_t of L_x ∩ L_j, so the characters [rep, .] of x and j (the
-    sign c_L is 0 at odd d) agree there iff [rep_x, b_t] = [rep_j, b_t]
-    mod d for every t.
+    sum_k hist[v, k] omega^k on the left, hist[v, k] the number of L with v
+    in L and [b, v] = k, and C (d^n [v = 0] + omega^[b,v]) on the right.
+    For prime d, sum_k h_k omega^k = 0 iff h is constant in k.  So t is
+    rational iff hist[0, 1:] is constant, and the rule holds iff
+    (d^n + 1) hist[v] - t (d^n [v = 0] e_0 + e_[b,v]) is constant in k for
+    every v, in integers, checked in place on hist.
     """
     d, n = lags.d, lags.n
-    dim, size, count = d ** n, d ** (2 * n), len(lags)
+    dim, size = d ** n, d ** (2 * n)
     tables = lagrangian_tables(lags)
     # a pairing sums 2n products of residues below d, exactly in this dtype
     small = np.min_scalar_type(-2 * n * (d - 1) ** 2)
-    reps, bs = reps.astype(small), bs.astype(small)
-    chi = (jvec(tables.points.astype(small)) @ reps[..., None])[..., 0]  # (B, lags, d^n)
+    bs = bs.astype(small)
+    chi = (jvec(tables.points.astype(small)) @ bs.T).transpose(2, 0, 1)  # [b, v]: (B, lags, d^n)
     at = np.multiply(tables.codes, d, dtype=np.intp) + chi % d
     at += np.arange(0, len(bs) * size * d, size * d)[:, None, None]
     hist = np.bincount(at.ravel(), minlength=len(bs) * size * d).reshape(len(bs), size, d)
-    del chi, at
     zero = hist[:, 0]  # tr T(v) = d^n [v = 0]: the trace is sum_k zero[k] omega^k
     trace = zero[:, 0] - zero[:, 1]
     holds = (zero[:, 1:] == zero[:, 1:2]).all(1) & (trace > 0)
@@ -550,27 +543,7 @@ def sf_checks(lags, reps, bs):
         trace[:, None])
     hist[:, 0, 0] -= dim * trace
     holds &= (hist == hist[..., :1]).all(axis=(1, 2))
-    del zero, hist
-
-    jb = operators._pair_table(lags)[1]
-    acc = np.min_scalar_type(2 * n * (d - 1) ** 2)
-    reps = reps.astype(acc).transpose(1, 2, 0)  # (lags, 2n, B)
-
-    def values(rows, cols):  # [rep_x, b_t] mod d, (x in rows, j in cols, t, B)
-        pair = jb[rows, cols].astype(acc, copy=False)
-        out = (pair.reshape(len(pair), -1, 2 * n) @ reps[rows]).reshape(*pair.shape[:3], -1)
-        out %= d
-        return out
-
-    nonorth = np.ones(len(bs), dtype=bool)
-    # per pair (x, j) and b: the n values of each order; their unsigned
-    # difference wraps to 0 only where they are equal, as both are below d
-    for x0, x1 in operators.pair_blocks(count, len(bs) * n * 2 * acc.itemsize):
-        rows, cols = slice(x0, x1), slice(x0, None)
-        differ = values(rows, cols)
-        differ -= values(cols, rows).swapaxes(0, 1)
-        nonorth &= ~differ.any(axis=(0, 1, 2))
-    return nonorth, trace, holds
+    return trace, holds
 
 
 def _sf_families(d, n, bs):
@@ -584,11 +557,7 @@ def _sf_families(d, n, bs):
     # per b: a character and its intp histogram index at each point of each
     # Lagrangian, and the int64 histogram with its comparison
     step = max(1, operators.BLOCK_BYTES // (10 * len(lags) * d ** n + 9 * d ** (2 * n + 1)))
-    parts = []
-    for chunk in (bs[i:i + step] for i in range(0, len(bs), step)):
-        # b itself represents (L, b): [rep, v] = [b, v] for v in L
-        reps = np.broadcast_to(chunk[:, None], (len(chunk), len(lags), 2 * n))
-        parts.append(sf_checks(lags, reps, chunk))
+    parts = [sf_checks(lags, bs[i:i + step]) for i in range(0, len(bs), step)]
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
@@ -601,7 +570,7 @@ def verify_sf_sum(d, n, seed, samples):
     else:
         rng = random.Random(seed)
         bs = [tuple(rng.randrange(d) for _ in range(2 * n)) for _ in range(samples)]
-    nonorth, trace, holds = _sf_families(d, n, bs)
-    ok = bool((nonorth & holds).all()) and len(set(trace.tolist())) == 1
+    trace, holds = _sf_families(d, n, bs)
+    ok = bool(holds.all()) and len(set(trace.tolist())) == 1
     return {"tested_b": len(bs), "C": str(Fraction(int(trace[0]), d ** n + 1)) if ok else None,
             "pass": ok}

@@ -608,10 +608,10 @@ def ext_apply(e, m: OpMatrix) -> OpMatrix:
 
 def dense_sf_machinery(d, n, b, family=None):
     """(pairwise non-orthogonal, sum rule, C or None) of one b from dense
-    matrices, the oracle of `symmetry._sf_families`: for the labels of
-    `family` (default: (L, b) for every Lagrangian L), the Gram of the
-    labels, the sum of their projectors and C (1 + A(b)) with C from the
-    trace."""
+    matrices, the last two the oracle of `symmetry._sf_families`: for the
+    labels of `family` (default: (L, b) for every Lagrangian L), the Gram of
+    the labels, the sum of their projectors and C (1 + A(b)) with C from
+    the trace."""
     if d == 2:
         raise OddOnly("S_f machinery requires odd d")
     b = tuple(x % d for x in b)

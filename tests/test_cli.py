@@ -4,10 +4,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from stabsym import clifford, operators, phase_space
+from stabsym import cli, clifford, operators, phase_space
 from stabsym.cli import build_parser, golden_name, main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -48,6 +49,23 @@ def test_gram_csv(capsys):
     rows = out.strip().splitlines()
     assert len(rows) == 6
     assert rows[0].split(",")[0] == "1/1"
+
+
+def test_gram_csv_output_file(capsys, tmp_path):
+    argv = ["gram", "--d", "3", "--n", "1", "--format", "csv"]
+    _, csv = run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv, "--output", str(tmp_path / "g.csv"))
+    assert code == 0 and out == ""
+    assert (tmp_path / "g.csv").read_text() == csv
+
+
+def test_gram_csv_golden_is_a_usage_error(capsys, tmp_path):
+    # a golden is a JSON report; a CSV has none to record
+    golden = tmp_path / "golden"
+    assert main(["gram", "--d", "3", "--n", "1", "--format", "csv", "--golden", str(golden)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not golden.exists()
+    assert captured.err.startswith("unsupported: ") and captured.err.count("\n") == 1
 
 
 def test_autgroup_31(capsys):
@@ -317,6 +335,7 @@ def _argv_id(argv):
     *(["sf-sum", "--d", "3", "--n", str(n)] for n in (1, 2)),
     ["sf-sum", "--d", "5", "--n", "1"],
     ["sf-sum", "--d", "5", "--n", "2", "--samples", "50"],
+    ["sf-sum", "--d", "3", "--n", "3", "--samples", "5"],
     *(["facets", "--d", str(d)] for d in (3, 5, 7, 11)),
     ["enumerate", "--d", "3", "--n", "2"],
     *(["report", "--d", str(d), "--n", "1"] for d in (3, 5)),
@@ -330,7 +349,8 @@ def test_command_goldens_replay(capsys, tmp_path, argv):
     # codes over a legend, verify-clifford at d = 7 before products of exact
     # matrices ran in int64, facets and report at d = 5 before the facets
     # were read per basis block, facets at d = 7 and 11 after, verify-clifford
-    # with 2000 samples before the sampled laws were checked in batches);
+    # with 2000 samples before the sampled laws were checked in batches,
+    # sf-sum at (3,3) before the S_f check stopped reading the pair table);
     # the reports must not move
     replay(capsys, tmp_path, *argv)
 
@@ -398,12 +418,11 @@ def test_agsp_d5_n2_peak_rss_is_under_200_mb():
 
 
 @pytest.mark.slow
-def test_sf_sum_d3_n3_peak_rss_is_under_120_mb():
-    # opt-in (`-m slow`): the (3,3) pair table of 1 120 Lagrangians is built
-    # one block of first Lagrangians at a time, and the S_f checks read it
-    # in blocks of rows (~61 MB peak; 593 MB with one list elimination per
-    # pair, 147 MB as one batched elimination over its 627 760 pairs)
-    assert peak_rss_mb("sf-sum", "--d", "3", "--n", "3", "--samples", "5") < 120
+def test_sf_sum_d3_n3_peak_rss_is_under_50_mb():
+    # opt-in (`-m slow`): the S_f sum rule at (3,3) builds no Lagrangian pair
+    # table, only per-b histograms over the 1 120 Lagrangians (~34 MB peak;
+    # 61 MB while it read the pair table in blocks of rows)
+    assert peak_rss_mb("sf-sum", "--d", "3", "--n", "3", "--samples", "5") < 50
 
 
 @pytest.mark.parametrize("argv", [
@@ -460,6 +479,17 @@ def test_parser_is_built_once_and_every_golden_name_is_unchanged():
             argv += [f"--{key}", value]
         for _ in range(2):
             assert golden_name(build_parser().parse_args(argv)) == path.name
+
+
+def test_timed_runs_replay_one_golden(capsys, tmp_path, monkeypatch):
+    # the two runs take 1 s and 20 s; stdout reports the time, the golden not
+    clock = iter([0.0, 1.0, 10.0, 30.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    argv = ["enumerate", "--d", "2", "--n", "1", "--timing", "--golden", str(tmp_path)]
+    runs = [run_cli(capsys, *argv) for _ in range(2)]
+    assert [code for code, _ in runs] == [0, 0]
+    assert [json.loads(out)["elapsed_seconds"] for _, out in runs] == [1.0, 20.0]
+    assert "elapsed_seconds" not in json.loads((tmp_path / "enumerate_d2_n1.json").read_text())
 
 
 def test_golden_mismatch_exits_cleanly(capsys, tmp_path):

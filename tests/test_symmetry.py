@@ -46,7 +46,6 @@ from dense_oracles import (
     perm_from_matrix_action,
     qubit_gate,
     real_gates,
-    vec_add,
     weyl,
     wreath_recompose,
 )
@@ -666,29 +665,33 @@ def test_computed_symmetries_fix_uniform_sum():
 
 
 def _sf_verdicts(d, n, bs):
-    """(non-orthogonal, sum rule, C) of the family of each b, by `_sf_families`."""
-    nonorth, trace, holds = symmetry._sf_families(d, n, bs)
-    return [(x, h, str(Fraction(t, d ** n + 1)) if h else None)
-            for x, t, h in zip(nonorth.tolist(), trace.tolist(), holds.tolist())]
+    """(sum rule, C) of the family of each b, by `_sf_families`."""
+    trace, holds = symmetry._sf_families(d, n, bs)
+    return [(h, str(Fraction(t, d ** n + 1)) if h else None)
+            for t, h in zip(trace.tolist(), holds.tolist())]
 
 
 def test_sf_machinery_d3_n1_all_b():
-    assert _sf_verdicts(3, 1, list(all_vectors(3, 2))) == [(True, True, "1")] * 9
+    assert _sf_verdicts(3, 1, list(all_vectors(3, 2))) == [(True, "1")] * 9
 
 
 def test_sf_machinery_d3_n2_sampled():
     rng = random.Random(33)
     bs = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(6)]
-    assert _sf_verdicts(3, 2, bs) == [(True, True, "4")] * 6
+    assert _sf_verdicts(3, 2, bs) == [(True, "4")] * 6
 
 
 @pytest.mark.parametrize("d,n,samples", [(3, 1, None), (5, 1, None), (3, 2, 12)])
 def test_sf_weyl_basis_equals_the_dense_projector_sum(d, n, samples):
+    # the dense Gram also finds every family pairwise non-orthogonal, as
+    # every coset b + L holds b
     bs = list(all_vectors(d, 2 * n))
     if samples is not None:
         bs = random.Random(5).sample(bs, samples)
     for b, verdict in zip(bs, _sf_verdicts(d, n, bs)):
-        assert verdict == dense_sf_machinery(d, n, b)
+        nonorth, *dense = dense_sf_machinery(d, n, b)
+        assert nonorth is True
+        assert verdict == tuple(dense)
 
 
 def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
@@ -700,48 +703,20 @@ def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
         assert x.tolist() == y.tolist()
 
 
-def _sf_flags(b, family):
-    """(pairwise non-orthogonal, sum rule) of sf_checks on the labels, one
-    per Lagrangian."""
-    d, n = family[0].d, family[0].n
-    lags = Lagrangians(d, n, np.array([lab.L.basis for lab in family]))
-    nonorth, _, holds = sf_checks(lags, np.array([[lab.rep for lab in family]]), np.array([b]))
-    return bool(nonorth[0]), bool(holds[0])
-
-
 @pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
 def test_sf_checks_reject_a_mutated_family(d, n):
     b = (1,) * (2 * n)
-    family = [StabilizerLabel.make(L, b) for L in lagrangian_objects(enumerate_lagrangians(d, n))]
-    off = next(v for v in all_vectors(d, 2 * n) if any(family[0].L.reduce(v)))
-    moved = [StabilizerLabel.make(family[0].L, vec_add(b, off, d)), *family[1:]]
-    assert _sf_flags(b, family) == (True, True)
-    for mutant in (family[1:], moved):  # one Lagrangian dropped; one label in another coset
-        nonorth, holds, _ = dense_sf_machinery(d, n, b, mutant)
-        assert _sf_flags(b, mutant) == (nonorth, holds)
-        assert holds is False
-
-
-def test_sf_checks_flag_only_the_family_changed_on_one_pair(monkeypatch):
-    # three families in one batch over (3,2) Lagrangians of which only L_a
-    # and L_b meet (in a line): the middle family's label on L_a moves to a
-    # coset whose character differs on that line, so its one pair (a, b)
-    # disagrees, and only its verdict turns, in row blocks of one Lagrangian
-    monkeypatch.setattr(operators, "BLOCK_BYTES", 1)
-    d, n = 3, 2
     every = enumerate_lagrangians(d, n)
-    dims, jb, _ = operators._pair_table(every)
-    a, b = 0, int(np.flatnonzero(dims[0] == 1)[0])
-    pick = [a, b, *np.flatnonzero((dims[a] == 0) & (dims[b] == 0))[:3].tolist()]
-    lags = Lagrangians(d, n, every.basis[pick])
-    off = np.zeros(2 * n, dtype=np.int64)
-    off[np.flatnonzero(jb[a, b, 0])[0]] = 1  # [off, v] != 0 on the line v of L_a ∩ L_b
-    bs = np.array([[1, 0, 2, 1], [0, 1, 1, 2], [2, 2, 0, 1]])
-    reps = np.repeat(bs[:, None], len(pick), axis=1)
-    reps[1, 0] = (reps[1, 0] + off) % d
-    nonorth, _, holds = sf_checks(lags, reps, bs)
-    assert nonorth.tolist() == [True, False, True]
-    for k in range(len(bs)):
-        family = [StabilizerLabel.make(L, tuple(rep)) for L, rep in
-                  zip(lagrangian_objects(lags), reps[k].tolist())]
-        assert dense_sf_machinery(d, n, bs[k], family)[:2] == (nonorth[k], holds[k])
+    dropped = Lagrangians(d, n, every.basis[1:])  # one Lagrangian dropped
+    assert bool(sf_checks(every, np.array([b]))[1][0]) is True
+    assert bool(sf_checks(dropped, np.array([b]))[1][0]) is False
+    family = [StabilizerLabel.make(L, b) for L in lagrangian_objects(dropped)]
+    assert dense_sf_machinery(d, n, b, family)[1] is False
+
+
+def test_sf_sum_reads_no_pair_table(monkeypatch):
+    def refuse(lags):
+        raise AssertionError("the S_f sum rule read the Lagrangian pair table")
+
+    monkeypatch.setattr(operators, "_pair_table", refuse)
+    assert symmetry.verify_sf_sum(3, 2, 0, 100) == {"tested_b": 81, "C": "4", "pass": True}
