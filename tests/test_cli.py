@@ -420,7 +420,7 @@ def test_agsp_d5_n2_peak_rss_is_under_200_mb():
 @pytest.mark.slow
 def test_sf_sum_d3_n3_peak_rss_is_under_50_mb():
     # opt-in (`-m slow`): the S_f sum rule at (3,3) builds no Lagrangian pair
-    # table, only per-b histograms over the 1 120 Lagrangians (~34 MB peak;
+    # table, only per-b histograms over the 1 120 Lagrangians (~36 MB peak;
     # 61 MB while it read the pair table in blocks of rows)
     assert peak_rss_mb("sf-sum", "--d", "3", "--n", "3", "--samples", "5") < 50
 
