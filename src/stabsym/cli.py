@@ -86,6 +86,8 @@ def cmd_enumerate(args):
 def cmd_gram(args):
     if args.format == "csv" and args.golden:
         raise Unsupported("--golden records JSON reports, not --format csv")
+    if args.format == "csv" and args.timing:
+        raise Unsupported("--timing adds the elapsed time to a JSON report, not to --format csv")
     gram = family_gram(args.set, args.d, args.n)
     if args.format == "csv":
         _write(gram.to_csv(), args)
@@ -99,7 +101,7 @@ def cmd_gram(args):
         "size": gram.size,
         "value_multiset": multiset,
     }
-    if gram.size <= args.matrix_limit:
+    if gram.size <= 64:  # the matrix is written out for up to 64 states
         report["matrix"] = [[str(v) for v in row] for row in gram.values]
     return report, 0
 
@@ -178,14 +180,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_n=True):
+    def common(p, needs_n=True, sampled=False, searched=False):
+        """The options of every subcommand, with --seed and --samples where
+        it draws samples and --budget-seconds where it runs the search."""
         p.add_argument("--d", type=int, required=True, help="prime local dimension")
         if needs_n:
             p.add_argument("--n", type=positive_int, default=1, help="number of qudits")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=positive_int, default=100)
-        p.add_argument("--budget-seconds", type=budget_seconds, default=None,
-                       help="search time budget (default: $STABSYM_BUDGET_SECONDS, else 600)")
+        if sampled:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--samples", type=positive_int, default=100)
+        if searched:
+            p.add_argument("--budget-seconds", type=budget_seconds, default=None,
+                           help="search time budget (default: $STABSYM_BUDGET_SECONDS, else 600)")
         p.add_argument("--output", default=None)
         p.add_argument("--golden", default=None)
         p.add_argument("--timing", action="store_true")
@@ -196,9 +202,8 @@ def build_parser():
     common(p)
     p.add_argument("--set", choices=["stab", "rebit"], default="stab")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--matrix-limit", type=int, default=64)
     p = sub.add_parser("autgroup", help="computed vs predicted symmetry group")
-    common(p)
+    common(p, searched=True)
     p.add_argument("--set", choices=["stab", "rebit"], default="stab")
     p.add_argument("--variant", choices=["wreath", "extended_clifford", "agsp", "real_clifford"],
                    default=None)
@@ -206,15 +211,15 @@ def build_parser():
     common(p)
     p.add_argument("--set", choices=["stab", "rebit", "phase-points"], default="stab")
     p = sub.add_parser("verify-clifford", help="composition laws and adjoint actions")
-    common(p)
+    common(p, sampled=True)
     p = sub.add_parser("facets", help="n=1 facet family and membership")
     common(p, needs_n=False)
     p.set_defaults(n=1)
     p = sub.add_parser("sf-sum", help="the S_f sum rule constant")
-    common(p)
+    common(p, sampled=True)
     p = sub.add_parser("report", help="full suite for one (d, n)")
-    common(p)
-    p.set_defaults(set="stab", variant=None, format="json", matrix_limit=64)
+    common(p, sampled=True, searched=True)
+    p.set_defaults(set="stab", variant=None, format="json")
     return parser
 
 

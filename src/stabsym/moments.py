@@ -7,8 +7,9 @@ per element), and its pair sums S2 = T T^T (`_pair_sums`, one per set).  The
 Hermitian basis B_a, the A(a) at odd d and the Paulis T(a) at d = 2, is in
 closed form and orthogonal, tr(B_a B_b) = d^n [a = b] (`_basis`,
 `_triples`), so no check builds a cyclotomic matrix.  A set is its arrays,
-and T is read from them: a stabilizer state's column is its discrete Wigner
-function at odd d and its signed Pauli incidence at d = 2.  The real
+and T is one scatter of their `operators.supports`, which the Gram reads
+too: a stabilizer state's column is its discrete Wigner function at odd d
+and its signed Pauli incidence at d = 2.  The real
 predicates read the real-Pauli rows (a_X.a_Z even, a basis of Sym) of T and
 their block of S2.
 
@@ -42,14 +43,12 @@ import numpy as np
 from .clifford import real_clifford_orbit, rebit_count, transpose_action
 from .cyclotomic import CycNumber, _exact, _field, conductor_for
 from .errors import BudgetExceeded, StabsymError, Unsupported
-from .operators import OperatorSet, rational_part, stabilizer_set
+from .operators import OperatorSet, rational_part, stabilizer_set, supports
 from .phase_space import (
     MAX_ENTRIES,
     code_points,
     jvec,
-    label_cosets,
     lagrangian_count,
-    lagrangian_tables,
     point_codes,
 )
 
@@ -204,33 +203,12 @@ def _basis(d, n, real=False) -> _Basis:
 
 @lru_cache(maxsize=None)
 def trace_table(q: OperatorSet):
-    """The trace table T[a, j] = tr(B_a q_j) of a set, read from its arrays:
-    a read-only int64 array, rows in `point_codes` order, one column per
-    element.  For a point x: tr(A(a) A(x)) = d^n [a = x] at odd d,
-    tr(T(b) A(x)) = (-1)^[x, b] at d = 2.  For a stabilizer label x
-    (`operators.OperatorSet`): at d = 2, tr(T(b) Pi_x) = (-1)^([rep_x, b] +
-    c_L(b)) [b in L_x], with member and c_L from `lagrangian_tables`; at odd
-    d, tr(A(a) Pi_x) = [a in rep_x + L_x] (Pi_x = d^-n times the sum of the
-    A(a) over its coset, so this is its discrete Wigner function), read from
-    the coset table of `label_cosets`.  The array is C-ordered."""
-    d, n = q.d, q.n
-    if q.lags is None:
-        cells = point_codes(q.points, d)
-        if d == 2:
-            table = 1 - 2 * _phase_forms(2, n)[:, cells]
-        else:
-            table = d ** n * (np.arange(d ** (2 * n))[:, None] == cells)
-    elif d == 2:
-        tables = lagrangian_tables(q.lags)
-        signed = tables.member.astype(np.int8) - 2 * tables.signs.astype(np.int8)
-        reps = point_codes(q.reps, 2)
-        table = signed[q.index].T * (1 - 2 * _phase_forms(2, n)[:, reps].astype(np.int8))
-    else:
-        coset = label_cosets(q.lags, q.index, q.reps)
-        table = (coset[q.index] == np.arange(q.size)[:, None]).T
-    # C order: the stabilizer tables are built transposed, and numpy's int64
-    # matmul, which has no BLAS path, is slower on an F-ordered operand
-    table = np.ascontiguousarray(table, dtype=np.int64)
+    """The trace table T[a, j] = tr(B_a q_j) of a set, one scatter of its
+    `operators.supports`: a read-only, C-ordered int64 array, rows in
+    `point_codes` order, one column per element."""
+    points, values = supports(q)
+    table = np.zeros((q.d ** (2 * q.n), q.size), dtype=np.int64)
+    table[points, np.arange(q.size)[:, None]] = values
     table.flags.writeable = False
     return table
 

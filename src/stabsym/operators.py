@@ -20,7 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from .cyclotomic import CycNumber, _field, conductor_for, galois_exponent
-from .errors import BudgetExceeded, OddOnly
+from .errors import BudgetExceeded, Mismatch, OddOnly
 from .phase_space import (
     MAX_ENTRIES,
     Lagrangians,
@@ -30,7 +30,7 @@ from .phase_space import (
     lagrangian_tables,
     point_codes,
 )
-from .zmod import null_space, require_prime
+from .zmod import require_prime
 
 
 class OpMatrix:
@@ -208,109 +208,6 @@ def rational_part(out):
     return out[..., 0]
 
 
-BLOCK_BYTES = 1 << 20  # the working set of one block of `_pair_table` or `sf_checks`
-
-
-def pair_blocks(count, pair_bytes):
-    """Consecutive blocks (i0, i1) of the rows of a table of pairs (i, j)
-    over count indices, a block holding the pairs (i, j) of its rows i and
-    every j >= i0 (the pairs j >= i, and the few i0 <= j < i within the
-    block): as many rows as keep their pairs, at pair_bytes each, within
-    BLOCK_BYTES, and at least one."""
-    i0 = 0
-    while i0 < count:
-        i1 = min(count, i0 + max(1, BLOCK_BYTES // ((count - i0) * pair_bytes)))
-        yield i0, i1
-        i0 = i1
-
-
-@lru_cache(maxsize=1024)
-def _pair_table(lags):
-    """For the `phase_space.Lagrangians` lags, per pair
-    (L_i, L_j): dim(L_i ∩ L_j) as dims[i, j], J b_t = (b_Z, -b_X) for a basis
-    b_t of L_i ∩ L_j (one for both orders) as jb[i, j, t], padded with zero
-    rows to n, so that [a, b_t] = a . J b_t, and c_(L_i)(b_t) as signs[i, j, t]
-    (the signs of `lagrangian_tables`, 0 at the zero rows); read-only, as
-    the table is cached.  L_j is its own symplectic complement, so
-    k . basis(L_i) lies in L_j iff pairing[i, j] k = 0,
-    pairing[i, j, s, r] = [b_r(L_i), b_s(L_j)]: the kernels of the pairings
-    are one batched `zmod.null_space` per block of consecutive first
-    Lagrangians i (`pair_blocks`), the pairs (i, j >= i0) of the block, each
-    written to both orders, with the signs of each order read at its own
-    first Lagrangian."""
-    tables = lagrangian_tables(lags)
-    d, n, count = lags.d, lags.n, len(lags)
-    # a pairing sums 2n products of residues below d, exactly in this dtype
-    basis = tables.basis.astype(np.min_scalar_type(-2 * n * (d - 1) ** 2))
-    jbasis = jvec(basis)
-    dims = np.zeros((count,) * 2, dtype=np.uint8)
-    jb = np.zeros((count,) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
-    signs = np.zeros((count,) * 2 + (n,), dtype=tables.signs.dtype)
-    # a pair's transients, measured by tracemalloc at (3,3) and (2,4): ~10
-    # bytes per entry of its n x n pairing and n x 2n intersection basis
-    for i0, i1 in pair_blocks(count, 10 * n * (2 * n + 1) * basis.itemsize):
-        left = basis[i0:i1, None]
-        kernel = null_space(jbasis[i0:] @ left.swapaxes(-1, -2), d)  # (rows, j >= i0, n, n)
-        b = kernel @ left % d  # zero rows stay zero
-        # within the block, (i, j) with j < i takes the basis of (j, i)
-        below = np.tril_indices(i1 - i0, -1)
-        b[below] = b[below[::-1]]
-        codes = point_codes(b, d)
-        dims[i0:i1, i0:] = kernel.any(-1).sum(-1)
-        jb[i0:i1, i0:] = jvec(b) % d
-        signs[i0:i1, i0:] = tables.signs[np.arange(i0, i1)[:, None, None], codes]
-        # the block's columns i0:i1 hold every order (j, i) with j >= i0
-        dims[i0:, i0:i1] = dims[i0:i1, i0:].T
-        jb[i0:, i0:i1] = jb[i0:i1, i0:].swapaxes(0, 1)
-        signs[i0:, i0:i1] = tables.signs[np.arange(i0, count)[None, :, None], codes].swapaxes(0, 1)
-    dims.flags.writeable = jb.flags.writeable = signs.flags.writeable = False
-    return dims, jb, signs
-
-
-def character_keys(lags, li, reps):
-    """keys[..., x, j] = sum_t chi_x(b_t) d^t over the basis b_t of L_x ∩ L_j
-    (`_pair_table`, one basis for both orders of the pair) for the labels x
-    with Lagrangian lags[li[x]] and representative reps[..., x, :], any
-    leading axes shared: chi_x = [rep_x, .] + c_(L_x) as one integer below
-    d^n per Lagrangian.  Labels x and y overlap iff keys[x, L_y] ==
-    keys[y, L_x], as each chi is a character.  Each form sums 2n products of
-    residues below d and a sign bit, exactly in the smallest unsigned dtype
-    that holds 2n (d - 1)^2 + 1."""
-    d, n = lags.d, lags.n
-    _, jb, signs = _pair_table(lags)
-    acc = np.min_scalar_type(2 * n * (d - 1) ** 2 + 1)
-    forms = (np.einsum("...xa,xjta->...xjt", reps.astype(jb.dtype), jb[li], dtype=acc)
-             + signs[li]) % d
-    key = np.min_scalar_type(d ** n - 1)
-    return (forms * d ** np.arange(n, dtype=key)).sum(axis=-1, dtype=key)
-
-
-def closed_form_gram(lags, index, reps) -> GramMatrix:
-    """The Gram of the stabilizer labels (lags[index[x]], reps[x]) of the
-    `phase_space.Lagrangians` lags: tr(Pi_x Pi_y) = d^(dim(L∩M) - n) if the
-    characters chi_x and chi_y agree on L∩M, else 0, with chi = [rep, .] +
-    c_L on L (`phase_space.lagrangian_tables`).
-
-    The intersections depend only on the pair of Lagrangians (`_pair_table`),
-    and the characters on them are one integer per label and Lagrangian
-    (`character_keys`), so agreement is one (N, N) comparison.  Entry (x, y)
-    is code 0 (value 0) or 1 + dim(L_x ∩ L_y); the n + 2 values increase
-    with it.
-    """
-    d, n = lags.d, lags.n
-    keys = character_keys(lags, index, reps)
-    # both sides gathered by rows: comparing C-order arrays, not one with its
-    # transpose, is the bulk of the saving at N = 3 900
-    agree = keys.take(index, axis=1) == keys.T[index]
-    codes = np.where(agree, _pair_table(lags)[0][index].take(index, axis=1) + np.uint8(1),
-                     np.uint8(0))
-    legend = (Fraction(0), *(Fraction(d) ** (k - n) for k in range(n + 1)))
-    return GramMatrix.from_keys(codes, legend.__getitem__)
-
-
-_TABLE_SPAN = 16  # widest key span `GramMatrix.from_keys` ranks through a table
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Exact pairwise overlaps tr(q_i q_j) of a state family as colour codes:
@@ -326,25 +223,10 @@ class GramMatrix:
         """The Gram with entries value(keys[i, j]), for an integer matrix
         keys (numpy integers or Python ints) and a map value that strictly
         increases with the key: each entry's code is the rank of its key
-        among the distinct keys.
-
-        Keys within a span of `_TABLE_SPAN` (the closed form's n + 2 codes,
-        the brute-force Gram's few values) are shifted to start at 0 (as
-        uint8 if they are Python ints), found by one comparison pass per
-        possible key and ranked through a table indexed by key, with no copy
-        of keys wider than the codes; wider spans are ranked by np.unique."""
-        low, high = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
-        if keys.size and high - low < _TABLE_SPAN:
-            index = keys - low if low else keys
-            if index.dtype == object:
-                index = index.astype(np.uint8)
-            present = np.array([(index == k).any() for k in range(high - low + 1)])
-            distinct = [low + k for k in np.flatnonzero(present).tolist()]
-            dtype = np.min_scalar_type(len(distinct) - 1)
-            codes = (np.cumsum(present) - 1).astype(dtype)[index]
-        else:
-            distinct = np.unique(keys).tolist()
-            codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
+        among the distinct keys (np.unique), in the smallest unsigned dtype
+        that holds the ranks."""
+        distinct = np.unique(keys).tolist()
+        codes = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct) - 1))
         codes.flags.writeable = False
         return cls(codes, tuple(map(value, distinct)))
 
@@ -366,15 +248,89 @@ class GramMatrix:
         return "".join(",".join(map(names.__getitem__, row)) + "\n" for row in self.codes.tolist())
 
 
+def supports(q):
+    """The support of each element of an `OperatorSet` in the Hermitian
+    basis B_a (A(a) at odd d, the Pauli T(a) at d = 2): (points, values),
+    each of shape (N, k), the `point_codes` codes of the points a where
+    T[a, x] = tr(B_a q_x) is nonzero and T there, so that a scatter of them
+    is the trace table (`moments.trace_table`).
+
+    A stabilizer state x: at odd d, the d^n points of rep_x + L_x, each with
+    1 (Pi_x is d^-n times the sum of the A(a) over its coset, so this is its
+    discrete Wigner function); at d = 2, the points b of L_x, with
+    (-1)^([rep_x, b] + c_L(b)), c_L the signs of
+    `phase_space.lagrangian_tables`.  A phase point A(x): the point x with
+    d^n at odd d, as tr(A(a) A(x)) = d^n [a = x]; every point a with
+    (-1)^[a, x] at d = 2.  The values, +-1 and d^n <= 64
+    (`phase_space.MAX_POINTS`), are int8."""
+    d, n = q.d, q.n
+    value = np.min_scalar_type(-d ** n)
+    small = np.min_scalar_type(-2 * n * (d - 1) ** 2)  # holds a form before mod d
+    if q.lags is None:
+        if d > 2:
+            return point_codes(q.points, d)[:, None], np.full((q.size, 1), d ** n, dtype=value)
+        every = code_points(np.arange(4 ** n), 2, 2 * n).astype(small)
+        forms = q.points.astype(small) @ jvec(every).T
+        return np.broadcast_to(np.arange(4 ** n), forms.shape), (1 - 2 * (forms % 2)).astype(value)
+    tables = lagrangian_tables(q.lags)
+    points, reps = tables.points.astype(small)[q.index], q.reps.astype(small)
+    if d > 2:
+        return point_codes((reps[:, None] + points) % d, d), np.ones(points.shape[:2], dtype=value)
+    codes = tables.codes[q.index]
+    forms = np.einsum("xa,xpa->xp", reps, jvec(points)) + tables.signs[q.index[:, None], codes]
+    return codes, (1 - 2 * (forms % 2)).astype(value)
+
+
+def _support_sums(q):
+    """sums[x, y] = sum_a T[a, x] T[a, y] over the trace table T of the
+    set q, read from its `supports`: the incidences grouped by point with
+    one stable argsort, each point adding v v^T of its values v over its
+    elements.  A group is added a slice of rows at a time, its flat pair
+    indices no more than the support's entries.  Each column holds d^n
+    values +-1, so |sums| <= d^n, and sums is in the smallest dtype that
+    holds d^n."""
+    points, values = supports(q)
+    order = np.argsort(points, axis=None, kind="stable")
+    at = points.ravel()[order]
+    # the bounds of each point's run of incidences
+    bounds = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(), at.size]
+    elements, values = order // points.shape[1], values.ravel()[order]
+    sums = np.zeros((q.size,) * 2, dtype=np.min_scalar_type(-q.dim))
+    flat = sums.reshape(-1)  # a view: one flat index per pair is faster than two
+    for start, end in zip(bounds, bounds[1:]):
+        x, v = elements[start:end], values[start:end]
+        step = max(1, points.size // (end - start))
+        for r in range(0, end - start, step):
+            flat[(x[r:r + step, None] * q.size + x).ravel()] += (v[r:r + step, None] * v).ravel()
+    return sums
+
+
 def build_gram(q) -> GramMatrix:
-    """The Gram of an `OperatorSet` of stabilizer states, by the closed form
-    (`closed_form_gram`); a set of more than MAX_ENTRIES entries is refused
+    """The Gram of an `OperatorSet` of stabilizer states from their
+    `supports`: tr(Pi_x Pi_y) = d^-n sum_a T[a, x] T[a, y] over the trace
+    table T, as tr(B_a B_b) = d^n [a = b] (`_support_sums`).  A sum is 0
+    or d^k, k = dim(L_x ∩ L_y); the codes rank the sums that occur, the
+    legend their values sum / d^n, and any other sum raises Mismatch,
+    naming the pair.  A set of more than MAX_ENTRIES entries is refused
     (BudgetExceeded)."""
     if not isinstance(q, OperatorSet) or q.lags is None:
         raise ValueError("the Gram is built from a set of stabilizer states")
     if q.size * q.size > MAX_ENTRIES:
         raise BudgetExceeded(f"{q.size}^2 Gram entries exceed budget")
-    return closed_form_gram(q.lags, q.index, q.reps)
+    sums = _support_sums(q)
+    # the sums that occur, 0 and powers of d, coded by rank through a lookup
+    # that codes any other sum past them (a negative sum indexes it from its
+    # end, past d^n)
+    occur = [c for c in (0, *(q.d ** k for k in range(q.n + 1))) if (sums == c).any()]
+    lookup = np.full(2 * q.dim + 1, len(occur), dtype=np.uint8)
+    lookup[occur] = range(len(occur))
+    codes = lookup[sums]
+    if codes.max() == len(occur):
+        x, y = np.argwhere(codes == len(occur))[0].tolist()
+        raise Mismatch(f"states {x} and {y}: their supports give the sum {sums[x, y]}, "
+                       f"not 0 or a power of {q.d}")
+    codes.flags.writeable = False
+    return GramMatrix(codes, tuple(Fraction(c, q.dim) for c in occur))
 
 
 # ---------------------------------------------------------------------------

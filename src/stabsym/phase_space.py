@@ -39,8 +39,8 @@ def all_vectors(d, length):
 class Lagrangians:
     """A list of Lagrangians of Z_d^{2n}: basis[l], the canonical echelon
     basis (n x 2n) of the l-th, as one read-only int64 array.  Equal and
-    hashed by identity, so the caches keyed on a list (`lagrangian_tables`,
-    `operators._pair_table`) never hash a basis.  There are two kinds:
+    hashed by identity, so the cache keyed on a list (`lagrangian_tables`)
+    never hashes a basis.  There are two kinds:
     `enumerate_lagrangians` builds the list of all of them, once per (d, n),
     and `clifford.real_clifford_closure` the rebits' real sublist."""
 

@@ -25,7 +25,6 @@ from .clifford import (
 )
 from .errors import (BudgetExceeded, Mismatch, NotBasisPreserving, OddOnly, SearchTimeout,
                      Unsupported)
-from . import operators
 from .operators import GramMatrix, stabilizer_set, stabilizer_states
 from .permgroup import PermGroup, schreier_sims
 from .phase_space import (
@@ -508,6 +507,9 @@ def verify_theorem1(d, n, variant, time_budget=None):
 # ---------------------------------------------------------------------------
 # The S_f sum rule
 
+BLOCK_BYTES = 1 << 20  # the working set of one `sf_checks` call of `_sf_families`
+
+
 def sf_checks(lags, bs):
     """The S_f sum rule for the families {(L, b): L in lags} of the bs
     (B, 2n), as arrays over b: (the trace t = tr sum_L Pi_(L,b), whether
@@ -548,7 +550,7 @@ def sf_checks(lags, bs):
 
 def _sf_families(d, n, bs):
     """`sf_checks` of the families {(L, b): L Lagrangian} of every b in bs,
-    as many b at a time as `operators.BLOCK_BYTES` holds of their
+    as many b at a time as BLOCK_BYTES holds of their
     characters and histograms."""
     if d == 2:
         raise OddOnly("S_f machinery requires odd d")
@@ -556,7 +558,7 @@ def _sf_families(d, n, bs):
     bs = np.array(bs, dtype=np.int64).reshape(-1, 2 * n) % d
     # per b: a character and its intp histogram index at each point of each
     # Lagrangian, and the int64 histogram with its comparison
-    step = max(1, operators.BLOCK_BYTES // (10 * len(lags) * d ** n + 9 * d ** (2 * n + 1)))
+    step = max(1, BLOCK_BYTES // (10 * len(lags) * d ** n + 9 * d ** (2 * n + 1)))
     parts = [sf_checks(lags, bs[i:i + step]) for i in range(0, len(bs), step)]
     return tuple(np.concatenate(x) for x in zip(*parts))
 

@@ -81,18 +81,3 @@ def rref(a, d: int):
         pivots[m, k] = col
         rank[m] += 1
     return ech.reshape(a.shape), pivots.reshape(*lead, r)
-
-
-def null_space(a, d: int):
-    """A basis of the kernel {k : a k = 0 over Z_d} of every matrix in a
-    stack a of shape (..., r, c), as a stack (..., c, c): for the t-th free
-    column f of `rref`, row t is e_f - sum_i ech[i, f] e_(p_i), and the
-    rows from c - rank on are zero."""
-    ech, pivots = rref(a, d)
-    c = ech.shape[-1]
-    onehot = pivots[..., None] == np.arange(c)  # [i, p]: p is the pivot column of row i
-    basis = (np.eye(c, dtype=ech.dtype) - ech.swapaxes(-1, -2) @ onehot.astype(ech.dtype)) % d
-    free = np.argsort(onehot.any(-2), axis=-1, kind="stable")  # free columns first, in order
-    kernel = np.take_along_axis(basis, free[..., None], axis=-2)
-    kernel[np.arange(c) >= c - onehot.sum((-2, -1))[..., None]] = 0
-    return kernel

@@ -31,9 +31,7 @@ objects and one-element loops, each the oracle of a batched library path.
   `similitude_multiplier_loop` that of `clifford.PhaseStack` and
   `products_equal`; `symmetric_basis` and `jordan_slab` that of
   `moments._jordan`.
-- Eliminations and chains.  `rref_rows`, `null_space_rows` and
-  `pair_table_loop` eliminate one matrix at a time (`zmod.rref`,
-  `operators._pair_table`); `inverse_mod` takes sympy's `inv_mod`;
+- Eliminations and chains.  `inverse_mod` takes sympy's `inv_mod`;
   `tree_representative` and `assert_schreier_trees` check a
   `permgroup.PermGroup` chain edge by edge.
 - Helpers no library path calls: the dense traces (`trace_product`,
@@ -66,7 +64,6 @@ from stabsym.phase_space import (
     enumerate_stabilizer_labels,
     jvec,
     label_permutations,
-    lagrangian_tables,
     code_points,
     point_codes,
 )
@@ -843,69 +840,6 @@ def transform_labels(labels, matrix, a, eta=None):
     reps = (np.array([lab.rep for lab in labels]) @ np.asarray(matrix).T + a
             + shifts[which]) % d
     return [StabilizerLabel.make(images[k], tuple(rep)) for k, rep in zip(which, reps.tolist())]
-
-
-def rref_rows(rows, d: int):
-    """Reduced row echelon form of a list of int rows over Z_d, one row
-    operation at a time: (rows, pivots, rank), zero rows dropped and pivot
-    columns strictly increasing."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] % d), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = inv_mod(rows[r][c], d)
-        rows[r] = [(x * inv) % d for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % d:
-                f = rows[i][c] % d
-                rows[i] = [(x - f * y) % d for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in rows[:r]], tuple(pivots), r
-
-
-def null_space_rows(rows, ncols: int, d: int):
-    """A basis of {k : r . k = 0 over Z_d for every row r}: for each free
-    column f of `rref_rows`, e_f - sum_i ech[i][f] e_(p_i)."""
-    ech, pivots, _ = rref_rows(rows, d)
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        k = [0] * ncols
-        k[f] = 1
-        for row, p in zip(ech, pivots):
-            k[p] = (-row[f]) % d
-        out.append(k)
-    return out
-
-
-def pair_table_loop(lags):
-    """`operators._pair_table` with one `null_space_rows` per pair of
-    Lagrangians (i <= j), each result written to both orders: (dims, jb,
-    signs) in the same dtypes."""
-    tables = lagrangian_tables(lags)
-    d, n = lags.d, lags.n
-    dims = np.zeros((len(lags),) * 2, dtype=np.uint8)
-    jb = np.zeros((len(lags),) * 2 + (n, 2 * n), dtype=np.min_scalar_type(d - 1))
-    codes = np.zeros((len(lags),) * 2 + (n,), dtype=np.min_scalar_type(d ** (2 * n) - 1))
-    basis = tables.basis
-    pairing = (np.einsum("irk,jsk->ijsr", basis, jvec(basis)) % d).tolist()
-    for i in range(len(lags)):
-        for j in range(i, len(lags)):
-            kernel = null_space_rows(pairing[i][j], n, d)
-            dims[i, j] = dims[j, i] = len(kernel)
-            for t, k in enumerate(kernel):
-                b = np.dot(k, basis[i]) % d
-                jb[i, j, t] = jb[j, i, t] = jvec(b) % d
-                codes[i, j, t] = codes[j, i, t] = point_codes(b, d)
-    return dims, jb, tables.signs[np.arange(len(lags))[:, None, None], codes]
 
 
 def matrix_point_perm(m, points, d, index=None):

@@ -92,6 +92,11 @@ def test_the_clifford_laws_and_moments_import_no_dense_kernel():
                              " verify_Sf_machinery".split())
     for name in "hs_inner gram_closed_form ext_compose sp_order sqrt_d verify_Sf_machinery".split():
         assert not hasattr(stabsym, name), name
+    # the Gram and the trace table read one form of a set's elements,
+    # `operators.supports`: no Lagrangian-pair table and no Z_d kernel
+    assert not defined & set("_pair_table pair_blocks character_keys closed_form_gram null_space"
+                             .split())
+    assert callable(operators.supports) and not hasattr(zmod, "null_space")
     # a family is arrays from enumeration to every reader: the label objects
     # and the grouping that turned them back into arrays live in the tests
     objects = set("Subspace LagrangianSubspace StabilizerLabel LabelIndex lagrangian_index"

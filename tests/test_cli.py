@@ -30,8 +30,8 @@ def test_enumerate_counts(capsys):
 
 
 def test_enumerate_deterministic(capsys):
-    _, out1 = run_cli(capsys, "enumerate", "--d", "3", "--n", "1", "--seed", "7")
-    _, out2 = run_cli(capsys, "enumerate", "--d", "3", "--n", "1", "--seed", "7")
+    _, out1 = run_cli(capsys, "enumerate", "--d", "3", "--n", "1")
+    _, out2 = run_cli(capsys, "enumerate", "--d", "3", "--n", "1")
     assert out1 == out2
 
 
@@ -57,6 +57,36 @@ def test_gram_csv_output_file(capsys, tmp_path):
     code, out = run_cli(capsys, *argv, "--output", str(tmp_path / "g.csv"))
     assert code == 0 and out == ""
     assert (tmp_path / "g.csv").read_text() == csv
+
+
+def test_gram_csv_timing_is_a_usage_error(capsys):
+    # the elapsed time is a key of a JSON report; a CSV has none to hold it
+    assert main(["gram", "--d", "3", "--n", "1", "--format", "csv", "--timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unsupported: --timing") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    *(["enumerate", "--d", "3", option, "5"] for option in ("--seed", "--samples")),
+    *([cmd, "--d", "3", "--seed", "1"] for cmd in ("gram", "autgroup", "verify-design", "facets")),
+    *([cmd, "--d", "3", "--budget-seconds", "5"]
+      for cmd in ("enumerate", "gram", "verify-design", "verify-clifford", "facets", "sf-sum")),
+    ["gram", "--d", "3", "--matrix-limit", "4"],
+])
+def test_an_option_its_command_never_reads_is_a_usage_error(capsys, argv):
+    # a run with such an option would record a second golden of one report
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sampled_and_searched_options_stay_where_they_are_read():
+    parse = build_parser().parse_args
+    for cmd in ("verify-clifford", "sf-sum", "report"):
+        args = parse([cmd, "--d", "3", "--seed", "4", "--samples", "5"])
+        assert (args.seed, args.samples) == (4, 5)
+    for cmd in ("autgroup", "report"):
+        assert parse([cmd, "--d", "3", "--budget-seconds", "5"]).budget_seconds == 5
 
 
 def test_gram_csv_golden_is_a_usage_error(capsys, tmp_path):

@@ -1,11 +1,7 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,16 +11,16 @@ from hypothesis import strategies as st
 from stabsym import cyclotomic, moments, operators, symmetry
 from stabsym.cyclotomic import CycNumber, conductor_for, omega, root_of_unity
 from stabsym.clifford import real_clifford_orbit
-from stabsym.errors import BudgetExceeded, OddOnly
+from stabsym.errors import BudgetExceeded, Mismatch, OddOnly
 from stabsym.operators import (
     GramMatrix,
     OperatorSet,
     OpMatrix,
     build_gram,
-    closed_form_gram,
     phase_point_table,
     stabilizer_set,
     stabilizer_states,
+    supports,
     weyl_table,
 )
 from stabsym.phase_space import (
@@ -53,7 +49,6 @@ from dense_oracles import (
     label_from_functional,
     label_set,
     lagrangian_objects,
-    pair_table_loop,
     phase_point,
     phase_point_mono,
     sign_bits,
@@ -333,9 +328,8 @@ def test_hs_inner_cross_basis_d5():
 
 
 def _pair_value(x, y):
-    """tr(Pi_x Pi_y) by `closed_form_gram` on the pair."""
-    q = label_set((x, y))
-    return closed_form_gram(q.lags, q.index, q.reps).values[0][1]
+    """tr(Pi_x Pi_y) by `build_gram` on the pair."""
+    return build_gram(label_set((x, y))).values[0][1]
 
 
 def test_gram_closed_form_basics():
@@ -380,75 +374,77 @@ def _gram_entry_loop(labels):
 
 
 @pytest.mark.parametrize("d", [13, 17])
-def test_closed_form_gram_equals_the_entry_loop(d):
+def test_build_gram_equals_the_entry_loop(d):
     # a form [rep, b] of a canonical label sums n products below d^2; at
     # d = 17 one reaches 16 * 16 = 256, beyond uint8
     q = stabilizer_set(d, 1)
     assert build_gram(q).values == _gram_entry_loop(set_labels(q))
 
 
-@pytest.mark.parametrize("d,n", [
-    (2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3),
-    pytest.param(5, 2, marks=pytest.mark.slow), pytest.param(7, 2, marks=pytest.mark.slow),
-])
-def test_pair_table_equals_the_per_pair_loop(d, n):
-    # one batched elimination over the i <= j pairs, mirrored, against one
-    # list elimination per pair: every entry and every dtype
-    lags = enumerate_lagrangians(d, n)
-    for got, want in zip(operators._pair_table(lags), pair_table_loop(lags)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert (got == want).all()
-        assert not got.flags.writeable
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (3, 2)])
+def test_a_moved_support_point_is_a_mismatch(monkeypatch, d, n):
+    # at odd d a state's support moved by one point shares one point more or
+    # less with some other state: a sum off by one from a power of d, which
+    # is no power of d
+    q = stabilizer_set(d, n)
+    points, values = supports(q)
+    rng = random.Random(d ** n)
+    for x in rng.sample(range(q.size), min(q.size, 12)):
+        outside = sorted(set(range(d ** (2 * n))) - set(points[x].tolist()))
+        for j in range(points.shape[1]):
+            moved = points.copy()
+            moved[x, j] = rng.choice(outside)
+            monkeypatch.setattr(operators, "supports", lambda q, moved=moved: (moved, values))
+            with pytest.raises(Mismatch, match=r"^states \d+ and \d+: .* not 0 or a power of"):
+                build_gram(q)
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (5, 2)])
-def test_pair_table_in_one_row_blocks_equals_the_per_pair_loop(monkeypatch, d, n):
-    # a budget below one pair's bytes makes every block one first
-    # Lagrangian: each block's pairs written to both orders, no pair left
-    # out or taken from the wrong order's elimination
-    monkeypatch.setattr(operators, "BLOCK_BYTES", 1)
-    lags = enumerate_lagrangians(d, n)
-    assert len(list(operators.pair_blocks(len(lags), 1))) == len(lags)
-    for got, want in zip(operators._pair_table.__wrapped__(lags), pair_table_loop(lags)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert (got == want).all()
-        assert not got.flags.writeable
-
-
-@pytest.mark.slow
-def test_pair_table_d2_n4_peak_rss_is_under_350_mb():
-    # opt-in (`-m slow`): the (2,4) table of 2 295 Lagrangians holds ~195 MB
-    # of output and is built one block of first Lagrangians at a time (~222
-    # MB peak; ~690 MB as one batched elimination over all 2.6 M pairs)
-    code = ("import resource\n"
-            "from stabsym import operators, phase_space\n"
-            "operators._pair_table(phase_space.enumerate_lagrangians(2, 4))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(operators.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert int(out.stdout) / 1024 < 350  # ru_maxrss is in KiB on Linux
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_flipped_support_value_raises_or_changes_the_gram(monkeypatch, n):
+    # at d = 2 a state's sign flipped at one point either gives a sum that
+    # is no power of 2 or a Gram that differs from the dense one
+    q = stabilizer_set(2, n)
+    brute = bruteforce_gram(family_projectors(q))
+    points, values = supports(q)
+    rng = random.Random(n)
+    for x in rng.sample(range(q.size), min(q.size, 12)):
+        for j in range(points.shape[1]):
+            flipped = values.copy()
+            flipped[x, j] *= -1
+            monkeypatch.setattr(operators, "supports", lambda q, flipped=flipped: (points, flipped))
+            try:
+                gram = build_gram(q)
+            except Mismatch:
+                continue
+            assert gram.values != brute.values
 
 
 @st.composite
-def label_pairs(draw):
+def label_subsets(draw):
+    """2 to 8 labels of one (d, n), with repeats; one label in three after
+    the first takes the Lagrangian of an earlier one, where distinct labels
+    are orthogonal."""
     d, n = draw(st.sampled_from([(5, 1), (3, 2), (2, 2), (2, 3)]))
     lags = lagrangian_objects(enumerate_lagrangians(d, n))
-    first = draw(st.sampled_from(lags))
-    # one pair in three shares its Lagrangian, where distinct labels are orthogonal
-    second = first if draw(st.integers(0, 2)) == 0 else draw(st.sampled_from(lags))
     reps = st.lists(st.integers(-50, 50), min_size=2 * n, max_size=2 * n)
-    return StabilizerLabel.make(first, draw(reps)), StabilizerLabel.make(second, draw(reps))
+    labels = []
+    for _ in range(draw(st.integers(2, 8))):
+        shared = labels and draw(st.integers(0, 2)) == 0
+        lag = draw(st.sampled_from([x.L for x in labels])) if shared else draw(st.sampled_from(lags))
+        labels.append(StabilizerLabel.make(lag, draw(reps)))
+    return labels
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(label_pairs())
-def test_gram_closed_form_equals_the_hilbert_schmidt_inner(pair):
-    x, y = pair
-    brute = hs_inner(stab_projector(x), stab_projector(y)).as_fraction()
-    assert _pair_value(x, y) == brute
-    if x.L == y.L:
-        assert brute == (1 if x == y else 0)
+@given(label_subsets())
+def test_gram_closed_form_equals_the_hilbert_schmidt_inner(labels):
+    # a subset's Gram reads the supports of its own labels alone, and may
+    # lack some of the values a whole family has
+    projs = [stab_projector(x) for x in labels]
+    brute = [[hs_inner(a, b).as_fraction() for b in projs] for a in projs]
+    assert build_gram(label_set(labels)).values == tuple(map(tuple, brute))
+    for x, row in zip(labels, brute):
+        assert all(v == (x == y) for y, v in zip(labels, row) if x.L == y.L)
 
 
 def test_gram_value_multisets():
@@ -482,7 +478,7 @@ def test_gram_bruteforce_tensor_matches_closed_form_sample():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_rebit_closed_form_gram_equals_brute_force(n):
+def test_rebit_build_gram_equals_brute_force(n):
     # the dense breadth-first orbit: the same states in the same order
     dense = dense_real_clifford_orbit(n)
     brute = bruteforce_gram(dense)

@@ -697,7 +697,7 @@ def test_sf_weyl_basis_equals_the_dense_projector_sum(d, n, samples):
 def test_sf_sum_in_chunks_equals_one_call(monkeypatch):
     bs = list(all_vectors(3, 4))
     whole = symmetry._sf_families(3, 2, bs)
-    monkeypatch.setattr(operators, "BLOCK_BYTES", 1)  # one b per sf_checks call
+    monkeypatch.setattr(symmetry, "BLOCK_BYTES", 1)  # one b per sf_checks call
     chunked = symmetry._sf_families(3, 2, bs)
     for x, y in zip(whole, chunked):
         assert x.tolist() == y.tolist()
@@ -712,11 +712,3 @@ def test_sf_checks_reject_a_mutated_family(d, n):
     assert bool(sf_checks(dropped, np.array([b]))[1][0]) is False
     family = [StabilizerLabel.make(L, b) for L in lagrangian_objects(dropped)]
     assert dense_sf_machinery(d, n, b, family)[1] is False
-
-
-def test_sf_sum_reads_no_pair_table(monkeypatch):
-    def refuse(lags):
-        raise AssertionError("the S_f sum rule read the Lagrangian pair table")
-
-    monkeypatch.setattr(operators, "_pair_table", refuse)
-    assert symmetry.verify_sf_sum(3, 2, 0, 100) == {"tested_b": 81, "C": "4", "pass": True}

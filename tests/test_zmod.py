@@ -7,7 +7,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from stabsym.clifford import ExtCliffordElement, similitude_multiplier
-from stabsym.zmod import inv_mod, legendre, null_space, rref
+from stabsym.zmod import inv_mod, legendre, rref
 
 
 def test_composite_modulus_rejected():
@@ -113,24 +113,19 @@ def mixed_stacks(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(mixed_stacks())
-def test_rref_and_null_space_match_sympy(case):
+def test_rref_matches_sympy(case):
     d, stack = case
     r, c = stack.shape[1:]
     field = GF(d, symmetric=False)
     ech, pivots = rref(stack, d)
-    kernel = null_space(stack, d)
     ranks = []
-    for a, e, p, k in zip(stack, ech, pivots, kernel):
+    for a, e, p in zip(stack, ech, pivots):
         ref = DomainMatrix([[field(int(x)) for x in row] for row in a], (r, c), field)
         ref_ech, ref_pivots = ref.rref()
         rank = len(ref_pivots)
         ranks.append(rank)
         assert e.tolist() == [[int(x) for x in row] for row in ref_ech.to_list()]
         assert p.tolist() == [*ref_pivots, *[c] * (r - rank)]
-        assert (a @ k.T % d == 0).all()  # a . k = 0 for every kernel row
-        assert not k[c - rank:].any()
-        basis = [[field(int(x)) for x in row] for row in k[:c - rank]]
-        assert DomainMatrix(basis, (c - rank, c), field).rank() == c - rank
     assert 0 in ranks and min(r, c) in ranks
 
 
