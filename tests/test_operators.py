@@ -529,7 +529,7 @@ def rank_by_sorted_set(keys):
 @given(st.sampled_from((np.uint8, np.uint16, np.int64, object)), st.integers(0, 40),
        st.sampled_from((1, 3, 15, 16, 17, 300)), st.integers(1, 9), st.data())
 def test_from_keys_ranks_like_the_sorted_set(dtype, low, span, size, data):
-    # spans below and above the table's width, gaps, and a nonzero lowest key;
+    # narrow and wide spans, gaps, and a nonzero lowest key;
     # Python-int keys (object) beyond int64, as `trace_pairs` may return them
     if np.dtype(dtype).kind == "u":
         values = st.integers(low, min(low + span - 1, np.iinfo(dtype).max))
